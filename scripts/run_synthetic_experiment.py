@@ -16,7 +16,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from segsum import classify, corpus as corpus_mod, evaluation, filters, model, patterns
-from segsum.corpus import Sentence, build_vocabulary, make_token
+from segsum.corpus import build_vocabulary
 from segsum.synthetic import generate_text_reviews, text_polarity_lexicon
 
 
@@ -24,13 +24,7 @@ def build_corpus(args):
     reviews = generate_text_reviews(num_entities=args.entities,
                                     reviews_per_entity=args.reviews,
                                     rng_seed=args.seed)
-    return corpus_mod.Corpus([
-        corpus_mod.Review(
-            r["id"], r["entity_id"],
-            [Sentence([make_token(s, p) for s, p in sent], r["id"])
-             for sent in r["sentences"]],
-            list(r["pros"]), list(r["cons"]))
-        for r in reviews])
+    return corpus_mod.Corpus([corpus_mod.review_from_record(r) for r in reviews])
 
 
 def main():
@@ -54,48 +48,31 @@ def main():
     schedule = model.Schedule(burn_in=args.sweeps // 4,
                               interleave=max(args.sweeps // 6, 1),
                               total=args.sweeps)
-    state = model.train(corpus, vocab, model.Hyperparams(num_topics=args.topics),
-                        model.SeedList(frozenset({"good", "great"}),
-                                       frozenset({"bad", "terribl"})),
-                        schedule, rng_seed=args.seed)
-    est = model.estimate(state)
+    state = model.init(corpus, vocab, model.Hyperparams(num_topics=args.topics),
+                       model.SeedList(frozenset({"good", "great"}),
+                                      frozenset({"bad", "terribl"})),
+                       rng_seed=args.seed)
+    model.train(state, schedule)
     print()
     print(model.format_topic_table(model.topic_report(state, top_n=6)))
     print()
 
-    segments = patterns.extract_corpus(corpus, {1, 2, 3, 4, 5})
-    labeled, dropped = classify.label_aspects(segments, est, vocab)
-    print(f"extracted {len(segments)} segments ({len(dropped)} unclassifiable)")
-
-    by_entity = {}
-    for seg in labeled:
-        by_entity.setdefault(seg.entity_id, []).append(seg)
     refs = corpus_mod.build_reference_summaries(corpus)
     lexicon = classify.PolarityLexicon(text_polarity_lexicon())
+    config = filters.FilterConfig(aw_top_x=20, sw_top_y=10)
 
     os.makedirs(args.output_dir, exist_ok=True)
-    rows = []
-    for name in args.procedures.split(","):
-        candidates = {}
-        for entity_id, segs in sorted(by_entity.items()):
-            pos, neg = filters.run_procedure(
-                name, segs, est, vocab, y_senti=state.y_senti, lexicon=lexicon,
-                config=filters.FilterConfig(aw_top_x=20, sw_top_y=10))
-            candidates[entity_id] = {"positive": pos, "negative": neg}
+    for i, name in enumerate(args.procedures.split(",")):
+        candidates, _ = filters.entity_candidates(
+            state, corpus, {1, 2, 3, 4, 5}, patterns.DEFAULT_MAX_WORDS, name,
+            lexicon, config)
         report = evaluation.evaluate(candidates, refs)
-        rows.append((name, report))
         path = os.path.join(args.output_dir, f"report_{name.replace('+', '_')}.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(report.to_dict(), fh, indent=2)
-
-    print()
-    header_printed = False
-    for name, report in rows:
-        table = evaluation.format_report_table(report, name)
-        head, row = table.split("\n")
-        if not header_printed:
+        head, row = evaluation.format_report_table(report, name).split("\n")
+        if i == 0:
             print(head)
-            header_printed = True
         print(row)
     print(f"\nreports written to {args.output_dir}/")
 

@@ -15,8 +15,6 @@ import sys
 from . import classify, corpus as corpus_mod, evaluation, filters, model, patterns
 from .config import ConfigError, load_config
 
-log = logging.getLogger(__name__)
-
 EXIT_OK, EXIT_USAGE, EXIT_DATA = 0, 1, 2
 
 
@@ -64,34 +62,14 @@ def _write_json(path, payload):
         json.dump(payload, fh, indent=2)
 
 
-def _extract_segments(cfg, corp, pattern_spec=None):
-    spec = pattern_spec or cfg.pattern_spec
-    ids = patterns.resolve_pattern_ids(spec)
-    return patterns.extract_corpus(corp, ids, max_words=cfg.max_words)
+def _pattern_ids(cfg, args):
+    return patterns.resolve_pattern_ids(args.patterns or cfg.pattern_spec)
 
 
-def _entity_candidates(cfg, state, corp, pattern_spec=None):
-    """Extract, aspect-label and run the configured procedure per entity."""
-    est = model.estimate(state)
-    lexicon = _load_lexicon(cfg)
-    proc = filters.parse_procedure(cfg.procedure)
-
-    segments = _extract_segments(cfg, corp, pattern_spec)
-    labeled, dropped = classify.label_aspects(segments, est, state.vocab)
-    if dropped:
-        log.info("dropped %d unclassifiable segments", len(dropped))
-
-    by_entity = {}
-    for seg in labeled:
-        by_entity.setdefault(seg.entity_id, []).append(seg)
-
-    candidates = {}
-    for entity_id in sorted(by_entity):
-        pos, neg = filters.run_procedure(
-            proc, by_entity[entity_id], est, state.vocab,
-            y_senti=state.y_senti, lexicon=lexicon, config=cfg.filters)
-        candidates[entity_id] = {"positive": pos, "negative": neg}
-    return candidates, est
+def _load_checkpoint(cfg, corp=None):
+    if not os.path.exists(cfg.checkpoint_path):
+        raise DataError(f"no checkpoint at {cfg.checkpoint_path}; run train first")
+    return model.load_checkpoint(cfg.checkpoint_path, corp)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -127,16 +105,19 @@ def cmd_train(cfg, args):
     if args.iters is not None:
         schedule = model.Schedule(min(schedule.burn_in, args.iters),
                                   schedule.interleave, args.iters)
-    if args.resume and os.path.exists(cfg.checkpoint_path):
-        state = model.load_checkpoint(cfg.checkpoint_path, corp)
-        while state.sweep_index < schedule.total:
-            model.gibbs_sweep(state)
-            t = state.sweep_index
-            if t > schedule.burn_in and (t - schedule.burn_in) % schedule.interleave == 0:
-                model.optimize_smoothers(state)
+    if args.resume:
+        state = _load_checkpoint(cfg, corp)
+        saved, wanted = state.hp.to_dict(), cfg.hyperparams.to_dict()
+        diff = [f"{k} = {wanted[k]} (checkpoint: {saved[k]})"
+                for k in saved if saved[k] != wanted[k]]
+        if state.vocab.content_hash() != vocab.content_hash():
+            diff.append("the vocabulary built with min_count and stopwords")
+        if diff:
+            raise DataError(f"the config contradicts the checkpoint at "
+                            f"{cfg.checkpoint_path}: {', '.join(diff)}")
     else:
-        state = model.train(corp, vocab, cfg.hyperparams, _load_seeds(cfg),
-                            schedule, rng_seed=cfg.rng_seed)
+        state = model.init(corp, vocab, cfg.hyperparams, _load_seeds(cfg), cfg.rng_seed)
+    model.train(state, schedule)
     os.makedirs(cfg.paths.output_dir, exist_ok=True)
     model.save_checkpoint(state, cfg.checkpoint_path)
     report = model.topic_report(state)
@@ -151,7 +132,8 @@ def cmd_train(cfg, args):
 
 def cmd_extract(cfg, args):
     corp = _load_corpus(cfg)
-    segments = _extract_segments(cfg, corp, args.patterns)
+    segments = patterns.extract_corpus(corp, _pattern_ids(cfg, args),
+                                       max_words=cfg.max_words)
     out = os.path.join(cfg.paths.output_dir, "segments.jsonl")
     os.makedirs(cfg.paths.output_dir, exist_ok=True)
     with open(out, "w", encoding="utf-8") as fh:
@@ -163,16 +145,16 @@ def cmd_extract(cfg, args):
 
 def cmd_summarize(cfg, args):
     corp = _load_corpus(cfg)
-    if not os.path.exists(cfg.checkpoint_path):
-        raise DataError(f"no checkpoint at {cfg.checkpoint_path}; run train first")
-    state = model.load_checkpoint(cfg.checkpoint_path, corp)
+    state = _load_checkpoint(cfg, corp)
 
     if args.entity:
         keep = [r for r in corp.reviews if r.entity_id == args.entity]
         if not keep:
             raise DataError(f"unknown entity: {args.entity}")
         corp = corpus_mod.Corpus(keep)
-    candidates, est = _entity_candidates(cfg, state, corp, args.patterns)
+    candidates, est = filters.entity_candidates(
+        state, corp, _pattern_ids(cfg, args), cfg.max_words, cfg.procedure,
+        _load_lexicon(cfg), cfg.filters)
     if args.entity:
         candidates = {args.entity: candidates.get(args.entity,
                                                   {"positive": [], "negative": []})}
@@ -199,14 +181,14 @@ def cmd_summarize(cfg, args):
 
 def cmd_evaluate(cfg, args):
     corp = _load_corpus(cfg)
-    if not os.path.exists(cfg.checkpoint_path):
-        raise DataError(f"no checkpoint at {cfg.checkpoint_path}; run train first")
-    state = model.load_checkpoint(cfg.checkpoint_path, corp)
+    state = _load_checkpoint(cfg, corp)
     refs = corpus_mod.build_reference_summaries(corp)
     if not any(p or c for p, c in refs.values()):
         raise DataError("no gold pros/cons in the corpus")
 
-    candidates, _ = _entity_candidates(cfg, state, corp, args.patterns)
+    candidates, _ = filters.entity_candidates(
+        state, corp, _pattern_ids(cfg, args), cfg.max_words, cfg.procedure,
+        _load_lexicon(cfg), cfg.filters)
     try:
         report = evaluation.evaluate(candidates, refs, cfg.eval)
     except ValueError as exc:
@@ -226,9 +208,7 @@ def cmd_evaluate(cfg, args):
 
 
 def cmd_topics(cfg, args):
-    if not os.path.exists(cfg.checkpoint_path):
-        raise DataError(f"no checkpoint at {cfg.checkpoint_path}; run train first")
-    state = model.load_checkpoint(cfg.checkpoint_path)
+    state = _load_checkpoint(cfg)
     print(model.format_topic_table(model.topic_report(state, top_n=args.top_n or 10)))
     return EXIT_OK
 

@@ -69,13 +69,27 @@ _SCHEMA = {
 }
 
 
+# Sections that fill one dataclass field of PipelineConfig; the keys of the
+# other sections are PipelineConfig fields themselves.
+_NESTED = {
+    "paths": ("paths", Paths),
+    "model": ("hyperparams", Hyperparams),
+    "schedule": ("schedule", Schedule),
+    "filters": ("filters", FilterConfig),
+    "eval": ("eval", EvalConfig),
+}
+# Keys stored on PipelineConfig under another name or outside their section.
+_RENAMED = {("patterns", "preset"): "pattern_spec", ("model", "min_count"): "min_count"}
+
+
 def load_config(path) -> PipelineConfig:
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
         raise ConfigError(f"cannot read config file: {path}")
 
-    values = {}
+    nested = {section: {} for section in _NESTED}
+    top = {}
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
@@ -84,55 +98,19 @@ def load_config(path) -> PipelineConfig:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             caster = _SCHEMA[section][key]
             try:
-                values[(section, key)] = caster(raw)
+                value = caster(raw)
             except ValueError as exc:
                 raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
-
-    def get(section, key, default):
-        return values.get((section, key), default)
+            if (section, key) in _RENAMED:
+                top[_RENAMED[section, key]] = value
+            elif section in _NESTED:
+                nested[section][key] = value
+            else:
+                top[key] = value
 
     try:
-        cfg = PipelineConfig(
-            paths=Paths(
-                corpus=get("paths", "corpus", ""),
-                corpus_format=get("paths", "corpus_format", "jsonl"),
-                output_dir=get("paths", "output_dir", "out"),
-                checkpoint=get("paths", "checkpoint", ""),
-                stopwords=get("paths", "stopwords", ""),
-                extra_sentiment=get("paths", "extra_sentiment", ""),
-                seeds=get("paths", "seeds", ""),
-                lexicon=get("paths", "lexicon", ""),
-            ),
-            hyperparams=Hyperparams(
-                alpha=get("model", "alpha", 0.1),
-                beta=get("model", "beta", 0.01),
-                gamma=get("model", "gamma", 0.1),
-                sigma1_sq=get("model", "sigma1_sq", 1.0),
-                sigma2_sq=get("model", "sigma2_sq", 1.0),
-                num_topics=get("model", "num_topics", 7),
-                mu_seed=get("model", "mu_seed", 2.0),
-            ),
-            schedule=Schedule(
-                burn_in=get("schedule", "burn_in", 500),
-                interleave=get("schedule", "interleave", 100),
-                total=get("schedule", "total", 2000),
-            ),
-            filters=FilterConfig(
-                aw_top_x=get("filters", "aw_top_x", 200),
-                sw_top_y=get("filters", "sw_top_y", 100),
-                rank_keep_fraction=get("filters", "rank_keep_fraction", 0.5),
-            ),
-            eval=EvalConfig(
-                recall_threshold=get("eval", "recall_threshold", 0.25),
-                token_normalization=get("eval", "token_normalization", "stemmed"),
-            ),
-            pattern_spec=get("patterns", "preset", "product"),
-            max_words=get("patterns", "max_words", 7),
-            min_count=get("model", "min_count", 5),
-            procedure=get("run", "procedure", "AW+SEN+SW"),
-            rng_seed=get("run", "rng_seed", 0),
-            top_n=get("run", "top_n", 0),
-        )
+        cfg = PipelineConfig(**top, **{name: cls(**nested[section])
+                                       for section, (name, cls) in _NESTED.items()})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -110,6 +110,22 @@ def ingest_tagged(path, format: str = "jsonl",
     raise ValueError(f"unknown corpus format: {format!r}")
 
 
+def review_from_record(obj, extra_sentiment=DEFAULT_EXTRA_SENTIMENT) -> Review:
+    """Build a Review from one decoded JSONL record; empty sentences drop."""
+    review = Review(
+        id=str(obj["id"]),
+        entity_id=str(obj["entity_id"]),
+        sentences=[],
+        pros=[str(p) for p in obj.get("pros", [])],
+        cons=[str(c) for c in obj.get("cons", [])],
+    )
+    for sent in obj["sentences"]:
+        tokens = [make_token(str(s), str(p), extra_sentiment) for s, p in sent]
+        if tokens:
+            review.sentences.append(Sentence(tokens, review.id))
+    return review
+
+
 def _ingest_jsonl(path, extra_sentiment) -> Corpus:
     reviews = []
     with open(path, encoding="utf-8") as fh:
@@ -117,18 +133,7 @@ def _ingest_jsonl(path, extra_sentiment) -> Corpus:
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
-                review = Review(
-                    id=str(obj["id"]),
-                    entity_id=str(obj["entity_id"]),
-                    sentences=[],
-                    pros=[str(p) for p in obj.get("pros", [])],
-                    cons=[str(c) for c in obj.get("cons", [])],
-                )
-                for sent in obj["sentences"]:
-                    tokens = [make_token(str(s), str(p), extra_sentiment) for s, p in sent]
-                    if tokens:
-                        review.sentences.append(Sentence(tokens, review.id))
+                review = review_from_record(json.loads(line), extra_sentiment)
             except (KeyError, TypeError, ValueError) as exc:
                 raise CorpusFormatError(path, lineno, f"bad review record: {exc}") from exc
             if not review.entity_id:

@@ -8,12 +8,16 @@ positive and negative candidate summaries.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import classify, model, patterns
 from .classify import classify_sentiment_sen, classify_sentiment_swn
+
+log = logging.getLogger(__name__)
 
 FILTER_STAGES = ("Baseline", "AW", "SW", "RANK")
 CLASSIFIER_STAGES = ("SEN", "SWN")
@@ -174,3 +178,30 @@ def run_procedure(proc, segments, est, vocab, y_senti=None, lexicon=None,
     positive = [s for s in current if s.sentiment == 0]
     negative = [s for s in current if s.sentiment == 1]
     return positive, negative
+
+
+def entity_candidates(state, corpus, pattern_ids, max_words, procedure, lexicon,
+                      config):
+    """Extract segments, label their aspects and run the named procedure on
+    each entity's segments.
+
+    Returns ({entity_id: {"positive": [...], "negative": [...]}}, estimates).
+    """
+    est = model.estimate(state)
+    proc = parse_procedure(procedure)
+    segments = patterns.extract_corpus(corpus, pattern_ids, max_words=max_words)
+    labeled, dropped = classify.label_aspects(segments, est, state.vocab)
+    if dropped:
+        log.info("dropped %d unclassifiable segments", len(dropped))
+
+    by_entity = {}
+    for seg in labeled:
+        by_entity.setdefault(seg.entity_id, []).append(seg)
+
+    candidates = {}
+    for entity_id in sorted(by_entity):
+        pos, neg = run_procedure(
+            proc, by_entity[entity_id], est, state.vocab,
+            y_senti=state.y_senti, lexicon=lexicon, config=config)
+        candidates[entity_id] = {"positive": pos, "negative": neg}
+    return candidates, est

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -275,10 +276,8 @@ def gibbs_conditional(state, d, c):
     return np.exp(gibbs_conditional_log(state, d, c))
 
 
-def gibbs_sweep(state, rng=None):
+def gibbs_sweep(state):
     """Resample every sentence in corpus order; mutates and returns state."""
-    rng = rng if rng is not None else state.rng
-    S = state.hp.num_sentiments
     for d, doc in enumerate(state.docs):
         for c in range(len(doc)):
             state.decrement(d, c)
@@ -286,7 +285,7 @@ def gibbs_sweep(state, rng=None):
             p = np.exp(logp - logp.max())
             flat = p.ravel()
             cum = np.cumsum(flat)
-            pick = np.searchsorted(cum, rng.random() * cum[-1], side="right")
+            pick = np.searchsorted(cum, state.rng.random() * cum[-1], side="right")
             pick = min(pick, flat.size - 1)
             j, k = divmod(int(pick), state.hp.num_topics)
             state.increment(d, c, j, k)
@@ -337,11 +336,6 @@ def map_objective(state) -> float:
                              state.hp.sigma_sq)
 
 
-def map_gradient(state):
-    return map_gradient_raw(state.y_topic, state.y_senti, state.n_STW,
-                            state.hp.sigma_sq)
-
-
 def optimize_smoothers(state, max_iters=50, tol=1e-5) -> ModelState:
     """L-BFGS step on (y_topic, free y_senti); seed entries stay frozen."""
     T, Vp = state.y_topic.shape
@@ -375,13 +369,18 @@ def optimize_smoothers(state, max_iters=50, tol=1e-5) -> ModelState:
     return state
 
 
-def train(corpus, vocab, hp, seeds=None, schedule=None, rng_seed=0,
-          optimizer_max_iters=50, optimizer_tol=1e-5,
+def train(state, schedule=None, optimizer_max_iters=50, optimizer_tol=1e-5,
           progress=None) -> ModelState:
+    """Run the schedule's sweeps from state.sweep_index up to schedule.total.
+
+    A fresh state from init() and a state from load_checkpoint() go through
+    the same loop, so a resumed run takes the MAP steps at the same sweeps as
+    an uninterrupted one and appends them to optimize_log.
+    """
     schedule = schedule if schedule is not None else Schedule()
-    state = init(corpus, vocab, hp, seeds, rng_seed)
-    for t in range(1, schedule.total + 1):
+    while state.sweep_index < schedule.total:
         gibbs_sweep(state)
+        t = state.sweep_index
         if t > schedule.burn_in and (t - schedule.burn_in) % schedule.interleave == 0:
             before = map_objective(state)
             optimize_smoothers(state, optimizer_max_iters, optimizer_tol)
@@ -443,8 +442,16 @@ def save_checkpoint(state, path):
         "rng_state": json.loads(json.dumps(state.rng.bit_generator.state)),
         "sweep_index": state.sweep_index,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+    # Write beside the target and rename over it, so that a failed write
+    # leaves the previous checkpoint in place.
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path, corpus=None):
@@ -460,28 +467,38 @@ def load_checkpoint(path, corpus=None):
     if payload.get("format_version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version: {payload.get('format_version')}")
 
-    hp = Hyperparams(**payload["hyperparams"])
-    vocab = Vocabulary.from_dict(payload["vocabulary"])
-    if vocab.content_hash() != payload["vocab_hash"]:
+    def get(key, convert):
+        try:
+            return convert(payload[key])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"checkpoint {path}: missing or ill-typed {key!r} "
+                             f"({type(exc).__name__}: {exc})") from exc
+
+    def get_array(key, dtype=float):
+        return get(key, lambda value: np.asarray(value, dtype=dtype))
+
+    hp = get("hyperparams", lambda d: Hyperparams(**d))
+    vocab = get("vocabulary", Vocabulary.from_dict)
+    if vocab.content_hash() != payload.get("vocab_hash"):
         raise ValueError("checkpoint vocabulary hash mismatch")
 
     docs = encode_corpus(corpus, vocab) if corpus is not None else []
     rng = np.random.default_rng()
-    rng.bit_generator.state = payload["rng_state"]
+    get("rng_state", lambda st: setattr(rng.bit_generator, "state", st))
     state = ModelState(hp, vocab, docs, rng)
-    state.n_TW = np.asarray(payload["n_TW"], dtype=float)
-    state.n_STW = np.asarray(payload["n_STW"], dtype=float)
-    state.n_DT = np.asarray(payload["n_DT"], dtype=float)
-    state.n_DS = np.asarray(payload["n_DS"], dtype=float)
+    state.n_TW = get_array("n_TW")
+    state.n_STW = get_array("n_STW")
+    state.n_DT = get_array("n_DT")
+    state.n_DS = get_array("n_DS")
     state.n_TW_rows = state.n_TW.sum(axis=1)
     state.n_STW_rows = state.n_STW.sum(axis=2)
-    state.z = [np.asarray(a, dtype=np.intp) for a in payload["z"]]
-    state.s = [np.asarray(a, dtype=np.intp) for a in payload["s"]]
-    state.y_topic = np.asarray(payload["y_topic"], dtype=float)
-    state.y_senti = np.asarray(payload["y_senti"], dtype=float)
-    state.seed_mask = np.asarray(payload["seed_mask"], dtype=bool)
+    state.z = get("z", lambda rows: [np.asarray(a, dtype=np.intp) for a in rows])
+    state.s = get("s", lambda rows: [np.asarray(a, dtype=np.intp) for a in rows])
+    state.y_topic = get_array("y_topic")
+    state.y_senti = get_array("y_senti")
+    state.seed_mask = get_array("seed_mask", bool)
     state.refresh_beta_prime()
-    state.sweep_index = payload["sweep_index"]
+    state.sweep_index = get("sweep_index", int)
     if corpus is not None and not state.counts_consistent():
         raise ValueError("checkpoint counts do not match the supplied corpus")
     return state

@@ -9,7 +9,7 @@ Matched tokens are consumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 NOUN_TAGS = frozenset({"NN", "NNS", "NNP", "NNPS"})
 VERB_TAGS = frozenset({"VB", "VBD", "VBG", "VBN", "VBP", "VBZ"})
@@ -242,10 +242,9 @@ def match_sentence(sentence, patterns, max_words=DEFAULT_MAX_WORDS,
 
 
 def extract_corpus(corpus, pattern_ids, max_words=DEFAULT_MAX_WORDS,
-                   negation_words=DEFAULT_NEGATION, with_negation=True) -> list:
+                   negation_words=DEFAULT_NEGATION) -> list:
     patterns = compile_patterns(pattern_ids)
-    if with_negation:
-        patterns = patterns + negation_variants(patterns)
+    patterns = patterns + negation_variants(patterns)
     segments = []
     for review in corpus.reviews:
         for sent_idx, sentence in enumerate(review.sentences):

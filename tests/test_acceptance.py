@@ -128,10 +128,10 @@ def test_optimizer_descent():
     planted = make_planted_model(num_topics=2)
     corpus = generate_generative_corpus(planted, num_reviews=40, rng_seed=3)
     vocab = build_vocabulary(corpus, min_count=1, stopwords=frozenset())
-    state = model.train(corpus, vocab, model.Hyperparams(num_topics=2),
-                        model.SeedList(frozenset({"pos0"}), frozenset({"neg0"})),
-                        model.Schedule(burn_in=5, interleave=5, total=30),
-                        rng_seed=4)
+    state = model.train(model.init(corpus, vocab, model.Hyperparams(num_topics=2),
+                                   model.SeedList(frozenset({"pos0"}), frozenset({"neg0"})),
+                                   rng_seed=4),
+                        model.Schedule(burn_in=5, interleave=5, total=30))
     assert state.optimize_log, "no optimization steps ran"
     for t, before, after in state.optimize_log:
         assert after <= before + 1e-9, f"objective rose at sweep {t}"
@@ -148,9 +148,9 @@ def test_generative_recovery():
     vocab = build_vocabulary(corpus, min_count=1, stopwords=frozenset())
     seeds = model.SeedList(frozenset({"pos0", "pos1"}),
                            frozenset({"neg0", "neg1"}))
-    state = model.train(corpus, vocab, model.Hyperparams(num_topics=3),
-                        seeds, model.Schedule(burn_in=100, interleave=50, total=400),
-                        rng_seed=6)
+    state = model.train(model.init(corpus, vocab, model.Hyperparams(num_topics=3),
+                                   seeds, rng_seed=6),
+                        model.Schedule(burn_in=100, interleave=50, total=400))
     est = model.estimate(state)
 
     n_top = len(planted.topic_vocab[0])
@@ -267,11 +267,11 @@ def test_end_to_end_smoke():
             list(r["pros"]), list(r["cons"]))
         for r in reviews])
     vocab = build_vocabulary(corpus, min_count=2, stopwords=frozenset({"the", "is", "very"}))
-    state = model.train(corpus, vocab, model.Hyperparams(num_topics=3),
-                        model.SeedList(frozenset({"good", "great"}),
-                                       frozenset({"bad", "terribl"})),
-                        model.Schedule(burn_in=30, interleave=20, total=90),
-                        rng_seed=12)
+    state = model.train(model.init(corpus, vocab, model.Hyperparams(num_topics=3),
+                                   model.SeedList(frozenset({"good", "great"}),
+                                                  frozenset({"bad", "terribl"})),
+                                   rng_seed=12),
+                        model.Schedule(burn_in=30, interleave=20, total=90))
     est = model.estimate(state)
     refs = corpus_mod.build_reference_summaries(corpus)
 

@@ -119,6 +119,20 @@ class TestExitCodes:
         assert main(["--config", str(config), "summarize"]) == 2
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["topics", "summarize", "evaluate"])
+    def test_checkpoint_missing_key_is_two(self, tmp_path, capsys, command):
+        corpus = write_corpus(tmp_path, num_entities=2, reviews_per_entity=3)
+        config = write_config(tmp_path, corpus)
+        assert main(["--config", str(config), "train", "--iters", "2"]) == 0
+        ckpt = tmp_path / "out" / "checkpoint.json"
+        payload = json.loads(ckpt.read_text())
+        del payload["y_topic"]
+        ckpt.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["--config", str(config), command]) == 2
+        err = capsys.readouterr().err
+        assert "y_topic" in err and len(err.strip().splitlines()) == 1
+
     def test_corpus_format_error_is_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("not json\n")
@@ -231,3 +245,40 @@ class TestResume:
         assert json.loads(ckpt.read_text())["sweep_index"] == 10
         assert main(["--config", str(config), "train", "--resume"]) == 0
         assert json.loads(ckpt.read_text())["sweep_index"] == 30
+
+    def test_resume_without_checkpoint_is_two(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path, num_entities=2, reviews_per_entity=4)
+        config = write_config(tmp_path, corpus)
+        assert main(["--config", str(config), "train", "--resume", "--iters", "1"]) == 2
+        assert "no checkpoint" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "checkpoint.json").exists()
+
+    @pytest.mark.parametrize("setting,changed", [
+        ("num_topics = 3", "num_topics = 5"),
+        ("min_count = 2", "min_count = 3"),
+    ])
+    def test_resume_against_contradicting_config_is_two(self, tmp_path, capsys,
+                                                        setting, changed):
+        corpus = write_corpus(tmp_path, num_entities=2, reviews_per_entity=4)
+        config = write_config(tmp_path, corpus)
+        assert main(["--config", str(config), "train", "--iters", "10"]) == 0
+        ckpt = tmp_path / "out" / "checkpoint.json"
+        before = ckpt.read_bytes()
+        other = tmp_path / "other.ini"
+        other.write_text(config.read_text().replace(setting, changed))
+        capsys.readouterr()
+        assert main(["--config", str(other), "train", "--resume"]) == 2
+        assert "contradicts" in capsys.readouterr().err
+        assert ckpt.read_bytes() == before
+
+    def test_resume_matches_uninterrupted_run(self, tmp_path):
+        corpus = write_corpus(tmp_path, num_entities=2, reviews_per_entity=4)
+        (tmp_path / "split").mkdir()
+        (tmp_path / "whole").mkdir()
+        split = write_config(tmp_path / "split", corpus)
+        whole = write_config(tmp_path / "whole", corpus)
+        assert main(["--config", str(split), "train", "--iters", "10"]) == 0
+        assert main(["--config", str(split), "train", "--resume"]) == 0
+        assert main(["--config", str(whole), "train"]) == 0
+        assert ((tmp_path / "split" / "out" / "checkpoint.json").read_bytes()
+                == (tmp_path / "whole" / "out" / "checkpoint.json").read_bytes())

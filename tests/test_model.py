@@ -330,33 +330,52 @@ class TestTrain:
     def test_schedule_arithmetic(self):
         corpus = make_corpus([[(["food"], ["good"])]])
         vocab = build_vocabulary(corpus, min_count=1, stopwords=frozenset())
-        state = train(corpus, vocab, Hyperparams(num_topics=2),
-                      SeedList(frozenset(), frozenset()),
-                      Schedule(burn_in=0, interleave=1, total=1), rng_seed=0)
+        state = train(init(corpus, vocab, Hyperparams(num_topics=2),
+                           SeedList(frozenset(), frozenset()), rng_seed=0),
+                      Schedule(burn_in=0, interleave=1, total=1))
         assert state.sweep_index == 1
         assert len(state.optimize_log) == 1
 
     def test_interleave_points(self):
         corpus = make_corpus(FIXTURE_DOCS)
         vocab = build_vocabulary(corpus, min_count=1, stopwords=frozenset())
-        state = train(corpus, vocab, Hyperparams(num_topics=2),
-                      SeedList(frozenset(), frozenset()),
-                      Schedule(burn_in=4, interleave=3, total=12), rng_seed=0)
+        state = train(init(corpus, vocab, Hyperparams(num_topics=2),
+                           SeedList(frozenset(), frozenset()), rng_seed=0),
+                      Schedule(burn_in=4, interleave=3, total=12))
         assert [t for t, _, _ in state.optimize_log] == [7, 10]
 
     def test_determinism(self):
         corpus = make_corpus(FIXTURE_DOCS)
         vocab = build_vocabulary(corpus, min_count=1, stopwords=frozenset())
         args = (corpus, vocab, Hyperparams(num_topics=2),
-                SeedList(frozenset({"good"}), frozenset({"bad"})),
-                Schedule(burn_in=2, interleave=2, total=10))
-        a = train(*args, rng_seed=42)
-        b = train(*args, rng_seed=42)
+                SeedList(frozenset({"good"}), frozenset({"bad"})))
+        schedule = Schedule(burn_in=2, interleave=2, total=10)
+        a = train(init(*args, rng_seed=42), schedule)
+        b = train(init(*args, rng_seed=42), schedule)
         for za, zb in zip(a.z, b.z):
             assert np.array_equal(za, zb)
         for sa, sb in zip(a.s, b.s):
             assert np.array_equal(sa, sb)
         assert np.array_equal(a.y_topic, b.y_topic)
+
+
+    def test_resumed_train_logs_map_steps_at_the_same_sweeps(self, tmp_path):
+        corpus = make_corpus(FIXTURE_DOCS)
+        vocab = build_vocabulary(corpus, min_count=1, stopwords=frozenset())
+        args = (corpus, vocab, Hyperparams(num_topics=2),
+                SeedList(frozenset({"good"}), frozenset({"bad"})))
+        schedule = Schedule(burn_in=4, interleave=3, total=12)
+        whole = train(init(*args, rng_seed=3), schedule)
+        first = train(init(*args, rng_seed=3), Schedule(burn_in=4, interleave=3, total=8))
+        assert [t for t, _, _ in first.optimize_log] == [7]
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(first, path)
+        resumed = train(load_checkpoint(path, corpus), schedule)
+        assert resumed.optimize_log == whole.optimize_log[1:]
+        assert [t for t, _, _ in resumed.optimize_log] == [10]
+        for za, zb in zip(whole.z, resumed.z):
+            assert np.array_equal(za, zb)
+        assert np.array_equal(whole.y_senti, resumed.y_senti)
 
 
 class TestEstimate:
@@ -433,6 +452,33 @@ class TestCheckpoint:
         gibbs_sweep(resumed)
         for za, zb in zip(state.z, resumed.z):
             assert np.array_equal(za, zb)
+
+    def test_missing_key_names_it(self, tmp_path, small_state):
+        import json
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(small_state, path)
+        payload = json.loads(path.read_text())
+        del payload["y_topic"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="y_topic"):
+            load_checkpoint(path)
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, small_state,
+                                                    monkeypatch):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(small_state, path)
+        before = path.read_bytes()
+        gibbs_sweep(small_state)
+
+        def broken_dump(payload, fh):
+            fh.write('{"format_version": 1, "z": [')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(model.json, "dump", broken_dump)
+        with pytest.raises(OSError):
+            save_checkpoint(small_state, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
 
     def test_vocab_hash_checked(self, tmp_path, small_state):
         import json
