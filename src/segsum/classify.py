@@ -14,33 +14,28 @@ class UnclassifiableSegment(ValueError):
     """Segment has no in-vocabulary words to score."""
 
 
-def classify_topic(segment, est, vocab) -> int:
+def classify_topic(segment, est) -> int:
     """Argmax-k segment score: non-sentiment words add log phi_hat[k, i],
     sentiment words add sum_j log phi_prime_hat[j, k, i]; out-of-vocabulary
     words contribute nothing. Ties break toward the lowest k."""
+    if not segment.ids:
+        raise UnclassifiableSegment(f"no in-vocabulary words in segment {segment.text!r}")
     T = est.phi_hat.shape[0]
     scores = np.zeros(T)
-    scored = 0
-    for token in segment.tokens:
-        channel, idx = vocab.lookup(token)
+    for channel, idx in segment.ids:
         if channel == "aspect":
             scores += np.log(est.phi_hat[:, idx])
-            scored += 1
-        elif channel == "senti":
+        else:
             scores += np.log(est.phi_prime_hat[:, :, idx]).sum(axis=0)
-            scored += 1
-    if scored == 0:
-        raise UnclassifiableSegment(f"no in-vocabulary words in segment {segment.text!r}")
     return int(np.argmax(scores))
 
 
-def classify_sentiment_sen(segment, y_senti, vocab):
+def classify_sentiment_sen(segment, y_senti):
     """Model-based classifier: polarity is the sum of y_senti[0]-y_senti[1]
     over the segment's sentiment-vocabulary words; negation flips the sign.
     Returns (sentiment index, polarity)."""
     polarity = 0.0
-    for token in segment.tokens:
-        channel, idx = vocab.lookup(token)
+    for channel, idx in segment.ids:
         if channel == "senti":
             polarity += float(y_senti[0, idx] - y_senti[1, idx])
     if segment.negated:
@@ -89,14 +84,22 @@ def classify_sentiment_swn(segment, lexicon):
 
 
 def label_aspects(segments, est, vocab):
-    """classify_topic over a batch; unclassifiable segments are dropped.
+    """Encode each segment as the (channel, index) pairs of its in-vocabulary
+    tokens, in token order (one shared pair per stem), then label its aspect
+    with classify_topic; unclassifiable segments are dropped.
 
     Returns (labeled segments, dropped segments).
     """
+    pairs = {}
     labeled, dropped = [], []
     for seg in segments:
+        for token in seg.tokens:
+            if token.stem not in pairs:
+                pair = vocab.lookup(token)
+                pairs[token.stem] = pair if pair[0] is not None else None
+        seg.ids = tuple(pairs[t.stem] for t in seg.tokens if pairs[t.stem] is not None)
         try:
-            seg.aspect = classify_topic(seg, est, vocab)
+            seg.aspect = classify_topic(seg, est)
             labeled.append(seg)
         except UnclassifiableSegment:
             dropped.append(seg)

@@ -112,6 +112,11 @@ def cmd_train(cfg, args):
                 for k in saved if saved[k] != wanted[k]]
         if state.vocab.content_hash() != vocab.content_hash():
             diff.append("the vocabulary built with min_count and stopwords")
+        y_senti, seed_mask = model.seed_smoothers(state.vocab, state.hp, _load_seeds(cfg))
+        differ = (seed_mask != state.seed_mask) | (seed_mask & (y_senti != state.y_senti))
+        words = [state.vocab.senti_stems[i] for i in differ.any(axis=0).nonzero()[0]]
+        if words:
+            diff.append(f"the seed words {', '.join(words)}")
         if diff:
             raise DataError(f"the config contradicts the checkpoint at "
                             f"{cfg.checkpoint_path}: {', '.join(diff)}")
@@ -165,7 +170,7 @@ def cmd_summarize(cfg, args):
         entry = {}
         for polarity, segs in (("positive", cand["positive"]),
                                ("negative", cand["negative"])):
-            ordered = sorted(segs, key=lambda s: -filters.rank_score(s, est, state.vocab))
+            ordered = sorted(segs, key=lambda s: -filters.rank_score(s, est))
             if top_n:
                 ordered = ordered[:top_n]
             entry[polarity] = [s.to_dict() for s in ordered]

@@ -66,65 +66,52 @@ def parse_procedure(name: str) -> Procedure:
     return Procedure(name, stages)
 
 
-def _top_word_ids(probs, n):
-    return set(np.argsort(-probs, kind="stable")[:n].tolist())
-
-
-def filter_aw(segments, est, vocab, top_x):
-    """Keep segments containing a top-X word of their inferred aspect."""
+def _keep_with_top_word(segments, channel, probs, labels_of, n, missing):
+    """Keep the segments holding a `channel` word among the n most probable
+    words of probs[labels_of(segment)], the distribution of their labels."""
     tops = {}
     kept = []
     for seg in segments:
-        if seg.aspect is None:
-            raise ProcedureError("AW filter requires aspect labels")
-        if seg.aspect not in tops:
-            tops[seg.aspect] = _top_word_ids(est.phi_hat[seg.aspect], top_x)
-        top = tops[seg.aspect]
-        for token in seg.tokens:
-            channel, idx = vocab.lookup(token)
-            if channel == "aspect" and idx in top:
-                kept.append(seg)
-                break
+        labels = labels_of(seg)
+        if None in labels:
+            raise ProcedureError(missing)
+        if labels not in tops:
+            tops[labels] = set(np.argsort(-probs[labels], kind="stable")[:n].tolist())
+        if any(c == channel and idx in tops[labels] for c, idx in seg.ids):
+            kept.append(seg)
     return kept
 
 
-def filter_sw(segments, est, vocab, top_y):
+def filter_aw(segments, est, top_x):
+    """Keep segments containing a top-X word of their inferred aspect."""
+    return _keep_with_top_word(segments, "aspect", est.phi_hat,
+                               lambda seg: (seg.aspect,), top_x,
+                               "AW filter requires aspect labels")
+
+
+def filter_sw(segments, est, top_y):
     """Keep segments containing a top-Y sentiment word of their inferred
     (sentiment, aspect) pair."""
-    tops = {}
-    kept = []
-    for seg in segments:
-        if seg.aspect is None or seg.sentiment is None:
-            raise ProcedureError("SW filter requires aspect and sentiment labels")
-        key = (seg.sentiment, seg.aspect)
-        if key not in tops:
-            tops[key] = _top_word_ids(est.phi_prime_hat[key[0], key[1]], top_y)
-        top = tops[key]
-        for token in seg.tokens:
-            channel, idx = vocab.lookup(token)
-            if channel == "senti" and idx in top:
-                kept.append(seg)
-                break
-    return kept
+    return _keep_with_top_word(segments, "senti", est.phi_prime_hat,
+                               lambda seg: (seg.sentiment, seg.aspect), top_y,
+                               "SW filter requires aspect and sentiment labels")
 
 
-def rank_score(segment, est, vocab):
+def rank_score(segment, est):
     """Per-word-average log score of the segment under its own (j, k):
-    sentiment words score log phi_prime_hat[j, k], others log phi_hat[k]."""
+    sentiment words score log phi_prime_hat[j, k], others log phi_hat[k].
+    The terms are summed in token order."""
     j, k = segment.sentiment, segment.aspect
-    total, scored = 0.0, 0
-    for token in segment.tokens:
-        channel, idx = vocab.lookup(token)
+    total = 0.0
+    for channel, idx in segment.ids:
         if channel == "aspect":
             total += math.log(est.phi_hat[k, idx])
-            scored += 1
-        elif channel == "senti":
+        else:
             total += math.log(est.phi_prime_hat[j, k, idx])
-            scored += 1
-    return total / scored if scored else -math.inf
+    return total / len(segment.ids) if segment.ids else -math.inf
 
 
-def filter_rank(segments, est, vocab, keep_fraction=0.5):
+def filter_rank(segments, est, keep_fraction=0.5):
     """Within each (sentiment, aspect) group, drop the bottom
     floor((1-keep_fraction) * n) segments by rank score; ties keep corpus
     order."""
@@ -138,13 +125,13 @@ def filter_rank(segments, est, vocab, keep_fraction=0.5):
     for members in groups.values():
         n = len(members)
         n_drop = math.floor((1.0 - keep_fraction) * n)
-        ranked = sorted(members, key=lambda ps: -rank_score(ps[1], est, vocab))
+        ranked = sorted(members, key=lambda ps: -rank_score(ps[1], est))
         for pos, _ in ranked[: n - n_drop]:
             survivors.add(pos)
     return [seg for pos, seg in enumerate(segments) if pos in survivors]
 
 
-def run_procedure(proc, segments, est, vocab, y_senti=None, lexicon=None,
+def run_procedure(proc, segments, est, y_senti=None, lexicon=None,
                   config=None):
     """Apply a procedure's stages in order to aspect-labeled segments.
 
@@ -163,14 +150,14 @@ def run_procedure(proc, segments, est, vocab, y_senti=None, lexicon=None,
         if stage == "Baseline":
             continue
         if stage == "AW":
-            current = filter_aw(current, est, vocab, config.aw_top_x)
+            current = filter_aw(current, est, config.aw_top_x)
         elif stage == "SW":
-            current = filter_sw(current, est, vocab, config.sw_top_y)
+            current = filter_sw(current, est, config.sw_top_y)
         elif stage == "RANK":
-            current = filter_rank(current, est, vocab, config.rank_keep_fraction)
+            current = filter_rank(current, est, config.rank_keep_fraction)
         elif stage == "SEN":
             for seg in current:
-                seg.sentiment, seg.polarity = classify_sentiment_sen(seg, y_senti, vocab)
+                seg.sentiment, seg.polarity = classify_sentiment_sen(seg, y_senti)
         elif stage == "SWN":
             for seg in current:
                 seg.sentiment, seg.polarity = classify_sentiment_swn(seg, lexicon)
@@ -201,7 +188,7 @@ def entity_candidates(state, corpus, pattern_ids, max_words, procedure, lexicon,
     candidates = {}
     for entity_id in sorted(by_entity):
         pos, neg = run_procedure(
-            proc, by_entity[entity_id], est, state.vocab,
+            proc, by_entity[entity_id], est,
             y_senti=state.y_senti, lexicon=lexicon, config=config)
         candidates[entity_id] = {"positive": pos, "negative": neg}
     return candidates, est

@@ -154,8 +154,6 @@ class ModelState:
         self.z = [np.zeros(len(doc), dtype=np.intp) for doc in docs]
         self.s = [np.zeros(len(doc), dtype=np.intp) for doc in docs]
         self.y_topic = np.zeros((T, Vp))
-        self.y_senti = np.zeros((S, Vp))
-        self.seed_mask = np.zeros((S, Vp), dtype=bool)
         self.beta_prime = np.ones((S, T, Vp))
         self.bar_beta_prime = np.full((S, T), float(Vp))
         self.sweep_index = 0
@@ -211,22 +209,29 @@ class ModelState:
                 and np.array_equal(n_DS, self.n_DS))
 
 
-def init(corpus, vocab, hp, seeds=None, rng_seed=0) -> ModelState:
-    seeds = seeds if seeds is not None else SeedList()
-    rng = np.random.default_rng(rng_seed)
-    docs = encode_corpus(corpus, vocab)
-    state = ModelState(hp, vocab, docs, rng)
-
-    for polarity, words in ((0, seeds.positive), (1, seeds.negative)):
+def seed_smoothers(vocab, hp, seeds):
+    """(y_senti, seed_mask) fixed by the seed words: +-mu_seed in the two
+    sentiment rows of each seed word in the sentiment vocabulary, 0 elsewhere."""
+    y_senti = np.zeros((hp.num_sentiments, vocab.num_senti_words))
+    seed_mask = np.zeros(y_senti.shape, dtype=bool)
+    for sign, words in ((1.0, seeds.positive), (-1.0, seeds.negative)):
         for word in words:
             idx = vocab.senti_index.get(word)
             if idx is None:
                 log.warning("seed word %r not in sentiment vocabulary; ignored", word)
                 continue
-            sign = 1.0 if polarity == 0 else -1.0
-            state.y_senti[0, idx] = sign * hp.mu_seed
-            state.y_senti[1, idx] = -sign * hp.mu_seed
-            state.seed_mask[:, idx] = True
+            y_senti[0, idx] = sign * hp.mu_seed
+            y_senti[1, idx] = -sign * hp.mu_seed
+            seed_mask[:, idx] = True
+    return y_senti, seed_mask
+
+
+def init(corpus, vocab, hp, seeds=None, rng_seed=0) -> ModelState:
+    seeds = seeds if seeds is not None else SeedList()
+    rng = np.random.default_rng(rng_seed)
+    docs = encode_corpus(corpus, vocab)
+    state = ModelState(hp, vocab, docs, rng)
+    state.y_senti, state.seed_mask = seed_smoothers(vocab, hp, seeds)
     state.refresh_beta_prime()
 
     for d, doc in enumerate(docs):
@@ -464,6 +469,8 @@ def load_checkpoint(path, corpus=None):
 
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"checkpoint {path}: not a JSON object")
     if payload.get("format_version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version: {payload.get('format_version')}")
 

@@ -1,20 +1,20 @@
 """Syntactic extraction patterns over POS-tag sequences.
 
-Five positive patterns (ids 1-5) plus mechanically derived negation variants.
-Matching is left-to-right by start position; at each position patterns are
+Five positive patterns (ids 1-5), each also in negated forms that admit one
+negation trigger right before a jj or vb atom. Each token maps to one class
+letter (TAG_CLASSES; X for a negation trigger whatever its tag, O for any
+other tag), and each form compiles once to a regex over those letters.
+Matching is left-to-right by start position; at each position the forms are
 tried in priority order 1, 2, 4, 3, 5 (the longer patterns strictly extend
-the shorter ones) and the longest expansion that fits the word limit wins.
-Matched tokens are consumed.
+the shorter ones), negated forms first, and the longest end that fits the
+word limit wins. Matched tokens are consumed.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-
-NOUN_TAGS = frozenset({"NN", "NNS", "NNP", "NNPS"})
-VERB_TAGS = frozenset({"VB", "VBD", "VBG", "VBN", "VBP", "VBZ"})
-ADJ_TAGS = frozenset({"JJ", "JJR", "JJS"})
-ADV_TAGS = frozenset({"RB", "RBR", "RBS"})
+from typing import NamedTuple
 
 DEFAULT_NEGATION = frozenset({"not", "n't", "never", "no", "hardly"})
 
@@ -38,18 +38,25 @@ PRESETS = {
     "product": frozenset({1, 2, 3, 4, 5}),
 }
 
+# The class letter of each tag family (nouns, verbs, adjectives, adverbs).
+TAG_CLASSES = {**dict.fromkeys(("NN", "NNS", "NNP", "NNPS"), "N"),
+               **dict.fromkeys(("VB", "VBD", "VBG", "VBN", "VBP", "VBZ"), "V"),
+               **dict.fromkeys(("JJ", "JJR", "JJS"), "J"),
+               **dict.fromkeys(("RB", "RBR", "RBS"), "R"), "DT": "D", "TO": "T"}
 
-@dataclass(frozen=True)
-class PatternAtom:
-    category: str   # nn | vb | dt | rb | jj | to | neg
-    quantifier: str  # one | optional | star
+# A noun atom takes a whole run of nouns.
+ATOM_REGEX = {"nn": "N+", "nn?": "N*", "vb": "V", "dt?": "D?", "rb*": "R*",
+              "jj": "J", "to": "T"}
+
+# One trigger that does not follow another: a double negation never matches,
+# and the lookbehind also sees the token before the segment's start.
+NEGATION_REGEX = "(?<!X)X"
 
 
-@dataclass(frozen=True)
-class Pattern:
-    id: int
-    atoms: tuple
-    negated: bool = False
+class Form(NamedTuple):
+    pattern_id: int
+    negated: bool
+    regex: re.Pattern
 
 
 @dataclass
@@ -65,6 +72,9 @@ class Segment:
     aspect: int | None = None
     sentiment: int | None = None
     polarity: float | None = None
+    # (channel, index) of each in-vocabulary token, in token order; set by
+    # classify.label_aspects
+    ids: tuple = ()
 
     @property
     def text(self) -> str:
@@ -93,165 +103,67 @@ class Segment:
         return d
 
 
-def parse_pattern(pattern_id: int, definition: str) -> Pattern:
-    atoms = []
-    for part in definition.split():
-        if part.endswith("?"):
-            atoms.append(PatternAtom(part[:-1], "optional"))
-        elif part.endswith("*"):
-            atoms.append(PatternAtom(part[:-1], "star"))
-        else:
-            atoms.append(PatternAtom(part, "one"))
-    return Pattern(pattern_id, tuple(atoms))
-
-
 def compile_patterns(pattern_ids) -> list:
+    """Every form of the given patterns, in match order: by PRIORITY_ORDER,
+    and within a pattern its negated forms (one trigger right before a jj or
+    vb atom) ahead of the base form."""
     unknown = set(pattern_ids) - set(PATTERN_DEFS)
     if unknown:
         raise ValueError(f"unknown pattern ids: {sorted(unknown)}")
-    return [parse_pattern(i, PATTERN_DEFS[i]) for i in sorted(pattern_ids)]
+    forms = []
+    for pid in (p for p in PRIORITY_ORDER if p in pattern_ids):
+        atoms = PATTERN_DEFS[pid].split()
+        parts = [ATOM_REGEX[atom] for atom in atoms]
+        for i, atom in enumerate(atoms):
+            if atom in ("jj", "vb"):
+                negated = parts[:i] + [NEGATION_REGEX] + parts[i:]
+                forms.append(Form(pid, True, re.compile("".join(negated))))
+        forms.append(Form(pid, False, re.compile("".join(parts))))
+    return forms
 
 
-def negation_variants(patterns) -> list:
-    """One negation token admitted immediately before a jj or vb atom."""
-    variants = []
-    seen = set()
-    neg = PatternAtom("neg", "one")
-    for pattern in patterns:
-        if pattern.negated:
-            continue
-        for pos, atom in enumerate(pattern.atoms):
-            if atom.category not in ("jj", "vb"):
-                continue
-            atoms = pattern.atoms[:pos] + (neg,) + pattern.atoms[pos:]
-            key = (pattern.id, atoms)
-            if key not in seen:
-                seen.add(key)
-                variants.append(Pattern(pattern.id, atoms, negated=True))
-    return variants
-
-
-def _category_matches(category, token, negation_words):
-    tag = token.pos
-    surface = token.surface.lower()
-    if category == "neg":
-        return surface in negation_words
-    # Negation triggers are reserved for neg atoms so positive forms cannot
-    # silently absorb them via rb*/dt.
-    if surface in negation_words:
-        return False
-    if category == "nn":
-        return tag in NOUN_TAGS
-    if category == "vb":
-        return tag in VERB_TAGS
-    if category == "jj":
-        return tag in ADJ_TAGS
-    if category == "rb":
-        return tag in ADV_TAGS
-    if category == "dt":
-        return tag == "DT"
-    if category == "to":
-        return tag == "TO"
-    raise ValueError(f"unknown atom category: {category}")
-
-
-def _atom_lengths(atom, tokens, pos, negation_words):
-    """Token counts this atom may consume at `pos`, longest first."""
-    if atom.category == "neg":
-        # at most one negation token: a trigger preceded by another trigger
-        # (double negation) never matches
-        if pos > 0 and tokens[pos - 1].surface.lower() in negation_words:
-            return []
-        ok = pos < len(tokens) and _category_matches("neg", tokens[pos], negation_words)
-        return [1] if ok else []
-    if atom.category == "nn":
-        # maximal run of noun tags, backtrackable to shorter prefixes
-        run = 0
-        while pos + run < len(tokens) and _category_matches("nn", tokens[pos + run], negation_words):
-            run += 1
-        lengths = list(range(run, 0, -1))
-        if atom.quantifier in ("optional", "star"):
-            lengths.append(0)
-        return lengths
-    if atom.quantifier == "star":
-        run = 0
-        while pos + run < len(tokens) and _category_matches(atom.category, tokens[pos + run], negation_words):
-            run += 1
-        return list(range(run, -1, -1))
-    ok = pos < len(tokens) and _category_matches(atom.category, tokens[pos], negation_words)
-    if atom.quantifier == "optional":
-        return [1, 0] if ok else [0]
-    return [1] if ok else []
-
-
-def _match_ends(atoms, tokens, start, negation_words):
-    """All end positions (exclusive) of full matches starting at `start`."""
-    ends = set()
-
-    def walk(idx, pos):
-        if idx == len(atoms):
-            ends.add(pos)
-            return
-        for length in _atom_lengths(atoms[idx], tokens, pos, negation_words):
-            walk(idx + 1, pos + length)
-
-    walk(0, start)
-    return ends
-
-
-def match_pattern_at(pattern, tokens, start, max_words, negation_words):
-    """Longest admissible end for `pattern` at `start`, or None."""
-    ends = _match_ends(pattern.atoms, tokens, start, negation_words)
-    valid = [e for e in ends if start < e <= start + max_words]
-    return max(valid) if valid else None
-
-
-def _ordered(patterns):
-    rank = {pid: i for i, pid in enumerate(PRIORITY_ORDER)}
-    # negated variants first within a pattern id: they are the longer forms
-    return sorted(patterns, key=lambda p: (rank[p.id], not p.negated))
-
-
-def match_sentence(sentence, patterns, max_words=DEFAULT_MAX_WORDS,
-                   negation_words=DEFAULT_NEGATION, entity_id="") -> list:
-    ordered = _ordered(patterns)
+def match_sentence(sentence, forms, max_words=DEFAULT_MAX_WORDS,
+                   negation_words=DEFAULT_NEGATION, entity_id="", sentence_index=-1) -> list:
+    """At each start, the first form with an end within max_words, taken to
+    its longest such end; matched tokens are consumed."""
     tokens = sentence.tokens
+    classes = "".join("X" if t.surface.lower() in negation_words
+                      else TAG_CLASSES.get(t.pos, "O") for t in tokens)
     segments = []
     pos = 0
     while pos < len(tokens):
-        matched = False
-        for pattern in ordered:
-            end = match_pattern_at(pattern, tokens, pos, max_words, negation_words)
-            if end is not None:
-                segments.append(Segment(
-                    tokens=list(tokens[pos:end]),
-                    review_id=sentence.review_id,
-                    entity_id=entity_id,
-                    sentence_index=-1,
-                    start=pos,
-                    end=end,
-                    pattern_id=pattern.id,
-                    negated=pattern.negated,
-                ))
-                pos = end
-                matched = True
-                break
-        if not matched:
+        limit = min(len(tokens), pos + max_words)
+        for form in forms:
+            found = form.regex.match(classes, pos, limit)
+            if found is None:
+                continue
+            end = next(e for e in range(limit, found.end() - 1, -1)
+                       if form.regex.fullmatch(classes, pos, e))
+            segments.append(Segment(
+                tokens=list(tokens[pos:end]),
+                review_id=sentence.review_id,
+                entity_id=entity_id,
+                sentence_index=sentence_index,
+                start=pos,
+                end=end,
+                pattern_id=form.pattern_id,
+                negated=form.negated,
+            ))
+            pos = end
+            break
+        else:
             pos += 1
     return segments
 
 
 def extract_corpus(corpus, pattern_ids, max_words=DEFAULT_MAX_WORDS,
                    negation_words=DEFAULT_NEGATION) -> list:
-    patterns = compile_patterns(pattern_ids)
-    patterns = patterns + negation_variants(patterns)
+    forms = compile_patterns(pattern_ids)
     segments = []
     for review in corpus.reviews:
         for sent_idx, sentence in enumerate(review.sentences):
-            for seg in match_sentence(sentence, patterns, max_words,
-                                      negation_words, entity_id=review.entity_id):
-                seg.sentence_index = sent_idx
-                segments.append(seg)
+            segments += match_sentence(sentence, forms, max_words, negation_words,
+                                       review.entity_id, sent_idx)
     return segments
 
 

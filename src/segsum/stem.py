@@ -4,6 +4,8 @@ Kept dependency-free; the standard NLP toolkits are not available in the
 deployment environment and the algorithm is small enough to carry.
 """
 
+import functools
+
 _VOWELS = "aeiou"
 
 
@@ -72,6 +74,8 @@ _STEP4 = [
 ]
 
 
+# stem is pure; the cache holds one entry per distinct word of the input.
+@functools.lru_cache(maxsize=None)
 def stem(word: str) -> str:
     w = word.lower()
     if len(w) <= 2:

@@ -191,3 +191,63 @@ def corpus_oracle(entity_results, candidate_counts):
         "p": sum(e["p_cb"] for e in entity_results) / n,
         "r": sum(e["r_cb"] for e in entity_results) / n,
     }
+
+
+# -- segment extraction ------------------------------------------------------
+
+EXTRACTION_PATTERNS = {
+    1: "nn? vb dt? rb* jj nn",
+    2: "nn? vb rb* jj to vb",
+    3: "nn? vb rb* jj",
+    4: "rb* jj to vb nn?",
+    5: "rb* jj nn",
+}
+_TAG_FAMILY = {tag: tag[:2].lower() for tag in (
+    "NN NNS NNP NNPS VB VBD VBG VBN VBP VBZ JJ JJR JJS RB RBR RBS DT TO".split())}
+
+
+def _span_fits(atoms, classes, i, end):
+    """Whether atoms (name, least, most) consume exactly classes[i:end]; a
+    neg atom never follows another negation trigger, even before the span."""
+    if not atoms:
+        return i == end
+    name, least, most = atoms[0]
+    if name == "neg" and i > 0 and classes[i - 1] == "neg":
+        return False
+    n = 0
+    while True:
+        if n >= least and _span_fits(atoms[1:], classes, i + n, end):
+            return True
+        if n == most or i + n >= end or classes[i + n] != name:
+            return False
+        n += 1
+
+
+def extraction_oracle(pairs, pattern_ids, max_words, negation_words):
+    """(start, end, pattern id, negated) of each segment of a sentence of
+    (surface, tag) pairs, by trying every form and every span length."""
+    classes = ["neg" if s.lower() in negation_words else _TAG_FAMILY.get(t)
+               for s, t in pairs]
+    forms = []
+    for pid in (p for p in (1, 2, 4, 3, 5) if p in pattern_ids):
+        atoms = []
+        for text in EXTRACTION_PATTERNS[pid].split():
+            name = text.rstrip("?*")
+            least = 0 if text[-1] in "?*" else 1
+            most = len(pairs) if name == "nn" or text[-1] == "*" else 1
+            atoms.append((name, least, most))
+        for pos, (name, _, _) in enumerate(atoms):
+            if name in ("jj", "vb"):
+                forms.append((pid, True, atoms[:pos] + [("neg", 1, 1)] + atoms[pos:]))
+        forms.append((pid, False, atoms))
+    segments, start = [], 0
+    while start < len(classes):
+        hit = next(((start, end, pid, negated) for pid, negated, atoms in forms
+                    for end in range(min(len(classes), start + max_words), start, -1)
+                    if _span_fits(atoms, classes, start, end)), None)
+        if hit is None:
+            start += 1
+        else:
+            segments.append(hit)
+            start = hit[1]
+    return segments

@@ -13,11 +13,7 @@ import pytest
 from segsum import model
 from segsum.corpus import Corpus, Review, Sentence, Token, build_vocabulary
 from segsum.evaluation import entity_scores
-from segsum.patterns import (
-    compile_patterns,
-    match_sentence,
-    negation_variants,
-)
+from segsum.patterns import compile_patterns, match_sentence
 from segsum.synthetic import (
     generate_generative_corpus,
     generate_text_reviews,
@@ -181,7 +177,6 @@ def test_pattern_golden_suite():
     """The documented examples of all five patterns, plus a negated form,
     match with the expected pattern ids and spans."""
     patterns = compile_patterns({1, 2, 3, 4, 5})
-    patterns = patterns + negation_variants(patterns)
     cases = [
         ([("instruction", "NN"), ("booklet", "NN"), ("includes", "VBZ"),
           ("clear", "JJ"), ("instruction", "NN")], 1, False),
@@ -287,8 +282,7 @@ def test_end_to_end_smoke():
 
     candidates = {}
     for entity_id, segs in sorted(by_entity.items()):
-        pos, neg = filters.run_procedure("AW+SEN", segs, est, vocab,
-                                         y_senti=state.y_senti)
+        pos, neg = filters.run_procedure("AW+SEN", segs, est, y_senti=state.y_senti)
         candidates[entity_id] = {"positive": pos, "negative": neg}
     pipeline_score = combined(evaluation.evaluate(candidates, refs))
 

@@ -24,10 +24,12 @@ VOCAB = Vocabulary(aspect_stems=["decor", "food", "staff"],
 
 
 def make_seg(pairs, negated=False, aspect=None, sentiment=None):
+    """A segment encoded against VOCAB, as label_aspects encodes it."""
     tokens = [make_token(surface, tag) for surface, tag in pairs]
+    ids = tuple(pair for pair in map(VOCAB.lookup, tokens) if pair[0] is not None)
     return Segment(tokens=tokens, review_id="r", entity_id="e",
                    sentence_index=0, start=0, end=len(tokens), pattern_id=5,
-                   negated=negated, aspect=aspect, sentiment=sentiment)
+                   negated=negated, aspect=aspect, sentiment=sentiment, ids=ids)
 
 
 def normalized(rng, shape):
@@ -48,13 +50,13 @@ class TestTopic:
     def test_single_topic_returns_zero(self):
         est = make_est(np.random.default_rng(0), T=1)
         seg = make_seg([("good", "JJ"), ("food", "NN")])
-        assert classify_topic(seg, est, VOCAB) == 0
+        assert classify_topic(seg, est) == 0
 
     def test_single_aspect_word_is_column_argmax(self):
         est = make_est(np.random.default_rng(1))
         seg = make_seg([("food", "NN")])
         i = VOCAB.aspect_index["food"]
-        assert classify_topic(seg, est, VOCAB) == int(np.argmax(est.phi_hat[:, i]))
+        assert classify_topic(seg, est) == int(np.argmax(est.phi_hat[:, i]))
 
     def test_brute_force_fixture(self):
         rng = np.random.default_rng(2)
@@ -73,7 +75,7 @@ class TestTopic:
                         total += math.log(est.phi_prime_hat[0, k, i])
                         total += math.log(est.phi_prime_hat[1, k, i])
                 scores.append(total)
-            assert classify_topic(seg, est, VOCAB) == scores.index(max(scores))
+            assert classify_topic(seg, est) == scores.index(max(scores))
 
     def test_per_word_scale_invariance(self):
         # multiplying a word's column by a constant shifts every topic score
@@ -81,18 +83,18 @@ class TestTopic:
         rng = np.random.default_rng(3)
         est = make_est(rng)
         seg = make_seg([("good", "JJ"), ("food", "NN")])
-        before = classify_topic(seg, est, VOCAB)
+        before = classify_topic(seg, est)
         scaled = PosteriorEstimates(
             est.pi_hat, est.theta_hat,
             est.phi_hat * np.array([1.0, 7.5, 1.0]),
             est.phi_prime_hat * np.array([3.0, 1.0, 1.0]))
-        assert classify_topic(seg, scaled, VOCAB) == before
+        assert classify_topic(seg, scaled) == before
 
     def test_out_of_vocabulary_only_raises(self):
         est = make_est(np.random.default_rng(4))
         seg = make_seg([("unknownword", "NN"), ("mystery", "NN")])
         with pytest.raises(UnclassifiableSegment):
-            classify_topic(seg, est, VOCAB)
+            classify_topic(seg, est)
 
     def test_label_aspects_drops_unclassifiable(self):
         est = make_est(np.random.default_rng(5))
@@ -102,6 +104,21 @@ class TestTopic:
         assert labeled == [good] and dropped == [bad]
         assert good.aspect is not None
 
+    def test_label_aspects_encodes_in_token_order(self):
+        est = make_est(np.random.default_rng(6))
+        a = Segment(tokens=[make_token(s, t) for s, t in (
+                        ("good", "JJ"), ("food", "NN"), ("unknownword", "NN"),
+                        ("good", "JJ"))],
+                    review_id="r", entity_id="e", sentence_index=0, start=0,
+                    end=4, pattern_id=5, negated=False)
+        b = make_seg([("food", "NN")])
+        b.ids = ()
+        label_aspects([a, b], est, VOCAB)
+        good, food = ("senti", VOCAB.senti_index["good"]), ("aspect", VOCAB.aspect_index["food"])
+        assert a.ids == (good, food, good) and b.ids == (food,)
+        # one pair object per stem, shared across segments
+        assert a.ids[0] is a.ids[2] and a.ids[1] is b.ids[0]
+
 
 class TestSen:
     Y = np.array([[0.0, 1.5, 0.25],    # bad, good, nice (sentiment 0 row)
@@ -109,33 +126,33 @@ class TestSen:
 
     def test_no_sentiment_words_is_positive_zero(self):
         seg = make_seg([("food", "NN")])
-        assert classify_sentiment_sen(seg, self.Y, VOCAB) == (POSITIVE, 0.0)
+        assert classify_sentiment_sen(seg, self.Y) == (POSITIVE, 0.0)
 
     def test_positive_example(self):
         seg = make_seg([("good", "JJ"), ("food", "NN")])
-        label, pol = classify_sentiment_sen(seg, self.Y, VOCAB)
+        label, pol = classify_sentiment_sen(seg, self.Y)
         assert label == POSITIVE and pol == pytest.approx(2.0)
 
     def test_negative_example(self):
         seg = make_seg([("bad", "JJ"), ("food", "NN")])
-        label, pol = classify_sentiment_sen(seg, self.Y, VOCAB)
+        label, pol = classify_sentiment_sen(seg, self.Y)
         assert label == NEGATIVE and pol == pytest.approx(-2.0)
 
     def test_polarity_sums_over_words(self):
         seg = make_seg([("good", "JJ"), ("bad", "JJ"), ("nice", "JJ")])
-        _, pol = classify_sentiment_sen(seg, self.Y, VOCAB)
+        _, pol = classify_sentiment_sen(seg, self.Y)
         assert pol == pytest.approx(2.0 - 2.0 + 0.0)
 
     def test_negation_flips(self):
         seg = make_seg([("good", "JJ"), ("food", "NN")], negated=True)
-        label, pol = classify_sentiment_sen(seg, self.Y, VOCAB)
+        label, pol = classify_sentiment_sen(seg, self.Y)
         assert label == NEGATIVE and pol == pytest.approx(-2.0)
 
     def test_row_swap_flips_nonzero_classifications(self):
         seg = make_seg([("good", "JJ")])
-        label, pol = classify_sentiment_sen(seg, self.Y, VOCAB)
+        label, pol = classify_sentiment_sen(seg, self.Y)
         swapped_label, swapped_pol = classify_sentiment_sen(
-            seg, self.Y[::-1].copy(), VOCAB)
+            seg, self.Y[::-1].copy())
         assert swapped_pol == pytest.approx(-pol)
         assert {label, swapped_label} == {POSITIVE, NEGATIVE}
 
@@ -145,7 +162,7 @@ class TestSen:
         for _ in range(20):
             y = rng.normal(size=(2, 3))
             seg = make_seg([("good", "JJ"), ("nice", "JJ")])
-            _, pol = classify_sentiment_sen(seg, y, VOCAB)
+            _, pol = classify_sentiment_sen(seg, y)
             expected = sum(y[0, VOCAB.senti_index[w]] - y[1, VOCAB.senti_index[w]]
                            for w in ("good", "nice"))
             assert pol == pytest.approx(expected)

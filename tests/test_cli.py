@@ -133,6 +133,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "y_topic" in err and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("command", ["topics", "summarize", "evaluate"])
+    def test_checkpoint_not_an_object_is_two(self, tmp_path, capsys, command):
+        corpus = write_corpus(tmp_path, num_entities=2, reviews_per_entity=3)
+        config = write_config(tmp_path, corpus)
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "checkpoint.json").write_text("[]")
+        assert main(["--config", str(config), command]) == 2
+        err = capsys.readouterr().err
+        assert "not a JSON object" in err and len(err.strip().splitlines()) == 1
+
     def test_corpus_format_error_is_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("not json\n")
@@ -269,6 +279,22 @@ class TestResume:
         capsys.readouterr()
         assert main(["--config", str(other), "train", "--resume"]) == 2
         assert "contradicts" in capsys.readouterr().err
+        assert ckpt.read_bytes() == before
+
+    def test_resume_against_swapped_seeds_is_two(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path, num_entities=2, reviews_per_entity=4)
+        seeds = tmp_path / "seeds.txt"
+        seeds.write_text("positive\tgood\nnegative\tbad\n")
+        config = write_config(tmp_path, corpus, extra=f"seeds = {seeds}\n")
+        assert main(["--config", str(config), "train", "--iters", "2"]) == 0
+        ckpt = tmp_path / "out" / "checkpoint.json"
+        before = ckpt.read_bytes()
+        seeds.write_text("positive\tbad\nnegative\tgood\n")
+        capsys.readouterr()
+        assert main(["--config", str(config), "train", "--resume"]) == 2
+        err = capsys.readouterr().err
+        assert "contradicts" in err and "bad, good" in err
+        assert len(err.strip().splitlines()) == 1
         assert ckpt.read_bytes() == before
 
     def test_resume_matches_uninterrupted_run(self, tmp_path):

@@ -23,10 +23,12 @@ VOCAB = Vocabulary(aspect_stems=["decor", "food", "staff", "wine"],
 
 
 def make_seg(pairs, negated=False, aspect=None, sentiment=None):
+    """A segment encoded against VOCAB, as label_aspects encodes it."""
     tokens = [make_token(surface, tag) for surface, tag in pairs]
+    ids = tuple(pair for pair in map(VOCAB.lookup, tokens) if pair[0] is not None)
     return Segment(tokens=tokens, review_id="r", entity_id="e",
                    sentence_index=0, start=0, end=len(tokens), pattern_id=5,
-                   negated=negated, aspect=aspect, sentiment=sentiment)
+                   negated=negated, aspect=aspect, sentiment=sentiment, ids=ids)
 
 
 def normalized(rng, shape):
@@ -60,7 +62,7 @@ class TestAw:
         est = make_est()
         keep = make_seg([("good", "JJ"), ("food", "NN")], aspect=0)
         drop = make_seg([("good", "JJ")], aspect=0)  # no aspect-channel word
-        assert filter_aw([keep, drop], est, VOCAB, top_x=4) == [keep]
+        assert filter_aw([keep, drop], est, top_x=4) == [keep]
 
     def test_top_one_keeps_only_best_word(self):
         est = make_est(seed=1)
@@ -68,18 +70,18 @@ class TestAw:
         other = next(s for s in VOCAB.aspect_stems if s != best)
         a = make_seg([("good", "JJ"), (best, "NN")], aspect=0)
         b = make_seg([("good", "JJ"), (other, "NN")], aspect=0)
-        assert filter_aw([a, b], est, VOCAB, top_x=1) == [a]
+        assert filter_aw([a, b], est, top_x=1) == [a]
 
     def test_requires_aspect_labels(self):
         with pytest.raises(ProcedureError):
-            filter_aw([make_seg([("food", "NN")])], make_est(), VOCAB, 2)
+            filter_aw([make_seg([("food", "NN")])], make_est(), 2)
 
     def test_brute_force_oracle(self):
         rng = np.random.default_rng(7)
         est = make_est(seed=7)
         for top_x in (1, 2, 3):
             segs = random_segments(rng, 30)
-            got = filter_aw(segs, est, VOCAB, top_x)
+            got = filter_aw(segs, est, top_x)
             expected = []
             for seg in segs:
                 order = sorted(range(VOCAB.num_aspect_words),
@@ -93,8 +95,8 @@ class TestAw:
         rng = np.random.default_rng(8)
         est = make_est(seed=8)
         segs = random_segments(rng, 25)
-        once = filter_aw(segs, est, VOCAB, 2)
-        assert filter_aw(once, est, VOCAB, 2) == once
+        once = filter_aw(segs, est, 2)
+        assert filter_aw(once, est, 2) == once
 
 
 class TestSw:
@@ -103,7 +105,7 @@ class TestSw:
         est = make_est(seed=9)
         for top_y in (1, 2, 3):
             segs = random_segments(rng, 30, with_sentiment=True)
-            got = filter_sw(segs, est, VOCAB, top_y)
+            got = filter_sw(segs, est, top_y)
             expected = []
             for seg in segs:
                 probs = est.phi_prime_hat[seg.sentiment, seg.aspect]
@@ -117,14 +119,14 @@ class TestSw:
     def test_requires_sentiment_labels(self):
         seg = make_seg([("good", "JJ"), ("food", "NN")], aspect=0)
         with pytest.raises(ProcedureError):
-            filter_sw([seg], make_est(), VOCAB, 2)
+            filter_sw([seg], make_est(), 2)
 
     def test_commutes_with_aw(self):
         rng = np.random.default_rng(10)
         est = make_est(seed=10)
         segs = random_segments(rng, 40, with_sentiment=True)
-        ab = filter_sw(filter_aw(segs, est, VOCAB, 2), est, VOCAB, 2)
-        ba = filter_aw(filter_sw(segs, est, VOCAB, 2), est, VOCAB, 2)
+        ab = filter_sw(filter_aw(segs, est, 2), est, 2)
+        ba = filter_aw(filter_sw(segs, est, 2), est, 2)
         assert ab == ba
 
 
@@ -133,23 +135,23 @@ class TestRank:
         rng = np.random.default_rng(11)
         est = make_est(seed=11)
         segs = random_segments(rng, 12, with_sentiment=True)
-        assert filter_rank(segs, est, VOCAB, keep_fraction=1.0) == segs
+        assert filter_rank(segs, est, keep_fraction=1.0) == segs
 
     def test_floor_arithmetic(self):
         est = make_est(seed=12)
         # 5 segments in one group at keep=0.5: drop floor(2.5)=2, keep 3
         segs = [make_seg([("good", "JJ"), ("food", "NN")], aspect=0, sentiment=0)
                 for _ in range(5)]
-        assert len(filter_rank(segs, est, VOCAB, 0.5)) == 3
+        assert len(filter_rank(segs, est, 0.5)) == 3
         # a singleton group never drops
         one = [make_seg([("good", "JJ")], aspect=0, sentiment=0)]
-        assert filter_rank(one, est, VOCAB, 0.5) == one
+        assert filter_rank(one, est, 0.5) == one
 
     def test_sort_oracle(self):
         rng = np.random.default_rng(13)
         est = make_est(seed=13)
         segs = random_segments(rng, 30, with_sentiment=True)
-        got = filter_rank(segs, est, VOCAB, 0.5)
+        got = filter_rank(segs, est, 0.5)
 
         groups = {}
         for pos, seg in enumerate(segs):
@@ -159,7 +161,7 @@ class TestRank:
             n = len(positions)
             n_drop = math.floor(0.5 * n)
             scored = sorted(positions,
-                            key=lambda p: (-rank_score(segs[p], est, VOCAB), p))
+                            key=lambda p: (-rank_score(segs[p], est), p))
             keep.update(scored[: n - n_drop])
         assert got == [segs[p] for p in sorted(keep)]
 
@@ -170,12 +172,28 @@ class TestRank:
         a = VOCAB.aspect_index["food"]
         expected = (math.log(est.phi_prime_hat[0, 1, i])
                     + math.log(est.phi_hat[1, a])) / 2
-        assert rank_score(seg, est, VOCAB) == pytest.approx(expected, rel=1e-12)
+        assert rank_score(seg, est) == pytest.approx(expected, rel=1e-12)
+
+    def test_rank_score_sums_in_token_order(self):
+        # aspect and sentiment words alternate; the score is the left-to-right
+        # float sum over the tokens, divided by their count, to the last bit.
+        # On this seed, summing the aspect words first gives another float.
+        est = make_est(seed=21)
+        pairs = [("food", "NN"), ("good", "JJ"), ("staff", "NN"), ("nice", "JJ"),
+                 ("wine", "NN"), ("rude", "JJ"), ("decor", "NN"), ("bad", "JJ")]
+        seg = make_seg(pairs, aspect=1, sentiment=0)
+        total = 0.0
+        for surface, tag in pairs:
+            if tag == "NN":
+                total += math.log(est.phi_hat[1, VOCAB.aspect_index[surface]])
+            else:
+                total += math.log(est.phi_prime_hat[0, 1, VOCAB.senti_index[surface]])
+        assert rank_score(seg, est) == total / len(pairs)
 
     def test_rank_score_empty_is_minus_inf(self):
         est = make_est(seed=15)
         seg = make_seg([("unknownword", "NN")], aspect=0, sentiment=0)
-        assert rank_score(seg, est, VOCAB) == -math.inf
+        assert rank_score(seg, est) == -math.inf
 
 
 class TestProcedureParsing:
@@ -210,7 +228,7 @@ class TestRunProcedure:
         segs = [make_seg([("good", "JJ"), ("food", "NN")], aspect=0),
                 make_seg([("rude", "JJ"), ("staff", "NN")], aspect=1),
                 make_seg([("nice", "JJ"), ("wine", "NN")], aspect=0)]
-        pos, neg = run_procedure("Baseline+SWN", segs, est, VOCAB, lexicon=self.LEX)
+        pos, neg = run_procedure("Baseline+SWN", segs, est, lexicon=self.LEX)
         assert pos == [segs[0], segs[2]]
         assert neg == [segs[1]]
 
@@ -218,8 +236,8 @@ class TestRunProcedure:
         est = make_est(seed=17)
         segs = [make_seg([("good", "JJ"), ("food", "NN")], aspect=0),
                 make_seg([("bad", "JJ"), ("food", "NN")], aspect=0)]
-        pos_a, neg_a = run_procedure("Baseline+SEN", segs, est, VOCAB, y_senti=self.Y)
-        pos_b, neg_b = run_procedure("Baseline+SWN", segs, est, VOCAB, lexicon=self.LEX)
+        pos_a, neg_a = run_procedure("Baseline+SEN", segs, est, y_senti=self.Y)
+        pos_b, neg_b = run_procedure("Baseline+SWN", segs, est, lexicon=self.LEX)
         assert [s.text for s in pos_a] == [s.text for s in pos_b]
         assert [s.text for s in neg_a] == [s.text for s in neg_b]
 
@@ -227,7 +245,7 @@ class TestRunProcedure:
         rng = np.random.default_rng(18)
         est = make_est(seed=18)
         segs = random_segments(rng, 40)
-        pos, neg = run_procedure("AW+SEN+SW+RANK", segs, est, VOCAB,
+        pos, neg = run_procedure("AW+SEN+SW+RANK", segs, est,
                                  y_senti=self.Y, config=FilterConfig(2, 2, 0.5))
         surviving = pos + neg
         index = {id(s): i for i, s in enumerate(segs)}
@@ -240,6 +258,6 @@ class TestRunProcedure:
         est = make_est(seed=19)
         segs = [make_seg([("good", "JJ"), ("food", "NN")], aspect=0)]
         with pytest.raises(ProcedureError):
-            run_procedure("Baseline+SEN", segs, est, VOCAB)  # no y_senti
+            run_procedure("Baseline+SEN", segs, est)  # no y_senti
         with pytest.raises(ProcedureError):
-            run_procedure("Baseline+SWN", segs, est, VOCAB)  # no lexicon
+            run_procedure("Baseline+SWN", segs, est)  # no lexicon

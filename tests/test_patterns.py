@@ -1,42 +1,46 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from segsum.corpus import Corpus, Review
+from segsum.corpus import Corpus, Review, Sentence, Token
 from segsum.patterns import (
-    PATTERN_DEFS,
+    DEFAULT_NEGATION,
     PRESETS,
-    PatternAtom,
     compile_patterns,
     extract_corpus,
     match_sentence,
-    negation_variants,
-    parse_pattern,
     resolve_pattern_ids,
 )
 
+import oracles
+
 ALL = compile_patterns({1, 2, 3, 4, 5})
-ALL_WITH_NEG = ALL + negation_variants(ALL)
 
 
-def segments_of(sentence_factory, pairs, patterns=ALL_WITH_NEG, **kwargs):
-    return match_sentence(sentence_factory(pairs), patterns, **kwargs)
+def segments_of(sentence_factory, pairs, forms=ALL, **kwargs):
+    return match_sentence(sentence_factory(pairs), forms, **kwargs)
 
 
 class TestPatternDefinitions:
-    def test_golden_atom_lists(self):
-        # the five positive patterns, exactly as defined
-        expected = {
-            1: [("nn", "optional"), ("vb", "one"), ("dt", "optional"),
-                ("rb", "star"), ("jj", "one"), ("nn", "one")],
-            2: [("nn", "optional"), ("vb", "one"), ("rb", "star"),
-                ("jj", "one"), ("to", "one"), ("vb", "one")],
-            3: [("nn", "optional"), ("vb", "one"), ("rb", "star"), ("jj", "one")],
-            4: [("rb", "star"), ("jj", "one"), ("to", "one"), ("vb", "one"),
-                ("nn", "optional")],
-            5: [("rb", "star"), ("jj", "one"), ("nn", "one")],
-        }
-        for pid, definition in PATTERN_DEFS.items():
-            atoms = parse_pattern(pid, definition).atoms
-            assert [(a.category, a.quantifier) for a in atoms] == expected[pid]
+    def test_golden_regexes(self):
+        # every form of the five patterns, in match order
+        assert [(f.pattern_id, f.negated, f.regex.pattern) for f in ALL] == [
+            (1, True, "N*(?<!X)XVD?R*JN+"),
+            (1, True, "N*VD?R*(?<!X)XJN+"),
+            (1, False, "N*VD?R*JN+"),
+            (2, True, "N*(?<!X)XVR*JTV"),
+            (2, True, "N*VR*(?<!X)XJTV"),
+            (2, True, "N*VR*JT(?<!X)XV"),
+            (2, False, "N*VR*JTV"),
+            (4, True, "R*(?<!X)XJTVN*"),
+            (4, True, "R*JT(?<!X)XVN*"),
+            (4, False, "R*JTVN*"),
+            (3, True, "N*(?<!X)XVR*J"),
+            (3, True, "N*VR*(?<!X)XJ"),
+            (3, False, "N*VR*J"),
+            (5, True, "R*(?<!X)XJN+"),
+            (5, False, "R*JN+"),
+        ]
 
     def test_presets(self):
         assert PRESETS["service"] == {1, 3, 5}
@@ -136,12 +140,10 @@ class TestLongestMatch:
 
 class TestNegation:
     def test_variant_construction_counts(self):
-        base = compile_patterns({3})
-        variants = negation_variants(base)
         # pattern 3 has one vb and one jj atom -> two insertion points
-        assert len(variants) == 2
-        assert all(v.negated and v.id == 3 for v in variants)
-        assert all(sum(a.category == "neg" for a in v.atoms) == 1 for v in variants)
+        forms = compile_patterns({3})
+        assert [(f.pattern_id, f.negated) for f in forms] == [
+            (3, True), (3, True), (3, False)]
 
     def test_is_not_easy_to_clean(self, sentence_factory):
         segs = segments_of(sentence_factory, [
@@ -152,10 +154,10 @@ class TestNegation:
         assert segs[0].negated
 
     def test_double_negation_never_matches_variants(self, sentence_factory):
-        variants = negation_variants(ALL)
+        variants = [f for f in ALL if f.negated]
         segs = segments_of(sentence_factory, [
             ("not", "RB"), ("not", "RB"), ("good", "JJ"), ("food", "NN")],
-            patterns=variants)
+            forms=variants)
         assert segs == []
 
     def test_empty_negation_list_disables_variants(self, sentence_factory):
@@ -212,12 +214,10 @@ class TestPrioritySoundness:
             [("basket", "NN"), ("is", "VBZ"), ("simple", "JJ"), ("to", "TO"),
              ("remove", "VB")],
         ]
-        from segsum.corpus import Sentence
-
         low_priority = compile_patterns({3, 5})
         for pairs in cases:
             sentence = sentence_factory(pairs)
-            segs = match_sentence(sentence, ALL_WITH_NEG)
+            segs = match_sentence(sentence, ALL)
             consumed = {i for s in segs if s.pattern_id in (1, 2, 4)
                         for i in range(s.start, s.end)}
             # rerun 3/5 on each contiguous unconsumed region
@@ -236,3 +236,24 @@ class TestPrioritySoundness:
                 for s in match_sentence(sub, low_priority):
                     original = {region[i][0] for i in range(s.start, s.end)}
                     assert not original & consumed
+
+
+# every tag family, adjectives drawn more often; XX is no Penn tag
+TAGS = ("NN", "NNS", "NNP", "NNPS", "VB", "VBD", "VBG", "VBN", "VBP", "VBZ",
+        "JJ", "JJ", "JJ", "JJR", "JJS", "RB", "RBR", "RBS", "DT", "TO", "IN", "XX")
+WORDS = ("word",) * 16 + ("not", "Not", "n't", "never")
+
+
+@settings(max_examples=1500, deadline=None)
+@given(pairs=st.lists(st.tuples(st.sampled_from(WORDS), st.sampled_from(TAGS)),
+                      max_size=14),
+       pattern_ids=st.sets(st.integers(1, 5)),
+       max_words=st.integers(1, 10),
+       negation=st.sampled_from([DEFAULT_NEGATION, frozenset()]))
+def test_match_sentence_equals_oracle(pairs, pattern_ids, max_words, negation):
+    """Random tag and negation sequences give the brute-force span matcher's
+    segments: same spans, pattern ids and negated flags."""
+    sentence = Sentence([Token(s, s.lower(), t, False) for s, t in pairs], "r")
+    got = match_sentence(sentence, compile_patterns(pattern_ids), max_words, negation)
+    assert [(g.start, g.end, g.pattern_id, g.negated) for g in got] == \
+        oracles.extraction_oracle(pairs, pattern_ids, max_words, negation)
