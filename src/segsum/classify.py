@@ -14,19 +14,23 @@ class UnclassifiableSegment(ValueError):
     """Segment has no in-vocabulary words to score."""
 
 
-def classify_topic(segment, est) -> int:
-    """Argmax-k segment score: non-sentiment words add log phi_hat[k, i],
-    sentiment words add sum_j log phi_prime_hat[j, k, i]; out-of-vocabulary
-    words contribute nothing. Ties break toward the lowest k."""
+def topic_weights(est):
+    """Per-topic score rows of the vocabulary, keyed by channel: row i of
+    "aspect" is log phi_hat[:, i], row i of "senti" is
+    sum_j log phi_prime_hat[j, :, i]."""
+    return {"aspect": np.log(est.phi_hat).T,
+            "senti": np.log(est.phi_prime_hat).sum(axis=0).T}
+
+
+def classify_topic(segment, weights) -> int:
+    """Argmax-k segment score: the sum, in token order, of the topic_weights
+    rows of the segment's in-vocabulary words; out-of-vocabulary words
+    contribute nothing. Ties break toward the lowest k."""
     if not segment.ids:
         raise UnclassifiableSegment(f"no in-vocabulary words in segment {segment.text!r}")
-    T = est.phi_hat.shape[0]
-    scores = np.zeros(T)
+    scores = np.zeros(weights["aspect"].shape[1])
     for channel, idx in segment.ids:
-        if channel == "aspect":
-            scores += np.log(est.phi_hat[:, idx])
-        else:
-            scores += np.log(est.phi_prime_hat[:, :, idx]).sum(axis=0)
+        scores += weights[channel][idx]
     return int(np.argmax(scores))
 
 
@@ -90,6 +94,7 @@ def label_aspects(segments, est, vocab):
 
     Returns (labeled segments, dropped segments).
     """
+    weights = topic_weights(est)
     pairs = {}
     labeled, dropped = [], []
     for seg in segments:
@@ -99,7 +104,7 @@ def label_aspects(segments, est, vocab):
                 pairs[token.stem] = pair if pair[0] is not None else None
         seg.ids = tuple(pairs[t.stem] for t in seg.tokens if pairs[t.stem] is not None)
         try:
-            seg.aspect = classify_topic(seg, est)
+            seg.aspect = classify_topic(seg, weights)
             labeled.append(seg)
         except UnclassifiableSegment:
             dropped.append(seg)

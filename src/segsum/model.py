@@ -13,9 +13,13 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import warnings
 from dataclasses import dataclass
+from itertools import chain, repeat
+from math import exp, log as ln
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize
@@ -97,25 +101,31 @@ class Schedule:
             raise ValueError("bad schedule")
 
 
-@dataclass
-class EncodedSentence:
-    aspect_ids: np.ndarray   # indices into the non-sentiment vocabulary
-    aspect_offsets: np.ndarray  # per-occurrence within-sentence repeat counts
-    senti_ids: np.ndarray
-    senti_offsets: np.ndarray
+class SentenceIds(NamedTuple):
+    """A sentence's vocabulary ids in token order. An offset counts the
+    earlier occurrences of its token's id in the sentence; the offsets are
+    None when no id repeats."""
+
+    aspect: tuple
+    aspect_offsets: tuple | None
+    senti: tuple
+    senti_offsets: tuple | None
 
 
 def _offsets(ids):
+    if len(set(ids)) == len(ids):
+        return None
     seen = {}
-    out = np.empty(len(ids), dtype=np.float64)
-    for t, i in enumerate(ids):
-        out[t] = seen.get(i, 0)
-        seen[i] = out[t] + 1
-    return out
+    out = []
+    for i in ids:
+        out.append(seen.get(i, 0))
+        seen[i] = out[-1] + 1
+    return tuple(out)
 
 
 def encode_corpus(corpus, vocab):
-    """Map corpus tokens to vocabulary ids; out-of-vocabulary tokens drop."""
+    """Map corpus tokens to vocabulary ids, one list of SentenceIds per
+    review; out-of-vocabulary tokens drop."""
     docs = []
     for review in corpus.reviews:
         sentences = []
@@ -127,11 +137,14 @@ def encode_corpus(corpus, vocab):
                     aspect.append(idx)
                 elif channel == "senti":
                     senti.append(idx)
-            a = np.asarray(aspect, dtype=np.intp)
-            s = np.asarray(senti, dtype=np.intp)
-            sentences.append(EncodedSentence(a, _offsets(a), s, _offsets(s)))
+            aspect, senti = tuple(aspect), tuple(senti)
+            sentences.append(SentenceIds(aspect, _offsets(aspect), senti, _offsets(senti)))
         docs.append(sentences)
     return docs
+
+
+def _concat(arrays):
+    return np.concatenate(arrays) if arrays else np.zeros(0, dtype=np.intp)
 
 
 class ModelState:
@@ -145,12 +158,8 @@ class ModelState:
         T, S = hp.num_topics, hp.num_sentiments
         V, Vp = vocab.num_aspect_words, vocab.num_senti_words
         D = len(docs)
-        self.n_TW = np.zeros((T, V))
-        self.n_STW = np.zeros((S, T, Vp))
-        self.n_DT = np.zeros((D, T))
-        self.n_DS = np.zeros((D, S))
-        self.n_TW_rows = np.zeros(T)
-        self.n_STW_rows = np.zeros((S, T))
+        self.set_counts(np.zeros((T, V)), np.zeros((S, T, Vp)),
+                        np.zeros((D, T)), np.zeros((D, S)))
         self.z = [np.zeros(len(doc), dtype=np.intp) for doc in docs]
         self.s = [np.zeros(len(doc), dtype=np.intp) for doc in docs]
         self.y_topic = np.zeros((T, Vp))
@@ -165,48 +174,55 @@ class ModelState:
 
     # -- count bookkeeping ---------------------------------------------------
 
+    def set_counts(self, n_TW, n_STW, n_DT, n_DS):
+        """Install count matrices and the row totals derived from them."""
+        self.n_TW, self.n_STW, self.n_DT, self.n_DS = n_TW, n_STW, n_DT, n_DS
+        self.n_TW_rows = n_TW.sum(axis=1)
+        self.n_STW_rows = n_STW.sum(axis=2)
+
     def decrement(self, d, c):
-        sent = self.docs[d][c]
-        k, j = self.z[d][c], self.s[d][c]
-        np.subtract.at(self.n_TW[k], sent.aspect_ids, 1.0)
-        np.subtract.at(self.n_STW[j, k], sent.senti_ids, 1.0)
-        self.n_TW_rows[k] -= len(sent.aspect_ids)
-        self.n_STW_rows[j, k] -= len(sent.senti_ids)
-        self.n_DT[d, k] -= 1
-        self.n_DS[d, j] -= 1
+        _move(self, d, self.docs[d][c], self.s[d][c], self.z[d][c], -1)
 
     def increment(self, d, c, j, k):
-        sent = self.docs[d][c]
-        np.add.at(self.n_TW[k], sent.aspect_ids, 1.0)
-        np.add.at(self.n_STW[j, k], sent.senti_ids, 1.0)
-        self.n_TW_rows[k] += len(sent.aspect_ids)
-        self.n_STW_rows[j, k] += len(sent.senti_ids)
-        self.n_DT[d, k] += 1
-        self.n_DS[d, j] += 1
+        _move(self, d, self.docs[d][c], j, k, 1)
         self.z[d][c] = k
         self.s[d][c] = j
 
     def recount(self):
-        """Rebuild all count matrices from the assignments (for checking)."""
-        n_TW = np.zeros_like(self.n_TW)
-        n_STW = np.zeros_like(self.n_STW)
-        n_DT = np.zeros_like(self.n_DT)
-        n_DS = np.zeros_like(self.n_DS)
-        for d, doc in enumerate(self.docs):
-            for c, sent in enumerate(doc):
-                k, j = self.z[d][c], self.s[d][c]
-                np.add.at(n_TW[k], sent.aspect_ids, 1.0)
-                np.add.at(n_STW[j, k], sent.senti_ids, 1.0)
-                n_DT[d, k] += 1
-                n_DS[d, j] += 1
-        return n_TW, n_STW, n_DT, n_DS
+        """Rebuild all count matrices from the assignments: one bincount per
+        matrix over the corpus's concatenated ids."""
+        T, S = self.hp.num_topics, self.hp.num_sentiments
+        V, Vp = self.vocab.num_aspect_words, self.vocab.num_senti_words
+        sentences = [sent for doc in self.docs for sent in doc]
+        z, s = _concat(self.z), _concat(self.s)
+        doc = np.repeat(np.arange(len(self.docs)), [len(doc) for doc in self.docs])
+
+        def count(index, shape):
+            return np.bincount(index, minlength=math.prod(shape)).reshape(shape).astype(float)
+
+        def ids(channel):
+            lengths = [len(getattr(sent, channel)) for sent in sentences]
+            flat = np.fromiter(chain.from_iterable(getattr(sent, channel) for sent in sentences),
+                               dtype=np.intp, count=sum(lengths))
+            return flat, lengths
+
+        aspect, aspect_lengths = ids("aspect")
+        senti, senti_lengths = ids("senti")
+        return (count(np.repeat(z, aspect_lengths) * V + aspect, (T, V)),
+                count(np.repeat(s * T + z, senti_lengths) * Vp + senti, (S, T, Vp)),
+                count(doc * T + z, (len(self.docs), T)),
+                count(doc * S + s, (len(self.docs), S)))
 
     def counts_consistent(self):
-        n_TW, n_STW, n_DT, n_DS = self.recount()
-        return (np.array_equal(n_TW, self.n_TW)
-                and np.array_equal(n_STW, self.n_STW)
-                and np.array_equal(n_DT, self.n_DT)
-                and np.array_equal(n_DS, self.n_DS))
+        """Whether z/s fit the corpus and the counts equal their recount."""
+        lengths = [len(doc) for doc in self.docs]
+        z, s = _concat(self.z), _concat(self.s)
+        if ([len(a) for a in self.z] != lengths or [len(a) for a in self.s] != lengths
+                or not ((0 <= z) & (z < self.hp.num_topics)).all()
+                or not ((0 <= s) & (s < self.hp.num_sentiments)).all()):
+            return False
+        return all(np.array_equal(mine, recounted) for mine, recounted in zip(
+            (self.n_TW, self.n_STW, self.n_DT, self.n_DS), self.recount()))
 
 
 def seed_smoothers(vocab, hp, seeds):
@@ -234,15 +250,162 @@ def init(corpus, vocab, hp, seeds=None, rng_seed=0) -> ModelState:
     state.y_senti, state.seed_mask = seed_smoothers(vocab, hp, seeds)
     state.refresh_beta_prime()
 
-    for d, doc in enumerate(docs):
-        for c in range(len(doc)):
-            k = int(rng.integers(hp.num_topics))
-            j = int(rng.integers(hp.num_sentiments))
-            state.increment(d, c, j, k)
+    for z, s in zip(state.z, state.s):
+        for c in range(len(z)):
+            z[c] = rng.integers(hp.num_topics)
+            s[c] = rng.integers(hp.num_sentiments)
+    state.set_counts(*state.recount())
     return state
 
 
-# -- collapsed Gibbs conditional (sentence block) ----------------------------
+# -- collapsed Gibbs sampler (sentence block) --------------------------------
+#
+# One scalar kernel serves gibbs_sweep and the per-sentence entry points
+# (ModelState.decrement/increment, gibbs_conditional_log): _move updates the
+# counts, _log_conditional evaluates the conditional and _draw picks from it.
+# It reads counts as counts.n_TW[k][w], which works on a ModelState's numpy
+# arrays and, much faster, on the nested lists that gibbs_sweep copies them
+# into for one sweep. It samples the chain of the per-sentence numpy
+# expressions it replaced (tests/oracles.py), so it adds in their order:
+# left to right over a sentence's tokens, and in numpy's pairwise order
+# (_pairwise) over the log terms of a denominator's rising factorial.
+
+def _move(counts, d, sent, j, k, step):
+    """Add step (+1 or -1) times sentence sent of document d, assigned
+    sentiment j and topic k, to the counts."""
+    row = counts.n_TW[k]
+    for w in sent.aspect:
+        row[w] += step
+    row = counts.n_STW[j][k]
+    for w in sent.senti:
+        row[w] += step
+    counts.n_TW_rows[k] += step * len(sent.aspect)
+    counts.n_STW_rows[j][k] += step * len(sent.senti)
+    counts.n_DT[d][k] += step
+    counts.n_DS[d][j] += step
+
+
+def _pairwise(a):
+    """sum(a) in the order of numpy's pairwise sum over a contiguous row: left
+    to right below 8 terms, else 8 interleaved partial sums (halving
+    recursively above 128 terms)."""
+    n = len(a)
+    if n < 8:
+        total = 0.0
+        for v in a:
+            total += v
+        return total
+    if n > 128:
+        half = n // 2
+        half -= half % 8
+        return _pairwise(a[:half]) + _pairwise(a[half:])
+    r = a[:8]
+    tail = n - n % 8
+    for i in range(8, tail, 8):
+        for m in range(8):
+            r[m] += a[i + m]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for v in a[tail:]:
+        total += v
+    return total
+
+
+def _ln_or_minus_inf(x):
+    return ln(x) if x > 0 else -math.inf
+
+
+def _log_conditional(counts, hp, V, sent, d):
+    """Log of the unnormalized conditional of sentence sent of document d,
+    whose own assignment is not in the counts, as a flat list indexed
+    j * T + k."""
+    try:
+        return _log_terms(counts, hp, V, sent, d, ln)
+    except ValueError:
+        # a sentiment smoother that underflowed to 0 under a zero count: the
+        # cell's log is -inf, as np.log gives it
+        return _log_terms(counts, hp, V, sent, d, _ln_or_minus_inf)
+
+
+def _log_terms(counts, hp, V, sent, d, ln):
+    T, beta, alpha, gamma = hp.num_topics, hp.beta, hp.alpha, hp.gamma
+    aspect, aspect_offsets, senti, senti_offsets = sent
+    n_a, n_s = len(aspect), len(senti)
+
+    # the aspect term depends on the topic only
+    aspect_term = [0.0] * T
+    if n_a:
+        n_TW, rows, vbeta = counts.n_TW, counts.n_TW_rows, V * beta
+        for k in range(T):
+            row = n_TW[k]
+            x = rows[k] + vbeta
+            num = den = 0.0
+            if aspect_offsets is None and n_a < 8:
+                for t, w in enumerate(aspect):
+                    num += ln(row[w] + beta)
+                    den += ln(x + t)
+            else:
+                for w, o in zip(aspect, aspect_offsets or repeat(0)):
+                    num += ln(row[w] + beta + o)
+                den = _pairwise([ln(x + t) for t in range(n_a)])
+            aspect_term[k] = num - den
+
+    n_DT_d = counts.n_DT[d]
+    doc_topic = [ln(n_DT_d[k] + alpha) for k in range(T)]
+    logp = []
+    for j, n_DS_dj in enumerate(counts.n_DS[d]):
+        doc_senti = ln(n_DS_dj + gamma)
+        if not n_s:
+            logp += [(aspect_term[k] + doc_topic[k]) + doc_senti for k in range(T)]
+            continue
+        n_j, bp_j = counts.n_STW[j], counts.beta_prime[j]
+        rows_j, bar_j = counts.n_STW_rows[j], counts.bar_beta_prime[j]
+        for k in range(T):
+            row, bp = n_j[k], bp_j[k]
+            x = rows_j[k] + bar_j[k]
+            num = den = 0.0
+            if senti_offsets is None and n_s < 8:
+                for t, w in enumerate(senti):
+                    num += ln(row[w] + bp[w])
+                    den += ln(x + t)
+            else:
+                for w, o in zip(senti, senti_offsets or repeat(0)):
+                    num += ln(row[w] + bp[w] + o)
+                den = _pairwise([ln(x + t) for t in range(n_s)])
+            senti_term = num - den
+            logp.append(((aspect_term[k] + senti_term) + doc_topic[k]) + doc_senti)
+    return logp
+
+
+def _draw(logp, u):
+    """Index of the first cumulative weight above u times the total, the
+    weights being exp(logp - max(logp)) in order."""
+    top = max(logp)
+    cumulative = []
+    total = 0.0
+    for v in logp:
+        total += exp(v - top)
+        cumulative.append(total)
+    x = u * total
+    for i, c in enumerate(cumulative):
+        if c > x:
+            return i
+    return len(logp) - 1
+
+
+class _CountLists:
+    """A ModelState's counts and sentiment smoothers as nested lists, for the
+    scalar kernel during one sweep."""
+
+    _COUNTS = ("n_TW", "n_STW", "n_DT", "n_DS", "n_TW_rows", "n_STW_rows")
+
+    def __init__(self, state):
+        for name in self._COUNTS + ("beta_prime", "bar_beta_prime"):
+            setattr(self, name, getattr(state, name).tolist())
+
+    def write_back(self, state):
+        for name in self._COUNTS:
+            getattr(state, name)[...] = getattr(self, name)
+
 
 def gibbs_conditional_log(state, d, c):
     """Log of the unnormalized (S, T) conditional for sentence (d, c).
@@ -250,30 +413,8 @@ def gibbs_conditional_log(state, d, c):
     The sentence's own assignment must already be decremented.
     """
     hp = state.hp
-    sent = state.docs[d][c]
-    V = state.vocab.num_aspect_words
-    T = hp.num_topics
-
-    logp = np.zeros((hp.num_sentiments, T))
-
-    n_a = len(sent.aspect_ids)
-    if n_a:
-        num = np.log(state.n_TW[:, sent.aspect_ids] + hp.beta + sent.aspect_offsets)
-        den = np.log(state.n_TW_rows[:, None] + V * hp.beta + np.arange(n_a))
-        logp += (num.sum(axis=1) - den.sum(axis=1))[None, :]
-
-    n_s = len(sent.senti_ids)
-    if n_s:
-        num = np.log(state.n_STW[:, :, sent.senti_ids]
-                     + state.beta_prime[:, :, sent.senti_ids]
-                     + sent.senti_offsets)
-        den = np.log(state.n_STW_rows[:, :, None] + state.bar_beta_prime[:, :, None]
-                     + np.arange(n_s))
-        logp += num.sum(axis=2) - den.sum(axis=2)
-
-    logp += np.log(state.n_DT[d] + hp.alpha)[None, :]
-    logp += np.log(state.n_DS[d] + hp.gamma)[:, None]
-    return logp
+    logp = _log_conditional(state, hp, state.vocab.num_aspect_words, state.docs[d][c], d)
+    return np.array(logp).reshape(hp.num_sentiments, hp.num_topics)
 
 
 def gibbs_conditional(state, d, c):
@@ -282,18 +423,21 @@ def gibbs_conditional(state, d, c):
 
 
 def gibbs_sweep(state):
-    """Resample every sentence in corpus order; mutates and returns state."""
+    """Resample every sentence in corpus order, with one rng.random() each;
+    mutates and returns state."""
+    hp = state.hp
+    T, V = hp.num_topics, state.vocab.num_aspect_words
+    counts = _CountLists(state)
+    random = state.rng.random
     for d, doc in enumerate(state.docs):
-        for c in range(len(doc)):
-            state.decrement(d, c)
-            logp = gibbs_conditional_log(state, d, c)
-            p = np.exp(logp - logp.max())
-            flat = p.ravel()
-            cum = np.cumsum(flat)
-            pick = np.searchsorted(cum, state.rng.random() * cum[-1], side="right")
-            pick = min(pick, flat.size - 1)
-            j, k = divmod(int(pick), state.hp.num_topics)
-            state.increment(d, c, j, k)
+        z, s = state.z[d].tolist(), state.s[d].tolist()
+        for c, sent in enumerate(doc):
+            _move(counts, d, sent, s[c], z[c], -1)
+            s[c], z[c] = divmod(_draw(_log_conditional(counts, hp, V, sent, d), random()), T)
+            _move(counts, d, sent, s[c], z[c], 1)
+        state.z[d][:] = z
+        state.s[d][:] = s
+    counts.write_back(state)
     state.sweep_index += 1
     return state
 
@@ -493,12 +637,8 @@ def load_checkpoint(path, corpus=None):
     rng = np.random.default_rng()
     get("rng_state", lambda st: setattr(rng.bit_generator, "state", st))
     state = ModelState(hp, vocab, docs, rng)
-    state.n_TW = get_array("n_TW")
-    state.n_STW = get_array("n_STW")
-    state.n_DT = get_array("n_DT")
-    state.n_DS = get_array("n_DS")
-    state.n_TW_rows = state.n_TW.sum(axis=1)
-    state.n_STW_rows = state.n_STW.sum(axis=2)
+    state.set_counts(get_array("n_TW"), get_array("n_STW"), get_array("n_DT"),
+                     get_array("n_DS"))
     state.z = get("z", lambda rows: [np.asarray(a, dtype=np.intp) for a in rows])
     state.s = get("s", lambda rows: [np.asarray(a, dtype=np.intp) for a in rows])
     state.y_topic = get_array("y_topic")

@@ -1,13 +1,16 @@
 """Independent brute-force reference implementations used by the tests.
 
 Everything here is written with plain loops and, where useful, arbitrary
-precision, deliberately sharing no code with the package under test.
+precision, deliberately sharing no code with the package under test. The
+exception to plain loops is the per-sentence numpy Gibbs sampler that the
+package used before its scalar kernel: the kernel must sample its chain.
 """
 
 import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 
 
 # -- sampler conditional -----------------------------------------------------
@@ -251,3 +254,112 @@ def extraction_oracle(pairs, pattern_ids, max_words, negation_words):
             segments.append(hit)
             start = hit[1]
     return segments
+
+
+# -- per-sentence numpy Gibbs sampler ------------------------------------------
+#
+# The sampler that segsum.model ran before its scalar kernel: each sentence's
+# counts move with np.add.at, and its (S, T) conditional is one array
+# expression. These functions work on a segsum.model.ModelState.
+
+def numpy_sentences(docs):
+    """Per document, per sentence (aspect ids, aspect offsets, senti ids,
+    senti offsets) as numpy arrays; an offset counts the earlier occurrences
+    of its id in the sentence."""
+    def offsets(ids):
+        seen = {}
+        out = np.empty(len(ids), dtype=np.float64)
+        for t, i in enumerate(ids):
+            out[t] = seen.get(i, 0)
+            seen[i] = out[t] + 1
+        return out
+
+    encoded = []
+    for doc in docs:
+        rows = []
+        for sent in doc:
+            a = np.asarray(sent.aspect, dtype=np.intp)
+            s = np.asarray(sent.senti, dtype=np.intp)
+            rows.append((a, offsets(a), s, offsets(s)))
+        encoded.append(rows)
+    return encoded
+
+
+def numpy_decrement(state, sentences, d, c):
+    aspect, _, senti, _ = sentences[d][c]
+    k, j = state.z[d][c], state.s[d][c]
+    np.subtract.at(state.n_TW[k], aspect, 1.0)
+    np.subtract.at(state.n_STW[j, k], senti, 1.0)
+    state.n_TW_rows[k] -= len(aspect)
+    state.n_STW_rows[j, k] -= len(senti)
+    state.n_DT[d, k] -= 1
+    state.n_DS[d, j] -= 1
+
+
+def numpy_increment(state, sentences, d, c, j, k):
+    aspect, _, senti, _ = sentences[d][c]
+    np.add.at(state.n_TW[k], aspect, 1.0)
+    np.add.at(state.n_STW[j, k], senti, 1.0)
+    state.n_TW_rows[k] += len(aspect)
+    state.n_STW_rows[j, k] += len(senti)
+    state.n_DT[d, k] += 1
+    state.n_DS[d, j] += 1
+    state.z[d][c] = k
+    state.s[d][c] = j
+
+
+def numpy_conditional_log(state, sentences, d, c):
+    """Log of the unnormalized (S, T) conditional of sentence (d, c), whose
+    own assignment must already be decremented."""
+    hp = state.hp
+    aspect, aspect_offsets, senti, senti_offsets = sentences[d][c]
+    V = state.vocab.num_aspect_words
+    logp = np.zeros((hp.num_sentiments, hp.num_topics))
+    if len(aspect):
+        num = np.log(state.n_TW[:, aspect] + hp.beta + aspect_offsets)
+        den = np.log(state.n_TW_rows[:, None] + V * hp.beta + np.arange(len(aspect)))
+        logp += (num.sum(axis=1) - den.sum(axis=1))[None, :]
+    if len(senti):
+        num = np.log(state.n_STW[:, :, senti] + state.beta_prime[:, :, senti]
+                     + senti_offsets)
+        den = np.log(state.n_STW_rows[:, :, None] + state.bar_beta_prime[:, :, None]
+                     + np.arange(len(senti)))
+        logp += num.sum(axis=2) - den.sum(axis=2)
+    logp += np.log(state.n_DT[d] + hp.alpha)[None, :]
+    logp += np.log(state.n_DS[d] + hp.gamma)[:, None]
+    return logp
+
+
+def numpy_gibbs_sweep(state):
+    """Resample every sentence in corpus order with one rng.random() each;
+    mutates and returns state."""
+    sentences = numpy_sentences(state.docs)
+    for d, doc in enumerate(state.docs):
+        for c in range(len(doc)):
+            numpy_decrement(state, sentences, d, c)
+            logp = numpy_conditional_log(state, sentences, d, c)
+            p = np.exp(logp - logp.max())
+            flat = p.ravel()
+            cum = np.cumsum(flat)
+            pick = np.searchsorted(cum, state.rng.random() * cum[-1], side="right")
+            pick = min(pick, flat.size - 1)
+            j, k = divmod(int(pick), state.hp.num_topics)
+            numpy_increment(state, sentences, d, c, j, k)
+    state.sweep_index += 1
+    return state
+
+
+def numpy_recount(state):
+    """(n_TW, n_STW, n_DT, n_DS) rebuilt sentence by sentence from z/s."""
+    n_TW = np.zeros_like(state.n_TW)
+    n_STW = np.zeros_like(state.n_STW)
+    n_DT = np.zeros_like(state.n_DT)
+    n_DS = np.zeros_like(state.n_DS)
+    for d, doc in enumerate(numpy_sentences(state.docs)):
+        for c, (aspect, _, senti, _) in enumerate(doc):
+            k, j = state.z[d][c], state.s[d][c]
+            np.add.at(n_TW[k], aspect, 1.0)
+            np.add.at(n_STW[j, k], senti, 1.0)
+            n_DT[d, k] += 1
+            n_DS[d, j] += 1
+    return n_TW, n_STW, n_DT, n_DS

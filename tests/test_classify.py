@@ -14,6 +14,7 @@ from segsum.classify import (
     classify_sentiment_swn,
     classify_topic,
     label_aspects,
+    topic_weights,
 )
 from segsum.corpus import Vocabulary, make_token
 from segsum.model import PosteriorEstimates
@@ -50,13 +51,13 @@ class TestTopic:
     def test_single_topic_returns_zero(self):
         est = make_est(np.random.default_rng(0), T=1)
         seg = make_seg([("good", "JJ"), ("food", "NN")])
-        assert classify_topic(seg, est) == 0
+        assert classify_topic(seg, topic_weights(est)) == 0
 
     def test_single_aspect_word_is_column_argmax(self):
         est = make_est(np.random.default_rng(1))
         seg = make_seg([("food", "NN")])
         i = VOCAB.aspect_index["food"]
-        assert classify_topic(seg, est) == int(np.argmax(est.phi_hat[:, i]))
+        assert classify_topic(seg, topic_weights(est)) == int(np.argmax(est.phi_hat[:, i]))
 
     def test_brute_force_fixture(self):
         rng = np.random.default_rng(2)
@@ -75,7 +76,7 @@ class TestTopic:
                         total += math.log(est.phi_prime_hat[0, k, i])
                         total += math.log(est.phi_prime_hat[1, k, i])
                 scores.append(total)
-            assert classify_topic(seg, est) == scores.index(max(scores))
+            assert classify_topic(seg, topic_weights(est)) == scores.index(max(scores))
 
     def test_per_word_scale_invariance(self):
         # multiplying a word's column by a constant shifts every topic score
@@ -83,18 +84,47 @@ class TestTopic:
         rng = np.random.default_rng(3)
         est = make_est(rng)
         seg = make_seg([("good", "JJ"), ("food", "NN")])
-        before = classify_topic(seg, est)
+        before = classify_topic(seg, topic_weights(est))
         scaled = PosteriorEstimates(
             est.pi_hat, est.theta_hat,
             est.phi_hat * np.array([1.0, 7.5, 1.0]),
             est.phi_prime_hat * np.array([3.0, 1.0, 1.0]))
-        assert classify_topic(seg, scaled) == before
+        assert classify_topic(seg, topic_weights(scaled)) == before
 
     def test_out_of_vocabulary_only_raises(self):
         est = make_est(np.random.default_rng(4))
         seg = make_seg([("unknownword", "NN"), ("mystery", "NN")])
         with pytest.raises(UnclassifiableSegment):
-            classify_topic(seg, est)
+            classify_topic(seg, topic_weights(est))
+
+    def test_weights_equal_the_per_token_logs(self):
+        # the rows label_aspects precomputes are, bit for bit, the logs that
+        # classify_topic took per token before
+        est = make_est(np.random.default_rng(8), T=5, V=40, Vp=30)
+        weights = topic_weights(est)
+        for i in range(40):
+            assert np.array_equal(weights["aspect"][i], np.log(est.phi_hat[:, i]))
+        for i in range(30):
+            assert np.array_equal(weights["senti"][i],
+                                  np.log(est.phi_prime_hat[:, :, i]).sum(axis=0))
+
+    def test_labels_equal_the_per_token_computation(self):
+        rng = np.random.default_rng(9)
+        est = make_est(rng, T=4)
+        weights = topic_weights(est)
+        stems = [("decor", "NN"), ("food", "NN"), ("staff", "NN"), ("bad", "JJ"),
+                 ("good", "JJ"), ("nice", "JJ"), ("unknownword", "NN")]
+        for _ in range(200):
+            seg = make_seg([stems[i] for i in rng.integers(0, len(stems), rng.integers(1, 9))])
+            if not seg.ids:
+                continue
+            scores = np.zeros(4)
+            for channel, idx in seg.ids:
+                if channel == "aspect":
+                    scores += np.log(est.phi_hat[:, idx])
+                else:
+                    scores += np.log(est.phi_prime_hat[:, :, idx]).sum(axis=0)
+            assert classify_topic(seg, weights) == int(np.argmax(scores))
 
     def test_label_aspects_drops_unclassifiable(self):
         est = make_est(np.random.default_rng(5))

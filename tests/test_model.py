@@ -21,6 +21,7 @@ from segsum.model import (
     topic_report,
     train,
 )
+from segsum.synthetic import generate_generative_corpus, make_planted_model
 
 import oracles
 
@@ -125,7 +126,7 @@ class TestGibbsConditional:
                 sent = state.docs[d][c]
                 got = gibbs_conditional(state, d, c)
                 want = oracles.conditional_oracle(
-                    sent.aspect_ids.tolist(), sent.senti_ids.tolist(),
+                    list(sent.aspect), list(sent.senti),
                     state.n_TW.tolist(), state.n_STW.tolist(),
                     state.n_DT[d].tolist(), state.n_DS[d].tolist(),
                     state.hp.alpha, state.hp.beta, state.hp.gamma,
@@ -150,6 +151,149 @@ class TestGibbsConditional:
             den = bar[j, 0] * (bar[j, 0] + 1)
             expected = num / den * (state.n_DT[0, 0] + hp.alpha) * (state.n_DS[0, j] + hp.gamma)
             assert gibbs_conditional(state, 0, 0)[j, 0] == pytest.approx(expected, rel=1e-12)
+
+
+class TestEncoding:
+    def test_ids_in_token_order_with_offsets_only_on_repeats(self):
+        corpus = make_corpus([[(["food", "sauce", "food"], ["good"]), (["wait"], [])]])
+        vocab = build_vocabulary(corpus, min_count=1, stopwords=frozenset())
+        (first, second), = model.encode_corpus(corpus, vocab)
+        food, sauce = vocab.aspect_index["food"], vocab.aspect_index["sauce"]
+        assert first == ((food, sauce, food), (0, 0, 1), (vocab.senti_index["good"],), None)
+        assert second == ((vocab.aspect_index["wait"],), None, (), None)
+        # the ids are the vocabulary's own int objects, not copies
+        assert first.aspect[0] is vocab.aspect_index["food"]
+
+
+# The scalar kernel must sample the chain of the per-sentence numpy sampler
+# it replaced (oracles.numpy_gibbs_sweep): the same z/s, counts, smoothers
+# and RNG state, compared with ==, never with a tolerance.
+
+COUNT_NAMES = ("n_TW", "n_STW", "n_DT", "n_DS", "n_TW_rows", "n_STW_rows")
+
+
+def train_with_both_samplers(corpus, hp, seeds, rng_seed, schedule, monkeypatch):
+    vocab = build_vocabulary(corpus, min_count=1, stopwords=frozenset())
+    kernel = train(init(corpus, vocab, hp, seeds, rng_seed), schedule)
+    with monkeypatch.context() as patch:
+        patch.setattr(model, "gibbs_sweep", oracles.numpy_gibbs_sweep)
+        reference = train(init(corpus, vocab, hp, seeds, rng_seed), schedule)
+    return kernel, reference
+
+
+def assert_same_chain(a, b):
+    assert [z.tolist() for z in a.z] == [z.tolist() for z in b.z]
+    assert [s.tolist() for s in a.s] == [s.tolist() for s in b.s]
+    for name in COUNT_NAMES + ("y_topic", "y_senti", "beta_prime"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.rng.bit_generator.state == b.rng.bit_generator.state
+    assert a.optimize_log == b.optimize_log
+    assert a.sweep_index == b.sweep_index
+
+
+def random_long_sentence_corpus(seed=17, num_docs=30, longest=20):
+    """Sentences of 8 to `longest` aspect and sentiment tokens each over a
+    small vocabulary, so that ids repeat, plus some short and empty ones.
+    From 8 terms up numpy's pairwise sum adds in another order than left to
+    right."""
+    rng = np.random.default_rng(seed)
+    aspect_stems = [f"asp{i}" for i in range(12)]
+    senti_stems = [f"sen{i}" for i in range(9)]
+    docs = []
+    for _ in range(num_docs):
+        sentences = []
+        for _ in range(rng.integers(2, 6)):
+            long = rng.random() < 0.85
+            lengths = rng.integers(8, longest + 1, size=2) if long else rng.integers(0, 4, size=2)
+            sentences.append((list(rng.choice(aspect_stems, lengths[0])),
+                              list(rng.choice(senti_stems, lengths[1]))))
+        docs.append(sentences)
+    return make_corpus(docs)
+
+
+class TestSameChainAsNumpySampler:
+    @pytest.mark.parametrize("rng_seed", [0, 2])
+    def test_planted_corpus_train_schedule(self, rng_seed, monkeypatch):
+        corpus = generate_generative_corpus(make_planted_model(num_topics=3),
+                                            num_reviews=500, rng_seed=5)
+        seeds = SeedList(frozenset({"pos0", "pos1"}), frozenset({"neg0", "neg1"}))
+        kernel, reference = train_with_both_samplers(
+            corpus, Hyperparams(num_topics=3), seeds, rng_seed,
+            Schedule(burn_in=8, interleave=2, total=12), monkeypatch)
+        assert [t for t, _, _ in kernel.optimize_log] == [10, 12]
+        assert_same_chain(kernel, reference)
+
+    def test_long_sentences_with_repeated_ids(self, monkeypatch):
+        corpus = random_long_sentence_corpus()
+        seeds = SeedList(frozenset({"sen0"}), frozenset({"sen1"}))
+        kernel, reference = train_with_both_samplers(
+            corpus, Hyperparams(num_topics=4), seeds, 3,
+            Schedule(burn_in=2, interleave=2, total=6), monkeypatch)
+        sentences = [sent for doc in kernel.docs for sent in doc]
+        assert sum(len(x.aspect) >= 8 and x.aspect_offsets is not None for x in sentences) > 50
+        assert sum(len(x.senti) >= 8 and x.senti_offsets is not None for x in sentences) > 50
+        assert_same_chain(kernel, reference)
+
+    def test_conditional_adds_in_the_numpy_order(self):
+        # With np.log for its logarithm, the kernel's conditional equals the
+        # numpy expression's bit for bit: the same terms added in the same
+        # order, up to pairwise sums of more than 128 terms. (math.log, which
+        # the kernel uses, can differ from np.log in the last bit.)
+        corpus = random_long_sentence_corpus(seed=29, num_docs=12, longest=300)
+        vocab = build_vocabulary(corpus, min_count=1, stopwords=frozenset())
+        state = train(init(corpus, vocab, Hyperparams(num_topics=3),
+                           SeedList(frozenset({"sen0"}), frozenset({"sen1"})), rng_seed=1),
+                      Schedule(burn_in=1, interleave=1, total=2))
+        sentences = oracles.numpy_sentences(state.docs)
+        for d, doc in enumerate(state.docs):
+            for c, sent in enumerate(doc):
+                state.decrement(d, c)
+                got = model._log_terms(state, state.hp, vocab.num_aspect_words, sent, d,
+                                       lambda x: float(np.log(x)))
+                want = oracles.numpy_conditional_log(state, sentences, d, c)
+                assert got == want.ravel().tolist()
+                state.increment(d, c, state.s[d][c], state.z[d][c])
+
+    def test_recount_equals_per_sentence_recount(self):
+        corpus = random_long_sentence_corpus(seed=23)
+        vocab = build_vocabulary(corpus, min_count=1, stopwords=frozenset())
+        state = init(corpus, vocab, Hyperparams(num_topics=5),
+                     SeedList(frozenset(), frozenset()), rng_seed=4)
+        gibbs_sweep(state)
+        for name, fast, slow in zip(COUNT_NAMES, state.recount(), oracles.numpy_recount(state)):
+            assert np.array_equal(fast, slow), name
+            assert np.array_equal(fast, getattr(state, name)), name
+        assert np.array_equal(state.n_TW_rows, state.n_TW.sum(axis=1))
+        assert np.array_equal(state.n_STW_rows, state.n_STW.sum(axis=2))
+
+    def test_underflowed_smoother_gives_minus_infinity(self):
+        # beta_prime[1, :, bad] underflows to 0; with no count there, the
+        # sentiment-1 cells of a sentence holding 'bad' have log -inf
+        corpus = make_corpus([[(["food"], ["bad"]), (["food"], ["good"])]])
+        vocab = build_vocabulary(corpus, min_count=1, stopwords=frozenset())
+        state = init(corpus, vocab, Hyperparams(num_topics=2),
+                     SeedList(frozenset(), frozenset()), rng_seed=0)
+        bad = vocab.senti_index["bad"]
+        state.y_senti[1, bad] = -800.0
+        state.refresh_beta_prime()
+        state.decrement(0, 0)
+        got = model.gibbs_conditional_log(state, 0, 0)
+        with np.errstate(divide="ignore"):
+            want = oracles.numpy_conditional_log(state, oracles.numpy_sentences(state.docs), 0, 0)
+        assert np.isneginf(got[1]).all() and np.isneginf(want[1]).all()
+        assert np.allclose(got[0], want[0], rtol=1e-12)
+        state.increment(0, 0, 0, 0)
+        gibbs_sweep(state)
+        assert state.s[0][0] == 0
+
+    def test_counts_inconsistent_with_the_corpus_structure(self, small_state):
+        assert small_state.counts_consistent()
+        small_state.z[0] = small_state.z[0][:-1]
+        assert not small_state.counts_consistent()
+
+    def test_assignment_out_of_range_is_inconsistent(self, small_state):
+        small_state.z[1][0] = small_state.hp.num_topics
+        assert not small_state.counts_consistent()
 
 
 class TestSweep:
