@@ -17,6 +17,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, repeat
 from math import exp, log as ln
 from typing import NamedTuple
@@ -267,8 +268,10 @@ def init(corpus, vocab, hp, seeds=None, rng_seed=0) -> ModelState:
 # arrays and, much faster, on the nested lists that gibbs_sweep copies them
 # into for one sweep. It samples the chain of the per-sentence numpy
 # expressions it replaced (tests/oracles.py), so it adds in their order:
-# left to right over a sentence's tokens, and in numpy's pairwise order
-# (_pairwise) over the log terms of a denominator's rising factorial.
+# left to right over a sentence's tokens (pairwise over the aspect tokens of
+# a one-topic model), and in numpy's pairwise order (_pairwise) over the log
+# terms of a denominator's rising factorial. One helper, _log_rising_ratios,
+# computes both word blocks.
 
 def _move(counts, d, sent, j, k, step):
     """Add step (+1 or -1) times sentence sent of document d, assigned
@@ -285,16 +288,21 @@ def _move(counts, d, sent, j, k, step):
     counts.n_DS[d][j] += step
 
 
+def _sum_in_order(a):
+    """sum(a), added left to right from 0.0."""
+    total = 0.0
+    for v in a:
+        total += v
+    return total
+
+
 def _pairwise(a):
     """sum(a) in the order of numpy's pairwise sum over a contiguous row: left
     to right below 8 terms, else 8 interleaved partial sums (halving
     recursively above 128 terms)."""
     n = len(a)
     if n < 8:
-        total = 0.0
-        for v in a:
-            total += v
-        return total
+        return _sum_in_order(a)
     if n > 128:
         half = n // 2
         half -= half % 8
@@ -308,6 +316,38 @@ def _pairwise(a):
     for v in a[tail:]:
         total += v
     return total
+
+
+def _log_rising_ratios(ln, rows, smoothers, totals, bars, ids, offsets, pairwise_numerators):
+    """For each count row (a topic's, or a sentiment-topic pair's) with its
+    smoother row, row total and smoother total, the log of one word block's
+    factor, a ratio of rising factorials: the sum of ln(row[w] + smoother[w]
+    + o) over the ids w and their repeat offsets o, minus the sum of
+    ln(total + bar + t) for t below len(ids), each added in the order numpy
+    added it."""
+    n = len(ids)
+    out = []
+    for row, smoother, total, bar in zip(rows, smoothers, totals, bars):
+        x = total + bar
+        if offsets is None and n < 8:
+            # no repeats, and below 8 terms numpy's pairwise sum adds left to
+            # right too: the same sums without the lists
+            num = den = 0.0
+            for t, w in enumerate(ids):
+                num += ln(row[w] + smoother[w])
+                den += ln(x + t)
+        else:
+            nums = [ln(row[w] + smoother[w] + o) for w, o in zip(ids, offsets or repeat(0))]
+            num = _pairwise(nums) if pairwise_numerators else _sum_in_order(nums)
+            den = _pairwise([ln(x + t) for t in range(n)])
+        out.append(num - den)
+    return out
+
+
+@lru_cache(maxsize=4)
+def _constant_row(value, length):
+    """[value] * length, built once: the aspect words' smoother row."""
+    return [value] * length
 
 
 def _ln_or_minus_inf(x):
@@ -329,50 +369,27 @@ def _log_conditional(counts, hp, V, sent, d):
 def _log_terms(counts, hp, V, sent, d, ln):
     T, beta, alpha, gamma = hp.num_topics, hp.beta, hp.alpha, hp.gamma
     aspect, aspect_offsets, senti, senti_offsets = sent
-    n_a, n_s = len(aspect), len(senti)
-
-    # the aspect term depends on the topic only
+    doc_topic = [ln(n + alpha) for n in counts.n_DT[d]]
+    doc_senti = [ln(n + gamma) for n in counts.n_DS[d]]
+    # one aspect term per topic. numpy summed the numerators of one topic
+    # pairwise (a contiguous row), of several topics left to right (along a
+    # strided axis)
     aspect_term = [0.0] * T
-    if n_a:
-        n_TW, rows, vbeta = counts.n_TW, counts.n_TW_rows, V * beta
-        for k in range(T):
-            row = n_TW[k]
-            x = rows[k] + vbeta
-            num = den = 0.0
-            if aspect_offsets is None and n_a < 8:
-                for t, w in enumerate(aspect):
-                    num += ln(row[w] + beta)
-                    den += ln(x + t)
-            else:
-                for w, o in zip(aspect, aspect_offsets or repeat(0)):
-                    num += ln(row[w] + beta + o)
-                den = _pairwise([ln(x + t) for t in range(n_a)])
-            aspect_term[k] = num - den
-
-    n_DT_d = counts.n_DT[d]
-    doc_topic = [ln(n_DT_d[k] + alpha) for k in range(T)]
+    if aspect:
+        aspect_term = _log_rising_ratios(
+            ln, counts.n_TW, repeat(_constant_row(beta, V)), counts.n_TW_rows, repeat(V * beta),
+            aspect, aspect_offsets, T == 1)
+    # one sentiment term per (j, k), j-major
+    senti_term = [0.0] * (len(doc_senti) * T)
+    if senti:
+        cells = chain.from_iterable
+        senti_term = _log_rising_ratios(
+            ln, cells(counts.n_STW), cells(counts.beta_prime), cells(counts.n_STW_rows),
+            cells(counts.bar_beta_prime), senti, senti_offsets, False)
     logp = []
-    for j, n_DS_dj in enumerate(counts.n_DS[d]):
-        doc_senti = ln(n_DS_dj + gamma)
-        if not n_s:
-            logp += [(aspect_term[k] + doc_topic[k]) + doc_senti for k in range(T)]
-            continue
-        n_j, bp_j = counts.n_STW[j], counts.beta_prime[j]
-        rows_j, bar_j = counts.n_STW_rows[j], counts.bar_beta_prime[j]
-        for k in range(T):
-            row, bp = n_j[k], bp_j[k]
-            x = rows_j[k] + bar_j[k]
-            num = den = 0.0
-            if senti_offsets is None and n_s < 8:
-                for t, w in enumerate(senti):
-                    num += ln(row[w] + bp[w])
-                    den += ln(x + t)
-            else:
-                for w, o in zip(senti, senti_offsets or repeat(0)):
-                    num += ln(row[w] + bp[w] + o)
-                den = _pairwise([ln(x + t) for t in range(n_s)])
-            senti_term = num - den
-            logp.append(((aspect_term[k] + senti_term) + doc_topic[k]) + doc_senti)
+    for j, e in enumerate(doc_senti):
+        logp += [((a + b) + c) + e
+                 for a, b, c in zip(aspect_term, senti_term[j * T:(j + 1) * T], doc_topic)]
     return logp
 
 

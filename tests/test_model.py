@@ -223,25 +223,28 @@ class TestSameChainAsNumpySampler:
         assert [t for t, _, _ in kernel.optimize_log] == [10, 12]
         assert_same_chain(kernel, reference)
 
-    def test_long_sentences_with_repeated_ids(self, monkeypatch):
+    @pytest.mark.parametrize("num_topics", [1, 4])
+    def test_long_sentences_with_repeated_ids(self, num_topics, monkeypatch):
+        # with one topic numpy summed the aspect numerators pairwise
         corpus = random_long_sentence_corpus()
         seeds = SeedList(frozenset({"sen0"}), frozenset({"sen1"}))
         kernel, reference = train_with_both_samplers(
-            corpus, Hyperparams(num_topics=4), seeds, 3,
+            corpus, Hyperparams(num_topics=num_topics), seeds, 3,
             Schedule(burn_in=2, interleave=2, total=6), monkeypatch)
         sentences = [sent for doc in kernel.docs for sent in doc]
         assert sum(len(x.aspect) >= 8 and x.aspect_offsets is not None for x in sentences) > 50
         assert sum(len(x.senti) >= 8 and x.senti_offsets is not None for x in sentences) > 50
         assert_same_chain(kernel, reference)
 
-    def test_conditional_adds_in_the_numpy_order(self):
+    @pytest.mark.parametrize("num_topics", [1, 3])
+    def test_conditional_adds_in_the_numpy_order(self, num_topics):
         # With np.log for its logarithm, the kernel's conditional equals the
         # numpy expression's bit for bit: the same terms added in the same
         # order, up to pairwise sums of more than 128 terms. (math.log, which
         # the kernel uses, can differ from np.log in the last bit.)
         corpus = random_long_sentence_corpus(seed=29, num_docs=12, longest=300)
         vocab = build_vocabulary(corpus, min_count=1, stopwords=frozenset())
-        state = train(init(corpus, vocab, Hyperparams(num_topics=3),
+        state = train(init(corpus, vocab, Hyperparams(num_topics=num_topics),
                            SeedList(frozenset({"sen0"}), frozenset({"sen1"})), rng_seed=1),
                       Schedule(burn_in=1, interleave=1, total=2))
         sentences = oracles.numpy_sentences(state.docs)
@@ -253,6 +256,18 @@ class TestSameChainAsNumpySampler:
                 want = oracles.numpy_conditional_log(state, sentences, d, c)
                 assert got == want.ravel().tolist()
                 state.increment(d, c, state.s[d][c], state.z[d][c])
+
+    def test_draw_picks_as_numpy_does(self, monkeypatch):
+        # With np.exp for its exponential, the kernel's draw picks the cell
+        # that the numpy sampler's cumsum and searchsorted picked
+        monkeypatch.setattr(model, "exp", lambda x: float(np.exp(x)))
+        rng = np.random.default_rng(31)
+        for _ in range(2000):
+            logp = rng.normal(scale=rng.choice([0.5, 5.0, 50.0]), size=(2, rng.integers(1, 9)))
+            u = rng.random()
+            cum = np.cumsum(np.exp(logp - logp.max()).ravel())
+            want = min(int(np.searchsorted(cum, u * cum[-1], side="right")), cum.size - 1)
+            assert model._draw(logp.ravel().tolist(), u) == want
 
     def test_recount_equals_per_sentence_recount(self):
         corpus = random_long_sentence_corpus(seed=23)
