@@ -89,20 +89,16 @@ def classify_sentiment_swn(segment, lexicon):
 
 def label_aspects(segments, est, vocab):
     """Encode each segment as the (channel, index) pairs of its in-vocabulary
-    tokens, in token order (one shared pair per stem), then label its aspect
-    with classify_topic; unclassifiable segments are dropped.
+    tokens, in token order (the vocabulary's shared pair per stem), then label
+    its aspect with classify_topic; unclassifiable segments are dropped.
 
     Returns (labeled segments, dropped segments).
     """
     weights = topic_weights(est)
-    pairs = {}
+    stem_ids = vocab.stem_ids
     labeled, dropped = [], []
     for seg in segments:
-        for token in seg.tokens:
-            if token.stem not in pairs:
-                pair = vocab.lookup(token)
-                pairs[token.stem] = pair if pair[0] is not None else None
-        seg.ids = tuple(pairs[t.stem] for t in seg.tokens if pairs[t.stem] is not None)
+        seg.ids = tuple(stem_ids[t.stem] for t in seg.tokens if t.stem in stem_ids)
         try:
             seg.aspect = classify_topic(seg, weights)
             labeled.append(seg)

@@ -1,8 +1,8 @@
 """Review corpus ingestion and preprocessing.
 
-Reviews arrive pre-tagged (Penn Treebank tags). This module splits raw text
-into sentences, stems tokens, marks sentiment words, builds the two word
-vocabularies (sentiment / non-sentiment) and aggregates the per-entity
+Reviews arrive pre-tagged (Penn Treebank tags) and split into sentences.
+This module reads them, stems tokens, marks sentiment words, builds the two
+word vocabularies (sentiment / non-sentiment) and aggregates the per-entity
 pros/cons gold standards.
 """
 
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import logging
-import re
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -93,12 +92,6 @@ def make_token(surface: str, pos: str, extra_sentiment=DEFAULT_EXTRA_SENTIMENT) 
         return Token(surface, stemmed, pos, False)
     is_sentiment = pos.startswith(SENTIMENT_TAG_PREFIXES) or stemmed in extra_sentiment
     return Token(surface, stemmed, pos, is_sentiment)
-
-
-def split_sentences(raw_review_text: str) -> list:
-    """Split on '.', '!' and '?'; delimiters removed, blank fragments dropped."""
-    fragments = re.split(r"[.!?]", raw_review_text)
-    return [f for f in fragments if f.strip()]
 
 
 def ingest_tagged(path, format: str = "jsonl",
@@ -184,23 +177,23 @@ def _ingest_conll(path, extra_sentiment) -> Corpus:
 
 @dataclass
 class Vocabulary:
-    """Disjoint stem->index maps for the two word channels.
+    """Disjoint stem->index maps for the two word channels, and stem_ids,
+    one stem -> (channel, index) map over both.
 
     A stem that ever occurs as a sentiment word is assigned to the sentiment
     vocabulary; remaining stems go to the non-sentiment (aspect) vocabulary.
+    A stem in both lists (only from_dict can give one) is a sentiment word.
     """
 
     aspect_stems: list
     senti_stems: list
-    aspect_index: dict = field(default_factory=dict)
-    senti_index: dict = field(default_factory=dict)
     drop_reasons: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.aspect_index:
-            self.aspect_index = {s: i for i, s in enumerate(self.aspect_stems)}
-        if not self.senti_index:
-            self.senti_index = {s: i for i, s in enumerate(self.senti_stems)}
+        self.aspect_index = {s: i for i, s in enumerate(self.aspect_stems)}
+        self.senti_index = {s: i for i, s in enumerate(self.senti_stems)}
+        self.stem_ids = {s: ("aspect", i) for s, i in self.aspect_index.items()}
+        self.stem_ids.update((s, ("senti", i)) for s, i in self.senti_index.items())
 
     @property
     def num_aspect_words(self):
@@ -212,11 +205,10 @@ class Vocabulary:
 
     def lookup(self, token: Token):
         """Return ('senti'|'aspect', index) or (None, drop_reason)."""
-        if token.stem in self.senti_index:
-            return "senti", self.senti_index[token.stem]
-        if token.stem in self.aspect_index:
-            return "aspect", self.aspect_index[token.stem]
-        return None, self.drop_reasons.get(token.stem, "out_of_vocabulary")
+        pair = self.stem_ids.get(token.stem)
+        if pair is None:
+            return None, self.drop_reasons.get(token.stem, "out_of_vocabulary")
+        return pair
 
     def content_hash(self) -> str:
         import hashlib

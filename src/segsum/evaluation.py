@@ -10,7 +10,6 @@ P_e/R_e/P/R).
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 from collections import Counter
@@ -214,9 +213,6 @@ class EvalReport:
     def to_dict(self):
         return {"pros": self.pros.to_dict(), "cons": self.cons.to_dict(),
                 "skipped_entities": self.skipped_entities}
-
-    def to_json(self, **kwargs):
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 def _score_polarity(per_entity_candidates, per_entity_refs, cfg):

@@ -40,13 +40,8 @@ class FilterConfig:
             raise ValueError("rank_keep_fraction must be in (0, 1]")
 
 
-@dataclass
-class Procedure:
-    name: str
-    stages: tuple
-
-
-def parse_procedure(name: str) -> Procedure:
+def parse_procedure(name: str) -> tuple:
+    """The stages of a procedure name, checked; raises ProcedureError."""
     stages = tuple(name.split("+"))
     known = set(FILTER_STAGES) | set(CLASSIFIER_STAGES)
     for stage in stages:
@@ -63,7 +58,7 @@ def parse_procedure(name: str) -> Procedure:
         elif stage in ("SW", "RANK") and not seen_classifier:
             raise ProcedureError(
                 f"stage {stage} in {name!r} requires sentiment labels: place it after the classifier")
-    return Procedure(name, stages)
+    return stages
 
 
 def _keep_with_top_word(segments, channel, probs, labels_of, n, missing):
@@ -112,41 +107,40 @@ def rank_score(segment, est):
 
 
 def filter_rank(segments, est, keep_fraction=0.5):
-    """Within each (sentiment, aspect) group, drop the bottom
+    """Within each entity's (sentiment, aspect) group, drop the bottom
     floor((1-keep_fraction) * n) segments by rank score; ties keep corpus
     order."""
     groups = {}
     for pos, seg in enumerate(segments):
         if seg.aspect is None or seg.sentiment is None:
             raise ProcedureError("RANK filter requires aspect and sentiment labels")
-        groups.setdefault((seg.sentiment, seg.aspect), []).append((pos, seg))
+        groups.setdefault((seg.entity_id, seg.sentiment, seg.aspect), []).append(pos)
 
     survivors = set()
     for members in groups.values():
         n = len(members)
         n_drop = math.floor((1.0 - keep_fraction) * n)
-        ranked = sorted(members, key=lambda ps: -rank_score(ps[1], est))
-        for pos, _ in ranked[: n - n_drop]:
-            survivors.add(pos)
+        ranked = sorted(members, key=lambda pos: -rank_score(segments[pos], est))
+        survivors.update(ranked[: n - n_drop])
     return [seg for pos, seg in enumerate(segments) if pos in survivors]
 
 
-def run_procedure(proc, segments, est, y_senti=None, lexicon=None,
+def run_procedure(procedure, segments, est, y_senti=None, lexicon=None,
                   config=None):
-    """Apply a procedure's stages in order to aspect-labeled segments.
+    """Apply the named procedure's stages in order to aspect-labeled
+    segments.
 
     Returns (positive segments, negative segments).
     """
-    if isinstance(proc, str):
-        proc = parse_procedure(proc)
+    stages = parse_procedure(procedure)
     config = config if config is not None else FilterConfig()
-    if "SEN" in proc.stages and y_senti is None:
+    if "SEN" in stages and y_senti is None:
         raise ProcedureError("SEN stage requires the model's y_senti matrix")
-    if "SWN" in proc.stages and lexicon is None:
+    if "SWN" in stages and lexicon is None:
         raise ProcedureError("SWN stage requires a polarity lexicon")
 
     current = list(segments)
-    for stage in proc.stages:
+    for stage in stages:
         if stage == "Baseline":
             continue
         if stage == "AW":
@@ -169,26 +163,23 @@ def run_procedure(proc, segments, est, y_senti=None, lexicon=None,
 
 def entity_candidates(state, corpus, pattern_ids, max_words, procedure, lexicon,
                       config):
-    """Extract segments, label their aspects and run the named procedure on
-    each entity's segments.
+    """Extract segments, label their aspects, run the named procedure once
+    over them all, and split the survivors by entity. Every entity with a
+    labelled segment gets an entry, in sorted order, even with no survivors.
 
     Returns ({entity_id: {"positive": [...], "negative": [...]}}, estimates).
     """
     est = model.estimate(state)
-    proc = parse_procedure(procedure)
     segments = patterns.extract_corpus(corpus, pattern_ids, max_words=max_words)
     labeled, dropped = classify.label_aspects(segments, est, state.vocab)
     if dropped:
         log.info("dropped %d unclassifiable segments", len(dropped))
 
-    by_entity = {}
-    for seg in labeled:
-        by_entity.setdefault(seg.entity_id, []).append(seg)
-
-    candidates = {}
-    for entity_id in sorted(by_entity):
-        pos, neg = run_procedure(
-            proc, by_entity[entity_id], est,
-            y_senti=state.y_senti, lexicon=lexicon, config=config)
-        candidates[entity_id] = {"positive": pos, "negative": neg}
+    pos, neg = run_procedure(procedure, labeled, est, y_senti=state.y_senti,
+                             lexicon=lexicon, config=config)
+    candidates = {entity_id: {"positive": [], "negative": []}
+                  for entity_id in sorted({seg.entity_id for seg in labeled})}
+    for polarity, segs in (("positive", pos), ("negative", neg)):
+        for seg in segs:
+            candidates[seg.entity_id][polarity].append(seg)
     return candidates, est

@@ -127,17 +127,16 @@ def _offsets(ids):
 def encode_corpus(corpus, vocab):
     """Map corpus tokens to vocabulary ids, one list of SentenceIds per
     review; out-of-vocabulary tokens drop."""
+    stem_ids = vocab.stem_ids
     docs = []
     for review in corpus.reviews:
         sentences = []
         for sentence in review.sentences:
             aspect, senti = [], []
             for token in sentence.tokens:
-                channel, idx = vocab.lookup(token)
-                if channel == "aspect":
-                    aspect.append(idx)
-                elif channel == "senti":
-                    senti.append(idx)
+                pair = stem_ids.get(token.stem)
+                if pair is not None:
+                    (aspect if pair[0] == "aspect" else senti).append(pair[1])
             aspect, senti = tuple(aspect), tuple(senti)
             sentences.append(SentenceIds(aspect, _offsets(aspect), senti, _offsets(senti)))
         docs.append(sentences)
@@ -461,31 +460,20 @@ def gibbs_sweep(state):
 
 # -- MAP smoother optimization ----------------------------------------------
 
-def _objective_terms(y_topic, y_senti, n_STW, sigma_sq):
+def map_objective_and_gradient(y_topic, y_senti, n_STW, sigma_sq):
+    """The negative log posterior of the smoothers given the sentiment-word
+    counts, and its gradients: (objective, d/d y_topic, d/d y_senti)."""
     S, _, _ = n_STW.shape
     T = y_topic.shape[0]
-    beta_prime = np.exp(y_topic[None, :, :] + y_senti[:, None, :])
+    cross = y_topic[None, :, :] + y_senti[:, None, :]
+    beta_prime = np.exp(cross)
     bar_beta = beta_prime.sum(axis=2)
     bar_n = n_STW.sum(axis=2)
 
     nll = (gammaln(bar_n + bar_beta) - gammaln(bar_beta)).sum()
     nll += (gammaln(beta_prime) - gammaln(n_STW + beta_prime)).sum()
-
-    cross = y_topic[None, :, :] + y_senti[:, None, :]
     neg_log_prior = (S * y_topic.sum() + T * y_senti.sum()
                      + (cross ** 2).sum() / (2.0 * sigma_sq))
-    return nll + neg_log_prior, beta_prime, bar_beta, bar_n, cross
-
-
-def map_objective_raw(y_topic, y_senti, n_STW, sigma_sq):
-    return _objective_terms(y_topic, y_senti, n_STW, sigma_sq)[0]
-
-
-def map_gradient_raw(y_topic, y_senti, n_STW, sigma_sq):
-    S, _, _ = n_STW.shape
-    T = y_topic.shape[0]
-    _, beta_prime, bar_beta, bar_n, cross = _objective_terms(
-        y_topic, y_senti, n_STW, sigma_sq)
 
     # dL/d(beta_prime): the row term is shared within each (j, k)
     row_term = psi(bar_n + bar_beta) - psi(bar_beta)          # (S, T)
@@ -494,12 +482,12 @@ def map_gradient_raw(y_topic, y_senti, n_STW, sigma_sq):
 
     g_topic = d_beta.sum(axis=0) + S + cross.sum(axis=0) / sigma_sq
     g_senti = d_beta.sum(axis=1) + T + cross.sum(axis=1) / sigma_sq
-    return g_topic, g_senti
+    return nll + neg_log_prior, g_topic, g_senti
 
 
 def map_objective(state) -> float:
-    return map_objective_raw(state.y_topic, state.y_senti, state.n_STW,
-                             state.hp.sigma_sq)
+    return map_objective_and_gradient(state.y_topic, state.y_senti, state.n_STW,
+                                      state.hp.sigma_sq)[0]
 
 
 def optimize_smoothers(state, max_iters=50, tol=1e-5) -> ModelState:
@@ -517,9 +505,7 @@ def optimize_smoothers(state, max_iters=50, tol=1e-5) -> ModelState:
         return y_topic, y_senti
 
     def fun(x):
-        y_topic, y_senti = unpack(x)
-        obj = map_objective_raw(y_topic, y_senti, n_STW, sigma_sq)
-        g_topic, g_senti = map_gradient_raw(y_topic, y_senti, n_STW, sigma_sq)
+        obj, g_topic, g_senti = map_objective_and_gradient(*unpack(x), n_STW, sigma_sq)
         return obj, np.concatenate([g_topic.ravel(), g_senti[free]])
 
     x0 = np.concatenate([state.y_topic.ravel(), state.y_senti[free]])
@@ -535,8 +521,7 @@ def optimize_smoothers(state, max_iters=50, tol=1e-5) -> ModelState:
     return state
 
 
-def train(state, schedule=None, optimizer_max_iters=50, optimizer_tol=1e-5,
-          progress=None) -> ModelState:
+def train(state, schedule=None, progress=None) -> ModelState:
     """Run the schedule's sweeps from state.sweep_index up to schedule.total.
 
     A fresh state from init() and a state from load_checkpoint() go through
@@ -549,7 +534,7 @@ def train(state, schedule=None, optimizer_max_iters=50, optimizer_tol=1e-5,
         t = state.sweep_index
         if t > schedule.burn_in and (t - schedule.burn_in) % schedule.interleave == 0:
             before = map_objective(state)
-            optimize_smoothers(state, optimizer_max_iters, optimizer_tol)
+            optimize_smoothers(state)
             after = map_objective(state)
             state.optimize_log.append((t, before, after))
         if progress is not None:

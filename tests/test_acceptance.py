@@ -102,10 +102,10 @@ def test_gradient_check():
         n = rng.integers(0, 8, size=(S, T, Vp)).astype(float)
         y_topic = rng.normal(scale=0.6, size=(T, Vp))
         y_senti = rng.normal(scale=0.6, size=(S, Vp))
-        g_topic, g_senti = model.map_gradient_raw(y_topic, y_senti, n, 2.0)
+        _, g_topic, g_senti = model.map_objective_and_gradient(y_topic, y_senti, n, 2.0)
 
         def fun(yt, ys):
-            return model.map_objective_raw(np.asarray(yt), np.asarray(ys), n, 2.0)
+            return model.map_objective_and_gradient(np.asarray(yt), np.asarray(ys), n, 2.0)[0]
 
         fd_topic, fd_senti = oracles.finite_difference_gradient(
             fun, y_topic.tolist(), y_senti.tolist())
@@ -235,8 +235,8 @@ def test_hand_computed_fixtures():
     assert est.theta_hat[0][1] == 1.1 / 4.2
 
     # MAP objective at zero is exactly zero
-    assert model.map_objective_raw(np.zeros((2, 3)), np.zeros((2, 3)),
-                                   np.zeros((2, 2, 3)), 2.0) == 0.0
+    assert model.map_objective_and_gradient(np.zeros((2, 3)), np.zeros((2, 3)),
+                                            np.zeros((2, 2, 3)), 2.0)[0] == 0.0
 
     # evaluation fixture: one exact candidate, one disjoint
     e = entity_scores([("good", "food"), ("bad", "wine")],

@@ -10,28 +10,7 @@ from segsum.corpus import (
     ingest_tagged,
     load_wordlist,
     make_token,
-    split_sentences,
 )
-
-
-class TestSplitSentences:
-    def test_standard_delimiters(self):
-        assert split_sentences("Great food. Bad service!") == ["Great food", " Bad service"]
-
-    def test_empty_input(self):
-        assert split_sentences("") == []
-
-    def test_no_delimiters(self):
-        assert split_sentences("No delimiters here") == ["No delimiters here"]
-
-    def test_question_mark(self):
-        assert split_sentences("Good? Bad.") == ["Good", " Bad"]
-
-    @given(st.text())
-    def test_idempotent_on_own_output(self, text):
-        once = split_sentences(text)
-        for fragment in once:
-            assert split_sentences(fragment) == [fragment]
 
 
 class TestTokens:
@@ -150,6 +129,31 @@ class TestVocabulary:
         from segsum.corpus import Corpus
         with pytest.raises(ValueError):
             build_vocabulary(Corpus([]), 1)
+
+    def test_stem_in_both_lists_is_a_sentiment_word(self, sentence_factory):
+        import numpy as np
+
+        from segsum.classify import label_aspects
+        from segsum.corpus import Corpus, Review, Vocabulary
+        from segsum.model import PosteriorEstimates, encode_corpus
+        from segsum.patterns import Segment
+
+        vocab = Vocabulary.from_dict({"aspect_stems": ["food", "good"],
+                                      "senti_stems": ["good"]})
+        sent = sentence_factory([("good", "JJ"), ("food", "NN"), ("good", "NN")])
+        assert [vocab.lookup(t) for t in sent.tokens] == [
+            ("senti", 0), ("aspect", 0), ("senti", 0)]
+
+        [[ids]] = encode_corpus(Corpus([Review("r", "e", [sent])]), vocab)
+        assert (ids.aspect, ids.senti) == ((0,), (0, 0))
+
+        est = PosteriorEstimates(pi_hat=np.full((1, 2), 0.5), theta_hat=np.ones((1, 1)),
+                                 phi_hat=np.full((1, 2), 0.5),
+                                 phi_prime_hat=np.ones((2, 1, 1)))
+        seg = Segment(tokens=sent.tokens, review_id="r", entity_id="e", sentence_index=0,
+                      start=0, end=3, pattern_id=5, negated=False)
+        [labeled], _ = label_aspects([seg], est, vocab)
+        assert labeled.ids == (("senti", 0), ("aspect", 0), ("senti", 0))
 
 
 class TestReferenceSummaries:

@@ -256,7 +256,6 @@ class TestEvaluate:
         report = evaluate(self.cands(), self.refs())
         d = report.to_dict()
         assert set(d) == {"pros", "cons", "skipped_entities"}
-        assert report.to_json()
         table = format_report_table(report, "AW+SEN")
         assert "AW+SEN" in table and "P_s" in table
 

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from segsum.classify import PolarityLexicon
-from segsum.corpus import Vocabulary, make_token
+from segsum import model
+from segsum.classify import PolarityLexicon, label_aspects
+from segsum.corpus import Corpus, Vocabulary, build_vocabulary, make_token, review_from_record
 from segsum.filters import (
     FilterConfig,
     ProcedureError,
+    entity_candidates,
     filter_aw,
     filter_rank,
     filter_sw,
@@ -16,17 +18,18 @@ from segsum.filters import (
     run_procedure,
 )
 from segsum.model import PosteriorEstimates
-from segsum.patterns import Segment
+from segsum.patterns import Segment, extract_corpus
+from segsum.synthetic import generate_text_reviews
 
 VOCAB = Vocabulary(aspect_stems=["decor", "food", "staff", "wine"],
                    senti_stems=["bad", "good", "nice", "rude"])
 
 
-def make_seg(pairs, negated=False, aspect=None, sentiment=None):
+def make_seg(pairs, negated=False, aspect=None, sentiment=None, entity_id="e"):
     """A segment encoded against VOCAB, as label_aspects encodes it."""
     tokens = [make_token(surface, tag) for surface, tag in pairs]
     ids = tuple(pair for pair in map(VOCAB.lookup, tokens) if pair[0] is not None)
-    return Segment(tokens=tokens, review_id="r", entity_id="e",
+    return Segment(tokens=tokens, review_id="r", entity_id=entity_id,
                    sentence_index=0, start=0, end=len(tokens), pattern_id=5,
                    negated=negated, aspect=aspect, sentiment=sentiment, ids=ids)
 
@@ -201,9 +204,7 @@ class TestProcedureParsing:
         "Baseline+SEN", "Baseline+SWN", "AW+SEN", "AW+SWN",
         "AW+SEN+SW", "AW+SWN+SW", "AW+SEN+SW+RANK"])
     def test_valid_names(self, name):
-        proc = parse_procedure(name)
-        assert proc.name == name
-        assert proc.stages == tuple(name.split("+"))
+        assert parse_procedure(name) == tuple(name.split("+"))
 
     @pytest.mark.parametrize("name,fragment", [
         ("Baseline", "exactly one"),
@@ -261,3 +262,72 @@ class TestRunProcedure:
             run_procedure("Baseline+SEN", segs, est)  # no y_senti
         with pytest.raises(ProcedureError):
             run_procedure("Baseline+SWN", segs, est)  # no lexicon
+
+
+class TestAcrossEntities:
+    """One procedure pass over several entities' segments keeps, for each
+    entity, what a pass over that entity's segments alone keeps: RANK ranks
+    within one entity. The pass per entity is the oracle."""
+
+    CONFIG = FilterConfig(2, 2, 0.5)
+
+    def per_entity(self, procedure, segs, est):
+        out = {}
+        for entity_id in sorted({s.entity_id for s in segs}):
+            pos, neg = run_procedure(procedure, [s for s in segs if s.entity_id == entity_id],
+                                     est, y_senti=TestRunProcedure.Y, config=self.CONFIG)
+            out[entity_id] = (pos, neg)
+        return out
+
+    def one_pass(self, procedure, segs, est):
+        pos, neg = run_procedure(procedure, segs, est, y_senti=TestRunProcedure.Y,
+                                 config=self.CONFIG)
+        return {entity_id: ([s for s in pos if s.entity_id == entity_id],
+                            [s for s in neg if s.entity_id == entity_id])
+                for entity_id in sorted({s.entity_id for s in segs})}
+
+    def test_rank_keeps_each_entitys_best(self):
+        # one (positive, aspect 0) group: entity a holds the three best-scoring
+        # segments, b the worst, in interleaved corpus order. Ranked apart, a
+        # keeps 2 of 3 and b its only one; ranked together, b's would drop.
+        est = make_est(seed=22)
+        best = sorted(VOCAB.aspect_stems, key=lambda w: -est.phi_hat[0, VOCAB.aspect_index[w]])
+        segs = [make_seg([("good", "JJ"), (best[rank], "NN")], aspect=0, entity_id=entity_id)
+                for rank, entity_id in zip((0, 3, 1, 2), "abaa")]
+        got = self.one_pass("Baseline+SEN+RANK", segs, est)
+        assert got == self.per_entity("Baseline+SEN+RANK", segs, est)
+        assert got == {"a": ([segs[0], segs[2]], []), "b": ([segs[1]], [])}
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_segments(self, seed):
+        rng = np.random.default_rng(30 + seed)
+        est = make_est(seed=30 + seed)
+        segs = random_segments(rng, 60)
+        for seg in segs:
+            seg.entity_id = "abc"[rng.integers(3)]
+        for procedure in ("AW+SEN+SW+RANK", "Baseline+SEN+RANK", "AW+SEN"):
+            assert (self.one_pass(procedure, segs, est)
+                    == self.per_entity(procedure, segs, est))
+
+
+def test_entity_candidates_equals_a_pass_per_entity():
+    corp = Corpus([review_from_record(r) for r in
+                   generate_text_reviews(num_entities=4, reviews_per_entity=6, rng_seed=3)])
+    vocab = build_vocabulary(corp, min_count=1)
+    state = model.init(corp, vocab, model.Hyperparams(num_topics=2), rng_seed=0)
+    model.gibbs_sweep(state)
+    config = FilterConfig(5, 5, 0.5)
+    procedure = "AW+SEN+SW+RANK"
+    got, est = entity_candidates(state, corp, {1, 2, 3, 4, 5}, 7, procedure, None, config)
+
+    labeled, _ = label_aspects(extract_corpus(corp, {1, 2, 3, 4, 5}, max_words=7), est, vocab)
+    want = {}
+    for entity_id in sorted({s.entity_id for s in labeled}):
+        pos, neg = run_procedure(procedure, [s for s in labeled if s.entity_id == entity_id],
+                                 est, y_senti=state.y_senti, config=config)
+        want[entity_id] = {"positive": pos, "negative": neg}
+    assert list(got) == list(want)
+    for entity_id, lists in want.items():
+        for polarity, segs in lists.items():
+            assert ([s.to_dict() for s in got[entity_id][polarity]]
+                    == [s.to_dict() for s in segs])

@@ -13,9 +13,8 @@ from segsum.model import (
     init,
     lexicon_polarity,
     load_checkpoint,
-    map_gradient_raw,
     map_objective,
-    map_objective_raw,
+    map_objective_and_gradient,
     optimize_smoothers,
     save_checkpoint,
     topic_report,
@@ -365,20 +364,21 @@ class TestMapObjective:
         y_topic = rng.normal(size=(2, 3))
         y_senti = rng.normal(size=(2, 3))
         n = np.zeros((2, 2, 3))
-        obj = map_objective_raw(y_topic, y_senti, n, 2.0)
+        obj = map_objective_and_gradient(y_topic, y_senti, n, 2.0)[0]
         prior = (2 * y_topic.sum() + 2 * y_senti.sum()
                  + ((y_topic[None] + y_senti[:, None]) ** 2).sum() / 4.0)
         assert obj == pytest.approx(prior, rel=1e-12)
 
     def test_zero_everything_is_zero(self):
         y = np.zeros((2, 3))
-        assert map_objective_raw(np.zeros((2, 3)), y, np.zeros((2, 2, 3)), 2.0) == 0.0
+        obj, _, _ = map_objective_and_gradient(np.zeros((2, 3)), y, np.zeros((2, 2, 3)), 2.0)
+        assert obj == 0.0
 
     def test_fixture_against_high_precision_oracle(self):
         n = np.array([[[3.0, 1.0]], [[0.0, 2.0]]])  # (S=2, T=1, V'=2)
         y_topic = np.zeros((1, 2))
         y_senti = np.zeros((2, 2))
-        got = map_objective_raw(y_topic, y_senti, n, 2.0)
+        got = map_objective_and_gradient(y_topic, y_senti, n, 2.0)[0]
         want = oracles.objective_oracle(y_topic.tolist(), y_senti.tolist(),
                                        n.tolist(), 2.0)
         assert got == pytest.approx(want, rel=1e-10)
@@ -389,7 +389,7 @@ class TestMapObjective:
         for _ in range(5):
             y_topic = rng.normal(scale=0.8, size=(3, 4))
             y_senti = rng.normal(scale=0.8, size=(2, 4))
-            got = map_objective_raw(y_topic, y_senti, n, 2.0)
+            got = map_objective_and_gradient(y_topic, y_senti, n, 2.0)[0]
             want = oracles.objective_oracle(y_topic.tolist(), y_senti.tolist(),
                                            n.tolist(), 2.0)
             assert got == pytest.approx(want, rel=1e-10)
@@ -398,8 +398,8 @@ class TestMapObjective:
 class TestMapGradient:
     def test_zero_counts_at_zero(self):
         S, T, Vp = 2, 3, 4
-        g_topic, g_senti = map_gradient_raw(np.zeros((T, Vp)), np.zeros((S, Vp)),
-                                            np.zeros((S, T, Vp)), 2.0)
+        _, g_topic, g_senti = map_objective_and_gradient(
+            np.zeros((T, Vp)), np.zeros((S, Vp)), np.zeros((S, T, Vp)), 2.0)
         assert np.allclose(g_topic, S)
         assert np.allclose(g_senti, T)
 
@@ -409,10 +409,10 @@ class TestMapGradient:
         for _ in range(5):
             y_topic = rng.normal(scale=0.5, size=(2, 3))
             y_senti = rng.normal(scale=0.5, size=(2, 3))
-            g_topic, g_senti = map_gradient_raw(y_topic, y_senti, n, 2.0)
+            _, g_topic, g_senti = map_objective_and_gradient(y_topic, y_senti, n, 2.0)
 
             def fun(yt, ys):
-                return map_objective_raw(np.asarray(yt), np.asarray(ys), n, 2.0)
+                return map_objective_and_gradient(np.asarray(yt), np.asarray(ys), n, 2.0)[0]
 
             fd_topic, fd_senti = oracles.finite_difference_gradient(
                 fun, y_topic.tolist(), y_senti.tolist())
@@ -424,9 +424,9 @@ class TestMapGradient:
         n = rng.integers(0, 5, size=(2, 2, 3)).astype(float)
         y_topic = rng.normal(size=(2, 3))
         y_senti = rng.normal(size=(2, 3))
-        g_topic, g_senti = map_gradient_raw(y_topic, y_senti, n, 2.0)
-        g_topic_sw, g_senti_sw = map_gradient_raw(y_topic, y_senti[::-1].copy(),
-                                                  n[::-1].copy(), 2.0)
+        _, g_topic, g_senti = map_objective_and_gradient(y_topic, y_senti, n, 2.0)
+        _, g_topic_sw, g_senti_sw = map_objective_and_gradient(
+            y_topic, y_senti[::-1].copy(), n[::-1].copy(), 2.0)
         assert np.allclose(g_topic, g_topic_sw)
         assert np.allclose(g_senti, g_senti_sw[::-1])
 
@@ -466,7 +466,7 @@ class TestOptimize:
             for b2 in np.linspace(-4, 4, 81):
                 ys = base_senti.copy()
                 ys[0, i], ys[1, i] = a, b2
-                val = map_objective_raw(base_topic, ys, state.n_STW, hp.sigma_sq)
+                val = map_objective_and_gradient(base_topic, ys, state.n_STW, hp.sigma_sq)[0]
                 if best is None or val < best[0]:
                     best = (val, a, b2)
         assert best[1] > best[2]
