@@ -72,7 +72,14 @@ class PolarityLexicon:
                 parts = line.split("\t")
                 if len(parts) != 2:
                     raise ValueError(f"{path}:{lineno}: expected 'stem<TAB>score'")
-                scores[parts[0]] = float(parts[1])
+                try:
+                    score = float(parts[1])
+                except ValueError:
+                    score = math.nan
+                if not math.isfinite(score):
+                    raise ValueError(f"{path}:{lineno}: score {parts[1]!r} is not "
+                                     f"a finite number")
+                scores[parts[0]] = score
         return cls(scores)
 
 

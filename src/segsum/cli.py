@@ -220,6 +220,13 @@ def cmd_topics(cfg, args):
 
 # -- argument plumbing -------------------------------------------------------
 
+def _count(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="segsum",
                                      description="Segment-based review summarization pipeline")
@@ -237,10 +244,10 @@ def build_parser():
     p_sum = sub.add_parser("summarize")
     p_sum.add_argument("--entity", help="restrict to one entity")
     p_sum.add_argument("--patterns")
-    p_sum.add_argument("--top-n", type=int, dest="top_n")
+    p_sum.add_argument("--top-n", type=_count, dest="top_n")
     p_eval = sub.add_parser("evaluate")
     p_eval.add_argument("--patterns")
-    sub.add_parser("topics").add_argument("--top-n", type=int, dest="top_n", default=10)
+    sub.add_parser("topics").add_argument("--top-n", type=_count, dest="top_n", default=10)
     return parser
 
 

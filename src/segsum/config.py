@@ -44,6 +44,12 @@ class PipelineConfig:
     rng_seed: int = 0
     top_n: int = 0              # 0 = unlimited
 
+    def __post_init__(self):
+        if self.top_n < 0:
+            raise ValueError(f"top_n must be >= 0, got {self.top_n}")
+        if self.max_words < 1:
+            raise ValueError(f"max_words must be >= 1, got {self.max_words}")
+
     @property
     def checkpoint_path(self):
         return self.paths.checkpoint or os.path.join(self.paths.output_dir,

@@ -14,6 +14,7 @@ import logging
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import combinations
 from math import comb
 
 from . import stem as _stem
@@ -49,11 +50,7 @@ def normalize_segment(segment, mode: str = "stemmed"):
 
 
 def _pair_counts(seq):
-    pairs = Counter()
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            pairs[(seq[i], seq[j])] += 1
-    return pairs
+    return Counter(combinations(seq, 2))
 
 
 def skip2(x, y) -> int:

@@ -75,20 +75,21 @@ class SeedList:
     @classmethod
     def from_file(cls, path):
         """Lines of '<polarity>\t<stem>' with polarity in {positive, negative}."""
-        pos, neg = set(), set()
+        polarity_of = {}
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                polarity, word = line.split()
-                if polarity == "positive":
-                    pos.add(word)
-                elif polarity == "negative":
-                    neg.add(word)
-                else:
-                    raise ValueError(f"bad seed polarity: {polarity!r}")
-        return cls(frozenset(pos), frozenset(neg))
+                fields = line.split()
+                if len(fields) != 2 or fields[0] not in ("positive", "negative"):
+                    raise ValueError(f"{path}:{lineno}: expected "
+                                     f"'positive|negative<TAB>stem', got {line!r}")
+                polarity, word = fields
+                if polarity_of.setdefault(word, polarity) != polarity:
+                    raise ValueError(f"{path}:{lineno}: seed word {word!r} in both polarities")
+        positive = frozenset(w for w, p in polarity_of.items() if p == "positive")
+        return cls(positive, frozenset(polarity_of) - positive)
 
 
 @dataclass
@@ -490,8 +491,9 @@ def map_objective(state) -> float:
                                       state.hp.sigma_sq)[0]
 
 
-def optimize_smoothers(state, max_iters=50, tol=1e-5) -> ModelState:
-    """L-BFGS step on (y_topic, free y_senti); seed entries stay frozen."""
+def optimize_smoothers(state, max_iters=50, tol=1e-5):
+    """L-BFGS step on (y_topic, free y_senti); seed entries stay frozen.
+    Returns the MAP objective before and after the step."""
     T, Vp = state.y_topic.shape
     free = ~state.seed_mask
     y_senti_fixed = state.y_senti.copy()
@@ -517,8 +519,8 @@ def optimize_smoothers(state, max_iters=50, tol=1e-5) -> ModelState:
     if result.fun <= entry:
         state.y_topic, state.y_senti = unpack(result.x)
         state.refresh_beta_prime()
-    # else: keep the entry iterate; descent contract holds trivially
-    return state
+        return entry, result.fun
+    return entry, entry  # keep the entry iterate
 
 
 def train(state, schedule=None, progress=None) -> ModelState:
@@ -533,10 +535,7 @@ def train(state, schedule=None, progress=None) -> ModelState:
         gibbs_sweep(state)
         t = state.sweep_index
         if t > schedule.burn_in and (t - schedule.burn_in) % schedule.interleave == 0:
-            before = map_objective(state)
-            optimize_smoothers(state)
-            after = map_objective(state)
-            state.optimize_log.append((t, before, after))
+            state.optimize_log.append((t, *optimize_smoothers(state)))
         if progress is not None:
             progress(t, schedule.total)
     return state

@@ -3,11 +3,13 @@
 Five positive patterns (ids 1-5), each also in negated forms that admit one
 negation trigger right before a jj or vb atom. Each token maps to one class
 letter (TAG_CLASSES; X for a negation trigger whatever its tag, O for any
-other tag), and each form compiles once to a regex over those letters.
-Matching is left-to-right by start position; at each position the forms are
-tried in priority order 1, 2, 4, 3, 5 (the longer patterns strictly extend
-the shorter ones), negated forms first, and the longest end that fits the
-word limit wins. Matched tokens are consumed.
+other tag), and all forms of a pattern set compile into one alternation
+regex over those letters, one capturing group per form. The alternatives
+are in priority order 1, 2, 4, 3, 5 (the longer patterns strictly extend
+the shorter ones), negated forms first. Matching is left-to-right by start
+position: at each position the first form with a match within the word
+limit wins, and its greedy match is also its longest one. Matched tokens
+are consumed.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ NEGATION_REGEX = "(?<!X)X"
 class Form(NamedTuple):
     pattern_id: int
     negated: bool
-    regex: re.Pattern
+    regex: str
 
 
 @dataclass
@@ -103,10 +105,11 @@ class Segment:
         return d
 
 
-def compile_patterns(pattern_ids) -> list:
-    """Every form of the given patterns, in match order: by PRIORITY_ORDER,
-    and within a pattern its negated forms (one trigger right before a jj or
-    vb atom) ahead of the base form."""
+def compile_patterns(pattern_ids):
+    """(regex, forms): every form of the given patterns, in match order (by
+    PRIORITY_ORDER, and within a pattern its negated forms, one trigger right
+    before a jj or vb atom, ahead of the base form), and one regex that tries
+    them in that order, group i + 1 capturing forms[i]."""
     unknown = set(pattern_ids) - set(PATTERN_DEFS)
     if unknown:
         raise ValueError(f"unknown pattern ids: {sorted(unknown)}")
@@ -116,53 +119,52 @@ def compile_patterns(pattern_ids) -> list:
         parts = [ATOM_REGEX[atom] for atom in atoms]
         for i, atom in enumerate(atoms):
             if atom in ("jj", "vb"):
-                negated = parts[:i] + [NEGATION_REGEX] + parts[i:]
-                forms.append(Form(pid, True, re.compile("".join(negated))))
-        forms.append(Form(pid, False, re.compile("".join(parts))))
-    return forms
+                forms.append(Form(pid, True, "".join(parts[:i] + [NEGATION_REGEX] + parts[i:])))
+        forms.append(Form(pid, False, "".join(parts)))
+    # (?!) never matches, so an empty pattern set gives no segments
+    regex = re.compile("|".join(f"({f.regex})" for f in forms) or "(?!)")
+    return regex, forms
 
 
-def match_sentence(sentence, forms, max_words=DEFAULT_MAX_WORDS,
+def match_sentence(sentence, patterns, max_words=DEFAULT_MAX_WORDS,
                    negation_words=DEFAULT_NEGATION, entity_id="", sentence_index=-1) -> list:
     """At each start, the first form with an end within max_words, taken to
-    its longest such end; matched tokens are consumed."""
+    its greedy end, which is its longest such end; matched tokens are
+    consumed. `patterns` is what compile_patterns returns."""
+    regex, forms = patterns
     tokens = sentence.tokens
     classes = "".join("X" if t.surface.lower() in negation_words
                       else TAG_CLASSES.get(t.pos, "O") for t in tokens)
     segments = []
     pos = 0
     while pos < len(tokens):
-        limit = min(len(tokens), pos + max_words)
-        for form in forms:
-            found = form.regex.match(classes, pos, limit)
-            if found is None:
-                continue
-            end = next(e for e in range(limit, found.end() - 1, -1)
-                       if form.regex.fullmatch(classes, pos, e))
-            segments.append(Segment(
-                tokens=list(tokens[pos:end]),
-                review_id=sentence.review_id,
-                entity_id=entity_id,
-                sentence_index=sentence_index,
-                start=pos,
-                end=end,
-                pattern_id=form.pattern_id,
-                negated=form.negated,
-            ))
-            pos = end
-            break
-        else:
+        found = regex.match(classes, pos, pos + max_words)
+        if found is None:
             pos += 1
+            continue
+        form = forms[found.lastindex - 1]
+        end = found.end()
+        segments.append(Segment(
+            tokens=list(tokens[pos:end]),
+            review_id=sentence.review_id,
+            entity_id=entity_id,
+            sentence_index=sentence_index,
+            start=pos,
+            end=end,
+            pattern_id=form.pattern_id,
+            negated=form.negated,
+        ))
+        pos = end
     return segments
 
 
 def extract_corpus(corpus, pattern_ids, max_words=DEFAULT_MAX_WORDS,
                    negation_words=DEFAULT_NEGATION) -> list:
-    forms = compile_patterns(pattern_ids)
+    patterns = compile_patterns(pattern_ids)
     segments = []
     for review in corpus.reviews:
         for sent_idx, sentence in enumerate(review.sentences):
-            segments += match_sentence(sentence, forms, max_words, negation_words,
+            segments += match_sentence(sentence, patterns, max_words, negation_words,
                                        review.entity_id, sent_idx)
     return segments
 

@@ -124,14 +124,22 @@ def test_optimizer_descent():
     planted = make_planted_model(num_topics=2)
     corpus = generate_generative_corpus(planted, num_reviews=40, rng_seed=3)
     vocab = build_vocabulary(corpus, min_count=1, stopwords=frozenset())
-    state = model.train(model.init(corpus, vocab, model.Hyperparams(num_topics=2),
-                                   model.SeedList(frozenset({"pos0"}), frozenset({"neg0"})),
-                                   rng_seed=4),
-                        model.Schedule(burn_in=5, interleave=5, total=30))
-    assert state.optimize_log, "no optimization steps ran"
-    for t, before, after in state.optimize_log:
-        assert after <= before + 1e-9, f"objective rose at sweep {t}"
-    report("optimizer descent", f"({len(state.optimize_log)} steps)")
+    state = model.init(corpus, vocab, model.Hyperparams(num_topics=2),
+                       model.SeedList(frozenset({"pos0"}), frozenset({"neg0"})),
+                       rng_seed=4)
+    # the schedule burn_in=5, interleave=5, total=30, stepped by hand so that
+    # the objective is computed afresh around each step
+    steps = 0
+    for t in range(1, 31):
+        model.gibbs_sweep(state)
+        if t > 5 and t % 5 == 0:
+            before = model.map_objective(state)
+            returned = model.optimize_smoothers(state)
+            after = model.map_objective(state)
+            assert after <= before, f"objective rose at sweep {t}"
+            assert returned == (before, after), f"step at sweep {t} misreported"
+            steps += 1
+    report("optimizer descent", f"({steps} steps)")
 
 
 def test_generative_recovery():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -235,6 +236,13 @@ class TestSwn:
         path = tmp_path / "lex.tsv"
         path.write_text("good 1.0\n")
         with pytest.raises(ValueError):
+            PolarityLexicon.from_tsv(path)
+
+    @pytest.mark.parametrize("score", ["high", "nan", "inf"])
+    def test_tsv_bad_score_names_the_line(self, tmp_path, score):
+        path = tmp_path / "lex.tsv"
+        path.write_text(f"good\t1.0\nbad\t{score}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: "):
             PolarityLexicon.from_tsv(path)
 
     def test_non_finite_score_rejected(self):

@@ -106,6 +106,29 @@ class TestExitCodes:
         assert main(["--config", str(config)]) == 1          # no subcommand
         assert main(["--config", str(config), "bogus"]) == 1
 
+    @pytest.mark.parametrize("command", ["summarize", "topics"])
+    def test_negative_top_n_is_one(self, workspace, capsys, command):
+        _, config = workspace
+        assert main(["--config", str(config), command, "--top-n", "-1"]) == 1
+        assert "must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, value", [("run", "top_n", -1),
+                                                     ("patterns", "max_words", 0)])
+    def test_out_of_range_config_count_is_one(self, tmp_path, capsys, section, key, value):
+        corpus = write_corpus(tmp_path, num_entities=2, reviews_per_entity=3)
+        config = write_config(tmp_path, corpus, extra=f"[{section}]\n{key} = {value}\n")
+        assert main(["--config", str(config), "summarize"]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
+
+    def test_bad_seed_line_is_two(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path, num_entities=2, reviews_per_entity=3)
+        seeds = tmp_path / "seeds.txt"
+        seeds.write_text("positive\tgood\nneutral\tfine\n")
+        config = write_config(tmp_path, corpus, extra=f"seeds = {seeds}\n")
+        assert main(["--config", str(config), "train", "--iters", "1"]) == 2
+        assert f"{seeds}:2:" in capsys.readouterr().err
+
     def test_bad_procedure_is_one(self, workspace, capsys):
         _, config = workspace
         code = main(["--config", str(config), "--procedure", "AW+SEN+SWN",

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,19 @@ class TestInit:
         assert np.allclose(state.beta_prime[0, :, b], np.e ** -2)
         assert np.allclose(state.beta_prime[1, :, b], np.e ** 2)
         assert state.seed_mask[:, g].all() and state.seed_mask[:, b].all()
+
+    def test_seed_file(self, tmp_path):
+        path = tmp_path / "seeds.txt"
+        path.write_text("# seeds\npositive\tgood\n\nnegative\tbad\n")
+        assert SeedList.from_file(path) == SeedList(frozenset({"good"}), frozenset({"bad"}))
+
+    @pytest.mark.parametrize("line", ["positive\tgood\textra", "positive",
+                                      "neutral\tfine", "positive\tbad"])
+    def test_bad_seed_line_names_the_line(self, tmp_path, line):
+        path = tmp_path / "seeds.txt"
+        path.write_text(f"negative\tbad\n{line}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: "):
+            SeedList.from_file(path)
 
     def test_unknown_seed_ignored_with_warning(self, caplog):
         import logging

@@ -1,3 +1,6 @@
+import itertools
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,16 +18,17 @@ from segsum.patterns import (
 import oracles
 
 ALL = compile_patterns({1, 2, 3, 4, 5})
+_, FORMS = ALL
 
 
-def segments_of(sentence_factory, pairs, forms=ALL, **kwargs):
-    return match_sentence(sentence_factory(pairs), forms, **kwargs)
+def segments_of(sentence_factory, pairs, patterns=ALL, **kwargs):
+    return match_sentence(sentence_factory(pairs), patterns, **kwargs)
 
 
 class TestPatternDefinitions:
     def test_golden_regexes(self):
         # every form of the five patterns, in match order
-        assert [(f.pattern_id, f.negated, f.regex.pattern) for f in ALL] == [
+        assert [(f.pattern_id, f.negated, f.regex) for f in FORMS] == [
             (1, True, "N*(?<!X)XVD?R*JN+"),
             (1, True, "N*VD?R*(?<!X)XJN+"),
             (1, False, "N*VD?R*JN+"),
@@ -41,6 +45,8 @@ class TestPatternDefinitions:
             (5, True, "R*(?<!X)XJN+"),
             (5, False, "R*JN+"),
         ]
+        # one alternation tries them in that order, one group per form
+        assert ALL[0].pattern == "|".join(f"({f.regex})" for f in FORMS)
 
     def test_presets(self):
         assert PRESETS["service"] == {1, 3, 5}
@@ -121,6 +127,24 @@ class TestLongestMatch:
         assert len(segs) == 1
         assert len(segs[0]) == 7
 
+    def test_greedy_end_is_longest_end(self):
+        # For every form, every class string up to length 5 and every start,
+        # the greedy match ends where the longest full match does (the search
+        # that match_sentence once ran). A word limit only cuts the string
+        # short, so the shorter strings cover it.
+        for form in FORMS:
+            regex = re.compile(form.regex)
+            for n in range(1, 6):
+                for letters in itertools.product("NVJRDTXO", repeat=n):
+                    classes = "".join(letters)
+                    for pos in range(n):
+                        found = regex.match(classes, pos)
+                        if found is None:
+                            continue
+                        longest = next(e for e in range(n, found.end() - 1, -1)
+                                       if regex.fullmatch(classes, pos, e))
+                        assert found.end() == longest, (form, classes, pos)
+
     def test_two_disjoint_matches_same_sentence(self, sentence_factory):
         segs = segments_of(sentence_factory, [
             ("good", "JJ"), ("food", "NN"), ("and", "CC"),
@@ -141,7 +165,7 @@ class TestLongestMatch:
 class TestNegation:
     def test_variant_construction_counts(self):
         # pattern 3 has one vb and one jj atom -> two insertion points
-        forms = compile_patterns({3})
+        _, forms = compile_patterns({3})
         assert [(f.pattern_id, f.negated) for f in forms] == [
             (3, True), (3, True), (3, False)]
 
@@ -154,11 +178,10 @@ class TestNegation:
         assert segs[0].negated
 
     def test_double_negation_never_matches_variants(self, sentence_factory):
-        variants = [f for f in ALL if f.negated]
+        # no form takes either trigger; only the plain jj nn after them matches
         segs = segments_of(sentence_factory, [
-            ("not", "RB"), ("not", "RB"), ("good", "JJ"), ("food", "NN")],
-            forms=variants)
-        assert segs == []
+            ("not", "RB"), ("not", "RB"), ("good", "JJ"), ("food", "NN")])
+        assert [(s.start, s.pattern_id, s.negated) for s in segs] == [(2, 5, False)]
 
     def test_empty_negation_list_disables_variants(self, sentence_factory):
         segs = segments_of(sentence_factory, [
