@@ -214,7 +214,7 @@ def cmd_evaluate(cfg, args):
 
 def cmd_topics(cfg, args):
     state = _load_checkpoint(cfg)
-    print(model.format_topic_table(model.topic_report(state, top_n=args.top_n or 10)))
+    print(model.format_topic_table(model.topic_report(state, top_n=args.top_n)))
     return EXIT_OK
 
 

@@ -69,8 +69,6 @@ def pr_pair(x, y):
             return 0.0, 0.0
         short, other = (x, y) if len(x) < len(y) else (y, x)
         hit = 1.0 if short[0] in other else 0.0
-        if len(x) == 1 and len(y) == 1:
-            hit = 1.0 if x[0] == y[0] else 0.0
         return hit, hit
     matches = skip2(x, y)
     return matches / comb(len(y), 2), matches / comb(len(x), 2)
@@ -80,7 +78,7 @@ def pr_pair(x, y):
 class SegmentScore:
     precision: float
     recall: float
-    x_max_index: int
+    best_indices: tuple   # the reference items reaching the best recall; the first is X_max
 
 
 def segment_scores(candidate, reference) -> SegmentScore:
@@ -88,12 +86,10 @@ def segment_scores(candidate, reference) -> SegmentScore:
     ties break to the first item in reference order."""
     if not reference:
         raise ValueError("empty reference")
-    best = None
-    for idx, ref_item in enumerate(reference):
-        p, r = pr_pair(ref_item, candidate)
-        if best is None or r > best.recall:
-            best = SegmentScore(p, r, idx)
-    return best
+    scores = [pr_pair(ref_item, candidate) for ref_item in reference]
+    best_recall = max(r for _, r in scores)
+    best = tuple(idx for idx, (_, r) in enumerate(scores) if r == best_recall)
+    return SegmentScore(*scores[best[0]], best)
 
 
 @dataclass
@@ -116,7 +112,7 @@ class EntityScores:
             "P_cb": self.p_cb, "R_cb": self.r_cb,
             "num_candidates": self.num_candidates,
             "num_references": self.num_references,
-            "segments": [{"P": s.precision, "R": s.recall, "x_max": s.x_max_index}
+            "segments": [{"P": s.precision, "R": s.recall, "x_max": s.best_indices[0]}
                          for s in self.segments],
         }
 
@@ -135,13 +131,12 @@ def entity_scores(candidates, reference, alpha=0.25) -> EntityScores:
     p_skip = sum(s.precision for s in scored) / len(scored)
     r_skip = sum(s.recall for s in scored) / len(scored)
 
-    useful = [(y, s) for y, s in zip(candidates, scored) if s.recall >= alpha]
+    useful = [s for s in scored if s.recall >= alpha]
     p_entity = len(useful) / len(candidates)
-    covered = 0
-    for idx, x in enumerate(reference):
-        if any(pr_pair(x, y)[1] == s.recall for y, s in useful):
-            covered += 1
-    r_entity = covered / len(reference)
+    # a reference item is covered when some useful candidate reaches its
+    # best recall on it
+    covered = set().union(*(s.best_indices for s in useful))
+    r_entity = len(covered) / len(reference)
 
     return EntityScores(
         p_skip, r_skip, p_entity, r_entity,

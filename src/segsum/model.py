@@ -149,24 +149,29 @@ def _concat(arrays):
 
 
 class ModelState:
-    """Counts, assignments and smoother parameters of a training run."""
+    """Counts, assignments and smoother parameters of a training run.
 
-    def __init__(self, hp, vocab, docs, rng):
+    Built from the assignments z/s, the smoothers y_topic/y_senti, the mask
+    of the seed entries of y_senti (fixed during MAP steps) and the count
+    matrices (n_TW, n_STW, n_DT, n_DS), which are recounted from z/s when not
+    given. The row totals and beta_prime/bar_beta_prime are derived.
+    """
+
+    def __init__(self, hp, vocab, docs, rng, z, s, y_topic, y_senti, seed_mask,
+                 counts=None, sweep_index=0):
         self.hp = hp
         self.vocab = vocab
         self.docs = docs
         self.rng = rng
-        T, S = hp.num_topics, hp.num_sentiments
-        V, Vp = vocab.num_aspect_words, vocab.num_senti_words
-        D = len(docs)
-        self.set_counts(np.zeros((T, V)), np.zeros((S, T, Vp)),
-                        np.zeros((D, T)), np.zeros((D, S)))
-        self.z = [np.zeros(len(doc), dtype=np.intp) for doc in docs]
-        self.s = [np.zeros(len(doc), dtype=np.intp) for doc in docs]
-        self.y_topic = np.zeros((T, Vp))
-        self.beta_prime = np.ones((S, T, Vp))
-        self.bar_beta_prime = np.full((S, T), float(Vp))
-        self.sweep_index = 0
+        self.z, self.s = z, s
+        self.y_topic, self.y_senti, self.seed_mask = y_topic, y_senti, seed_mask
+        if counts is None:
+            counts = self.recount()
+        self.n_TW, self.n_STW, self.n_DT, self.n_DS = counts
+        self.n_TW_rows = self.n_TW.sum(axis=1)
+        self.n_STW_rows = self.n_STW.sum(axis=2)
+        self.refresh_beta_prime()
+        self.sweep_index = sweep_index
         self.optimize_log = []   # (sweep, objective_before, objective_after)
 
     def refresh_beta_prime(self):
@@ -174,12 +179,6 @@ class ModelState:
         self.bar_beta_prime = self.beta_prime.sum(axis=2)
 
     # -- count bookkeeping ---------------------------------------------------
-
-    def set_counts(self, n_TW, n_STW, n_DT, n_DS):
-        """Install count matrices and the row totals derived from them."""
-        self.n_TW, self.n_STW, self.n_DT, self.n_DS = n_TW, n_STW, n_DT, n_DS
-        self.n_TW_rows = n_TW.sum(axis=1)
-        self.n_STW_rows = n_STW.sum(axis=2)
 
     def decrement(self, d, c):
         _move(self, d, self.docs[d][c], self.s[d][c], self.z[d][c], -1)
@@ -247,16 +246,15 @@ def init(corpus, vocab, hp, seeds=None, rng_seed=0) -> ModelState:
     seeds = seeds if seeds is not None else SeedList()
     rng = np.random.default_rng(rng_seed)
     docs = encode_corpus(corpus, vocab)
-    state = ModelState(hp, vocab, docs, rng)
-    state.y_senti, state.seed_mask = seed_smoothers(vocab, hp, seeds)
-    state.refresh_beta_prime()
-
-    for z, s in zip(state.z, state.s):
-        for c in range(len(z)):
-            z[c] = rng.integers(hp.num_topics)
-            s[c] = rng.integers(hp.num_sentiments)
-    state.set_counts(*state.recount())
-    return state
+    z = [np.empty(len(doc), dtype=np.intp) for doc in docs]
+    s = [np.empty(len(doc), dtype=np.intp) for doc in docs]
+    for z_d, s_d in zip(z, s):
+        for c in range(len(z_d)):
+            z_d[c] = rng.integers(hp.num_topics)
+            s_d[c] = rng.integers(hp.num_sentiments)
+    return ModelState(hp, vocab, docs, rng, z, s,
+                      np.zeros((hp.num_topics, vocab.num_senti_words)),
+                      *seed_smoothers(vocab, hp, seeds))
 
 
 # -- collapsed Gibbs sampler (sentence block) --------------------------------
@@ -523,7 +521,7 @@ def optimize_smoothers(state, max_iters=50, tol=1e-5):
     return entry, entry  # keep the entry iterate
 
 
-def train(state, schedule=None, progress=None) -> ModelState:
+def train(state, schedule=None) -> ModelState:
     """Run the schedule's sweeps from state.sweep_index up to schedule.total.
 
     A fresh state from init() and a state from load_checkpoint() go through
@@ -536,8 +534,6 @@ def train(state, schedule=None, progress=None) -> ModelState:
         t = state.sweep_index
         if t > schedule.burn_in and (t - schedule.burn_in) % schedule.interleave == 0:
             state.optimize_log.append((t, *optimize_smoothers(state)))
-        if progress is not None:
-            progress(t, schedule.total)
     return state
 
 
@@ -637,30 +633,30 @@ def load_checkpoint(path, corpus=None):
     docs = encode_corpus(corpus, vocab) if corpus is not None else []
     rng = np.random.default_rng()
     get("rng_state", lambda st: setattr(rng.bit_generator, "state", st))
-    state = ModelState(hp, vocab, docs, rng)
-    state.set_counts(get_array("n_TW"), get_array("n_STW"), get_array("n_DT"),
-                     get_array("n_DS"))
-    state.z = get("z", lambda rows: [np.asarray(a, dtype=np.intp) for a in rows])
-    state.s = get("s", lambda rows: [np.asarray(a, dtype=np.intp) for a in rows])
-    state.y_topic = get_array("y_topic")
-    state.y_senti = get_array("y_senti")
-    state.seed_mask = get_array("seed_mask", bool)
-    state.refresh_beta_prime()
-    state.sweep_index = get("sweep_index", int)
+
+    def get_rows(key):
+        return get(key, lambda rows: [np.asarray(a, dtype=np.intp) for a in rows])
+
+    state = ModelState(hp, vocab, docs, rng, get_rows("z"), get_rows("s"),
+                       get_array("y_topic"), get_array("y_senti"), get_array("seed_mask", bool),
+                       tuple(get_array(key) for key in ("n_TW", "n_STW", "n_DT", "n_DS")),
+                       get("sweep_index", int))
     if corpus is not None and not state.counts_consistent():
         raise ValueError("checkpoint counts do not match the supplied corpus")
     return state
 
 
 def topic_report(state, top_n=10) -> dict:
-    """Per-topic top aspect words and top positive/negative sentiment words."""
+    """Per-topic top aspect words and top positive/negative sentiment words;
+    top_n = 0 lists every word."""
     est = estimate(state)
     vocab = state.vocab
+    top = top_n or None
     topics = []
     for k in range(state.hp.num_topics):
-        aspect = np.argsort(-est.phi_hat[k], kind="stable")[:top_n]
-        pos = np.argsort(-est.phi_prime_hat[0, k], kind="stable")[:top_n]
-        neg = np.argsort(-est.phi_prime_hat[1, k], kind="stable")[:top_n]
+        aspect = np.argsort(-est.phi_hat[k], kind="stable")[:top]
+        pos = np.argsort(-est.phi_prime_hat[0, k], kind="stable")[:top]
+        neg = np.argsort(-est.phi_prime_hat[1, k], kind="stable")[:top]
         topics.append({
             "topic": k,
             "aspect_words": [vocab.aspect_stems[i] for i in aspect],
@@ -671,13 +667,13 @@ def topic_report(state, top_n=10) -> dict:
 
 
 def format_topic_table(report) -> str:
-    lines = []
-    header = f"{'topic':<6}{'top aspect words':<40}{'top positive words':<40}{'top negative words'}"
-    lines.append(header)
-    lines.append("-" * len(header))
-    for row in report["topics"]:
-        lines.append(f"{row['topic']:<6}"
-                     f"{', '.join(row['aspect_words']):<40}"
-                     f"{', '.join(row['positive_words']):<40}"
-                     f"{', '.join(row['negative_words'])}")
+    """One row per topic. Each column is as wide as its widest cell, and two
+    spaces separate the columns."""
+    rows = [("topic", "top aspect words", "top positive words", "top negative words")]
+    rows += [(str(row["topic"]), *(", ".join(row[f"{kind}_words"])
+                                   for kind in ("aspect", "positive", "negative")))
+             for row in report["topics"]]
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(cells, widths)).rstrip() for cells in rows]
+    lines.insert(1, "-" * (sum(widths) + 2 * (len(widths) - 1)))
     return "\n".join(lines)

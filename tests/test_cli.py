@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 
 import pytest
 
@@ -217,6 +218,19 @@ class TestPipelineFlow:
         assert "AW+SEN+SW" in table
 
         assert main(["--config", str(config), "topics"]) == 0
+
+    @pytest.mark.parametrize("top_n", [0, 2])
+    def test_topics_top_n(self, workspace, capsys, top_n):
+        tmp_path, config = workspace
+        vocab = json.loads((tmp_path / "out" / "checkpoint.json").read_text())["vocabulary"]
+        capsys.readouterr()
+        assert main(["--config", str(config), "topics", "--top-n", str(top_n)]) == 0
+        rows = [re.split(" {2,}", line) for line in capsys.readouterr().out.splitlines()[2:]]
+        assert len(rows) == 3
+        for _, aspect, positive, negative in rows:
+            assert len(aspect.split(", ")) == (top_n or len(vocab["aspect_stems"]))
+            for words in (positive, negative):
+                assert len(words.split(", ")) == (top_n or len(vocab["senti_stems"]))
 
     def test_swn_procedure_writes_its_own_report(self, workspace):
         tmp_path, config = workspace

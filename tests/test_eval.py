@@ -125,7 +125,7 @@ class TestSegmentScores:
         reference = [("good", "food"), ("nice", "food"), ("good", "food", "here")]
         s = segment_scores(("good", "food"), reference)
         # items 0 and 2 both give recall 1.0; the first wins
-        assert s.x_max_index == 0
+        assert s.best_indices[0] == 0
         assert s.recall == 1.0
         assert s.precision == 1.0
 

@@ -603,12 +603,20 @@ class TestCheckpoint:
         optimize_smoothers(small_state)
         path = tmp_path / "ckpt.json"
         save_checkpoint(small_state, path)
-        loaded = load_checkpoint(path)
-        assert np.array_equal(loaded.n_TW, small_state.n_TW)
-        assert np.array_equal(loaded.n_STW, small_state.n_STW)
-        assert np.array_equal(loaded.y_topic, small_state.y_topic)
-        assert np.array_equal(loaded.y_senti, small_state.y_senti)
-        assert loaded.sweep_index == small_state.sweep_index
+        for corpus in (None, make_corpus(FIXTURE_DOCS)):
+            loaded = load_checkpoint(path, corpus)
+            for name in ("z", "s"):
+                mine, theirs = getattr(small_state, name), getattr(loaded, name)
+                assert len(mine) == len(theirs), name
+                for a, b in zip(mine, theirs):
+                    assert a.dtype == b.dtype and np.array_equal(a, b), name
+            for name in COUNT_NAMES + ("y_topic", "y_senti", "seed_mask", "beta_prime",
+                                       "bar_beta_prime"):
+                mine, theirs = getattr(small_state, name), getattr(loaded, name)
+                assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs), name
+            assert loaded.rng.bit_generator.state == small_state.rng.bit_generator.state
+            assert loaded.sweep_index == small_state.sweep_index
+            assert loaded.docs == (small_state.docs if corpus is not None else [])
 
     def test_resume_with_corpus_continues_identically(self, tmp_path):
         corpus = make_corpus(FIXTURE_DOCS)
@@ -674,3 +682,15 @@ class TestTopicReport:
             assert len(row["positive_words"]) <= 3
         text = model.format_topic_table(report)
         assert "top aspect words" in text
+
+    def test_table_splits_back_into_the_word_lists(self):
+        words = ["atmospher", "environment", "presentation", "reservation", "temperatur"]
+        topics = [{"topic": k, "aspect_words": words * 2, "positive_words": words[k:] * 2,
+                   "negative_words": words[::-1]} for k in range(3)]
+        lines = model.format_topic_table({"num_topics": 3, "topics": topics}).splitlines()
+        assert re.split(" {2,}", lines[0]) == ["topic", "top aspect words", "top positive words",
+                                               "top negative words"]
+        assert set(lines[1]) == {"-"} and len(lines[1]) >= max(map(len, lines))
+        assert [re.split(" {2,}", line) for line in lines[2:]] == [
+            [str(row["topic"]), ", ".join(row["aspect_words"]), ", ".join(row["positive_words"]),
+             ", ".join(row["negative_words"])] for row in topics]

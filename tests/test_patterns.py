@@ -2,7 +2,7 @@ import itertools
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from segsum.corpus import Corpus, Review, Sentence, Token
@@ -273,6 +273,12 @@ WORDS = ("word",) * 16 + ("not", "Not", "n't", "never")
        pattern_ids=st.sets(st.integers(1, 5)),
        max_words=st.integers(1, 10),
        negation=st.sampled_from([DEFAULT_NEGATION, frozenset()]))
+# pattern 4 (jj to vb nn?) with trailing nouns, plain and negated: random
+# draws rarely hold it within the word limit
+@example(pairs=[("word", t) for t in ("JJ", "TO", "VB", "NN", "NN")], pattern_ids={4},
+         max_words=10, negation=DEFAULT_NEGATION)
+@example(pairs=[("not", "RB")] + [("word", t) for t in ("JJ", "TO", "VB", "NN", "NN")],
+         pattern_ids={4}, max_words=10, negation=DEFAULT_NEGATION)
 def test_match_sentence_equals_oracle(pairs, pattern_ids, max_words, negation):
     """Random tag and negation sequences give the brute-force span matcher's
     segments: same spans, pattern ids and negated flags."""
