@@ -11,14 +11,17 @@ polarity of sentiment word i.
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import json
 import logging
 import math
 import os
+import subprocess
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain, repeat
+from functools import cached_property, lru_cache
+from itertools import accumulate, chain, repeat
 from math import exp, log as ln
 from typing import NamedTuple
 
@@ -148,6 +151,49 @@ def _concat(arrays):
     return np.concatenate(arrays) if arrays else np.zeros(0, dtype=np.intp)
 
 
+def _flat_ids(sentences, channel):
+    """The ids of one channel ("aspect" or "senti") of the sentences,
+    concatenated, and each sentence's number of them."""
+    lengths = [len(getattr(sent, channel)) for sent in sentences]
+    flat = np.fromiter(chain.from_iterable(getattr(sent, channel) for sent in sentences),
+                       dtype=np.intp, count=sum(lengths))
+    return flat, lengths
+
+
+class _FlatCorpus(NamedTuple):
+    """The encoded corpus as flat int64 arrays, for the compiled sweep; the
+    first seven fields are segsum_sweep's corpus parameters, in order. Per
+    channel: where each sentence's ids start (one more entry than there are
+    sentences), the ids, and their repeat offsets (0 where no id repeats)."""
+
+    doc: np.ndarray               # the document of each sentence
+    aspect_start: np.ndarray
+    aspect: np.ndarray
+    aspect_offsets: np.ndarray
+    senti_start: np.ndarray
+    senti: np.ndarray
+    senti_offsets: np.ndarray
+    doc_bounds: list              # (start, end) of each document's sentences
+    longest: int                  # the longest id list of a sentence
+
+
+def _flatten(docs):
+    sentences = [sent for doc in docs for sent in doc]
+    doc_lengths = [len(doc) for doc in docs]
+    arrays = [np.repeat(np.arange(len(docs), dtype=np.int64), doc_lengths)]
+    longest = 0
+    for channel in ("aspect", "senti"):
+        ids, lengths = _flat_ids(sentences, channel)
+        offsets = chain.from_iterable(getattr(sent, f"{channel}_offsets") or repeat(0, n)
+                                      for sent, n in zip(sentences, lengths))
+        arrays += [np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))),
+                   ids.astype(np.int64, copy=False),
+                   np.fromiter(offsets, dtype=np.int64, count=len(ids))]
+        longest = max(longest, max(lengths, default=0))
+    ends = list(accumulate(doc_lengths))
+    return _FlatCorpus(*arrays, list(zip([0] + ends, ends)), longest)
+
+
 class ModelState:
     """Counts, assignments and smoother parameters of a training run.
 
@@ -173,6 +219,12 @@ class ModelState:
         self.refresh_beta_prime()
         self.sweep_index = sweep_index
         self.optimize_log = []   # (sweep, objective_before, objective_after)
+
+    @cached_property
+    def flat(self):
+        """The corpus as a _FlatCorpus, built on the first compiled sweep; the
+        compiled sweep trusts its ids, so docs must not change after that."""
+        return _flatten(self.docs)
 
     def refresh_beta_prime(self):
         self.beta_prime = np.exp(self.y_topic[None, :, :] + self.y_senti[:, None, :])
@@ -200,26 +252,29 @@ class ModelState:
         def count(index, shape):
             return np.bincount(index, minlength=math.prod(shape)).reshape(shape).astype(float)
 
-        def ids(channel):
-            lengths = [len(getattr(sent, channel)) for sent in sentences]
-            flat = np.fromiter(chain.from_iterable(getattr(sent, channel) for sent in sentences),
-                               dtype=np.intp, count=sum(lengths))
-            return flat, lengths
-
-        aspect, aspect_lengths = ids("aspect")
-        senti, senti_lengths = ids("senti")
+        aspect, aspect_lengths = _flat_ids(sentences, "aspect")
+        senti, senti_lengths = _flat_ids(sentences, "senti")
         return (count(np.repeat(z, aspect_lengths) * V + aspect, (T, V)),
                 count(np.repeat(s * T + z, senti_lengths) * Vp + senti, (S, T, Vp)),
                 count(doc * T + z, (len(self.docs), T)),
                 count(doc * S + s, (len(self.docs), S)))
 
-    def counts_consistent(self):
-        """Whether z/s fit the corpus and the counts equal their recount."""
+    def flat_assignments(self):
+        """z and s, each concatenated over the documents; ValueError when they
+        do not fit the corpus or hold a topic or sentiment out of range."""
         lengths = [len(doc) for doc in self.docs]
         z, s = _concat(self.z), _concat(self.s)
         if ([len(a) for a in self.z] != lengths or [len(a) for a in self.s] != lengths
                 or not ((0 <= z) & (z < self.hp.num_topics)).all()
                 or not ((0 <= s) & (s < self.hp.num_sentiments)).all()):
+            raise ValueError("z/s do not fit the corpus or hold an assignment out of range")
+        return z, s
+
+    def counts_consistent(self):
+        """Whether z/s fit the corpus and the counts equal their recount."""
+        try:
+            self.flat_assignments()
+        except ValueError:
             return False
         return all(np.array_equal(mine, recounted) for mine, recounted in zip(
             (self.n_TW, self.n_STW, self.n_DT, self.n_DS), self.recount()))
@@ -259,17 +314,22 @@ def init(corpus, vocab, hp, seeds=None, rng_seed=0) -> ModelState:
 
 # -- collapsed Gibbs sampler (sentence block) --------------------------------
 #
-# One scalar kernel serves gibbs_sweep and the per-sentence entry points
-# (ModelState.decrement/increment, gibbs_conditional_log): _move updates the
-# counts, _log_conditional evaluates the conditional and _draw picks from it.
-# It reads counts as counts.n_TW[k][w], which works on a ModelState's numpy
-# arrays and, much faster, on the nested lists that gibbs_sweep copies them
-# into for one sweep. It samples the chain of the per-sentence numpy
-# expressions it replaced (tests/oracles.py), so it adds in their order:
-# left to right over a sentence's tokens (pairwise over the aspect tokens of
-# a one-topic model), and in numpy's pairwise order (_pairwise) over the log
-# terms of a denominator's rising factorial. One helper, _log_rising_ratios,
-# computes both word blocks.
+# Two kernels sample one chain. gibbs_sweep runs the C sweep of _sweep.c,
+# compiled and loaded at import (_load_sweep_kernel), over the corpus as flat
+# arrays (ModelState.flat) and the state's count arrays, which it updates in
+# place. The Python kernel serves the per-sentence entry points
+# (ModelState.decrement/increment, gibbs_conditional_log), and gibbs_sweep
+# falls back to it when the C sweep cannot be built or loaded: _move updates
+# the counts, _log_conditional evaluates the conditional and _draw picks from
+# it. It reads counts as counts.n_TW[k][w], which works on a ModelState's
+# numpy arrays and, much faster, on the nested lists that _python_sweep
+# copies them into for one sweep. Both kernels sample the chain of the
+# per-sentence numpy expressions they replaced (tests/oracles.py), so they
+# add in their order: left to right over a sentence's tokens (pairwise over
+# the aspect tokens of a one-topic model), and in numpy's pairwise order
+# (_pairwise) over the log terms of a denominator's rising factorial. One
+# helper, _log_rising_ratios, computes both word blocks; _sweep.c mirrors
+# each of these functions.
 
 def _move(counts, d, sent, j, k, step):
     """Add step (+1 or -1) times sentence sent of document d, assigned
@@ -437,9 +497,60 @@ def gibbs_conditional(state, d, c):
     return np.exp(gibbs_conditional_log(state, d, c))
 
 
+_SWEEP_SOURCE = os.path.join(os.path.dirname(__file__), "_sweep.c")
+_SWEEP_CACHE = os.path.join(os.path.dirname(__file__), "__pycache__")
+# -ffp-contract=off: no fused multiply-adds, which would round differently
+# from CPython's separate operations
+_CC_FLAGS = ("-O2", "-fno-fast-math", "-ffp-contract=off", "-shared", "-fPIC")
+
+
+def _load_sweep_kernel():
+    """segsum_sweep of _sweep.c, compiled by cc into __pycache__ under the
+    hash of the source and the flags unless that file exists; None, logged
+    at debug level, when it cannot be built or loaded."""
+    try:
+        with open(_SWEEP_SOURCE, "rb") as fh:
+            key = hashlib.sha256(fh.read() + " ".join(_CC_FLAGS).encode()).hexdigest()
+        path = os.path.join(_SWEEP_CACHE, f"_sweep-{key}.so")
+        if os.path.exists(path):
+            kernel = ctypes.CDLL(path).segsum_sweep
+        else:
+            os.makedirs(_SWEEP_CACHE, exist_ok=True)
+            # build beside the target and rename it over the target once it
+            # loads, so that no process finds a half-written or broken file
+            tmp = f"{path}.{os.getpid()}.tmp"
+            try:
+                subprocess.run(["cc", *_CC_FLAGS, "-o", tmp, _SWEEP_SOURCE, "-lm"],
+                               check=True, capture_output=True)
+                kernel = ctypes.CDLL(tmp).segsum_sweep
+                os.replace(tmp, path)
+            finally:
+                if os.path.exists(tmp):
+                    os.remove(tmp)
+    except (OSError, subprocess.SubprocessError, AttributeError) as exc:
+        log.debug("compiled Gibbs sweep unavailable, sweeping with the Python kernel: %s", exc)
+        return None
+    kernel.restype = None
+    kernel.argtypes = [ctypes.c_int64] * 5 + [ctypes.c_double] * 3 + [ctypes.c_void_p] * 19
+    return kernel
+
+
+_sweep_kernel = _load_sweep_kernel()
+
+
 def gibbs_sweep(state):
-    """Resample every sentence in corpus order, with one rng.random() each;
-    mutates and returns state."""
+    """Resample every sentence in corpus order, with one uniform draw each
+    (rng.random()); mutates and returns state. Runs the compiled kernel when
+    it loaded, else the Python one: both sample the same chain."""
+    if _sweep_kernel is None:
+        _python_sweep(state)
+    else:
+        _compiled_sweep(state, _sweep_kernel)
+    state.sweep_index += 1
+    return state
+
+
+def _python_sweep(state):
     hp = state.hp
     T, V = hp.num_topics, state.vocab.num_aspect_words
     counts = _CountLists(state)
@@ -453,8 +564,36 @@ def gibbs_sweep(state):
         state.z[d][:] = z
         state.s[d][:] = s
     counts.write_back(state)
-    state.sweep_index += 1
-    return state
+
+
+def _pointer(array, name, shape):
+    """The address of a C-contiguous, aligned, writeable float64 array of this
+    shape; ValueError naming it otherwise."""
+    if not (isinstance(array, np.ndarray) and array.dtype == np.float64
+            and array.shape == shape and array.flags.carray):
+        raise ValueError(f"{name} must be a C-contiguous, writeable float64 array "
+                         f"of shape {shape}")
+    return array.ctypes.data
+
+
+def _compiled_sweep(state, kernel):
+    hp, flat = state.hp, state.flat
+    S, T = hp.num_sentiments, hp.num_topics
+    V, Vp, D = state.vocab.num_aspect_words, state.vocab.num_senti_words, len(state.docs)
+    n = len(flat.doc)
+    z, s = (a.astype(np.int64, copy=False) for a in state.flat_assignments())
+    counts = [_pointer(getattr(state, name), name, shape) for name, shape in (
+        ("n_TW", (T, V)), ("n_STW", (S, T, Vp)), ("n_DT", (D, T)), ("n_DS", (D, S)),
+        ("n_TW_rows", (T,)), ("n_STW_rows", (S, T)),
+        ("beta_prime", (S, T, Vp)), ("bar_beta_prime", (S, T)))]
+    u = state.rng.random(n)
+    work = np.empty(S * T + T + 2 * flat.longest)
+    kernel(n, S, T, V, Vp, hp.alpha, hp.beta, hp.gamma,
+           *(a.ctypes.data for a in flat[:7]), u.ctypes.data, z.ctypes.data, s.ctypes.data,
+           *counts, work.ctypes.data)
+    for z_d, s_d, (start, end) in zip(state.z, state.s, flat.doc_bounds):
+        z_d[:] = z[start:end]
+        s_d[:] = s[start:end]
 
 
 # -- MAP smoother optimization ----------------------------------------------
@@ -618,12 +757,9 @@ def load_checkpoint(path, corpus=None):
     def get(key, convert):
         try:
             return convert(payload[key])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"checkpoint {path}: missing or ill-typed {key!r} "
                              f"({type(exc).__name__}: {exc})") from exc
-
-    def get_array(key, dtype=float):
-        return get(key, lambda value: np.asarray(value, dtype=dtype))
 
     hp = get("hyperparams", lambda d: Hyperparams(**d))
     vocab = get("vocabulary", Vocabulary.from_dict)
@@ -634,13 +770,32 @@ def load_checkpoint(path, corpus=None):
     rng = np.random.default_rng()
     get("rng_state", lambda st: setattr(rng.bit_generator, "state", st))
 
+    S, T = hp.num_sentiments, hp.num_topics
+    V, Vp = vocab.num_aspect_words, vocab.num_senti_words
+    D = len(docs) if corpus is not None else None   # None: any number of rows
+
+    def get_array(key, shape, dtype=float):
+        array = get(key, lambda value: np.asarray(value, dtype=dtype))
+        if array.ndim != len(shape) or any(m not in (None, n) for n, m in zip(array.shape, shape)):
+            want = ", ".join("any" if m is None else str(m) for m in shape)
+            raise ValueError(f"checkpoint {path}: {key!r} has shape {array.shape}, "
+                             f"expected ({want})")
+        return array
+
     def get_rows(key):
         return get(key, lambda rows: [np.asarray(a, dtype=np.intp) for a in rows])
 
+    def sweep_count(value):
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise ValueError(f"not a sweep count: {value!r}")
+        return value
+
     state = ModelState(hp, vocab, docs, rng, get_rows("z"), get_rows("s"),
-                       get_array("y_topic"), get_array("y_senti"), get_array("seed_mask", bool),
-                       tuple(get_array(key) for key in ("n_TW", "n_STW", "n_DT", "n_DS")),
-                       get("sweep_index", int))
+                       get_array("y_topic", (T, Vp)), get_array("y_senti", (S, Vp)),
+                       get_array("seed_mask", (S, Vp), bool),
+                       (get_array("n_TW", (T, V)), get_array("n_STW", (S, T, Vp)),
+                        get_array("n_DT", (D, T)), get_array("n_DS", (D, S))),
+                       get("sweep_index", sweep_count))
     if corpus is not None and not state.counts_consistent():
         raise ValueError("checkpoint counts do not match the supplied corpus")
     return state

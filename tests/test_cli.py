@@ -157,6 +157,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "y_topic" in err and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("command", [["topics"], ["train", "--resume"]],
+                             ids=["topics", "resume"])
+    @pytest.mark.parametrize("key,edit", [
+        pytest.param("n_TW", lambda rows: [rows[0] + [0.0]] + rows[1:], id="n_TW-row-longer"),
+        pytest.param("n_TW", lambda rows: [row + [0.0] for row in rows], id="n_TW-rows-longer"),
+        pytest.param("y_topic", lambda rows: [row[:-1] for row in rows], id="y_topic-rows-shorter"),
+        pytest.param("sweep_index", lambda index: "x", id="sweep_index-string"),
+    ])
+    def test_checkpoint_field_of_the_wrong_shape_is_two(self, tmp_path, capsys, command,
+                                                        key, edit):
+        corpus = write_corpus(tmp_path, num_entities=2, reviews_per_entity=3)
+        config = write_config(tmp_path, corpus)
+        assert main(["--config", str(config), "train", "--iters", "2"]) == 0
+        ckpt = tmp_path / "out" / "checkpoint.json"
+        payload = json.loads(ckpt.read_text())
+        payload[key] = edit(payload[key])
+        ckpt.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["--config", str(config), *command]) == 2
+        err = capsys.readouterr().err
+        assert f"checkpoint {ckpt}: " in err and repr(key) in err
+        assert len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("command", ["topics", "summarize", "evaluate"])
     def test_checkpoint_not_an_object_is_two(self, tmp_path, capsys, command):
         corpus = write_corpus(tmp_path, num_entities=2, reviews_per_entity=3)

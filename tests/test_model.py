@@ -1,4 +1,6 @@
+import math
 import re
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -325,6 +327,235 @@ class TestSameChainAsNumpySampler:
         assert not small_state.counts_consistent()
 
 
+# The compiled sweep (_sweep.c) must sample the chain of the Python kernel,
+# which stays as its fallback: compared with ==, never with a tolerance.
+
+needs_compiled_sweep = pytest.mark.skipif(
+    model._sweep_kernel is None, reason="the compiled sweep did not build or load (no cc?)")
+
+PLANTED_SEEDS = SeedList(frozenset({"pos0", "pos1"}), frozenset({"neg0", "neg1"}))
+
+
+def train_with_both_kernels(corpus, hp, seeds, rng_seed, schedule, monkeypatch, prepare=None):
+    vocab = build_vocabulary(corpus, min_count=1, stopwords=frozenset())
+    states = []
+    for kernel in (model._sweep_kernel, None):
+        state = init(corpus, vocab, hp, seeds, rng_seed)
+        if prepare is not None:
+            prepare(state)
+        with monkeypatch.context() as patch:
+            patch.setattr(model, "_sweep_kernel", kernel)
+            states.append(train(state, schedule))
+    return states
+
+
+@needs_compiled_sweep
+class TestCompiledSweepSamplesThePythonChain:
+    @pytest.mark.parametrize("rng_seed", [0, 2])
+    @pytest.mark.parametrize("num_topics", [1, 3, 7])
+    def test_planted_corpus_train_schedule(self, num_topics, rng_seed, monkeypatch):
+        corpus = generate_generative_corpus(make_planted_model(num_topics=3),
+                                            num_reviews=500, rng_seed=5)
+        compiled, python = train_with_both_kernels(
+            corpus, Hyperparams(num_topics=num_topics), PLANTED_SEEDS, rng_seed,
+            Schedule(burn_in=8, interleave=2, total=12), monkeypatch)
+        assert [t for t, _, _ in compiled.optimize_log] == [10, 12]
+        assert_same_chain(compiled, python)
+
+    @pytest.mark.parametrize("num_topics,longest", [(1, 20), (4, 20), (1, 300), (4, 300)])
+    def test_long_sentences_with_repeated_ids(self, num_topics, longest, monkeypatch):
+        # from 8 terms up the sums run in numpy's pairwise order, and above
+        # 128 terms that order halves the row recursively
+        corpus = random_long_sentence_corpus(num_docs=30 if longest == 20 else 8,
+                                             longest=longest)
+        compiled, python = train_with_both_kernels(
+            corpus, Hyperparams(num_topics=num_topics),
+            SeedList(frozenset({"sen0"}), frozenset({"sen1"})), 3,
+            Schedule(burn_in=2, interleave=2, total=6), monkeypatch)
+        sentences = [sent for doc in compiled.docs for sent in doc]
+        assert max(len(x.aspect) for x in sentences) > (128 if longest > 128 else 8)
+        assert sum(x.aspect_offsets is not None and x.senti_offsets is not None
+                   for x in sentences) > 20
+        assert_same_chain(compiled, python)
+
+    def test_underflowed_smoother(self, monkeypatch):
+        # beta_prime[1, :, bad] underflows to 0, and 'bad' occurs once, so
+        # the sentiment-1 cells of its sentence have log -inf in every sweep
+        corpus = make_corpus([[(["food"], ["bad"]), (["food"], ["good"])],
+                              [(["wait"], ["nice", "good"]), (["food", "wait"], [])]])
+
+        def underflow(state):
+            state.y_senti[1, state.vocab.senti_index["bad"]] = -800.0
+            state.refresh_beta_prime()
+
+        compiled, python = train_with_both_kernels(
+            corpus, Hyperparams(num_topics=2), SeedList(frozenset(), frozenset()), 0,
+            Schedule(burn_in=20, interleave=1, total=20), monkeypatch, prepare=underflow)
+        assert (compiled.beta_prime[1, :, compiled.vocab.senti_index["bad"]] == 0).all()
+        assert compiled.s[0][0] == 0
+        assert_same_chain(compiled, python)
+
+    @pytest.mark.parametrize("num_topics,longest", [(1, 20), (3, 20), (1, 300), (4, 300)])
+    def test_same_picks_with_every_draw_on_a_boundary(self, num_topics, longest, monkeypatch):
+        # A draw u picks the first cell whose cumulative weight exceeds
+        # u * total. Random draws rarely fall within a rounding error of a
+        # cumulative weight, so equal chains alone would not show a sum added
+        # in another order. Here each u puts u * total exactly on the middle
+        # cumulative weight of the Python kernel's conditional, so a
+        # conditional that differs in its last bit picks another cell.
+        corpus = random_long_sentence_corpus(seed=41, num_docs=8, longest=longest)
+        vocab = build_vocabulary(corpus, min_count=1, stopwords=frozenset())
+        hp, seeds = Hyperparams(num_topics=num_topics), SeedList(frozenset({"sen0"}),
+                                                                  frozenset({"sen1"}))
+        python, compiled = (init(corpus, vocab, hp, seeds, rng_seed=5) for _ in range(2))
+        draw = model._draw
+        draws = []
+
+        def draw_on_a_boundary(logp, u):
+            top = max(logp)
+            cumulative = list(accumulate(math.exp(v - top) for v in logp))
+            total = cumulative[-1]
+            middle = next(c for c in cumulative if c >= total / 2)
+            u = middle / total
+            for _ in range(4):   # step u until u * total rounds to the weight
+                if u * total != middle:
+                    u = np.nextafter(u, 2.0 if u * total < middle else -1.0)
+            draws.append(u)
+            return draw(logp, u)
+
+        class Draws:
+            def random(self, n):
+                return np.array([draws.pop(0) for _ in range(n)])
+
+        compiled.rng = Draws()
+        for _ in range(3):
+            with monkeypatch.context() as patch:
+                patch.setattr(model, "_sweep_kernel", None)
+                patch.setattr(model, "_draw", draw_on_a_boundary)
+                gibbs_sweep(python)
+            gibbs_sweep(compiled)
+            assert not draws
+            assert [z.tolist() for z in compiled.z] == [z.tolist() for z in python.z]
+            assert [s.tolist() for s in compiled.s] == [s.tolist() for s in python.s]
+        for name in COUNT_NAMES:
+            assert np.array_equal(getattr(compiled, name), getattr(python, name)), name
+
+    def test_flat_corpus_is_built_on_the_first_sweep(self, small_state):
+        assert "flat" not in vars(small_state)
+        gibbs_sweep(small_state)
+        flat = vars(small_state)["flat"]
+        gibbs_sweep(small_state)
+        assert small_state.flat is flat
+        sentences = [sent for doc in small_state.docs for sent in doc]
+        assert flat.doc.tolist() == [0, 0, 0, 1, 1, 1]
+        for channel in ("aspect", "senti"):
+            start, ids, offsets = (getattr(flat, f"{channel}_start"), getattr(flat, channel),
+                                   getattr(flat, f"{channel}_offsets"))
+            assert [tuple(ids[a:b]) for a, b in zip(start, start[1:])] == [
+                getattr(sent, channel) for sent in sentences]
+            assert [tuple(offsets[a:b]) for a, b in zip(start, start[1:])] == [
+                getattr(sent, f"{channel}_offsets") or (0,) * len(getattr(sent, channel))
+                for sent in sentences]
+        assert flat.longest == 3
+
+
+def _no_compiler(argv, **kwargs):
+    raise FileNotFoundError(2, "No such file or directory", argv[0])
+
+
+def _compile_error(argv, **kwargs):
+    raise model.subprocess.CalledProcessError(1, argv, stderr=b"error: ...")
+
+
+def _unloadable_output(argv, **kwargs):
+    with open(argv[argv.index("-o") + 1], "wb") as fh:
+        fh.write(b"not a shared object")
+
+
+class TestSweepKernelLoader:
+    def test_compiles_once_into_the_cache(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(model, "_SWEEP_CACHE", str(tmp_path / "cache"))
+        assert model._load_sweep_kernel() is not None
+        built = [p.name for p in (tmp_path / "cache").iterdir()]
+        assert len(built) == 1 and re.fullmatch(r"_sweep-[0-9a-f]{64}\.so", built[0])
+        monkeypatch.setattr(model.subprocess, "run", _no_compiler)
+        assert model._load_sweep_kernel() is not None
+        assert [p.name for p in (tmp_path / "cache").iterdir()] == built
+
+    @pytest.mark.parametrize("fail", ["no compiler", "compile error", "unloadable output",
+                                      "unwritable cache"])
+    def test_failure_falls_back_to_the_python_kernel(self, fail, tmp_path, monkeypatch,
+                                                     caplog):
+        import logging
+        cache = tmp_path / "cache"
+        if fail == "unwritable cache":
+            (tmp_path / "file").write_text("")
+            cache = tmp_path / "file" / "cache"
+        else:
+            monkeypatch.setattr(model.subprocess, "run", {
+                "no compiler": _no_compiler, "compile error": _compile_error,
+                "unloadable output": _unloadable_output}[fail])
+        monkeypatch.setattr(model, "_SWEEP_CACHE", str(cache))
+        with caplog.at_level(logging.DEBUG, logger="segsum.model"):
+            kernel = model._load_sweep_kernel()
+        assert kernel is None
+        records = [r for r in caplog.records if r.name == "segsum.model"]
+        assert len(records) == 1 and records[0].levelno == logging.DEBUG
+        assert "Python kernel" in records[0].getMessage()
+        if fail != "unwritable cache":
+            assert list(cache.iterdir()) == []   # no half-built file left behind
+
+    @needs_compiled_sweep
+    def test_fallback_samples_the_same_chain(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(model, "_SWEEP_CACHE", str(tmp_path))
+        monkeypatch.setattr(model.subprocess, "run", _no_compiler)
+        fallback = model._load_sweep_kernel()
+        assert fallback is None
+        corpus = generate_generative_corpus(make_planted_model(num_topics=3),
+                                            num_reviews=200, rng_seed=5)
+        vocab = build_vocabulary(corpus, min_count=1, stopwords=frozenset())
+        states = []
+        for kernel in (model._sweep_kernel, fallback):
+            monkeypatch.setattr(model, "_sweep_kernel", kernel)
+            states.append(train(init(corpus, vocab, Hyperparams(num_topics=3), PLANTED_SEEDS, 1),
+                                Schedule(burn_in=4, interleave=2, total=8)))
+        assert_same_chain(*states)
+
+
+class TestCompiledSweepGuards:
+    @pytest.mark.parametrize("name,spoil", [
+        ("n_TW", np.asfortranarray),
+        ("n_STW", lambda a: a[:, :, :-1]),
+        ("n_DT", lambda a: a.astype(np.int64)),
+        ("n_DS", lambda a: np.vstack([a, a])),
+        ("n_TW_rows", lambda a: a[:1]),
+        ("n_STW_rows", lambda a: a.T),
+        ("beta_prime", lambda a: a[:, ::-1]),
+        ("bar_beta_prime", lambda a: a.tolist()),
+        ("n_TW", lambda a: np.frombuffer(a.tobytes()).reshape(a.shape)),   # read-only
+    ])
+    def test_bad_count_array_is_rejected_before_the_c_call(self, small_state, monkeypatch,
+                                                           name, spoil):
+        monkeypatch.setattr(model, "_sweep_kernel", lambda *args: pytest.fail("C sweep called"))
+        setattr(small_state, name, spoil(getattr(small_state, name)))
+        rng_state = small_state.rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"^{name} must be a C-contiguous"):
+            gibbs_sweep(small_state)
+        assert small_state.rng.bit_generator.state == rng_state
+        assert small_state.sweep_index == 0
+
+    @pytest.mark.parametrize("spoil", [
+        lambda state: state.z.__setitem__(1, state.z[1][:-1]),
+        lambda state: state.s[0].__setitem__(0, 2),
+        lambda state: state.z[1].__setitem__(2, -1),
+    ])
+    def test_assignments_that_do_not_fit_are_rejected(self, small_state, monkeypatch, spoil):
+        monkeypatch.setattr(model, "_sweep_kernel", lambda *args: pytest.fail("C sweep called"))
+        spoil(small_state)
+        with pytest.raises(ValueError, match="z/s do not fit"):
+            gibbs_sweep(small_state)
+
+
 class TestSweep:
     def test_preserves_sentence_totals(self, small_state):
         before_dt = small_state.n_DT.sum(axis=1).copy()
@@ -643,6 +874,49 @@ class TestCheckpoint:
         del payload["y_topic"]
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="y_topic"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key,edit", [
+        ("y_topic", lambda rows: [row[:-1] for row in rows]),
+        ("y_senti", lambda rows: [row + [0.0] for row in rows]),
+        ("seed_mask", lambda rows: rows[:1]),
+        ("n_TW", lambda rows: rows + rows[:1]),
+        ("n_STW", lambda rows: [rows[0]] * 3),
+        ("n_STW", lambda rows: [[row[:-1] for row in block] for block in rows]),
+        ("n_DT", lambda rows: [row + [0.0] for row in rows]),
+        ("n_DS", lambda rows: [row[:-1] for row in rows]),
+    ])
+    def test_shape_checked_against_hyperparams_and_vocabulary(self, tmp_path, small_state,
+                                                              key, edit):
+        import json
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(small_state, path)
+        payload = json.loads(path.read_text())
+        payload[key] = edit(payload[key])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"^checkpoint {re.escape(str(path))}: '{key}' has shape"):
+            load_checkpoint(path, make_corpus(FIXTURE_DOCS))
+
+    def test_document_count_checked_with_a_corpus_only(self, tmp_path, small_state):
+        import json
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(small_state, path)
+        payload = json.loads(path.read_text())
+        payload["n_DT"] = payload["n_DT"][:1]
+        path.write_text(json.dumps(payload))
+        assert load_checkpoint(path).n_DT.shape == (1, 2)
+        with pytest.raises(ValueError, match="'n_DT' has shape"):
+            load_checkpoint(path, make_corpus(FIXTURE_DOCS))
+
+    @pytest.mark.parametrize("index", ["x", 1.5, True, -1, None])
+    def test_sweep_index_must_be_a_count(self, tmp_path, small_state, index):
+        import json
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(small_state, path)
+        payload = json.loads(path.read_text())
+        payload["sweep_index"] = index
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"^checkpoint {re.escape(str(path))}: .*'sweep_index'"):
             load_checkpoint(path)
 
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path, small_state,
