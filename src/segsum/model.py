@@ -20,9 +20,10 @@ import os
 import subprocess
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import accumulate, chain, repeat
+from functools import lru_cache
+from itertools import chain, repeat
 from math import exp, log as ln
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -147,24 +148,11 @@ def encode_corpus(corpus, vocab):
     return docs
 
 
-def _concat(arrays):
-    return np.concatenate(arrays) if arrays else np.zeros(0, dtype=np.intp)
-
-
-def _flat_ids(sentences, channel):
-    """The ids of one channel ("aspect" or "senti") of the sentences,
-    concatenated, and each sentence's number of them."""
-    lengths = [len(getattr(sent, channel)) for sent in sentences]
-    flat = np.fromiter(chain.from_iterable(getattr(sent, channel) for sent in sentences),
-                       dtype=np.intp, count=sum(lengths))
-    return flat, lengths
-
-
 class _FlatCorpus(NamedTuple):
-    """The encoded corpus as flat int64 arrays, for the compiled sweep; the
-    first seven fields are segsum_sweep's corpus parameters, in order. Per
-    channel: where each sentence's ids start (one more entry than there are
-    sentences), the ids, and their repeat offsets (0 where no id repeats)."""
+    """The encoded corpus as flat int64 arrays in the sentence order of z/s;
+    the first seven fields are segsum_sweep's corpus parameters, in order.
+    Per channel: where each sentence's ids start (one more entry than there
+    are sentences), the ids, and their repeat offsets (0 where none repeats)."""
 
     doc: np.ndarray               # the document of each sentence
     aspect_start: np.ndarray
@@ -173,34 +161,38 @@ class _FlatCorpus(NamedTuple):
     senti_start: np.ndarray
     senti: np.ndarray
     senti_offsets: np.ndarray
-    doc_bounds: list              # (start, end) of each document's sentences
+    doc_start: np.ndarray         # where each document's sentences start (D + 1 entries)
     longest: int                  # the longest id list of a sentence
 
 
 def _flatten(docs):
-    sentences = [sent for doc in docs for sent in doc]
-    doc_lengths = [len(doc) for doc in docs]
-    arrays = [np.repeat(np.arange(len(docs), dtype=np.int64), doc_lengths)]
+    sentences = list(chain.from_iterable(docs))
+    doc_start = np.cumsum([0] + [len(doc) for doc in docs], dtype=np.int64)
+    arrays = [np.repeat(np.arange(len(docs), dtype=np.int64), np.diff(doc_start))]
     longest = 0
     for channel in ("aspect", "senti"):
-        ids, lengths = _flat_ids(sentences, channel)
-        offsets = chain.from_iterable(getattr(sent, f"{channel}_offsets") or repeat(0, n)
-                                      for sent, n in zip(sentences, lengths))
-        arrays += [np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))),
-                   ids.astype(np.int64, copy=False),
-                   np.fromiter(offsets, dtype=np.int64, count=len(ids))]
+        id_lists = list(map(attrgetter(channel), sentences))
+        lengths = list(map(len, id_lists))
+        start = np.cumsum([0] + lengths, dtype=np.int64)
+        offsets = np.zeros(start[-1], dtype=np.int64)   # filled in only where ids repeat
+        for a, repeats in zip(start.tolist(), map(attrgetter(f"{channel}_offsets"), sentences)):
+            if repeats is not None:
+                offsets[a:a + len(repeats)] = repeats
+        ids = np.fromiter(chain.from_iterable(id_lists), dtype=np.int64, count=start[-1])
+        arrays += [start, ids, offsets]
         longest = max(longest, max(lengths, default=0))
-    ends = list(accumulate(doc_lengths))
-    return _FlatCorpus(*arrays, list(zip([0] + ends, ends)), longest)
+    return _FlatCorpus(*arrays, doc_start, longest)
 
 
 class ModelState:
     """Counts, assignments and smoother parameters of a training run.
 
-    Built from the assignments z/s, the smoothers y_topic/y_senti, the mask
-    of the seed entries of y_senti (fixed during MAP steps) and the count
-    matrices (n_TW, n_STW, n_DT, n_DS), which are recounted from z/s when not
-    given. The row totals and beta_prime/bar_beta_prime are derived.
+    Built from the assignments z/s (one int64 array each, in the sentence
+    order of the flat corpus), the smoothers y_topic/y_senti, the mask of the
+    seed entries of y_senti (fixed during MAP steps) and the count matrices
+    (n_TW, n_STW, n_DT, n_DS), which are recounted from z/s when not given.
+    The flat corpus (which the compiled sweep trusts, so docs must not
+    change), the row totals and beta_prime/bar_beta_prime are derived.
     """
 
     def __init__(self, hp, vocab, docs, rng, z, s, y_topic, y_senti, seed_mask,
@@ -208,6 +200,7 @@ class ModelState:
         self.hp = hp
         self.vocab = vocab
         self.docs = docs
+        self.flat = _flatten(docs)
         self.rng = rng
         self.z, self.s = z, s
         self.y_topic, self.y_senti, self.seed_mask = y_topic, y_senti, seed_mask
@@ -220,12 +213,6 @@ class ModelState:
         self.sweep_index = sweep_index
         self.optimize_log = []   # (sweep, objective_before, objective_after)
 
-    @cached_property
-    def flat(self):
-        """The corpus as a _FlatCorpus, built on the first compiled sweep; the
-        compiled sweep trusts its ids, so docs must not change after that."""
-        return _flatten(self.docs)
-
     def refresh_beta_prime(self):
         self.beta_prime = np.exp(self.y_topic[None, :, :] + self.y_senti[:, None, :])
         self.bar_beta_prime = self.beta_prime.sum(axis=2)
@@ -233,47 +220,44 @@ class ModelState:
     # -- count bookkeeping ---------------------------------------------------
 
     def decrement(self, d, c):
-        _move(self, d, self.docs[d][c], self.s[d][c], self.z[d][c], -1)
+        i = self.flat.doc_start[d] + c
+        _move(self, d, self.docs[d][c], self.s[i], self.z[i], -1)
 
     def increment(self, d, c, j, k):
         _move(self, d, self.docs[d][c], j, k, 1)
-        self.z[d][c] = k
-        self.s[d][c] = j
+        i = self.flat.doc_start[d] + c
+        self.z[i], self.s[i] = k, j
 
     def recount(self):
         """Rebuild all count matrices from the assignments: one bincount per
-        matrix over the corpus's concatenated ids."""
-        T, S = self.hp.num_topics, self.hp.num_sentiments
+        matrix over the flat corpus."""
+        T, S, D = self.hp.num_topics, self.hp.num_sentiments, len(self.docs)
         V, Vp = self.vocab.num_aspect_words, self.vocab.num_senti_words
-        sentences = [sent for doc in self.docs for sent in doc]
-        z, s = _concat(self.z), _concat(self.s)
-        doc = np.repeat(np.arange(len(self.docs)), [len(doc) for doc in self.docs])
+        flat, z, s = self.flat, self.z, self.s
 
         def count(index, shape):
             return np.bincount(index, minlength=math.prod(shape)).reshape(shape).astype(float)
 
-        aspect, aspect_lengths = _flat_ids(sentences, "aspect")
-        senti, senti_lengths = _flat_ids(sentences, "senti")
-        return (count(np.repeat(z, aspect_lengths) * V + aspect, (T, V)),
-                count(np.repeat(s * T + z, senti_lengths) * Vp + senti, (S, T, Vp)),
-                count(doc * T + z, (len(self.docs), T)),
-                count(doc * S + s, (len(self.docs), S)))
+        return (count(np.repeat(z, np.diff(flat.aspect_start)) * V + flat.aspect, (T, V)),
+                count(np.repeat(s * T + z, np.diff(flat.senti_start)) * Vp + flat.senti,
+                      (S, T, Vp)),
+                count(flat.doc * T + z, (D, T)),
+                count(flat.doc * S + s, (D, S)))
 
-    def flat_assignments(self):
-        """z and s, each concatenated over the documents; ValueError when they
-        do not fit the corpus or hold a topic or sentiment out of range."""
-        lengths = [len(doc) for doc in self.docs]
-        z, s = _concat(self.z), _concat(self.s)
-        if ([len(a) for a in self.z] != lengths or [len(a) for a in self.s] != lengths
-                or not ((0 <= z) & (z < self.hp.num_topics)).all()
-                or not ((0 <= s) & (s < self.hp.num_sentiments)).all()):
-            raise ValueError("z/s do not fit the corpus or hold an assignment out of range")
-        return z, s
+    def check_assignments(self):
+        """ValueError unless z and s are writeable C-contiguous int64 arrays,
+        one entry per sentence, each in range: the sweeps write into them."""
+        shape = self.flat.doc.shape
+        for a, bound in ((self.z, self.hp.num_topics), (self.s, self.hp.num_sentiments)):
+            if not (isinstance(a, np.ndarray) and a.dtype == np.int64 and a.shape == shape
+                    and a.flags.carray and ((0 <= a) & (a < bound)).all()):
+                raise ValueError(f"z/s do not fit the corpus: each must be a writeable, "
+                                 f"C-contiguous int64 array of shape {shape}, in range")
 
     def counts_consistent(self):
         """Whether z/s fit the corpus and the counts equal their recount."""
         try:
-            self.flat_assignments()
+            self.check_assignments()
         except ValueError:
             return False
         return all(np.array_equal(mine, recounted) for mine, recounted in zip(
@@ -301,12 +285,11 @@ def init(corpus, vocab, hp, seeds=None, rng_seed=0) -> ModelState:
     seeds = seeds if seeds is not None else SeedList()
     rng = np.random.default_rng(rng_seed)
     docs = encode_corpus(corpus, vocab)
-    z = [np.empty(len(doc), dtype=np.intp) for doc in docs]
-    s = [np.empty(len(doc), dtype=np.intp) for doc in docs]
-    for z_d, s_d in zip(z, s):
-        for c in range(len(z_d)):
-            z_d[c] = rng.integers(hp.num_topics)
-            s_d[c] = rng.integers(hp.num_sentiments)
+    n = sum(len(doc) for doc in docs)
+    z, s = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    for i in range(n):
+        z[i] = rng.integers(hp.num_topics)
+        s[i] = rng.integers(hp.num_sentiments)
     return ModelState(hp, vocab, docs, rng, z, s,
                       np.zeros((hp.num_topics, vocab.num_senti_words)),
                       *seed_smoothers(vocab, hp, seeds))
@@ -316,20 +299,21 @@ def init(corpus, vocab, hp, seeds=None, rng_seed=0) -> ModelState:
 #
 # Two kernels sample one chain. gibbs_sweep runs the C sweep of _sweep.c,
 # compiled and loaded at import (_load_sweep_kernel), over the corpus as flat
-# arrays (ModelState.flat) and the state's count arrays, which it updates in
-# place. The Python kernel serves the per-sentence entry points
-# (ModelState.decrement/increment, gibbs_conditional_log), and gibbs_sweep
-# falls back to it when the C sweep cannot be built or loaded: _move updates
-# the counts, _log_conditional evaluates the conditional and _draw picks from
-# it. It reads counts as counts.n_TW[k][w], which works on a ModelState's
-# numpy arrays and, much faster, on the nested lists that _python_sweep
-# copies them into for one sweep. Both kernels sample the chain of the
-# per-sentence numpy expressions they replaced (tests/oracles.py), so they
-# add in their order: left to right over a sentence's tokens (pairwise over
-# the aspect tokens of a one-topic model), and in numpy's pairwise order
-# (_pairwise) over the log terms of a denominator's rising factorial. One
-# helper, _log_rising_ratios, computes both word blocks; _sweep.c mirrors
-# each of these functions.
+# arrays (ModelState.flat, built with the state) and the state's z/s and
+# count arrays, which it updates in place; z/s follow the flat corpus's
+# sentence order, so the sweep copies nothing. The Python kernel serves the
+# per-sentence entry points (ModelState.decrement/increment,
+# gibbs_conditional_log), and gibbs_sweep falls back to it when the C sweep
+# cannot be built or loaded: _move updates the counts, _log_conditional
+# evaluates the conditional and _draw picks from it. It reads counts as
+# counts.n_TW[k][w], which works on a ModelState's numpy arrays and, much
+# faster, on the nested lists that _python_sweep copies them into for one
+# sweep. Both kernels sample the chain of the per-sentence numpy expressions
+# they replaced (tests/oracles.py), so they add in their order: left to right
+# over a sentence's tokens (pairwise over the aspect tokens of a one-topic
+# model), and in numpy's pairwise order (_pairwise) over the log terms of a
+# denominator's rising factorial. One helper, _log_rising_ratios, computes
+# both word blocks; _sweep.c mirrors each of these functions.
 
 def _move(counts, d, sent, j, k, step):
     """Add step (+1 or -1) times sentence sent of document d, assigned
@@ -542,6 +526,7 @@ def gibbs_sweep(state):
     """Resample every sentence in corpus order, with one uniform draw each
     (rng.random()); mutates and returns state. Runs the compiled kernel when
     it loaded, else the Python one: both sample the same chain."""
+    state.check_assignments()
     if _sweep_kernel is None:
         _python_sweep(state)
     else:
@@ -555,14 +540,12 @@ def _python_sweep(state):
     T, V = hp.num_topics, state.vocab.num_aspect_words
     counts = _CountLists(state)
     random = state.rng.random
-    for d, doc in enumerate(state.docs):
-        z, s = state.z[d].tolist(), state.s[d].tolist()
-        for c, sent in enumerate(doc):
-            _move(counts, d, sent, s[c], z[c], -1)
-            s[c], z[c] = divmod(_draw(_log_conditional(counts, hp, V, sent, d), random()), T)
-            _move(counts, d, sent, s[c], z[c], 1)
-        state.z[d][:] = z
-        state.s[d][:] = s
+    z, s = state.z.tolist(), state.s.tolist()
+    for i, (d, sent) in enumerate(zip(state.flat.doc.tolist(), chain.from_iterable(state.docs))):
+        _move(counts, d, sent, s[i], z[i], -1)
+        s[i], z[i] = divmod(_draw(_log_conditional(counts, hp, V, sent, d), random()), T)
+        _move(counts, d, sent, s[i], z[i], 1)
+    state.z[:], state.s[:] = z, s
     counts.write_back(state)
 
 
@@ -581,7 +564,6 @@ def _compiled_sweep(state, kernel):
     S, T = hp.num_sentiments, hp.num_topics
     V, Vp, D = state.vocab.num_aspect_words, state.vocab.num_senti_words, len(state.docs)
     n = len(flat.doc)
-    z, s = (a.astype(np.int64, copy=False) for a in state.flat_assignments())
     counts = [_pointer(getattr(state, name), name, shape) for name, shape in (
         ("n_TW", (T, V)), ("n_STW", (S, T, Vp)), ("n_DT", (D, T)), ("n_DS", (D, S)),
         ("n_TW_rows", (T,)), ("n_STW_rows", (S, T)),
@@ -589,11 +571,8 @@ def _compiled_sweep(state, kernel):
     u = state.rng.random(n)
     work = np.empty(S * T + T + 2 * flat.longest)
     kernel(n, S, T, V, Vp, hp.alpha, hp.beta, hp.gamma,
-           *(a.ctypes.data for a in flat[:7]), u.ctypes.data, z.ctypes.data, s.ctypes.data,
-           *counts, work.ctypes.data)
-    for z_d, s_d, (start, end) in zip(state.z, state.s, flat.doc_bounds):
-        z_d[:] = z[start:end]
-        s_d[:] = s[start:end]
+           *(a.ctypes.data for a in flat[:7]), u.ctypes.data, state.z.ctypes.data,
+           state.s.ctypes.data, *counts, work.ctypes.data)
 
 
 # -- MAP smoother optimization ----------------------------------------------
@@ -710,13 +689,18 @@ def lexicon_polarity(state, word: str) -> float:
 # -- checkpointing & reports -------------------------------------------------
 
 def save_checkpoint(state, path):
+    """Write the state to path atomically; ValueError if its z/s do not fit its corpus."""
+    state.check_assignments()
+    starts = state.flat.doc_start.tolist()
+    z, s = ([a[i:j] for i, j in zip(starts, starts[1:])]
+            for a in (state.z.tolist(), state.s.tolist()))
     payload = {
         "format_version": CHECKPOINT_VERSION,
         "hyperparams": state.hp.to_dict(),
         "vocab_hash": state.vocab.content_hash(),
         "vocabulary": state.vocab.to_dict(),
-        "z": [a.tolist() for a in state.z],
-        "s": [a.tolist() for a in state.s],
+        "z": z,
+        "s": s,
         "n_TW": state.n_TW.tolist(),
         "n_STW": state.n_STW.tolist(),
         "n_DT": state.n_DT.tolist(),
@@ -782,22 +766,36 @@ def load_checkpoint(path, corpus=None):
                              f"expected ({want})")
         return array
 
-    def get_rows(key):
-        return get(key, lambda rows: [np.asarray(a, dtype=np.intp) for a in rows])
+    def get_assignments(key, bound):
+        """z or s: rows of ints below bound, one per review and as long as it
+        when a corpus is given, concatenated."""
+        def convert(rows):
+            if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+                raise TypeError("not a list of rows")
+            values = list(chain.from_iterable(rows))
+            if not all(type(v) is int and 0 <= v < bound for v in values):
+                raise ValueError(f"an entry is not an integer in [0, {bound})")
+            return [len(row) for row in rows], np.array(values, dtype=np.int64)
+
+        lengths, values = get(key, convert)
+        if corpus is not None and lengths != [len(doc) for doc in docs]:
+            raise ValueError(f"checkpoint {path}: {key!r} does not hold one row per review "
+                             f"with one entry per sentence")
+        return values
 
     def sweep_count(value):
         if isinstance(value, bool) or not isinstance(value, int) or value < 0:
             raise ValueError(f"not a sweep count: {value!r}")
         return value
 
-    state = ModelState(hp, vocab, docs, rng, get_rows("z"), get_rows("s"),
+    state = ModelState(hp, vocab, docs, rng, get_assignments("z", T), get_assignments("s", S),
                        get_array("y_topic", (T, Vp)), get_array("y_senti", (S, Vp)),
                        get_array("seed_mask", (S, Vp), bool),
                        (get_array("n_TW", (T, V)), get_array("n_STW", (S, T, Vp)),
                         get_array("n_DT", (D, T)), get_array("n_DS", (D, S))),
                        get("sweep_index", sweep_count))
     if corpus is not None and not state.counts_consistent():
-        raise ValueError("checkpoint counts do not match the supplied corpus")
+        raise ValueError(f"checkpoint {path}: counts do not match the supplied corpus")
     return state
 
 

@@ -287,7 +287,8 @@ def numpy_sentences(docs):
 
 def numpy_decrement(state, sentences, d, c):
     aspect, _, senti, _ = sentences[d][c]
-    k, j = state.z[d][c], state.s[d][c]
+    i = state.flat.doc_start[d] + c
+    k, j = state.z[i], state.s[i]
     np.subtract.at(state.n_TW[k], aspect, 1.0)
     np.subtract.at(state.n_STW[j, k], senti, 1.0)
     state.n_TW_rows[k] -= len(aspect)
@@ -304,8 +305,9 @@ def numpy_increment(state, sentences, d, c, j, k):
     state.n_STW_rows[j, k] += len(senti)
     state.n_DT[d, k] += 1
     state.n_DS[d, j] += 1
-    state.z[d][c] = k
-    state.s[d][c] = j
+    i = state.flat.doc_start[d] + c
+    state.z[i] = k
+    state.s[i] = j
 
 
 def numpy_conditional_log(state, sentences, d, c):
@@ -357,7 +359,8 @@ def numpy_recount(state):
     n_DS = np.zeros_like(state.n_DS)
     for d, doc in enumerate(numpy_sentences(state.docs)):
         for c, (aspect, _, senti, _) in enumerate(doc):
-            k, j = state.z[d][c], state.s[d][c]
+            i = state.flat.doc_start[d] + c
+            k, j = state.z[i], state.s[i]
             np.add.at(n_TW[k], aspect, 1.0)
             np.add.at(n_STW[j, k], senti, 1.0)
             n_DT[d, k] += 1

@@ -54,7 +54,7 @@ def test_sampler_exactness():
     state.decrement(0, 0)
     exact = model.gibbs_conditional(state, 0, 0)
     exact = exact / exact.sum()
-    state.increment(0, 0, state.s[0][0], state.z[0][0])
+    state.increment(0, 0, state.s[0], state.z[0])
 
     counts = np.zeros_like(exact)
     sweeps = 50_000

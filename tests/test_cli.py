@@ -180,6 +180,30 @@ class TestExitCodes:
         assert f"checkpoint {ckpt}: " in err and repr(key) in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("command", [["train", "--resume"], ["summarize"], ["evaluate"]],
+                             ids=["resume", "summarize", "evaluate"])
+    @pytest.mark.parametrize("key,edit", [
+        pytest.param("z", lambda rows: [rows[0][:-1]] + rows[1:], id="z-row-shorter"),
+        pytest.param("z", lambda rows: rows[:-1], id="z-last-row-removed"),
+        pytest.param("s", lambda rows: [rows[0], 1] + rows[2:], id="s-row-scalar"),
+        pytest.param("s", lambda rows: [rows[0][:-1] + [0.5]] + rows[1:], id="s-entry-fraction"),
+        pytest.param("z", lambda rows: [rows[0][:-1] + [3]] + rows[1:], id="z-topic-out-of-range"),
+    ])
+    def test_checkpoint_assignments_that_do_not_fit_are_two(self, tmp_path, capsys, command,
+                                                            key, edit):
+        corpus = write_corpus(tmp_path, num_entities=2, reviews_per_entity=3)
+        config = write_config(tmp_path, corpus)
+        assert main(["--config", str(config), "train", "--iters", "2"]) == 0
+        ckpt = tmp_path / "out" / "checkpoint.json"
+        payload = json.loads(ckpt.read_text())
+        payload[key] = edit(payload[key])
+        ckpt.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["--config", str(config), *command]) == 2
+        err = capsys.readouterr().err
+        assert f"checkpoint {ckpt}: " in err and repr(key) in err
+        assert len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("command", ["topics", "summarize", "evaluate"])
     def test_checkpoint_not_an_object_is_two(self, tmp_path, capsys, command):
         corpus = write_corpus(tmp_path, num_entities=2, reviews_per_entity=3)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 from itertools import accumulate
@@ -117,7 +118,7 @@ class TestGibbsConditional:
         cond = gibbs_conditional(state, 0, 0)
         expected = np.outer(state.n_DS[0] + hp.gamma, state.n_DT[0] + hp.alpha)
         assert np.allclose(cond, expected, rtol=1e-12)
-        state.increment(0, 0, state.s[0][0], state.z[0][0])
+        state.increment(0, 0, state.s[0], state.z[0])
 
     def test_single_word_formula(self):
         corpus = make_corpus([[(["food"], []), (["food", "sauce"], [])]])
@@ -149,7 +150,8 @@ class TestGibbsConditional:
                     state.beta_prime.tolist())
                 want = np.asarray(want)
                 assert np.allclose(got / got.sum(), want / want.sum(), rtol=1e-12)
-                state.increment(d, c, state.s[d][c], state.z[d][c])
+                i = state.flat.doc_start[d] + c
+                state.increment(d, c, state.s[i], state.z[i])
 
     def test_repeated_word_increments_numerator(self):
         # "bad bad" in one sentence: second occurrence sees count+1
@@ -198,8 +200,8 @@ def train_with_both_samplers(corpus, hp, seeds, rng_seed, schedule, monkeypatch)
 
 
 def assert_same_chain(a, b):
-    assert [z.tolist() for z in a.z] == [z.tolist() for z in b.z]
-    assert [s.tolist() for s in a.s] == [s.tolist() for s in b.s]
+    assert a.z.tolist() == b.z.tolist()
+    assert a.s.tolist() == b.s.tolist()
     for name in COUNT_NAMES + ("y_topic", "y_senti", "beta_prime"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     assert a.rng.bit_generator.state == b.rng.bit_generator.state
@@ -271,7 +273,8 @@ class TestSameChainAsNumpySampler:
                                        lambda x: float(np.log(x)))
                 want = oracles.numpy_conditional_log(state, sentences, d, c)
                 assert got == want.ravel().tolist()
-                state.increment(d, c, state.s[d][c], state.z[d][c])
+                i = state.flat.doc_start[d] + c
+                state.increment(d, c, state.s[i], state.z[i])
 
     def test_draw_picks_as_numpy_does(self, monkeypatch):
         # With np.exp for its exponential, the kernel's draw picks the cell
@@ -315,15 +318,15 @@ class TestSameChainAsNumpySampler:
         assert np.allclose(got[0], want[0], rtol=1e-12)
         state.increment(0, 0, 0, 0)
         gibbs_sweep(state)
-        assert state.s[0][0] == 0
+        assert state.s[0] == 0
 
     def test_counts_inconsistent_with_the_corpus_structure(self, small_state):
         assert small_state.counts_consistent()
-        small_state.z[0] = small_state.z[0][:-1]
+        small_state.z = small_state.z[:-1]
         assert not small_state.counts_consistent()
 
     def test_assignment_out_of_range_is_inconsistent(self, small_state):
-        small_state.z[1][0] = small_state.hp.num_topics
+        small_state.z[small_state.flat.doc_start[1]] = small_state.hp.num_topics
         assert not small_state.counts_consistent()
 
 
@@ -392,7 +395,7 @@ class TestCompiledSweepSamplesThePythonChain:
             corpus, Hyperparams(num_topics=2), SeedList(frozenset(), frozenset()), 0,
             Schedule(burn_in=20, interleave=1, total=20), monkeypatch, prepare=underflow)
         assert (compiled.beta_prime[1, :, compiled.vocab.senti_index["bad"]] == 0).all()
-        assert compiled.s[0][0] == 0
+        assert compiled.s[0] == 0
         assert_same_chain(compiled, python)
 
     @pytest.mark.parametrize("num_topics,longest", [(1, 20), (3, 20), (1, 300), (4, 300)])
@@ -435,19 +438,19 @@ class TestCompiledSweepSamplesThePythonChain:
                 gibbs_sweep(python)
             gibbs_sweep(compiled)
             assert not draws
-            assert [z.tolist() for z in compiled.z] == [z.tolist() for z in python.z]
-            assert [s.tolist() for s in compiled.s] == [s.tolist() for s in python.s]
+            assert compiled.z.tolist() == python.z.tolist()
+            assert compiled.s.tolist() == python.s.tolist()
         for name in COUNT_NAMES:
             assert np.array_equal(getattr(compiled, name), getattr(python, name)), name
 
     def test_flat_corpus_is_built_on_the_first_sweep(self, small_state):
-        assert "flat" not in vars(small_state)
-        gibbs_sweep(small_state)
-        flat = vars(small_state)["flat"]
+        # the flat corpus is built with the state, and the sweeps keep it
+        flat = small_state.flat
         gibbs_sweep(small_state)
         assert small_state.flat is flat
         sentences = [sent for doc in small_state.docs for sent in doc]
         assert flat.doc.tolist() == [0, 0, 0, 1, 1, 1]
+        assert flat.doc_start.tolist() == [0, 3, 6]
         for channel in ("aspect", "senti"):
             start, ids, offsets = (getattr(flat, f"{channel}_start"), getattr(flat, channel),
                                    getattr(flat, f"{channel}_offsets"))
@@ -457,6 +460,28 @@ class TestCompiledSweepSamplesThePythonChain:
                 getattr(sent, f"{channel}_offsets") or (0,) * len(getattr(sent, channel))
                 for sent in sentences]
         assert flat.longest == 3
+
+
+# The chain of random_long_sentence_corpus(seed=41, num_docs=8) at T = 3 and
+# model seed 5 after three sweeps: the sha256 of z's int64 bytes followed by
+# s's. A change that means to alter the chain (a new initialization, say)
+# must update it; any other change must leave it as it is.
+PINNED_CHAIN = "c7d9e867d538e586bcf36102b7e63234bdd7e55d768aff5fe23f4c8a03824005"
+
+
+@pytest.mark.parametrize("kernel", [
+    pytest.param("compiled", marks=needs_compiled_sweep), "python"])
+def test_chain_is_pinned(kernel, monkeypatch):
+    if kernel == "python":
+        monkeypatch.setattr(model, "_sweep_kernel", None)
+    corpus = random_long_sentence_corpus(seed=41, num_docs=8)
+    vocab = build_vocabulary(corpus, min_count=1, stopwords=frozenset())
+    state = init(corpus, vocab, Hyperparams(num_topics=3),
+                 SeedList(frozenset({"sen0"}), frozenset({"sen1"})), rng_seed=5)
+    for _ in range(3):
+        gibbs_sweep(state)
+    assert state.z.dtype == state.s.dtype == np.int64
+    assert hashlib.sha256(state.z.tobytes() + state.s.tobytes()).hexdigest() == PINNED_CHAIN
 
 
 def _no_compiler(argv, **kwargs):
@@ -545,15 +570,23 @@ class TestCompiledSweepGuards:
         assert small_state.sweep_index == 0
 
     @pytest.mark.parametrize("spoil", [
-        lambda state: state.z.__setitem__(1, state.z[1][:-1]),
-        lambda state: state.s[0].__setitem__(0, 2),
-        lambda state: state.z[1].__setitem__(2, -1),
+        lambda state: setattr(state, "z", state.z[:-1]),
+        lambda state: state.s.__setitem__(0, 2),
+        lambda state: state.z.__setitem__(5, -1),
+        # the C sweep writes into z/s through raw pointers
+        lambda state: setattr(state, "z", state.z.astype(np.int32)),
+        lambda state: setattr(state, "z", np.repeat(state.z, 2)[::2]),       # strided view
+        lambda state: state.s.setflags(write=False),
+        lambda state: setattr(state, "s", state.s.tolist()),
     ])
     def test_assignments_that_do_not_fit_are_rejected(self, small_state, monkeypatch, spoil):
         monkeypatch.setattr(model, "_sweep_kernel", lambda *args: pytest.fail("C sweep called"))
         spoil(small_state)
+        rng_state = small_state.rng.bit_generator.state
         with pytest.raises(ValueError, match="z/s do not fit"):
             gibbs_sweep(small_state)
+        assert small_state.rng.bit_generator.state == rng_state
+        assert small_state.sweep_index == 0
 
 
 class TestSweep:
@@ -582,14 +615,14 @@ class TestSweep:
         state.decrement(0, 0)
         cond = gibbs_conditional(state, 0, 0)
         assert cond.max() / cond.sum() >= 1 - 1e-12
-        state.increment(0, 0, state.s[0][0], state.z[0][0])
+        state.increment(0, 0, state.s[0], state.z[0])
         gibbs_sweep(state)
-        assert state.s[0][0] == 0
+        assert state.s[0] == 0
 
     def test_exchange_restores_counts_bitwise(self, small_state):
         snapshot = (small_state.n_TW.copy(), small_state.n_STW.copy(),
                     small_state.n_DT.copy(), small_state.n_DS.copy())
-        j, k = small_state.s[0][1], small_state.z[0][1]
+        j, k = small_state.s[1], small_state.z[1]
         small_state.decrement(0, 1)
         small_state.increment(0, 1, j, k)
         assert np.array_equal(small_state.n_TW, snapshot[0])
@@ -601,7 +634,8 @@ class TestSweep:
         small_state.decrement(1, 0)
         cond = gibbs_conditional(small_state, 1, 0)
         assert abs((cond / cond.sum()).sum() - 1.0) <= 1e-12
-        small_state.increment(1, 0, small_state.s[1][0], small_state.z[1][0])
+        i = small_state.flat.doc_start[1]
+        small_state.increment(1, 0, small_state.s[i], small_state.z[i])
 
 
 class TestMapObjective:
@@ -757,10 +791,8 @@ class TestTrain:
         schedule = Schedule(burn_in=2, interleave=2, total=10)
         a = train(init(*args, rng_seed=42), schedule)
         b = train(init(*args, rng_seed=42), schedule)
-        for za, zb in zip(a.z, b.z):
-            assert np.array_equal(za, zb)
-        for sa, sb in zip(a.s, b.s):
-            assert np.array_equal(sa, sb)
+        assert np.array_equal(a.z, b.z)
+        assert np.array_equal(a.s, b.s)
         assert np.array_equal(a.y_topic, b.y_topic)
 
 
@@ -778,8 +810,7 @@ class TestTrain:
         resumed = train(load_checkpoint(path, corpus), schedule)
         assert resumed.optimize_log == whole.optimize_log[1:]
         assert [t for t, _, _ in resumed.optimize_log] == [10]
-        for za, zb in zip(whole.z, resumed.z):
-            assert np.array_equal(za, zb)
+        assert np.array_equal(whole.z, resumed.z)
         assert np.array_equal(whole.y_senti, resumed.y_senti)
 
 
@@ -836,12 +867,7 @@ class TestCheckpoint:
         save_checkpoint(small_state, path)
         for corpus in (None, make_corpus(FIXTURE_DOCS)):
             loaded = load_checkpoint(path, corpus)
-            for name in ("z", "s"):
-                mine, theirs = getattr(small_state, name), getattr(loaded, name)
-                assert len(mine) == len(theirs), name
-                for a, b in zip(mine, theirs):
-                    assert a.dtype == b.dtype and np.array_equal(a, b), name
-            for name in COUNT_NAMES + ("y_topic", "y_senti", "seed_mask", "beta_prime",
+            for name in ("z", "s") + COUNT_NAMES + ("y_topic", "y_senti", "seed_mask", "beta_prime",
                                        "bar_beta_prime"):
                 mine, theirs = getattr(small_state, name), getattr(loaded, name)
                 assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs), name
@@ -863,8 +889,7 @@ class TestCheckpoint:
         assert resumed.counts_consistent()
         gibbs_sweep(state)
         gibbs_sweep(resumed)
-        for za, zb in zip(state.z, resumed.z):
-            assert np.array_equal(za, zb)
+        assert np.array_equal(state.z, resumed.z)
 
     def test_missing_key_names_it(self, tmp_path, small_state):
         import json
@@ -935,6 +960,30 @@ class TestCheckpoint:
             save_checkpoint(small_state, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
+
+    def test_state_without_its_corpus_is_not_saved(self, tmp_path, small_state, monkeypatch):
+        # loaded without a corpus, a state holds z/s but no sentences for them
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(small_state, path)
+        before = path.read_bytes()
+        loaded = load_checkpoint(path)
+        assert loaded.z.shape == (6,) and loaded.flat.doc.shape == (0,)
+        monkeypatch.setattr(model, "open", lambda *args, **kwargs: pytest.fail("file opened"),
+                            raising=False)
+        with pytest.raises(ValueError, match="z/s do not fit"):
+            save_checkpoint(loaded, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
+
+    def test_counts_that_do_not_match_the_corpus_name_the_file(self, tmp_path, small_state):
+        import json
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(small_state, path)
+        payload = json.loads(path.read_text())
+        payload["n_DT"][0][0] += 1
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"^checkpoint {re.escape(str(path))}: counts do not"):
+            load_checkpoint(path, make_corpus(FIXTURE_DOCS))
 
     def test_vocab_hash_checked(self, tmp_path, small_state):
         import json
