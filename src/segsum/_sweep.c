@@ -1,12 +1,16 @@
 /* One collapsed Gibbs sweep of the joint sentiment-topic model, compiled and
  * loaded by segsum.model (see gibbs_sweep there).
  *
- * It samples the chain of the Python kernel in model.py, so it computes the
- * same terms and adds them in the same order: token sums left to right, the
- * denominators (and the aspect numerators of a one-topic model) in numpy's
- * pairwise order, the conditional as ((aspect + senti) + doc_topic) +
- * doc_senti, and the draw by a first-cumulative-weight-above search. log
- * and exp are libm's, which CPython's math.log and math.exp call. Build it
+ * It samples the chain of the per-sentence numpy sampler in tests/oracles.py
+ * (numpy_gibbs_sweep, with libm's log and exp), so it computes the same
+ * terms and adds them in numpy's order. numpy_conditional_log sums num and
+ * den over their last axis: left to right where that axis is strided (the
+ * numerators, except the aspect numerators of a one-topic model, whose row
+ * is contiguous), and in numpy's pairwise order over a contiguous row (the
+ * denominators and those one-topic aspect numerators). The conditional is
+ * ((aspect + senti) + doc_topic) + doc_senti, and the draw is
+ * np.searchsorted(side="right") over np.cumsum of the weights. log and exp
+ * are libm's, which CPython's math.log and math.exp call too. Build it
  * with -fno-fast-math -ffp-contract=off, so that the compiler neither
  * reorders nor fuses the floating-point operations.
  *
@@ -32,7 +36,9 @@ static double sum_in_order(const double *a, int64_t n)
     return total;
 }
 
-/* model._pairwise: numpy's pairwise sum over a contiguous row */
+/* numpy's pairwise sum over a contiguous row, as in den.sum(axis=...) of
+ * numpy_conditional_log: left to right below 8 terms, else 8 interleaved
+ * partial sums, halving the row recursively above 128 terms */
 static double pairwise(const double *a, int64_t n)
 {
     if (n < 8)
@@ -55,9 +61,11 @@ static double pairwise(const double *a, int64_t n)
     return total;
 }
 
-/* model._log_rising_ratios for one count row: the sum of ln(row[w] +
- * smoother[w * stride] + o) over the ids w and their repeat offsets o, minus
- * the sum of ln(x + t) for t below n. work holds 2 n doubles. */
+/* One row of numpy_conditional_log's num.sum(axis=-1) - den.sum(axis=-1),
+ * for a topic's or a (sentiment, topic) pair's count row: the sum of
+ * ln(row[w] + smoother[w * stride] + o) over the ids w and their repeat
+ * offsets o, minus the sum of ln(x + t) for t below n. work holds 2 n
+ * doubles. */
 static double log_rising_ratio(const double *row, const double *smoother, int64_t stride,
                                double x, const int64_t *ids, const int64_t *offsets,
                                int64_t n, int pairwise_numerators, double *work)
@@ -71,8 +79,8 @@ static double log_rising_ratio(const double *row, const double *smoother, int64_
     return num - pairwise(dens, n);
 }
 
-/* model._move: add step (+1 or -1) times one sentence, assigned
- * sentiment j and topic k, to the counts */
+/* numpy_decrement (step -1) or numpy_increment (step +1): add step times
+ * one sentence, assigned sentiment j and topic k, to the counts */
 static void move(int64_t step, int64_t d, int64_t j, int64_t k, int64_t S, int64_t T,
                  int64_t V, int64_t Vp, const int64_t *a_ids, int64_t na,
                  const int64_t *s_ids, int64_t ns, double *n_TW, double *n_STW,
@@ -88,8 +96,10 @@ static void move(int64_t step, int64_t d, int64_t j, int64_t k, int64_t S, int64
     n_DS[d * S + j] += (double)step;
 }
 
-/* model._draw: the index of the first cumulative weight exp(logp[m] - max)
- * above u times the total. The cumulative weights overwrite logp. */
+/* numpy_gibbs_sweep's pick: the index of the first entry of
+ * np.cumsum(exp(logp - logp.max())) above u times the total, as
+ * np.searchsorted(side="right") finds it. The cumulative weights overwrite
+ * logp. */
 static int64_t draw(double *logp, int64_t n, double u)
 {
     double top = logp[0], total = 0.0;

@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .corpus import numbered_lines
+
 POSITIVE, NEGATIVE = 0, 1
 
 
@@ -64,22 +66,21 @@ class PolarityLexicon:
     @classmethod
     def from_tsv(cls, path):
         scores = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise ValueError(f"{path}:{lineno}: expected 'stem<TAB>score'")
-                try:
-                    score = float(parts[1])
-                except ValueError:
-                    score = math.nan
-                if not math.isfinite(score):
-                    raise ValueError(f"{path}:{lineno}: score {parts[1]!r} is not "
-                                     f"a finite number")
-                scores[parts[0]] = score
+        for lineno, line in numbered_lines(path):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise ValueError(f"{path}:{lineno}: expected 'stem<TAB>score'")
+            try:
+                score = float(parts[1])
+            except ValueError:
+                score = math.nan
+            if not math.isfinite(score):
+                raise ValueError(f"{path}:{lineno}: score {parts[1]!r} is not "
+                                 f"a finite number")
+            scores[parts[0]] = score
         return cls(scores)
 
 

@@ -48,6 +48,18 @@ class CorpusFormatError(ValueError):
         self.lineno = lineno
 
 
+def numbered_lines(path):
+    """(lineno, line) for each line of the UTF-8 text file at path, counted
+    from 1, without its line ending. Each line is decoded on its own, so a
+    line that is not UTF-8 raises CorpusFormatError naming it."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                yield lineno, raw.decode("utf-8").rstrip("\r\n")
+            except UnicodeDecodeError as exc:
+                raise CorpusFormatError(path, lineno, f"not UTF-8 text: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class Token:
     surface: str
@@ -103,17 +115,27 @@ def ingest_tagged(path, format: str = "jsonl",
     raise ValueError(f"unknown corpus format: {format!r}")
 
 
+def _not_a_token(pair):
+    raise ValueError(f"token {pair!r} is not a [surface, tag] pair of strings")
+
+
 def review_from_record(obj, extra_sentiment=DEFAULT_EXTRA_SENTIMENT) -> Review:
-    """Build a Review from one decoded JSONL record; empty sentences drop."""
-    review = Review(
-        id=str(obj["id"]),
-        entity_id=str(obj["entity_id"]),
-        sentences=[],
-        pros=[str(p) for p in obj.get("pros", [])],
-        cons=[str(c) for c in obj.get("cons", [])],
-    )
+    """Build a Review from one decoded JSONL record; empty sentences drop.
+    ValueError unless id and entity_id are strings or integers, pros and cons
+    lists of strings, and each token a [surface, tag] pair of strings."""
+    if type(obj["id"]) not in (str, int) or type(obj["entity_id"]) not in (str, int):
+        raise ValueError("id and entity_id must be strings or integers")
+    pros, cons = obj.get("pros", []), obj.get("cons", [])
+    if type(pros) is not list or type(cons) is not list or not set(map(type, pros + cons)) <= {str}:
+        raise ValueError("pros and cons must be lists of strings")
+    review = Review(str(obj["id"]), str(obj["entity_id"]), [], list(pros), list(cons))
     for sent in obj["sentences"]:
-        tokens = [make_token(str(s), str(p), extra_sentiment) for s, p in sent]
+        # type tests, not a checking function: a valid token costs no more
+        # Python calls than the str() conversions these tests replaced
+        tokens = [make_token(surface, pos, extra_sentiment)
+                  for pair in sent for surface, pos in (pair,)
+                  if type(pair) in (list, tuple) and type(surface) is str and type(pos) is str
+                  or _not_a_token(pair)]
         if tokens:
             review.sentences.append(Sentence(tokens, review.id))
     return review
@@ -121,17 +143,16 @@ def review_from_record(obj, extra_sentiment=DEFAULT_EXTRA_SENTIMENT) -> Review:
 
 def _ingest_jsonl(path, extra_sentiment) -> Corpus:
     reviews = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                review = review_from_record(json.loads(line), extra_sentiment)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CorpusFormatError(path, lineno, f"bad review record: {exc}") from exc
-            if not review.entity_id:
-                raise CorpusFormatError(path, lineno, "empty entity_id")
-            reviews.append(review)
+    for lineno, line in numbered_lines(path):
+        if not line.strip():
+            continue
+        try:
+            review = review_from_record(json.loads(line), extra_sentiment)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorpusFormatError(path, lineno, f"bad review record: {exc}") from exc
+        if not review.entity_id:
+            raise CorpusFormatError(path, lineno, "empty entity_id")
+        reviews.append(review)
     return Corpus(reviews)
 
 
@@ -146,32 +167,30 @@ def _ingest_conll(path, extra_sentiment) -> Corpus:
             current.sentences.append(Sentence(tokens, current.id))
         tokens = []
 
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if line.startswith("#REVIEW"):
-                flush_sentence()
-                parts = line.split()
-                if len(parts) != 3:
-                    raise CorpusFormatError(path, lineno, "#REVIEW needs 'id entity_id'")
-                current = Review(id=parts[1], entity_id=parts[2], sentences=[])
-                reviews.append(current)
-            elif line.startswith("#PROS") or line.startswith("#CONS"):
-                if current is None:
-                    raise CorpusFormatError(path, lineno, "item line before #REVIEW")
-                item = line.split(None, 1)
-                text = item[1] if len(item) > 1 else ""
-                (current.pros if line.startswith("#PROS") else current.cons).append(text)
-            elif not line.strip():
-                flush_sentence()
-            else:
-                if current is None:
-                    raise CorpusFormatError(path, lineno, "token line before #REVIEW")
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise CorpusFormatError(path, lineno, f"expected 'surface<TAB>pos', got {line!r}")
-                tokens.append(make_token(parts[0], parts[1], extra_sentiment))
-        flush_sentence()
+    for lineno, line in numbered_lines(path):
+        if line.startswith("#REVIEW"):
+            flush_sentence()
+            parts = line.split()
+            if len(parts) != 3:
+                raise CorpusFormatError(path, lineno, "#REVIEW needs 'id entity_id'")
+            current = Review(id=parts[1], entity_id=parts[2], sentences=[])
+            reviews.append(current)
+        elif line.startswith("#PROS") or line.startswith("#CONS"):
+            if current is None:
+                raise CorpusFormatError(path, lineno, "item line before #REVIEW")
+            item = line.split(None, 1)
+            text = item[1] if len(item) > 1 else ""
+            (current.pros if line.startswith("#PROS") else current.cons).append(text)
+        elif not line.strip():
+            flush_sentence()
+        else:
+            if current is None:
+                raise CorpusFormatError(path, lineno, "token line before #REVIEW")
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise CorpusFormatError(path, lineno, f"expected 'surface<TAB>pos', got {line!r}")
+            tokens.append(make_token(parts[0], parts[1], extra_sentiment))
+    flush_sentence()
     return Corpus(reviews)
 
 
@@ -281,9 +300,8 @@ def build_reference_summaries(corpus: Corpus) -> dict:
 def load_wordlist(path) -> frozenset:
     """One lowercase stem per line; '#' comments and blanks ignored."""
     words = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                words.add(line.lower())
+    for _, line in numbered_lines(path):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            words.add(line.lower())
     return frozenset(words)

@@ -20,15 +20,15 @@ import os
 import subprocess
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain, repeat
-from math import exp, log as ln
+from itertools import chain
 from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize
 from scipy.special import gammaln, psi
+
+from .corpus import numbered_lines
 
 log = logging.getLogger(__name__)
 
@@ -80,18 +80,17 @@ class SeedList:
     def from_file(cls, path):
         """Lines of '<polarity>\t<stem>' with polarity in {positive, negative}."""
         polarity_of = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                fields = line.split()
-                if len(fields) != 2 or fields[0] not in ("positive", "negative"):
-                    raise ValueError(f"{path}:{lineno}: expected "
-                                     f"'positive|negative<TAB>stem', got {line!r}")
-                polarity, word = fields
-                if polarity_of.setdefault(word, polarity) != polarity:
-                    raise ValueError(f"{path}:{lineno}: seed word {word!r} in both polarities")
+        for lineno, line in numbered_lines(path):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            fields = line.split()
+            if len(fields) != 2 or fields[0] not in ("positive", "negative"):
+                raise ValueError(f"{path}:{lineno}: expected "
+                                 f"'positive|negative<TAB>stem', got {line!r}")
+            polarity, word = fields
+            if polarity_of.setdefault(word, polarity) != polarity:
+                raise ValueError(f"{path}:{lineno}: seed word {word!r} in both polarities")
         positive = frozenset(w for w, p in polarity_of.items() if p == "positive")
         return cls(positive, frozenset(polarity_of) - positive)
 
@@ -219,15 +218,6 @@ class ModelState:
 
     # -- count bookkeeping ---------------------------------------------------
 
-    def decrement(self, d, c):
-        i = self.flat.doc_start[d] + c
-        _move(self, d, self.docs[d][c], self.s[i], self.z[i], -1)
-
-    def increment(self, d, c, j, k):
-        _move(self, d, self.docs[d][c], j, k, 1)
-        i = self.flat.doc_start[d] + c
-        self.z[i], self.s[i] = k, j
-
     def recount(self):
         """Rebuild all count matrices from the assignments: one bincount per
         matrix over the flat corpus."""
@@ -297,201 +287,25 @@ def init(corpus, vocab, hp, seeds=None, rng_seed=0) -> ModelState:
 
 # -- collapsed Gibbs sampler (sentence block) --------------------------------
 #
-# Two kernels sample one chain. gibbs_sweep runs the C sweep of _sweep.c,
-# compiled and loaded at import (_load_sweep_kernel), over the corpus as flat
-# arrays (ModelState.flat, built with the state) and the state's z/s and
-# count arrays, which it updates in place; z/s follow the flat corpus's
-# sentence order, so the sweep copies nothing. The Python kernel serves the
-# per-sentence entry points (ModelState.decrement/increment,
-# gibbs_conditional_log), and gibbs_sweep falls back to it when the C sweep
-# cannot be built or loaded: _move updates the counts, _log_conditional
-# evaluates the conditional and _draw picks from it. It reads counts as
-# counts.n_TW[k][w], which works on a ModelState's numpy arrays and, much
-# faster, on the nested lists that _python_sweep copies them into for one
-# sweep. Both kernels sample the chain of the per-sentence numpy expressions
-# they replaced (tests/oracles.py), so they add in their order: left to right
-# over a sentence's tokens (pairwise over the aspect tokens of a one-topic
-# model), and in numpy's pairwise order (_pairwise) over the log terms of a
-# denominator's rising factorial. One helper, _log_rising_ratios, computes
-# both word blocks; _sweep.c mirrors each of these functions.
-
-def _move(counts, d, sent, j, k, step):
-    """Add step (+1 or -1) times sentence sent of document d, assigned
-    sentiment j and topic k, to the counts."""
-    row = counts.n_TW[k]
-    for w in sent.aspect:
-        row[w] += step
-    row = counts.n_STW[j][k]
-    for w in sent.senti:
-        row[w] += step
-    counts.n_TW_rows[k] += step * len(sent.aspect)
-    counts.n_STW_rows[j][k] += step * len(sent.senti)
-    counts.n_DT[d][k] += step
-    counts.n_DS[d][j] += step
-
-
-def _sum_in_order(a):
-    """sum(a), added left to right from 0.0."""
-    total = 0.0
-    for v in a:
-        total += v
-    return total
-
-
-def _pairwise(a):
-    """sum(a) in the order of numpy's pairwise sum over a contiguous row: left
-    to right below 8 terms, else 8 interleaved partial sums (halving
-    recursively above 128 terms)."""
-    n = len(a)
-    if n < 8:
-        return _sum_in_order(a)
-    if n > 128:
-        half = n // 2
-        half -= half % 8
-        return _pairwise(a[:half]) + _pairwise(a[half:])
-    r = a[:8]
-    tail = n - n % 8
-    for i in range(8, tail, 8):
-        for m in range(8):
-            r[m] += a[i + m]
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for v in a[tail:]:
-        total += v
-    return total
-
-
-def _log_rising_ratios(ln, rows, smoothers, totals, bars, ids, offsets, pairwise_numerators):
-    """For each count row (a topic's, or a sentiment-topic pair's) with its
-    smoother row, row total and smoother total, the log of one word block's
-    factor, a ratio of rising factorials: the sum of ln(row[w] + smoother[w]
-    + o) over the ids w and their repeat offsets o, minus the sum of
-    ln(total + bar + t) for t below len(ids), each added in the order numpy
-    added it."""
-    n = len(ids)
-    out = []
-    for row, smoother, total, bar in zip(rows, smoothers, totals, bars):
-        x = total + bar
-        if offsets is None and n < 8:
-            # no repeats, and below 8 terms numpy's pairwise sum adds left to
-            # right too: the same sums without the lists
-            num = den = 0.0
-            for t, w in enumerate(ids):
-                num += ln(row[w] + smoother[w])
-                den += ln(x + t)
-        else:
-            nums = [ln(row[w] + smoother[w] + o) for w, o in zip(ids, offsets or repeat(0))]
-            num = _pairwise(nums) if pairwise_numerators else _sum_in_order(nums)
-            den = _pairwise([ln(x + t) for t in range(n)])
-        out.append(num - den)
-    return out
-
-
-@lru_cache(maxsize=4)
-def _constant_row(value, length):
-    """[value] * length, built once: the aspect words' smoother row."""
-    return [value] * length
-
-
-def _ln_or_minus_inf(x):
-    return ln(x) if x > 0 else -math.inf
-
-
-def _log_conditional(counts, hp, V, sent, d):
-    """Log of the unnormalized conditional of sentence sent of document d,
-    whose own assignment is not in the counts, as a flat list indexed
-    j * T + k."""
-    try:
-        return _log_terms(counts, hp, V, sent, d, ln)
-    except ValueError:
-        # a sentiment smoother that underflowed to 0 under a zero count: the
-        # cell's log is -inf, as np.log gives it
-        return _log_terms(counts, hp, V, sent, d, _ln_or_minus_inf)
-
-
-def _log_terms(counts, hp, V, sent, d, ln):
-    T, beta, alpha, gamma = hp.num_topics, hp.beta, hp.alpha, hp.gamma
-    aspect, aspect_offsets, senti, senti_offsets = sent
-    doc_topic = [ln(n + alpha) for n in counts.n_DT[d]]
-    doc_senti = [ln(n + gamma) for n in counts.n_DS[d]]
-    # one aspect term per topic. numpy summed the numerators of one topic
-    # pairwise (a contiguous row), of several topics left to right (along a
-    # strided axis)
-    aspect_term = [0.0] * T
-    if aspect:
-        aspect_term = _log_rising_ratios(
-            ln, counts.n_TW, repeat(_constant_row(beta, V)), counts.n_TW_rows, repeat(V * beta),
-            aspect, aspect_offsets, T == 1)
-    # one sentiment term per (j, k), j-major
-    senti_term = [0.0] * (len(doc_senti) * T)
-    if senti:
-        cells = chain.from_iterable
-        senti_term = _log_rising_ratios(
-            ln, cells(counts.n_STW), cells(counts.beta_prime), cells(counts.n_STW_rows),
-            cells(counts.bar_beta_prime), senti, senti_offsets, False)
-    logp = []
-    for j, e in enumerate(doc_senti):
-        logp += [((a + b) + c) + e
-                 for a, b, c in zip(aspect_term, senti_term[j * T:(j + 1) * T], doc_topic)]
-    return logp
-
-
-def _draw(logp, u):
-    """Index of the first cumulative weight above u times the total, the
-    weights being exp(logp - max(logp)) in order."""
-    top = max(logp)
-    cumulative = []
-    total = 0.0
-    for v in logp:
-        total += exp(v - top)
-        cumulative.append(total)
-    x = u * total
-    for i, c in enumerate(cumulative):
-        if c > x:
-            return i
-    return len(logp) - 1
-
-
-class _CountLists:
-    """A ModelState's counts and sentiment smoothers as nested lists, for the
-    scalar kernel during one sweep."""
-
-    _COUNTS = ("n_TW", "n_STW", "n_DT", "n_DS", "n_TW_rows", "n_STW_rows")
-
-    def __init__(self, state):
-        for name in self._COUNTS + ("beta_prime", "bar_beta_prime"):
-            setattr(self, name, getattr(state, name).tolist())
-
-    def write_back(self, state):
-        for name in self._COUNTS:
-            getattr(state, name)[...] = getattr(self, name)
-
-
-def gibbs_conditional_log(state, d, c):
-    """Log of the unnormalized (S, T) conditional for sentence (d, c).
-
-    The sentence's own assignment must already be decremented.
-    """
-    hp = state.hp
-    logp = _log_conditional(state, hp, state.vocab.num_aspect_words, state.docs[d][c], d)
-    return np.array(logp).reshape(hp.num_sentiments, hp.num_topics)
-
-
-def gibbs_conditional(state, d, c):
-    """Unnormalized (S, T) conditional probabilities (linear scale)."""
-    return np.exp(gibbs_conditional_log(state, d, c))
-
+# gibbs_sweep runs the C sweep of _sweep.c, compiled and loaded at import
+# (_load_sweep_kernel), over the corpus as flat arrays (ModelState.flat, built
+# with the state) and the state's z/s and count arrays, which it updates in
+# place; z/s follow the flat corpus's sentence order, so the sweep copies
+# nothing. It samples the chain of the per-sentence numpy sampler in
+# tests/oracles.py, so it adds every sum in that sampler's order.
 
 _SWEEP_SOURCE = os.path.join(os.path.dirname(__file__), "_sweep.c")
 _SWEEP_CACHE = os.path.join(os.path.dirname(__file__), "__pycache__")
 # -ffp-contract=off: no fused multiply-adds, which would round differently
-# from CPython's separate operations
+# from the separately rounded operations of the numpy sampler
 _CC_FLAGS = ("-O2", "-fno-fast-math", "-ffp-contract=off", "-shared", "-fPIC")
 
 
 def _load_sweep_kernel():
-    """segsum_sweep of _sweep.c, compiled by cc into __pycache__ under the
-    hash of the source and the flags unless that file exists; None, logged
-    at debug level, when it cannot be built or loaded."""
+    """(segsum_sweep of _sweep.c, None), compiled by cc into __pycache__
+    under the hash of the source and the flags unless that file exists; or
+    (None, the cause) when cc is missing, the build fails, its output does
+    not load or the cache cannot be written."""
     try:
         with open(_SWEEP_SOURCE, "rb") as fh:
             key = hashlib.sha256(fh.read() + " ".join(_CC_FLAGS).encode()).hexdigest()
@@ -512,41 +326,14 @@ def _load_sweep_kernel():
                 if os.path.exists(tmp):
                     os.remove(tmp)
     except (OSError, subprocess.SubprocessError, AttributeError) as exc:
-        log.debug("compiled Gibbs sweep unavailable, sweeping with the Python kernel: %s", exc)
-        return None
+        return None, f"{type(exc).__name__}: {exc}"
     kernel.restype = None
     kernel.argtypes = [ctypes.c_int64] * 5 + [ctypes.c_double] * 3 + [ctypes.c_void_p] * 19
-    return kernel
+    return kernel, None
 
 
-_sweep_kernel = _load_sweep_kernel()
-
-
-def gibbs_sweep(state):
-    """Resample every sentence in corpus order, with one uniform draw each
-    (rng.random()); mutates and returns state. Runs the compiled kernel when
-    it loaded, else the Python one: both sample the same chain."""
-    state.check_assignments()
-    if _sweep_kernel is None:
-        _python_sweep(state)
-    else:
-        _compiled_sweep(state, _sweep_kernel)
-    state.sweep_index += 1
-    return state
-
-
-def _python_sweep(state):
-    hp = state.hp
-    T, V = hp.num_topics, state.vocab.num_aspect_words
-    counts = _CountLists(state)
-    random = state.rng.random
-    z, s = state.z.tolist(), state.s.tolist()
-    for i, (d, sent) in enumerate(zip(state.flat.doc.tolist(), chain.from_iterable(state.docs))):
-        _move(counts, d, sent, s[i], z[i], -1)
-        s[i], z[i] = divmod(_draw(_log_conditional(counts, hp, V, sent, d), random()), T)
-        _move(counts, d, sent, s[i], z[i], 1)
-    state.z[:], state.s[:] = z, s
-    counts.write_back(state)
+# Import succeeds without the kernel: only gibbs_sweep needs it.
+_sweep_kernel, _sweep_unavailable = _load_sweep_kernel()
 
 
 def _pointer(array, name, shape):
@@ -559,7 +346,15 @@ def _pointer(array, name, shape):
     return array.ctypes.data
 
 
-def _compiled_sweep(state, kernel):
+def gibbs_sweep(state):
+    """Resample every sentence in corpus order with the compiled sweep, with
+    one uniform draw each (rng.random()); mutates and returns state.
+    ValueError, naming cc and the cause, when the sweep was not built or
+    loaded."""
+    if _sweep_kernel is None:
+        raise ValueError(f"the Gibbs sweep could not be built with cc from {_SWEEP_SOURCE} "
+                         f"or loaded: {_sweep_unavailable}")
+    state.check_assignments()
     hp, flat = state.hp, state.flat
     S, T = hp.num_sentiments, hp.num_topics
     V, Vp, D = state.vocab.num_aspect_words, state.vocab.num_senti_words, len(state.docs)
@@ -570,9 +365,11 @@ def _compiled_sweep(state, kernel):
         ("beta_prime", (S, T, Vp)), ("bar_beta_prime", (S, T)))]
     u = state.rng.random(n)
     work = np.empty(S * T + T + 2 * flat.longest)
-    kernel(n, S, T, V, Vp, hp.alpha, hp.beta, hp.gamma,
-           *(a.ctypes.data for a in flat[:7]), u.ctypes.data, state.z.ctypes.data,
-           state.s.ctypes.data, *counts, work.ctypes.data)
+    _sweep_kernel(n, S, T, V, Vp, hp.alpha, hp.beta, hp.gamma,
+                  *(a.ctypes.data for a in flat[:7]), u.ctypes.data, state.z.ctypes.data,
+                  state.s.ctypes.data, *counts, work.ctypes.data)
+    state.sweep_index += 1
+    return state
 
 
 # -- MAP smoother optimization ----------------------------------------------

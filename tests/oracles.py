@@ -3,7 +3,7 @@
 Everything here is written with plain loops and, where useful, arbitrary
 precision, deliberately sharing no code with the package under test. The
 exception to plain loops is the per-sentence numpy Gibbs sampler that the
-package used before its scalar kernel: the kernel must sample its chain.
+package used before its compiled sweep: the sweep must sample its chain.
 """
 
 import math
@@ -258,9 +258,27 @@ def extraction_oracle(pairs, pattern_ids, max_words, negation_words):
 
 # -- per-sentence numpy Gibbs sampler ------------------------------------------
 #
-# The sampler that segsum.model ran before its scalar kernel: each sentence's
+# The sampler that segsum.model ran before its compiled sweep: each sentence's
 # counts move with np.add.at, and its (S, T) conditional is one array
-# expression. These functions work on a segsum.model.ModelState.
+# expression. These functions work on a segsum.model.ModelState. They take
+# logarithms and exponentials with libm's log and exp, elementwise, as
+# math.log, math.exp and the compiled sweep do (np.log and np.exp can differ
+# from them in the last bit). The results keep the memory layout that np.log
+# and np.exp would give, so every sum(axis=...) adds in numpy's order.
+
+_libm_log = np.frompyfunc(lambda x: math.log(x) if x > 0 else -math.inf, 1, 1)
+_libm_exp = np.frompyfunc(math.exp, 1, 1)
+
+
+def libm_log(a):
+    """log of each entry of a with libm's log; -inf where it is 0."""
+    return _libm_log(a).astype(float)
+
+
+def libm_exp(a):
+    """exp of each entry of a with libm's exp."""
+    return _libm_exp(a).astype(float)
+
 
 def numpy_sentences(docs):
     """Per document, per sentence (aspect ids, aspect offsets, senti ids,
@@ -318,18 +336,25 @@ def numpy_conditional_log(state, sentences, d, c):
     V = state.vocab.num_aspect_words
     logp = np.zeros((hp.num_sentiments, hp.num_topics))
     if len(aspect):
-        num = np.log(state.n_TW[:, aspect] + hp.beta + aspect_offsets)
-        den = np.log(state.n_TW_rows[:, None] + V * hp.beta + np.arange(len(aspect)))
+        num = libm_log(state.n_TW[:, aspect] + hp.beta + aspect_offsets)
+        den = libm_log(state.n_TW_rows[:, None] + V * hp.beta + np.arange(len(aspect)))
         logp += (num.sum(axis=1) - den.sum(axis=1))[None, :]
     if len(senti):
-        num = np.log(state.n_STW[:, :, senti] + state.beta_prime[:, :, senti]
-                     + senti_offsets)
-        den = np.log(state.n_STW_rows[:, :, None] + state.bar_beta_prime[:, :, None]
-                     + np.arange(len(senti)))
+        num = libm_log(state.n_STW[:, :, senti] + state.beta_prime[:, :, senti]
+                       + senti_offsets)
+        den = libm_log(state.n_STW_rows[:, :, None] + state.bar_beta_prime[:, :, None]
+                       + np.arange(len(senti)))
         logp += num.sum(axis=2) - den.sum(axis=2)
-    logp += np.log(state.n_DT[d] + hp.alpha)[None, :]
-    logp += np.log(state.n_DS[d] + hp.gamma)[:, None]
+    logp += libm_log(state.n_DT[d] + hp.alpha)[None, :]
+    logp += libm_log(state.n_DS[d] + hp.gamma)[:, None]
     return logp
+
+
+def numpy_draw(logp, u):
+    """The flat index j * T + k of the first cumulative weight above u times
+    the total, the weights being exp(logp - logp.max()) in order."""
+    cum = np.cumsum(libm_exp(logp - logp.max()).ravel())
+    return min(int(np.searchsorted(cum, u * cum[-1], side="right")), cum.size - 1)
 
 
 def numpy_gibbs_sweep(state):
@@ -340,12 +365,7 @@ def numpy_gibbs_sweep(state):
         for c in range(len(doc)):
             numpy_decrement(state, sentences, d, c)
             logp = numpy_conditional_log(state, sentences, d, c)
-            p = np.exp(logp - logp.max())
-            flat = p.ravel()
-            cum = np.cumsum(flat)
-            pick = np.searchsorted(cum, state.rng.random() * cum[-1], side="right")
-            pick = min(pick, flat.size - 1)
-            j, k = divmod(int(pick), state.hp.num_topics)
+            j, k = divmod(numpy_draw(logp, state.rng.random()), state.hp.num_topics)
             numpy_increment(state, sentences, d, c, j, k)
     state.sweep_index += 1
     return state

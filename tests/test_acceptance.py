@@ -47,27 +47,23 @@ def test_sampler_exactness():
     state = model.init(corpus, vocab, hp,
                        model.SeedList(frozenset({"good"}), frozenset({"bad"})),
                        rng_seed=123)
+    sentences = oracles.numpy_sentences(state.docs)
     # freeze the padding sentence so the target conditional is constant
-    state.decrement(1, 0)
-    state.increment(1, 0, 0, 0)
+    oracles.numpy_decrement(state, sentences, 1, 0)
+    oracles.numpy_increment(state, sentences, 1, 0, 0, 0)
 
-    state.decrement(0, 0)
-    exact = model.gibbs_conditional(state, 0, 0)
+    oracles.numpy_decrement(state, sentences, 0, 0)
+    exact = np.exp(oracles.numpy_conditional_log(state, sentences, 0, 0))
     exact = exact / exact.sum()
-    state.increment(0, 0, state.s[0], state.z[0])
+    oracles.numpy_increment(state, sentences, 0, 0, state.s[0], state.z[0])
 
     counts = np.zeros_like(exact)
     sweeps = 50_000
     for _ in range(sweeps):
-        state.decrement(0, 0)
-        logp = model.gibbs_conditional_log(state, 0, 0)
-        p = np.exp(logp - logp.max())
-        flat = p.ravel()
-        cum = np.cumsum(flat)
-        pick = min(int(np.searchsorted(cum, state.rng.random() * cum[-1],
-                                       side="right")), flat.size - 1)
-        j, k = divmod(pick, hp.num_topics)
-        state.increment(0, 0, j, k)
+        oracles.numpy_decrement(state, sentences, 0, 0)
+        logp = oracles.numpy_conditional_log(state, sentences, 0, 0)
+        j, k = divmod(oracles.numpy_draw(logp, state.rng.random()), hp.num_topics)
+        oracles.numpy_increment(state, sentences, 0, 0, j, k)
         counts[j, k] += 1
 
     tv = 0.5 * np.abs(counts / sweeps - exact).sum()

@@ -95,6 +95,20 @@ class TestConfig:
         assert "does not exist" in str(err.value)
 
 
+def _edit_third_record(path, edit):
+    lines = path.read_text().splitlines(keepends=True)
+    record = json.loads(lines[2])
+    edit(record)
+    lines[2] = json.dumps(record) + "\n"
+    path.write_text("".join(lines))
+
+
+def _stray_byte_on_the_third_line(path):
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[2] = b"\xff" + lines[2]
+    path.write_bytes(b"".join(lines))
+
+
 class TestExitCodes:
     def test_config_error_is_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
@@ -213,6 +227,36 @@ class TestExitCodes:
         assert main(["--config", str(config), command]) == 2
         err = capsys.readouterr().err
         assert "not a JSON object" in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("name,spoil,command", [
+        ("corpus.jsonl", lambda path: _edit_third_record(
+            path, lambda r: r["sentences"][0][0].__setitem__(0, None)), "preprocess"),
+        ("corpus.jsonl", lambda path: _edit_third_record(
+            path, lambda r: r.__setitem__("pros", "abc")), "preprocess"),
+        ("corpus.jsonl", _stray_byte_on_the_third_line, "preprocess"),
+        ("seeds.txt", _stray_byte_on_the_third_line, "train"),
+        ("lexicon.tsv", _stray_byte_on_the_third_line, "summarize"),
+        ("stopwords.txt", _stray_byte_on_the_third_line, "preprocess"),
+    ], ids=["null-surface", "string-pros", "corpus-byte", "seeds-byte", "lexicon-byte",
+            "stopwords-byte"])
+    def test_bad_input_line_is_two_and_names_it(self, tmp_path, capsys, name, spoil, command):
+        corpus = write_corpus(tmp_path, num_entities=2, reviews_per_entity=3)
+        (tmp_path / "seeds.txt").write_text(
+            "positive\tgood\npositive\tgreat\nnegative\tbad\nnegative\tterribl\n")
+        (tmp_path / "lexicon.tsv").write_text(
+            "".join(f"{w}\t{s}\n" for w, s in sorted(text_polarity_lexicon().items())))
+        (tmp_path / "stopwords.txt").write_text("the\nis\na\nvery\n")
+        config = write_config(tmp_path, corpus, extra="".join(
+            f"{key} = {tmp_path / file}\n" for key, file in (
+                ("seeds", "seeds.txt"), ("lexicon", "lexicon.tsv"),
+                ("stopwords", "stopwords.txt"))))
+        assert main(["--config", str(config), "train", "--iters", "2"]) == 0
+        path = tmp_path / name
+        spoil(path)
+        capsys.readouterr()
+        assert main(["--config", str(config), command]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and f"{path}:3: " in err[0]
 
     def test_corpus_format_error_is_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"

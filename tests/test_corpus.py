@@ -67,6 +67,26 @@ class TestIngest:
             ingest_tagged(path, "jsonl")
         assert ":1:" in str(err.value)
 
+    @pytest.mark.parametrize("field,value", [
+        ("id", None), ("entity_id", True), ("id", 1.5),
+        ("pros", ["fine", 3]), ("cons", {"a": "b"}), ("pros", "abc"),
+        ("sentences", [["NN"]]), ("sentences", [[["food", "NN", "x"]]]),
+        ("sentences", [[[1, "NN"]]]), ("sentences", [[["food", None]]]),
+    ])
+    def test_ill_typed_field_names_the_line(self, jsonl_corpus_file, field, value):
+        record = {"id": "a", "entity_id": 7, "sentences": [[["Great", "JJ"], ["food", "NN"]]],
+                  "pros": ["great food"], "cons": []}
+        path = jsonl_corpus_file([record, {**record, field: value}])
+        with pytest.raises(CorpusFormatError, match=r":2: bad review record: "):
+            ingest_tagged(path, "jsonl")
+        assert ingest_tagged(jsonl_corpus_file([record]), "jsonl").reviews[0].entity_id == "7"
+
+    def test_crlf_line_endings_are_read_as_line_ends(self, tmp_path):
+        path = tmp_path / "c.conll"
+        path.write_bytes(b"#REVIEW r1 e1\r\nGreat\tJJ\r\nfood\tNN\r\n")
+        tokens = ingest_tagged(path, "conll").reviews[0].sentences[0].tokens
+        assert [(t.surface, t.pos) for t in tokens] == [("Great", "JJ"), ("food", "NN")]
+
     def test_conll_format(self, tmp_path):
         path = tmp_path / "c.conll"
         path.write_text(

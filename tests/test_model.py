@@ -1,19 +1,17 @@
 import hashlib
-import math
 import re
-from itertools import accumulate
 
 import numpy as np
 import pytest
 
 from segsum import model
+from segsum.cli import main
 from segsum.corpus import Corpus, Review, Sentence, Token, build_vocabulary
 from segsum.model import (
     Hyperparams,
     Schedule,
     SeedList,
     estimate,
-    gibbs_conditional,
     gibbs_sweep,
     init,
     lexicon_polarity,
@@ -28,6 +26,7 @@ from segsum.model import (
 from segsum.synthetic import generate_generative_corpus, make_planted_model
 
 import oracles
+from test_cli import write_config, write_corpus
 
 
 def word(stem, sentiment=False):
@@ -108,40 +107,49 @@ class TestInit:
         assert not state.seed_mask.any()
 
 
+def oracle_conditional(state, sentences, d, c):
+    """The numpy sampler's unnormalized (S, T) conditional of sentence (d,
+    c), whose own assignment must already be decremented."""
+    return np.exp(oracles.numpy_conditional_log(state, sentences, d, c))
+
+
 class TestGibbsConditional:
     def test_empty_sentence_case(self):
         corpus = make_corpus([[([], []), (["food"], ["good"])]])
         vocab = build_vocabulary(corpus, min_count=1, stopwords=frozenset())
         hp = Hyperparams(num_topics=2)
         state = init(corpus, vocab, hp, SeedList(frozenset(), frozenset()), 3)
-        state.decrement(0, 0)
-        cond = gibbs_conditional(state, 0, 0)
+        sentences = oracles.numpy_sentences(state.docs)
+        oracles.numpy_decrement(state, sentences, 0, 0)
+        cond = oracle_conditional(state, sentences, 0, 0)
         expected = np.outer(state.n_DS[0] + hp.gamma, state.n_DT[0] + hp.alpha)
         assert np.allclose(cond, expected, rtol=1e-12)
-        state.increment(0, 0, state.s[0], state.z[0])
+        oracles.numpy_increment(state, sentences, 0, 0, state.s[0], state.z[0])
 
     def test_single_word_formula(self):
         corpus = make_corpus([[(["food"], []), (["food", "sauce"], [])]])
         vocab = build_vocabulary(corpus, min_count=1, stopwords=frozenset())
         hp = Hyperparams(num_topics=1)
         state = init(corpus, vocab, hp, SeedList(frozenset(), frozenset()), 0)
-        state.decrement(0, 0)
+        sentences = oracles.numpy_sentences(state.docs)
+        oracles.numpy_decrement(state, sentences, 0, 0)
         i = vocab.aspect_index["food"]
         V = vocab.num_aspect_words
         expected = ((state.n_TW[0, i] + hp.beta)
                     / (state.n_TW[0].sum() + V * hp.beta)
                     * (state.n_DT[0, 0] + hp.alpha))
-        cond = gibbs_conditional(state, 0, 0)
+        cond = oracle_conditional(state, sentences, 0, 0)
         assert np.allclose(cond[:, 0],
                            expected * (state.n_DS[0] + hp.gamma), rtol=1e-12)
 
     def test_matches_term_by_term_oracle(self, small_state):
         state = small_state
+        sentences = oracles.numpy_sentences(state.docs)
         for d in range(2):
             for c in range(3):
-                state.decrement(d, c)
+                oracles.numpy_decrement(state, sentences, d, c)
                 sent = state.docs[d][c]
-                got = gibbs_conditional(state, d, c)
+                got = oracle_conditional(state, sentences, d, c)
                 want = oracles.conditional_oracle(
                     list(sent.aspect), list(sent.senti),
                     state.n_TW.tolist(), state.n_STW.tolist(),
@@ -151,7 +159,7 @@ class TestGibbsConditional:
                 want = np.asarray(want)
                 assert np.allclose(got / got.sum(), want / want.sum(), rtol=1e-12)
                 i = state.flat.doc_start[d] + c
-                state.increment(d, c, state.s[i], state.z[i])
+                oracles.numpy_increment(state, sentences, d, c, state.s[i], state.z[i])
 
     def test_repeated_word_increments_numerator(self):
         # "bad bad" in one sentence: second occurrence sees count+1
@@ -159,7 +167,8 @@ class TestGibbsConditional:
         vocab = build_vocabulary(corpus, min_count=1, stopwords=frozenset())
         hp = Hyperparams(num_topics=1)
         state = init(corpus, vocab, hp, SeedList(frozenset(), frozenset()), 0)
-        state.decrement(0, 0)
+        sentences = oracles.numpy_sentences(state.docs)
+        oracles.numpy_decrement(state, sentences, 0, 0)
         i = vocab.senti_index["bad"]
         bp = state.beta_prime
         n = state.n_STW
@@ -168,7 +177,8 @@ class TestGibbsConditional:
             num = (n[j, 0, i] + bp[j, 0, i]) * (n[j, 0, i] + bp[j, 0, i] + 1)
             den = bar[j, 0] * (bar[j, 0] + 1)
             expected = num / den * (state.n_DT[0, 0] + hp.alpha) * (state.n_DS[0, j] + hp.gamma)
-            assert gibbs_conditional(state, 0, 0)[j, 0] == pytest.approx(expected, rel=1e-12)
+            assert oracle_conditional(state, sentences, 0, 0)[j, 0] == pytest.approx(
+                expected, rel=1e-12)
 
 
 class TestEncoding:
@@ -183,20 +193,26 @@ class TestEncoding:
         assert first.aspect[0] is vocab.aspect_index["food"]
 
 
-# The scalar kernel must sample the chain of the per-sentence numpy sampler
-# it replaced (oracles.numpy_gibbs_sweep): the same z/s, counts, smoothers
-# and RNG state, compared with ==, never with a tolerance.
+# The compiled sweep (_sweep.c) must sample the chain of the per-sentence
+# numpy sampler (oracles.numpy_gibbs_sweep, with libm's log and exp): the
+# same z/s, counts, smoothers and RNG state, compared with ==, never with a
+# tolerance.
 
 COUNT_NAMES = ("n_TW", "n_STW", "n_DT", "n_DS", "n_TW_rows", "n_STW_rows")
+PLANTED_SEEDS = SeedList(frozenset({"pos0", "pos1"}), frozenset({"neg0", "neg1"}))
 
 
-def train_with_both_samplers(corpus, hp, seeds, rng_seed, schedule, monkeypatch):
+def train_with_both_samplers(corpus, hp, seeds, rng_seed, schedule, monkeypatch, prepare=None):
     vocab = build_vocabulary(corpus, min_count=1, stopwords=frozenset())
-    kernel = train(init(corpus, vocab, hp, seeds, rng_seed), schedule)
-    with monkeypatch.context() as patch:
-        patch.setattr(model, "gibbs_sweep", oracles.numpy_gibbs_sweep)
-        reference = train(init(corpus, vocab, hp, seeds, rng_seed), schedule)
-    return kernel, reference
+    states = []
+    for sweep in (gibbs_sweep, oracles.numpy_gibbs_sweep):
+        state = init(corpus, vocab, hp, seeds, rng_seed)
+        if prepare is not None:
+            prepare(state)
+        with monkeypatch.context() as patch:
+            patch.setattr(model, "gibbs_sweep", sweep)
+            states.append(train(state, schedule))
+    return states
 
 
 def assert_same_chain(a, b):
@@ -230,64 +246,6 @@ def random_long_sentence_corpus(seed=17, num_docs=30, longest=20):
 
 
 class TestSameChainAsNumpySampler:
-    @pytest.mark.parametrize("rng_seed", [0, 2])
-    def test_planted_corpus_train_schedule(self, rng_seed, monkeypatch):
-        corpus = generate_generative_corpus(make_planted_model(num_topics=3),
-                                            num_reviews=500, rng_seed=5)
-        seeds = SeedList(frozenset({"pos0", "pos1"}), frozenset({"neg0", "neg1"}))
-        kernel, reference = train_with_both_samplers(
-            corpus, Hyperparams(num_topics=3), seeds, rng_seed,
-            Schedule(burn_in=8, interleave=2, total=12), monkeypatch)
-        assert [t for t, _, _ in kernel.optimize_log] == [10, 12]
-        assert_same_chain(kernel, reference)
-
-    @pytest.mark.parametrize("num_topics", [1, 4])
-    def test_long_sentences_with_repeated_ids(self, num_topics, monkeypatch):
-        # with one topic numpy summed the aspect numerators pairwise
-        corpus = random_long_sentence_corpus()
-        seeds = SeedList(frozenset({"sen0"}), frozenset({"sen1"}))
-        kernel, reference = train_with_both_samplers(
-            corpus, Hyperparams(num_topics=num_topics), seeds, 3,
-            Schedule(burn_in=2, interleave=2, total=6), monkeypatch)
-        sentences = [sent for doc in kernel.docs for sent in doc]
-        assert sum(len(x.aspect) >= 8 and x.aspect_offsets is not None for x in sentences) > 50
-        assert sum(len(x.senti) >= 8 and x.senti_offsets is not None for x in sentences) > 50
-        assert_same_chain(kernel, reference)
-
-    @pytest.mark.parametrize("num_topics", [1, 3])
-    def test_conditional_adds_in_the_numpy_order(self, num_topics):
-        # With np.log for its logarithm, the kernel's conditional equals the
-        # numpy expression's bit for bit: the same terms added in the same
-        # order, up to pairwise sums of more than 128 terms. (math.log, which
-        # the kernel uses, can differ from np.log in the last bit.)
-        corpus = random_long_sentence_corpus(seed=29, num_docs=12, longest=300)
-        vocab = build_vocabulary(corpus, min_count=1, stopwords=frozenset())
-        state = train(init(corpus, vocab, Hyperparams(num_topics=num_topics),
-                           SeedList(frozenset({"sen0"}), frozenset({"sen1"})), rng_seed=1),
-                      Schedule(burn_in=1, interleave=1, total=2))
-        sentences = oracles.numpy_sentences(state.docs)
-        for d, doc in enumerate(state.docs):
-            for c, sent in enumerate(doc):
-                state.decrement(d, c)
-                got = model._log_terms(state, state.hp, vocab.num_aspect_words, sent, d,
-                                       lambda x: float(np.log(x)))
-                want = oracles.numpy_conditional_log(state, sentences, d, c)
-                assert got == want.ravel().tolist()
-                i = state.flat.doc_start[d] + c
-                state.increment(d, c, state.s[i], state.z[i])
-
-    def test_draw_picks_as_numpy_does(self, monkeypatch):
-        # With np.exp for its exponential, the kernel's draw picks the cell
-        # that the numpy sampler's cumsum and searchsorted picked
-        monkeypatch.setattr(model, "exp", lambda x: float(np.exp(x)))
-        rng = np.random.default_rng(31)
-        for _ in range(2000):
-            logp = rng.normal(scale=rng.choice([0.5, 5.0, 50.0]), size=(2, rng.integers(1, 9)))
-            u = rng.random()
-            cum = np.cumsum(np.exp(logp - logp.max()).ravel())
-            want = min(int(np.searchsorted(cum, u * cum[-1], side="right")), cum.size - 1)
-            assert model._draw(logp.ravel().tolist(), u) == want
-
     def test_recount_equals_per_sentence_recount(self):
         corpus = random_long_sentence_corpus(seed=23)
         vocab = build_vocabulary(corpus, min_count=1, stopwords=frozenset())
@@ -310,13 +268,11 @@ class TestSameChainAsNumpySampler:
         bad = vocab.senti_index["bad"]
         state.y_senti[1, bad] = -800.0
         state.refresh_beta_prime()
-        state.decrement(0, 0)
-        got = model.gibbs_conditional_log(state, 0, 0)
-        with np.errstate(divide="ignore"):
-            want = oracles.numpy_conditional_log(state, oracles.numpy_sentences(state.docs), 0, 0)
-        assert np.isneginf(got[1]).all() and np.isneginf(want[1]).all()
-        assert np.allclose(got[0], want[0], rtol=1e-12)
-        state.increment(0, 0, 0, 0)
+        sentences = oracles.numpy_sentences(state.docs)
+        oracles.numpy_decrement(state, sentences, 0, 0)
+        logp = oracles.numpy_conditional_log(state, sentences, 0, 0)
+        assert np.isneginf(logp[1]).all() and np.isfinite(logp[0]).all()
+        oracles.numpy_increment(state, sentences, 0, 0, 0, 0)
         gibbs_sweep(state)
         assert state.s[0] == 0
 
@@ -330,48 +286,26 @@ class TestSameChainAsNumpySampler:
         assert not small_state.counts_consistent()
 
 
-# The compiled sweep (_sweep.c) must sample the chain of the Python kernel,
-# which stays as its fallback: compared with ==, never with a tolerance.
-
-needs_compiled_sweep = pytest.mark.skipif(
-    model._sweep_kernel is None, reason="the compiled sweep did not build or load (no cc?)")
-
-PLANTED_SEEDS = SeedList(frozenset({"pos0", "pos1"}), frozenset({"neg0", "neg1"}))
-
-
-def train_with_both_kernels(corpus, hp, seeds, rng_seed, schedule, monkeypatch, prepare=None):
-    vocab = build_vocabulary(corpus, min_count=1, stopwords=frozenset())
-    states = []
-    for kernel in (model._sweep_kernel, None):
-        state = init(corpus, vocab, hp, seeds, rng_seed)
-        if prepare is not None:
-            prepare(state)
-        with monkeypatch.context() as patch:
-            patch.setattr(model, "_sweep_kernel", kernel)
-            states.append(train(state, schedule))
-    return states
-
-
-@needs_compiled_sweep
-class TestCompiledSweepSamplesThePythonChain:
+class TestCompiledSweepSamplesTheOracleChain:
     @pytest.mark.parametrize("rng_seed", [0, 2])
     @pytest.mark.parametrize("num_topics", [1, 3, 7])
     def test_planted_corpus_train_schedule(self, num_topics, rng_seed, monkeypatch):
         corpus = generate_generative_corpus(make_planted_model(num_topics=3),
                                             num_reviews=500, rng_seed=5)
-        compiled, python = train_with_both_kernels(
+        compiled, reference = train_with_both_samplers(
             corpus, Hyperparams(num_topics=num_topics), PLANTED_SEEDS, rng_seed,
             Schedule(burn_in=8, interleave=2, total=12), monkeypatch)
         assert [t for t, _, _ in compiled.optimize_log] == [10, 12]
-        assert_same_chain(compiled, python)
+        assert_same_chain(compiled, reference)
 
     @pytest.mark.parametrize("num_topics,longest", [(1, 20), (4, 20), (1, 300), (4, 300)])
     def test_long_sentences_with_repeated_ids(self, num_topics, longest, monkeypatch):
         # from 8 terms up the sums run in numpy's pairwise order, and above
-        # 128 terms that order halves the row recursively
+        # 128 terms that order halves the row recursively; with one topic
+        # numpy sums the aspect numerators pairwise too (a contiguous row)
         corpus = random_long_sentence_corpus(num_docs=30 if longest == 20 else 8,
                                              longest=longest)
-        compiled, python = train_with_both_kernels(
+        compiled, reference = train_with_both_samplers(
             corpus, Hyperparams(num_topics=num_topics),
             SeedList(frozenset({"sen0"}), frozenset({"sen1"})), 3,
             Schedule(burn_in=2, interleave=2, total=6), monkeypatch)
@@ -379,7 +313,7 @@ class TestCompiledSweepSamplesThePythonChain:
         assert max(len(x.aspect) for x in sentences) > (128 if longest > 128 else 8)
         assert sum(x.aspect_offsets is not None and x.senti_offsets is not None
                    for x in sentences) > 20
-        assert_same_chain(compiled, python)
+        assert_same_chain(compiled, reference)
 
     def test_underflowed_smoother(self, monkeypatch):
         # beta_prime[1, :, bad] underflows to 0, and 'bad' occurs once, so
@@ -391,12 +325,12 @@ class TestCompiledSweepSamplesThePythonChain:
             state.y_senti[1, state.vocab.senti_index["bad"]] = -800.0
             state.refresh_beta_prime()
 
-        compiled, python = train_with_both_kernels(
+        compiled, reference = train_with_both_samplers(
             corpus, Hyperparams(num_topics=2), SeedList(frozenset(), frozenset()), 0,
             Schedule(burn_in=20, interleave=1, total=20), monkeypatch, prepare=underflow)
         assert (compiled.beta_prime[1, :, compiled.vocab.senti_index["bad"]] == 0).all()
         assert compiled.s[0] == 0
-        assert_same_chain(compiled, python)
+        assert_same_chain(compiled, reference)
 
     @pytest.mark.parametrize("num_topics,longest", [(1, 20), (3, 20), (1, 300), (4, 300)])
     def test_same_picks_with_every_draw_on_a_boundary(self, num_topics, longest, monkeypatch):
@@ -404,21 +338,20 @@ class TestCompiledSweepSamplesThePythonChain:
         # u * total. Random draws rarely fall within a rounding error of a
         # cumulative weight, so equal chains alone would not show a sum added
         # in another order. Here each u puts u * total exactly on the middle
-        # cumulative weight of the Python kernel's conditional, so a
+        # cumulative weight of the numpy sampler's conditional, so a
         # conditional that differs in its last bit picks another cell.
         corpus = random_long_sentence_corpus(seed=41, num_docs=8, longest=longest)
         vocab = build_vocabulary(corpus, min_count=1, stopwords=frozenset())
         hp, seeds = Hyperparams(num_topics=num_topics), SeedList(frozenset({"sen0"}),
                                                                   frozenset({"sen1"}))
-        python, compiled = (init(corpus, vocab, hp, seeds, rng_seed=5) for _ in range(2))
-        draw = model._draw
+        reference, compiled = (init(corpus, vocab, hp, seeds, rng_seed=5) for _ in range(2))
+        draw = oracles.numpy_draw
         draws = []
 
         def draw_on_a_boundary(logp, u):
-            top = max(logp)
-            cumulative = list(accumulate(math.exp(v - top) for v in logp))
+            cumulative = np.cumsum(oracles.libm_exp(logp - logp.max()).ravel())
             total = cumulative[-1]
-            middle = next(c for c in cumulative if c >= total / 2)
+            middle = cumulative[np.argmax(cumulative >= total / 2)]
             u = middle / total
             for _ in range(4):   # step u until u * total rounds to the weight
                 if u * total != middle:
@@ -431,17 +364,15 @@ class TestCompiledSweepSamplesThePythonChain:
                 return np.array([draws.pop(0) for _ in range(n)])
 
         compiled.rng = Draws()
+        monkeypatch.setattr(oracles, "numpy_draw", draw_on_a_boundary)
         for _ in range(3):
-            with monkeypatch.context() as patch:
-                patch.setattr(model, "_sweep_kernel", None)
-                patch.setattr(model, "_draw", draw_on_a_boundary)
-                gibbs_sweep(python)
+            oracles.numpy_gibbs_sweep(reference)
             gibbs_sweep(compiled)
             assert not draws
-            assert compiled.z.tolist() == python.z.tolist()
-            assert compiled.s.tolist() == python.s.tolist()
+            assert compiled.z.tolist() == reference.z.tolist()
+            assert compiled.s.tolist() == reference.s.tolist()
         for name in COUNT_NAMES:
-            assert np.array_equal(getattr(compiled, name), getattr(python, name)), name
+            assert np.array_equal(getattr(compiled, name), getattr(reference, name)), name
 
     def test_flat_corpus_is_built_on_the_first_sweep(self, small_state):
         # the flat corpus is built with the state, and the sweeps keep it
@@ -469,11 +400,7 @@ class TestCompiledSweepSamplesThePythonChain:
 PINNED_CHAIN = "c7d9e867d538e586bcf36102b7e63234bdd7e55d768aff5fe23f4c8a03824005"
 
 
-@pytest.mark.parametrize("kernel", [
-    pytest.param("compiled", marks=needs_compiled_sweep), "python"])
-def test_chain_is_pinned(kernel, monkeypatch):
-    if kernel == "python":
-        monkeypatch.setattr(model, "_sweep_kernel", None)
+def test_chain_is_pinned():
     corpus = random_long_sentence_corpus(seed=41, num_docs=8)
     vocab = build_vocabulary(corpus, min_count=1, stopwords=frozenset())
     state = init(corpus, vocab, Hyperparams(num_topics=3),
@@ -500,51 +427,45 @@ def _unloadable_output(argv, **kwargs):
 class TestSweepKernelLoader:
     def test_compiles_once_into_the_cache(self, tmp_path, monkeypatch):
         monkeypatch.setattr(model, "_SWEEP_CACHE", str(tmp_path / "cache"))
-        assert model._load_sweep_kernel() is not None
+        assert model._load_sweep_kernel()[0] is not None
         built = [p.name for p in (tmp_path / "cache").iterdir()]
         assert len(built) == 1 and re.fullmatch(r"_sweep-[0-9a-f]{64}\.so", built[0])
         monkeypatch.setattr(model.subprocess, "run", _no_compiler)
-        assert model._load_sweep_kernel() is not None
+        assert model._load_sweep_kernel()[0] is not None
         assert [p.name for p in (tmp_path / "cache").iterdir()] == built
 
-    @pytest.mark.parametrize("fail", ["no compiler", "compile error", "unloadable output",
-                                      "unwritable cache"])
-    def test_failure_falls_back_to_the_python_kernel(self, fail, tmp_path, monkeypatch,
-                                                     caplog):
-        import logging
+    @pytest.mark.parametrize("fail,cause", [
+        ("no compiler", "FileNotFoundError"), ("compile error", "CalledProcessError"),
+        ("unloadable output", "OSError"), ("unwritable cache", "NotADirectoryError")])
+    def test_failure_stops_train_and_no_other_command(self, fail, cause, tmp_path, monkeypatch,
+                                                      capsys):
+        corpus = write_corpus(tmp_path, num_entities=2, reviews_per_entity=3)
+        config = write_config(tmp_path, corpus)
+        assert main(["--config", str(config), "train", "--iters", "2"]) == 0
+        checkpoint = (tmp_path / "out" / "checkpoint.json").read_bytes()
         cache = tmp_path / "cache"
         if fail == "unwritable cache":
             (tmp_path / "file").write_text("")
             cache = tmp_path / "file" / "cache"
         else:
+            cache.mkdir()
             monkeypatch.setattr(model.subprocess, "run", {
                 "no compiler": _no_compiler, "compile error": _compile_error,
                 "unloadable output": _unloadable_output}[fail])
         monkeypatch.setattr(model, "_SWEEP_CACHE", str(cache))
-        with caplog.at_level(logging.DEBUG, logger="segsum.model"):
-            kernel = model._load_sweep_kernel()
-        assert kernel is None
-        records = [r for r in caplog.records if r.name == "segsum.model"]
-        assert len(records) == 1 and records[0].levelno == logging.DEBUG
-        assert "Python kernel" in records[0].getMessage()
+        kernel, unavailable = model._load_sweep_kernel()
+        assert kernel is None and unavailable.startswith(f"{cause}: ")
         if fail != "unwritable cache":
             assert list(cache.iterdir()) == []   # no half-built file left behind
-
-    @needs_compiled_sweep
-    def test_fallback_samples_the_same_chain(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(model, "_SWEEP_CACHE", str(tmp_path))
-        monkeypatch.setattr(model.subprocess, "run", _no_compiler)
-        fallback = model._load_sweep_kernel()
-        assert fallback is None
-        corpus = generate_generative_corpus(make_planted_model(num_topics=3),
-                                            num_reviews=200, rng_seed=5)
-        vocab = build_vocabulary(corpus, min_count=1, stopwords=frozenset())
-        states = []
-        for kernel in (model._sweep_kernel, fallback):
-            monkeypatch.setattr(model, "_sweep_kernel", kernel)
-            states.append(train(init(corpus, vocab, Hyperparams(num_topics=3), PLANTED_SEEDS, 1),
-                                Schedule(burn_in=4, interleave=2, total=8)))
-        assert_same_chain(*states)
+        monkeypatch.setattr(model, "_sweep_kernel", kernel)
+        monkeypatch.setattr(model, "_sweep_unavailable", unavailable)
+        capsys.readouterr()
+        for command in (["train"], ["train", "--resume"]):
+            assert main(["--config", str(config), *command]) == 2
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and re.search(r"\bcc\b", err[0]) and unavailable in err[0]
+        assert (tmp_path / "out" / "checkpoint.json").read_bytes() == checkpoint
+        assert main(["--config", str(config), "topics"]) == 0
 
 
 class TestCompiledSweepGuards:
@@ -612,10 +533,11 @@ class TestSweep:
         state.y_senti[0, vocab.senti_index["bad"]] = -30.0
         state.y_senti[1, vocab.senti_index["bad"]] = 30.0
         state.refresh_beta_prime()
-        state.decrement(0, 0)
-        cond = gibbs_conditional(state, 0, 0)
+        sentences = oracles.numpy_sentences(state.docs)
+        oracles.numpy_decrement(state, sentences, 0, 0)
+        cond = oracle_conditional(state, sentences, 0, 0)
         assert cond.max() / cond.sum() >= 1 - 1e-12
-        state.increment(0, 0, state.s[0], state.z[0])
+        oracles.numpy_increment(state, sentences, 0, 0, state.s[0], state.z[0])
         gibbs_sweep(state)
         assert state.s[0] == 0
 
@@ -623,19 +545,21 @@ class TestSweep:
         snapshot = (small_state.n_TW.copy(), small_state.n_STW.copy(),
                     small_state.n_DT.copy(), small_state.n_DS.copy())
         j, k = small_state.s[1], small_state.z[1]
-        small_state.decrement(0, 1)
-        small_state.increment(0, 1, j, k)
+        sentences = oracles.numpy_sentences(small_state.docs)
+        oracles.numpy_decrement(small_state, sentences, 0, 1)
+        oracles.numpy_increment(small_state, sentences, 0, 1, j, k)
         assert np.array_equal(small_state.n_TW, snapshot[0])
         assert np.array_equal(small_state.n_STW, snapshot[1])
         assert np.array_equal(small_state.n_DT, snapshot[2])
         assert np.array_equal(small_state.n_DS, snapshot[3])
 
     def test_normalized_conditional_sums_to_one(self, small_state):
-        small_state.decrement(1, 0)
-        cond = gibbs_conditional(small_state, 1, 0)
+        sentences = oracles.numpy_sentences(small_state.docs)
+        oracles.numpy_decrement(small_state, sentences, 1, 0)
+        cond = oracle_conditional(small_state, sentences, 1, 0)
         assert abs((cond / cond.sum()).sum() - 1.0) <= 1e-12
         i = small_state.flat.doc_start[1]
-        small_state.increment(1, 0, small_state.s[i], small_state.z[i])
+        oracles.numpy_increment(small_state, sentences, 1, 0, small_state.s[i], small_state.z[i])
 
 
 class TestMapObjective:
