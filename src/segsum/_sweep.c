@@ -14,8 +14,9 @@
  * with -fno-fast-math -ffp-contract=off, so that the compiler neither
  * reorders nor fuses the floating-point operations.
  *
- * Arrays are C-contiguous: int64 for the flat corpus and the assignments,
- * double for the counts and smoothers, indexed as their numpy shapes
+ * Arrays are C-contiguous: int64 for the flat corpus (vocabulary ids only;
+ * the sweep counts repeated ids itself) and the assignments, double for the
+ * counts and smoothers, indexed as their numpy shapes
  * (n_TW (T, V), n_STW (S, T, V'), n_DT (D, T), n_DS (D, S), n_TW_rows (T,),
  * n_STW_rows (S, T), beta_prime (S, T, V'), bar_beta_prime (S, T)).
  */
@@ -61,18 +62,28 @@ static double pairwise(const double *a, int64_t n)
     return total;
 }
 
+/* rep[t]: how many ids before ids[t] equal it, its offset in the rising factorial */
+static void count_repeats(const int64_t *ids, int64_t n, double *rep)
+{
+    for (int64_t t = 0; t < n; t++) {
+        rep[t] = 0.0;
+        for (int64_t u = 0; u < t; u++)
+            rep[t] += ids[u] == ids[t];
+    }
+}
+
 /* One row of numpy_conditional_log's num.sum(axis=-1) - den.sum(axis=-1),
  * for a topic's or a (sentiment, topic) pair's count row: the sum of
- * ln(row[w] + smoother[w * stride] + o) over the ids w and their repeat
- * offsets o, minus the sum of ln(x + t) for t below n. work holds 2 n
- * doubles. */
+ * ln(row[w] + smoother[w * stride] + r) over the ids w and their repeat
+ * counts r (count_repeats), minus the sum of ln(x + t) for t below n. work
+ * holds 2 n doubles. */
 static double log_rising_ratio(const double *row, const double *smoother, int64_t stride,
-                               double x, const int64_t *ids, const int64_t *offsets,
+                               double x, const int64_t *ids, const double *rep,
                                int64_t n, int pairwise_numerators, double *work)
 {
     double *nums = work, *dens = work + n;
     for (int64_t t = 0; t < n; t++) {
-        nums[t] = ln(row[ids[t]] + smoother[ids[t] * stride] + (double)offsets[t]);
+        nums[t] = ln(row[ids[t]] + smoother[ids[t] * stride] + rep[t]);
         dens[t] = ln(x + (double)t);
     }
     double num = pairwise_numerators ? pairwise(nums, n) : sum_in_order(nums, n);
@@ -119,36 +130,37 @@ static int64_t draw(double *logp, int64_t n, double u)
 
 /* Resample the (sentiment, topic) pair of every sentence in order, with
  * u[i] the uniform draw of sentence i; z, s and the counts are updated in
- * place. work holds S T + T + 2 L doubles, L the longest id list. */
+ * place. work holds S T + T + 4 L doubles, L the longest id list. */
 void segsum_sweep(int64_t n_sent, int64_t S, int64_t T, int64_t V, int64_t Vp,
                   double alpha, double beta, double gamma,
                   const int64_t *doc, const int64_t *aspect_start, const int64_t *aspect,
-                  const int64_t *aspect_offsets, const int64_t *senti_start,
-                  const int64_t *senti, const int64_t *senti_offsets,
+                  const int64_t *senti_start, const int64_t *senti,
                   const double *u, int64_t *z, int64_t *s,
                   double *n_TW, double *n_STW, double *n_DT, double *n_DS,
                   double *n_TW_rows, double *n_STW_rows,
                   const double *beta_prime, const double *bar_beta_prime, double *work)
 {
-    double *logp = work, *aspect_term = work + S * T, *terms = aspect_term + T;
+    double *logp = work, *aspect_term = work + S * T, *a_rep = aspect_term + T;
     const double bar_beta = (double)V * beta;
     for (int64_t i = 0; i < n_sent; i++) {
         const int64_t d = doc[i];
-        const int64_t *a_ids = aspect + aspect_start[i], *a_off = aspect_offsets + aspect_start[i];
-        const int64_t *s_ids = senti + senti_start[i], *s_off = senti_offsets + senti_start[i];
+        const int64_t *a_ids = aspect + aspect_start[i], *s_ids = senti + senti_start[i];
         const int64_t na = aspect_start[i + 1] - aspect_start[i];
         const int64_t ns = senti_start[i + 1] - senti_start[i];
+        double *s_rep = a_rep + na, *terms = s_rep + ns;
+        count_repeats(a_ids, na, a_rep);
+        count_repeats(s_ids, ns, s_rep);
 
         move(-1, d, s[i], z[i], S, T, V, Vp, a_ids, na, s_ids, ns,
              n_TW, n_STW, n_DT, n_DS, n_TW_rows, n_STW_rows);
         for (int64_t k = 0; k < T; k++)
             aspect_term[k] = na == 0 ? 0.0 : log_rising_ratio(
-                n_TW + k * V, &beta, 0, n_TW_rows[k] + bar_beta, a_ids, a_off, na,
+                n_TW + k * V, &beta, 0, n_TW_rows[k] + bar_beta, a_ids, a_rep, na,
                 T == 1, terms);
         for (int64_t jk = 0; jk < S * T; jk++) {
             const double senti_term = ns == 0 ? 0.0 : log_rising_ratio(
                 n_STW + jk * Vp, beta_prime + jk * Vp, 1, n_STW_rows[jk] + bar_beta_prime[jk],
-                s_ids, s_off, ns, 0, terms);
+                s_ids, s_rep, ns, 0, terms);
             logp[jk] = ((aspect_term[jk % T] + senti_term) + ln(n_DT[d * T + jk % T] + alpha))
                        + ln(n_DS[d * S + jk / T] + gamma);
         }

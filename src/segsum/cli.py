@@ -18,7 +18,7 @@ from .config import ConfigError, load_config
 EXIT_OK, EXIT_USAGE, EXIT_DATA = 0, 1, 2
 
 
-class DataError(Exception):
+class DataError(ValueError):
     pass
 
 
@@ -28,20 +28,14 @@ def _load_corpus(cfg):
     extra = corpus_mod.DEFAULT_EXTRA_SENTIMENT
     if cfg.paths.extra_sentiment:
         extra = corpus_mod.load_wordlist(cfg.paths.extra_sentiment)
-    try:
-        return corpus_mod.ingest_tagged(cfg.paths.corpus, cfg.paths.corpus_format, extra)
-    except (OSError, corpus_mod.CorpusFormatError) as exc:
-        raise DataError(str(exc)) from exc
+    return corpus_mod.ingest_tagged(cfg.paths.corpus, cfg.paths.corpus_format, extra)
 
 
 def _build_vocab(cfg, corp):
     stopwords = corpus_mod.DEFAULT_STOPWORDS
     if cfg.paths.stopwords:
         stopwords = corpus_mod.load_wordlist(cfg.paths.stopwords)
-    try:
-        return corpus_mod.build_vocabulary(corp, cfg.min_count, stopwords)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    return corpus_mod.build_vocabulary(corp, cfg.min_count, stopwords)
 
 
 def _load_seeds(cfg):
@@ -194,10 +188,7 @@ def cmd_evaluate(cfg, args):
     candidates, _ = filters.entity_candidates(
         state, corp, _pattern_ids(cfg, args), cfg.max_words, cfg.procedure,
         _load_lexicon(cfg), cfg.filters)
-    try:
-        report = evaluation.evaluate(candidates, refs, cfg.eval)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    report = evaluation.evaluate(candidates, refs, cfg.eval)
 
     tag = cfg.procedure.replace("+", "_")
     if args.patterns:
@@ -284,11 +275,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return _COMMANDS[args.command](cfg, args)
-    except DataError as exc:
+    except (ValueError, OSError) as exc:   # DataError is a ValueError
         print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -122,14 +122,18 @@ def _not_a_token(pair):
 def review_from_record(obj, extra_sentiment=DEFAULT_EXTRA_SENTIMENT) -> Review:
     """Build a Review from one decoded JSONL record; empty sentences drop.
     ValueError unless id and entity_id are strings or integers, pros and cons
-    lists of strings, and each token a [surface, tag] pair of strings."""
+    lists of strings, sentences a list of lists, and each token a [surface,
+    tag] pair of strings."""
     if type(obj["id"]) not in (str, int) or type(obj["entity_id"]) not in (str, int):
         raise ValueError("id and entity_id must be strings or integers")
     pros, cons = obj.get("pros", []), obj.get("cons", [])
     if type(pros) is not list or type(cons) is not list or not set(map(type, pros + cons)) <= {str}:
         raise ValueError("pros and cons must be lists of strings")
     review = Review(str(obj["id"]), str(obj["entity_id"]), [], list(pros), list(cons))
-    for sent in obj["sentences"]:
+    sentences = obj["sentences"]
+    if type(sentences) is not list or not all(type(sent) is list for sent in sentences):
+        raise ValueError("sentences must be a list of lists of tokens")
+    for sent in sentences:
         # type tests, not a checking function: a valid token costs no more
         # Python calls than the str() conversions these tests replaced
         tokens = [make_token(surface, pos, extra_sentiment)
@@ -221,13 +225,6 @@ class Vocabulary:
     @property
     def num_senti_words(self):
         return len(self.senti_stems)
-
-    def lookup(self, token: Token):
-        """Return ('senti'|'aspect', index) or (None, drop_reason)."""
-        pair = self.stem_ids.get(token.stem)
-        if pair is None:
-            return None, self.drop_reasons.get(token.stem, "out_of_vocabulary")
-        return pair
 
     def content_hash(self) -> str:
         import hashlib

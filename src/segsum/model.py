@@ -107,25 +107,10 @@ class Schedule:
 
 
 class SentenceIds(NamedTuple):
-    """A sentence's vocabulary ids in token order. An offset counts the
-    earlier occurrences of its token's id in the sentence; the offsets are
-    None when no id repeats."""
+    """A sentence's vocabulary ids in token order, per channel."""
 
     aspect: tuple
-    aspect_offsets: tuple | None
     senti: tuple
-    senti_offsets: tuple | None
-
-
-def _offsets(ids):
-    if len(set(ids)) == len(ids):
-        return None
-    seen = {}
-    out = []
-    for i in ids:
-        out.append(seen.get(i, 0))
-        seen[i] = out[-1] + 1
-    return tuple(out)
 
 
 def encode_corpus(corpus, vocab):
@@ -141,25 +126,22 @@ def encode_corpus(corpus, vocab):
                 pair = stem_ids.get(token.stem)
                 if pair is not None:
                     (aspect if pair[0] == "aspect" else senti).append(pair[1])
-            aspect, senti = tuple(aspect), tuple(senti)
-            sentences.append(SentenceIds(aspect, _offsets(aspect), senti, _offsets(senti)))
+            sentences.append(SentenceIds(tuple(aspect), tuple(senti)))
         docs.append(sentences)
     return docs
 
 
 class _FlatCorpus(NamedTuple):
     """The encoded corpus as flat int64 arrays in the sentence order of z/s;
-    the first seven fields are segsum_sweep's corpus parameters, in order.
+    the first five fields are segsum_sweep's corpus parameters, in order.
     Per channel: where each sentence's ids start (one more entry than there
-    are sentences), the ids, and their repeat offsets (0 where none repeats)."""
+    are sentences), and the ids."""
 
     doc: np.ndarray               # the document of each sentence
     aspect_start: np.ndarray
     aspect: np.ndarray
-    aspect_offsets: np.ndarray
     senti_start: np.ndarray
     senti: np.ndarray
-    senti_offsets: np.ndarray
     doc_start: np.ndarray         # where each document's sentences start (D + 1 entries)
     longest: int                  # the longest id list of a sentence
 
@@ -173,12 +155,8 @@ def _flatten(docs):
         id_lists = list(map(attrgetter(channel), sentences))
         lengths = list(map(len, id_lists))
         start = np.cumsum([0] + lengths, dtype=np.int64)
-        offsets = np.zeros(start[-1], dtype=np.int64)   # filled in only where ids repeat
-        for a, repeats in zip(start.tolist(), map(attrgetter(f"{channel}_offsets"), sentences)):
-            if repeats is not None:
-                offsets[a:a + len(repeats)] = repeats
         ids = np.fromiter(chain.from_iterable(id_lists), dtype=np.int64, count=start[-1])
-        arrays += [start, ids, offsets]
+        arrays += [start, ids]
         longest = max(longest, max(lengths, default=0))
     return _FlatCorpus(*arrays, doc_start, longest)
 
@@ -328,7 +306,7 @@ def _load_sweep_kernel():
     except (OSError, subprocess.SubprocessError, AttributeError) as exc:
         return None, f"{type(exc).__name__}: {exc}"
     kernel.restype = None
-    kernel.argtypes = [ctypes.c_int64] * 5 + [ctypes.c_double] * 3 + [ctypes.c_void_p] * 19
+    kernel.argtypes = [ctypes.c_int64] * 5 + [ctypes.c_double] * 3 + [ctypes.c_void_p] * 17
     return kernel, None
 
 
@@ -364,9 +342,9 @@ def gibbs_sweep(state):
         ("n_TW_rows", (T,)), ("n_STW_rows", (S, T)),
         ("beta_prime", (S, T, Vp)), ("bar_beta_prime", (S, T)))]
     u = state.rng.random(n)
-    work = np.empty(S * T + T + 2 * flat.longest)
+    work = np.empty(S * T + T + 4 * flat.longest)
     _sweep_kernel(n, S, T, V, Vp, hp.alpha, hp.beta, hp.gamma,
-                  *(a.ctypes.data for a in flat[:7]), u.ctypes.data, state.z.ctypes.data,
+                  *(a.ctypes.data for a in flat[:5]), u.ctypes.data, state.z.ctypes.data,
                   state.s.ctypes.data, *counts, work.ctypes.data)
     state.sweep_index += 1
     return state

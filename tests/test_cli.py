@@ -1,12 +1,20 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
+import pathlib
 import re
+import string
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segsum.cli import main
 from segsum.config import ConfigError, PipelineConfig, load_config
+from segsum.corpus import PENN_TAGS
 from segsum.synthetic import generate_text_reviews, text_polarity_lexicon
 
 
@@ -258,12 +266,105 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and f"{path}:3: " in err[0]
 
+    @pytest.mark.parametrize("key,command", [
+        ("stopwords", ["preprocess"]), ("extra_sentiment", ["preprocess"]),
+        ("seeds", ["train", "--iters", "1"]), ("lexicon", ["summarize"])])
+    def test_input_file_that_is_a_directory_is_two(self, tmp_path, capsys, key, command):
+        corpus = write_corpus(tmp_path, num_entities=2, reviews_per_entity=3)
+        assert main(["--config", str(write_config(tmp_path, corpus)),
+                     "train", "--iters", "1"]) == 0
+        folder = tmp_path / "a_directory"
+        folder.mkdir()
+        config = write_config(tmp_path, corpus, extra=f"{key} = {folder}\n")
+        capsys.readouterr()
+        assert main(["--config", str(config), *command]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and str(folder) in err[0]
+
     def test_corpus_format_error_is_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("not json\n")
         config = write_config(tmp_path, bad)
         assert main(["--config", str(config), "preprocess"]) == 2
         assert "data error" in capsys.readouterr().err
+
+
+# -- one corpus record mutated in one place -----------------------------------
+#
+# preprocess either accepts the mutation (exit 0), where the README's record
+# schema allows it, or exits 2 with one stderr line naming the record's
+# path:lineno; never exit 1 or a traceback.
+
+RECORDS = json.loads(json.dumps(generate_text_reviews(num_entities=2, reviews_per_entity=3)))
+JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3),
+                        st.lists(st.none(), max_size=2),
+                        st.dictionaries(st.text(max_size=2), st.none(), max_size=2))
+MUTATIONS = ["field", "missing key", "record", "sentence", "token", "surface or tag",
+             "pros or cons item", "0xff byte", "empty sentence", "unknown tag"]
+
+
+def _mutate(data, record):
+    """Mutate the record in one place: (its line, whether the schema allows it)."""
+    def other_type(original):
+        return data.draw(JSON_VALUES.filter(lambda value: type(value) is not type(original)))
+
+    kind = data.draw(st.sampled_from(MUTATIONS))
+    sentences = record["sentences"]
+    i = data.draw(st.integers(0, len(sentences) - 1))
+    t = data.draw(st.integers(0, len(sentences[i]) - 1))
+    allowed = kind in ("empty sentence", "unknown tag")
+    if kind == "field":
+        key = data.draw(st.sampled_from(sorted(record)))
+        record[key] = other_type(record[key])
+        allowed = key in ("id", "entity_id") and type(record[key]) is int
+    elif kind == "missing key":
+        key = data.draw(st.sampled_from(sorted(record)))
+        del record[key]
+        allowed = key in ("pros", "cons")
+    elif kind == "record":
+        record = other_type(record)
+    elif kind == "sentence":
+        sentences[i] = other_type(sentences[i])
+    elif kind == "token":
+        sentences[i][t] = other_type(sentences[i][t])
+    elif kind == "surface or tag":
+        sentences[i][t][data.draw(st.integers(0, 1))] = other_type("")
+    elif kind == "pros or cons item":
+        items = record[data.draw(st.sampled_from([k for k in ("pros", "cons") if record[k]]))]
+        items[data.draw(st.integers(0, len(items) - 1))] = other_type("")
+    elif kind == "empty sentence":
+        sentences[i] = []
+    elif kind == "unknown tag":
+        sentences[i][t][1] = data.draw(st.text(string.ascii_uppercase, min_size=1, max_size=4)
+                                       .filter(lambda tag: tag not in PENN_TAGS))
+    line = json.dumps(record).encode()
+    if kind == "0xff byte":
+        at = data.draw(st.integers(0, len(line)))
+        line = line[:at] + b"\xff" + line[at:]
+    return line, allowed
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_mutated_record_exits_0_or_2_naming_its_line(data):
+    index = data.draw(st.integers(0, len(RECORDS) - 1))
+    lines = [json.dumps(record).encode() for record in RECORDS]
+    lines[index], allowed = _mutate(data, json.loads(lines[index]))
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = pathlib.Path(tmp) / "corpus.jsonl"
+        corpus.write_bytes(b"".join(line + b"\n" for line in lines))
+        config = write_config(pathlib.Path(tmp), corpus)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["--config", str(config), "preprocess"])
+    err = err.getvalue()
+    assert "Traceback" not in err
+    if allowed:
+        assert code == 0, err
+    else:
+        assert code == 2
+        [line] = err.strip().splitlines()
+        assert f"{corpus}:{index + 1}: " in line
 
 
 class TestPipelineFlow:

@@ -72,6 +72,7 @@ class TestIngest:
         ("pros", ["fine", 3]), ("cons", {"a": "b"}), ("pros", "abc"),
         ("sentences", [["NN"]]), ("sentences", [[["food", "NN", "x"]]]),
         ("sentences", [[[1, "NN"]]]), ("sentences", [[["food", None]]]),
+        ("sentences", {}), ("sentences", ""), ("sentences", [{}]), ("sentences", [""]),
     ])
     def test_ill_typed_field_names_the_line(self, jsonl_corpus_file, field, value):
         record = {"id": "a", "entity_id": 7, "sentences": [[["Great", "JJ"], ["food", "NN"]]],
@@ -141,9 +142,8 @@ class TestVocabulary:
         vocab = build_vocabulary(tiny_corpus, min_count=2)
         for _, sentence in tiny_corpus.sentences():
             for token in sentence.tokens:
-                channel, info = vocab.lookup(token)
-                if channel is None:
-                    assert info in ("stopword", "below_min_count", "out_of_vocabulary")
+                if token.stem not in vocab.stem_ids:
+                    assert vocab.drop_reasons[token.stem] in ("stopword", "below_min_count")
 
     def test_empty_corpus_rejected(self):
         from segsum.corpus import Corpus
@@ -161,7 +161,7 @@ class TestVocabulary:
         vocab = Vocabulary.from_dict({"aspect_stems": ["food", "good"],
                                       "senti_stems": ["good"]})
         sent = sentence_factory([("good", "JJ"), ("food", "NN"), ("good", "NN")])
-        assert [vocab.lookup(t) for t in sent.tokens] == [
+        assert [vocab.stem_ids[t.stem] for t in sent.tokens] == [
             ("senti", 0), ("aspect", 0), ("senti", 0)]
 
         [[ids]] = encode_corpus(Corpus([Review("r", "e", [sent])]), vocab)

@@ -28,7 +28,7 @@ VOCAB = Vocabulary(aspect_stems=["decor", "food", "staff", "wine"],
 def make_seg(pairs, negated=False, aspect=None, sentiment=None, entity_id="e"):
     """A segment encoded against VOCAB, as label_aspects encodes it."""
     tokens = [make_token(surface, tag) for surface, tag in pairs]
-    ids = tuple(pair for pair in map(VOCAB.lookup, tokens) if pair[0] is not None)
+    ids = tuple(VOCAB.stem_ids[t.stem] for t in tokens if t.stem in VOCAB.stem_ids)
     return Segment(tokens=tokens, review_id="r", entity_id=entity_id,
                    sentence_index=0, start=0, end=len(tokens), pattern_id=5,
                    negated=negated, aspect=aspect, sentiment=sentiment, ids=ids)

@@ -182,13 +182,13 @@ class TestGibbsConditional:
 
 
 class TestEncoding:
-    def test_ids_in_token_order_with_offsets_only_on_repeats(self):
+    def test_ids_in_token_order(self):
         corpus = make_corpus([[(["food", "sauce", "food"], ["good"]), (["wait"], [])]])
         vocab = build_vocabulary(corpus, min_count=1, stopwords=frozenset())
         (first, second), = model.encode_corpus(corpus, vocab)
         food, sauce = vocab.aspect_index["food"], vocab.aspect_index["sauce"]
-        assert first == ((food, sauce, food), (0, 0, 1), (vocab.senti_index["good"],), None)
-        assert second == ((vocab.aspect_index["wait"],), None, (), None)
+        assert first == ((food, sauce, food), (vocab.senti_index["good"],))
+        assert second == ((vocab.aspect_index["wait"],), ())
         # the ids are the vocabulary's own int objects, not copies
         assert first.aspect[0] is vocab.aspect_index["food"]
 
@@ -311,7 +311,7 @@ class TestCompiledSweepSamplesTheOracleChain:
             Schedule(burn_in=2, interleave=2, total=6), monkeypatch)
         sentences = [sent for doc in compiled.docs for sent in doc]
         assert max(len(x.aspect) for x in sentences) > (128 if longest > 128 else 8)
-        assert sum(x.aspect_offsets is not None and x.senti_offsets is not None
+        assert sum(len(set(x.aspect)) < len(x.aspect) and len(set(x.senti)) < len(x.senti)
                    for x in sentences) > 20
         assert_same_chain(compiled, reference)
 
@@ -383,13 +383,9 @@ class TestCompiledSweepSamplesTheOracleChain:
         assert flat.doc.tolist() == [0, 0, 0, 1, 1, 1]
         assert flat.doc_start.tolist() == [0, 3, 6]
         for channel in ("aspect", "senti"):
-            start, ids, offsets = (getattr(flat, f"{channel}_start"), getattr(flat, channel),
-                                   getattr(flat, f"{channel}_offsets"))
+            start, ids = getattr(flat, f"{channel}_start"), getattr(flat, channel)
             assert [tuple(ids[a:b]) for a, b in zip(start, start[1:])] == [
                 getattr(sent, channel) for sent in sentences]
-            assert [tuple(offsets[a:b]) for a, b in zip(start, start[1:])] == [
-                getattr(sent, f"{channel}_offsets") or (0,) * len(getattr(sent, channel))
-                for sent in sentences]
         assert flat.longest == 3
 
 
