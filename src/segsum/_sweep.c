@@ -3,11 +3,8 @@
  *
  * It samples the chain of the per-sentence numpy sampler in tests/oracles.py
  * (numpy_gibbs_sweep, with libm's log and exp), so it computes the same
- * terms and adds them in numpy's order. numpy_conditional_log sums num and
- * den over their last axis: left to right where that axis is strided (the
- * numerators, except the aspect numerators of a one-topic model, whose row
- * is contiguous), and in numpy's pairwise order over a contiguous row (the
- * denominators and those one-topic aspect numerators). The conditional is
+ * terms, and each sum over a sentence's ids runs left to right, as
+ * numpy_conditional_log's np.cumsum adds them. The conditional is
  * ((aspect + senti) + doc_topic) + doc_senti, and the draw is
  * np.searchsorted(side="right") over np.cumsum of the weights. log and exp
  * are libm's, which CPython's math.log and math.exp call too. Build it
@@ -29,39 +26,6 @@ static double ln(double x)
     return x <= 0 ? -INFINITY : log(x);
 }
 
-static double sum_in_order(const double *a, int64_t n)
-{
-    double total = 0.0;
-    for (int64_t i = 0; i < n; i++)
-        total += a[i];
-    return total;
-}
-
-/* numpy's pairwise sum over a contiguous row, as in den.sum(axis=...) of
- * numpy_conditional_log: left to right below 8 terms, else 8 interleaved
- * partial sums, halving the row recursively above 128 terms */
-static double pairwise(const double *a, int64_t n)
-{
-    if (n < 8)
-        return sum_in_order(a, n);
-    if (n > 128) {
-        int64_t half = n / 2;
-        half -= half % 8;
-        return pairwise(a, half) + pairwise(a + half, n - half);
-    }
-    double r[8];
-    for (int m = 0; m < 8; m++)
-        r[m] = a[m];
-    int64_t tail = n - n % 8;
-    for (int64_t i = 8; i < tail; i += 8)
-        for (int m = 0; m < 8; m++)
-            r[m] += a[i + m];
-    double total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-    for (int64_t i = tail; i < n; i++)
-        total += a[i];
-    return total;
-}
-
 /* rep[t]: how many ids before ids[t] equal it, its offset in the rising factorial */
 static void count_repeats(const int64_t *ids, int64_t n, double *rep)
 {
@@ -72,22 +36,20 @@ static void count_repeats(const int64_t *ids, int64_t n, double *rep)
     }
 }
 
-/* One row of numpy_conditional_log's num.sum(axis=-1) - den.sum(axis=-1),
- * for a topic's or a (sentiment, topic) pair's count row: the sum of
+/* One row of numpy_conditional_log's num - den, for a topic's or a
+ * (sentiment, topic) pair's count row: the sum of
  * ln(row[w] + smoother[w * stride] + r) over the ids w and their repeat
- * counts r (count_repeats), minus the sum of ln(x + t) for t below n. work
- * holds 2 n doubles. */
+ * counts r (count_repeats), minus the sum of ln(x + t) for t below n, each
+ * sum left to right. */
 static double log_rising_ratio(const double *row, const double *smoother, int64_t stride,
-                               double x, const int64_t *ids, const double *rep,
-                               int64_t n, int pairwise_numerators, double *work)
+                               double x, const int64_t *ids, const double *rep, int64_t n)
 {
-    double *nums = work, *dens = work + n;
+    double num = 0.0, den = 0.0;
     for (int64_t t = 0; t < n; t++) {
-        nums[t] = ln(row[ids[t]] + smoother[ids[t] * stride] + rep[t]);
-        dens[t] = ln(x + (double)t);
+        num += ln(row[ids[t]] + smoother[ids[t] * stride] + rep[t]);
+        den += ln(x + (double)t);
     }
-    double num = pairwise_numerators ? pairwise(nums, n) : sum_in_order(nums, n);
-    return num - pairwise(dens, n);
+    return num - den;
 }
 
 /* numpy_decrement (step -1) or numpy_increment (step +1): add step times
@@ -130,7 +92,7 @@ static int64_t draw(double *logp, int64_t n, double u)
 
 /* Resample the (sentiment, topic) pair of every sentence in order, with
  * u[i] the uniform draw of sentence i; z, s and the counts are updated in
- * place. work holds S T + T + 4 L doubles, L the longest id list. */
+ * place. work holds S T + T + 2 L doubles, L the longest id list. */
 void segsum_sweep(int64_t n_sent, int64_t S, int64_t T, int64_t V, int64_t Vp,
                   double alpha, double beta, double gamma,
                   const int64_t *doc, const int64_t *aspect_start, const int64_t *aspect,
@@ -147,7 +109,7 @@ void segsum_sweep(int64_t n_sent, int64_t S, int64_t T, int64_t V, int64_t Vp,
         const int64_t *a_ids = aspect + aspect_start[i], *s_ids = senti + senti_start[i];
         const int64_t na = aspect_start[i + 1] - aspect_start[i];
         const int64_t ns = senti_start[i + 1] - senti_start[i];
-        double *s_rep = a_rep + na, *terms = s_rep + ns;
+        double *s_rep = a_rep + na;
         count_repeats(a_ids, na, a_rep);
         count_repeats(s_ids, ns, s_rep);
 
@@ -155,12 +117,11 @@ void segsum_sweep(int64_t n_sent, int64_t S, int64_t T, int64_t V, int64_t Vp,
              n_TW, n_STW, n_DT, n_DS, n_TW_rows, n_STW_rows);
         for (int64_t k = 0; k < T; k++)
             aspect_term[k] = na == 0 ? 0.0 : log_rising_ratio(
-                n_TW + k * V, &beta, 0, n_TW_rows[k] + bar_beta, a_ids, a_rep, na,
-                T == 1, terms);
+                n_TW + k * V, &beta, 0, n_TW_rows[k] + bar_beta, a_ids, a_rep, na);
         for (int64_t jk = 0; jk < S * T; jk++) {
             const double senti_term = ns == 0 ? 0.0 : log_rising_ratio(
                 n_STW + jk * Vp, beta_prime + jk * Vp, 1, n_STW_rows[jk] + bar_beta_prime[jk],
-                s_ids, s_rep, ns, 0, terms);
+                s_ids, s_rep, ns);
             logp[jk] = ((aspect_term[jk % T] + senti_term) + ln(n_DT[d * T + jk % T] + alpha))
                        + ln(n_DS[d * S + jk / T] + gamma);
         }

@@ -218,6 +218,14 @@ def _count(text):
     return value
 
 
+def _patterns(text):
+    try:
+        patterns.resolve_pattern_ids(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="segsum",
                                      description="Segment-based review summarization pipeline")
@@ -228,16 +236,17 @@ def build_parser():
 
     sub.add_parser("preprocess")
     p_train = sub.add_parser("train")
-    p_train.add_argument("--iters", type=int, help="override total sweep count")
+    p_train.add_argument("--iters", type=_count, help="override total sweep count")
     p_train.add_argument("--resume", action="store_true")
     p_extract = sub.add_parser("extract")
-    p_extract.add_argument("--patterns", help="preset name or ids, e.g. service or 1,3,5")
+    p_extract.add_argument("--patterns", type=_patterns,
+                           help="preset name or ids, e.g. service or 1,3,5")
     p_sum = sub.add_parser("summarize")
     p_sum.add_argument("--entity", help="restrict to one entity")
-    p_sum.add_argument("--patterns")
+    p_sum.add_argument("--patterns", type=_patterns)
     p_sum.add_argument("--top-n", type=_count, dest="top_n")
     p_eval = sub.add_parser("evaluate")
-    p_eval.add_argument("--patterns")
+    p_eval.add_argument("--patterns", type=_patterns)
     sub.add_parser("topics").add_argument("--top-n", type=_count, dest="top_n", default=10)
     return parser
 

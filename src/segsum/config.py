@@ -9,9 +9,11 @@ import configparser
 import os
 from dataclasses import dataclass, field
 
+from .corpus import CORPUS_FORMATS
 from .evaluation import EvalConfig
 from .filters import FilterConfig
 from .model import Hyperparams, Schedule
+from .patterns import resolve_pattern_ids
 
 
 class ConfigError(ValueError):
@@ -49,6 +51,13 @@ class PipelineConfig:
             raise ValueError(f"top_n must be >= 0, got {self.top_n}")
         if self.max_words < 1:
             raise ValueError(f"max_words must be >= 1, got {self.max_words}")
+        if self.paths.corpus_format not in CORPUS_FORMATS:
+            raise ValueError(f"corpus_format must be one of {', '.join(CORPUS_FORMATS)}, "
+                             f"got {self.paths.corpus_format!r}")
+        try:
+            resolve_pattern_ids(self.pattern_spec)
+        except ValueError as exc:
+            raise ValueError(f"preset: {exc}") from None
 
     @property
     def checkpoint_path(self):

@@ -106,13 +106,16 @@ def make_token(surface: str, pos: str, extra_sentiment=DEFAULT_EXTRA_SENTIMENT) 
     return Token(surface, stemmed, pos, is_sentiment)
 
 
+# the formats ingest_tagged reads: the values of [paths] corpus_format
+CORPUS_FORMATS = ("jsonl", "conll")
+
+
 def ingest_tagged(path, format: str = "jsonl",
                   extra_sentiment=DEFAULT_EXTRA_SENTIMENT) -> Corpus:
-    if format == "jsonl":
-        return _ingest_jsonl(path, extra_sentiment)
-    if format == "conll":
-        return _ingest_conll(path, extra_sentiment)
-    raise ValueError(f"unknown corpus format: {format!r}")
+    if format not in CORPUS_FORMATS:
+        raise ValueError(f"unknown corpus format: {format!r}")
+    read = _ingest_jsonl if format == "jsonl" else _ingest_conll
+    return read(path, extra_sentiment)
 
 
 def _not_a_token(pair):

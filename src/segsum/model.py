@@ -270,7 +270,8 @@ def init(corpus, vocab, hp, seeds=None, rng_seed=0) -> ModelState:
 # with the state) and the state's z/s and count arrays, which it updates in
 # place; z/s follow the flat corpus's sentence order, so the sweep copies
 # nothing. It samples the chain of the per-sentence numpy sampler in
-# tests/oracles.py, so it adds every sum in that sampler's order.
+# tests/oracles.py: the same terms, each sum over a sentence's ids left to
+# right.
 
 _SWEEP_SOURCE = os.path.join(os.path.dirname(__file__), "_sweep.c")
 _SWEEP_CACHE = os.path.join(os.path.dirname(__file__), "__pycache__")
@@ -342,7 +343,7 @@ def gibbs_sweep(state):
         ("n_TW_rows", (T,)), ("n_STW_rows", (S, T)),
         ("beta_prime", (S, T, Vp)), ("bar_beta_prime", (S, T)))]
     u = state.rng.random(n)
-    work = np.empty(S * T + T + 4 * flat.longest)
+    work = np.empty(S * T + T + 2 * flat.longest)
     _sweep_kernel(n, S, T, V, Vp, hp.alpha, hp.beta, hp.gamma,
                   *(a.ctypes.data for a in flat[:5]), u.ctypes.data, state.z.ctypes.data,
                   state.s.ctypes.data, *counts, work.ctypes.data)

@@ -3,7 +3,8 @@
 Everything here is written with plain loops and, where useful, arbitrary
 precision, deliberately sharing no code with the package under test. The
 exception to plain loops is the per-sentence numpy Gibbs sampler that the
-package used before its compiled sweep: the sweep must sample its chain.
+package used before its compiled sweep: the sweep must sample its chain, so
+both compute the same terms, each sum left to right.
 """
 
 import math
@@ -263,8 +264,9 @@ def extraction_oracle(pairs, pattern_ids, max_words, negation_words):
 # expression. These functions work on a segsum.model.ModelState. They take
 # logarithms and exponentials with libm's log and exp, elementwise, as
 # math.log, math.exp and the compiled sweep do (np.log and np.exp can differ
-# from them in the last bit). The results keep the memory layout that np.log
-# and np.exp would give, so every sum(axis=...) adds in numpy's order.
+# from them in the last bit). Each sum over a sentence's ids is the last
+# entry of an np.cumsum, which adds left to right by its definition; numpy
+# does not promise the order of .sum.
 
 _libm_log = np.frompyfunc(lambda x: math.log(x) if x > 0 else -math.inf, 1, 1)
 _libm_exp = np.frompyfunc(math.exp, 1, 1)
@@ -328,6 +330,11 @@ def numpy_increment(state, sentences, d, c, j, k):
     state.s[i] = j
 
 
+def _sum_left_to_right(a):
+    """The sums of a over its last axis, each added left to right."""
+    return np.cumsum(a, axis=-1)[..., -1]
+
+
 def numpy_conditional_log(state, sentences, d, c):
     """Log of the unnormalized (S, T) conditional of sentence (d, c), whose
     own assignment must already be decremented."""
@@ -338,13 +345,13 @@ def numpy_conditional_log(state, sentences, d, c):
     if len(aspect):
         num = libm_log(state.n_TW[:, aspect] + hp.beta + aspect_offsets)
         den = libm_log(state.n_TW_rows[:, None] + V * hp.beta + np.arange(len(aspect)))
-        logp += (num.sum(axis=1) - den.sum(axis=1))[None, :]
+        logp += (_sum_left_to_right(num) - _sum_left_to_right(den))[None, :]
     if len(senti):
         num = libm_log(state.n_STW[:, :, senti] + state.beta_prime[:, :, senti]
                        + senti_offsets)
         den = libm_log(state.n_STW_rows[:, :, None] + state.bar_beta_prime[:, :, None]
                        + np.arange(len(senti)))
-        logp += num.sum(axis=2) - den.sum(axis=2)
+        logp += _sum_left_to_right(num) - _sum_left_to_right(den)
     logp += libm_log(state.n_DT[d] + hp.alpha)[None, :]
     logp += libm_log(state.n_DS[d] + hp.gamma)[:, None]
     return logp

@@ -6,6 +6,8 @@ import os
 import pathlib
 import re
 import string
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -129,17 +131,26 @@ class TestExitCodes:
         assert main(["--config", str(config)]) == 1          # no subcommand
         assert main(["--config", str(config), "bogus"]) == 1
 
-    @pytest.mark.parametrize("command", ["summarize", "topics"])
-    def test_negative_top_n_is_one(self, workspace, capsys, command):
+    @pytest.mark.parametrize("command, option, value", [
+        ("summarize", "--top-n", "-1"), ("topics", "--top-n", "-1"), ("train", "--iters", "-1"),
+        *((command, "--patterns", spec)
+          for command in ("extract", "summarize", "evaluate") for spec in ("bogus", "9"))])
+    def test_negative_top_n_is_one(self, workspace, capsys, command, option, value):
         _, config = workspace
-        assert main(["--config", str(config), command, "--top-n", "-1"]) == 1
-        assert "must be >= 0" in capsys.readouterr().err
+        assert main(["--config", str(config), command, option, value]) == 1
+        err = capsys.readouterr().err
+        message = f"bad pattern spec: '{value}'" if option == "--patterns" else "must be >= 0"
+        assert f"argument {option}: {message}" in err and "data error" not in err
 
     @pytest.mark.parametrize("section, key, value", [("run", "top_n", -1),
-                                                     ("patterns", "max_words", 0)])
+                                                     ("patterns", "max_words", 0),
+                                                     ("patterns", "preset", "bogus"),
+                                                     ("paths", "corpus_format", "xml")])
     def test_out_of_range_config_count_is_one(self, tmp_path, capsys, section, key, value):
         corpus = write_corpus(tmp_path, num_entities=2, reviews_per_entity=3)
-        config = write_config(tmp_path, corpus, extra=f"[{section}]\n{key} = {value}\n")
+        # write_config's extra lines go into its [paths] section
+        header = "" if section == "paths" else f"[{section}]\n"
+        config = write_config(tmp_path, corpus, extra=f"{header}{key} = {value}\n")
         assert main(["--config", str(config), "summarize"]) == 1
         err = capsys.readouterr().err
         assert "config error" in err and key in err
@@ -354,9 +365,16 @@ def test_a_mutated_record_exits_0_or_2_naming_its_line(data):
         corpus = pathlib.Path(tmp) / "corpus.jsonl"
         corpus.write_bytes(b"".join(line + b"\n" for line in lines))
         config = write_config(pathlib.Path(tmp), corpus)
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main(["--config", str(config), "preprocess"])
+        _assert_exit_0_or_2_naming(["--config", str(config), "preprocess"], allowed,
+                                   f"{corpus}:{index + 1}: ")
+
+
+def _assert_exit_0_or_2_naming(argv, allowed, where):
+    """Run main(argv): exit 0 if allowed, else exit 2 with one stderr line
+    holding `where`; never a traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
     err = err.getvalue()
     assert "Traceback" not in err
     if allowed:
@@ -364,7 +382,81 @@ def test_a_mutated_record_exits_0_or_2_naming_its_line(data):
     else:
         assert code == 2
         [line] = err.strip().splitlines()
-        assert f"{corpus}:{index + 1}: " in line
+        assert where in line
+
+
+# -- one line of the seeds file or the lexicon mutated ------------------------
+#
+# The command that reads the file either accepts the mutation (exit 0: blank
+# and '#' lines, which both readers skip) or exits 2 with one stderr line
+# naming the file's path:lineno; never exit 1 or a traceback.
+
+LEXICON = sorted(text_polarity_lexicon().items())
+SEED_LINES = [f"{'positive' if score > 0 else 'negative'}\t{stem}" for stem, score in LEXICON]
+LEXICON_LINES = [f"{stem}\t{score}" for stem, score in LEXICON]
+LINE_MUTATIONS = ["field count", "0xff byte", "blank", "comment"]
+
+
+def _mutate_line(data, line, kind):
+    """The line changed by a mutation of this kind: (its bytes, whether the
+    readers allow it)."""
+    fields = line.split("\t")
+    if kind == "field count":
+        fields = fields[:1] if data.draw(st.booleans()) else fields + ["1"]
+    elif kind == "unknown polarity":
+        fields[0] = data.draw(st.sampled_from(["neutral", "Positive", "pos", "+1"]))
+    elif kind == "non-finite score":
+        fields[1] = data.draw(st.sampled_from(["nan", "NaN", "inf", "-inf", "1e999"]))
+    elif kind == "blank":
+        fields = [data.draw(st.sampled_from(["", " ", "\t"]))]
+    elif kind == "comment":
+        fields = ["# " + line]
+    out = "\t".join(fields).encode()
+    if kind == "0xff byte":
+        at = data.draw(st.integers(0, len(out)))
+        out = out[:at] + b"\xff" + out[at:]
+    return out, kind in ("blank", "comment")
+
+
+def _run_on_mutated_file(data, lines, kinds, name, corpus, argv, extra=""):
+    """Write lines with one of them mutated to the [paths] file `name` in a
+    fresh directory and run argv with a config naming it."""
+    index = data.draw(st.integers(0, len(lines) - 1))
+    encoded = [line.encode() for line in lines]
+    encoded[index], allowed = _mutate_line(data, lines[index], data.draw(st.sampled_from(kinds)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / f"{name}.txt"
+        path.write_bytes(b"".join(line + b"\n" for line in encoded))
+        config = write_config(pathlib.Path(tmp), corpus, extra=f"{name} = {path}\n{extra}")
+        _assert_exit_0_or_2_naming(["--config", str(config), *argv], allowed,
+                                   f"{path}:{index + 1}: ")
+
+
+@pytest.fixture(scope="module")
+def trained_once(tmp_path_factory):
+    """A small corpus and a checkpoint trained on it for one sweep."""
+    tmp_path = tmp_path_factory.mktemp("mutated_lines")
+    corpus = write_corpus(tmp_path, num_entities=2, reviews_per_entity=3)
+    assert main(["--config", str(write_config(tmp_path, corpus)),
+                 "train", "--iters", "1"]) == 0
+    return corpus, tmp_path / "out" / "checkpoint.json"
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_mutated_seed_line_exits_0_or_2_naming_its_line(trained_once, data):
+    corpus, _ = trained_once
+    _run_on_mutated_file(data, SEED_LINES, LINE_MUTATIONS + ["unknown polarity"], "seeds",
+                         corpus, ["train", "--iters", "1"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_mutated_lexicon_line_exits_0_or_2_naming_its_line(trained_once, data):
+    corpus, checkpoint = trained_once
+    _run_on_mutated_file(data, LEXICON_LINES, LINE_MUTATIONS + ["non-finite score"], "lexicon",
+                         corpus, ["--procedure", "Baseline+SWN", "summarize"],
+                         extra=f"checkpoint = {checkpoint}\n")
 
 
 class TestPipelineFlow:
@@ -509,6 +601,27 @@ class TestResume:
         assert main(["--config", str(other), "train", "--resume"]) == 2
         assert "contradicts" in capsys.readouterr().err
         assert ckpt.read_bytes() == before
+
+    def test_resume_error_of_a_real_process_is_its_last_stderr_line(self, tmp_path):
+        # In its own process cli.main logs to stderr, so the warnings of
+        # seed_smoothers (default seed words missing from this vocabulary)
+        # come before the one error line. Under pytest they are captured.
+        corpus = write_corpus(tmp_path, num_entities=2, reviews_per_entity=4)
+        config = write_config(tmp_path, corpus)
+        assert main(["--config", str(config), "train", "--iters", "1"]) == 0
+        other = tmp_path / "other.ini"
+        other.write_text(config.read_text().replace("num_topics = 3", "num_topics = 4"))
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-m", "segsum.cli", "--config", str(other),
+                                 "train", "--resume"],
+                                capture_output=True, text=True, env=env, timeout=120)
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        *before, last = result.stderr.strip().splitlines()
+        assert last.startswith("data error: ") and "num_topics = 4" in last
+        assert before and all(line.startswith("WARNING ") for line in before)
 
     def test_resume_against_swapped_seeds_is_two(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path, num_entities=2, reviews_per_entity=4)

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import re
 
 import numpy as np
@@ -228,8 +229,9 @@ def assert_same_chain(a, b):
 def random_long_sentence_corpus(seed=17, num_docs=30, longest=20):
     """Sentences of 8 to `longest` aspect and sentiment tokens each over a
     small vocabulary, so that ids repeat, plus some short and empty ones.
-    From 8 terms up numpy's pairwise sum adds in another order than left to
-    right."""
+    From 8 terms up the left-to-right sums of the sweep and the numpy
+    sampler differ from numpy's own pairwise .sum, so long rows show a sum
+    added in another order."""
     rng = np.random.default_rng(seed)
     aspect_stems = [f"asp{i}" for i in range(12)]
     senti_stems = [f"sen{i}" for i in range(9)]
@@ -257,6 +259,46 @@ class TestSameChainAsNumpySampler:
             assert np.array_equal(fast, getattr(state, name)), name
         assert np.array_equal(state.n_TW_rows, state.n_TW.sum(axis=1))
         assert np.array_equal(state.n_STW_rows, state.n_STW.sum(axis=2))
+
+    def test_oracle_adds_each_sum_left_to_right(self):
+        # the numpy sampler's rule, checked without the compiled sweep: on a
+        # sentence of over 128 ids, its conditional equals the same log terms
+        # added one by one in token order
+        corpus = random_long_sentence_corpus(seed=41, num_docs=8, longest=300)
+        vocab = build_vocabulary(corpus, min_count=1, stopwords=frozenset())
+        state = init(corpus, vocab, Hyperparams(num_topics=4),
+                     SeedList(frozenset({"sen0"}), frozenset({"sen1"})), rng_seed=5)
+        sentences = oracles.numpy_sentences(state.docs)
+        d, c = max(((d, c) for d, doc in enumerate(sentences) for c in range(len(doc))),
+                   key=lambda dc: len(sentences[dc[0]][dc[1]][0]))
+        aspect, aspect_offsets, senti, senti_offsets = sentences[d][c]
+        assert len(aspect) > 128 and len(senti) > 8
+        oracles.numpy_decrement(state, sentences, d, c)
+
+        def in_order(terms):
+            total = 0.0
+            for term in terms:
+                total += math.log(term)
+            return total
+
+        hp, V = state.hp, state.vocab.num_aspect_words
+        expected = []
+        for j in range(hp.num_sentiments):
+            row = []
+            for k in range(hp.num_topics):
+                a_num = in_order(state.n_TW[k, w] + hp.beta + r
+                                 for w, r in zip(aspect, aspect_offsets))
+                a_den = in_order(state.n_TW_rows[k] + V * hp.beta + t
+                                 for t in range(len(aspect)))
+                s_num = in_order(state.n_STW[j, k, w] + state.beta_prime[j, k, w] + r
+                                 for w, r in zip(senti, senti_offsets))
+                s_den = in_order(state.n_STW_rows[j, k] + state.bar_beta_prime[j, k] + t
+                                 for t in range(len(senti)))
+                row.append((((a_num - a_den) + (s_num - s_den))
+                            + math.log(state.n_DT[d, k] + hp.alpha))
+                           + math.log(state.n_DS[d, j] + hp.gamma))
+            expected.append(row)
+        assert oracles.numpy_conditional_log(state, sentences, d, c).tolist() == expected
 
     def test_underflowed_smoother_gives_minus_infinity(self):
         # beta_prime[1, :, bad] underflows to 0; with no count there, the
@@ -300,9 +342,10 @@ class TestCompiledSweepSamplesTheOracleChain:
 
     @pytest.mark.parametrize("num_topics,longest", [(1, 20), (4, 20), (1, 300), (4, 300)])
     def test_long_sentences_with_repeated_ids(self, num_topics, longest, monkeypatch):
-        # from 8 terms up the sums run in numpy's pairwise order, and above
-        # 128 terms that order halves the row recursively; with one topic
-        # numpy sums the aspect numerators pairwise too (a contiguous row)
+        # the same terms, each sum left to right: rows of 8 terms and more
+        # (where numpy's pairwise .sum would add in another order), over 128
+        # terms (where it would halve the row), one topic and several, and
+        # the longest rows, which fill the sweep's work buffer
         corpus = random_long_sentence_corpus(num_docs=30 if longest == 20 else 8,
                                              longest=longest)
         compiled, reference = train_with_both_samplers(
