@@ -24,7 +24,9 @@ def build_corpus(args):
     reviews = generate_text_reviews(num_entities=args.entities,
                                     reviews_per_entity=args.reviews,
                                     rng_seed=args.seed)
-    return corpus_mod.Corpus([corpus_mod.review_from_record(r) for r in reviews])
+    shared_tokens = {}
+    return corpus_mod.Corpus([corpus_mod.review_from_record(r, shared_tokens=shared_tokens)
+                              for r in reviews])
 
 
 def main():

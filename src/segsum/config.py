@@ -99,7 +99,12 @@ _RENAMED = {("patterns", "preset"): "pattern_spec", ("model", "min_count"): "min
 
 def load_config(path) -> PipelineConfig:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        # on one line: a ParsingError puts each bad line on a line of its own
+        message = " ".join(str(exc).split())
+        raise ConfigError(f"cannot parse config file {path}: {message}") from exc
     if not read:
         raise ConfigError(f"cannot read config file: {path}")
 

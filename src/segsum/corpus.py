@@ -122,11 +122,18 @@ def _not_a_token(pair):
     raise ValueError(f"token {pair!r} is not a [surface, tag] pair of strings")
 
 
-def review_from_record(obj, extra_sentiment=DEFAULT_EXTRA_SENTIMENT) -> Review:
+def review_from_record(obj, extra_sentiment=DEFAULT_EXTRA_SENTIMENT,
+                       shared_tokens=None) -> Review:
     """Build a Review from one decoded JSONL record; empty sentences drop.
     ValueError unless id and entity_id are strings or integers, pros and cons
     lists of strings, sentences a list of lists, and each token a [surface,
-    tag] pair of strings."""
+    tag] pair of strings.
+
+    shared_tokens, a dict from (surface, tag) to Token, is looked up before a
+    Token is made and gets each new one, so the records of one ingest share
+    one Token per (surface, tag). Without it the record has a dict of its own."""
+    if shared_tokens is None:
+        shared_tokens = {}
     if type(obj["id"]) not in (str, int) or type(obj["entity_id"]) not in (str, int):
         raise ValueError("id and entity_id must be strings or integers")
     pros, cons = obj.get("pros", []), obj.get("cons", [])
@@ -139,7 +146,9 @@ def review_from_record(obj, extra_sentiment=DEFAULT_EXTRA_SENTIMENT) -> Review:
     for sent in sentences:
         # type tests, not a checking function: a valid token costs no more
         # Python calls than the str() conversions these tests replaced
-        tokens = [make_token(surface, pos, extra_sentiment)
+        tokens = [shared_tokens.get((surface, pos))
+                  or shared_tokens.setdefault((surface, pos),
+                                              make_token(surface, pos, extra_sentiment))
                   for pair in sent for surface, pos in (pair,)
                   if type(pair) in (list, tuple) and type(surface) is str and type(pos) is str
                   or _not_a_token(pair)]
@@ -149,12 +158,12 @@ def review_from_record(obj, extra_sentiment=DEFAULT_EXTRA_SENTIMENT) -> Review:
 
 
 def _ingest_jsonl(path, extra_sentiment) -> Corpus:
-    reviews = []
+    reviews, shared_tokens = [], {}
     for lineno, line in numbered_lines(path):
         if not line.strip():
             continue
         try:
-            review = review_from_record(json.loads(line), extra_sentiment)
+            review = review_from_record(json.loads(line), extra_sentiment, shared_tokens)
         except (KeyError, TypeError, ValueError) as exc:
             raise CorpusFormatError(path, lineno, f"bad review record: {exc}") from exc
         if not review.entity_id:
@@ -164,7 +173,7 @@ def _ingest_jsonl(path, extra_sentiment) -> Corpus:
 
 
 def _ingest_conll(path, extra_sentiment) -> Corpus:
-    reviews = []
+    reviews, shared_tokens = [], {}
     current = None
     tokens = []
 
@@ -196,7 +205,9 @@ def _ingest_conll(path, extra_sentiment) -> Corpus:
             parts = line.split("\t")
             if len(parts) != 2:
                 raise CorpusFormatError(path, lineno, f"expected 'surface<TAB>pos', got {line!r}")
-            tokens.append(make_token(parts[0], parts[1], extra_sentiment))
+            key = tuple(parts)
+            tokens.append(shared_tokens.get(key)
+                          or shared_tokens.setdefault(key, make_token(*key, extra_sentiment)))
     flush_sentence()
     return Corpus(reviews)
 

@@ -74,6 +74,23 @@ def pr_pair(x, y):
     return matches / comb(len(y), 2), matches / comb(len(x), 2)
 
 
+class PairCounts(dict):
+    """Normalised text -> the Counter of its ordered pairs, built on first
+    use, so that one evaluate counts the pairs of each distinct text once."""
+
+    def __missing__(self, seq):
+        counts = self[seq] = _pair_counts(seq)
+        return counts
+
+    def pr_pair(self, x, y):
+        """pr_pair(x, y), matched from the stored pair counts of x and y."""
+        if len(x) < 2 or len(y) < 2:
+            return pr_pair(x, y)
+        py = self[y]
+        matches = sum(min(n, py[p]) for p, n in self[x].items())
+        return matches / comb(len(y), 2), matches / comb(len(x), 2)
+
+
 @dataclass
 class SegmentScore:
     precision: float
@@ -81,12 +98,14 @@ class SegmentScore:
     best_indices: tuple   # the reference items reaching the best recall; the first is X_max
 
 
-def segment_scores(candidate, reference) -> SegmentScore:
+def segment_scores(candidate, reference, pair_counts=None) -> SegmentScore:
     """Score one candidate against the reference item maximizing R(X, Y);
-    ties break to the first item in reference order."""
+    ties break to the first item in reference order. pair_counts, a
+    PairCounts, may hold the pair counts of texts scored before."""
     if not reference:
         raise ValueError("empty reference")
-    scores = [pr_pair(ref_item, candidate) for ref_item in reference]
+    score = (pair_counts if pair_counts is not None else PairCounts()).pr_pair
+    scores = [score(ref_item, candidate) for ref_item in reference]
     best_recall = max(r for _, r in scores)
     best = tuple(idx for idx, (_, r) in enumerate(scores) if r == best_recall)
     return SegmentScore(*scores[best[0]], best)
@@ -117,8 +136,9 @@ class EntityScores:
         }
 
 
-def entity_scores(candidates, reference, alpha=0.25) -> EntityScores:
-    """candidates/reference are sequences of token tuples."""
+def entity_scores(candidates, reference, alpha=0.25, pair_counts=None) -> EntityScores:
+    """candidates/reference are sequences of token tuples; pair_counts is as
+    in segment_scores."""
     reference = list(reference)
     candidates = list(candidates)
     if not reference:
@@ -127,7 +147,8 @@ def entity_scores(candidates, reference, alpha=0.25) -> EntityScores:
         return EntityScores(0, 0, 0, 0, 0, 0, 0, len(reference),
                             flagged_empty_candidate=True)
 
-    scored = [segment_scores(y, reference) for y in candidates]
+    pair_counts = pair_counts if pair_counts is not None else PairCounts()
+    scored = [segment_scores(y, reference, pair_counts) for y in candidates]
     p_skip = sum(s.precision for s in scored) / len(scored)
     r_skip = sum(s.recall for s in scored) / len(scored)
 
@@ -207,7 +228,7 @@ class EvalReport:
                 "skipped_entities": self.skipped_entities}
 
 
-def _score_polarity(per_entity_candidates, per_entity_refs, cfg):
+def _score_polarity(per_entity_candidates, per_entity_refs, cfg, pair_counts):
     entities = {}
     excluded = []
     for entity_id, candidates in per_entity_candidates.items():
@@ -221,7 +242,7 @@ def _score_polarity(per_entity_candidates, per_entity_refs, cfg):
         cand_norm = [normalize_segment(seg, cfg.token_normalization)
                      for seg in candidates]
         entities[entity_id] = entity_scores(cand_norm, ref_norm,
-                                            cfg.recall_threshold)
+                                            cfg.recall_threshold, pair_counts)
     if not entities:
         raise ValueError("no scorable entities (all lacked references)")
     return PolarityReport(corpus_stats(entities.values()), entities, excluded)
@@ -239,10 +260,11 @@ def evaluate(candidates, references, cfg=None) -> EvalReport:
         log.warning("entity %r has candidates but no reference; skipped", entity_id)
 
     usable = {e: c for e, c in candidates.items() if e in references}
+    pair_counts = PairCounts()
     pros = _score_polarity({e: c["positive"] for e, c in usable.items()},
-                           {e: references[e][0] for e in usable}, cfg)
+                           {e: references[e][0] for e in usable}, cfg, pair_counts)
     cons = _score_polarity({e: c["negative"] for e, c in usable.items()},
-                           {e: references[e][1] for e in usable}, cfg)
+                           {e: references[e][1] for e in usable}, cfg, pair_counts)
     return EvalReport(pros, cons, skipped)
 
 

@@ -120,11 +120,19 @@ def _stray_byte_on_the_third_line(path):
 
 
 class TestExitCodes:
-    def test_config_error_is_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize("content, named", [
+        (b"[nope]\nx = 1\n", "[nope]"),
+        # configparser cannot parse these three; the message names the file
+        (b"[paths]\n[paths]\n", "bad.ini"),
+        (b"[run]\n=3\n", "bad.ini"),
+        (b"[run]\nrng_seed = 3\xff\n", "bad.ini"),
+    ], ids=["unknown-section", "duplicate-section", "no-key", "not-utf-8"])
+    def test_config_error_is_one(self, tmp_path, capsys, content, named):
         bad = tmp_path / "bad.ini"
-        bad.write_text("[nope]\nx = 1\n")
+        bad.write_bytes(content)
         assert main(["--config", str(bad), "preprocess"]) == 1
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1 and named in err
 
     def test_usage_error_is_one(self, workspace):
         _, config = workspace

@@ -1,16 +1,23 @@
+import json
+import logging
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from segsum import stem
 from segsum.corpus import (
+    CORPUS_FORMATS,
+    DEFAULT_EXTRA_SENTIMENT,
     CorpusFormatError,
     build_reference_summaries,
     build_vocabulary,
     ingest_tagged,
     load_wordlist,
     make_token,
+    review_from_record,
 )
+from segsum.model import encode_corpus
 
 
 class TestTokens:
@@ -110,6 +117,83 @@ class TestIngest:
         with pytest.raises(CorpusFormatError) as err:
             ingest_tagged(path, "conll")
         assert ":2:" in str(err.value)
+
+
+# (surface, tag) pairs that repeat within a sentence, across sentences and
+# across reviews; one surface under two tags, and two surfaces of one stem
+SHARED_REVIEWS = [
+    {"id": "r1", "entity_id": "e1", "pros": ["great food"], "cons": [],
+     "sentences": [[["Great", "JJ"], ["food", "NN"], ["fine", "JJ"], ["food", "NN"]],
+                   [["fine", "NN"], ["Foods", "NNS"], ["foods", "NNS"]]]},
+    {"id": "r2", "entity_id": "e2", "pros": [], "cons": ["slow staff"],
+     "sentences": [[["slow", "JJ"], ["staff", "NN"], ["Great", "JJ"], ["food", "NN"]]]},
+]
+
+
+def write_reviews(tmp_path, format, reviews):
+    """reviews (JSONL records) written in the given corpus format."""
+    path = tmp_path / f"corpus.{format}"
+    if format == "jsonl":
+        path.write_text("".join(json.dumps(r) + "\n" for r in reviews))
+    else:
+        path.write_text("".join(
+            f"#REVIEW {r['id']} {r['entity_id']}\n"
+            + "".join(f"#PROS {item}\n" for item in r["pros"])
+            + "".join(f"#CONS {item}\n" for item in r["cons"])
+            + "\n".join("".join(f"{surface}\t{tag}\n" for surface, tag in sent)
+                        for sent in r["sentences"]) + "\n"
+            for r in reviews))
+    return path
+
+
+@pytest.mark.parametrize("format", CORPUS_FORMATS)
+class TestSharedTokens:
+    def test_one_token_object_per_distinct_surface_and_tag(self, tmp_path, format):
+        corpus = ingest_tagged(write_reviews(tmp_path, format, SHARED_REVIEWS), format)
+        tokens = [t for _, sentence in corpus.sentences() for t in sentence.tokens]
+        assert [(t.surface, t.pos) for t in tokens] == [
+            tuple(pair) for r in SHARED_REVIEWS for sent in r["sentences"] for pair in sent]
+        by_pair = {(t.surface, t.pos): t for t in tokens}
+        assert len(tokens) == 11 and len(by_pair) == 8
+        assert len({id(t) for t in tokens}) == 8
+        assert all(t is by_pair[t.surface, t.pos] for t in tokens)
+        assert all(t == make_token(t.surface, t.pos) for t in tokens)
+
+    def test_a_corpus_ingested_twice_is_equal(self, tmp_path, format):
+        path = write_reviews(tmp_path, format, SHARED_REVIEWS)
+        first, second = ingest_tagged(path, format), ingest_tagged(path, format)
+        assert first == second
+        # each ingest has a dict of its own
+        assert first.reviews[0].sentences[0].tokens[0] is not \
+            second.reviews[0].sentences[0].tokens[0]
+        vocab = build_vocabulary(first, min_count=1, stopwords=frozenset())
+        assert encode_corpus(first, vocab) == encode_corpus(second, vocab)
+
+    @pytest.mark.parametrize("pairs, warnings", [
+        ([("weird", "XYZ")] * 3, 1),
+        ([("weird", "XYZ"), ("odd", "XYZ"), ("weird", "XYZ")], 2),
+    ])
+    def test_unknown_tag_warns_once_per_distinct_pair(self, tmp_path, caplog, format,
+                                                      pairs, warnings):
+        # each unknown pair on a line of its own: a record, or a token line
+        reviews = [{"id": f"r{i}", "entity_id": "e", "pros": [], "cons": [],
+                    "sentences": [[list(pair), ["food", "NN"]]]}
+                   for i, pair in enumerate(pairs)]
+        with caplog.at_level(logging.WARNING, logger="segsum.corpus"):
+            ingest_tagged(write_reviews(tmp_path, format, reviews), format)
+        assert sum("unknown POS tag" in r.getMessage() for r in caplog.records) == warnings
+
+
+def test_review_from_record_with_and_without_a_shared_dict():
+    alone = review_from_record(SHARED_REVIEWS[0])
+    shared = {}
+    first = review_from_record(SHARED_REVIEWS[0], DEFAULT_EXTRA_SENTIMENT, shared)
+    second = review_from_record(SHARED_REVIEWS[1], DEFAULT_EXTRA_SENTIMENT, shared)
+    assert alone == first
+    assert set(shared) == {tuple(pair) for r in SHARED_REVIEWS
+                           for sent in r["sentences"] for pair in sent}
+    assert second.sentences[0].tokens[2] is first.sentences[0].tokens[0]   # ("Great", "JJ")
+    assert alone.sentences[0].tokens[0] is not first.sentences[0].tokens[0]
 
 
 class TestVocabulary:

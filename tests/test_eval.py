@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segsum.corpus import make_token
+from segsum import evaluation
 from segsum.evaluation import (
     EvalConfig,
+    PairCounts,
     corpus_stats,
     entity_scores,
     evaluate,
@@ -286,3 +288,42 @@ class TestRandomInstances:
             assert got.r_skip == want["r_skip"]
             assert got.p_entity == want["p_e"]
             assert got.r_entity == want["r_e"]
+
+
+def random_evaluation(rng):
+    """A random candidate map and its references: few distinct words, so that
+    texts repeat within and across entities and polarities; some texts are
+    shorter than 2 tokens, some entities lack pros or cons or references."""
+    words = ["good", "food", "bad", "wine", "slow", "staff"]
+
+    def text():
+        return [str(w) for w in rng.choice(words, size=int(rng.integers(1, 5)))]
+
+    candidates, references = {}, {}
+    for e in range(int(rng.integers(1, 6))):
+        candidates[f"e{e}"] = {polarity: [make_seg(text()) for _ in range(rng.integers(0, 5))]
+                               for polarity in ("positive", "negative")}
+        if e == 0 or rng.random() < 0.8:
+            references[f"e{e}"] = tuple(
+                [" ".join(text()) for _ in range(rng.integers(e == 0, 4))]
+                for _ in ("pros", "cons"))
+    return candidates, references
+
+
+@pytest.mark.parametrize("normalization", ["stemmed", "surface_lower"])
+def test_one_count_per_text_gives_the_report_of_pr_pair(monkeypatch, normalization):
+    import numpy as np
+    rng = np.random.default_rng(14)
+    cfg = EvalConfig(token_normalization=normalization)
+    for _ in range(100):
+        candidates, references = random_evaluation(rng)
+        counted = []
+        with monkeypatch.context() as m:
+            m.setattr(evaluation, "_pair_counts",
+                      lambda seq, count=evaluation._pair_counts: counted.append(seq) or count(seq))
+            got = evaluate(candidates, references, cfg).to_dict()
+        assert len(counted) == len(set(counted))
+        with monkeypatch.context() as m:
+            m.setattr(PairCounts, "pr_pair", lambda self, x, y: pr_pair(x, y))
+            want = evaluate(candidates, references, cfg).to_dict()
+        assert got == want
