@@ -25,8 +25,8 @@ def build_corpus(args):
                                     reviews_per_entity=args.reviews,
                                     rng_seed=args.seed)
     shared_tokens = {}
-    return corpus_mod.Corpus([corpus_mod.review_from_record(r, shared_tokens=shared_tokens)
-                              for r in reviews])
+    return corpus_mod.Corpus([corpus_mod.review_from_record(
+        r, corpus_mod.DEFAULT_EXTRA_SENTIMENT, shared_tokens) for r in reviews])
 
 
 def main():
@@ -65,7 +65,7 @@ def main():
 
     os.makedirs(args.output_dir, exist_ok=True)
     for i, name in enumerate(args.procedures.split(",")):
-        candidates, _ = filters.entity_candidates(
+        candidates = filters.entity_candidates(
             state, corpus, {1, 2, 3, 4, 5}, patterns.DEFAULT_MAX_WORDS, name,
             lexicon, config)
         report = evaluation.evaluate(candidates, refs)

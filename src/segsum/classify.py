@@ -36,6 +36,13 @@ def classify_topic(segment, weights) -> int:
     return int(np.argmax(scores))
 
 
+def _label(polarity, negated):
+    """(sentiment index, polarity): negation flips the sign; >= 0 is positive."""
+    if negated:
+        polarity = -polarity
+    return (POSITIVE if polarity >= 0 else NEGATIVE), polarity
+
+
 def classify_sentiment_sen(segment, y_senti):
     """Model-based classifier: polarity is the sum of y_senti[0]-y_senti[1]
     over the segment's sentiment-vocabulary words; negation flips the sign.
@@ -44,9 +51,7 @@ def classify_sentiment_sen(segment, y_senti):
     for channel, idx in segment.ids:
         if channel == "senti":
             polarity += float(y_senti[0, idx] - y_senti[1, idx])
-    if segment.negated:
-        polarity = -polarity
-    return (POSITIVE if polarity >= 0 else NEGATIVE), polarity
+    return _label(polarity, segment.negated)
 
 
 @dataclass
@@ -90,9 +95,7 @@ def classify_sentiment_swn(segment, lexicon):
     for token in segment.tokens:
         if token.is_sentiment:
             polarity += lexicon.score(token.stem)
-    if segment.negated:
-        polarity = -polarity
-    return (POSITIVE if polarity >= 0 else NEGATIVE), polarity
+    return _label(polarity, segment.negated)
 
 
 def label_aspects(segments, est, vocab):

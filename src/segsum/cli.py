@@ -151,7 +151,7 @@ def cmd_summarize(cfg, args):
         if not keep:
             raise DataError(f"unknown entity: {args.entity}")
         corp = corpus_mod.Corpus(keep)
-    candidates, est = filters.entity_candidates(
+    candidates = filters.entity_candidates(
         state, corp, _pattern_ids(cfg, args), cfg.max_words, cfg.procedure,
         _load_lexicon(cfg), cfg.filters)
     if args.entity:
@@ -162,11 +162,8 @@ def cmd_summarize(cfg, args):
     output = {}
     for entity_id, cand in candidates.items():
         entry = {}
-        for polarity, segs in (("positive", cand["positive"]),
-                               ("negative", cand["negative"])):
-            ordered = sorted(segs, key=lambda s: -filters.rank_score(s, est))
-            if top_n:
-                ordered = ordered[:top_n]
+        for polarity, segs in cand.items():
+            ordered = sorted(segs, key=lambda s: -s.rank)[:top_n or None]   # 0: all
             entry[polarity] = [s.to_dict() for s in ordered]
         output[entity_id] = entry
     _write_json(os.path.join(cfg.paths.output_dir, "summaries.json"), output)
@@ -185,7 +182,7 @@ def cmd_evaluate(cfg, args):
     if not any(p or c for p, c in refs.values()):
         raise DataError("no gold pros/cons in the corpus")
 
-    candidates, _ = filters.entity_candidates(
+    candidates = filters.entity_candidates(
         state, corp, _pattern_ids(cfg, args), cfg.max_words, cfg.procedure,
         _load_lexicon(cfg), cfg.filters)
     report = evaluation.evaluate(candidates, refs, cfg.eval)

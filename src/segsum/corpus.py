@@ -122,18 +122,15 @@ def _not_a_token(pair):
     raise ValueError(f"token {pair!r} is not a [surface, tag] pair of strings")
 
 
-def review_from_record(obj, extra_sentiment=DEFAULT_EXTRA_SENTIMENT,
-                       shared_tokens=None) -> Review:
-    """Build a Review from one decoded JSONL record; empty sentences drop.
+def review_from_record(obj, extra_sentiment, shared_tokens) -> Review:
+    """Build a Review from one JSONL-style record; empty sentences drop.
     ValueError unless id and entity_id are strings or integers, pros and cons
     lists of strings, sentences a list of lists, and each token a [surface,
     tag] pair of strings.
 
     shared_tokens, a dict from (surface, tag) to Token, is looked up before a
     Token is made and gets each new one, so the records of one ingest share
-    one Token per (surface, tag). Without it the record has a dict of its own."""
-    if shared_tokens is None:
-        shared_tokens = {}
+    one Token per (surface, tag)."""
     if type(obj["id"]) not in (str, int) or type(obj["entity_id"]) not in (str, int):
         raise ValueError("id and entity_id must be strings or integers")
     pros, cons = obj.get("pros", []), obj.get("cons", [])
@@ -172,44 +169,42 @@ def _ingest_jsonl(path, extra_sentiment) -> Corpus:
     return Corpus(reviews)
 
 
-def _ingest_conll(path, extra_sentiment) -> Corpus:
-    reviews, shared_tokens = [], {}
-    current = None
-    tokens = []
-
-    def flush_sentence():
-        nonlocal tokens
-        if tokens and current is not None:
-            current.sentences.append(Sentence(tokens, current.id))
-        tokens = []
-
+def _conll_records(path):
+    """Each #REVIEW block of a CoNLL file as a JSONL-style record, yielded
+    when the block ends. A blank line starts a new sentence."""
+    record = None
     for lineno, line in numbered_lines(path):
         if line.startswith("#REVIEW"):
-            flush_sentence()
             parts = line.split()
             if len(parts) != 3:
                 raise CorpusFormatError(path, lineno, "#REVIEW needs 'id entity_id'")
-            current = Review(id=parts[1], entity_id=parts[2], sentences=[])
-            reviews.append(current)
-        elif line.startswith("#PROS") or line.startswith("#CONS"):
-            if current is None:
-                raise CorpusFormatError(path, lineno, "item line before #REVIEW")
-            item = line.split(None, 1)
-            text = item[1] if len(item) > 1 else ""
-            (current.pros if line.startswith("#PROS") else current.cons).append(text)
+            if record is not None:
+                yield record
+            record = {"id": parts[1], "entity_id": parts[2], "sentences": [[]],
+                      "pros": [], "cons": []}
         elif not line.strip():
-            flush_sentence()
+            if record is not None:
+                record["sentences"].append([])
+        elif record is None:
+            kind = "item" if line.startswith(("#PROS", "#CONS")) else "token"
+            raise CorpusFormatError(path, lineno, f"{kind} line before #REVIEW")
+        elif line.startswith(("#PROS", "#CONS")):
+            item = line.split(None, 1)
+            record["pros" if line.startswith("#PROS") else "cons"].append(
+                item[1] if len(item) > 1 else "")
         else:
-            if current is None:
-                raise CorpusFormatError(path, lineno, "token line before #REVIEW")
             parts = line.split("\t")
             if len(parts) != 2:
                 raise CorpusFormatError(path, lineno, f"expected 'surface<TAB>pos', got {line!r}")
-            key = tuple(parts)
-            tokens.append(shared_tokens.get(key)
-                          or shared_tokens.setdefault(key, make_token(*key, extra_sentiment)))
-    flush_sentence()
-    return Corpus(reviews)
+            record["sentences"][-1].append(parts)
+    if record is not None:
+        yield record
+
+
+def _ingest_conll(path, extra_sentiment) -> Corpus:
+    shared_tokens = {}
+    return Corpus([review_from_record(record, extra_sentiment, shared_tokens)
+                   for record in _conll_records(path)])
 
 
 @dataclass

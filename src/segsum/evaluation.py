@@ -49,43 +49,24 @@ def normalize_segment(segment, mode: str = "stemmed"):
     return tuple(t.surface.lower() for t in segment.tokens)
 
 
-def _pair_counts(seq):
-    return Counter(combinations(seq, 2))
-
-
-def skip2(x, y) -> int:
-    """Shared ordered-pair count (any gap), clipped to the minimum
-    multiplicity on each side."""
-    px, py = _pair_counts(x), _pair_counts(y)
-    return sum(min(n, py[p]) for p, n in px.items())
-
-
-def pr_pair(x, y):
-    """(P(X,Y), R(X,Y)). Sequences shorter than 2 tokens fall back to token
-    containment: both scores are 1 if the singleton occurs in the other
-    sequence, else 0."""
-    if len(x) < 2 or len(y) < 2:
-        if len(x) == 0 or len(y) == 0:
-            return 0.0, 0.0
-        short, other = (x, y) if len(x) < len(y) else (y, x)
-        hit = 1.0 if short[0] in other else 0.0
-        return hit, hit
-    matches = skip2(x, y)
-    return matches / comb(len(y), 2), matches / comb(len(x), 2)
-
-
 class PairCounts(dict):
-    """Normalised text -> the Counter of its ordered pairs, built on first
-    use, so that one evaluate counts the pairs of each distinct text once."""
+    """Normalised text -> the Counter of its ordered pairs (any gap), built on
+    first use, so that one evaluate counts the pairs of each text once."""
 
     def __missing__(self, seq):
-        counts = self[seq] = _pair_counts(seq)
+        counts = self[seq] = Counter(combinations(seq, 2))
         return counts
 
     def pr_pair(self, x, y):
-        """pr_pair(x, y), matched from the stored pair counts of x and y."""
+        """(P(X,Y), R(X,Y)) from the ordered pairs x and y share, each clipped
+        to its lower multiplicity. Below 2 tokens on either side, both are 1
+        if the singleton occurs in the other sequence, else 0."""
         if len(x) < 2 or len(y) < 2:
-            return pr_pair(x, y)
+            if len(x) == 0 or len(y) == 0:
+                return 0.0, 0.0
+            short, other = (x, y) if len(x) < len(y) else (y, x)
+            hit = 1.0 if short[0] in other else 0.0
+            return hit, hit
         py = self[y]
         matches = sum(min(n, py[p]) for p, n in self[x].items())
         return matches / comb(len(y), 2), matches / comb(len(x), 2)
@@ -98,13 +79,13 @@ class SegmentScore:
     best_indices: tuple   # the reference items reaching the best recall; the first is X_max
 
 
-def segment_scores(candidate, reference, pair_counts=None) -> SegmentScore:
+def segment_scores(candidate, reference, pair_counts) -> SegmentScore:
     """Score one candidate against the reference item maximizing R(X, Y);
     ties break to the first item in reference order. pair_counts, a
     PairCounts, may hold the pair counts of texts scored before."""
     if not reference:
         raise ValueError("empty reference")
-    score = (pair_counts if pair_counts is not None else PairCounts()).pr_pair
+    score = pair_counts.pr_pair
     scores = [score(ref_item, candidate) for ref_item in reference]
     best_recall = max(r for _, r in scores)
     best = tuple(idx for idx, (_, r) in enumerate(scores) if r == best_recall)
@@ -136,7 +117,7 @@ class EntityScores:
         }
 
 
-def entity_scores(candidates, reference, alpha=0.25, pair_counts=None) -> EntityScores:
+def entity_scores(candidates, reference, alpha, pair_counts) -> EntityScores:
     """candidates/reference are sequences of token tuples; pair_counts is as
     in segment_scores."""
     reference = list(reference)
@@ -147,7 +128,6 @@ def entity_scores(candidates, reference, alpha=0.25, pair_counts=None) -> Entity
         return EntityScores(0, 0, 0, 0, 0, 0, 0, len(reference),
                             flagged_empty_candidate=True)
 
-    pair_counts = pair_counts if pair_counts is not None else PairCounts()
     scored = [segment_scores(y, reference, pair_counts) for y in candidates]
     p_skip = sum(s.precision for s in scored) / len(scored)
     r_skip = sum(s.recall for s in scored) / len(scored)

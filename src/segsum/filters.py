@@ -106,13 +106,13 @@ def rank_score(segment, est):
     return total / len(segment.ids) if segment.ids else -math.inf
 
 
-def filter_rank(segments, est, keep_fraction=0.5):
+def filter_rank(segments, keep_fraction=0.5):
     """Within each entity's (sentiment, aspect) group, drop the bottom
-    floor((1-keep_fraction) * n) segments by rank score; ties keep corpus
-    order."""
+    floor((1-keep_fraction) * n) segments by the rank the classifier stage
+    stored; ties keep corpus order."""
     groups = {}
     for pos, seg in enumerate(segments):
-        if seg.aspect is None or seg.sentiment is None:
+        if seg.aspect is None or seg.sentiment is None or seg.rank is None:
             raise ProcedureError("RANK filter requires aspect and sentiment labels")
         groups.setdefault((seg.entity_id, seg.sentiment, seg.aspect), []).append(pos)
 
@@ -120,7 +120,7 @@ def filter_rank(segments, est, keep_fraction=0.5):
     for members in groups.values():
         n = len(members)
         n_drop = math.floor((1.0 - keep_fraction) * n)
-        ranked = sorted(members, key=lambda pos: -rank_score(segments[pos], est))
+        ranked = sorted(members, key=lambda pos: -segments[pos].rank)
         survivors.update(ranked[: n - n_drop])
     return [seg for pos, seg in enumerate(segments) if pos in survivors]
 
@@ -128,7 +128,7 @@ def filter_rank(segments, est, keep_fraction=0.5):
 def run_procedure(procedure, segments, est, y_senti=None, lexicon=None,
                   config=None):
     """Apply the named procedure's stages in order to aspect-labeled
-    segments.
+    segments. The classifier stage also stores each segment's rank_score.
 
     Returns (positive segments, negative segments).
     """
@@ -148,13 +148,15 @@ def run_procedure(procedure, segments, est, y_senti=None, lexicon=None,
         elif stage == "SW":
             current = filter_sw(current, est, config.sw_top_y)
         elif stage == "RANK":
-            current = filter_rank(current, est, config.rank_keep_fraction)
-        elif stage == "SEN":
+            current = filter_rank(current, config.rank_keep_fraction)
+        else:   # SEN or SWN
+            classify_sentiment, polarities = ((classify_sentiment_sen, y_senti) if stage == "SEN"
+                                               else (classify_sentiment_swn, lexicon))
             for seg in current:
-                seg.sentiment, seg.polarity = classify_sentiment_sen(seg, y_senti)
-        elif stage == "SWN":
-            for seg in current:
-                seg.sentiment, seg.polarity = classify_sentiment_swn(seg, lexicon)
+                if seg.aspect is None:
+                    raise ProcedureError(f"{stage} stage requires aspect labels to rank segments")
+                seg.sentiment, seg.polarity = classify_sentiment(seg, polarities)
+                seg.rank = rank_score(seg, est)
 
     positive = [s for s in current if s.sentiment == 0]
     negative = [s for s in current if s.sentiment == 1]
@@ -167,7 +169,7 @@ def entity_candidates(state, corpus, pattern_ids, max_words, procedure, lexicon,
     over them all, and split the survivors by entity. Every entity with a
     labelled segment gets an entry, in sorted order, even with no survivors.
 
-    Returns ({entity_id: {"positive": [...], "negative": [...]}}, estimates).
+    Returns {entity_id: {"positive": [...], "negative": [...]}}.
     """
     est = model.estimate(state)
     segments = patterns.extract_corpus(corpus, pattern_ids, max_words=max_words)
@@ -182,4 +184,4 @@ def entity_candidates(state, corpus, pattern_ids, max_words, procedure, lexicon,
     for polarity, segs in (("positive", pos), ("negative", neg)):
         for seg in segs:
             candidates[seg.entity_id][polarity].append(seg)
-    return candidates, est
+    return candidates

@@ -50,9 +50,9 @@ class Hyperparams:
     mu_seed: float = 2.0
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "gamma", "sigma1_sq", "sigma2_sq"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for name in ("alpha", "beta", "gamma", "sigma1_sq", "sigma2_sq", "mu_seed"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
         if self.num_topics < 1:
             raise ValueError("num_topics must be >= 1")
         if self.num_sentiments != 2:
@@ -492,7 +492,7 @@ def save_checkpoint(state, path):
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
+            json.dump(payload, fh, allow_nan=False)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

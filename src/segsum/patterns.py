@@ -74,6 +74,9 @@ class Segment:
     aspect: int | None = None
     sentiment: int | None = None
     polarity: float | None = None
+    # filters.rank_score, set by the classifier stage of run_procedure; to_dict
+    # leaves it out
+    rank: float | None = None
     # (channel, index) of each in-vocabulary token, in token order; set by
     # classify.label_aspects
     ids: tuple = ()

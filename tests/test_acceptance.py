@@ -12,7 +12,7 @@ import pytest
 
 from segsum import model
 from segsum.corpus import Corpus, Review, Sentence, Token, build_vocabulary
-from segsum.evaluation import entity_scores
+from segsum.evaluation import PairCounts, entity_scores
 from segsum.patterns import compile_patterns, match_sentence
 from segsum.synthetic import (
     generate_generative_corpus,
@@ -212,7 +212,7 @@ def test_eval_oracle_equivalence():
                  for _ in range(rng.integers(1, 6))]
         refs = [tuple(rng.choice(alphabet, size=rng.integers(1, 7)))
                 for _ in range(rng.integers(1, 5))]
-        got = entity_scores(cands, refs, alpha=0.25)
+        got = entity_scores(cands, refs, alpha=0.25, pair_counts=PairCounts())
         want = oracles.entity_oracle([list(y) for y in cands],
                                      [list(x) for x in refs], 0.25)
         assert got.p_skip == want["p_skip"]
@@ -244,7 +244,8 @@ def test_hand_computed_fixtures():
 
     # evaluation fixture: one exact candidate, one disjoint
     e = entity_scores([("good", "food"), ("bad", "wine")],
-                      [("good", "food"), ("rude", "staff")], alpha=0.25)
+                      [("good", "food"), ("rude", "staff")], alpha=0.25,
+                      pair_counts=PairCounts())
     assert (e.p_skip, e.r_skip, e.p_entity, e.r_entity) == (0.5, 0.5, 0.5, 0.5)
     report("hand-computed fixtures")
 

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from segsum import corpus as corpus_mod, filters, model, patterns
 from segsum.cli import main
 from segsum.config import ConfigError, PipelineConfig, load_config
 from segsum.corpus import PENN_TAGS
@@ -153,12 +154,19 @@ class TestExitCodes:
     @pytest.mark.parametrize("section, key, value", [("run", "top_n", -1),
                                                      ("patterns", "max_words", 0),
                                                      ("patterns", "preset", "bogus"),
-                                                     ("paths", "corpus_format", "xml")])
+                                                     ("paths", "corpus_format", "xml"),
+                                                     ("model", "alpha", "nan"),
+                                                     ("model", "beta", "inf"),
+                                                     ("model", "mu_seed", "nan")])
     def test_out_of_range_config_count_is_one(self, tmp_path, capsys, section, key, value):
         corpus = write_corpus(tmp_path, num_entities=2, reviews_per_entity=3)
-        # write_config's extra lines go into its [paths] section
+        # write_config's extra lines go into its [paths] section, and a
+        # [model] key into the [model] section it writes itself
         header = "" if section == "paths" else f"[{section}]\n"
-        config = write_config(tmp_path, corpus, extra=f"{header}{key} = {value}\n")
+        line = f"{header}{key} = {value}\n"
+        config = write_config(tmp_path, corpus, extra="" if section == "model" else line)
+        if section == "model":
+            config.write_text(config.read_text().replace("[model]\n", line))
         assert main(["--config", str(config), "summarize"]) == 1
         err = capsys.readouterr().err
         assert "config error" in err and key in err
@@ -205,6 +213,8 @@ class TestExitCodes:
         pytest.param("n_TW", lambda rows: [row + [0.0] for row in rows], id="n_TW-rows-longer"),
         pytest.param("y_topic", lambda rows: [row[:-1] for row in rows], id="y_topic-rows-shorter"),
         pytest.param("sweep_index", lambda index: "x", id="sweep_index-string"),
+        pytest.param("hyperparams", lambda hp: {**hp, "alpha": float("nan")},
+                     id="hyperparams-alpha-nan"),
     ])
     def test_checkpoint_field_of_the_wrong_shape_is_two(self, tmp_path, capsys, command,
                                                         key, edit):
@@ -548,6 +558,36 @@ class TestPipelineFlow:
         _, config = workspace
         assert main(["--config", str(config), "summarize",
                      "--entity", "ghost"]) == 2
+
+
+def test_summaries_list_each_polarity_by_descending_rank(tmp_path):
+    corpus = write_corpus(tmp_path, num_entities=3, reviews_per_entity=6)
+    config = write_config(tmp_path, corpus)
+    procedure = "Baseline+SEN+RANK"
+    assert main(["--config", str(config), "train", "--iters", "5"]) == 0
+    assert main(["--config", str(config), "--procedure", procedure, "summarize"]) == 0
+    summaries = json.loads((tmp_path / "out" / "summaries.json").read_text())
+
+    cfg = load_config(config)
+    corp = corpus_mod.ingest_tagged(corpus)
+    state = model.load_checkpoint(cfg.checkpoint_path, corp)
+    est = model.estimate(state)
+    candidates = filters.entity_candidates(
+        state, corp, patterns.resolve_pattern_ids(cfg.pattern_spec), cfg.max_words,
+        procedure, None, cfg.filters)
+    review_index = {review.id: i for i, review in enumerate(corp.reviews)}
+    assert list(summaries) == list(candidates)
+    ties = 0
+    for entity_id, lists in candidates.items():
+        for polarity, segs in lists.items():
+            assert all(seg.rank == filters.rank_score(seg, est) for seg in segs)
+            ordered = sorted(segs, key=lambda seg: (-seg.rank, review_index[seg.review_id],
+                                                    seg.sentence_index, seg.start))
+            entries = summaries[entity_id][polarity]
+            assert entries == [seg.to_dict() for seg in ordered]
+            assert not any("rank" in entry for entry in entries)
+            ties += sum(a.rank == b.rank for a, b in zip(ordered, ordered[1:]))
+    assert ties
 
 
 class TestDeterminism:

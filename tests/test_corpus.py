@@ -18,6 +18,7 @@ from segsum.corpus import (
     review_from_record,
 )
 from segsum.model import encode_corpus
+from segsum.synthetic import generate_text_reviews
 
 
 class TestTokens:
@@ -185,15 +186,24 @@ class TestSharedTokens:
 
 
 def test_review_from_record_with_and_without_a_shared_dict():
-    alone = review_from_record(SHARED_REVIEWS[0])
     shared = {}
     first = review_from_record(SHARED_REVIEWS[0], DEFAULT_EXTRA_SENTIMENT, shared)
     second = review_from_record(SHARED_REVIEWS[1], DEFAULT_EXTRA_SENTIMENT, shared)
-    assert alone == first
     assert set(shared) == {tuple(pair) for r in SHARED_REVIEWS
                            for sent in r["sentences"] for pair in sent}
     assert second.sentences[0].tokens[2] is first.sentences[0].tokens[0]   # ("Great", "JJ")
-    assert alone.sentences[0].tokens[0] is not first.sentences[0].tokens[0]
+
+
+@pytest.mark.parametrize("reviews", [
+    SHARED_REVIEWS, generate_text_reviews(num_entities=3, reviews_per_entity=4)],
+    ids=["shared", "text"])
+def test_jsonl_and_conll_ingest_to_equal_corpora(tmp_path, reviews):
+    jsonl, conll = (ingest_tagged(write_reviews(tmp_path, format, reviews), format)
+                    for format in ("jsonl", "conll"))
+    assert jsonl == conll
+    for corpus in (jsonl, conll):
+        tokens = [t for _, sentence in corpus.sentences() for t in sentence.tokens]
+        assert len({id(t) for t in tokens}) == len({(t.surface, t.pos) for t in tokens})
 
 
 class TestVocabulary:

@@ -1,4 +1,3 @@
-from fractions import Fraction
 from math import comb
 
 import pytest
@@ -6,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segsum.corpus import make_token
-from segsum import evaluation
 from segsum.evaluation import (
     EvalConfig,
     PairCounts,
@@ -16,9 +14,7 @@ from segsum.evaluation import (
     format_report_table,
     normalize_segment,
     normalize_text,
-    pr_pair,
     segment_scores,
-    skip2,
 )
 from segsum.patterns import Segment
 
@@ -26,6 +22,20 @@ import oracles
 
 tokens = st.lists(st.sampled_from("abcde"), min_size=0, max_size=6).map(tuple)
 nonempty = st.lists(st.sampled_from("abcde"), min_size=1, max_size=6).map(tuple)
+
+
+def pr_pair(x, y):
+    return PairCounts().pr_pair(x, y)
+
+
+def pr_pair_oracle(x, y):
+    return tuple(map(float, oracles.pr_oracle(list(x), list(y))))
+
+
+def skip2(x, y):
+    """The shared pair count of x and y (both 2 tokens or longer), read back
+    from the precision m / C(|y|, 2) of PairCounts().pr_pair."""
+    return round(pr_pair(x, y)[0] * comb(len(y), 2))
 
 
 def make_seg(words, negated=False):
@@ -74,11 +84,12 @@ class TestSkip2:
 
     @given(nonempty, nonempty)
     def test_matches_greedy_oracle(self, x, y):
-        assert skip2(x, y) == oracles.skip2_oracle(list(x), list(y))
+        assert pr_pair(x, y) == pr_pair_oracle(x, y)
 
     @given(nonempty, nonempty)
     def test_symmetric_count(self, x, y):
-        assert skip2(x, y) == skip2(y, x)
+        # P(X, Y) and R(Y, X) share their count and denominator C(|y|, 2)
+        assert pr_pair(x, y) == pr_pair(y, x)[::-1]
 
 
 class TestPrPair:
@@ -110,10 +121,7 @@ class TestPrPair:
 
     @given(tokens, tokens)
     def test_matches_rational_oracle(self, x, y):
-        p, r = pr_pair(x, y)
-        op, orr = oracles.pr_oracle(list(x), list(y))
-        assert Fraction(p).limit_denominator(10**6) == op or p == pytest.approx(float(op))
-        assert r == pytest.approx(float(orr))
+        assert pr_pair(x, y) == pr_pair_oracle(x, y)
 
     @given(tokens, tokens)
     def test_bounds(self, x, y):
@@ -125,7 +133,7 @@ class TestPrPair:
 class TestSegmentScores:
     def test_argmax_recall_first_tie(self):
         reference = [("good", "food"), ("nice", "food"), ("good", "food", "here")]
-        s = segment_scores(("good", "food"), reference)
+        s = segment_scores(("good", "food"), reference, PairCounts())
         # items 0 and 2 both give recall 1.0; the first wins
         assert s.best_indices[0] == 0
         assert s.recall == 1.0
@@ -133,14 +141,14 @@ class TestSegmentScores:
 
     def test_empty_reference_raises(self):
         with pytest.raises(ValueError):
-            segment_scores(("good", "food"), [])
+            segment_scores(("good", "food"), [], PairCounts())
 
 
 class TestEntityScores:
     def test_hand_example(self):
         reference = [("good", "food"), ("rude", "staff")]
         candidates = [("good", "food"), ("bad", "wine")]
-        e = entity_scores(candidates, reference, alpha=0.25)
+        e = entity_scores(candidates, reference, alpha=0.25, pair_counts=PairCounts())
         assert e.p_skip == pytest.approx(0.5)   # (1 + 0) / 2
         assert e.r_skip == pytest.approx(0.5)
         assert e.p_entity == pytest.approx(0.5)  # 1 of 2 candidates useful
@@ -150,19 +158,19 @@ class TestEntityScores:
 
     def test_perfect_candidates(self):
         reference = [("good", "food"), ("rude", "staff")]
-        e = entity_scores(list(reference), reference, alpha=0.25)
+        e = entity_scores(list(reference), reference, alpha=0.25, pair_counts=PairCounts())
         assert (e.p_skip, e.r_skip, e.p_entity, e.r_entity) == (1, 1, 1, 1)
 
     def test_no_candidates_flagged(self):
-        e = entity_scores([], [("good", "food")], alpha=0.25)
+        e = entity_scores([], [("good", "food")], alpha=0.25, pair_counts=PairCounts())
         assert e.flagged_empty_candidate
         assert e.p_skip == e.r_skip == e.p_entity == e.r_entity == 0
 
     def test_alpha_monotonicity(self):
         reference = [("good", "food"), ("rude", "staff")]
         candidates = [("good", "food"), ("very", "good", "food"), ("bad", "wine")]
-        loose = entity_scores(candidates, reference, alpha=0.1)
-        strict = entity_scores(candidates, reference, alpha=0.9)
+        loose = entity_scores(candidates, reference, alpha=0.1, pair_counts=PairCounts())
+        strict = entity_scores(candidates, reference, alpha=0.9, pair_counts=PairCounts())
         assert strict.p_entity <= loose.p_entity
         assert strict.r_entity <= loose.r_entity
 
@@ -170,7 +178,7 @@ class TestEntityScores:
            st.lists(nonempty, min_size=1, max_size=5))
     @settings(max_examples=60)
     def test_matches_oracle(self, candidates, reference):
-        got = entity_scores(candidates, reference, alpha=0.25)
+        got = entity_scores(candidates, reference, alpha=0.25, pair_counts=PairCounts())
         want = oracles.entity_oracle([list(y) for y in candidates],
                                      [list(x) for x in reference], 0.25)
         assert got.p_skip == want["p_skip"]
@@ -183,9 +191,9 @@ class TestEntityScores:
 
 class TestCorpusStats:
     def test_micro_vs_macro(self):
-        a = entity_scores([("good", "food")], [("good", "food")], 0.25)
+        a = entity_scores([("good", "food")], [("good", "food")], 0.25, PairCounts())
         b = entity_scores([("bad", "wine"), ("ok", "decor")],
-                          [("rude", "staff")], 0.25)
+                          [("rude", "staff")], 0.25, PairCounts())
         stats = corpus_stats([a, b])
         # micro: 3 segments total, one with P=R=1
         assert stats.p_s == pytest.approx(1 / 3)
@@ -281,7 +289,7 @@ class TestRandomInstances:
                      for _ in range(n_cand)]
             refs = [tuple(rng.choice(alphabet, size=rng.integers(1, 6)))
                     for _ in range(n_ref)]
-            got = entity_scores(cands, refs, alpha=0.25)
+            got = entity_scores(cands, refs, alpha=0.25, pair_counts=PairCounts())
             want = oracles.entity_oracle([list(y) for y in cands],
                                          [list(x) for x in refs], 0.25)
             assert got.p_skip == want["p_skip"]
@@ -319,11 +327,12 @@ def test_one_count_per_text_gives_the_report_of_pr_pair(monkeypatch, normalizati
         candidates, references = random_evaluation(rng)
         counted = []
         with monkeypatch.context() as m:
-            m.setattr(evaluation, "_pair_counts",
-                      lambda seq, count=evaluation._pair_counts: counted.append(seq) or count(seq))
+            m.setattr(PairCounts, "__missing__",
+                      lambda self, seq, count=PairCounts.__missing__:
+                      counted.append(seq) or count(self, seq))
             got = evaluate(candidates, references, cfg).to_dict()
         assert len(counted) == len(set(counted))
         with monkeypatch.context() as m:
-            m.setattr(PairCounts, "pr_pair", lambda self, x, y: pr_pair(x, y))
+            m.setattr(PairCounts, "pr_pair", lambda self, x, y: pr_pair_oracle(x, y))
             want = evaluate(candidates, references, cfg).to_dict()
         assert got == want

@@ -5,7 +5,8 @@ import pytest
 
 from segsum import model
 from segsum.classify import PolarityLexicon, label_aspects
-from segsum.corpus import Corpus, Vocabulary, build_vocabulary, make_token, review_from_record
+from segsum.corpus import (DEFAULT_EXTRA_SENTIMENT, Corpus, Vocabulary, build_vocabulary,
+                           make_token, review_from_record)
 from segsum.filters import (
     FilterConfig,
     ProcedureError,
@@ -47,6 +48,13 @@ def make_est(seed=0, T=2):
         phi_hat=normalized(rng, (T, VOCAB.num_aspect_words)),
         phi_prime_hat=normalized(rng, (2, T, VOCAB.num_senti_words)),
     )
+
+
+def ranked(segs, est):
+    """segs, each given its rank_score, as the classifier stage gives it."""
+    for seg in segs:
+        seg.rank = rank_score(seg, est)
+    return segs
 
 
 def random_segments(rng, n, with_sentiment=False):
@@ -137,24 +145,24 @@ class TestRank:
     def test_keep_fraction_one_is_identity(self):
         rng = np.random.default_rng(11)
         est = make_est(seed=11)
-        segs = random_segments(rng, 12, with_sentiment=True)
-        assert filter_rank(segs, est, keep_fraction=1.0) == segs
+        segs = ranked(random_segments(rng, 12, with_sentiment=True), est)
+        assert filter_rank(segs, keep_fraction=1.0) == segs
 
     def test_floor_arithmetic(self):
         est = make_est(seed=12)
         # 5 segments in one group at keep=0.5: drop floor(2.5)=2, keep 3
-        segs = [make_seg([("good", "JJ"), ("food", "NN")], aspect=0, sentiment=0)
-                for _ in range(5)]
-        assert len(filter_rank(segs, est, 0.5)) == 3
+        segs = ranked([make_seg([("good", "JJ"), ("food", "NN")], aspect=0, sentiment=0)
+                       for _ in range(5)], est)
+        assert len(filter_rank(segs, 0.5)) == 3
         # a singleton group never drops
-        one = [make_seg([("good", "JJ")], aspect=0, sentiment=0)]
-        assert filter_rank(one, est, 0.5) == one
+        one = ranked([make_seg([("good", "JJ")], aspect=0, sentiment=0)], est)
+        assert filter_rank(one, 0.5) == one
 
     def test_sort_oracle(self):
         rng = np.random.default_rng(13)
         est = make_est(seed=13)
-        segs = random_segments(rng, 30, with_sentiment=True)
-        got = filter_rank(segs, est, 0.5)
+        segs = ranked(random_segments(rng, 30, with_sentiment=True), est)
+        got = filter_rank(segs, 0.5)
 
         groups = {}
         for pos, seg in enumerate(segs):
@@ -263,6 +271,13 @@ class TestRunProcedure:
         with pytest.raises(ProcedureError):
             run_procedure("Baseline+SWN", segs, est)  # no lexicon
 
+    @pytest.mark.parametrize("procedure", ["Baseline+SEN", "Baseline+SWN"])
+    def test_classifier_requires_aspect_labels(self, procedure):
+        # the classifier stage ranks each segment under its aspect
+        segs = [make_seg([("good", "JJ"), ("food", "NN")])]
+        with pytest.raises(ProcedureError, match="aspect labels"):
+            run_procedure(procedure, segs, make_est(), y_senti=self.Y, lexicon=self.LEX)
+
 
 class TestAcrossEntities:
     """One procedure pass over several entities' segments keeps, for each
@@ -311,15 +326,17 @@ class TestAcrossEntities:
 
 
 def test_entity_candidates_equals_a_pass_per_entity():
-    corp = Corpus([review_from_record(r) for r in
+    shared_tokens = {}
+    corp = Corpus([review_from_record(r, DEFAULT_EXTRA_SENTIMENT, shared_tokens) for r in
                    generate_text_reviews(num_entities=4, reviews_per_entity=6, rng_seed=3)])
     vocab = build_vocabulary(corp, min_count=1)
     state = model.init(corp, vocab, model.Hyperparams(num_topics=2), rng_seed=0)
     model.gibbs_sweep(state)
     config = FilterConfig(5, 5, 0.5)
     procedure = "AW+SEN+SW+RANK"
-    got, est = entity_candidates(state, corp, {1, 2, 3, 4, 5}, 7, procedure, None, config)
+    got = entity_candidates(state, corp, {1, 2, 3, 4, 5}, 7, procedure, None, config)
 
+    est = model.estimate(state)
     labeled, _ = label_aspects(extract_corpus(corp, {1, 2, 3, 4, 5}, max_words=7), est, vocab)
     want = {}
     for entity_id in sorted({s.entity_id for s in labeled}):

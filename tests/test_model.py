@@ -914,12 +914,23 @@ class TestCheckpoint:
         before = path.read_bytes()
         gibbs_sweep(small_state)
 
-        def broken_dump(payload, fh):
+        def broken_dump(payload, fh, **kwargs):
             fh.write('{"format_version": 1, "z": [')
             raise OSError("disk full")
 
         monkeypatch.setattr(model.json, "dump", broken_dump)
         with pytest.raises(OSError):
+            save_checkpoint(small_state, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
+
+    def test_non_finite_value_is_not_written(self, tmp_path, small_state):
+        # NaN and Infinity are not JSON: the dump refuses them
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(small_state, path)
+        before = path.read_bytes()
+        small_state.y_topic[0, 0] = math.nan
+        with pytest.raises(ValueError):
             save_checkpoint(small_state, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
