@@ -21,14 +21,13 @@ import subprocess
 import warnings
 from dataclasses import dataclass
 from itertools import chain
-from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize
 from scipy.special import gammaln, psi
 
-from .corpus import numbered_lines
+from .corpus import Corpus, Vocabulary, numbered_lines
 
 log = logging.getLogger(__name__)
 
@@ -106,36 +105,11 @@ class Schedule:
             raise ValueError("bad schedule")
 
 
-class SentenceIds(NamedTuple):
-    """A sentence's vocabulary ids in token order, per channel."""
-
-    aspect: tuple
-    senti: tuple
-
-
-def encode_corpus(corpus, vocab):
-    """Map corpus tokens to vocabulary ids, one list of SentenceIds per
-    review; out-of-vocabulary tokens drop."""
-    stem_ids = vocab.stem_ids
-    docs = []
-    for review in corpus.reviews:
-        sentences = []
-        for sentence in review.sentences:
-            aspect, senti = [], []
-            for token in sentence.tokens:
-                pair = stem_ids.get(token.stem)
-                if pair is not None:
-                    (aspect if pair[0] == "aspect" else senti).append(pair[1])
-            sentences.append(SentenceIds(tuple(aspect), tuple(senti)))
-        docs.append(sentences)
-    return docs
-
-
-class _FlatCorpus(NamedTuple):
-    """The encoded corpus as flat int64 arrays in the sentence order of z/s;
-    the first five fields are segsum_sweep's corpus parameters, in order.
-    Per channel: where each sentence's ids start (one more entry than there
-    are sentences), and the ids."""
+class FlatCorpus(NamedTuple):
+    """The corpus encoded against a vocabulary, as flat int64 arrays in the
+    sentence order of z/s; the first five fields are segsum_sweep's corpus
+    parameters, in order. Per channel: where each sentence's ids start (one
+    more entry than there are sentences), and the ids in token order."""
 
     doc: np.ndarray               # the document of each sentence
     aspect_start: np.ndarray
@@ -146,38 +120,45 @@ class _FlatCorpus(NamedTuple):
     longest: int                  # the longest id list of a sentence
 
 
-def _flatten(docs):
-    sentences = list(chain.from_iterable(docs))
-    doc_start = np.cumsum([0] + [len(doc) for doc in docs], dtype=np.int64)
-    arrays = [np.repeat(np.arange(len(docs), dtype=np.int64), np.diff(doc_start))]
-    longest = 0
-    for channel in ("aspect", "senti"):
-        id_lists = list(map(attrgetter(channel), sentences))
-        lengths = list(map(len, id_lists))
-        start = np.cumsum([0] + lengths, dtype=np.int64)
-        ids = np.fromiter(chain.from_iterable(id_lists), dtype=np.int64, count=start[-1])
-        arrays += [start, ids]
-        longest = max(longest, max(lengths, default=0))
-    return _FlatCorpus(*arrays, doc_start, longest)
+def encode_corpus(corpus, vocab) -> FlatCorpus:
+    """Map corpus tokens to vocabulary ids in one pass over the tokens;
+    out-of-vocabulary tokens drop."""
+    stem_ids = vocab.stem_ids
+    aspect, senti = [], []
+    aspect_start, senti_start, doc_start = [0], [0], [0]
+    for review in corpus.reviews:
+        for sentence in review.sentences:
+            for token in sentence.tokens:
+                pair = stem_ids.get(token.stem)
+                if pair is not None:
+                    (aspect if pair[0] == "aspect" else senti).append(pair[1])
+            aspect_start.append(len(aspect))
+            senti_start.append(len(senti))
+        doc_start.append(len(aspect_start) - 1)
+    aspect_start, senti_start, doc_start = (np.array(a, dtype=np.int64)
+                                            for a in (aspect_start, senti_start, doc_start))
+    doc = np.repeat(np.arange(len(doc_start) - 1, dtype=np.int64), np.diff(doc_start))
+    longest = max(np.diff(aspect_start).max(initial=0), np.diff(senti_start).max(initial=0))
+    return FlatCorpus(doc, aspect_start, np.array(aspect, dtype=np.int64), senti_start,
+                      np.array(senti, dtype=np.int64), doc_start, int(longest))
 
 
 class ModelState:
     """Counts, assignments and smoother parameters of a training run.
 
     Built from the assignments z/s (one int64 array each, in the sentence
-    order of the flat corpus), the smoothers y_topic/y_senti, the mask of the
-    seed entries of y_senti (fixed during MAP steps) and the count matrices
+    order of the encoded corpus `flat`, which the compiled sweep trusts, so
+    it must not change), the smoothers y_topic/y_senti, the mask of the seed
+    entries of y_senti (fixed during MAP steps) and the count matrices
     (n_TW, n_STW, n_DT, n_DS), which are recounted from z/s when not given.
-    The flat corpus (which the compiled sweep trusts, so docs must not
-    change), the row totals and beta_prime/bar_beta_prime are derived.
+    The row totals and beta_prime/bar_beta_prime are derived.
     """
 
-    def __init__(self, hp, vocab, docs, rng, z, s, y_topic, y_senti, seed_mask,
+    def __init__(self, hp, vocab, flat, rng, z, s, y_topic, y_senti, seed_mask,
                  counts=None, sweep_index=0):
         self.hp = hp
         self.vocab = vocab
-        self.docs = docs
-        self.flat = _flatten(docs)
+        self.flat = flat
         self.rng = rng
         self.z, self.s = z, s
         self.y_topic, self.y_senti, self.seed_mask = y_topic, y_senti, seed_mask
@@ -190,6 +171,12 @@ class ModelState:
         self.sweep_index = sweep_index
         self.optimize_log = []   # (sweep, objective_before, objective_after)
 
+    @property
+    def docs(self):
+        """Per review, the range of its sentences' indices into z/s."""
+        starts = self.flat.doc_start.tolist()
+        return [range(i, j) for i, j in zip(starts, starts[1:])]
+
     def refresh_beta_prime(self):
         self.beta_prime = np.exp(self.y_topic[None, :, :] + self.y_senti[:, None, :])
         self.bar_beta_prime = self.beta_prime.sum(axis=2)
@@ -199,7 +186,7 @@ class ModelState:
     def recount(self):
         """Rebuild all count matrices from the assignments: one bincount per
         matrix over the flat corpus."""
-        T, S, D = self.hp.num_topics, self.hp.num_sentiments, len(self.docs)
+        T, S, D = self.hp.num_topics, self.hp.num_sentiments, len(self.flat.doc_start) - 1
         V, Vp = self.vocab.num_aspect_words, self.vocab.num_senti_words
         flat, z, s = self.flat, self.z, self.s
 
@@ -252,13 +239,13 @@ def seed_smoothers(vocab, hp, seeds):
 def init(corpus, vocab, hp, seeds=None, rng_seed=0) -> ModelState:
     seeds = seeds if seeds is not None else SeedList()
     rng = np.random.default_rng(rng_seed)
-    docs = encode_corpus(corpus, vocab)
-    n = sum(len(doc) for doc in docs)
+    flat = encode_corpus(corpus, vocab)
+    n = len(flat.doc)
     z, s = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
     for i in range(n):
         z[i] = rng.integers(hp.num_topics)
         s[i] = rng.integers(hp.num_sentiments)
-    return ModelState(hp, vocab, docs, rng, z, s,
+    return ModelState(hp, vocab, flat, rng, z, s,
                       np.zeros((hp.num_topics, vocab.num_senti_words)),
                       *seed_smoothers(vocab, hp, seeds))
 
@@ -266,8 +253,8 @@ def init(corpus, vocab, hp, seeds=None, rng_seed=0) -> ModelState:
 # -- collapsed Gibbs sampler (sentence block) --------------------------------
 #
 # gibbs_sweep runs the C sweep of _sweep.c, compiled and loaded at import
-# (_load_sweep_kernel), over the corpus as flat arrays (ModelState.flat, built
-# with the state) and the state's z/s and count arrays, which it updates in
+# (_load_sweep_kernel), over the encoded corpus (ModelState.flat, from
+# encode_corpus) and the state's z/s and count arrays, which it updates in
 # place; z/s follow the flat corpus's sentence order, so the sweep copies
 # nothing. It samples the chain of the per-sentence numpy sampler in
 # tests/oracles.py: the same terms, each sum over a sentence's ids left to
@@ -336,7 +323,7 @@ def gibbs_sweep(state):
     state.check_assignments()
     hp, flat = state.hp, state.flat
     S, T = hp.num_sentiments, hp.num_topics
-    V, Vp, D = state.vocab.num_aspect_words, state.vocab.num_senti_words, len(state.docs)
+    V, Vp, D = state.vocab.num_aspect_words, state.vocab.num_senti_words, len(flat.doc_start) - 1
     n = len(flat.doc)
     counts = [_pointer(getattr(state, name), name, shape) for name, shape in (
         ("n_TW", (T, V)), ("n_STW", (S, T, Vp)), ("n_DT", (D, T)), ("n_DS", (D, S)),
@@ -467,8 +454,7 @@ def lexicon_polarity(state, word: str) -> float:
 def save_checkpoint(state, path):
     """Write the state to path atomically; ValueError if its z/s do not fit its corpus."""
     state.check_assignments()
-    starts = state.flat.doc_start.tolist()
-    z, s = ([a[i:j] for i, j in zip(starts, starts[1:])]
+    z, s = ([a[doc.start:doc.stop] for doc in state.docs]
             for a in (state.z.tolist(), state.s.tolist()))
     payload = {
         "format_version": CHECKPOINT_VERSION,
@@ -505,41 +491,53 @@ def load_checkpoint(path, corpus=None):
     Without a corpus the state supports estimation/classification; resuming
     training additionally requires the original corpus (vocab hash checked).
     """
-    from .corpus import Vocabulary
-
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict):
         raise ValueError(f"checkpoint {path}: not a JSON object")
     if payload.get("format_version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version: {payload.get('format_version')}")
+        raise ValueError(f"checkpoint {path}: unsupported 'format_version' "
+                         f"{payload.get('format_version')!r}, expected {CHECKPOINT_VERSION}")
 
     def get(key, convert):
         try:
             return convert(payload[key])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"checkpoint {path}: missing or ill-typed {key!r} "
                              f"({type(exc).__name__}: {exc})") from exc
 
     hp = get("hyperparams", lambda d: Hyperparams(**d))
     vocab = get("vocabulary", Vocabulary.from_dict)
     if vocab.content_hash() != payload.get("vocab_hash"):
-        raise ValueError("checkpoint vocabulary hash mismatch")
+        raise ValueError(f"checkpoint {path}: 'vocab_hash' does not match its 'vocabulary'")
 
-    docs = encode_corpus(corpus, vocab) if corpus is not None else []
+    flat = encode_corpus(corpus if corpus is not None else Corpus([]), vocab)
     rng = np.random.default_rng()
     get("rng_state", lambda st: setattr(rng.bit_generator, "state", st))
 
     S, T = hp.num_sentiments, hp.num_topics
     V, Vp = vocab.num_aspect_words, vocab.num_senti_words
-    D = len(docs) if corpus is not None else None   # None: any number of rows
+    D = len(flat.doc_start) - 1 if corpus is not None else None   # None: any number of rows
 
-    def get_array(key, shape, dtype=float):
+    def get_array(key, shape, kind="real"):
+        """The array at key, of this shape; each entry a finite number (kind
+        "real"), a finite whole number >= 0 ("count") or a JSON boolean ("flag")."""
+        dtype = object if kind == "flag" else float
         array = get(key, lambda value: np.asarray(value, dtype=dtype))
         if array.ndim != len(shape) or any(m not in (None, n) for n, m in zip(array.shape, shape)):
             want = ", ".join("any" if m is None else str(m) for m in shape)
             raise ValueError(f"checkpoint {path}: {key!r} has shape {array.shape}, "
                              f"expected ({want})")
+        if kind == "flag":
+            valid = all(type(v) is bool for v in array.flat)
+            array = array.astype(bool)
+        else:
+            valid = np.isfinite(array).all() and (
+                kind == "real" or ((array >= 0) & (array == np.floor(array))).all())
+        if not valid:
+            want = {"real": "a finite number", "count": "a finite whole number >= 0",
+                    "flag": "a JSON boolean"}[kind]
+            raise ValueError(f"checkpoint {path}: {key!r} holds an entry that is not {want}")
         return array
 
     def get_assignments(key, bound):
@@ -554,7 +552,7 @@ def load_checkpoint(path, corpus=None):
             return [len(row) for row in rows], np.array(values, dtype=np.int64)
 
         lengths, values = get(key, convert)
-        if corpus is not None and lengths != [len(doc) for doc in docs]:
+        if corpus is not None and lengths != np.diff(flat.doc_start).tolist():
             raise ValueError(f"checkpoint {path}: {key!r} does not hold one row per review "
                              f"with one entry per sentence")
         return values
@@ -564,11 +562,12 @@ def load_checkpoint(path, corpus=None):
             raise ValueError(f"not a sweep count: {value!r}")
         return value
 
-    state = ModelState(hp, vocab, docs, rng, get_assignments("z", T), get_assignments("s", S),
-                       get_array("y_topic", (T, Vp)), get_array("y_senti", (S, Vp)),
-                       get_array("seed_mask", (S, Vp), bool),
-                       (get_array("n_TW", (T, V)), get_array("n_STW", (S, T, Vp)),
-                        get_array("n_DT", (D, T)), get_array("n_DS", (D, S))),
+    z, s = get_assignments("z", T), get_assignments("s", S)
+    y_topic, y_senti = get_array("y_topic", (T, Vp)), get_array("y_senti", (S, Vp))
+    seed_mask = get_array("seed_mask", (S, Vp), "flag")
+    counts = [get_array(key, shape, "count") for key, shape in (
+        ("n_TW", (T, V)), ("n_STW", (S, T, Vp)), ("n_DT", (D, T)), ("n_DS", (D, S)))]
+    state = ModelState(hp, vocab, flat, rng, z, s, y_topic, y_senti, seed_mask, counts,
                        get("sweep_index", sweep_count))
     if corpus is not None and not state.counts_consistent():
         raise ValueError(f"checkpoint {path}: counts do not match the supplied corpus")

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, Review, Sentence, Token
+from .corpus import Corpus, review_from_record
 
 
 @dataclass
@@ -53,37 +53,31 @@ def make_planted_model(num_topics=3, aspect_words_per_topic=30,
                         set(pos), set(neg), topic_vocab)
 
 
-def _synthetic_token(stem, is_sentiment):
-    pos = "JJ" if is_sentiment else "NN"
-    return Token(surface=stem, stem=stem, pos=pos, is_sentiment=is_sentiment)
-
-
 def generate_generative_corpus(planted, num_reviews=500,
                                sentences_per_review=(4, 8),
                                aspect_words_per_sentence=(2, 5),
                                senti_words_per_sentence=(1, 3),
                                alpha=0.1, gamma=0.1, rng_seed=0) -> Corpus:
-    """Sample reviews exactly per the model's generative story."""
+    """Sample reviews exactly per the model's generative story: aspect words
+    tagged NN, sentiment words JJ, one shared Token per (stem, tag)."""
     rng = np.random.default_rng(rng_seed)
     T = planted.phi.shape[0]
-    reviews = []
+    reviews, shared_tokens = [], {}
     for d in range(num_reviews):
         theta = rng.dirichlet(np.full(T, alpha))
         pi = rng.dirichlet(np.full(2, gamma))
         sentences = []
-        review_id = f"r{d}"
         for _ in range(rng.integers(*sentences_per_review)):
             k = rng.choice(T, p=theta)
             j = rng.choice(2, p=pi)
-            tokens = []
             n_a = rng.integers(*aspect_words_per_sentence)
-            for i in rng.choice(len(planted.aspect_stems), size=n_a, p=planted.phi[k]):
-                tokens.append(_synthetic_token(planted.aspect_stems[i], False))
+            aspect = rng.choice(len(planted.aspect_stems), size=n_a, p=planted.phi[k])
             n_s = rng.integers(*senti_words_per_sentence)
-            for i in rng.choice(len(planted.senti_stems), size=n_s, p=planted.phi_prime[j, k]):
-                tokens.append(_synthetic_token(planted.senti_stems[i], True))
-            sentences.append(Sentence(tokens, review_id))
-        reviews.append(Review(id=review_id, entity_id=f"e{d}", sentences=sentences))
+            senti = rng.choice(len(planted.senti_stems), size=n_s, p=planted.phi_prime[j, k])
+            sentences.append([(planted.aspect_stems[i], "NN") for i in aspect]
+                             + [(planted.senti_stems[i], "JJ") for i in senti])
+        reviews.append(review_from_record({"id": f"r{d}", "entity_id": f"e{d}",
+                                           "sentences": sentences}, frozenset(), shared_tokens))
     return Corpus(reviews)
 
 

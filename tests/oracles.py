@@ -9,6 +9,7 @@ both compute the same terms, each sum left to right.
 
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
@@ -257,6 +258,34 @@ def extraction_oracle(pairs, pattern_ids, max_words, negation_words):
     return segments
 
 
+# -- corpus encoding -----------------------------------------------------------
+
+class SentenceIds(NamedTuple):
+    """A sentence's vocabulary ids in token order, per channel."""
+
+    aspect: tuple
+    senti: tuple
+
+
+def encode_sentences(corpus, vocab):
+    """Per review, per sentence, its SentenceIds: the encoding that
+    segsum.model kept before encode_corpus built its flat arrays directly.
+    A stem in both vocabularies is a sentiment word; other stems drop."""
+    docs = []
+    for review in corpus.reviews:
+        sentences = []
+        for sentence in review.sentences:
+            aspect, senti = [], []
+            for token in sentence.tokens:
+                if token.stem in vocab.senti_index:
+                    senti.append(vocab.senti_index[token.stem])
+                elif token.stem in vocab.aspect_index:
+                    aspect.append(vocab.aspect_index[token.stem])
+            sentences.append(SentenceIds(tuple(aspect), tuple(senti)))
+        docs.append(sentences)
+    return docs
+
+
 # -- per-sentence numpy Gibbs sampler ------------------------------------------
 #
 # The sampler that segsum.model ran before its compiled sweep: each sentence's
@@ -282,24 +311,28 @@ def libm_exp(a):
     return _libm_exp(a).astype(float)
 
 
-def numpy_sentences(docs):
+def numpy_sentences(state):
     """Per document, per sentence (aspect ids, aspect offsets, senti ids,
-    senti offsets) as numpy arrays; an offset counts the earlier occurrences
-    of its id in the sentence."""
+    senti offsets) as numpy arrays, the ids sliced from state.flat; an offset
+    counts the earlier occurrences of its id in the sentence."""
     def offsets(ids):
         seen = {}
         out = np.empty(len(ids), dtype=np.float64)
-        for t, i in enumerate(ids):
+        for t, i in enumerate(ids.tolist()):
             out[t] = seen.get(i, 0)
             seen[i] = out[t] + 1
         return out
 
+    def ids(channel, i):
+        start = getattr(state.flat, f"{channel}_start")
+        return getattr(state.flat, channel)[start[i]:start[i + 1]].astype(np.intp)
+
+    doc_start = state.flat.doc_start.tolist()
     encoded = []
-    for doc in docs:
+    for first, end in zip(doc_start, doc_start[1:]):
         rows = []
-        for sent in doc:
-            a = np.asarray(sent.aspect, dtype=np.intp)
-            s = np.asarray(sent.senti, dtype=np.intp)
+        for i in range(first, end):
+            a, s = ids("aspect", i), ids("senti", i)
             rows.append((a, offsets(a), s, offsets(s)))
         encoded.append(rows)
     return encoded
@@ -367,8 +400,8 @@ def numpy_draw(logp, u):
 def numpy_gibbs_sweep(state):
     """Resample every sentence in corpus order with one rng.random() each;
     mutates and returns state."""
-    sentences = numpy_sentences(state.docs)
-    for d, doc in enumerate(state.docs):
+    sentences = numpy_sentences(state)
+    for d, doc in enumerate(sentences):
         for c in range(len(doc)):
             numpy_decrement(state, sentences, d, c)
             logp = numpy_conditional_log(state, sentences, d, c)
@@ -384,7 +417,7 @@ def numpy_recount(state):
     n_STW = np.zeros_like(state.n_STW)
     n_DT = np.zeros_like(state.n_DT)
     n_DS = np.zeros_like(state.n_DS)
-    for d, doc in enumerate(numpy_sentences(state.docs)):
+    for d, doc in enumerate(numpy_sentences(state)):
         for c, (aspect, _, senti, _) in enumerate(doc):
             i = state.flat.doc_start[d] + c
             k, j = state.z[i], state.s[i]

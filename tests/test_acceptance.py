@@ -47,7 +47,7 @@ def test_sampler_exactness():
     state = model.init(corpus, vocab, hp,
                        model.SeedList(frozenset({"good"}), frozenset({"bad"})),
                        rng_seed=123)
-    sentences = oracles.numpy_sentences(state.docs)
+    sentences = oracles.numpy_sentences(state)
     # freeze the padding sentence so the target conditional is constant
     oracles.numpy_decrement(state, sentences, 1, 0)
     oracles.numpy_increment(state, sentences, 1, 0, 0, 0)

@@ -120,6 +120,34 @@ def _stray_byte_on_the_third_line(path):
     path.write_bytes(b"".join(lines))
 
 
+def _first_cell(value):
+    """An edit of a nested list that sets its first scalar cell to value."""
+    def edit(rows):
+        row = rows
+        while isinstance(row[0], list):
+            row = row[0]
+        row[0] = value
+        return rows
+    return edit
+
+
+def _assert_edited_checkpoint_fails_naming_it(tmp_path, capsys, key, edit, argv):
+    """Train a checkpoint, apply edit to its value at key, and assert that
+    argv exits 2 with one line naming the checkpoint and the key."""
+    corpus = write_corpus(tmp_path, num_entities=2, reviews_per_entity=3)
+    config = write_config(tmp_path, corpus)
+    assert main(["--config", str(config), "train", "--iters", "2"]) == 0
+    ckpt = tmp_path / "out" / "checkpoint.json"
+    payload = json.loads(ckpt.read_text())
+    payload[key] = edit(payload[key])
+    ckpt.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["--config", str(config), *argv]) == 2
+    err = capsys.readouterr().err
+    assert f"checkpoint {ckpt}: " in err and repr(key) in err
+    assert len(err.strip().splitlines()) == 1
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("content, named", [
         (b"[nope]\nx = 1\n", "[nope]"),
@@ -218,18 +246,7 @@ class TestExitCodes:
     ])
     def test_checkpoint_field_of_the_wrong_shape_is_two(self, tmp_path, capsys, command,
                                                         key, edit):
-        corpus = write_corpus(tmp_path, num_entities=2, reviews_per_entity=3)
-        config = write_config(tmp_path, corpus)
-        assert main(["--config", str(config), "train", "--iters", "2"]) == 0
-        ckpt = tmp_path / "out" / "checkpoint.json"
-        payload = json.loads(ckpt.read_text())
-        payload[key] = edit(payload[key])
-        ckpt.write_text(json.dumps(payload))
-        capsys.readouterr()
-        assert main(["--config", str(config), *command]) == 2
-        err = capsys.readouterr().err
-        assert f"checkpoint {ckpt}: " in err and repr(key) in err
-        assert len(err.strip().splitlines()) == 1
+        _assert_edited_checkpoint_fails_naming_it(tmp_path, capsys, key, edit, command)
 
     @pytest.mark.parametrize("command", [["train", "--resume"], ["summarize"], ["evaluate"]],
                              ids=["resume", "summarize", "evaluate"])
@@ -242,18 +259,28 @@ class TestExitCodes:
     ])
     def test_checkpoint_assignments_that_do_not_fit_are_two(self, tmp_path, capsys, command,
                                                             key, edit):
-        corpus = write_corpus(tmp_path, num_entities=2, reviews_per_entity=3)
-        config = write_config(tmp_path, corpus)
-        assert main(["--config", str(config), "train", "--iters", "2"]) == 0
-        ckpt = tmp_path / "out" / "checkpoint.json"
-        payload = json.loads(ckpt.read_text())
-        payload[key] = edit(payload[key])
-        ckpt.write_text(json.dumps(payload))
-        capsys.readouterr()
-        assert main(["--config", str(config), *command]) == 2
-        err = capsys.readouterr().err
-        assert f"checkpoint {ckpt}: " in err and repr(key) in err
-        assert len(err.strip().splitlines()) == 1
+        _assert_edited_checkpoint_fails_naming_it(tmp_path, capsys, key, edit, command)
+
+    @pytest.mark.parametrize("command", ["topics", "summarize"])
+    @pytest.mark.parametrize("key,edit", [
+        pytest.param("y_topic", _first_cell(float("nan")), id="y_topic-nan"),
+        pytest.param("y_senti", _first_cell(float("inf")), id="y_senti-infinity"),
+        pytest.param("seed_mask", _first_cell(7), id="seed_mask-7"),
+        pytest.param("n_TW", _first_cell(-5.0), id="n_TW-negative"),
+        pytest.param("n_TW", _first_cell(0.5), id="n_TW-fraction"),
+        pytest.param("n_STW", _first_cell(float("inf")), id="n_STW-infinity"),
+        pytest.param("n_DT", _first_cell(-1.0), id="n_DT-negative"),
+        pytest.param("n_DS", _first_cell(float("nan")), id="n_DS-nan"),
+        pytest.param("n_STW", _first_cell(10 ** 400), id="n_STW-beyond-float"),
+        pytest.param("rng_state", lambda rng: {**rng, "state": {**rng["state"], "state": -1}},
+                     id="rng_state-negative"),
+        pytest.param("vocab_hash", lambda digest: "0" * len(digest), id="vocab_hash-other"),
+        pytest.param("format_version", lambda version: version + 1, id="format_version-next"),
+    ])
+    def test_checkpoint_value_out_of_its_domain_is_two(self, tmp_path, capsys, command, key,
+                                                       edit):
+        # json writes NaN and Infinity as tokens that it reads back
+        _assert_edited_checkpoint_fails_naming_it(tmp_path, capsys, key, edit, [command])
 
     @pytest.mark.parametrize("command", ["topics", "summarize", "evaluate"])
     def test_checkpoint_not_an_object_is_two(self, tmp_path, capsys, command):

@@ -1,6 +1,7 @@
 import json
 import logging
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -168,7 +169,8 @@ class TestSharedTokens:
         assert first.reviews[0].sentences[0].tokens[0] is not \
             second.reviews[0].sentences[0].tokens[0]
         vocab = build_vocabulary(first, min_count=1, stopwords=frozenset())
-        assert encode_corpus(first, vocab) == encode_corpus(second, vocab)
+        assert all(np.array_equal(a, b) for a, b in zip(encode_corpus(first, vocab),
+                                                        encode_corpus(second, vocab)))
 
     @pytest.mark.parametrize("pairs, warnings", [
         ([("weird", "XYZ")] * 3, 1),
@@ -245,11 +247,9 @@ class TestVocabulary:
             build_vocabulary(Corpus([]), 1)
 
     def test_stem_in_both_lists_is_a_sentiment_word(self, sentence_factory):
-        import numpy as np
-
         from segsum.classify import label_aspects
         from segsum.corpus import Corpus, Review, Vocabulary
-        from segsum.model import PosteriorEstimates, encode_corpus
+        from segsum.model import PosteriorEstimates
         from segsum.patterns import Segment
 
         vocab = Vocabulary.from_dict({"aspect_stems": ["food", "good"],
@@ -258,8 +258,8 @@ class TestVocabulary:
         assert [vocab.stem_ids[t.stem] for t in sent.tokens] == [
             ("senti", 0), ("aspect", 0), ("senti", 0)]
 
-        [[ids]] = encode_corpus(Corpus([Review("r", "e", [sent])]), vocab)
-        assert (ids.aspect, ids.senti) == ((0,), (0, 0))
+        flat = encode_corpus(Corpus([Review("r", "e", [sent])]), vocab)
+        assert (flat.aspect.tolist(), flat.senti.tolist()) == ([0], [0, 0])
 
         est = PosteriorEstimates(pi_hat=np.full((1, 2), 0.5), theta_hat=np.ones((1, 1)),
                                  phi_hat=np.full((1, 2), 0.5),

@@ -1,13 +1,16 @@
 import hashlib
 import math
 import re
+from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from segsum import model
 from segsum.cli import main
-from segsum.corpus import Corpus, Review, Sentence, Token, build_vocabulary
+from segsum.corpus import Corpus, Review, Sentence, Token, Vocabulary, build_vocabulary
 from segsum.model import (
     Hyperparams,
     Schedule,
@@ -120,7 +123,7 @@ class TestGibbsConditional:
         vocab = build_vocabulary(corpus, min_count=1, stopwords=frozenset())
         hp = Hyperparams(num_topics=2)
         state = init(corpus, vocab, hp, SeedList(frozenset(), frozenset()), 3)
-        sentences = oracles.numpy_sentences(state.docs)
+        sentences = oracles.numpy_sentences(state)
         oracles.numpy_decrement(state, sentences, 0, 0)
         cond = oracle_conditional(state, sentences, 0, 0)
         expected = np.outer(state.n_DS[0] + hp.gamma, state.n_DT[0] + hp.alpha)
@@ -132,7 +135,7 @@ class TestGibbsConditional:
         vocab = build_vocabulary(corpus, min_count=1, stopwords=frozenset())
         hp = Hyperparams(num_topics=1)
         state = init(corpus, vocab, hp, SeedList(frozenset(), frozenset()), 0)
-        sentences = oracles.numpy_sentences(state.docs)
+        sentences = oracles.numpy_sentences(state)
         oracles.numpy_decrement(state, sentences, 0, 0)
         i = vocab.aspect_index["food"]
         V = vocab.num_aspect_words
@@ -145,14 +148,14 @@ class TestGibbsConditional:
 
     def test_matches_term_by_term_oracle(self, small_state):
         state = small_state
-        sentences = oracles.numpy_sentences(state.docs)
+        sentences = oracles.numpy_sentences(state)
         for d in range(2):
             for c in range(3):
                 oracles.numpy_decrement(state, sentences, d, c)
-                sent = state.docs[d][c]
+                aspect, _, senti, _ = sentences[d][c]
                 got = oracle_conditional(state, sentences, d, c)
                 want = oracles.conditional_oracle(
-                    list(sent.aspect), list(sent.senti),
+                    aspect.tolist(), senti.tolist(),
                     state.n_TW.tolist(), state.n_STW.tolist(),
                     state.n_DT[d].tolist(), state.n_DS[d].tolist(),
                     state.hp.alpha, state.hp.beta, state.hp.gamma,
@@ -168,7 +171,7 @@ class TestGibbsConditional:
         vocab = build_vocabulary(corpus, min_count=1, stopwords=frozenset())
         hp = Hyperparams(num_topics=1)
         state = init(corpus, vocab, hp, SeedList(frozenset(), frozenset()), 0)
-        sentences = oracles.numpy_sentences(state.docs)
+        sentences = oracles.numpy_sentences(state)
         oracles.numpy_decrement(state, sentences, 0, 0)
         i = vocab.senti_index["bad"]
         bp = state.beta_prime
@@ -182,16 +185,50 @@ class TestGibbsConditional:
                 expected, rel=1e-12)
 
 
+ENCODED_STEMS = ["food", "wait", "good", "bad"]
+
+
+def assert_flat_concatenates(flat, docs):
+    """flat is the concatenation of docs, per review per sentence
+    (aspect ids, senti ids) tuples."""
+    sentences = [sent for doc in docs for sent in doc]
+    assert flat.doc.tolist() == [d for d, doc in enumerate(docs) for _ in doc]
+    assert flat.doc_start.tolist() == [0, *accumulate(len(doc) for doc in docs)]
+    for c, channel in enumerate(("aspect", "senti")):
+        ids = [sent[c] for sent in sentences]
+        assert getattr(flat, f"{channel}_start").tolist() == [0, *accumulate(map(len, ids))]
+        assert getattr(flat, channel).tolist() == [i for row in ids for i in row]
+    assert all(a.dtype == np.int64 for a in flat[:6])
+    assert flat.longest == max((len(ids) for sent in sentences for ids in sent), default=0)
+
+
 class TestEncoding:
     def test_ids_in_token_order(self):
         corpus = make_corpus([[(["food", "sauce", "food"], ["good"]), (["wait"], [])]])
         vocab = build_vocabulary(corpus, min_count=1, stopwords=frozenset())
-        (first, second), = model.encode_corpus(corpus, vocab)
         food, sauce = vocab.aspect_index["food"], vocab.aspect_index["sauce"]
-        assert first == ((food, sauce, food), (vocab.senti_index["good"],))
-        assert second == ((vocab.aspect_index["wait"],), ())
-        # the ids are the vocabulary's own int objects, not copies
-        assert first.aspect[0] is vocab.aspect_index["food"]
+        assert_flat_concatenates(model.encode_corpus(corpus, vocab), [[
+            ((food, sauce, food), (vocab.senti_index["good"],)),
+            ((vocab.aspect_index["wait"],), ())]])
+
+    @settings(max_examples=200, deadline=None)
+    @given(reviews=st.lists(st.lists(st.lists(st.sampled_from(ENCODED_STEMS + ["oov"]),
+                                              max_size=6), max_size=4), max_size=4),
+           aspect=st.lists(st.sampled_from(ENCODED_STEMS), unique=True),
+           senti=st.lists(st.sampled_from(ENCODED_STEMS), unique=True))
+    @example(reviews=[], aspect=["food"], senti=["good"])
+    @example(reviews=[[], [[], ["oov", "oov"], ["food", "good", "food", "good"]], []],
+             aspect=["food"], senti=["good"])
+    def test_flat_arrays_concatenate_the_per_sentence_encoding(self, reviews, aspect, senti):
+        # reviews without sentences, sentences without tokens or of
+        # out-of-vocabulary stems only, repeated ids, the empty corpus and
+        # stems in both vocabularies
+        corpus = Corpus([Review(f"r{d}", "e", [Sentence([word(stem) for stem in stems], f"r{d}")
+                                               for stems in sentences])
+                         for d, sentences in enumerate(reviews)])
+        vocab = Vocabulary(aspect, senti)
+        assert_flat_concatenates(model.encode_corpus(corpus, vocab),
+                                 oracles.encode_sentences(corpus, vocab))
 
 
 # The compiled sweep (_sweep.c) must sample the chain of the per-sentence
@@ -268,7 +305,7 @@ class TestSameChainAsNumpySampler:
         vocab = build_vocabulary(corpus, min_count=1, stopwords=frozenset())
         state = init(corpus, vocab, Hyperparams(num_topics=4),
                      SeedList(frozenset({"sen0"}), frozenset({"sen1"})), rng_seed=5)
-        sentences = oracles.numpy_sentences(state.docs)
+        sentences = oracles.numpy_sentences(state)
         d, c = max(((d, c) for d, doc in enumerate(sentences) for c in range(len(doc))),
                    key=lambda dc: len(sentences[dc[0]][dc[1]][0]))
         aspect, aspect_offsets, senti, senti_offsets = sentences[d][c]
@@ -310,7 +347,7 @@ class TestSameChainAsNumpySampler:
         bad = vocab.senti_index["bad"]
         state.y_senti[1, bad] = -800.0
         state.refresh_beta_prime()
-        sentences = oracles.numpy_sentences(state.docs)
+        sentences = oracles.numpy_sentences(state)
         oracles.numpy_decrement(state, sentences, 0, 0)
         logp = oracles.numpy_conditional_log(state, sentences, 0, 0)
         assert np.isneginf(logp[1]).all() and np.isfinite(logp[0]).all()
@@ -352,7 +389,8 @@ class TestCompiledSweepSamplesTheOracleChain:
             corpus, Hyperparams(num_topics=num_topics),
             SeedList(frozenset({"sen0"}), frozenset({"sen1"})), 3,
             Schedule(burn_in=2, interleave=2, total=6), monkeypatch)
-        sentences = [sent for doc in compiled.docs for sent in doc]
+        sentences = [sent for doc in oracles.encode_sentences(corpus, compiled.vocab)
+                     for sent in doc]
         assert max(len(x.aspect) for x in sentences) > (128 if longest > 128 else 8)
         assert sum(len(set(x.aspect)) < len(x.aspect) and len(set(x.senti)) < len(x.senti)
                    for x in sentences) > 20
@@ -422,14 +460,11 @@ class TestCompiledSweepSamplesTheOracleChain:
         flat = small_state.flat
         gibbs_sweep(small_state)
         assert small_state.flat is flat
-        sentences = [sent for doc in small_state.docs for sent in doc]
         assert flat.doc.tolist() == [0, 0, 0, 1, 1, 1]
         assert flat.doc_start.tolist() == [0, 3, 6]
-        for channel in ("aspect", "senti"):
-            start, ids = getattr(flat, f"{channel}_start"), getattr(flat, channel)
-            assert [tuple(ids[a:b]) for a, b in zip(start, start[1:])] == [
-                getattr(sent, channel) for sent in sentences]
         assert flat.longest == 3
+        assert_flat_concatenates(flat, oracles.encode_sentences(make_corpus(FIXTURE_DOCS),
+                                                                small_state.vocab))
 
 
 # The chain of random_long_sentence_corpus(seed=41, num_docs=8) at T = 3 and
@@ -572,7 +607,7 @@ class TestSweep:
         state.y_senti[0, vocab.senti_index["bad"]] = -30.0
         state.y_senti[1, vocab.senti_index["bad"]] = 30.0
         state.refresh_beta_prime()
-        sentences = oracles.numpy_sentences(state.docs)
+        sentences = oracles.numpy_sentences(state)
         oracles.numpy_decrement(state, sentences, 0, 0)
         cond = oracle_conditional(state, sentences, 0, 0)
         assert cond.max() / cond.sum() >= 1 - 1e-12
@@ -584,7 +619,7 @@ class TestSweep:
         snapshot = (small_state.n_TW.copy(), small_state.n_STW.copy(),
                     small_state.n_DT.copy(), small_state.n_DS.copy())
         j, k = small_state.s[1], small_state.z[1]
-        sentences = oracles.numpy_sentences(small_state.docs)
+        sentences = oracles.numpy_sentences(small_state)
         oracles.numpy_decrement(small_state, sentences, 0, 1)
         oracles.numpy_increment(small_state, sentences, 0, 1, j, k)
         assert np.array_equal(small_state.n_TW, snapshot[0])
@@ -593,7 +628,7 @@ class TestSweep:
         assert np.array_equal(small_state.n_DS, snapshot[3])
 
     def test_normalized_conditional_sums_to_one(self, small_state):
-        sentences = oracles.numpy_sentences(small_state.docs)
+        sentences = oracles.numpy_sentences(small_state)
         oracles.numpy_decrement(small_state, sentences, 1, 0)
         cond = oracle_conditional(small_state, sentences, 1, 0)
         assert abs((cond / cond.sum()).sum() - 1.0) <= 1e-12
