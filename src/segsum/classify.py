@@ -12,10 +12,6 @@ from .corpus import numbered_lines
 POSITIVE, NEGATIVE = 0, 1
 
 
-class UnclassifiableSegment(ValueError):
-    """Segment has no in-vocabulary words to score."""
-
-
 def topic_weights(est):
     """Per-topic score rows of the vocabulary, keyed by channel: row i of
     "aspect" is log phi_hat[:, i], row i of "senti" is
@@ -24,16 +20,30 @@ def topic_weights(est):
             "senti": np.log(est.phi_prime_hat).sum(axis=0).T}
 
 
-def classify_topic(segment, weights) -> int:
-    """Argmax-k segment score: the sum, in token order, of the topic_weights
-    rows of the segment's in-vocabulary words; out-of-vocabulary words
-    contribute nothing. Ties break toward the lowest k."""
-    if not segment.ids:
-        raise UnclassifiableSegment(f"no in-vocabulary words in segment {segment.text!r}")
-    scores = np.zeros(weights["aspect"].shape[1])
-    for channel, idx in segment.ids:
-        scores += weights[channel][idx]
-    return int(np.argmax(scores))
+def encode_ids(segments, est):
+    """(codes, lengths): row r of codes holds the ids of segments[r] in token
+    order, aspect id i coded i and sentiment id i coded V + i, padded with
+    the code V + V'; every table that codes index has a zero (or False) entry
+    there. lengths[r] is the number of ids. The codes are int32, which holds
+    any vocabulary in half the memory of intp."""
+    V, Vp = est.phi_hat.shape[1], est.phi_prime_hat.shape[2]
+    lengths = np.array([len(seg.ids) for seg in segments], dtype=np.intp)
+    codes = np.full((len(segments), lengths.max(initial=0)), V + Vp, dtype=np.int32)
+    codes[np.arange(codes.shape[1]) < lengths[:, None]] = np.fromiter(
+        (i if channel == "aspect" else V + i for seg in segments for channel, i in seg.ids),
+        dtype=np.int32, count=lengths.sum())
+    return codes, lengths
+
+
+def token_sums(table, codes, labels=None):
+    """Per row r of codes, the sum of table[code], or of table[labels[r], code],
+    over its codes, added left to right from 0.0 (np.sum would regroup 8 or
+    more terms pairwise). Adding the pad's 0.0 leaves a sum that starts at
+    +0.0 unchanged."""
+    total = np.zeros((len(codes),) + table.shape[1 if labels is None else 2:])
+    for column in codes.T:
+        total += table[column] if labels is None else table[labels, column]
+    return total
 
 
 def _label(polarity, negated):
@@ -41,17 +51,6 @@ def _label(polarity, negated):
     if negated:
         polarity = -polarity
     return (POSITIVE if polarity >= 0 else NEGATIVE), polarity
-
-
-def classify_sentiment_sen(segment, y_senti):
-    """Model-based classifier: polarity is the sum of y_senti[0]-y_senti[1]
-    over the segment's sentiment-vocabulary words; negation flips the sign.
-    Returns (sentiment index, polarity)."""
-    polarity = 0.0
-    for channel, idx in segment.ids:
-        if channel == "senti":
-            polarity += float(y_senti[0, idx] - y_senti[1, idx])
-    return _label(polarity, segment.negated)
 
 
 @dataclass
@@ -101,18 +100,24 @@ def classify_sentiment_swn(segment, lexicon):
 def label_aspects(segments, est, vocab):
     """Encode each segment as the (channel, index) pairs of its in-vocabulary
     tokens, in token order (the vocabulary's shared pair per stem), then label
-    its aspect with classify_topic; unclassifiable segments are dropped.
+    the aspects of all of them at once: a segment's aspect is the argmax topic
+    of the token_sums of its ids' topic_weights rows, ties toward the lowest
+    topic. Segments without ids are unclassifiable and dropped.
 
     Returns (labeled segments, dropped segments).
     """
-    weights = topic_weights(est)
     stem_ids = vocab.stem_ids
-    labeled, dropped = [], []
     for seg in segments:
         seg.ids = tuple(stem_ids[t.stem] for t in seg.tokens if t.stem in stem_ids)
-        try:
-            seg.aspect = classify_topic(seg, weights)
+    codes, lengths = encode_ids(segments, est)
+    weights = topic_weights(est)
+    scores = token_sums(np.vstack((weights["aspect"], weights["senti"],
+                                   np.zeros(est.phi_hat.shape[0]))), codes)
+    labeled, dropped = [], []
+    for seg, aspect, n in zip(segments, scores.argmax(axis=1).tolist(), lengths.tolist()):
+        if n:
+            seg.aspect = aspect
             labeled.append(seg)
-        except UnclassifiableSegment:
+        else:
             dropped.append(seg)
     return labeled, dropped

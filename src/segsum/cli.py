@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage/config error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import os
@@ -28,7 +29,11 @@ def _load_corpus(cfg):
     extra = corpus_mod.DEFAULT_EXTRA_SENTIMENT
     if cfg.paths.extra_sentiment:
         extra = corpus_mod.load_wordlist(cfg.paths.extra_sentiment)
-    return corpus_mod.ingest_tagged(cfg.paths.corpus, cfg.paths.corpus_format, extra)
+    corp = corpus_mod.ingest_tagged(cfg.paths.corpus, cfg.paths.corpus_format, extra)
+    # The corpus lives until the command ends: keep the collector from
+    # walking its objects again (main unfreezes them)
+    gc.freeze()
+    return corp
 
 
 def _build_vocab(cfg, corp):
@@ -284,6 +289,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:   # DataError is a ValueError
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    finally:
+        # another call in this process must not keep this command's corpus
+        gc.unfreeze()
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classify, model, patterns
-from .classify import classify_sentiment_sen, classify_sentiment_swn
+from .classify import classify_sentiment_swn
 
 log = logging.getLogger(__name__)
 
@@ -61,74 +61,37 @@ def parse_procedure(name: str) -> tuple:
     return stages
 
 
-def _keep_with_top_word(segments, channel, probs, labels_of, n, missing):
-    """Keep the segments holding a `channel` word among the n most probable
-    words of probs[labels_of(segment)], the distribution of their labels."""
-    tops = {}
-    kept = []
-    for seg in segments:
-        labels = labels_of(seg)
-        if None in labels:
-            raise ProcedureError(missing)
-        if labels not in tops:
-            tops[labels] = set(np.argsort(-probs[labels], kind="stable")[:n].tolist())
-        if any(c == channel and idx in tops[labels] for c, idx in seg.ids):
-            kept.append(seg)
-    return kept
+def _has_top_word(probs, n, offset, size, labels, codes):
+    """Mask of the segments, as size-code rows of codes (classify.encode_ids),
+    that hold a word among the n most probable of probs[label] (probs
+    flattened over its leading axes; ties in stable order), whose words are
+    coded from offset."""
+    top = np.argsort(-probs, axis=-1, kind="stable")[..., :n]
+    table = np.zeros(probs.shape[:-1] + (size,))
+    np.put_along_axis(table, top + offset, 1.0, axis=-1)
+    return classify.token_sums(table.reshape(-1, size), codes, labels) > 0
 
 
-def filter_aw(segments, est, top_x):
-    """Keep segments containing a top-X word of their inferred aspect."""
-    return _keep_with_top_word(segments, "aspect", est.phi_hat,
-                               lambda seg: (seg.aspect,), top_x,
-                               "AW filter requires aspect labels")
-
-
-def filter_sw(segments, est, top_y):
-    """Keep segments containing a top-Y sentiment word of their inferred
-    (sentiment, aspect) pair."""
-    return _keep_with_top_word(segments, "senti", est.phi_prime_hat,
-                               lambda seg: (seg.sentiment, seg.aspect), top_y,
-                               "SW filter requires aspect and sentiment labels")
-
-
-def rank_score(segment, est):
-    """Per-word-average log score of the segment under its own (j, k):
-    sentiment words score log phi_prime_hat[j, k], others log phi_hat[k].
-    The terms are summed in token order."""
-    j, k = segment.sentiment, segment.aspect
-    total = 0.0
-    for channel, idx in segment.ids:
-        if channel == "aspect":
-            total += math.log(est.phi_hat[k, idx])
-        else:
-            total += math.log(est.phi_prime_hat[j, k, idx])
-    return total / len(segment.ids) if segment.ids else -math.inf
-
-
-def filter_rank(segments, keep_fraction=0.5):
-    """Within each entity's (sentiment, aspect) group, drop the bottom
-    floor((1-keep_fraction) * n) segments by the rank the classifier stage
-    stored; ties keep corpus order."""
-    groups = {}
-    for pos, seg in enumerate(segments):
-        if seg.aspect is None or seg.sentiment is None or seg.rank is None:
-            raise ProcedureError("RANK filter requires aspect and sentiment labels")
-        groups.setdefault((seg.entity_id, seg.sentiment, seg.aspect), []).append(pos)
-
-    survivors = set()
-    for members in groups.values():
-        n = len(members)
-        n_drop = math.floor((1.0 - keep_fraction) * n)
-        ranked = sorted(members, key=lambda pos: -segments[pos].rank)
-        survivors.update(ranked[: n - n_drop])
-    return [seg for pos, seg in enumerate(segments) if pos in survivors]
+def _rank_survivors(group, rank, keep_fraction):
+    """Mask of what RANK keeps: in each group of n segments, all but the
+    bottom floor((1-keep_fraction) * n) by rank; ties keep corpus order."""
+    order = np.lexsort((-rank, group))
+    group = group[order]
+    sizes = np.bincount(group)
+    place = np.arange(len(group)) - (np.cumsum(sizes) - sizes)[group]
+    keep = np.empty(len(group), dtype=bool)
+    keep[order] = place < (sizes - np.floor((1.0 - keep_fraction) * sizes))[group]
+    return keep
 
 
 def run_procedure(procedure, segments, est, y_senti=None, lexicon=None,
                   config=None):
     """Apply the named procedure's stages in order to aspect-labeled
-    segments. The classifier stage also stores each segment's rank_score.
+    segments, each stage to all of them at once over their codes
+    (classify.encode_ids). The classifier stage also stores each segment's
+    rank: the per-word average log score of its ids under its own (sentiment
+    j, aspect k), log phi_prime_hat[j, k] for sentiment words and log
+    phi_hat[k] for others, summed in token order (-inf without ids).
 
     Returns (positive segments, negative segments).
     """
@@ -139,28 +102,61 @@ def run_procedure(procedure, segments, est, y_senti=None, lexicon=None,
     if "SWN" in stages and lexicon is None:
         raise ProcedureError("SWN stage requires a polarity lexicon")
 
-    current = list(segments)
+    segments = np.fromiter(segments, dtype=object)
+    (S, T, Vp), V = est.phi_prime_hat.shape, est.phi_hat.shape[1]
+    size = V + Vp + 1
+    # one entry per surviving segment, in corpus order; each filter keeps a subset
+    codes, lengths = classify.encode_ids(segments, est)
+    rows = np.arange(len(segments))
+    aspect = np.array([-1 if seg.aspect is None else seg.aspect for seg in segments],
+                      dtype=np.intp)
+    sentiment = np.zeros(len(segments), dtype=np.intp)
+    rank = np.zeros(len(segments))
     for stage in stages:
         if stage == "Baseline":
             continue
         if stage == "AW":
-            current = filter_aw(current, est, config.aw_top_x)
-        elif stage == "SW":
-            current = filter_sw(current, est, config.sw_top_y)
+            if (aspect < 0).any():
+                raise ProcedureError("AW filter requires aspect labels")
+            keep = _has_top_word(est.phi_hat, config.aw_top_x, 0, size, aspect, codes)
+        elif stage == "SW":   # after the classifier, so every segment has its labels
+            keep = _has_top_word(est.phi_prime_hat, config.sw_top_y, V, size,
+                                 sentiment * T + aspect, codes)
         elif stage == "RANK":
-            current = filter_rank(current, config.rank_keep_fraction)
+            entities = {}
+            entity = np.array([entities.setdefault(seg.entity_id, len(entities))
+                               for seg in segments[rows]], dtype=np.intp)
+            keep = _rank_survivors((entity * S + sentiment) * T + aspect, rank,
+                                   config.rank_keep_fraction)
         else:   # SEN or SWN
-            classify_sentiment, polarities = ((classify_sentiment_sen, y_senti) if stage == "SEN"
-                                               else (classify_sentiment_swn, lexicon))
-            for seg in current:
-                if seg.aspect is None:
-                    raise ProcedureError(f"{stage} stage requires aspect labels to rank segments")
-                seg.sentiment, seg.polarity = classify_sentiment(seg, polarities)
-                seg.rank = rank_score(seg, est)
+            if (aspect < 0).any():
+                raise ProcedureError(f"{stage} stage requires aspect labels to rank segments")
+            current = segments[rows].tolist()
+            if stage == "SEN":
+                polarity = classify.token_sums(
+                    np.concatenate((np.zeros(V), y_senti[0] - y_senti[1], [0.0])), codes)
+                np.negative(polarity, out=polarity,
+                            where=np.array([seg.negated for seg in current], dtype=bool))
+            else:
+                polarity = np.array([classify_sentiment_swn(seg, lexicon)[1] for seg in current])
+            sentiment = np.where(polarity >= 0, classify.POSITIVE, classify.NEGATIVE)
+            # libm's log: np.log differs from it in the last bit on some hosts;
+            # the pad's probability 1 logs to 0.0
+            logs = np.array([math.log(p) for p in np.concatenate(
+                (np.broadcast_to(est.phi_hat, (S, T, V)), est.phi_prime_hat,
+                 np.ones((S, T, 1))), axis=2).ravel().tolist()]).reshape(S * T, size)
+            total = classify.token_sums(logs, codes, sentiment * T + aspect)
+            rank = np.divide(total, lengths, out=np.full(len(rows), -math.inf),
+                             where=lengths > 0)
+            for seg, *labels in zip(current, sentiment.tolist(), polarity.tolist(),
+                                    rank.tolist()):
+                seg.sentiment, seg.polarity, seg.rank = labels
+            continue
+        rows, codes, lengths, aspect, sentiment, rank = (
+            a[keep] for a in (rows, codes, lengths, aspect, sentiment, rank))
 
-    positive = [s for s in current if s.sentiment == 0]
-    negative = [s for s in current if s.sentiment == 1]
-    return positive, negative
+    positive = sentiment == classify.POSITIVE
+    return segments[rows[positive]].tolist(), segments[rows[~positive]].tolist()
 
 
 def entity_candidates(state, corpus, pattern_ids, max_words, procedure, lexicon,

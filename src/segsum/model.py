@@ -50,8 +50,12 @@ class Hyperparams:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma", "sigma1_sq", "sigma2_sq", "mu_seed"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
+            value = getattr(self, name)
+            if type(value) not in (int, float) or not 0 < value < math.inf:
+                raise ValueError(f"{name} must be a finite positive number")
+        for name in ("num_topics", "num_sentiments"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer")
         if self.num_topics < 1:
             raise ValueError("num_topics must be >= 1")
         if self.num_sentiments != 2:
@@ -506,7 +510,13 @@ def load_checkpoint(path, corpus=None):
             raise ValueError(f"checkpoint {path}: missing or ill-typed {key!r} "
                              f"({type(exc).__name__}: {exc})") from exc
 
-    hp = get("hyperparams", lambda d: Hyperparams(**d))
+    def hyperparams(d):
+        missing = sorted(set(Hyperparams.__dataclass_fields__) - set(d))
+        if missing:
+            raise KeyError(", ".join(missing))
+        return Hyperparams(**d)
+
+    hp = get("hyperparams", hyperparams)
     vocab = get("vocabulary", Vocabulary.from_dict)
     if vocab.content_hash() != payload.get("vocab_hash"):
         raise ValueError(f"checkpoint {path}: 'vocab_hash' does not match its 'vocabulary'")
@@ -522,23 +532,27 @@ def load_checkpoint(path, corpus=None):
     def get_array(key, shape, kind="real"):
         """The array at key, of this shape; each entry a finite number (kind
         "real"), a finite whole number >= 0 ("count") or a JSON boolean ("flag")."""
-        dtype = object if kind == "flag" else float
-        array = get(key, lambda value: np.asarray(value, dtype=dtype))
+        array = get(key, lambda value: np.asarray(value, dtype=object))
         if array.ndim != len(shape) or any(m not in (None, n) for n, m in zip(array.shape, shape)):
             want = ", ".join("any" if m is None else str(m) for m in shape)
             raise ValueError(f"checkpoint {path}: {key!r} has shape {array.shape}, "
-                             f"expected ({want})")
-        if kind == "flag":
-            valid = all(type(v) is bool for v in array.flat)
-            array = array.astype(bool)
-        else:
-            valid = np.isfinite(array).all() and (
-                kind == "real" or ((array >= 0) & (array == np.floor(array))).all())
+                             f"expected ({want}) from 'hyperparams', 'vocabulary'"
+                             + (" and the corpus" if corpus is not None else ""))
+        # JSON true and a numeric string would convert to numbers
+        valid = set(map(type, array.ravel())) <= ({bool} if kind == "flag" else {int, float})
+        if valid and kind != "flag":
+            try:
+                array = array.astype(float)
+            except OverflowError:   # an integer beyond float
+                valid = False
+            else:
+                valid = np.isfinite(array).all() and (
+                    kind == "real" or ((array >= 0) & (array == np.floor(array))).all())
         if not valid:
             want = {"real": "a finite number", "count": "a finite whole number >= 0",
                     "flag": "a JSON boolean"}[kind]
             raise ValueError(f"checkpoint {path}: {key!r} holds an entry that is not {want}")
-        return array
+        return array.astype(bool) if kind == "flag" else array
 
     def get_assignments(key, bound):
         """z or s: rows of ints below bound, one per review and as long as it
@@ -567,10 +581,20 @@ def load_checkpoint(path, corpus=None):
     seed_mask = get_array("seed_mask", (S, Vp), "flag")
     counts = [get_array(key, shape, "count") for key, shape in (
         ("n_TW", (T, V)), ("n_STW", (S, T, Vp)), ("n_DT", (D, T)), ("n_DS", (D, S)))]
-    state = ModelState(hp, vocab, flat, rng, z, s, y_topic, y_senti, seed_mask, counts,
-                       get("sweep_index", sweep_count))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        state = ModelState(hp, vocab, flat, rng, z, s, y_topic, y_senti, seed_mask, counts,
+                           get("sweep_index", sweep_count))
+        est = estimate(state)
+    # Every word needs a positive probability, which the classifiers take
+    # the log of: a huge smoother or beta overflows or underflows to 0
+    for probs, keys in ((est.phi_hat, "'n_TW' and 'hyperparams' beta"),
+                        (est.phi_prime_hat, "'n_STW', 'y_topic' and 'y_senti'")):
+        if not (np.isfinite(probs) & (probs > 0)).all():
+            raise ValueError(f"checkpoint {path}: a word probability is 0 or not finite "
+                             f"under {keys}")
     if corpus is not None and not state.counts_consistent():
-        raise ValueError(f"checkpoint {path}: counts do not match the supplied corpus")
+        raise ValueError(f"checkpoint {path}: counts do not match the supplied corpus "
+                         f"('n_TW', 'n_STW', 'n_DT' and 'n_DS' against 'z' and 's')")
     return state
 
 

@@ -426,3 +426,138 @@ def numpy_recount(state):
             n_DT[d, k] += 1
             n_DS[d, j] += 1
     return n_TW, n_STW, n_DT, n_DS
+
+
+# -- per-segment scorers and filters ----------------------------------------
+#
+# The read path that segsum ran before classify.label_aspects and
+# filters.run_procedure scored all segments at once: one segment at a time,
+# from Segment.ids, each sum left to right in token order. The weights are
+# classify.topic_weights, and the SWN classifier, which the package still
+# runs a segment at a time, is written out again here.
+
+POSITIVE, NEGATIVE = 0, 1
+
+
+class UnclassifiableSegment(ValueError):
+    """Segment has no in-vocabulary words to score."""
+
+
+def classify_topic(segment, weights) -> int:
+    """Argmax-k segment score: the sum, in token order, of the topic_weights
+    rows of the segment's in-vocabulary words. Ties break toward the lowest k."""
+    if not segment.ids:
+        raise UnclassifiableSegment(f"no in-vocabulary words in segment {segment.text!r}")
+    scores = np.zeros(weights["aspect"].shape[1])
+    for channel, idx in segment.ids:
+        scores += weights[channel][idx]
+    return int(np.argmax(scores))
+
+
+def label_aspects(segments, weights, vocab):
+    """(labeled, dropped), each segment encoded and labelled with classify_topic."""
+    labeled, dropped = [], []
+    for seg in segments:
+        seg.ids = tuple(vocab.stem_ids[t.stem] for t in seg.tokens if t.stem in vocab.stem_ids)
+        try:
+            seg.aspect = classify_topic(seg, weights)
+            labeled.append(seg)
+        except UnclassifiableSegment:
+            dropped.append(seg)
+    return labeled, dropped
+
+
+def classify_sentiment_sen(segment, y_senti):
+    """(sentiment, polarity): polarity is the sum of y_senti[0]-y_senti[1]
+    over the segment's sentiment words; negation flips the sign; >= 0 is
+    positive."""
+    polarity = 0.0
+    for channel, idx in segment.ids:
+        if channel == "senti":
+            polarity += float(y_senti[0, idx] - y_senti[1, idx])
+    return _label(polarity, segment.negated)
+
+
+def classify_sentiment_swn(segment, lexicon):
+    """(sentiment, polarity) as classify_sentiment_sen, from the lexicon
+    scores of the segment's sentiment tokens, stems outside the vocabulary
+    included."""
+    polarity = 0.0
+    for token in segment.tokens:
+        if token.is_sentiment:
+            polarity += lexicon.score(token.stem)
+    return _label(polarity, segment.negated)
+
+
+def _label(polarity, negated):
+    if negated:
+        polarity = -polarity
+    return (POSITIVE if polarity >= 0 else NEGATIVE), polarity
+
+
+def rank_score(segment, est):
+    """Per-word-average log score of the segment under its own (j, k):
+    sentiment words score log phi_prime_hat[j, k], others log phi_hat[k],
+    each with libm's log, summed in token order."""
+    j, k = segment.sentiment, segment.aspect
+    total = 0.0
+    for channel, idx in segment.ids:
+        if channel == "aspect":
+            total += math.log(est.phi_hat[k, idx])
+        else:
+            total += math.log(est.phi_prime_hat[j, k, idx])
+    return total / len(segment.ids) if segment.ids else -math.inf
+
+
+def _keep_with_top_word(segments, channel, probs, labels_of, n):
+    """Keep the segments holding a `channel` word among the n most probable
+    words of probs[labels_of(segment)]."""
+    tops = {}
+    kept = []
+    for seg in segments:
+        labels = labels_of(seg)
+        if None in labels:
+            raise ValueError("missing labels")
+        if labels not in tops:
+            tops[labels] = set(np.argsort(-probs[labels], kind="stable")[:n].tolist())
+        if any(c == channel and idx in tops[labels] for c, idx in seg.ids):
+            kept.append(seg)
+    return kept
+
+
+def filter_rank(segments, keep_fraction):
+    """Within each entity's (sentiment, aspect) group, drop the bottom
+    floor((1-keep_fraction) * n) segments by rank; ties keep corpus order."""
+    groups = {}
+    for pos, seg in enumerate(segments):
+        groups.setdefault((seg.entity_id, seg.sentiment, seg.aspect), []).append(pos)
+    survivors = set()
+    for members in groups.values():
+        n = len(members)
+        n_drop = math.floor((1.0 - keep_fraction) * n)
+        survivors.update(sorted(members, key=lambda pos: -segments[pos].rank)[: n - n_drop])
+    return [seg for pos, seg in enumerate(segments) if pos in survivors]
+
+
+def run_procedure(stages, segments, est, y_senti, lexicon, config):
+    """(positive, negative) survivors of the stages, a segment at a time;
+    sets each classified segment's sentiment, polarity and rank."""
+    current = list(segments)
+    for stage in stages:
+        if stage == "AW":
+            current = _keep_with_top_word(current, "aspect", est.phi_hat,
+                                          lambda seg: (seg.aspect,), config.aw_top_x)
+        elif stage == "SW":
+            current = _keep_with_top_word(current, "senti", est.phi_prime_hat,
+                                          lambda seg: (seg.sentiment, seg.aspect),
+                                          config.sw_top_y)
+        elif stage == "RANK":
+            current = filter_rank(current, config.rank_keep_fraction)
+        elif stage in ("SEN", "SWN"):
+            for seg in current:
+                seg.sentiment, seg.polarity = (
+                    classify_sentiment_sen(seg, y_senti) if stage == "SEN"
+                    else classify_sentiment_swn(seg, lexicon))
+                seg.rank = rank_score(seg, est)
+    return ([s for s in current if s.sentiment == POSITIVE],
+            [s for s in current if s.sentiment == NEGATIVE])

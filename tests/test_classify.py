@@ -10,14 +10,12 @@ from segsum.classify import (
     NEGATIVE,
     POSITIVE,
     PolarityLexicon,
-    UnclassifiableSegment,
-    classify_sentiment_sen,
     classify_sentiment_swn,
-    classify_topic,
     label_aspects,
     topic_weights,
 )
 from segsum.corpus import Vocabulary, make_token
+from segsum.filters import run_procedure
 from segsum.model import PosteriorEstimates
 from segsum.patterns import Segment
 
@@ -48,17 +46,30 @@ def make_est(rng, T=3, V=3, Vp=3):
     )
 
 
+def aspect_of(seg, est):
+    """The aspect label_aspects gives seg; None if it drops it."""
+    labeled, _ = label_aspects([seg], est, VOCAB)
+    return seg.aspect if labeled else None
+
+
+def sen(seg, y_senti):
+    """(sentiment, polarity) that the SEN stage of run_procedure gives seg."""
+    seg.aspect = 0
+    run_procedure("Baseline+SEN", [seg], make_est(np.random.default_rng(0)), y_senti=y_senti)
+    return seg.sentiment, seg.polarity
+
+
 class TestTopic:
     def test_single_topic_returns_zero(self):
         est = make_est(np.random.default_rng(0), T=1)
         seg = make_seg([("good", "JJ"), ("food", "NN")])
-        assert classify_topic(seg, topic_weights(est)) == 0
+        assert aspect_of(seg, est) == 0
 
     def test_single_aspect_word_is_column_argmax(self):
         est = make_est(np.random.default_rng(1))
         seg = make_seg([("food", "NN")])
         i = VOCAB.aspect_index["food"]
-        assert classify_topic(seg, topic_weights(est)) == int(np.argmax(est.phi_hat[:, i]))
+        assert aspect_of(seg, est) == int(np.argmax(est.phi_hat[:, i]))
 
     def test_brute_force_fixture(self):
         rng = np.random.default_rng(2)
@@ -77,30 +88,29 @@ class TestTopic:
                         total += math.log(est.phi_prime_hat[0, k, i])
                         total += math.log(est.phi_prime_hat[1, k, i])
                 scores.append(total)
-            assert classify_topic(seg, topic_weights(est)) == scores.index(max(scores))
+            assert aspect_of(seg, est) == scores.index(max(scores))
 
     def test_per_word_scale_invariance(self):
         # multiplying a word's column by a constant shifts every topic score
         # equally and cannot change the argmax
         rng = np.random.default_rng(3)
         est = make_est(rng)
-        seg = make_seg([("good", "JJ"), ("food", "NN")])
-        before = classify_topic(seg, topic_weights(est))
+        pairs = [("good", "JJ"), ("food", "NN")]
+        before = aspect_of(make_seg(pairs), est)
         scaled = PosteriorEstimates(
             est.pi_hat, est.theta_hat,
             est.phi_hat * np.array([1.0, 7.5, 1.0]),
             est.phi_prime_hat * np.array([3.0, 1.0, 1.0]))
-        assert classify_topic(seg, topic_weights(scaled)) == before
+        assert aspect_of(make_seg(pairs), scaled) == before
 
-    def test_out_of_vocabulary_only_raises(self):
+    def test_out_of_vocabulary_only_is_dropped(self):
         est = make_est(np.random.default_rng(4))
         seg = make_seg([("unknownword", "NN"), ("mystery", "NN")])
-        with pytest.raises(UnclassifiableSegment):
-            classify_topic(seg, topic_weights(est))
+        assert aspect_of(seg, est) is None and seg.aspect is None and seg.ids == ()
 
     def test_weights_equal_the_per_token_logs(self):
-        # the rows label_aspects precomputes are, bit for bit, the logs that
-        # classify_topic took per token before
+        # the rows label_aspects sums are, bit for bit, the logs that the
+        # per-segment scorer took per token before
         est = make_est(np.random.default_rng(8), T=5, V=40, Vp=30)
         weights = topic_weights(est)
         for i in range(40):
@@ -112,20 +122,20 @@ class TestTopic:
     def test_labels_equal_the_per_token_computation(self):
         rng = np.random.default_rng(9)
         est = make_est(rng, T=4)
-        weights = topic_weights(est)
         stems = [("decor", "NN"), ("food", "NN"), ("staff", "NN"), ("bad", "JJ"),
                  ("good", "JJ"), ("nice", "JJ"), ("unknownword", "NN")]
-        for _ in range(200):
-            seg = make_seg([stems[i] for i in rng.integers(0, len(stems), rng.integers(1, 9))])
-            if not seg.ids:
-                continue
+        segs = [make_seg([stems[i] for i in rng.integers(0, len(stems), rng.integers(1, 12))])
+                for _ in range(200)]
+        labeled, _ = label_aspects(segs, est, VOCAB)
+        assert labeled == [seg for seg in segs if seg.ids]
+        for seg in labeled:
             scores = np.zeros(4)
             for channel, idx in seg.ids:
                 if channel == "aspect":
                     scores += np.log(est.phi_hat[:, idx])
                 else:
                     scores += np.log(est.phi_prime_hat[:, :, idx]).sum(axis=0)
-            assert classify_topic(seg, weights) == int(np.argmax(scores))
+            assert seg.aspect == int(np.argmax(scores))
 
     def test_label_aspects_drops_unclassifiable(self):
         est = make_est(np.random.default_rng(5))
@@ -157,33 +167,37 @@ class TestSen:
 
     def test_no_sentiment_words_is_positive_zero(self):
         seg = make_seg([("food", "NN")])
-        assert classify_sentiment_sen(seg, self.Y) == (POSITIVE, 0.0)
+        assert sen(seg, self.Y) == (POSITIVE, 0.0)
+
+    def test_negated_without_sentiment_words_is_positive_minus_zero(self):
+        seg = make_seg([("food", "NN")], negated=True)
+        label, pol = sen(seg, self.Y)
+        assert label == POSITIVE and pol == 0.0 and math.copysign(1.0, pol) == -1.0
 
     def test_positive_example(self):
         seg = make_seg([("good", "JJ"), ("food", "NN")])
-        label, pol = classify_sentiment_sen(seg, self.Y)
+        label, pol = sen(seg, self.Y)
         assert label == POSITIVE and pol == pytest.approx(2.0)
 
     def test_negative_example(self):
         seg = make_seg([("bad", "JJ"), ("food", "NN")])
-        label, pol = classify_sentiment_sen(seg, self.Y)
+        label, pol = sen(seg, self.Y)
         assert label == NEGATIVE and pol == pytest.approx(-2.0)
 
     def test_polarity_sums_over_words(self):
         seg = make_seg([("good", "JJ"), ("bad", "JJ"), ("nice", "JJ")])
-        _, pol = classify_sentiment_sen(seg, self.Y)
+        _, pol = sen(seg, self.Y)
         assert pol == pytest.approx(2.0 - 2.0 + 0.0)
 
     def test_negation_flips(self):
         seg = make_seg([("good", "JJ"), ("food", "NN")], negated=True)
-        label, pol = classify_sentiment_sen(seg, self.Y)
+        label, pol = sen(seg, self.Y)
         assert label == NEGATIVE and pol == pytest.approx(-2.0)
 
     def test_row_swap_flips_nonzero_classifications(self):
         seg = make_seg([("good", "JJ")])
-        label, pol = classify_sentiment_sen(seg, self.Y)
-        swapped_label, swapped_pol = classify_sentiment_sen(
-            seg, self.Y[::-1].copy())
+        label, pol = sen(seg, self.Y)
+        swapped_label, swapped_pol = sen(seg, self.Y[::-1].copy())
         assert swapped_pol == pytest.approx(-pol)
         assert {label, swapped_label} == {POSITIVE, NEGATIVE}
 
@@ -193,7 +207,7 @@ class TestSen:
         for _ in range(20):
             y = rng.normal(size=(2, 3))
             seg = make_seg([("good", "JJ"), ("nice", "JJ")])
-            _, pol = classify_sentiment_sen(seg, y)
+            _, pol = sen(seg, y)
             expected = sum(y[0, VOCAB.senti_index[w]] - y[1, VOCAB.senti_index[w]]
                            for w in ("good", "nice"))
             assert pol == pytest.approx(expected)

@@ -1,7 +1,9 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
+import math
 import os
 import pathlib
 import re
@@ -19,6 +21,8 @@ from segsum.cli import main
 from segsum.config import ConfigError, PipelineConfig, load_config
 from segsum.corpus import PENN_TAGS
 from segsum.synthetic import generate_text_reviews, text_polarity_lexicon
+
+import oracles
 
 
 def write_corpus(tmp_path, **kwargs):
@@ -276,6 +280,16 @@ class TestExitCodes:
                      id="rng_state-negative"),
         pytest.param("vocab_hash", lambda digest: "0" * len(digest), id="vocab_hash-other"),
         pytest.param("format_version", lambda version: version + 1, id="format_version-next"),
+        # finite, but the word probabilities overflow or underflow to 0
+        pytest.param("y_topic", _first_cell(1e308), id="y_topic-1e308"),
+        pytest.param("y_senti", _first_cell(2 ** 70), id="y_senti-2**70"),
+        pytest.param("hyperparams", lambda hp: {**hp, "beta": 1e308}, id="hyperparams-beta-1e308"),
+        # JSON values that are not numbers, where numbers are due
+        pytest.param("y_topic", _first_cell("1"), id="y_topic-numeric-string"),
+        pytest.param("n_TW", _first_cell(True), id="n_TW-true"),
+        pytest.param("hyperparams", lambda hp: {**hp, "num_topics": True},
+                     id="hyperparams-num_topics-true"),
+        pytest.param("hyperparams", lambda hp: {}, id="hyperparams-empty"),
     ])
     def test_checkpoint_value_out_of_its_domain_is_two(self, tmp_path, capsys, command, key,
                                                        edit):
@@ -343,6 +357,23 @@ class TestExitCodes:
         config = write_config(tmp_path, bad)
         assert main(["--config", str(config), "preprocess"]) == 2
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, spoil, code, frozen", [
+        (["preprocess"], None, 0, 1),
+        (["summarize"], None, 2, 1),   # no checkpoint: fails after the ingest
+        (["preprocess"], "a bad corpus line", 2, 0),
+        (["--procedure", "AW+SEN+SWN", "preprocess"], None, 1, 0),
+    ], ids=["ok", "no-checkpoint", "bad-corpus-line", "bad-procedure"])
+    def test_main_unfreezes_what_the_ingest_froze(self, tmp_path, monkeypatch, argv, spoil,
+                                                  code, frozen):
+        corpus = write_corpus(tmp_path, num_entities=2, reviews_per_entity=3)
+        if spoil:
+            with open(corpus, "a") as fh:
+                fh.write("not json\n")
+        freezes, freeze = [], gc.freeze
+        monkeypatch.setattr(gc, "freeze", lambda: freezes.append(freeze()))
+        assert main(["--config", str(write_config(tmp_path, corpus)), *argv]) == code
+        assert len(freezes) == frozen and gc.get_freeze_count() == 0
 
 
 # -- one corpus record mutated in one place -----------------------------------
@@ -504,6 +535,98 @@ def test_a_mutated_lexicon_line_exits_0_or_2_naming_its_line(trained_once, data)
                          extra=f"checkpoint = {checkpoint}\n")
 
 
+# -- one value of a checkpoint mutated -----------------------------------------
+#
+# topics and summarize either exit 0 or exit 2 with one stderr line naming the
+# checkpoint's path and the mutated key; never exit 1 or a traceback. Exit 0
+# must write the unmutated checkpoint's output, unless the mutation left the
+# value in its documented domain (a finite number where reals are, a whole
+# number >= 0 where counts are), which the model may read differently.
+
+CHECKPOINT_VALUES = [math.nan, math.inf, -math.inf, -1, 0.5, 1e308, 2 ** 70, True, "1", None,
+                     [], {}]
+REAL_HYPERPARAMS = ("alpha", "beta", "gamma", "sigma1_sq", "sigma2_sq", "mu_seed")
+
+
+@pytest.fixture(scope="module")
+def checkpoint_runs(tmp_path_factory):
+    """A small corpus, a checkpoint trained on it through a MAP step, and the
+    outputs of topics and summarize on it."""
+    tmp_path = tmp_path_factory.mktemp("mutated_checkpoint")
+    corpus = write_corpus(tmp_path, num_entities=2, reviews_per_entity=3)
+    assert main(["--config", str(write_config(tmp_path, corpus)),
+                 "train", "--iters", "12"]) == 0
+    payload = json.loads((tmp_path / "out" / "checkpoint.json").read_text())
+    runs = {command: _checkpoint_run(tmp_path, corpus, payload, command)
+            for command in ("topics", "summarize")}
+    assert all(code == 0 for code, *_ in runs.values())
+    return corpus, payload, runs
+
+
+def _checkpoint_run(tmp_path, corpus, payload, command):
+    """(exit code, stdout, stderr, summaries.json or None) of command on the
+    checkpoint payload written into tmp_path."""
+    checkpoint = tmp_path / "checkpoint.json"
+    checkpoint.write_text(json.dumps(payload))
+    config = write_config(tmp_path, corpus, extra=f"checkpoint = {checkpoint}\n",
+                          name="mutated.ini")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+        code = main(["--config", str(config), command])
+    summaries = tmp_path / "out" / "summaries.json"
+    return code, out.getvalue(), err.getvalue(), (
+        summaries.read_bytes() if summaries.exists() else None)
+
+
+def _mutate_checkpoint(data, payload):
+    """Mutate one value inside one key of payload: a scalar set to one of
+    CHECKPOINT_VALUES, a list one entry shorter or longer, or a dict with one
+    key removed or added. Returns (the key, whether the value stayed in its
+    domain)."""
+    key = data.draw(st.sampled_from(sorted(payload)))
+    parent, name, node = payload, key, payload[key]
+    while isinstance(node, (list, dict)) and node and data.draw(st.booleans()):
+        parent, name = node, data.draw(st.sampled_from(
+            sorted(node) if isinstance(node, dict) else range(len(node))))
+        node = parent[name]
+    if isinstance(node, (list, dict)) and node and data.draw(st.booleans()):
+        shorter = data.draw(st.booleans())
+        if isinstance(node, dict) and shorter:
+            del node[data.draw(st.sampled_from(sorted(node)))]
+        elif isinstance(node, dict):
+            node["extra"] = 1
+        elif shorter:
+            node.pop()
+        else:
+            node.append(node[-1])
+        return key, False
+    value = data.draw(st.sampled_from(CHECKPOINT_VALUES))
+    parent[name] = value
+    number = type(value) in (int, float) and math.isfinite(value)
+    in_domain = number and (key in ("y_topic", "y_senti") or name in REAL_HYPERPARAMS
+                            or (key.startswith("n_") and value >= 0 and value == int(value)))
+    return key, in_domain
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_mutated_checkpoint_value_exits_0_or_2_naming_its_key(checkpoint_runs, data):
+    corpus, payload, unmutated = checkpoint_runs
+    payload = json.loads(json.dumps(payload))
+    key, in_domain = _mutate_checkpoint(data, payload)
+    with tempfile.TemporaryDirectory() as tmp:
+        for command, expected in unmutated.items():
+            code, out, err, summaries = _checkpoint_run(pathlib.Path(tmp), corpus, payload,
+                                                        command)
+            assert "Traceback" not in err and code in (0, 2), err
+            if code == 2:
+                [line] = err.strip().splitlines()
+                assert f"checkpoint {pathlib.Path(tmp) / 'checkpoint.json'}: " in line
+                assert repr(key) in line, line
+            elif not in_domain:
+                assert (out, summaries) == (expected[1], expected[3])
+
+
 class TestPipelineFlow:
     def test_full_flow(self, workspace, capsys):
         tmp_path, config = workspace
@@ -607,7 +730,7 @@ def test_summaries_list_each_polarity_by_descending_rank(tmp_path):
     ties = 0
     for entity_id, lists in candidates.items():
         for polarity, segs in lists.items():
-            assert all(seg.rank == filters.rank_score(seg, est) for seg in segs)
+            assert all(seg.rank == oracles.rank_score(seg, est) for seg in segs)
             ordered = sorted(segs, key=lambda seg: (-seg.rank, review_index[seg.review_id],
                                                     seg.sentence_index, seg.start))
             entries = summaries[entity_id][polarity]

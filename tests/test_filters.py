@@ -11,16 +11,14 @@ from segsum.filters import (
     FilterConfig,
     ProcedureError,
     entity_candidates,
-    filter_aw,
-    filter_rank,
-    filter_sw,
     parse_procedure,
-    rank_score,
     run_procedure,
 )
 from segsum.model import PosteriorEstimates
 from segsum.patterns import Segment, extract_corpus
 from segsum.synthetic import generate_text_reviews
+
+import oracles
 
 VOCAB = Vocabulary(aspect_stems=["decor", "food", "staff", "wine"],
                    senti_stems=["bad", "good", "nice", "rude"])
@@ -50,21 +48,26 @@ def make_est(seed=0, T=2):
     )
 
 
-def ranked(segs, est):
-    """segs, each given its rank_score, as the classifier stage gives it."""
-    for seg in segs:
-        seg.rank = rank_score(seg, est)
-    return segs
+# scores nothing: its classifier stage labels every segment positive and
+# leaves the filters around it to decide
+NEUTRAL = PolarityLexicon()
+LEX = PolarityLexicon({"good": 1.0, "nice": 0.5, "bad": -1.0, "rude": -1.0})
 
 
-def random_segments(rng, n, with_sentiment=False):
+def survivors(procedure, segs, est, config=None, lexicon=NEUTRAL):
+    """The segments that procedure keeps, in corpus order."""
+    pos, neg = run_procedure(procedure, segs, est, lexicon=lexicon, config=config)
+    kept = {id(seg) for seg in pos + neg}
+    return [seg for seg in segs if id(seg) in kept]
+
+
+def random_segments(rng, n):
     aspect_words = [("decor", "NN"), ("food", "NN"), ("staff", "NN"), ("wine", "NN")]
     senti_words = [("bad", "JJ"), ("good", "JJ"), ("nice", "JJ"), ("rude", "JJ")]
     segs = []
     for _ in range(n):
         pairs = [senti_words[rng.integers(4)], aspect_words[rng.integers(4)]]
-        segs.append(make_seg(pairs, aspect=int(rng.integers(2)),
-                             sentiment=int(rng.integers(2)) if with_sentiment else None))
+        segs.append(make_seg(pairs, aspect=int(rng.integers(2))))
     return segs
 
 
@@ -73,7 +76,7 @@ class TestAw:
         est = make_est()
         keep = make_seg([("good", "JJ"), ("food", "NN")], aspect=0)
         drop = make_seg([("good", "JJ")], aspect=0)  # no aspect-channel word
-        assert filter_aw([keep, drop], est, top_x=4) == [keep]
+        assert survivors("AW+SWN", [keep, drop], est, FilterConfig(aw_top_x=4)) == [keep]
 
     def test_top_one_keeps_only_best_word(self):
         est = make_est(seed=1)
@@ -81,18 +84,18 @@ class TestAw:
         other = next(s for s in VOCAB.aspect_stems if s != best)
         a = make_seg([("good", "JJ"), (best, "NN")], aspect=0)
         b = make_seg([("good", "JJ"), (other, "NN")], aspect=0)
-        assert filter_aw([a, b], est, top_x=1) == [a]
+        assert survivors("AW+SWN", [a, b], est, FilterConfig(aw_top_x=1)) == [a]
 
     def test_requires_aspect_labels(self):
-        with pytest.raises(ProcedureError):
-            filter_aw([make_seg([("food", "NN")])], make_est(), 2)
+        with pytest.raises(ProcedureError, match="AW filter requires aspect labels"):
+            run_procedure("AW+SWN", [make_seg([("food", "NN")])], make_est(), lexicon=NEUTRAL)
 
     def test_brute_force_oracle(self):
         rng = np.random.default_rng(7)
         est = make_est(seed=7)
         for top_x in (1, 2, 3):
             segs = random_segments(rng, 30)
-            got = filter_aw(segs, est, top_x)
+            got = survivors("AW+SWN", segs, est, FilterConfig(aw_top_x=top_x))
             expected = []
             for seg in segs:
                 order = sorted(range(VOCAB.num_aspect_words),
@@ -106,8 +109,9 @@ class TestAw:
         rng = np.random.default_rng(8)
         est = make_est(seed=8)
         segs = random_segments(rng, 25)
-        once = filter_aw(segs, est, 2)
-        assert filter_aw(once, est, 2) == once
+        config = FilterConfig(aw_top_x=2)
+        once = survivors("AW+SWN", segs, est, config)
+        assert survivors("AW+SWN", once, est, config) == once
 
 
 class TestSw:
@@ -115,10 +119,10 @@ class TestSw:
         rng = np.random.default_rng(9)
         est = make_est(seed=9)
         for top_y in (1, 2, 3):
-            segs = random_segments(rng, 30, with_sentiment=True)
-            got = filter_sw(segs, est, top_y)
+            segs = random_segments(rng, 30)
+            got = survivors("SWN+SW", segs, est, FilterConfig(sw_top_y=top_y), LEX)
             expected = []
-            for seg in segs:
+            for seg in segs:   # labelled by the SWN stage
                 probs = est.phi_prime_hat[seg.sentiment, seg.aspect]
                 order = sorted(range(VOCAB.num_senti_words),
                                key=lambda i: (-probs[i], i))
@@ -127,84 +131,83 @@ class TestSw:
                     expected.append(seg)
             assert got == expected
 
-    def test_requires_sentiment_labels(self):
-        seg = make_seg([("good", "JJ"), ("food", "NN")], aspect=0)
-        with pytest.raises(ProcedureError):
-            filter_sw([seg], make_est(), 2)
-
     def test_commutes_with_aw(self):
         rng = np.random.default_rng(10)
         est = make_est(seed=10)
-        segs = random_segments(rng, 40, with_sentiment=True)
-        ab = filter_sw(filter_aw(segs, est, 2), est, 2)
-        ba = filter_aw(filter_sw(segs, est, 2), est, 2)
-        assert ab == ba
+        segs = random_segments(rng, 40)
+        config = FilterConfig(2, 2)
+        assert (survivors("AW+SWN+SW", segs, est, config, LEX)
+                == survivors("SWN+SW+AW", segs, est, config, LEX))
 
 
 class TestRank:
     def test_keep_fraction_one_is_identity(self):
         rng = np.random.default_rng(11)
         est = make_est(seed=11)
-        segs = ranked(random_segments(rng, 12, with_sentiment=True), est)
-        assert filter_rank(segs, keep_fraction=1.0) == segs
+        segs = random_segments(rng, 12)
+        assert survivors("SWN+RANK", segs, est, FilterConfig(rank_keep_fraction=1.0),
+                         LEX) == segs
 
     def test_floor_arithmetic(self):
         est = make_est(seed=12)
+        config = FilterConfig(rank_keep_fraction=0.5)
         # 5 segments in one group at keep=0.5: drop floor(2.5)=2, keep 3
-        segs = ranked([make_seg([("good", "JJ"), ("food", "NN")], aspect=0, sentiment=0)
-                       for _ in range(5)], est)
-        assert len(filter_rank(segs, 0.5)) == 3
+        segs = [make_seg([("good", "JJ"), ("food", "NN")], aspect=0) for _ in range(5)]
+        assert len(survivors("SWN+RANK", segs, est, config)) == 3
         # a singleton group never drops
-        one = ranked([make_seg([("good", "JJ")], aspect=0, sentiment=0)], est)
-        assert filter_rank(one, 0.5) == one
+        one = [make_seg([("good", "JJ")], aspect=0)]
+        assert survivors("SWN+RANK", one, est, config) == one
 
     def test_sort_oracle(self):
         rng = np.random.default_rng(13)
         est = make_est(seed=13)
-        segs = ranked(random_segments(rng, 30, with_sentiment=True), est)
-        got = filter_rank(segs, 0.5)
+        segs = random_segments(rng, 30)
+        got = survivors("SWN+RANK", segs, est, FilterConfig(rank_keep_fraction=0.5), LEX)
 
         groups = {}
-        for pos, seg in enumerate(segs):
+        for pos, seg in enumerate(segs):   # labelled by the SWN stage
             groups.setdefault((seg.sentiment, seg.aspect), []).append(pos)
         keep = set()
         for positions in groups.values():
             n = len(positions)
             n_drop = math.floor(0.5 * n)
             scored = sorted(positions,
-                            key=lambda p: (-rank_score(segs[p], est), p))
+                            key=lambda p: (-oracles.rank_score(segs[p], est), p))
             keep.update(scored[: n - n_drop])
         assert got == [segs[p] for p in sorted(keep)]
 
-    def test_rank_score_averages_per_word(self):
+    def test_rank_averages_per_word(self):
         est = make_est(seed=14)
-        seg = make_seg([("good", "JJ"), ("food", "NN")], aspect=1, sentiment=0)
+        seg = make_seg([("good", "JJ"), ("food", "NN")], aspect=1)
+        run_procedure("Baseline+SWN", [seg], est, lexicon=NEUTRAL)
         i = VOCAB.senti_index["good"]
         a = VOCAB.aspect_index["food"]
         expected = (math.log(est.phi_prime_hat[0, 1, i])
                     + math.log(est.phi_hat[1, a])) / 2
-        assert rank_score(seg, est) == pytest.approx(expected, rel=1e-12)
+        assert seg.sentiment == 0 and seg.rank == pytest.approx(expected, rel=1e-12)
 
-    def test_rank_score_sums_in_token_order(self):
-        # aspect and sentiment words alternate; the score is the left-to-right
+    def test_rank_sums_in_token_order(self):
+        # aspect and sentiment words alternate; the rank is the left-to-right
         # float sum over the tokens, divided by their count, to the last bit.
         # On this seed, summing the aspect words first gives another float.
         est = make_est(seed=21)
         pairs = [("food", "NN"), ("good", "JJ"), ("staff", "NN"), ("nice", "JJ"),
                  ("wine", "NN"), ("rude", "JJ"), ("decor", "NN"), ("bad", "JJ")]
-        seg = make_seg(pairs, aspect=1, sentiment=0)
+        seg = make_seg(pairs, aspect=1)
+        run_procedure("Baseline+SWN", [seg], est, lexicon=NEUTRAL)
         total = 0.0
         for surface, tag in pairs:
             if tag == "NN":
                 total += math.log(est.phi_hat[1, VOCAB.aspect_index[surface]])
             else:
                 total += math.log(est.phi_prime_hat[0, 1, VOCAB.senti_index[surface]])
-        assert rank_score(seg, est) == total / len(pairs)
+        assert seg.sentiment == 0 and seg.rank == total / len(pairs)
 
-    def test_rank_score_empty_is_minus_inf(self):
+    def test_rank_without_ids_is_minus_inf(self):
         est = make_est(seed=15)
-        seg = make_seg([("unknownword", "NN")], aspect=0, sentiment=0)
-        assert rank_score(seg, est) == -math.inf
+        seg = make_seg([("unknownword", "NN")], aspect=0)
+        run_procedure("Baseline+SWN", [seg], est, lexicon=NEUTRAL)
+        assert seg.rank == -math.inf
 
 
 class TestProcedureParsing:
@@ -228,7 +231,6 @@ class TestProcedureParsing:
 
 
 class TestRunProcedure:
-    LEX = PolarityLexicon({"good": 1.0, "nice": 0.5, "bad": -1.0, "rude": -1.0})
     Y = np.array([[-1.0, 1.0, 0.5, -1.0],   # bad good nice rude
                   [1.0, -1.0, -0.5, 1.0]])
 
@@ -237,7 +239,7 @@ class TestRunProcedure:
         segs = [make_seg([("good", "JJ"), ("food", "NN")], aspect=0),
                 make_seg([("rude", "JJ"), ("staff", "NN")], aspect=1),
                 make_seg([("nice", "JJ"), ("wine", "NN")], aspect=0)]
-        pos, neg = run_procedure("Baseline+SWN", segs, est, lexicon=self.LEX)
+        pos, neg = run_procedure("Baseline+SWN", segs, est, lexicon=LEX)
         assert pos == [segs[0], segs[2]]
         assert neg == [segs[1]]
 
@@ -246,7 +248,7 @@ class TestRunProcedure:
         segs = [make_seg([("good", "JJ"), ("food", "NN")], aspect=0),
                 make_seg([("bad", "JJ"), ("food", "NN")], aspect=0)]
         pos_a, neg_a = run_procedure("Baseline+SEN", segs, est, y_senti=self.Y)
-        pos_b, neg_b = run_procedure("Baseline+SWN", segs, est, lexicon=self.LEX)
+        pos_b, neg_b = run_procedure("Baseline+SWN", segs, est, lexicon=LEX)
         assert [s.text for s in pos_a] == [s.text for s in pos_b]
         assert [s.text for s in neg_a] == [s.text for s in neg_b]
 
@@ -276,7 +278,7 @@ class TestRunProcedure:
         # the classifier stage ranks each segment under its aspect
         segs = [make_seg([("good", "JJ"), ("food", "NN")])]
         with pytest.raises(ProcedureError, match="aspect labels"):
-            run_procedure(procedure, segs, make_est(), y_senti=self.Y, lexicon=self.LEX)
+            run_procedure(procedure, segs, make_est(), y_senti=self.Y, lexicon=LEX)
 
 
 class TestAcrossEntities:
