@@ -8,14 +8,13 @@ and one evaluation row per procedure.
 """
 
 import argparse
-import json
 import logging
 import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from segsum import classify, corpus as corpus_mod, evaluation, filters, model, patterns
+from segsum import classify, cli, corpus as corpus_mod, evaluation, filters, model, patterns
 from segsum.corpus import build_vocabulary
 from segsum.synthetic import generate_text_reviews, text_polarity_lexicon
 
@@ -24,9 +23,10 @@ def build_corpus(args):
     reviews = generate_text_reviews(num_entities=args.entities,
                                     reviews_per_entity=args.reviews,
                                     rng_seed=args.seed)
-    shared_tokens = {}
-    return corpus_mod.Corpus([corpus_mod.review_from_record(
-        r, corpus_mod.DEFAULT_EXTRA_SENTIMENT, shared_tokens) for r in reviews])
+    builder = corpus_mod.CorpusBuilder()
+    for review in reviews:
+        builder.add(review)
+    return builder.corpus()
 
 
 def main():
@@ -70,8 +70,7 @@ def main():
             lexicon, config)
         report = evaluation.evaluate(candidates, refs)
         path = os.path.join(args.output_dir, f"report_{name.replace('+', '_')}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
+        cli.write_json(path, report.to_dict())
         head, row = evaluation.format_report_table(report, name).split("\n")
         if i == 0:
             print(head)

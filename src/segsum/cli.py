@@ -12,6 +12,7 @@ import json
 import logging
 import os
 import sys
+from itertools import chain, repeat
 
 from . import classify, corpus as corpus_mod, evaluation, filters, model, patterns
 from .config import ConfigError, load_config
@@ -55,10 +56,49 @@ def _load_lexicon(cfg):
     return classify.PolarityLexicon()
 
 
-def _write_json(path, payload):
+def write_json(path, payload):
+    """Write payload to path as json.dump(payload, fh, indent=2) does."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
+        dump_json(payload, fh.write)
+
+
+def _flat(values):
+    return not any(map(isinstance, values, repeat((dict, list, tuple))))
+
+
+def dump_json(obj, write, newline="\n"):
+    """Pass obj to write in pieces, byte for byte as json.dump(obj, fh,
+    indent=2) writes it; newline is a line break and the indent of obj.
+
+    An indent turns the C encoder off, but its item separator can carry the
+    line breaks and indents: each container of scalars, and each list of
+    non-empty dicts of scalars, is encoded in one call. The encoder escapes
+    every control character in a string, so each line break in its output is
+    a separator, and one replace mends the joints between a list's dicts."""
+    inner = newline + "  "
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        write(json.dumps(obj))
+        return
+    is_dict = isinstance(obj, dict)
+    opening, closing = "{}" if is_dict else "[]"
+    if _flat(obj.values() if is_dict else obj):
+        encoded = json.JSONEncoder(separators=("," + inner, ": ")).encode(obj)
+        write(opening + inner + encoded[1:-1] + newline + closing)
+    elif (not is_dict and all(map(isinstance, obj, repeat(dict))) and all(obj)
+          and _flat(chain.from_iterable(map(dict.values, obj)))):
+        deeper = inner + "  "
+        encoded = json.JSONEncoder(separators=("," + deeper, ": ")).encode(obj)
+        write("[" + inner + "{" + deeper
+              + encoded[2:-2].replace("}," + deeper + "{", inner + "}," + inner + "{" + deeper)
+              + inner + "}" + newline + "]")
+    else:
+        write(opening)
+        for i, (key, value) in enumerate(obj.items() if is_dict else enumerate(obj)):
+            # json.dumps converts a non-str key as json.dump does
+            write(("," if i else "") + inner + (json.dumps({key: 0})[1:-4] + ": " if is_dict else ""))
+            dump_json(value, write, inner)
+        write(newline + closing)
 
 
 def _pattern_ids(cfg, args):
@@ -78,14 +118,14 @@ def cmd_preprocess(cfg, args):
     vocab = _build_vocab(cfg, corp)
     refs = corpus_mod.build_reference_summaries(corp)
     out = cfg.paths.output_dir
-    _write_json(os.path.join(out, "vocab.json"), vocab.to_dict())
-    _write_json(os.path.join(out, "references.json"),
+    write_json(os.path.join(out, "vocab.json"), vocab.to_dict())
+    write_json(os.path.join(out, "references.json"),
                 {e: {"pros": sorted(p), "cons": sorted(c)}
                  for e, (p, c) in sorted(refs.items())})
     drops = {}
     for reason in vocab.drop_reasons.values():
         drops[reason] = drops.get(reason, 0) + 1
-    _write_json(os.path.join(out, "preprocess_stats.json"), {
+    write_json(os.path.join(out, "preprocess_stats.json"), {
         "reviews": len(corp.reviews),
         "sentences": corp.num_sentences,
         "aspect_vocab": vocab.num_aspect_words,
@@ -125,7 +165,7 @@ def cmd_train(cfg, args):
     os.makedirs(cfg.paths.output_dir, exist_ok=True)
     model.save_checkpoint(state, cfg.checkpoint_path)
     report = model.topic_report(state)
-    _write_json(os.path.join(cfg.paths.output_dir, "topics.json"), report)
+    write_json(os.path.join(cfg.paths.output_dir, "topics.json"), report)
     table = model.format_topic_table(report)
     with open(os.path.join(cfg.paths.output_dir, "topics.txt"), "w",
               encoding="utf-8") as fh:
@@ -152,10 +192,10 @@ def cmd_summarize(cfg, args):
     state = _load_checkpoint(cfg, corp)
 
     if args.entity:
-        keep = [r for r in corp.reviews if r.entity_id == args.entity]
-        if not keep:
+        keep = [r.entity_id == args.entity for r in corp.reviews]
+        if not any(keep):
             raise DataError(f"unknown entity: {args.entity}")
-        corp = corpus_mod.Corpus(keep)
+        corp = corp.select(keep)
     candidates = filters.entity_candidates(
         state, corp, _pattern_ids(cfg, args), cfg.max_words, cfg.procedure,
         _load_lexicon(cfg), cfg.filters)
@@ -171,7 +211,7 @@ def cmd_summarize(cfg, args):
             ordered = sorted(segs, key=lambda s: -s.rank)[:top_n or None]   # 0: all
             entry[polarity] = [s.to_dict() for s in ordered]
         output[entity_id] = entry
-    _write_json(os.path.join(cfg.paths.output_dir, "summaries.json"), output)
+    write_json(os.path.join(cfg.paths.output_dir, "summaries.json"), output)
     for entity_id, entry in output.items():
         print(f"== {entity_id}")
         for polarity in ("positive", "negative"):
@@ -196,7 +236,7 @@ def cmd_evaluate(cfg, args):
     if args.patterns:
         tag += f"_patterns_{args.patterns.replace(',', '-')}"
     json_path = os.path.join(cfg.paths.output_dir, f"report_{tag}.json")
-    _write_json(json_path, report.to_dict())
+    write_json(json_path, report.to_dict())
     table = evaluation.format_report_table(report, cfg.procedure)
     with open(os.path.join(cfg.paths.output_dir, f"report_{tag}.txt"), "w",
               encoding="utf-8") as fh:

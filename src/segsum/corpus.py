@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import json
 import logging
-from collections import Counter
+from array import array
 from dataclasses import dataclass, field
+from itertools import chain
+
+import numpy as np
 
 from . import stem as _stem
 
@@ -76,25 +79,62 @@ class Sentence:
 
 @dataclass
 class Review:
+    """The fields of review `index` of `corpus`; its sentences are built from
+    the corpus arrays on each access."""
+
     id: str
     entity_id: str
-    sentences: list
-    pros: list = field(default_factory=list)
-    cons: list = field(default_factory=list)
+    pros: list
+    cons: list
+    corpus: Corpus = field(repr=False, compare=False)
+    index: int
 
-
-@dataclass
-class Corpus:
-    reviews: list
-
+    @property
     def sentences(self):
-        for review in self.reviews:
-            for sentence in review.sentences:
-                yield review, sentence
+        corpus = self.corpus
+        first, last = corpus.review_starts[self.index:self.index + 2].tolist()
+        starts = corpus.sentence_starts[first:last + 1].tolist()
+        tokens = [corpus.tokens[i] for i in corpus.token_ids[starts[0]:starts[-1]].tolist()]
+        return [Sentence(tokens[a - starts[0]:b - starts[0]], self.id)
+                for a, b in zip(starts, starts[1:])]
+
+
+class Corpus:
+    """Reviews as arrays over one token table: `tokens` holds one Token per
+    distinct token, `token_ids` (int32) the table index of every token,
+    sentence after sentence, and `sentence_starts`/`review_starts` (int64)
+    where each sentence's tokens and each review's sentences start, with one
+    more entry than there are sentences/reviews. `records` gives each review's
+    (id, entity_id, pros, cons)."""
+
+    def __init__(self, tokens, token_ids, sentence_starts, review_starts, records):
+        self.tokens = tokens
+        self.token_ids = np.asarray(token_ids, dtype=np.int32)
+        self.sentence_starts = np.asarray(sentence_starts, dtype=np.int64)
+        self.review_starts = np.asarray(review_starts, dtype=np.int64)
+        self.reviews = [Review(*record, self, i) for i, record in enumerate(records)]
+
+    def __eq__(self, other):
+        return (isinstance(other, Corpus) and self.tokens == other.tokens
+                and self.reviews == other.reviews
+                and all(np.array_equal(getattr(self, a), getattr(other, a))
+                        for a in ("token_ids", "sentence_starts", "review_starts")))
+
+    def select(self, keep):
+        """The corpus of the reviews where keep, one boolean per review, is
+        true, in order, over the same token table."""
+        keep = np.asarray(keep, dtype=bool)
+        sentences = np.repeat(keep, np.diff(self.review_starts))
+        lengths = np.diff(self.sentence_starts)
+        return Corpus(self.tokens, self.token_ids[np.repeat(sentences, lengths)],
+                      np.concatenate(([0], np.cumsum(lengths[sentences]))),
+                      np.concatenate(([0], np.cumsum(np.diff(self.review_starts)[keep]))),
+                      [(r.id, r.entity_id, r.pros, r.cons)
+                       for r, kept in zip(self.reviews, keep.tolist()) if kept])
 
     @property
     def num_sentences(self):
-        return sum(len(r.sentences) for r in self.reviews)
+        return len(self.sentence_starts) - 1
 
 
 def make_token(surface: str, pos: str, extra_sentiment=DEFAULT_EXTRA_SENTIMENT) -> Token:
@@ -118,55 +158,88 @@ def ingest_tagged(path, format: str = "jsonl",
     return read(path, extra_sentiment)
 
 
-def _not_a_token(pair):
+def _checked_pair(pair):
+    """(surface, tag) of a token given as a [surface, tag] list or tuple;
+    ValueError or TypeError, naming it, otherwise."""
+    surface, pos = pair
+    if type(pair) in (list, tuple) and type(surface) is str and type(pos) is str:
+        return surface, pos
     raise ValueError(f"token {pair!r} is not a [surface, tag] pair of strings")
 
 
-def review_from_record(obj, extra_sentiment, shared_tokens) -> Review:
-    """Build a Review from one JSONL-style record; empty sentences drop.
-    ValueError unless id and entity_id are strings or integers, pros and cons
-    lists of strings, sentences a list of lists, and each token a [surface,
-    tag] pair of strings.
+class _TokenTable(dict):
+    """(surface, tag) -> index into tokens of its Token, made on first use."""
 
-    shared_tokens, a dict from (surface, tag) to Token, is looked up before a
-    Token is made and gets each new one, so the records of one ingest share
-    one Token per (surface, tag)."""
-    if type(obj["id"]) not in (str, int) or type(obj["entity_id"]) not in (str, int):
-        raise ValueError("id and entity_id must be strings or integers")
-    pros, cons = obj.get("pros", []), obj.get("cons", [])
-    if type(pros) is not list or type(cons) is not list or not set(map(type, pros + cons)) <= {str}:
-        raise ValueError("pros and cons must be lists of strings")
-    review = Review(str(obj["id"]), str(obj["entity_id"]), [], list(pros), list(cons))
-    sentences = obj["sentences"]
-    if type(sentences) is not list or not all(type(sent) is list for sent in sentences):
-        raise ValueError("sentences must be a list of lists of tokens")
-    for sent in sentences:
-        # type tests, not a checking function: a valid token costs no more
-        # Python calls than the str() conversions these tests replaced
-        tokens = [shared_tokens.get((surface, pos))
-                  or shared_tokens.setdefault((surface, pos),
-                                              make_token(surface, pos, extra_sentiment))
-                  for pair in sent for surface, pos in (pair,)
-                  if type(pair) in (list, tuple) and type(surface) is str and type(pos) is str
-                  or _not_a_token(pair)]
-        if tokens:
-            review.sentences.append(Sentence(tokens, review.id))
-    return review
+    def __init__(self, extra_sentiment):
+        super().__init__()
+        self.tokens = []
+        self.extra_sentiment = extra_sentiment
+
+    def __missing__(self, pair):
+        self.tokens.append(make_token(*_checked_pair(pair), self.extra_sentiment))
+        index = self[pair] = len(self.tokens) - 1
+        return index
+
+
+class CorpusBuilder:
+    """A Corpus built from JSONL-style records, one add() each, over one
+    token table: one Token per distinct (surface, tag), in first-seen order."""
+
+    def __init__(self, extra_sentiment=DEFAULT_EXTRA_SENTIMENT):
+        self.table = _TokenTable(extra_sentiment)
+        self.token_ids = array("i")
+        self.sentence_lengths = []    # in tokens, of each non-empty sentence
+        self.review_lengths = []      # in sentences
+        self.records = []
+
+    def add(self, obj):
+        """Append the review of one record; empty sentences drop. ValueError
+        unless id and entity_id are strings or integers, pros and cons lists
+        of strings, sentences a list of lists, and each token a [surface, tag]
+        pair of strings."""
+        if type(obj["id"]) not in (str, int) or type(obj["entity_id"]) not in (str, int):
+            raise ValueError("id and entity_id must be strings or integers")
+        pros, cons = obj.get("pros", []), obj.get("cons", [])
+        if type(pros) is not list or type(cons) is not list or not set(map(type, pros + cons)) <= {str}:
+            raise ValueError("pros and cons must be lists of strings")
+        sentences = obj["sentences"]
+        if type(sentences) is not list or not set(map(type, sentences)) <= {list}:
+            raise ValueError("sentences must be a list of lists of tokens")
+        token_ids, start = self.token_ids, len(self.token_ids)
+        # a record of [surface, tag] lists costs no Python call per known
+        # token; any other record is read token by token, which raises the
+        # error that names its first bad token
+        try:
+            if not set(map(type, chain.from_iterable(sentences))) <= {list}:
+                raise TypeError
+            token_ids.extend(map(self.table.__getitem__, map(tuple, chain.from_iterable(sentences))))
+        except (TypeError, ValueError):
+            del token_ids[start:]
+            token_ids.extend([self.table[_checked_pair(pair)] for sent in sentences for pair in sent])
+        count = len(self.sentence_lengths)
+        self.sentence_lengths += filter(None, map(len, sentences))
+        self.review_lengths.append(len(self.sentence_lengths) - count)
+        self.records.append((str(obj["id"]), str(obj["entity_id"]), list(pros), list(cons)))
+
+    def corpus(self) -> Corpus:
+        return Corpus(self.table.tokens, np.array(self.token_ids),
+                      np.cumsum([0] + self.sentence_lengths), np.cumsum([0] + self.review_lengths),
+                      self.records)
 
 
 def _ingest_jsonl(path, extra_sentiment) -> Corpus:
-    reviews, shared_tokens = [], {}
+    builder = CorpusBuilder(extra_sentiment)
     for lineno, line in numbered_lines(path):
         if not line.strip():
             continue
         try:
-            review = review_from_record(json.loads(line), extra_sentiment, shared_tokens)
+            record = json.loads(line)
+            builder.add(record)
         except (KeyError, TypeError, ValueError) as exc:
             raise CorpusFormatError(path, lineno, f"bad review record: {exc}") from exc
-        if not review.entity_id:
+        if record["entity_id"] == "":
             raise CorpusFormatError(path, lineno, "empty entity_id")
-        reviews.append(review)
-    return Corpus(reviews)
+    return builder.corpus()
 
 
 def _conll_records(path):
@@ -202,9 +275,10 @@ def _conll_records(path):
 
 
 def _ingest_conll(path, extra_sentiment) -> Corpus:
-    shared_tokens = {}
-    return Corpus([review_from_record(record, extra_sentiment, shared_tokens)
-                   for record in _conll_records(path)])
+    builder = CorpusBuilder(extra_sentiment)
+    for record in _conll_records(path):
+        builder.add(record)
+    return builder.corpus()
 
 
 @dataclass
@@ -253,11 +327,12 @@ def build_vocabulary(corpus: Corpus, min_count: int = 5,
     if not corpus.reviews:
         raise ValueError("cannot build a vocabulary from an empty corpus")
 
-    counts = Counter()
-    senti_seen = set()
-    for _, sentence in corpus.sentences():
-        for token in sentence.tokens:
-            counts[token.stem] += 1
+    # per stem, in the order of the token table (first-seen order)
+    counts, senti_seen = {}, set()
+    for token, n in zip(corpus.tokens, np.bincount(corpus.token_ids,
+                                                   minlength=len(corpus.tokens)).tolist()):
+        if n:
+            counts[token.stem] = counts.get(token.stem, 0) + n
             if token.is_sentiment:
                 senti_seen.add(token.stem)
 
@@ -288,19 +363,15 @@ def _normalize_gold_item(text: str) -> str:
 
 
 def build_reference_summaries(corpus: Corpus) -> dict:
-    """Per entity, deduplicated unions of reviewer pros and cons."""
-    refs = {}
+    """Per entity, deduplicated unions of reviewer pros and cons, each
+    distinct item normalized once."""
+    items = {}
     for review in corpus.reviews:
-        pros, cons = refs.setdefault(review.entity_id, (set(), set()))
-        for item in review.pros:
-            norm = _normalize_gold_item(item)
-            if norm:
-                pros.add(norm)
-        for item in review.cons:
-            norm = _normalize_gold_item(item)
-            if norm:
-                cons.add(norm)
-    return refs
+        pros, cons = items.setdefault(review.entity_id, (set(), set()))
+        pros.update(review.pros)
+        cons.update(review.cons)
+    return {entity_id: tuple(set(filter(None, map(_normalize_gold_item, raw))) for raw in pair)
+            for entity_id, pair in items.items()}
 
 
 def load_wordlist(path) -> frozenset:

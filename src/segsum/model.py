@@ -125,26 +125,21 @@ class FlatCorpus(NamedTuple):
 
 
 def encode_corpus(corpus, vocab) -> FlatCorpus:
-    """Map corpus tokens to vocabulary ids in one pass over the tokens;
-    out-of-vocabulary tokens drop."""
-    stem_ids = vocab.stem_ids
-    aspect, senti = [], []
-    aspect_start, senti_start, doc_start = [0], [0], [0]
-    for review in corpus.reviews:
-        for sentence in review.sentences:
-            for token in sentence.tokens:
-                pair = stem_ids.get(token.stem)
-                if pair is not None:
-                    (aspect if pair[0] == "aspect" else senti).append(pair[1])
-            aspect_start.append(len(aspect))
-            senti_start.append(len(senti))
-        doc_start.append(len(aspect_start) - 1)
-    aspect_start, senti_start, doc_start = (np.array(a, dtype=np.int64)
-                                            for a in (aspect_start, senti_start, doc_start))
+    """Map each entry of the corpus's token table to its id in each channel
+    (-1 in the other channel and out of vocabulary), then every token with
+    one np.take per channel; out-of-vocabulary tokens drop."""
+    pairs = [vocab.stem_ids.get(token.stem, (None, -1)) for token in corpus.tokens]
+    arrays = []
+    for channel in ("aspect", "senti"):
+        ids = np.array([i if c == channel else -1 for c, i in pairs],
+                       dtype=np.int64).take(corpus.token_ids)
+        kept = ids >= 0
+        arrays += [np.concatenate(([0], np.cumsum(kept)))[corpus.sentence_starts], ids[kept]]
+    aspect_start, aspect, senti_start, senti = arrays
+    doc_start = corpus.review_starts
     doc = np.repeat(np.arange(len(doc_start) - 1, dtype=np.int64), np.diff(doc_start))
     longest = max(np.diff(aspect_start).max(initial=0), np.diff(senti_start).max(initial=0))
-    return FlatCorpus(doc, aspect_start, np.array(aspect, dtype=np.int64), senti_start,
-                      np.array(senti, dtype=np.int64), doc_start, int(longest))
+    return FlatCorpus(doc, aspect_start, aspect, senti_start, senti, doc_start, int(longest))
 
 
 class ModelState:
@@ -521,7 +516,7 @@ def load_checkpoint(path, corpus=None):
     if vocab.content_hash() != payload.get("vocab_hash"):
         raise ValueError(f"checkpoint {path}: 'vocab_hash' does not match its 'vocabulary'")
 
-    flat = encode_corpus(corpus if corpus is not None else Corpus([]), vocab)
+    flat = encode_corpus(corpus if corpus is not None else Corpus([], [], [0], [0], []), vocab)
     rng = np.random.default_rng()
     get("rng_state", lambda st: setattr(rng.bit_generator, "state", st))
 

@@ -18,6 +18,8 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 DEFAULT_NEGATION = frozenset({"not", "n't", "never", "no", "hardly"})
 
 DEFAULT_MAX_WORDS = 7
@@ -124,52 +126,58 @@ def compile_patterns(pattern_ids):
             if atom in ("jj", "vb"):
                 forms.append(Form(pid, True, "".join(parts[:i] + [NEGATION_REGEX] + parts[i:])))
         forms.append(Form(pid, False, "".join(parts)))
-    # (?!) never matches, so an empty pattern set gives no segments
-    regex = re.compile("|".join(f"({f.regex})" for f in forms) or "(?!)")
+    # Every form starts with one of the letters J, N, R, V and X: a search
+    # skips any other letter without trying each form. (?!) never matches,
+    # so an empty pattern set gives no segments.
+    regex = re.compile(f"(?=[JNRVX])(?:{'|'.join(f'({f.regex})' for f in forms)})"
+                       if forms else "(?!)")
     return regex, forms
-
-
-def match_sentence(sentence, patterns, max_words=DEFAULT_MAX_WORDS,
-                   negation_words=DEFAULT_NEGATION, entity_id="", sentence_index=-1) -> list:
-    """At each start, the first form with an end within max_words, taken to
-    its greedy end, which is its longest such end; matched tokens are
-    consumed. `patterns` is what compile_patterns returns."""
-    regex, forms = patterns
-    tokens = sentence.tokens
-    classes = "".join("X" if t.surface.lower() in negation_words
-                      else TAG_CLASSES.get(t.pos, "O") for t in tokens)
-    segments = []
-    pos = 0
-    while pos < len(tokens):
-        found = regex.match(classes, pos, pos + max_words)
-        if found is None:
-            pos += 1
-            continue
-        form = forms[found.lastindex - 1]
-        end = found.end()
-        segments.append(Segment(
-            tokens=list(tokens[pos:end]),
-            review_id=sentence.review_id,
-            entity_id=entity_id,
-            sentence_index=sentence_index,
-            start=pos,
-            end=end,
-            pattern_id=form.pattern_id,
-            negated=form.negated,
-        ))
-        pos = end
-    return segments
 
 
 def extract_corpus(corpus, pattern_ids, max_words=DEFAULT_MAX_WORDS,
                    negation_words=DEFAULT_NEGATION) -> list:
-    patterns = compile_patterns(pattern_ids)
-    segments = []
-    for review in corpus.reviews:
-        for sent_idx, sentence in enumerate(review.sentences):
-            segments += match_sentence(sentence, patterns, max_words, negation_words,
-                                       review.entity_id, sent_idx)
-    return segments
+    """The segments of every sentence, in corpus order: at each start, the
+    first form with an end within max_words, taken to its greedy end, which
+    is its longest such end; matched tokens are consumed.
+
+    One class string covers the corpus, each sentence followed by a separator
+    that no form matches, and a search finds the next start where some form
+    matches. Nothing in the regex looks past a match's end (no form has a
+    lookahead or an anchor), so a match within the word limit is also a match
+    without it: where the unlimited match fits max_words it is the limited
+    one, and otherwise the match is re-run within the limit, and the search
+    moves on if that fails."""
+    regex, forms = compile_patterns(pattern_ids)
+    letters = "".join("X" if t.surface.lower() in negation_words
+                      else TAG_CLASSES.get(t.pos, "O") for t in corpus.tokens)
+    starts = corpus.sentence_starts
+    classes = np.insert(np.frombuffer(letters.encode(), dtype=np.uint8)[corpus.token_ids],
+                        starts[1:], ord("|")).tobytes().decode()
+    found, pos = [], 0
+    while (hit := regex.search(classes, pos)) is not None:
+        begin = hit.start()
+        if hit.end() - begin > max_words:
+            hit = regex.match(classes, begin, begin + max_words)
+            if hit is None:
+                pos = begin + 1
+                continue
+        pos = hit.end()
+        found.append((begin, pos, hit.lastindex - 1))
+    if not found:
+        return []
+    begin, end, form = np.array(found).T
+    # sentence k starts at starts[k] + k in classes
+    sentence = np.searchsorted(starts[:-1] + np.arange(len(starts) - 1), begin, "right") - 1
+    review = np.searchsorted(corpus.review_starts, sentence, "right") - 1
+    offset = starts[sentence] + sentence
+    tokens, ids, reviews = corpus.tokens, corpus.token_ids.tolist(), corpus.reviews
+    return [Segment(list(map(tokens.__getitem__, ids[a - k:b - k])), reviews[r].id,
+                    reviews[r].entity_id, index, a - o, b - o, forms[f].pattern_id,
+                    forms[f].negated)
+            for a, b, f, k, r, index, o in zip(
+                begin.tolist(), end.tolist(), form.tolist(), sentence.tolist(),
+                review.tolist(), (sentence - corpus.review_starts[review]).tolist(),
+                offset.tolist())]
 
 
 def resolve_pattern_ids(spec: str):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, review_from_record
+from .corpus import Corpus, CorpusBuilder
 
 
 @dataclass
@@ -62,7 +62,7 @@ def generate_generative_corpus(planted, num_reviews=500,
     tagged NN, sentiment words JJ, one shared Token per (stem, tag)."""
     rng = np.random.default_rng(rng_seed)
     T = planted.phi.shape[0]
-    reviews, shared_tokens = [], {}
+    builder = CorpusBuilder(frozenset())
     for d in range(num_reviews):
         theta = rng.dirichlet(np.full(T, alpha))
         pi = rng.dirichlet(np.full(2, gamma))
@@ -74,11 +74,10 @@ def generate_generative_corpus(planted, num_reviews=500,
             aspect = rng.choice(len(planted.aspect_stems), size=n_a, p=planted.phi[k])
             n_s = rng.integers(*senti_words_per_sentence)
             senti = rng.choice(len(planted.senti_stems), size=n_s, p=planted.phi_prime[j, k])
-            sentences.append([(planted.aspect_stems[i], "NN") for i in aspect]
-                             + [(planted.senti_stems[i], "JJ") for i in senti])
-        reviews.append(review_from_record({"id": f"r{d}", "entity_id": f"e{d}",
-                                           "sentences": sentences}, frozenset(), shared_tokens))
-    return Corpus(reviews)
+            sentences.append([[planted.aspect_stems[i], "NN"] for i in aspect]
+                             + [[planted.senti_stems[i], "JJ"] for i in senti])
+        builder.add({"id": f"r{d}", "entity_id": f"e{d}", "sentences": sentences})
+    return builder.corpus()
 
 
 # -- templated text corpus with planted pros/cons ----------------------------

@@ -2,7 +2,23 @@ import json
 
 import pytest
 
-from segsum.corpus import Corpus, Review, Sentence, make_token
+from segsum.corpus import Corpus, Sentence, make_token
+
+
+def corpus_of(reviews):
+    """The Corpus of (id, entity_id, sentences) or (id, entity_id, sentences,
+    pros, cons) tuples, sentences a list of Sentence: equal Tokens share one
+    table entry, and empty sentences drop."""
+    table, token_ids, sentence_starts, review_starts, records = {}, [], [0], [0], []
+    for review_id, entity_id, sentences, *pros_cons in reviews:
+        for sentence in sentences:
+            token_ids += (table.setdefault(t, len(table)) for t in sentence.tokens)
+            if sentence.tokens:
+                sentence_starts.append(len(token_ids))
+        review_starts.append(len(sentence_starts) - 1)
+        pros, cons = pros_cons or ((), ())
+        records.append((review_id, entity_id, list(pros), list(cons)))
+    return Corpus(list(table), token_ids, sentence_starts, review_starts, records)
 
 
 def tagged_sentence(pairs, review_id="r1"):
@@ -18,9 +34,7 @@ def sentence_factory():
 def tiny_corpus():
     """Two reviews of one restaurant, hand-tagged."""
     def review(rid, entity, sents, pros=(), cons=()):
-        return Review(rid, entity,
-                      [tagged_sentence(s, rid) for s in sents],
-                      list(pros), list(cons))
+        return rid, entity, [tagged_sentence(s, rid) for s in sents], pros, cons
 
     r1 = review("r1", "e1", [
         [("the", "DT"), ("food", "NN"), ("is", "VBZ"), ("delicious", "JJ")],
@@ -31,7 +45,7 @@ def tiny_corpus():
         [("food", "NN"), ("is", "VBZ"), ("good", "JJ")],
         [("the", "DT"), ("staff", "NN"), ("is", "VBZ"), ("slow", "JJ")],
     ], pros=["good food", "Delicious  Food"], cons=["slow staff"])
-    return Corpus([r1, r2])
+    return corpus_of([r1, r2])
 
 
 @pytest.fixture

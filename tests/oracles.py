@@ -4,15 +4,22 @@ Everything here is written with plain loops and, where useful, arbitrary
 precision, deliberately sharing no code with the package under test. The
 exception to plain loops is the per-sentence numpy Gibbs sampler that the
 package used before its compiled sweep: the sweep must sample its chain, so
-both compute the same terms, each sum left to right.
+both compute the same terms, each sum left to right. The per-sentence
+pattern matcher that the package ran before its one search over the whole
+corpus shares the compiled regex: extract_corpus must find what it found.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from typing import NamedTuple
 
 import mpmath
 import numpy as np
+
+from segsum.patterns import (DEFAULT_MAX_WORDS, DEFAULT_NEGATION, TAG_CLASSES, Segment,
+                             compile_patterns)
 
 
 # -- sampler conditional -----------------------------------------------------
@@ -126,6 +133,14 @@ def skip2_oracle(x, y):
                     matches += 1
                     break
     return matches
+
+
+def clipped_pair_matches(x, y):
+    """The shared ordered-pair count of x and y as the sum, over the pairs of
+    x, of the lower of its counts in x and in y: what PairCounts.pr_pair
+    summed for every pair of texts before it counted shared keys."""
+    px, py = Counter(combinations(x, 2)), Counter(combinations(y, 2))
+    return sum(min(n, py[pair]) for pair, n in px.items())
 
 
 def _choose2(n):
@@ -256,6 +271,39 @@ def extraction_oracle(pairs, pattern_ids, max_words, negation_words):
             segments.append(hit)
             start = hit[1]
     return segments
+
+
+def match_sentence(sentence, pattern_ids, max_words=DEFAULT_MAX_WORDS,
+                   negation_words=DEFAULT_NEGATION, entity_id="", sentence_index=-1):
+    """The segments of one Sentence, as segsum.patterns.extract_corpus found
+    them before it searched one class string over the whole corpus: at each
+    start, the compiled regex matched within max_words of it."""
+    regex, forms = compile_patterns(pattern_ids)
+    tokens = sentence.tokens
+    classes = "".join("X" if t.surface.lower() in negation_words
+                      else TAG_CLASSES.get(t.pos, "O") for t in tokens)
+    segments = []
+    pos = 0
+    while pos < len(tokens):
+        found = regex.match(classes, pos, pos + max_words)
+        if found is None:
+            pos += 1
+            continue
+        form = forms[found.lastindex - 1]
+        end = found.end()
+        segments.append(Segment(list(tokens[pos:end]), sentence.review_id, entity_id,
+                                sentence_index, pos, end, form.pattern_id, form.negated))
+        pos = end
+    return segments
+
+
+def extract_per_sentence(corpus, pattern_ids, max_words=DEFAULT_MAX_WORDS,
+                         negation_words=DEFAULT_NEGATION):
+    """extract_corpus's segments, from match_sentence on each sentence."""
+    return [segment for review in corpus.reviews
+            for index, sentence in enumerate(review.sentences)
+            for segment in match_sentence(sentence, pattern_ids, max_words, negation_words,
+                                          review.entity_id, index)]
 
 
 # -- corpus encoding -----------------------------------------------------------

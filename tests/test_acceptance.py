@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from segsum import model
-from segsum.corpus import Corpus, Review, Sentence, Token, build_vocabulary
+from segsum.corpus import Sentence, Token, build_vocabulary
 from segsum.evaluation import PairCounts, entity_scores
-from segsum.patterns import compile_patterns, match_sentence
+from segsum.patterns import extract_corpus
 from segsum.synthetic import (
     generate_generative_corpus,
     generate_text_reviews,
@@ -22,7 +22,7 @@ from segsum.synthetic import (
 )
 
 import oracles
-from conftest import tagged_sentence
+from conftest import corpus_of, tagged_sentence
 
 
 def report(name, detail=""):
@@ -40,8 +40,7 @@ def test_sampler_exactness():
     sent = Sentence([word("food"), word("sauce"), word("good", True),
                      word("bad", True)], "r0")
     pad = Sentence([word("wine"), word("nice", True)], "r0")
-    corpus = Corpus([Review("r0", "e0", [sent]),
-                     Review("r1", "e1", [pad])])
+    corpus = corpus_of([("r0", "e0", [sent]), ("r1", "e1", [pad])])
     vocab = build_vocabulary(corpus, min_count=1, stopwords=frozenset())
     hp = model.Hyperparams(num_topics=2)
     state = model.init(corpus, vocab, hp,
@@ -180,7 +179,6 @@ def test_generative_recovery():
 def test_pattern_golden_suite():
     """The documented examples of all five patterns, plus a negated form,
     match with the expected pattern ids and spans."""
-    patterns = compile_patterns({1, 2, 3, 4, 5})
     cases = [
         ([("instruction", "NN"), ("booklet", "NN"), ("includes", "VBZ"),
           ("clear", "JJ"), ("instruction", "NN")], 1, False),
@@ -193,7 +191,8 @@ def test_pattern_golden_suite():
           ("to", "TO"), ("clean", "VB")], 2, True),
     ]
     for pairs, expected_id, expected_neg in cases:
-        segs = match_sentence(tagged_sentence(pairs), patterns)
+        corpus = corpus_of([("r1", "e", [tagged_sentence(pairs)])])
+        segs = extract_corpus(corpus, {1, 2, 3, 4, 5})
         assert len(segs) == 1, f"{pairs}: got {len(segs)} segments"
         assert segs[0].pattern_id == expected_id
         assert segs[0].negated == expected_neg
@@ -229,7 +228,7 @@ def test_eval_oracle_equivalence():
 def test_hand_computed_fixtures():
     """Hand-derivable values reproduce exactly."""
     # posterior estimate: n_DT=[3,1], alpha=0.1 -> theta = [3.1, 1.1] / 4.2
-    corpus = Corpus([Review("r0", "e0", [Sentence([word("food")], "r0")])])
+    corpus = corpus_of([("r0", "e0", [Sentence([word("food")], "r0")])])
     vocab = build_vocabulary(corpus, min_count=1, stopwords=frozenset())
     state = model.init(corpus, vocab, model.Hyperparams(num_topics=2),
                        model.SeedList(frozenset(), frozenset()), 0)
@@ -259,12 +258,11 @@ def test_end_to_end_smoke():
     start = time.monotonic()
     reviews = generate_text_reviews(num_entities=5, reviews_per_entity=10,
                                     rng_seed=11)
-    corpus = corpus_mod.Corpus([
-        corpus_mod.Review(
-            r["id"], r["entity_id"],
-            [Sentence([corpus_mod.make_token(s, p) for s, p in sent], r["id"])
-             for sent in r["sentences"]],
-            list(r["pros"]), list(r["cons"]))
+    corpus = corpus_of([
+        (r["id"], r["entity_id"],
+         [Sentence([corpus_mod.make_token(s, p) for s, p in sent], r["id"])
+          for sent in r["sentences"]],
+         r["pros"], r["cons"])
         for r in reviews])
     vocab = build_vocabulary(corpus, min_count=2, stopwords=frozenset({"the", "is", "very"}))
     state = model.train(model.init(corpus, vocab, model.Hyperparams(num_topics=3),

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segsum import corpus as corpus_mod, filters, model, patterns
-from segsum.cli import main
+from segsum.cli import dump_json, main
 from segsum.config import ConfigError, PipelineConfig, load_config
 from segsum.corpus import PENN_TAGS
 from segsum.synthetic import generate_text_reviews, text_polarity_lexicon
@@ -848,3 +848,77 @@ class TestResume:
         assert main(["--config", str(whole), "train"]) == 0
         assert ((tmp_path / "split" / "out" / "checkpoint.json").read_bytes()
                 == (tmp_path / "whole" / "out" / "checkpoint.json").read_bytes())
+
+
+def test_summarize_entity_writes_the_full_runs_entry(tmp_path):
+    # each entity's reviews scattered through the corpus file
+    reviews = generate_text_reviews(num_entities=3, reviews_per_entity=5, rng_seed=4)
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in reviews[::2] + reviews[1::2]))
+    config = write_config(tmp_path, corpus)
+    summaries = tmp_path / "out" / "summaries.json"
+    assert main(["--config", str(config), "train", "--iters", "5"]) == 0
+    assert main(["--config", str(config), "summarize"]) == 0
+    full = json.loads(summaries.read_text())
+    assert len(full) == 3
+    for entity_id, entry in full.items():
+        assert main(["--config", str(config), "summarize", "--entity", entity_id]) == 0
+        assert summaries.read_text() == json.dumps({entity_id: entry}, indent=2)
+
+
+# sha256 of each JSON output of preprocess, train (no MAP step), summarize and
+# evaluate on a small fixed corpus, as the program wrote them before its
+# corpus became arrays over one token table and its JSON writer streamed
+# pieces from the C encoder: the whole read path and the writer must keep
+# every byte
+PINNED_OUTPUTS = {
+    "checkpoint.json": "d4a43a66d998d03bcc515f72bbe810ee6b4816b59f1d988292e3117d2f64e273",
+    "preprocess_stats.json": "6e046fb8ca16704340e4b3aa892a9af8630be13ad86a991b874f0bf498fcdc1a",
+    "references.json": "6b9f96d43b11b0f3def3ba24a7e90df319be73f439215cc2aff6ce79134831cb",
+    "report_AW_SEN_SW.json": "6e619dafb32d18d710e1045128dc65b91986bc592b68d1cac9085e654f85d513",
+    "summaries.json": "062eda6cedf82556be40ae9d24caf713f039889a4dd87d7060e57299c6023cab",
+    "topics.json": "9d78a296798af8b9f7e41cc812e951e3dc1827c3003dce95ed40d578997d6b00",
+    "vocab.json": "3a4f2d57db230eb54a3b3b1d2b7b77507addeefc3d7cdb8dc94093f36fa83b10",
+}
+
+
+def test_json_outputs_are_pinned(tmp_path):
+    corpus = write_corpus(tmp_path, num_entities=5, reviews_per_entity=8, rng_seed=3)
+    config = write_config(tmp_path, corpus)
+    for argv in (["preprocess"], ["train", "--iters", "10"], ["summarize"], ["evaluate"]):
+        assert main(["--config", str(config)] + argv) == 0
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted((tmp_path / "out").glob("*.json"))} == PINNED_OUTPUTS
+
+
+def test_dump_json_writes_a_summary_in_pieces():
+    entry = {"positive": [{"text": "good food", "polarity": 1.5}], "negative": []}
+    payload = {"e1": entry, "e2": entry}
+    pieces = []
+    dump_json(payload, pieces.append)
+    assert len(pieces) > 1
+    assert "".join(pieces) == json.dumps(payload, indent=2)
+
+
+JSON_KEYS = st.one_of(st.text(max_size=3), st.integers(), st.floats(), st.booleans(),
+                      st.none())
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),   # NaN, +-inf and -0.0 too
+    st.text(max_size=6),
+    st.sampled_from(["},\n  {", "},\n    {", '"', "\\", "é ü", "\x00\x1f\n\t", " "]))
+FLAT_DICTS = st.dictionaries(JSON_KEYS, JSON_SCALARS, min_size=1, max_size=4)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(FLAT_DICTS, max_size=3)
+                   | st.dictionaries(JSON_KEYS, inner, max_size=4)
+                   | st.lists(st.one_of(FLAT_DICTS, st.just({}), st.just([]), inner),
+                              max_size=4)),
+    max_leaves=25)
+
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_VALUES)
+def test_dump_json_writes_what_json_dump_writes(payload):
+    pieces = []
+    dump_json(payload, pieces.append)
+    assert "".join(pieces) == json.dumps(payload, indent=2)

@@ -10,16 +10,18 @@ from segsum import stem
 from segsum.corpus import (
     CORPUS_FORMATS,
     DEFAULT_EXTRA_SENTIMENT,
+    CorpusBuilder,
     CorpusFormatError,
     build_reference_summaries,
     build_vocabulary,
     ingest_tagged,
     load_wordlist,
     make_token,
-    review_from_record,
 )
 from segsum.model import encode_corpus
 from segsum.synthetic import generate_text_reviews
+
+from conftest import corpus_of
 
 
 class TestTokens:
@@ -152,7 +154,8 @@ def write_reviews(tmp_path, format, reviews):
 class TestSharedTokens:
     def test_one_token_object_per_distinct_surface_and_tag(self, tmp_path, format):
         corpus = ingest_tagged(write_reviews(tmp_path, format, SHARED_REVIEWS), format)
-        tokens = [t for _, sentence in corpus.sentences() for t in sentence.tokens]
+        tokens = [t for review in corpus.reviews for sentence in review.sentences
+                  for t in sentence.tokens]
         assert [(t.surface, t.pos) for t in tokens] == [
             tuple(pair) for r in SHARED_REVIEWS for sent in r["sentences"] for pair in sent]
         by_pair = {(t.surface, t.pos): t for t in tokens}
@@ -187,13 +190,25 @@ class TestSharedTokens:
         assert sum("unknown POS tag" in r.getMessage() for r in caplog.records) == warnings
 
 
-def test_review_from_record_with_and_without_a_shared_dict():
-    shared = {}
-    first = review_from_record(SHARED_REVIEWS[0], DEFAULT_EXTRA_SENTIMENT, shared)
-    second = review_from_record(SHARED_REVIEWS[1], DEFAULT_EXTRA_SENTIMENT, shared)
-    assert set(shared) == {tuple(pair) for r in SHARED_REVIEWS
-                           for sent in r["sentences"] for pair in sent}
+def test_corpus_builder_keeps_one_token_table():
+    builder = CorpusBuilder(DEFAULT_EXTRA_SENTIMENT)
+    for record in SHARED_REVIEWS:
+        builder.add(record)
+    corpus = builder.corpus()
+    pairs = [tuple(pair) for r in SHARED_REVIEWS for sent in r["sentences"] for pair in sent]
+    # the table in first-seen order, and each token's index into it
+    assert [(t.surface, t.pos) for t in corpus.tokens] == list(dict.fromkeys(pairs))
+    assert [corpus.tokens[i] for i in corpus.token_ids] == [make_token(*p) for p in pairs]
+    assert corpus.sentence_starts.tolist() == [0, 4, 7, 11]
+    assert corpus.review_starts.tolist() == [0, 2, 3]
+    first, second = corpus.reviews
     assert second.sentences[0].tokens[2] is first.sentences[0].tokens[0]   # ("Great", "JJ")
+    # (surface, tag) tuples, which no JSON record holds, are read token by token
+    builder = CorpusBuilder(DEFAULT_EXTRA_SENTIMENT)
+    for record in SHARED_REVIEWS:
+        builder.add({**record, "sentences": [list(map(tuple, sent))
+                                             for sent in record["sentences"]]})
+    assert builder.corpus() == corpus
 
 
 @pytest.mark.parametrize("reviews", [
@@ -204,15 +219,15 @@ def test_jsonl_and_conll_ingest_to_equal_corpora(tmp_path, reviews):
                     for format in ("jsonl", "conll"))
     assert jsonl == conll
     for corpus in (jsonl, conll):
-        tokens = [t for _, sentence in corpus.sentences() for t in sentence.tokens]
+        tokens = [t for review in corpus.reviews for sentence in review.sentences
+                  for t in sentence.tokens]
         assert len({id(t) for t in tokens}) == len({(t.surface, t.pos) for t in tokens})
 
 
 class TestVocabulary:
     def test_forced_partition_by_tag(self, sentence_factory):
-        from segsum.corpus import Corpus, Review
         sent = sentence_factory([("good", "JJ"), ("food", "NN")])
-        corpus = Corpus([Review("r", "e", [sent])])
+        corpus = corpus_of([("r", "e", [sent])])
         vocab = build_vocabulary(corpus, min_count=1, stopwords=frozenset())
         assert vocab.aspect_stems == ["food"]
         assert vocab.senti_stems == ["good"]
@@ -236,19 +251,18 @@ class TestVocabulary:
 
     def test_every_token_mapped_or_reason_recorded(self, tiny_corpus):
         vocab = build_vocabulary(tiny_corpus, min_count=2)
-        for _, sentence in tiny_corpus.sentences():
+        for sentence in (s for r in tiny_corpus.reviews for s in r.sentences):
             for token in sentence.tokens:
                 if token.stem not in vocab.stem_ids:
                     assert vocab.drop_reasons[token.stem] in ("stopword", "below_min_count")
 
     def test_empty_corpus_rejected(self):
-        from segsum.corpus import Corpus
         with pytest.raises(ValueError):
-            build_vocabulary(Corpus([]), 1)
+            build_vocabulary(corpus_of([]), 1)
 
     def test_stem_in_both_lists_is_a_sentiment_word(self, sentence_factory):
         from segsum.classify import label_aspects
-        from segsum.corpus import Corpus, Review, Vocabulary
+        from segsum.corpus import Vocabulary
         from segsum.model import PosteriorEstimates
         from segsum.patterns import Segment
 
@@ -258,7 +272,7 @@ class TestVocabulary:
         assert [vocab.stem_ids[t.stem] for t in sent.tokens] == [
             ("senti", 0), ("aspect", 0), ("senti", 0)]
 
-        flat = encode_corpus(Corpus([Review("r", "e", [sent])]), vocab)
+        flat = encode_corpus(corpus_of([("r", "e", [sent])]), vocab)
         assert (flat.aspect.tolist(), flat.senti.tolist()) == ([0], [0, 0])
 
         est = PosteriorEstimates(pi_hat=np.full((1, 2), 0.5), theta_hat=np.ones((1, 1)),
@@ -278,16 +292,14 @@ class TestReferenceSummaries:
         assert cons == {"rude staff", "slow staff"}
 
     def test_entity_without_pros(self, sentence_factory):
-        from segsum.corpus import Corpus, Review
-        corpus = Corpus([Review("r", "e", [sentence_factory([("ok", "JJ")])])])
+        corpus = corpus_of([("r", "e", [sentence_factory([("ok", "JJ")])])])
         pros, cons = build_reference_summaries(corpus)["e"]
         assert pros == set() and cons == set()
 
     def test_set_union(self):
-        from segsum.corpus import Corpus, Review
-        corpus = Corpus([
-            Review("r1", "e", [], pros=["a", "b"]),
-            Review("r2", "e", [], pros=["b", "c"]),
+        corpus = corpus_of([
+            ("r1", "e", [], ["a", "b"], []),
+            ("r2", "e", [], ["b", "c"], []),
         ])
         pros, _ = build_reference_summaries(corpus)["e"]
         assert pros == {"a", "b", "c"}

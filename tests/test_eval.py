@@ -86,6 +86,13 @@ class TestSkip2:
     def test_matches_greedy_oracle(self, x, y):
         assert pr_pair(x, y) == pr_pair_oracle(x, y)
 
+    # three words: most draws repeat a word, and many repeat a pair
+    @given(st.lists(st.sampled_from("abc"), min_size=2, max_size=8).map(tuple),
+           st.lists(st.sampled_from("abc"), min_size=2, max_size=8).map(tuple))
+    def test_shared_keys_count_equals_the_clipped_min_sum(self, x, y):
+        m = oracles.clipped_pair_matches(x, y)
+        assert pr_pair(x, y) == (m / comb(len(y), 2), m / comb(len(x), 2))
+
     @given(nonempty, nonempty)
     def test_symmetric_count(self, x, y):
         # P(X, Y) and R(Y, X) share their count and denominator C(|y|, 2)

@@ -5,8 +5,7 @@ import pytest
 
 from segsum import model
 from segsum.classify import PolarityLexicon, label_aspects
-from segsum.corpus import (DEFAULT_EXTRA_SENTIMENT, Corpus, Vocabulary, build_vocabulary,
-                           make_token, review_from_record)
+from segsum.corpus import CorpusBuilder, Vocabulary, build_vocabulary, make_token
 from segsum.filters import (
     FilterConfig,
     ProcedureError,
@@ -328,9 +327,10 @@ class TestAcrossEntities:
 
 
 def test_entity_candidates_equals_a_pass_per_entity():
-    shared_tokens = {}
-    corp = Corpus([review_from_record(r, DEFAULT_EXTRA_SENTIMENT, shared_tokens) for r in
-                   generate_text_reviews(num_entities=4, reviews_per_entity=6, rng_seed=3)])
+    builder = CorpusBuilder()
+    for record in generate_text_reviews(num_entities=4, reviews_per_entity=6, rng_seed=3):
+        builder.add(record)
+    corp = builder.corpus()
     vocab = build_vocabulary(corp, min_count=1)
     state = model.init(corp, vocab, model.Hyperparams(num_topics=2), rng_seed=0)
     model.gibbs_sweep(state)

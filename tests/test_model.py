@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from segsum import model
 from segsum.cli import main
-from segsum.corpus import Corpus, Review, Sentence, Token, Vocabulary, build_vocabulary
+from segsum.corpus import Sentence, Token, Vocabulary, build_vocabulary
 from segsum.model import (
     Hyperparams,
     Schedule,
@@ -30,6 +30,7 @@ from segsum.model import (
 from segsum.synthetic import generate_generative_corpus, make_planted_model
 
 import oracles
+from conftest import corpus_of
 from test_cli import write_config, write_corpus
 
 
@@ -44,8 +45,8 @@ def make_corpus(doc_specs):
         rid = f"r{d}"
         sents = [Sentence([word(a) for a in aspect] + [word(s, True) for s in senti], rid)
                  for aspect, senti in sentences]
-        reviews.append(Review(rid, f"e{d}", sents))
-    return Corpus(reviews)
+        reviews.append((rid, f"e{d}", sents))
+    return corpus_of(reviews)
 
 
 FIXTURE_DOCS = [
@@ -223,9 +224,10 @@ class TestEncoding:
         # reviews without sentences, sentences without tokens or of
         # out-of-vocabulary stems only, repeated ids, the empty corpus and
         # stems in both vocabularies
-        corpus = Corpus([Review(f"r{d}", "e", [Sentence([word(stem) for stem in stems], f"r{d}")
-                                               for stems in sentences])
-                         for d, sentences in enumerate(reviews)])
+        corpus = corpus_of([
+            (f"r{d}", "e", [Sentence([word(stem) for stem in stems], f"r{d}")
+                            for stems in sentences])
+            for d, sentences in enumerate(reviews)])
         vocab = Vocabulary(aspect, senti)
         assert_flat_concatenates(model.encode_corpus(corpus, vocab),
                                  oracles.encode_sentences(corpus, vocab))
@@ -814,8 +816,8 @@ class TestTrain:
 
 class TestEstimate:
     def test_empty_document_symmetric_sentiment(self):
-        corpus = Corpus([Review("r0", "e0", []),
-                         Review("r1", "e1", [Sentence([word("food")], "r1")])])
+        corpus = corpus_of([("r0", "e0", []),
+                                        ("r1", "e1", [Sentence([word("food")], "r1")])])
         vocab = build_vocabulary(corpus, min_count=1, stopwords=frozenset())
         state = init(corpus, vocab, Hyperparams(num_topics=2),
                      SeedList(frozenset(), frozenset()), 0)

@@ -5,24 +5,30 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from segsum.corpus import Corpus, Review, Sentence, Token
+from segsum.corpus import Sentence, Token
 from segsum.patterns import (
     DEFAULT_NEGATION,
     PRESETS,
     compile_patterns,
     extract_corpus,
-    match_sentence,
     resolve_pattern_ids,
 )
 
 import oracles
+from conftest import corpus_of
 
-ALL = compile_patterns({1, 2, 3, 4, 5})
+ALL_IDS = frozenset({1, 2, 3, 4, 5})
+ALL = compile_patterns(ALL_IDS)
 _, FORMS = ALL
 
 
-def segments_of(sentence_factory, pairs, patterns=ALL, **kwargs):
-    return match_sentence(sentence_factory(pairs), patterns, **kwargs)
+def extract_sentence(sentence, pattern_ids=ALL_IDS, **kwargs):
+    return extract_corpus(corpus_of([("r", "e", [sentence])]), pattern_ids,
+                          **kwargs)
+
+
+def segments_of(sentence_factory, pairs, pattern_ids=ALL_IDS, **kwargs):
+    return extract_sentence(sentence_factory(pairs), pattern_ids, **kwargs)
 
 
 class TestPatternDefinitions:
@@ -45,8 +51,10 @@ class TestPatternDefinitions:
             (5, True, "R*(?<!X)XJN+"),
             (5, False, "R*JN+"),
         ]
-        # one alternation tries them in that order, one group per form
-        assert ALL[0].pattern == "|".join(f"({f.regex})" for f in FORMS)
+        # one alternation tries them in that order, one group per form, after
+        # a lookahead on the letters that start a form (the brute-force
+        # oracle below finds no match that starts with another letter)
+        assert ALL[0].pattern == "(?=[JNRVX])(?:" + "|".join(f"({f.regex})" for f in FORMS) + ")"
 
     def test_presets(self):
         assert PRESETS["service"] == {1, 3, 5}
@@ -107,8 +115,7 @@ class TestLongestMatch:
                  ("instruction", "NN")]
         segs = segments_of(sentence_factory, pairs)
         assert [s.pattern_id for s in segs] == [1]
-        only_5 = compile_patterns({5})
-        inside = match_sentence(sentence_factory(pairs), only_5)
+        inside = segments_of(sentence_factory, pairs, {5})
         assert inside and inside[0].pattern_id == 5  # 5 alone would match
 
     def test_priority_3_over_5_is_moot_but_1_beats_both(self, sentence_factory):
@@ -130,7 +137,7 @@ class TestLongestMatch:
     def test_greedy_end_is_longest_end(self):
         # For every form, every class string up to length 5 and every start,
         # the greedy match ends where the longest full match does (the search
-        # that match_sentence once ran). A word limit only cuts the string
+        # that the per-sentence matcher once ran). A word limit only cuts the string
         # short, so the shorter strings cover it.
         for form in FORMS:
             regex = re.compile(form.regex)
@@ -223,8 +230,7 @@ class TestExtractCorpus:
 
     def test_length_bound(self, sentence_factory):
         pairs = [("very", "RB")] * 10 + [("good", "JJ"), ("food", "NN")]
-        review = Review("r", "e", [sentence_factory(pairs)])
-        segs = extract_corpus(Corpus([review]), {5}, max_words=7)
+        segs = segments_of(sentence_factory, pairs, {5}, max_words=7)
         assert all(len(s) <= 7 for s in segs)
 
 
@@ -237,10 +243,9 @@ class TestPrioritySoundness:
             [("basket", "NN"), ("is", "VBZ"), ("simple", "JJ"), ("to", "TO"),
              ("remove", "VB")],
         ]
-        low_priority = compile_patterns({3, 5})
         for pairs in cases:
             sentence = sentence_factory(pairs)
-            segs = match_sentence(sentence, ALL)
+            segs = extract_sentence(sentence)
             consumed = {i for s in segs if s.pattern_id in (1, 2, 4)
                         for i in range(s.start, s.end)}
             # rerun 3/5 on each contiguous unconsumed region
@@ -256,7 +261,7 @@ class TestPrioritySoundness:
                 regions.append(current)
             for region in regions:
                 sub = Sentence([t for _, t in region], sentence.review_id)
-                for s in match_sentence(sub, low_priority):
+                for s in extract_sentence(sub, {3, 5}):
                     original = {region[i][0] for i in range(s.start, s.end)}
                     assert not original & consumed
 
@@ -279,10 +284,47 @@ WORDS = ("word",) * 16 + ("not", "Not", "n't", "never")
          max_words=10, negation=DEFAULT_NEGATION)
 @example(pairs=[("not", "RB")] + [("word", t) for t in ("JJ", "TO", "VB", "NN", "NN")],
          pattern_ids={4}, max_words=10, negation=DEFAULT_NEGATION)
-def test_match_sentence_equals_oracle(pairs, pattern_ids, max_words, negation):
+def test_extract_sentence_equals_oracle(pairs, pattern_ids, max_words, negation):
     """Random tag and negation sequences give the brute-force span matcher's
     segments: same spans, pattern ids and negated flags."""
     sentence = Sentence([Token(s, s.lower(), t, False) for s, t in pairs], "r")
-    got = match_sentence(sentence, compile_patterns(pattern_ids), max_words, negation)
+    got = extract_sentence(sentence, pattern_ids, max_words=max_words, negation_words=negation)
     assert [(g.start, g.end, g.pattern_id, g.negated) for g in got] == \
         oracles.extraction_oracle(pairs, pattern_ids, max_words, negation)
+
+
+# runs of one (word, tag) pair, so that R and N runs outrun the word limit
+RUNS = st.lists(st.tuples(st.sampled_from(WORDS + ("no",)), st.sampled_from(TAGS),
+                          st.integers(1, 9)), max_size=5)
+SENTENCE = RUNS.map(lambda runs: [(word, tag) for word, tag, n in runs for _ in range(n)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(reviews=st.lists(st.lists(SENTENCE, max_size=4), max_size=4),
+       pattern_ids=st.sets(st.integers(1, 5)),
+       max_words=st.integers(1, 8),
+       negation=st.sampled_from([DEFAULT_NEGATION, frozenset(), frozenset({"no", "word"})]))
+# a sentence that ends in a trigger, then one that starts with one: the
+# lookbehind of the second sentence's trigger must not see the first's
+@example(reviews=[[[("good", "JJ"), ("not", "RB")], [("not", "RB"), ("good", "JJ"),
+                                                      ("food", "NN")]]],
+         pattern_ids={1, 2, 3, 4, 5}, max_words=7, negation=DEFAULT_NEGATION)
+# empty sentences drop, within and between reviews
+@example(reviews=[[[], [("good", "JJ"), ("food", "NN")], []], [], [[], [("bad", "JJ"),
+                                                                     ("wine", "NN")]]],
+         pattern_ids={5}, max_words=2, negation=DEFAULT_NEGATION)
+def test_extract_corpus_equals_the_per_sentence_matcher(reviews, pattern_ids, max_words,
+                                                        negation):
+    """One search over the whole corpus finds what matching each sentence on
+    its own found: the same segments of the same sentences."""
+    corpus = corpus_of([
+        (f"r{i}", f"e{i % 2}", [Sentence([Token(s, s.lower(), t, False) for s, t in pairs],
+                                         f"r{i}") for pairs in sentences])
+        for i, sentences in enumerate(reviews)])
+    want = [segment
+            for i, sentences in enumerate(reviews)
+            for index, sentence in enumerate(s for s in sentences if s)
+            for segment in oracles.match_sentence(
+                Sentence([Token(s, s.lower(), t, False) for s, t in sentence], f"r{i}"),
+                pattern_ids, max_words, negation, f"e{i % 2}", index)]
+    assert extract_corpus(corpus, pattern_ids, max_words, negation) == want
