@@ -12,7 +12,7 @@ import json
 import logging
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, compress
 
 import numpy as np
 
@@ -79,8 +79,7 @@ class Sentence:
 
 @dataclass
 class Review:
-    """The fields of review `index` of `corpus`; its sentences are built from
-    the corpus arrays on each access."""
+    """Review `index` of `corpus`; its sentences are built from the arrays on access."""
 
     id: str
     entity_id: str
@@ -91,21 +90,19 @@ class Review:
 
     @property
     def sentences(self):
-        corpus = self.corpus
-        first, last = corpus.review_starts[self.index:self.index + 2].tolist()
-        starts = corpus.sentence_starts[first:last + 1].tolist()
-        tokens = [corpus.tokens[i] for i in corpus.token_ids[starts[0]:starts[-1]].tolist()]
-        return [Sentence(tokens[a - starts[0]:b - starts[0]], self.id)
+        c = self.corpus
+        first, last = c.review_starts[self.index:self.index + 2].tolist()
+        starts = c.sentence_starts[first:last + 1].tolist()
+        return [Sentence(list(map(c.tokens.__getitem__, c.token_ids[a:b].tolist())), self.id)
                 for a, b in zip(starts, starts[1:])]
 
 
 class Corpus:
-    """Reviews as arrays over one token table: `tokens` holds one Token per
-    distinct token, `token_ids` (int32) the table index of every token,
-    sentence after sentence, and `sentence_starts`/`review_starts` (int64)
-    where each sentence's tokens and each review's sentences start, with one
-    more entry than there are sentences/reviews. `records` gives each review's
-    (id, entity_id, pros, cons)."""
+    """Reviews over one token table `tokens`: `token_ids` (int32) holds the
+    table index of every token, sentence after sentence; `sentence_starts`
+    and `review_starts` (int64, one entry more than there are sentences or
+    reviews) where each sentence's tokens and each review's sentences start.
+    `records` holds each review's (id, entity_id, pros, cons)."""
 
     def __init__(self, tokens, token_ids, sentence_starts, review_starts, records):
         self.tokens = tokens
@@ -114,23 +111,15 @@ class Corpus:
         self.review_starts = np.asarray(review_starts, dtype=np.int64)
         self.reviews = [Review(*record, self, i) for i, record in enumerate(records)]
 
-    def __eq__(self, other):
-        return (isinstance(other, Corpus) and self.tokens == other.tokens
-                and self.reviews == other.reviews
-                and all(np.array_equal(getattr(self, a), getattr(other, a))
-                        for a in ("token_ids", "sentence_starts", "review_starts")))
-
     def select(self, keep):
-        """The corpus of the reviews where keep, one boolean per review, is
-        true, in order, over the same token table."""
+        """The reviews where keep (one bool per review) is true, over the same table."""
         keep = np.asarray(keep, dtype=bool)
         sentences = np.repeat(keep, np.diff(self.review_starts))
         lengths = np.diff(self.sentence_starts)
         return Corpus(self.tokens, self.token_ids[np.repeat(sentences, lengths)],
                       np.concatenate(([0], np.cumsum(lengths[sentences]))),
                       np.concatenate(([0], np.cumsum(np.diff(self.review_starts)[keep]))),
-                      [(r.id, r.entity_id, r.pros, r.cons)
-                       for r, kept in zip(self.reviews, keep.tolist()) if kept])
+                      [(r.id, r.entity_id, r.pros, r.cons) for r in compress(self.reviews, keep)])
 
     @property
     def num_sentences(self):
@@ -159,37 +148,24 @@ def ingest_tagged(path, format: str = "jsonl",
 
 
 def _checked_pair(pair):
-    """(surface, tag) of a token given as a [surface, tag] list or tuple;
-    ValueError or TypeError, naming it, otherwise."""
+    """(surface, tag) of a [surface, tag] list or tuple; else an error naming it."""
     surface, pos = pair
     if type(pair) in (list, tuple) and type(surface) is str and type(pos) is str:
         return surface, pos
     raise ValueError(f"token {pair!r} is not a [surface, tag] pair of strings")
 
 
-class _TokenTable(dict):
-    """(surface, tag) -> index into tokens of its Token, made on first use."""
-
-    def __init__(self, extra_sentiment):
-        super().__init__()
-        self.tokens = []
-        self.extra_sentiment = extra_sentiment
-
-    def __missing__(self, pair):
-        self.tokens.append(make_token(*_checked_pair(pair), self.extra_sentiment))
-        index = self[pair] = len(self.tokens) - 1
-        return index
-
-
-class CorpusBuilder:
+class CorpusBuilder(dict):
     """A Corpus built from JSONL-style records, one add() each, over one
-    token table: one Token per distinct (surface, tag), in first-seen order."""
+    token table: one Token per distinct (surface, tag), in first-seen order.
+    As a dict, it maps each (surface, tag) to its index in the table."""
 
     def __init__(self, extra_sentiment=DEFAULT_EXTRA_SENTIMENT):
-        self.table = _TokenTable(extra_sentiment)
+        self.extra_sentiment = extra_sentiment
+        self.tokens = []
         self.token_ids = array("i")
         self.sentence_lengths = []    # in tokens, of each non-empty sentence
-        self.review_lengths = []      # in sentences
+        self.review_ends = []         # in sentences
         self.records = []
 
     def add(self, obj):
@@ -205,25 +181,30 @@ class CorpusBuilder:
         sentences = obj["sentences"]
         if type(sentences) is not list or not set(map(type, sentences)) <= {list}:
             raise ValueError("sentences must be a list of lists of tokens")
-        token_ids, start = self.token_ids, len(self.token_ids)
-        # a record of [surface, tag] lists costs no Python call per known
-        # token; any other record is read token by token, which raises the
-        # error that names its first bad token
+        start = len(self.token_ids)
+        # no Python call per known token; a bad token fails the lookup, and
+        # the record is then checked token by token to name the first one
         try:
-            if not set(map(type, chain.from_iterable(sentences))) <= {list}:
+            if not set(map(type, chain.from_iterable(sentences))) <= {list, tuple}:
                 raise TypeError
-            token_ids.extend(map(self.table.__getitem__, map(tuple, chain.from_iterable(sentences))))
+            self.token_ids.extend(map(self.__getitem__, map(tuple, chain.from_iterable(sentences))))
         except (TypeError, ValueError):
-            del token_ids[start:]
-            token_ids.extend([self.table[_checked_pair(pair)] for sent in sentences for pair in sent])
-        count = len(self.sentence_lengths)
+            del self.token_ids[start:]
+            for pair in chain.from_iterable(sentences):
+                _checked_pair(pair)
+            raise
         self.sentence_lengths += filter(None, map(len, sentences))
-        self.review_lengths.append(len(self.sentence_lengths) - count)
+        self.review_ends.append(len(self.sentence_lengths))
         self.records.append((str(obj["id"]), str(obj["entity_id"]), list(pros), list(cons)))
 
+    def __missing__(self, pair):
+        self.tokens.append(make_token(*_checked_pair(pair), self.extra_sentiment))
+        index = self[pair] = len(self.tokens) - 1
+        return index
+
     def corpus(self) -> Corpus:
-        return Corpus(self.table.tokens, np.array(self.token_ids),
-                      np.cumsum([0] + self.sentence_lengths), np.cumsum([0] + self.review_lengths),
+        return Corpus(self.tokens, np.array(self.token_ids),
+                      np.cumsum([0] + self.sentence_lengths), [0] + self.review_ends,
                       self.records)
 
 
@@ -233,8 +214,7 @@ def _ingest_jsonl(path, extra_sentiment) -> Corpus:
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
-            builder.add(record)
+            builder.add(record := json.loads(line))
         except (KeyError, TypeError, ValueError) as exc:
             raise CorpusFormatError(path, lineno, f"bad review record: {exc}") from exc
         if record["entity_id"] == "":
@@ -363,15 +343,19 @@ def _normalize_gold_item(text: str) -> str:
 
 
 def build_reference_summaries(corpus: Corpus) -> dict:
-    """Per entity, deduplicated unions of reviewer pros and cons, each
-    distinct item normalized once."""
-    items = {}
+    """Per entity, deduplicated unions of reviewer pros and cons."""
+    refs = {}
     for review in corpus.reviews:
-        pros, cons = items.setdefault(review.entity_id, (set(), set()))
-        pros.update(review.pros)
-        cons.update(review.cons)
-    return {entity_id: tuple(set(filter(None, map(_normalize_gold_item, raw))) for raw in pair)
-            for entity_id, pair in items.items()}
+        pros, cons = refs.setdefault(review.entity_id, (set(), set()))
+        for item in review.pros:
+            norm = _normalize_gold_item(item)
+            if norm:
+                pros.add(norm)
+        for item in review.cons:
+            norm = _normalize_gold_item(item)
+            if norm:
+                cons.add(norm)
+    return refs
 
 
 def load_wordlist(path) -> frozenset:

@@ -67,13 +67,10 @@ class PairCounts(dict):
             short, other = (x, y) if len(x) < len(y) else (y, x)
             hit = 1.0 if short[0] in other else 0.0
             return hit, hit
-        px, py = self[x], self[y]
-        pairs_x, pairs_y = comb(len(x), 2), comb(len(y), 2)
-        if len(px) == pairs_x or len(py) == pairs_y:
-            # one side repeats no pair, so each shared pair counts once
-            matches = len(px.keys() & py.keys())
-        else:
-            matches = sum(min(n, py[p]) for p, n in px.items())
+        px, py, pairs_x, pairs_y = self[x], self[y], comb(len(x), 2), comb(len(y), 2)
+        # where one side repeats no pair, each shared pair counts once
+        matches = (len(px.keys() & py.keys()) if len(px) == pairs_x or len(py) == pairs_y
+                   else sum(min(n, py[p]) for p, n in px.items()))
         return matches / pairs_y, matches / pairs_x
 
 

@@ -126,9 +126,8 @@ def compile_patterns(pattern_ids):
             if atom in ("jj", "vb"):
                 forms.append(Form(pid, True, "".join(parts[:i] + [NEGATION_REGEX] + parts[i:])))
         forms.append(Form(pid, False, "".join(parts)))
-    # Every form starts with one of the letters J, N, R, V and X: a search
-    # skips any other letter without trying each form. (?!) never matches,
-    # so an empty pattern set gives no segments.
+    # Every form starts with J, N, R, V or X, so a search skips other letters
+    # without trying each form. (?!) never matches: no patterns, no segments.
     regex = re.compile(f"(?=[JNRVX])(?:{'|'.join(f'({f.regex})' for f in forms)})"
                        if forms else "(?!)")
     return regex, forms
@@ -140,13 +139,10 @@ def extract_corpus(corpus, pattern_ids, max_words=DEFAULT_MAX_WORDS,
     first form with an end within max_words, taken to its greedy end, which
     is its longest such end; matched tokens are consumed.
 
-    One class string covers the corpus, each sentence followed by a separator
-    that no form matches, and a search finds the next start where some form
-    matches. Nothing in the regex looks past a match's end (no form has a
-    lookahead or an anchor), so a match within the word limit is also a match
-    without it: where the unlimited match fits max_words it is the limited
-    one, and otherwise the match is re-run within the limit, and the search
-    moves on if that fails."""
+    One class string covers the corpus, a separator that no form matches
+    after each sentence. No form looks past its end, so a match within
+    max_words is also an unlimited match: an unlimited match longer than
+    max_words is re-run within it, and the search moves on if that fails."""
     regex, forms = compile_patterns(pattern_ids)
     letters = "".join("X" if t.surface.lower() in negation_words
                       else TAG_CLASSES.get(t.pos, "O") for t in corpus.tokens)

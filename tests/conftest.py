@@ -21,6 +21,12 @@ def corpus_of(reviews):
     return Corpus(list(table), token_ids, sentence_starts, review_starts, records)
 
 
+def corpus_fields(corpus):
+    """Everything a Corpus holds, as lists: two corpora are equal if these are."""
+    return (corpus.tokens, corpus.token_ids.tolist(), corpus.sentence_starts.tolist(),
+            corpus.review_starts.tolist(), corpus.reviews)
+
+
 def tagged_sentence(pairs, review_id="r1"):
     return Sentence([make_token(s, p) for s, p in pairs], review_id)
 

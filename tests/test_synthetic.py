@@ -16,7 +16,7 @@ def corpus_digest(corpus):
 
 
 # The digests of the corpora that generate_generative_corpus returned when it
-# built each Token itself; building them with review_from_record must keep them.
+# built each Token itself; building them with CorpusBuilder must keep them.
 @pytest.mark.parametrize("num_topics,rng_seed,digest", [
     pytest.param(3, 5, "bfd6c2c3b19967ccd6555212542e4045ad3885fe08a9524db2681b418f001273",
                  id="T3-seed5"),
