@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -20,37 +20,16 @@ def topic_weights(est):
             "senti": np.log(est.phi_prime_hat).sum(axis=0).T}
 
 
-def encode_ids(segments, est):
-    """(codes, lengths): row r of codes holds the ids of segments[r] in token
-    order, aspect id i coded i and sentiment id i coded V + i, padded with
-    the code V + V'; every table that codes index has a zero (or False) entry
-    there. lengths[r] is the number of ids. The codes are int32, which holds
-    any vocabulary in half the memory of intp."""
-    V, Vp = est.phi_hat.shape[1], est.phi_prime_hat.shape[2]
-    lengths = np.array([len(seg.ids) for seg in segments], dtype=np.intp)
-    codes = np.full((len(segments), lengths.max(initial=0)), V + Vp, dtype=np.int32)
-    codes[np.arange(codes.shape[1]) < lengths[:, None]] = np.fromiter(
-        (i if channel == "aspect" else V + i for seg in segments for channel, i in seg.ids),
-        dtype=np.int32, count=lengths.sum())
-    return codes, lengths
-
-
 def token_sums(table, codes, labels=None):
     """Per row r of codes, the sum of table[code], or of table[labels[r], code],
     over its codes, added left to right from 0.0 (np.sum would regroup 8 or
-    more terms pairwise). Adding the pad's 0.0 leaves a sum that starts at
-    +0.0 unchanged."""
+    more terms pairwise). A pad code anywhere in a row adds the pad's 0.0 and
+    leaves the sum as it was: x + 0.0 == x for every x but -0.0, and a sum
+    that starts at +0.0 is never -0.0 under round-to-nearest."""
     total = np.zeros((len(codes),) + table.shape[1 if labels is None else 2:])
     for column in codes.T:
         total += table[column] if labels is None else table[labels, column]
     return total
-
-
-def _label(polarity, negated):
-    """(sentiment index, polarity): negation flips the sign; >= 0 is positive."""
-    if negated:
-        polarity = -polarity
-    return (POSITIVE if polarity >= 0 else NEGATIVE), polarity
 
 
 @dataclass
@@ -88,36 +67,30 @@ class PolarityLexicon:
         return cls(scores)
 
 
-def classify_sentiment_swn(segment, lexicon):
-    """Lexicon-based classifier; same thresholding and negation as SEN."""
-    polarity = 0.0
-    for token in segment.tokens:
-        if token.is_sentiment:
-            polarity += lexicon.score(token.stem)
-    return _label(polarity, segment.negated)
-
-
 def label_aspects(segments, est, vocab):
-    """Encode each segment as the (channel, index) pairs of its in-vocabulary
-    tokens, in token order (the vocabulary's shared pair per stem), then label
-    the aspects of all of them at once: a segment's aspect is the argmax topic
-    of the token_sums of its ids' topic_weights rows, ties toward the lowest
-    topic. Segments without ids are unclassifiable and dropped.
+    """Encode a SegmentTable once and label the aspects of all its rows.
+    Each token-table entry gets one code: aspect id i codes i, sentiment id
+    i codes V + i, and a stem outside the vocabulary the pad V + V', which
+    every table indexed by codes holds as 0 (or False). A row's codes are its
+    window of those, in token order with the pads in place, and its ids are
+    its non-pad codes. Its aspect is the argmax topic of the token_sums of
+    its codes' topic_weights rows, ties toward the lowest topic. Rows without
+    ids are unclassifiable and dropped.
 
-    Returns (labeled segments, dropped segments).
+    Returns (labelled rows, with codes and aspect; dropped rows, with codes).
     """
+    V, Vp = est.phi_hat.shape[1], est.phi_prime_hat.shape[2]
     stem_ids = vocab.stem_ids
-    for seg in segments:
-        seg.ids = tuple(stem_ids[t.stem] for t in seg.tokens if t.stem in stem_ids)
-    codes, lengths = encode_ids(segments, est)
+    code = [V + Vp] * (len(segments.corpus.tokens) + 1)   # the window's pad last
+    for entry, token in enumerate(segments.corpus.tokens):
+        if token.stem in stem_ids:
+            channel, i = stem_ids[token.stem]
+            code[entry] = i if channel == "aspect" else V + i
+    codes = np.take(np.array(code, dtype=np.int32), segments.window())
     weights = topic_weights(est)
     scores = token_sums(np.vstack((weights["aspect"], weights["senti"],
                                    np.zeros(est.phi_hat.shape[0]))), codes)
-    labeled, dropped = [], []
-    for seg, aspect, n in zip(segments, scores.argmax(axis=1).tolist(), lengths.tolist()):
-        if n:
-            seg.aspect = aspect
-            labeled.append(seg)
-        else:
-            dropped.append(seg)
-    return labeled, dropped
+    has_ids = (codes < V + Vp).any(axis=1)
+    encoded = replace(segments, codes=codes)
+    return (replace(encoded, aspect=scores.argmax(axis=1)).take(has_ids),
+            encoded.take(~has_ids))

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import classify, model, patterns
-from .classify import classify_sentiment_swn
 
 log = logging.getLogger(__name__)
 
@@ -62,7 +61,7 @@ def parse_procedure(name: str) -> tuple:
 
 
 def _has_top_word(probs, n, offset, size, labels, codes):
-    """Mask of the segments, as size-code rows of codes (classify.encode_ids),
+    """Mask of the segments, as size-code rows of codes (classify.label_aspects),
     that hold a word among the n most probable of probs[label] (probs
     flattened over its leading axes; ties in stable order), whose words are
     coded from offset."""
@@ -84,16 +83,33 @@ def _rank_survivors(group, rank, keep_fraction):
     return keep
 
 
+def _ranked(table, est):
+    """table with each row's rank: the per-word average log score of its ids
+    under its own (sentiment j, aspect k), log phi_prime_hat[j, k] for
+    sentiment words and log phi_hat[k] for others, summed in token order
+    (-inf without ids). A row's rank depends on its codes and labels only."""
+    (S, T, Vp), V = est.phi_prime_hat.shape, est.phi_hat.shape[1]
+    # libm's log: np.log differs from it in the last bit on some hosts; the
+    # pad's probability 1 logs to 0.0, and pads do not count as words
+    logs = np.array([math.log(p) for p in np.concatenate(
+        (np.broadcast_to(est.phi_hat, (S, T, V)), est.phi_prime_hat,
+         np.ones((S, T, 1))), axis=2).ravel().tolist()]).reshape(S * T, V + Vp + 1)
+    total = classify.token_sums(logs, table.codes, table.sentiment * T + table.aspect)
+    words = (table.codes < V + Vp).sum(axis=1)
+    return replace(table, rank=np.divide(total, words, out=np.full(len(table), -math.inf),
+                                         where=words > 0))
+
+
 def run_procedure(procedure, segments, est, y_senti=None, lexicon=None,
                   config=None):
-    """Apply the named procedure's stages in order to aspect-labeled
-    segments, each stage to all of them at once over their codes
-    (classify.encode_ids). The classifier stage also stores each segment's
-    rank: the per-word average log score of its ids under its own (sentiment
-    j, aspect k), log phi_prime_hat[j, k] for sentiment words and log
-    phi_hat[k] for others, summed in token order (-inf without ids).
+    """Apply the named procedure's stages in order to an aspect-labelled
+    SegmentTable (classify.label_aspects), each stage to all its rows at
+    once over their codes. The classifier stage sets each row's sentiment
+    and polarity. The RANK stage ranks its input rows; without one, the
+    survivors are ranked at the end.
 
-    Returns (positive segments, negative segments).
+    Returns (positive rows, negative rows), each a SegmentTable in corpus
+    order with every label set.
     """
     stages = parse_procedure(procedure)
     config = config if config is not None else FilterConfig()
@@ -102,68 +118,55 @@ def run_procedure(procedure, segments, est, y_senti=None, lexicon=None,
     if "SWN" in stages and lexicon is None:
         raise ProcedureError("SWN stage requires a polarity lexicon")
 
-    segments = np.fromiter(segments, dtype=object)
     (S, T, Vp), V = est.phi_prime_hat.shape, est.phi_hat.shape[1]
     size = V + Vp + 1
-    # one entry per surviving segment, in corpus order; each filter keeps a subset
-    codes, lengths = classify.encode_ids(segments, est)
-    rows = np.arange(len(segments))
-    aspect = np.array([-1 if seg.aspect is None else seg.aspect for seg in segments],
-                      dtype=np.intp)
-    sentiment = np.zeros(len(segments), dtype=np.intp)
-    rank = np.zeros(len(segments))
+    table = segments    # the surviving rows, in corpus order; each filter keeps a subset
     for stage in stages:
         if stage == "Baseline":
             continue
         if stage == "AW":
-            if (aspect < 0).any():
+            if table.aspect is None:
                 raise ProcedureError("AW filter requires aspect labels")
-            keep = _has_top_word(est.phi_hat, config.aw_top_x, 0, size, aspect, codes)
-        elif stage == "SW":   # after the classifier, so every segment has its labels
+            keep = _has_top_word(est.phi_hat, config.aw_top_x, 0, size, table.aspect,
+                                 table.codes)
+        elif stage == "SW":   # after the classifier, so every row has its labels
             keep = _has_top_word(est.phi_prime_hat, config.sw_top_y, V, size,
-                                 sentiment * T + aspect, codes)
+                                 table.sentiment * T + table.aspect, table.codes)
         elif stage == "RANK":
             entities = {}
-            entity = np.array([entities.setdefault(seg.entity_id, len(entities))
-                               for seg in segments[rows]], dtype=np.intp)
-            keep = _rank_survivors((entity * S + sentiment) * T + aspect, rank,
-                                   config.rank_keep_fraction)
+            entity = np.array([entities.setdefault(review.entity_id, len(entities))
+                               for review in table.corpus.reviews], dtype=np.intp)
+            table = _ranked(table, est)
+            keep = _rank_survivors((entity[table.review] * S + table.sentiment) * T
+                                   + table.aspect, table.rank, config.rank_keep_fraction)
         else:   # SEN or SWN
-            if (aspect < 0).any():
+            if table.aspect is None:
                 raise ProcedureError(f"{stage} stage requires aspect labels to rank segments")
-            current = segments[rows].tolist()
             if stage == "SEN":
                 polarity = classify.token_sums(
-                    np.concatenate((np.zeros(V), y_senti[0] - y_senti[1], [0.0])), codes)
-                np.negative(polarity, out=polarity,
-                            where=np.array([seg.negated for seg in current], dtype=bool))
-            else:
-                polarity = np.array([classify_sentiment_swn(seg, lexicon)[1] for seg in current])
-            sentiment = np.where(polarity >= 0, classify.POSITIVE, classify.NEGATIVE)
-            # libm's log: np.log differs from it in the last bit on some hosts;
-            # the pad's probability 1 logs to 0.0
-            logs = np.array([math.log(p) for p in np.concatenate(
-                (np.broadcast_to(est.phi_hat, (S, T, V)), est.phi_prime_hat,
-                 np.ones((S, T, 1))), axis=2).ravel().tolist()]).reshape(S * T, size)
-            total = classify.token_sums(logs, codes, sentiment * T + aspect)
-            rank = np.divide(total, lengths, out=np.full(len(rows), -math.inf),
-                             where=lengths > 0)
-            for seg, *labels in zip(current, sentiment.tolist(), polarity.tolist(),
-                                    rank.tolist()):
-                seg.sentiment, seg.polarity, seg.rank = labels
+                    np.concatenate((np.zeros(V), y_senti[0] - y_senti[1], [0.0])), table.codes)
+            else:   # lexicon scores of sentiment tokens, also outside the vocabulary
+                polarity = classify.token_sums(np.array(
+                    [lexicon.score(t.stem) if t.is_sentiment else 0.0
+                     for t in table.corpus.tokens] + [0.0]), table.window())
+            np.negative(polarity, out=polarity, where=table.negated)
+            table = replace(table, polarity=polarity, sentiment=np.where(
+                polarity >= 0, classify.POSITIVE, classify.NEGATIVE))
             continue
-        rows, codes, lengths, aspect, sentiment, rank = (
-            a[keep] for a in (rows, codes, lengths, aspect, sentiment, rank))
+        table = table.take(keep)
 
-    positive = sentiment == classify.POSITIVE
-    return segments[rows[positive]].tolist(), segments[rows[~positive]].tolist()
+    if table.rank is None:
+        table = _ranked(table, est)
+    positive = table.sentiment == classify.POSITIVE
+    return table.take(positive), table.take(~positive)
 
 
 def entity_candidates(state, corpus, pattern_ids, max_words, procedure, lexicon,
                       config):
     """Extract segments, label their aspects, run the named procedure once
-    over them all, and split the survivors by entity. Every entity with a
-    labelled segment gets an entry, in sorted order, even with no survivors.
+    over them all, and split the survivors by entity; only the survivors
+    become Segments. Every entity with a labelled segment gets an entry, in
+    sorted order, even with no survivors.
 
     Returns {entity_id: {"positive": [...], "negative": [...]}}.
     """
@@ -176,8 +179,9 @@ def entity_candidates(state, corpus, pattern_ids, max_words, procedure, lexicon,
     pos, neg = run_procedure(procedure, labeled, est, y_senti=state.y_senti,
                              lexicon=lexicon, config=config)
     candidates = {entity_id: {"positive": [], "negative": []}
-                  for entity_id in sorted({seg.entity_id for seg in labeled})}
-    for polarity, segs in (("positive", pos), ("negative", neg)):
-        for seg in segs:
+                  for entity_id in sorted({corpus.reviews[r].entity_id
+                                           for r in np.unique(labeled.review).tolist()})}
+    for polarity, table in (("positive", pos), ("negative", neg)):
+        for seg in table:
             candidates[seg.entity_id][polarity].append(seg)
     return candidates

@@ -15,10 +15,13 @@ are consumed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
+
+from .corpus import Corpus
 
 DEFAULT_NEGATION = frozenset({"not", "n't", "never", "no", "hardly"})
 
@@ -76,12 +79,9 @@ class Segment:
     aspect: int | None = None
     sentiment: int | None = None
     polarity: float | None = None
-    # filters.rank_score, set by the classifier stage of run_procedure; to_dict
-    # leaves it out
+    # the per-word average log score that filters.run_procedure ranks by;
+    # to_dict leaves it out
     rank: float | None = None
-    # (channel, index) of each in-vocabulary token, in token order; set by
-    # classify.label_aspects
-    ids: tuple = ()
 
     @property
     def text(self) -> str:
@@ -110,6 +110,60 @@ class Segment:
         return d
 
 
+@dataclass(eq=False)
+class SegmentTable:
+    """Segments as columns over the token table of `corpus`, one row each:
+    row i covers corpus.token_ids[start[i]:start[i] + length[i]], in
+    sentence[i] (numbered across the corpus) of review[i]. The label columns
+    are None until classify.label_aspects sets `codes` and `aspect` and
+    filters.run_procedure `sentiment`, `polarity` and `rank`. Iterating
+    builds one Segment per row."""
+
+    corpus: Corpus
+    start: np.ndarray
+    length: np.ndarray
+    sentence: np.ndarray
+    review: np.ndarray
+    pattern_id: np.ndarray
+    negated: np.ndarray         # bool
+    codes: np.ndarray | None = None
+    aspect: np.ndarray | None = None
+    sentiment: np.ndarray | None = None
+    polarity: np.ndarray | None = None
+    rank: np.ndarray | None = None
+
+    def __len__(self):
+        return len(self.start)
+
+    def take(self, rows):
+        """The table of the given rows (indices or a mask), with their labels."""
+        return replace(self, **{f.name: getattr(self, f.name)[rows] for f in fields(self)[1:]
+                                if getattr(self, f.name) is not None})
+
+    def window(self):
+        """(rows, longest length) array: the token-table index of each row's
+        tokens in order, padded with len(corpus.tokens)."""
+        offsets = np.arange(self.length.max(initial=0))
+        window = np.take(self.corpus.token_ids, self.start[:, None] + offsets, mode="clip")
+        window[offsets >= self.length[:, None]] = len(self.corpus.tokens)
+        return window
+
+    def __iter__(self):
+        """One Segment per row, in row order, with the labels set so far."""
+        c = self.corpus
+        reviews = c.reviews
+        labels = (repeat(None) if column is None else column.tolist()
+                  for column in (self.aspect, self.sentiment, self.polarity, self.rank))
+        return iter([Segment(list(map(c.tokens.__getitem__, entries[:n])), reviews[r].id,
+                             reviews[r].entity_id, index, first, first + n, pattern_id,
+                             negated, *labels)
+                     for entries, n, r, index, first, pattern_id, negated, *labels in zip(
+                         self.window().tolist(), self.length.tolist(), self.review.tolist(),
+                         (self.sentence - c.review_starts[self.review]).tolist(),
+                         (self.start - c.sentence_starts[self.sentence]).tolist(),
+                         self.pattern_id.tolist(), self.negated.tolist(), *labels)])
+
+
 def compile_patterns(pattern_ids):
     """(regex, forms): every form of the given patterns, in match order (by
     PRIORITY_ORDER, and within a pattern its negated forms, one trigger right
@@ -134,7 +188,7 @@ def compile_patterns(pattern_ids):
 
 
 def extract_corpus(corpus, pattern_ids, max_words=DEFAULT_MAX_WORDS,
-                   negation_words=DEFAULT_NEGATION) -> list:
+                   negation_words=DEFAULT_NEGATION) -> SegmentTable:
     """The segments of every sentence, in corpus order: at each start, the
     first form with an end within max_words, taken to its greedy end, which
     is its longest such end; matched tokens are consumed.
@@ -159,21 +213,13 @@ def extract_corpus(corpus, pattern_ids, max_words=DEFAULT_MAX_WORDS,
                 continue
         pos = hit.end()
         found.append((begin, pos, hit.lastindex - 1))
-    if not found:
-        return []
-    begin, end, form = np.array(found).T
+    begin, end, form = np.array(found, dtype=np.int64).reshape(-1, 3).T
     # sentence k starts at starts[k] + k in classes
     sentence = np.searchsorted(starts[:-1] + np.arange(len(starts) - 1), begin, "right") - 1
-    review = np.searchsorted(corpus.review_starts, sentence, "right") - 1
-    offset = starts[sentence] + sentence
-    tokens, ids, reviews = corpus.tokens, corpus.token_ids.tolist(), corpus.reviews
-    return [Segment(list(map(tokens.__getitem__, ids[a - k:b - k])), reviews[r].id,
-                    reviews[r].entity_id, index, a - o, b - o, forms[f].pattern_id,
-                    forms[f].negated)
-            for a, b, f, k, r, index, o in zip(
-                begin.tolist(), end.tolist(), form.tolist(), sentence.tolist(),
-                review.tolist(), (sentence - corpus.review_starts[review]).tolist(),
-                offset.tolist())]
+    return SegmentTable(corpus, begin - sentence, end - begin, sentence,
+                        np.searchsorted(corpus.review_starts, sentence, "right") - 1,
+                        np.array([f.pattern_id for f in forms], dtype=np.int64)[form],
+                        np.array([f.negated for f in forms], dtype=bool)[form])
 
 
 def resolve_pattern_ids(spec: str):

@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from segsum.corpus import Corpus, Sentence, make_token
+from segsum.patterns import SegmentTable
 
 
 def corpus_of(reviews):
@@ -29,6 +31,18 @@ def corpus_fields(corpus):
 
 def tagged_sentence(pairs, review_id="r1"):
     return Sentence([make_token(s, p) for s, p in pairs], review_id)
+
+
+def sentence_table(specs):
+    """A SegmentTable of one row per (pairs, negated, entity_id) spec: row i
+    spans the whole one sentence of review r<i>, pairs (not empty) made into
+    tokens, as pattern 5. Labels come from classify.label_aspects."""
+    corpus = corpus_of([(f"r{i}", entity_id, [tagged_sentence(pairs, f"r{i}")])
+                        for i, (pairs, _, entity_id) in enumerate(specs)])
+    rows = np.arange(len(specs))
+    return SegmentTable(corpus, corpus.sentence_starts[:-1], np.diff(corpus.sentence_starts),
+                        rows, rows, np.full(len(specs), 5),
+                        np.array([negated for _, negated, _ in specs], dtype=bool))
 
 
 @pytest.fixture

@@ -502,11 +502,18 @@ def classify_topic(segment, weights) -> int:
     return int(np.argmax(scores))
 
 
+def segment_ids(segment, vocab):
+    """The (channel, index) pair of each in-vocabulary token of a segment, in
+    token order."""
+    return tuple(vocab.stem_ids[t.stem] for t in segment.tokens if t.stem in vocab.stem_ids)
+
+
 def label_aspects(segments, weights, vocab):
-    """(labeled, dropped), each segment encoded and labelled with classify_topic."""
+    """(labeled, dropped), each segment encoded (its ids, set as an attribute)
+    and labelled with classify_topic."""
     labeled, dropped = [], []
     for seg in segments:
-        seg.ids = tuple(vocab.stem_ids[t.stem] for t in seg.tokens if t.stem in vocab.stem_ids)
+        seg.ids = segment_ids(seg, vocab)
         try:
             seg.aspect = classify_topic(seg, weights)
             labeled.append(seg)

@@ -192,7 +192,7 @@ def test_pattern_golden_suite():
     ]
     for pairs, expected_id, expected_neg in cases:
         corpus = corpus_of([("r1", "e", [tagged_sentence(pairs)])])
-        segs = extract_corpus(corpus, {1, 2, 3, 4, 5})
+        segs = list(extract_corpus(corpus, {1, 2, 3, 4, 5}))
         assert len(segs) == 1, f"{pairs}: got {len(segs)} segments"
         assert segs[0].pattern_id == expected_id
         assert segs[0].negated == expected_neg
@@ -275,9 +275,9 @@ def test_end_to_end_smoke():
 
     segments = patterns.extract_corpus(corpus, {1, 2, 3, 4, 5})
     labeled, _ = classify.label_aspects(segments, est, vocab)
-    by_entity = {}
-    for seg in labeled:
-        by_entity.setdefault(seg.entity_id, []).append(seg)
+    entity_of = np.array([review.entity_id for review in corpus.reviews])[labeled.review]
+    by_entity = {entity_id: labeled.take(entity_of == entity_id)
+                 for entity_id in sorted(set(entity_of.tolist()))}
 
     def combined(report_):
         p, c = report_.pros.stats, report_.cons.stats
@@ -286,7 +286,7 @@ def test_end_to_end_smoke():
     candidates = {}
     for entity_id, segs in sorted(by_entity.items()):
         pos, neg = filters.run_procedure("AW+SEN", segs, est, y_senti=state.y_senti)
-        candidates[entity_id] = {"positive": pos, "negative": neg}
+        candidates[entity_id] = {"positive": list(pos), "negative": list(neg)}
     pipeline_score = combined(evaluation.evaluate(candidates, refs))
 
     controls = []
@@ -294,7 +294,7 @@ def test_end_to_end_smoke():
         rng = np.random.default_rng(100 + trial)
         control = {}
         for entity_id, segs in sorted(by_entity.items()):
-            kept = [s for s in segs if rng.random() < 0.5]
+            kept = [s for s in list(segs) if rng.random() < 0.5]
             labels = rng.integers(0, 2, size=len(kept))
             control[entity_id] = {
                 "positive": [s for s, l in zip(kept, labels) if l == 0],

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,26 +11,23 @@ from segsum.classify import (
     NEGATIVE,
     POSITIVE,
     PolarityLexicon,
-    classify_sentiment_swn,
     label_aspects,
     topic_weights,
 )
 from segsum.corpus import Vocabulary, make_token
 from segsum.filters import run_procedure
 from segsum.model import PosteriorEstimates
-from segsum.patterns import Segment
+
+from conftest import sentence_table
 
 VOCAB = Vocabulary(aspect_stems=["decor", "food", "staff"],
                    senti_stems=["bad", "good", "nice"])
+PAD = VOCAB.num_aspect_words + VOCAB.num_senti_words
 
 
-def make_seg(pairs, negated=False, aspect=None, sentiment=None):
-    """A segment encoded against VOCAB, as label_aspects encodes it."""
-    tokens = [make_token(surface, tag) for surface, tag in pairs]
-    ids = tuple(VOCAB.stem_ids[t.stem] for t in tokens if t.stem in VOCAB.stem_ids)
-    return Segment(tokens=tokens, review_id="r", entity_id="e",
-                   sentence_index=0, start=0, end=len(tokens), pattern_id=5,
-                   negated=negated, aspect=aspect, sentiment=sentiment, ids=ids)
+def make_seg(pairs, negated=False):
+    """A one-row SegmentTable of the (surface, tag) pairs."""
+    return sentence_table([(pairs, negated, "e")])
 
 
 def normalized(rng, shape):
@@ -46,17 +44,28 @@ def make_est(rng, T=3, V=3, Vp=3):
     )
 
 
-def aspect_of(seg, est):
-    """The aspect label_aspects gives seg; None if it drops it."""
-    labeled, _ = label_aspects([seg], est, VOCAB)
-    return seg.aspect if labeled else None
+def aspect_of(table, est):
+    """The aspect label_aspects gives the one row of table; None if it drops it."""
+    labeled, _ = label_aspects(table, est, VOCAB)
+    return labeled.aspect.tolist()[0] if len(labeled) else None
 
 
-def sen(seg, y_senti):
-    """(sentiment, polarity) that the SEN stage of run_procedure gives seg."""
-    seg.aspect = 0
-    run_procedure("Baseline+SEN", [seg], make_est(np.random.default_rng(0)), y_senti=y_senti)
+def classify(procedure, table, **kwargs):
+    """(sentiment, polarity) that the classifier stage of procedure gives the
+    one row of table, labelled aspect 0."""
+    est = make_est(np.random.default_rng(0))
+    labeled, _ = label_aspects(table, est, VOCAB)
+    pos, neg = run_procedure(procedure, replace(labeled, aspect=np.array([0])), est, **kwargs)
+    [seg] = list(pos) + list(neg)
     return seg.sentiment, seg.polarity
+
+
+def sen(table, y_senti):
+    return classify("Baseline+SEN", table, y_senti=y_senti)
+
+
+def swn(table, lexicon):
+    return classify("Baseline+SWN", table, lexicon=lexicon)
 
 
 class TestTopic:
@@ -80,7 +89,7 @@ class TestTopic:
             scores = []
             for k in range(3):
                 total = 0.0
-                for token in seg.tokens:
+                for token in list(seg)[0].tokens:
                     if token.stem in VOCAB.aspect_index:
                         total += math.log(est.phi_hat[k, VOCAB.aspect_index[token.stem]])
                     elif token.stem in VOCAB.senti_index:
@@ -105,8 +114,10 @@ class TestTopic:
 
     def test_out_of_vocabulary_only_is_dropped(self):
         est = make_est(np.random.default_rng(4))
-        seg = make_seg([("unknownword", "NN"), ("mystery", "NN")])
-        assert aspect_of(seg, est) is None and seg.aspect is None and seg.ids == ()
+        labeled, dropped = label_aspects(make_seg([("unknownword", "NN"), ("mystery", "NN")]),
+                                         est, VOCAB)
+        assert len(labeled) == 0 and len(dropped) == 1 and dropped.aspect is None
+        assert dropped.codes.tolist() == [[PAD, PAD]]
 
     def test_weights_equal_the_per_token_logs(self):
         # the rows label_aspects sums are, bit for bit, the logs that the
@@ -124,41 +135,39 @@ class TestTopic:
         est = make_est(rng, T=4)
         stems = [("decor", "NN"), ("food", "NN"), ("staff", "NN"), ("bad", "JJ"),
                  ("good", "JJ"), ("nice", "JJ"), ("unknownword", "NN")]
-        segs = [make_seg([stems[i] for i in rng.integers(0, len(stems), rng.integers(1, 12))])
+        segs = [[stems[i] for i in rng.integers(0, len(stems), rng.integers(1, 12))]
                 for _ in range(200)]
-        labeled, _ = label_aspects(segs, est, VOCAB)
-        assert labeled == [seg for seg in segs if seg.ids]
-        for seg in labeled:
+        labeled, _ = label_aspects(sentence_table([(pairs, False, "e") for pairs in segs]),
+                                   est, VOCAB)
+        assert labeled.review.tolist() == [i for i, pairs in enumerate(segs)
+                                           if any(s != "unknownword" for s, _ in pairs)]
+        for row, aspect in zip(labeled.review.tolist(), labeled.aspect.tolist()):
             scores = np.zeros(4)
-            for channel, idx in seg.ids:
-                if channel == "aspect":
-                    scores += np.log(est.phi_hat[:, idx])
-                else:
-                    scores += np.log(est.phi_prime_hat[:, :, idx]).sum(axis=0)
-            assert seg.aspect == int(np.argmax(scores))
+            for surface, _ in segs[row]:
+                if surface in VOCAB.aspect_index:
+                    scores += np.log(est.phi_hat[:, VOCAB.aspect_index[surface]])
+                elif surface in VOCAB.senti_index:
+                    i = VOCAB.senti_index[surface]
+                    scores += np.log(est.phi_prime_hat[:, :, i]).sum(axis=0)
+            assert aspect == int(np.argmax(scores))
 
     def test_label_aspects_drops_unclassifiable(self):
         est = make_est(np.random.default_rng(5))
-        good = make_seg([("food", "NN")])
-        bad = make_seg([("unknownword", "NN")])
-        labeled, dropped = label_aspects([good, bad], est, VOCAB)
-        assert labeled == [good] and dropped == [bad]
-        assert good.aspect is not None
+        labeled, dropped = label_aspects(sentence_table([([("food", "NN")], False, "e"),
+                                                         ([("unknownword", "NN")], False, "e")]),
+                                         est, VOCAB)
+        assert labeled.review.tolist() == [0] and dropped.review.tolist() == [1]
+        assert labeled.aspect is not None
 
     def test_label_aspects_encodes_in_token_order(self):
+        # one code per token, out-of-vocabulary tokens padded in place
         est = make_est(np.random.default_rng(6))
-        a = Segment(tokens=[make_token(s, t) for s, t in (
-                        ("good", "JJ"), ("food", "NN"), ("unknownword", "NN"),
-                        ("good", "JJ"))],
-                    review_id="r", entity_id="e", sentence_index=0, start=0,
-                    end=4, pattern_id=5, negated=False)
-        b = make_seg([("food", "NN")])
-        b.ids = ()
-        label_aspects([a, b], est, VOCAB)
-        good, food = ("senti", VOCAB.senti_index["good"]), ("aspect", VOCAB.aspect_index["food"])
-        assert a.ids == (good, food, good) and b.ids == (food,)
-        # one pair object per stem, shared across segments
-        assert a.ids[0] is a.ids[2] and a.ids[1] is b.ids[0]
+        table = sentence_table([([("good", "JJ"), ("food", "NN"), ("unknownword", "NN"),
+                                  ("good", "JJ")], False, "e"), ([("food", "NN")], False, "e")])
+        labeled, _ = label_aspects(table, est, VOCAB)
+        good = VOCAB.num_aspect_words + VOCAB.senti_index["good"]
+        food = VOCAB.aspect_index["food"]
+        assert labeled.codes.tolist() == [[good, food, PAD, good], [food, PAD, PAD, PAD]]
 
 
 class TestSen:
@@ -218,25 +227,31 @@ class TestSwn:
 
     def test_positive_example(self):
         seg = make_seg([("good", "JJ"), ("food", "NN")])
-        assert classify_sentiment_swn(seg, self.LEX) == (POSITIVE, 1.0)
+        assert swn(seg, self.LEX) == (POSITIVE, 1.0)
 
     def test_negative_example(self):
         seg = make_seg([("bad", "JJ"), ("food", "NN")])
-        assert classify_sentiment_swn(seg, self.LEX) == (NEGATIVE, -1.0)
+        assert swn(seg, self.LEX) == (NEGATIVE, -1.0)
 
     def test_only_sentiment_tokens_scored(self):
         # 'good' with a noun tag is not a sentiment token and scores nothing
         seg = make_seg([("good", "NN"), ("bad", "JJ")])
-        label, pol = classify_sentiment_swn(seg, self.LEX)
+        label, pol = swn(seg, self.LEX)
         assert label == NEGATIVE and pol == pytest.approx(-1.0)
 
     def test_negation_flips(self):
         seg = make_seg([("good", "JJ"), ("food", "NN")], negated=True)
-        assert classify_sentiment_swn(seg, self.LEX) == (NEGATIVE, -1.0)
+        assert swn(seg, self.LEX) == (NEGATIVE, -1.0)
 
     def test_unknown_word_scores_zero(self):
-        seg = make_seg([("wonderful", "JJ")])
-        assert classify_sentiment_swn(seg, self.LEX) == (POSITIVE, 0.0)
+        seg = make_seg([("wonderful", "JJ"), ("food", "NN")])
+        assert swn(seg, self.LEX) == (POSITIVE, 0.0)
+
+    def test_sentiment_word_outside_the_vocabulary_is_scored(self):
+        seg = make_seg([("wonderful", "JJ"), ("food", "NN")])
+        lexicon = PolarityLexicon({"wonder": -2.0})
+        assert make_token("wonderful", "JJ").stem == "wonder"
+        assert swn(seg, lexicon) == (NEGATIVE, -2.0)
 
     def test_tsv_roundtrip(self, tmp_path):
         path = tmp_path / "lex.tsv"
@@ -268,6 +283,6 @@ class TestSwn:
         lex = PolarityLexicon({"good": score})
         plain = make_seg([("good", "JJ")])
         negated = make_seg([("good", "JJ")], negated=True)
-        _, p = classify_sentiment_swn(plain, lex)
-        _, n = classify_sentiment_swn(negated, lex)
+        _, p = swn(plain, lex)
+        _, n = swn(negated, lex)
         assert n == -p

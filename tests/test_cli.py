@@ -730,7 +730,9 @@ def test_summaries_list_each_polarity_by_descending_rank(tmp_path):
     ties = 0
     for entity_id, lists in candidates.items():
         for polarity, segs in lists.items():
-            assert all(seg.rank == oracles.rank_score(seg, est) for seg in segs)
+            for seg in segs:
+                seg.ids = oracles.segment_ids(seg, state.vocab)
+                assert seg.rank == oracles.rank_score(seg, est)
             ordered = sorted(segs, key=lambda seg: (-seg.rank, review_index[seg.review_id],
                                                     seg.sentence_index, seg.start))
             entries = summaries[entity_id][polarity]
@@ -922,3 +924,58 @@ def test_dump_json_writes_what_json_dump_writes(payload):
     pieces = []
     dump_json(payload, pieces.append)
     assert "".join(pieces) == json.dumps(payload, indent=2)
+
+
+def write_negated_corpus(tmp_path):
+    """write_corpus's reviews with a negation trigger, a rare adverb or a rare
+    noun put into some opinion sentences: the triggers give negated segments,
+    and min_count drops the rare stems from the vocabulary, also from within
+    a segment."""
+    path = tmp_path / "corpus.jsonl"
+    reviews = generate_text_reviews(num_entities=4, reviews_per_entity=8, rng_seed=5)
+    with open(path, "w") as fh:
+        for i, review in enumerate(reviews):
+            for j, sentence in enumerate(review["sentences"]):
+                tags = [tag for _, tag in sentence]
+                if "JJ" not in tags:
+                    continue
+                if (i + j) % 3 == 0:
+                    sentence.insert(tags.index("JJ"), ("not", "RB"))
+                elif (i + j) % 3 == 1:
+                    sentence.insert(tags.index("JJ"), (f"odd{i}x{j}ly", "RB"))
+                elif "NN" in tags:
+                    sentence.insert(tags.index("NN"), (f"thing{i}x{j}", "NN"))
+            fh.write(json.dumps(review) + "\n")
+    return path
+
+
+# sha256 of the outputs that PINNED_OUTPUTS leaves out, on a corpus with
+# negated segments and out-of-vocabulary stems, as the program wrote them
+# before extraction, labelling and filtering became arrays over the token
+# table: (command, output file) -> sha256
+PINNED_OTHER_OUTPUTS = {
+    ("extract", "segments.jsonl"):
+        "623239e04e33fa0d88107d96078b15065fb25dc315937a6870a516cfd40ad18d",
+    ("summarize --entity entity1 --top-n 2", "summaries.json"):
+        "4e0bd82ad44900cb9a99603b0e597e61e2def996e71e39a50b774fc82643a9ba",
+    ("--procedure AW+SWN+SW+RANK summarize", "summaries.json"):
+        "f4db9b7b0ab83313979b0001cbb870f76e7928dbf36b1c14d7c8efd6e8693d51",
+    ("--procedure AW+SWN+SW+RANK evaluate", "report_AW_SWN_SW_RANK.json"):
+        "c8f63a0d5b1ae60075b156a8174506d69b460efb8174215b059e312c0f0a0a71",
+}
+
+
+def test_other_outputs_are_pinned(tmp_path):
+    corpus = write_negated_corpus(tmp_path)
+    lexicon = tmp_path / "lexicon.tsv"
+    # a -0 score, and a score for a sentiment stem outside the vocabulary
+    lexicon.write_text("".join(f"{w}\t{s}\n" for w, s in sorted(text_polarity_lexicon().items()))
+                       + "not\t-0\nodd1x0li\t2.5\n")
+    config = write_config(tmp_path, corpus, extra=f"lexicon = {lexicon}\n")
+    for argv in (["preprocess"], ["train", "--iters", "10"]):
+        assert main(["--config", str(config)] + argv) == 0
+    got = {}
+    for command, name in PINNED_OTHER_OUTPUTS:
+        assert main(["--config", str(config)] + command.split()) == 0
+        got[command, name] = hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+    assert got == PINNED_OTHER_OUTPUTS

@@ -264,7 +264,7 @@ class TestVocabulary:
         from segsum.classify import label_aspects
         from segsum.corpus import Vocabulary
         from segsum.model import PosteriorEstimates
-        from segsum.patterns import Segment
+        from segsum.patterns import extract_corpus
 
         vocab = Vocabulary.from_dict({"aspect_stems": ["food", "good"],
                                       "senti_stems": ["good"]})
@@ -272,16 +272,18 @@ class TestVocabulary:
         assert [vocab.stem_ids[t.stem] for t in sent.tokens] == [
             ("senti", 0), ("aspect", 0), ("senti", 0)]
 
-        flat = encode_corpus(corpus_of([("r", "e", [sent])]), vocab)
+        corpus = corpus_of([("r", "e", [sent])])
+        flat = encode_corpus(corpus, vocab)
         assert (flat.aspect.tolist(), flat.senti.tolist()) == ([0], [0, 0])
 
         est = PosteriorEstimates(pi_hat=np.full((1, 2), 0.5), theta_hat=np.ones((1, 1)),
                                  phi_hat=np.full((1, 2), 0.5),
                                  phi_prime_hat=np.ones((2, 1, 1)))
-        seg = Segment(tokens=sent.tokens, review_id="r", entity_id="e", sentence_index=0,
-                      start=0, end=3, pattern_id=5, negated=False)
-        [labeled], _ = label_aspects([seg], est, vocab)
-        assert labeled.ids == (("senti", 0), ("aspect", 0), ("senti", 0))
+        # the whole sentence is one segment (pattern 5, jj nn nn); sentiment
+        # id 0 codes V + 0 = 2, aspect id 0 codes 0
+        labeled, _ = label_aspects(extract_corpus(corpus, {5}), est, vocab)
+        assert (labeled.start.tolist(), labeled.length.tolist()) == ([0], [3])
+        assert labeled.codes.tolist() == [[2, 0, 2]]
 
 
 class TestReferenceSummaries:

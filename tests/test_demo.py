@@ -4,7 +4,7 @@ import sys
 
 SCRIPT = os.path.join(os.path.dirname(__file__), "..", "scripts",
                       "run_synthetic_experiment.py")
-PROCEDURES = ["Baseline+SEN", "AW+SEN", "AW+SEN+SW", "Baseline+SWN"]
+PROCEDURES = ["Baseline+SEN", "AW+SEN", "AW+SEN+SW", "Baseline+SWN", "AW+SWN+SW+RANK"]
 
 
 def test_demo_writes_one_report_per_procedure(tmp_path):

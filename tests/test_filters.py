@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,22 +15,30 @@ from segsum.filters import (
     run_procedure,
 )
 from segsum.model import PosteriorEstimates
-from segsum.patterns import Segment, extract_corpus
+from segsum.patterns import extract_corpus
 from segsum.synthetic import generate_text_reviews
 
 import oracles
+from conftest import sentence_table
 
 VOCAB = Vocabulary(aspect_stems=["decor", "food", "staff", "wine"],
                    senti_stems=["bad", "good", "nice", "rude"])
 
 
-def make_seg(pairs, negated=False, aspect=None, sentiment=None, entity_id="e"):
-    """A segment encoded against VOCAB, as label_aspects encodes it."""
-    tokens = [make_token(surface, tag) for surface, tag in pairs]
-    ids = tuple(VOCAB.stem_ids[t.stem] for t in tokens if t.stem in VOCAB.stem_ids)
-    return Segment(tokens=tokens, review_id="r", entity_id=entity_id,
-                   sentence_index=0, start=0, end=len(tokens), pattern_id=5,
-                   negated=negated, aspect=aspect, sentiment=sentiment, ids=ids)
+def make_table(segments, est, aspects=None, negated=None, entity_ids=None):
+    """The SegmentTable of one row per list of (surface, tag) pairs, encoded
+    against VOCAB by label_aspects (which must keep every row); aspects, if
+    given, replace the labelled ones. Row i is review r<i>."""
+    n = len(segments)
+    table = sentence_table(list(zip(segments, negated or [False] * n, entity_ids or ["e"] * n)))
+    labelled, dropped = label_aspects(table, est, VOCAB)
+    assert len(labelled) == n
+    return labelled if aspects is None else replace(labelled, aspect=np.array(aspects))
+
+
+def rows(*tables):
+    """The row numbers (review indices) of the tables' segments, in corpus order."""
+    return sorted(r for table in tables for r in table.review.tolist())
 
 
 def normalized(rng, shape):
@@ -53,64 +62,86 @@ NEUTRAL = PolarityLexicon()
 LEX = PolarityLexicon({"good": 1.0, "nice": 0.5, "bad": -1.0, "rude": -1.0})
 
 
-def survivors(procedure, segs, est, config=None, lexicon=NEUTRAL):
-    """The segments that procedure keeps, in corpus order."""
-    pos, neg = run_procedure(procedure, segs, est, lexicon=lexicon, config=config)
-    kept = {id(seg) for seg in pos + neg}
-    return [seg for seg in segs if id(seg) in kept]
+def survivors(procedure, table, est, config=None, lexicon=NEUTRAL):
+    """The rows that procedure keeps, in corpus order."""
+    return rows(*run_procedure(procedure, table, est, lexicon=lexicon, config=config))
+
+
+def classified(procedure, table, est, **kwargs):
+    """The Segments that procedure keeps, with their labels, in corpus order."""
+    pos, neg = run_procedure(procedure, table, est, **kwargs)
+    return sorted(list(pos) + list(neg), key=lambda seg: int(seg.review_id[1:]))
 
 
 def random_segments(rng, n):
+    """(pairs, aspects) of n random two-word segments."""
     aspect_words = [("decor", "NN"), ("food", "NN"), ("staff", "NN"), ("wine", "NN")]
     senti_words = [("bad", "JJ"), ("good", "JJ"), ("nice", "JJ"), ("rude", "JJ")]
-    segs = []
+    pairs, aspects = [], []
     for _ in range(n):
-        pairs = [senti_words[rng.integers(4)], aspect_words[rng.integers(4)]]
-        segs.append(make_seg(pairs, aspect=int(rng.integers(2))))
+        pairs.append([senti_words[rng.integers(4)], aspect_words[rng.integers(4)]])
+        aspects.append(int(rng.integers(2)))
+    return pairs, aspects
+
+
+def random_table(rng, n, est):
+    segments, aspects = random_segments(rng, n)
+    return make_table(segments, est, aspects)
+
+
+def oracle_segments(table, lexicon):
+    """The table's rows as Segments, encoded and labelled by the SWN oracle."""
+    segs = list(table)
+    for seg in segs:
+        seg.ids = oracles.segment_ids(seg, VOCAB)
+        seg.sentiment, seg.polarity = oracles.classify_sentiment_swn(seg, lexicon)
     return segs
 
 
 class TestAw:
     def test_full_top_list_keeps_everything_with_aspect_word(self):
         est = make_est()
-        keep = make_seg([("good", "JJ"), ("food", "NN")], aspect=0)
-        drop = make_seg([("good", "JJ")], aspect=0)  # no aspect-channel word
-        assert survivors("AW+SWN", [keep, drop], est, FilterConfig(aw_top_x=4)) == [keep]
+        # the second has no aspect-channel word
+        table = make_table([[("good", "JJ"), ("food", "NN")], [("good", "JJ")]], est, [0, 0])
+        assert survivors("AW+SWN", table, est, FilterConfig(aw_top_x=4)) == [0]
 
     def test_top_one_keeps_only_best_word(self):
         est = make_est(seed=1)
         best = VOCAB.aspect_stems[int(np.argmax(est.phi_hat[0]))]
         other = next(s for s in VOCAB.aspect_stems if s != best)
-        a = make_seg([("good", "JJ"), (best, "NN")], aspect=0)
-        b = make_seg([("good", "JJ"), (other, "NN")], aspect=0)
-        assert survivors("AW+SWN", [a, b], est, FilterConfig(aw_top_x=1)) == [a]
+        table = make_table([[("good", "JJ"), (best, "NN")], [("good", "JJ"), (other, "NN")]],
+                           est, [0, 0])
+        assert survivors("AW+SWN", table, est, FilterConfig(aw_top_x=1)) == [0]
 
     def test_requires_aspect_labels(self):
+        table = replace(make_table([[("food", "NN")]], make_est()), aspect=None)
         with pytest.raises(ProcedureError, match="AW filter requires aspect labels"):
-            run_procedure("AW+SWN", [make_seg([("food", "NN")])], make_est(), lexicon=NEUTRAL)
+            run_procedure("AW+SWN", table, make_est(), lexicon=NEUTRAL)
 
     def test_brute_force_oracle(self):
         rng = np.random.default_rng(7)
         est = make_est(seed=7)
         for top_x in (1, 2, 3):
-            segs = random_segments(rng, 30)
-            got = survivors("AW+SWN", segs, est, FilterConfig(aw_top_x=top_x))
+            segments, aspects = random_segments(rng, 30)
+            got = survivors("AW+SWN", make_table(segments, est, aspects), est,
+                            FilterConfig(aw_top_x=top_x))
             expected = []
-            for seg in segs:
+            for row, (pairs, aspect) in enumerate(zip(segments, aspects)):
                 order = sorted(range(VOCAB.num_aspect_words),
-                               key=lambda i: (-est.phi_hat[seg.aspect][i], i))
+                               key=lambda i: (-est.phi_hat[aspect][i], i))
                 top = {VOCAB.aspect_stems[i] for i in order[:top_x]}
-                if any(t.stem in top for t in seg.tokens if not t.is_sentiment):
-                    expected.append(seg)
+                tokens = [make_token(*pair) for pair in pairs]
+                if any(t.stem in top for t in tokens if not t.is_sentiment):
+                    expected.append(row)
             assert got == expected
 
     def test_idempotent(self):
         rng = np.random.default_rng(8)
         est = make_est(seed=8)
-        segs = random_segments(rng, 25)
+        table = random_table(rng, 25, est)
         config = FilterConfig(aw_top_x=2)
-        once = survivors("AW+SWN", segs, est, config)
-        assert survivors("AW+SWN", once, est, config) == once
+        once = survivors("AW+SWN", table, est, config)
+        assert survivors("AW+SWN", table.take(once), est, config) == once
 
 
 class TestSw:
@@ -118,53 +149,54 @@ class TestSw:
         rng = np.random.default_rng(9)
         est = make_est(seed=9)
         for top_y in (1, 2, 3):
-            segs = random_segments(rng, 30)
-            got = survivors("SWN+SW", segs, est, FilterConfig(sw_top_y=top_y), LEX)
+            table = random_table(rng, 30, est)
+            got = survivors("SWN+SW", table, est, FilterConfig(sw_top_y=top_y), LEX)
             expected = []
-            for seg in segs:   # labelled by the SWN stage
+            for row, seg in enumerate(oracle_segments(table, LEX)):
                 probs = est.phi_prime_hat[seg.sentiment, seg.aspect]
                 order = sorted(range(VOCAB.num_senti_words),
                                key=lambda i: (-probs[i], i))
                 top = {VOCAB.senti_stems[i] for i in order[:top_y]}
                 if any(t.stem in top for t in seg.tokens if t.is_sentiment):
-                    expected.append(seg)
+                    expected.append(row)
             assert got == expected
 
     def test_commutes_with_aw(self):
         rng = np.random.default_rng(10)
         est = make_est(seed=10)
-        segs = random_segments(rng, 40)
+        table = random_table(rng, 40, est)
         config = FilterConfig(2, 2)
-        assert (survivors("AW+SWN+SW", segs, est, config, LEX)
-                == survivors("SWN+SW+AW", segs, est, config, LEX))
+        assert (survivors("AW+SWN+SW", table, est, config, LEX)
+                == survivors("SWN+SW+AW", table, est, config, LEX))
 
 
 class TestRank:
     def test_keep_fraction_one_is_identity(self):
         rng = np.random.default_rng(11)
         est = make_est(seed=11)
-        segs = random_segments(rng, 12)
-        assert survivors("SWN+RANK", segs, est, FilterConfig(rank_keep_fraction=1.0),
-                         LEX) == segs
+        table = random_table(rng, 12, est)
+        assert survivors("SWN+RANK", table, est, FilterConfig(rank_keep_fraction=1.0),
+                         LEX) == list(range(12))
 
     def test_floor_arithmetic(self):
         est = make_est(seed=12)
         config = FilterConfig(rank_keep_fraction=0.5)
         # 5 segments in one group at keep=0.5: drop floor(2.5)=2, keep 3
-        segs = [make_seg([("good", "JJ"), ("food", "NN")], aspect=0) for _ in range(5)]
-        assert len(survivors("SWN+RANK", segs, est, config)) == 3
+        table = make_table([[("good", "JJ"), ("food", "NN")]] * 5, est, [0] * 5)
+        assert len(survivors("SWN+RANK", table, est, config)) == 3
         # a singleton group never drops
-        one = [make_seg([("good", "JJ")], aspect=0)]
-        assert survivors("SWN+RANK", one, est, config) == one
+        one = make_table([[("good", "JJ")]], est, [0])
+        assert survivors("SWN+RANK", one, est, config) == [0]
 
     def test_sort_oracle(self):
         rng = np.random.default_rng(13)
         est = make_est(seed=13)
-        segs = random_segments(rng, 30)
-        got = survivors("SWN+RANK", segs, est, FilterConfig(rank_keep_fraction=0.5), LEX)
+        table = random_table(rng, 30, est)
+        got = survivors("SWN+RANK", table, est, FilterConfig(rank_keep_fraction=0.5), LEX)
 
+        segs = oracle_segments(table, LEX)
         groups = {}
-        for pos, seg in enumerate(segs):   # labelled by the SWN stage
+        for pos, seg in enumerate(segs):
             groups.setdefault((seg.sentiment, seg.aspect), []).append(pos)
         keep = set()
         for positions in groups.values():
@@ -173,12 +205,12 @@ class TestRank:
             scored = sorted(positions,
                             key=lambda p: (-oracles.rank_score(segs[p], est), p))
             keep.update(scored[: n - n_drop])
-        assert got == [segs[p] for p in sorted(keep)]
+        assert got == sorted(keep)
 
     def test_rank_averages_per_word(self):
         est = make_est(seed=14)
-        seg = make_seg([("good", "JJ"), ("food", "NN")], aspect=1)
-        run_procedure("Baseline+SWN", [seg], est, lexicon=NEUTRAL)
+        table = make_table([[("good", "JJ"), ("food", "NN")]], est, [1])
+        [seg] = classified("Baseline+SWN", table, est, lexicon=NEUTRAL)
         i = VOCAB.senti_index["good"]
         a = VOCAB.aspect_index["food"]
         expected = (math.log(est.phi_prime_hat[0, 1, i])
@@ -192,8 +224,7 @@ class TestRank:
         est = make_est(seed=21)
         pairs = [("food", "NN"), ("good", "JJ"), ("staff", "NN"), ("nice", "JJ"),
                  ("wine", "NN"), ("rude", "JJ"), ("decor", "NN"), ("bad", "JJ")]
-        seg = make_seg(pairs, aspect=1)
-        run_procedure("Baseline+SWN", [seg], est, lexicon=NEUTRAL)
+        [seg] = classified("Baseline+SWN", make_table([pairs], est, [1]), est, lexicon=NEUTRAL)
         total = 0.0
         for surface, tag in pairs:
             if tag == "NN":
@@ -204,8 +235,10 @@ class TestRank:
 
     def test_rank_without_ids_is_minus_inf(self):
         est = make_est(seed=15)
-        seg = make_seg([("unknownword", "NN")], aspect=0)
-        run_procedure("Baseline+SWN", [seg], est, lexicon=NEUTRAL)
+        _, dropped = label_aspects(sentence_table([([("unknownword", "NN")], False, "e")]),
+                                   est, VOCAB)
+        [seg] = classified("Baseline+SWN", replace(dropped, aspect=np.array([0])), est,
+                           lexicon=NEUTRAL)
         assert seg.rank == -math.inf
 
 
@@ -235,72 +268,72 @@ class TestRunProcedure:
 
     def test_baseline_swn_partitions_all(self):
         est = make_est(seed=16)
-        segs = [make_seg([("good", "JJ"), ("food", "NN")], aspect=0),
-                make_seg([("rude", "JJ"), ("staff", "NN")], aspect=1),
-                make_seg([("nice", "JJ"), ("wine", "NN")], aspect=0)]
-        pos, neg = run_procedure("Baseline+SWN", segs, est, lexicon=LEX)
-        assert pos == [segs[0], segs[2]]
-        assert neg == [segs[1]]
+        table = make_table([[("good", "JJ"), ("food", "NN")], [("rude", "JJ"), ("staff", "NN")],
+                            [("nice", "JJ"), ("wine", "NN")]], est, [0, 1, 0])
+        pos, neg = run_procedure("Baseline+SWN", table, est, lexicon=LEX)
+        assert rows(pos) == [0, 2]
+        assert rows(neg) == [1]
 
     def test_sen_and_swn_agree_on_aligned_inputs(self):
         est = make_est(seed=17)
-        segs = [make_seg([("good", "JJ"), ("food", "NN")], aspect=0),
-                make_seg([("bad", "JJ"), ("food", "NN")], aspect=0)]
-        pos_a, neg_a = run_procedure("Baseline+SEN", segs, est, y_senti=self.Y)
-        pos_b, neg_b = run_procedure("Baseline+SWN", segs, est, lexicon=LEX)
+        table = make_table([[("good", "JJ"), ("food", "NN")], [("bad", "JJ"), ("food", "NN")]],
+                           est, [0, 0])
+        pos_a, neg_a = run_procedure("Baseline+SEN", table, est, y_senti=self.Y)
+        pos_b, neg_b = run_procedure("Baseline+SWN", table, est, lexicon=LEX)
         assert [s.text for s in pos_a] == [s.text for s in pos_b]
         assert [s.text for s in neg_a] == [s.text for s in neg_b]
 
     def test_composed_procedure_is_ordered_subset(self):
         rng = np.random.default_rng(18)
         est = make_est(seed=18)
-        segs = random_segments(rng, 40)
-        pos, neg = run_procedure("AW+SEN+SW+RANK", segs, est,
+        table = random_table(rng, 40, est)
+        pos, neg = run_procedure("AW+SEN+SW+RANK", table, est,
                                  y_senti=self.Y, config=FilterConfig(2, 2, 0.5))
-        surviving = pos + neg
-        index = {id(s): i for i, s in enumerate(segs)}
-        assert all(id(s) in index for s in surviving)
-        assert [index[id(s)] for s in pos] == sorted(index[id(s)] for s in pos)
-        for s in surviving:
+        assert set(rows(pos, neg)) <= set(range(40))
+        assert pos.review.tolist() == rows(pos) and neg.review.tolist() == rows(neg)
+        for s in list(pos) + list(neg):
             assert s.sentiment in (0, 1)
 
     def test_missing_resources_raise(self):
         est = make_est(seed=19)
-        segs = [make_seg([("good", "JJ"), ("food", "NN")], aspect=0)]
+        table = make_table([[("good", "JJ"), ("food", "NN")]], est, [0])
         with pytest.raises(ProcedureError):
-            run_procedure("Baseline+SEN", segs, est)  # no y_senti
+            run_procedure("Baseline+SEN", table, est)  # no y_senti
         with pytest.raises(ProcedureError):
-            run_procedure("Baseline+SWN", segs, est)  # no lexicon
+            run_procedure("Baseline+SWN", table, est)  # no lexicon
 
     @pytest.mark.parametrize("procedure", ["Baseline+SEN", "Baseline+SWN"])
     def test_classifier_requires_aspect_labels(self, procedure):
-        # the classifier stage ranks each segment under its aspect
-        segs = [make_seg([("good", "JJ"), ("food", "NN")])]
+        # every survivor is ranked under its aspect
+        table = replace(make_table([[("good", "JJ"), ("food", "NN")]], make_est()), aspect=None)
         with pytest.raises(ProcedureError, match="aspect labels"):
-            run_procedure(procedure, segs, make_est(), y_senti=self.Y, lexicon=LEX)
+            run_procedure(procedure, table, make_est(), y_senti=self.Y, lexicon=LEX)
 
 
 class TestAcrossEntities:
     """One procedure pass over several entities' segments keeps, for each
-    entity, what a pass over that entity's segments alone keeps: RANK ranks
-    within one entity. The pass per entity is the oracle."""
+    entity, what a pass over that entity's segments alone keeps, with the
+    same labels and ranks: RANK ranks within one entity. The pass per entity
+    is the oracle."""
 
     CONFIG = FilterConfig(2, 2, 0.5)
 
-    def per_entity(self, procedure, segs, est):
+    def per_entity(self, procedure, table, est):
+        entity_of = np.array([r.entity_id for r in table.corpus.reviews])[table.review]
         out = {}
-        for entity_id in sorted({s.entity_id for s in segs}):
-            pos, neg = run_procedure(procedure, [s for s in segs if s.entity_id == entity_id],
-                                     est, y_senti=TestRunProcedure.Y, config=self.CONFIG)
-            out[entity_id] = (pos, neg)
+        for entity_id in sorted(set(entity_of.tolist())):
+            pos, neg = run_procedure(procedure, table.take(entity_of == entity_id), est,
+                                     y_senti=TestRunProcedure.Y, config=self.CONFIG)
+            out[entity_id] = (list(pos), list(neg))
         return out
 
-    def one_pass(self, procedure, segs, est):
-        pos, neg = run_procedure(procedure, segs, est, y_senti=TestRunProcedure.Y,
+    def one_pass(self, procedure, table, est):
+        pos, neg = run_procedure(procedure, table, est, y_senti=TestRunProcedure.Y,
                                  config=self.CONFIG)
+        pos, neg = list(pos), list(neg)
         return {entity_id: ([s for s in pos if s.entity_id == entity_id],
                             [s for s in neg if s.entity_id == entity_id])
-                for entity_id in sorted({s.entity_id for s in segs})}
+                for entity_id in sorted({r.entity_id for r in table.corpus.reviews})}
 
     def test_rank_keeps_each_entitys_best(self):
         # one (positive, aspect 0) group: entity a holds the three best-scoring
@@ -308,22 +341,24 @@ class TestAcrossEntities:
         # keeps 2 of 3 and b its only one; ranked together, b's would drop.
         est = make_est(seed=22)
         best = sorted(VOCAB.aspect_stems, key=lambda w: -est.phi_hat[0, VOCAB.aspect_index[w]])
-        segs = [make_seg([("good", "JJ"), (best[rank], "NN")], aspect=0, entity_id=entity_id)
-                for rank, entity_id in zip((0, 3, 1, 2), "abaa")]
-        got = self.one_pass("Baseline+SEN+RANK", segs, est)
-        assert got == self.per_entity("Baseline+SEN+RANK", segs, est)
-        assert got == {"a": ([segs[0], segs[2]], []), "b": ([segs[1]], [])}
+        table = make_table([[("good", "JJ"), (best[rank], "NN")] for rank in (0, 3, 1, 2)], est,
+                           [0] * 4, entity_ids=list("abaa"))
+        got = self.one_pass("Baseline+SEN+RANK", table, est)
+        assert got == self.per_entity("Baseline+SEN+RANK", table, est)
+        assert {entity_id: tuple([s.review_id for s in segs] for segs in lists)
+                for entity_id, lists in got.items()} == {"a": (["r0", "r2"], []),
+                                                         "b": (["r1"], [])}
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_segments(self, seed):
         rng = np.random.default_rng(30 + seed)
         est = make_est(seed=30 + seed)
-        segs = random_segments(rng, 60)
-        for seg in segs:
-            seg.entity_id = "abc"[rng.integers(3)]
+        segments, aspects = random_segments(rng, 60)
+        table = make_table(segments, est, aspects,
+                           entity_ids=["abc"[rng.integers(3)] for _ in range(60)])
         for procedure in ("AW+SEN+SW+RANK", "Baseline+SEN+RANK", "AW+SEN"):
-            assert (self.one_pass(procedure, segs, est)
-                    == self.per_entity(procedure, segs, est))
+            assert (self.one_pass(procedure, table, est)
+                    == self.per_entity(procedure, table, est))
 
 
 def test_entity_candidates_equals_a_pass_per_entity():
@@ -340,13 +375,15 @@ def test_entity_candidates_equals_a_pass_per_entity():
 
     est = model.estimate(state)
     labeled, _ = label_aspects(extract_corpus(corp, {1, 2, 3, 4, 5}, max_words=7), est, vocab)
+    entity_of = np.array([review.entity_id for review in corp.reviews])[labeled.review]
     want = {}
-    for entity_id in sorted({s.entity_id for s in labeled}):
-        pos, neg = run_procedure(procedure, [s for s in labeled if s.entity_id == entity_id],
+    for entity_id in sorted(set(entity_of.tolist())):
+        pos, neg = run_procedure(procedure, labeled.take(entity_of == entity_id),
                                  est, y_senti=state.y_senti, config=config)
-        want[entity_id] = {"positive": pos, "negative": neg}
+        want[entity_id] = {"positive": list(pos), "negative": list(neg)}
     assert list(got) == list(want)
     for entity_id, lists in want.items():
         for polarity, segs in lists.items():
             assert ([s.to_dict() for s in got[entity_id][polarity]]
                     == [s.to_dict() for s in segs])
+            assert [s.rank for s in got[entity_id][polarity]] == [s.rank for s in segs]

@@ -23,8 +23,7 @@ _, FORMS = ALL
 
 
 def extract_sentence(sentence, pattern_ids=ALL_IDS, **kwargs):
-    return extract_corpus(corpus_of([("r", "e", [sentence])]), pattern_ids,
-                          **kwargs)
+    return list(extract_corpus(corpus_of([("r", "e", [sentence])]), pattern_ids, **kwargs))
 
 
 def segments_of(sentence_factory, pairs, pattern_ids=ALL_IDS, **kwargs):
@@ -209,7 +208,7 @@ class TestNegation:
 
 class TestExtractCorpus:
     def test_empty_pattern_set(self, tiny_corpus):
-        assert extract_corpus(tiny_corpus, set()) == []
+        assert list(extract_corpus(tiny_corpus, set())) == []
 
     def test_corpus_order_and_entity_ids(self, tiny_corpus):
         segs = extract_corpus(tiny_corpus, {1, 2, 3, 4, 5})
@@ -327,4 +326,4 @@ def test_extract_corpus_equals_the_per_sentence_matcher(reviews, pattern_ids, ma
             for segment in oracles.match_sentence(
                 Sentence([Token(s, s.lower(), t, False) for s, t in sentence], f"r{i}"),
                 pattern_ids, max_words, negation, f"e{i % 2}", index)]
-    assert extract_corpus(corpus, pattern_ids, max_words, negation) == want
+    assert list(extract_corpus(corpus, pattern_ids, max_words, negation)) == want

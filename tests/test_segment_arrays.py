@@ -1,32 +1,39 @@
-"""classify.label_aspects and filters.run_procedure score all segments at once
-over arrays of their ids; the per-segment scorers and filters in oracles.py
-are the reference. Aspects, sentiments, polarities, ranks and the order of
+"""patterns.extract_corpus, classify.label_aspects and filters.run_procedure
+work on a SegmentTable, all its rows at once over arrays of their codes; the
+per-sentence extractor and the per-segment scorers and filters in oracles.py
+are the reference. Both extract their segments from the same generated
+corpora. Segments, aspects, sentiments, polarities, ranks and the order of
 the survivors must be equal, to the last bit."""
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segsum.classify import PolarityLexicon, label_aspects, topic_weights
+from segsum.classify import POSITIVE, PolarityLexicon, label_aspects, topic_weights
 from segsum.corpus import Vocabulary, make_token
 from segsum.filters import (CLASSIFIER_STAGES, FILTER_STAGES, FilterConfig, ProcedureError,
                             parse_procedure, run_procedure)
 from segsum.model import PosteriorEstimates
-from segsum.patterns import Segment
+from segsum.patterns import extract_corpus
 
 import oracles
+from conftest import corpus_of, tagged_sentence
 
 VOCAB = Vocabulary(aspect_stems=["decor", "food", "staff", "wine"],
                    senti_stems=["bad", "good", "nice", "rude"])
+PAD = VOCAB.num_aspect_words + VOCAB.num_senti_words
 # "good" tagged NN is in the vocabulary but no sentiment token for SWN;
-# "wonderful" is a sentiment token outside the vocabulary
+# "unknownword", "wonderful" (a sentiment token), "very", "is", "to", "clean"
+# and "the" are outside it; "not", "never" and "n't" are negation triggers
 WORDS = [("decor", "NN"), ("food", "NN"), ("staff", "NN"), ("wine", "NN"), ("bad", "JJ"),
          ("good", "JJ"), ("nice", "JJ"), ("rude", "JJ"), ("good", "NN"), ("unknownword", "NN"),
-         ("wonderful", "JJ")]
+         ("wonderful", "JJ"), ("very", "RB"), ("nice", "RB"), ("is", "VBZ"), ("to", "TO"),
+         ("clean", "VB"), ("the", "DT"), ("not", "RB"), ("never", "RB"), ("n't", "RB")]
 
 
 def _accepted(stages):
@@ -47,32 +54,31 @@ PROCEDURES = sorted({"+".join(stages)
                      if _accepted(stages)})
 
 
-def segment(pairs, negated=False, entity_id="e"):
-    tokens = [make_token(surface, tag) for surface, tag in pairs]
-    return Segment(tokens=tokens, review_id="r", entity_id=entity_id, sentence_index=0,
-                   start=0, end=len(tokens), pattern_id=5, negated=negated)
-
-
 def normalized(rng, shape):
     a = rng.random(shape) + 0.05
     return a / a.sum(axis=-1, keepdims=True)
 
 
 def labels(seg):
-    """What a stage stores on a segment, with the sign of a zero and the
+    """What the stages store on a segment, with the sign of a zero and the
     Python type of each value."""
     return [(repr(value), type(value)) for value in
             (seg.aspect, seg.sentiment, seg.polarity, seg.rank)]
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_array_path_equals_the_per_segment_oracles(data):
-    T = data.draw(st.sampled_from([1, 2, 3, 5]), label="T")
-    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+def make_corpus(pool, reviews):
+    """The corpus of (entity_id, sentence numbers) reviews over a pool of
+    sentences, each a list of (surface, tag) pairs; review i is r<i>."""
+    return corpus_of([(f"r{i}", entity_id, [tagged_sentence(pool[j], f"r{i}") for j in sentences])
+                      for i, (entity_id, sentences) in enumerate(reviews)])
+
+
+def random_model(rng, T, tied=False):
+    """(estimates, y_senti, lexicon) over VOCAB; the lexicon also scores the
+    sentiment token "wonderful" outside the vocabulary."""
     phi_hat = normalized(rng, (T, VOCAB.num_aspect_words))
     phi_prime_hat = normalized(rng, (2, T, VOCAB.num_senti_words))
-    if data.draw(st.booleans(), label="tied topics"):   # every argmax ties
+    if tied:   # every argmax ties
         phi_hat[:] = phi_hat[0]
         phi_prime_hat[:] = phi_prime_hat[:, :1]
     est = PosteriorEstimates(normalized(rng, (1, 2)), normalized(rng, (1, T)), phi_hat,
@@ -81,47 +87,188 @@ def test_array_path_equals_the_per_segment_oracles(data):
     y_senti[:, rng.random(VOCAB.num_senti_words) < 0.3] = 0.0
     lexicon = PolarityLexicon({make_token(w, "JJ").stem: float(rng.normal())
                                for w in ("good", "bad", "nice", "wonderful")})
-    # a few segment shapes, so that equal segments tie in rank; up to 12 words
-    width = data.draw(st.integers(0, 12), label="width")
-    shapes = [[WORDS[i] for i in rng.integers(0, len(WORDS), rng.integers(0, width + 1))]
-              for _ in range(rng.integers(1, 6))]
-    specs = [(shapes[rng.integers(len(shapes))], bool(rng.random() < 0.3), "abc"[rng.integers(3)])
-             for _ in range(data.draw(st.integers(1, 40), label="segments"))]
-    segs, twins = ([segment(*spec) for spec in specs] for _ in range(2))
+    return est, y_senti, lexicon
 
-    labeled, dropped = label_aspects(segs, est, VOCAB)
-    o_labeled, o_dropped = oracles.label_aspects(twins, topic_weights(est), VOCAB)
-    index = {id(seg): i for i, seg in enumerate(segs)}
-    o_index = {id(seg): i for i, seg in enumerate(twins)}
-    assert [index[id(s)] for s in labeled] == [o_index[id(s)] for s in o_labeled]
-    assert [index[id(s)] for s in dropped] == [o_index[id(s)] for s in o_dropped]
-    assert [labels(s) for s in segs] == [labels(s) for s in twins]
 
-    # the procedures also take segments without ids that carry an aspect
-    for seg, twin in zip(dropped, o_dropped):
-        seg.aspect = twin.aspect = int(rng.integers(T))
+def assert_procedure_equals_the_oracle(procedure, table, segs, est, y_senti, lexicon, config):
+    """run_procedure on table keeps what oracles.run_procedure keeps of segs,
+    with the same labels."""
+    pos, neg = run_procedure(procedure, table, est, y_senti=y_senti, lexicon=lexicon,
+                             config=config)
+    o_pos, o_neg = oracles.run_procedure(parse_procedure(procedure), segs, est, y_senti,
+                                         lexicon, config)
+    got = list(pos) + list(neg)
+    assert got == o_pos + o_neg, procedure
+    assert [labels(s) for s in got] == [labels(s) for s in o_pos + o_neg], procedure
+    assert len(pos) == len(o_pos), procedure
+
+
+# the words of each class letter of patterns.TAG_CLASSES (X: negation
+# trigger, O: other), in and outside the vocabulary
+CLASS_WORDS = {
+    "N": [("decor", "NN"), ("food", "NN"), ("staff", "NN"), ("wine", "NN"), ("good", "NN"),
+          ("unknownword", "NN")],
+    "V": [("is", "VBZ"), ("clean", "VB")],
+    "J": [("bad", "JJ"), ("good", "JJ"), ("nice", "JJ"), ("rude", "JJ"), ("wonderful", "JJ")],
+    "R": [("very", "RB"), ("nice", "RB")],
+    "X": [("not", "RB"), ("never", "RB"), ("n't", "RB")],
+    "D": [("the", "DT")], "T": [("to", "TO")], "O": [("and", "CC")]}
+# shapes of the five patterns, plain and negated, and stray letters; each
+# letter stands for a run of 1-3 words of its class, so that R and N runs
+# outrun the word limit and out-of-vocabulary words fall inside segments
+SHAPES = ["XJN", "RJN", "NVXJ", "NXVJ", "NVJ", "JN", "RXJTV", "NVDRJN", "NVRJTV", "RJTVN",
+          "XXJN", "O", "N", "J", "V", "X"]
+
+
+def _shape(letters):
+    runs = st.tuples(*(st.lists(st.sampled_from(CLASS_WORDS[c]), min_size=1, max_size=3)
+                       for c in letters))
+    return runs.map(lambda runs: [pair for run in runs for pair in run])
+
+
+SENTENCE = st.lists(st.sampled_from(SHAPES).flatmap(_shape), min_size=1, max_size=4).map(
+    lambda chunks: [pair for chunk in chunks for pair in chunk])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_array_path_equals_the_per_segment_oracles(data):
+    T = data.draw(st.sampled_from([1, 2, 3, 5]), label="T")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    est, y_senti, lexicon = random_model(rng, T, data.draw(st.booleans(), label="tied topics"))
+    # a few distinct sentences, so that equal segments tie in rank
+    pool = data.draw(st.lists(SENTENCE, min_size=1, max_size=5), label="sentences")
+    sentences = st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=5)
+    reviews = data.draw(st.lists(st.tuples(st.sampled_from("abc"), sentences),
+                                 min_size=1, max_size=8), label="reviews")
+    pattern_ids = data.draw(st.just({1, 2, 3, 4, 5}) | st.sets(st.integers(1, 5), min_size=1),
+                            label="pattern ids")
+    max_words = data.draw(st.integers(2, 10), label="max_words")
+    corpus = make_corpus(pool, reviews)
+
+    table = extract_corpus(corpus, pattern_ids, max_words)
+    segs = oracles.extract_per_sentence(corpus, pattern_ids, max_words)
+    assert list(table) == segs
+
+    labeled, dropped = label_aspects(table, est, VOCAB)
+    o_labeled, o_dropped = oracles.label_aspects(segs, topic_weights(est), VOCAB)
+    assert list(labeled) == o_labeled and list(dropped) == o_dropped
+    assert [labels(s) for s in labeled] == [labels(s) for s in o_labeled]
+
     procedure = data.draw(st.sampled_from(PROCEDURES), label="procedure")
     config = FilterConfig(data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5)),
                           data.draw(st.sampled_from([0.1, 0.5, 0.75, 1.0])))
-    got = run_procedure(procedure, labeled + dropped, est, y_senti=y_senti, lexicon=lexicon,
-                        config=config)
-    want = oracles.run_procedure(parse_procedure(procedure), o_labeled + o_dropped, est,
-                                 y_senti, lexicon, config)
-    for kept, o_kept in zip(got, want):
-        assert [index[id(s)] for s in kept] == [o_index[id(s)] for s in o_kept]
-    assert [labels(s) for s in segs] == [labels(s) for s in twins]
+    assert_procedure_equals_the_oracle(procedure, labeled, o_labeled, est, y_senti, lexicon,
+                                       config)
+    # the procedures also take rows without ids that carry an aspect
+    aspects = rng.integers(T, size=len(dropped))
+    for seg, aspect in zip(o_dropped, aspects.tolist()):
+        seg.aspect = aspect
+    assert_procedure_equals_the_oracle(procedure, replace(dropped, aspect=aspects), o_dropped,
+                                       est, y_senti, lexicon, config)
+
+
+def test_every_procedure_equals_the_per_segment_oracles():
+    rng = np.random.default_rng(5)
+    est, y_senti, lexicon = random_model(rng, 3)
+    pool = [[WORDS[i] for i in rng.integers(0, len(WORDS), rng.integers(2, 14))]
+            for _ in range(12)]
+    corpus = make_corpus(pool, [("abc"[rng.integers(3)], rng.integers(0, 12, 6).tolist())
+                                for _ in range(30)])
+    labeled, _ = label_aspects(extract_corpus(corpus, {1, 2, 3, 4, 5}), est, VOCAB)
+    config = FilterConfig(2, 2, 0.5)
+    assert len(labeled) > 50
+    for procedure in PROCEDURES:
+        segs = oracles.extract_per_sentence(corpus, {1, 2, 3, 4, 5})
+        o_labeled, _ = oracles.label_aspects(segs, topic_weights(est), VOCAB)
+        assert_procedure_equals_the_oracle(procedure, labeled, o_labeled, est, y_senti, lexicon,
+                                           config)
 
 
 # -- fixed traps ---------------------------------------------------------------
-#
+
+def one_segment(pairs, est, max_words=7):
+    """The labelled table of the one segment that the sentence of pairs holds
+    (it must hold exactly one, which label_aspects keeps), and its oracle
+    Segment, labelled too."""
+    corpus = corpus_of([("r", "e", [tagged_sentence(pairs, "r")])])
+    labeled, _ = label_aspects(extract_corpus(corpus, {1, 2, 3, 4, 5}, max_words), est, VOCAB)
+    [seg] = oracles.extract_per_sentence(corpus, {1, 2, 3, 4, 5}, max_words)
+    oracles.label_aspects([seg], topic_weights(est), VOCAB)
+    assert len(labeled) == 1 and len(seg) == len(pairs)
+    return labeled, seg
+
+
+def the_segment(procedure, table, est, **kwargs):
+    """The one Segment that procedure keeps of table."""
+    pos, neg = run_procedure(procedure, table, est, **kwargs)
+    [seg] = list(pos) + list(neg)
+    return seg
+
+
+def test_out_of_vocabulary_tokens_pad_in_place_and_do_not_count():
+    # "unknownword" is outside the vocabulary, between two words in it
+    est, y_senti, _ = random_model(np.random.default_rng(3), 2)
+    table, seg = one_segment([("good", "JJ"), ("unknownword", "NN"), ("food", "NN")], est)
+    good, food = VOCAB.num_aspect_words + VOCAB.senti_index["good"], VOCAB.aspect_index["food"]
+    assert table.codes.tolist() == [[good, PAD, food]]
+    got = the_segment("Baseline+SEN", table, est, y_senti=y_senti)
+    [want] = sum(oracles.run_procedure(("Baseline", "SEN"), [seg], est, y_senti, None,
+                                       FilterConfig()), [])
+    j, k = want.sentiment, want.aspect
+    assert got == want and got.rank == want.rank == (
+        math.log(est.phi_prime_hat[j, k, VOCAB.senti_index["good"]])
+        + math.log(est.phi_hat[k, VOCAB.aspect_index["food"]])) / 2
+
+
+@pytest.mark.parametrize("procedure", ["Baseline+SEN", "Baseline+SWN"])
+def test_a_negated_segment_without_sentiment_words_keeps_minus_zero(procedure):
+    est, y_senti, lexicon = random_model(np.random.default_rng(4), 2)
+    # "not" and "wonderful" are sentiment tokens outside the vocabulary and the lexicon
+    table, seg = one_segment([("not", "RB"), ("wonderful", "JJ"), ("food", "NN")], est)
+    assert seg.negated
+    got = the_segment(procedure, table, est, y_senti=y_senti,
+                      lexicon=PolarityLexicon({"good": 1.0}))
+    assert got.sentiment == POSITIVE and got.polarity == 0.0
+    assert math.copysign(1.0, got.polarity) == -1.0
+
+
+def test_a_lexicon_score_of_minus_zero_adds_to_plus_zero(tmp_path):
+    path = tmp_path / "lexicon.tsv"
+    path.write_text("good\t-0\n")
+    lexicon = PolarityLexicon.from_tsv(path)
+    assert math.copysign(1.0, lexicon.score("good")) == -1.0
+    est, _, _ = random_model(np.random.default_rng(5), 2)
+    for pairs, sign in (([("good", "JJ"), ("food", "NN")], 1.0),
+                        ([("not", "RB"), ("good", "JJ"), ("food", "NN")], -1.0)):
+        table, seg = one_segment(pairs, est)
+        got = the_segment("Baseline+SWN", table, est, lexicon=lexicon)
+        [want] = sum(oracles.run_procedure(("Baseline", "SWN"), [seg], est, None, lexicon,
+                                           FilterConfig()), [])
+        assert got.sentiment == POSITIVE and got == want
+        assert math.copysign(1.0, got.polarity) == math.copysign(1.0, want.polarity) == sign
+
+
 # Nine words in one segment: numpy's sum regroups 8 or more terms pairwise,
 # and on some hosts np.log differs from libm's log in the last bit. Each
 # trap first checks that it is set, that is, that the shortcut gives another
-# answer.
+# answer. The segments are pattern 5 (rb* jj nn): "wonderful", outside the
+# vocabulary, ahead of nine nouns, or eight adverbs and an adjective ahead of
+# "unknownword".
 
 ASPECT_9 = ["food", "staff", "decor", "wine", "room", "menu", "bar", "view", "price"]
 SENTI_9 = ["bad", "good", "nice", "rude", "cold", "warm", "fresh", "dull", "slow"]
 VOCAB_9 = Vocabulary(aspect_stems=sorted(ASPECT_9), senti_stems=sorted(SENTI_9))
+NOUNS_9 = [("wonderful", "JJ")] + [(w, "NN") for w in ASPECT_9]
+ADJECTIVES_9 = [(w, "RB") for w in SENTI_9[:-1]] + [(SENTI_9[-1], "JJ"), ("unknownword", "NN")]
+
+
+def labelled_9(pairs, est):
+    """The labelled table of the one segment of the sentence of pairs."""
+    corpus = corpus_of([("r", "e", [tagged_sentence(pairs, "r")])])
+    labeled, _ = label_aspects(extract_corpus(corpus, {5}, max_words=10), est, VOCAB_9)
+    assert labeled.length.tolist() == [10]
+    return labeled
 
 
 def left_to_right(values):
@@ -167,10 +314,10 @@ def test_topic_scores_add_left_to_right():
     rows = topic_weights(est)["aspect"][aspect_ids(ASPECT_9)]
     # the trap is set: summed pairwise per topic, topic 0 wins
     assert int(np.argmax(np.sum(np.ascontiguousarray(rows.T), axis=1))) == 0
-    seg, twin = segment([(w, "NN") for w in ASPECT_9]), segment([(w, "NN") for w in ASPECT_9])
-    label_aspects([seg], est, VOCAB_9)
+    twin = list(labelled_9(NOUNS_9, est))[0]
+    twin.aspect = None
     oracles.label_aspects([twin], topic_weights(est), VOCAB_9)
-    assert seg.aspect == twin.aspect == 1
+    assert labelled_9(NOUNS_9, est).aspect.tolist() == [twin.aspect] == [1]
 
 
 def test_polarity_adds_left_to_right():
@@ -180,10 +327,9 @@ def test_polarity_adds_left_to_right():
         terms = y_senti[0][[VOCAB_9.senti_index[w] for w in SENTI_9]]
         if left_to_right(terms) != np.sum(terms):   # the trap is set
             break
-    seg = segment([(w, "JJ") for w in SENTI_9])
-    seg.ids = tuple(VOCAB_9.stem_ids[w] for w in SENTI_9)
-    seg.aspect = 0
-    run_procedure("Baseline+SEN", [seg], estimates_9(np.full((1, 9), 1 / 9)), y_senti=y_senti)
+    est = estimates_9(np.full((1, 9), 1 / 9))
+    seg = the_segment("Baseline+SEN", labelled_9(ADJECTIVES_9, est), est, y_senti=y_senti)
+    seg.ids = oracles.segment_ids(seg, VOCAB_9)
     assert seg.polarity == left_to_right(terms) == oracles.classify_sentiment_sen(seg, y_senti)[1]
 
 
@@ -193,11 +339,9 @@ def test_rank_adds_left_to_right():
         logs = [math.log(p) for p in phi[0][aspect_ids(ASPECT_9)]]
         if left_to_right(logs) != np.sum(logs):   # the trap is set
             break
-    seg = segment([(w, "NN") for w in ASPECT_9])
-    seg.ids = tuple(VOCAB_9.stem_ids[w] for w in ASPECT_9)
-    seg.aspect = 0
     est = estimates_9(phi)
-    run_procedure("Baseline+SWN", [seg], est, lexicon=PolarityLexicon())
+    seg = the_segment("Baseline+SWN", labelled_9(NOUNS_9, est), est, lexicon=PolarityLexicon())
+    seg.ids = oracles.segment_ids(seg, VOCAB_9)
     assert seg.rank == left_to_right(logs) / 9 == oracles.rank_score(seg, est)
 
 
@@ -209,21 +353,20 @@ def test_rank_takes_libm_logs():
              None)
     if p is None:
         pytest.skip("np.log gives libm's log for every candidate on this host")
-    seg = segment([(w, "NN") for w in ASPECT_9])
-    seg.ids = tuple(VOCAB_9.stem_ids[w] for w in ASPECT_9)
-    seg.aspect = 0
     est = estimates_9(np.full((1, 9), p))
-    run_procedure("Baseline+SWN", [seg], est, lexicon=PolarityLexicon())
+    seg = the_segment("Baseline+SWN", labelled_9(NOUNS_9, est), est, lexicon=PolarityLexicon())
+    seg.ids = oracles.segment_ids(seg, VOCAB_9)
     assert seg.rank == left_to_right([math.log(p)] * 9) / 9 == oracles.rank_score(seg, est)
     assert seg.rank != left_to_right(np.log(est.phi_hat)[0]) / 9   # the trap is set
 
 
 def test_a_zero_probability_raises():
-    seg = segment([("good", "JJ"), ("food", "NN")])
-    seg.ids = (VOCAB_9.stem_ids["good"], VOCAB_9.stem_ids["food"])
-    seg.aspect = 0
     phi_prime_hat = np.full((2, 1, 9), 1 / 9)
     phi_prime_hat[:, 0, VOCAB_9.senti_index["good"]] = 0.0
+    est = estimates_9(np.full((1, 9), 1 / 9), phi_prime_hat)
+    corpus = corpus_of([("r", "e", [tagged_sentence([("good", "JJ"), ("food", "NN")], "r")])])
+    with np.errstate(divide="ignore"):
+        labeled, _ = label_aspects(extract_corpus(corpus, {5}), est, VOCAB_9)
+    assert len(labeled) == 1
     with pytest.raises(ValueError):
-        run_procedure("Baseline+SWN", [seg], estimates_9(np.full((1, 9), 1 / 9), phi_prime_hat),
-                      lexicon=PolarityLexicon())
+        run_procedure("Baseline+SWN", labeled, est, lexicon=PolarityLexicon())
