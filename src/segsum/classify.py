@@ -12,14 +12,6 @@ from .corpus import numbered_lines
 POSITIVE, NEGATIVE = 0, 1
 
 
-def topic_weights(est):
-    """Per-topic score rows of the vocabulary, keyed by channel: row i of
-    "aspect" is log phi_hat[:, i], row i of "senti" is
-    sum_j log phi_prime_hat[j, :, i]."""
-    return {"aspect": np.log(est.phi_hat).T,
-            "senti": np.log(est.phi_prime_hat).sum(axis=0).T}
-
-
 def token_sums(table, codes, labels=None):
     """Per row r of codes, the sum of table[code], or of table[labels[r], code],
     over its codes, added left to right from 0.0 (np.sum would regroup 8 or
@@ -30,6 +22,20 @@ def token_sums(table, codes, labels=None):
     for column in codes.T:
         total += table[column] if labels is None else table[labels, column]
     return total
+
+
+def code_sums(aspect, senti, codes, labels=None):
+    """token_sums of the table indexed by word code (corpus.Vocabulary.codes)
+    along its last axis: the aspect entries, then the sentiment entries, then
+    the pad's 0.0, their leading axes broadcast. Row r of codes sums
+    table[..., code], or with labels table[labels[r], code], its leading
+    axes flattened."""
+    lead = np.broadcast_shapes(aspect.shape[:-1], senti.shape[:-1])
+    table = np.concatenate([np.broadcast_to(a, lead + a.shape[-1:])
+                            for a in (aspect, senti, np.zeros(1))], axis=-1)
+    if labels is None:
+        return token_sums(np.ascontiguousarray(np.moveaxis(table, -1, 0)), codes)
+    return token_sums(table.reshape(-1, table.shape[-1]), codes, labels)
 
 
 @dataclass
@@ -68,29 +74,19 @@ class PolarityLexicon:
 
 
 def label_aspects(segments, est, vocab):
-    """Encode a SegmentTable once and label the aspects of all its rows.
-    Each token-table entry gets one code: aspect id i codes i, sentiment id
-    i codes V + i, and a stem outside the vocabulary the pad V + V', which
-    every table indexed by codes holds as 0 (or False). A row's codes are its
-    window of those, in token order with the pads in place, and its ids are
-    its non-pad codes. Its aspect is the argmax topic of the token_sums of
-    its codes' topic_weights rows, ties toward the lowest topic. Rows without
-    ids are unclassifiable and dropped.
+    """Encode a SegmentTable once and label the aspects of all its rows. A
+    row's codes are the vocab.encode codes of its window, in token order with
+    the pads in place, and its ids are its non-pad codes. Its aspect is the
+    argmax topic of the code_sums of its codes' topic scores, log phi_hat[:, i]
+    for aspect word i and sum_j log phi_prime_hat[j, :, i] for sentiment word
+    i, ties toward the lowest topic. Rows without ids are unclassifiable and
+    dropped.
 
     Returns (labelled rows, with codes and aspect; dropped rows, with codes).
     """
-    V, Vp = est.phi_hat.shape[1], est.phi_prime_hat.shape[2]
-    stem_ids = vocab.stem_ids
-    code = [V + Vp] * (len(segments.corpus.tokens) + 1)   # the window's pad last
-    for entry, token in enumerate(segments.corpus.tokens):
-        if token.stem in stem_ids:
-            channel, i = stem_ids[token.stem]
-            code[entry] = i if channel == "aspect" else V + i
-    codes = np.take(np.array(code, dtype=np.int32), segments.window())
-    weights = topic_weights(est)
-    scores = token_sums(np.vstack((weights["aspect"], weights["senti"],
-                                   np.zeros(est.phi_hat.shape[0]))), codes)
-    has_ids = (codes < V + Vp).any(axis=1)
+    codes = np.take(vocab.encode(segments.corpus.tokens), segments.window())
+    scores = code_sums(np.log(est.phi_hat), np.log(est.phi_prime_hat).sum(axis=0), codes)
+    has_ids = (codes < vocab.num_aspect_words + vocab.num_senti_words).any(axis=1)
     encoded = replace(segments, codes=codes)
     return (replace(encoded, aspect=scores.argmax(axis=1)).take(has_ids),
             encoded.take(~has_ids))

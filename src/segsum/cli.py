@@ -272,7 +272,7 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="segsum",
                                      description="Segment-based review summarization pipeline")
     parser.add_argument("--config", required=True, help="INI config file")
-    parser.add_argument("--seed", type=int, help="override [run] rng_seed")
+    parser.add_argument("--seed", type=_count, help="override [run] rng_seed")
     parser.add_argument("--procedure", help="override [run] procedure, e.g. AW+SEN+SW")
     sub = parser.add_subparsers(dest="command", required=True)
 

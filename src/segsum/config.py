@@ -49,6 +49,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.top_n < 0:
             raise ValueError(f"top_n must be >= 0, got {self.top_n}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if self.max_words < 1:
             raise ValueError(f"max_words must be >= 1, got {self.max_words}")
         if self.paths.corpus_format not in CORPUS_FORMATS:

@@ -263,8 +263,9 @@ def _ingest_conll(path, extra_sentiment) -> Corpus:
 
 @dataclass
 class Vocabulary:
-    """Disjoint stem->index maps for the two word channels, and stem_ids,
-    one stem -> (channel, index) map over both.
+    """Disjoint stem->index maps for the two word channels, and codes, one
+    stem -> code map over both: aspect index i codes i, sentiment index i
+    codes V + i (V aspect words), and V + V' is the pad of a stem outside.
 
     A stem that ever occurs as a sentiment word is assigned to the sentiment
     vocabulary; remaining stems go to the non-sentiment (aspect) vocabulary.
@@ -278,8 +279,8 @@ class Vocabulary:
     def __post_init__(self):
         self.aspect_index = {s: i for i, s in enumerate(self.aspect_stems)}
         self.senti_index = {s: i for i, s in enumerate(self.senti_stems)}
-        self.stem_ids = {s: ("aspect", i) for s, i in self.aspect_index.items()}
-        self.stem_ids.update((s, ("senti", i)) for s, i in self.senti_index.items())
+        self.codes = dict(self.aspect_index)
+        self.codes.update((s, len(self.aspect_stems) + i) for s, i in self.senti_index.items())
 
     @property
     def num_aspect_words(self):
@@ -288,6 +289,12 @@ class Vocabulary:
     @property
     def num_senti_words(self):
         return len(self.senti_stems)
+
+    def encode(self, tokens):
+        """The int64 code of each token's stem, the pad out of vocabulary, and
+        one more pad at the end (SegmentTable.window's pad entry)."""
+        pad = len(self.aspect_stems) + len(self.senti_stems)
+        return np.array([self.codes.get(t.stem, pad) for t in tokens] + [pad], dtype=np.int64)
 
     def content_hash(self) -> str:
         import hashlib

@@ -60,15 +60,12 @@ def parse_procedure(name: str) -> tuple:
     return stages
 
 
-def _has_top_word(probs, n, offset, size, labels, codes):
-    """Mask of the segments, as size-code rows of codes (classify.label_aspects),
-    that hold a word among the n most probable of probs[label] (probs
-    flattened over its leading axes; ties in stable order), whose words are
-    coded from offset."""
-    top = np.argsort(-probs, axis=-1, kind="stable")[..., :n]
-    table = np.zeros(probs.shape[:-1] + (size,))
-    np.put_along_axis(table, top + offset, 1.0, axis=-1)
-    return classify.token_sums(table.reshape(-1, size), codes, labels) > 0
+def _top_words(probs, n):
+    """1.0 at the n most probable words of each row of probs (ties in stable
+    order), else 0.0."""
+    top = np.zeros(probs.shape)
+    np.put_along_axis(top, np.argsort(-probs, axis=-1, kind="stable")[..., :n], 1.0, axis=-1)
+    return top
 
 
 def _rank_survivors(group, rank, keep_fraction):
@@ -88,13 +85,12 @@ def _ranked(table, est):
     under its own (sentiment j, aspect k), log phi_prime_hat[j, k] for
     sentiment words and log phi_hat[k] for others, summed in token order
     (-inf without ids). A row's rank depends on its codes and labels only."""
-    (S, T, Vp), V = est.phi_prime_hat.shape, est.phi_hat.shape[1]
-    # libm's log: np.log differs from it in the last bit on some hosts; the
-    # pad's probability 1 logs to 0.0, and pads do not count as words
-    logs = np.array([math.log(p) for p in np.concatenate(
-        (np.broadcast_to(est.phi_hat, (S, T, V)), est.phi_prime_hat,
-         np.ones((S, T, 1))), axis=2).ravel().tolist()]).reshape(S * T, V + Vp + 1)
-    total = classify.token_sums(logs, table.codes, table.sentiment * T + table.aspect)
+    (T, V), Vp = est.phi_hat.shape, est.phi_prime_hat.shape[2]
+    # libm's log of each probability once: np.log differs from it in the
+    # last bit on some hosts; pads add 0.0 and do not count as words
+    logs = [np.array([math.log(p) for p in probs.ravel().tolist()]).reshape(probs.shape)
+            for probs in (est.phi_hat, est.phi_prime_hat)]
+    total = classify.code_sums(*logs, table.codes, table.sentiment * T + table.aspect)
     words = (table.codes < V + Vp).sum(axis=1)
     return replace(table, rank=np.divide(total, words, out=np.full(len(table), -math.inf),
                                          where=words > 0))
@@ -119,7 +115,6 @@ def run_procedure(procedure, segments, est, y_senti=None, lexicon=None,
         raise ProcedureError("SWN stage requires a polarity lexicon")
 
     (S, T, Vp), V = est.phi_prime_hat.shape, est.phi_hat.shape[1]
-    size = V + Vp + 1
     table = segments    # the surviving rows, in corpus order; each filter keeps a subset
     for stage in stages:
         if stage == "Baseline":
@@ -127,11 +122,11 @@ def run_procedure(procedure, segments, est, y_senti=None, lexicon=None,
         if stage == "AW":
             if table.aspect is None:
                 raise ProcedureError("AW filter requires aspect labels")
-            keep = _has_top_word(est.phi_hat, config.aw_top_x, 0, size, table.aspect,
-                                 table.codes)
+            keep = classify.code_sums(_top_words(est.phi_hat, config.aw_top_x), np.zeros(Vp),
+                                      table.codes, table.aspect) > 0
         elif stage == "SW":   # after the classifier, so every row has its labels
-            keep = _has_top_word(est.phi_prime_hat, config.sw_top_y, V, size,
-                                 table.sentiment * T + table.aspect, table.codes)
+            keep = classify.code_sums(np.zeros(V), _top_words(est.phi_prime_hat, config.sw_top_y),
+                                      table.codes, table.sentiment * T + table.aspect) > 0
         elif stage == "RANK":
             entities = {}
             entity = np.array([entities.setdefault(review.entity_id, len(entities))
@@ -143,8 +138,7 @@ def run_procedure(procedure, segments, est, y_senti=None, lexicon=None,
             if table.aspect is None:
                 raise ProcedureError(f"{stage} stage requires aspect labels to rank segments")
             if stage == "SEN":
-                polarity = classify.token_sums(
-                    np.concatenate((np.zeros(V), y_senti[0] - y_senti[1], [0.0])), table.codes)
+                polarity = classify.code_sums(np.zeros(V), y_senti[0] - y_senti[1], table.codes)
             else:   # lexicon scores of sentiment tokens, also outside the vocabulary
                 polarity = classify.token_sums(np.array(
                     [lexicon.score(t.stem) if t.is_sentiment else 0.0

@@ -125,16 +125,14 @@ class FlatCorpus(NamedTuple):
 
 
 def encode_corpus(corpus, vocab) -> FlatCorpus:
-    """Map each entry of the corpus's token table to its id in each channel
-    (-1 in the other channel and out of vocabulary), then every token with
-    one np.take per channel; out-of-vocabulary tokens drop."""
-    pairs = [vocab.stem_ids.get(token.stem, (None, -1)) for token in corpus.tokens]
+    """Code every token with one np.take of vocab.encode, and split the codes
+    into the two channels by range; out-of-vocabulary tokens drop."""
+    codes = vocab.encode(corpus.tokens).take(corpus.token_ids)
+    V, pad = vocab.num_aspect_words, vocab.num_aspect_words + vocab.num_senti_words
     arrays = []
-    for channel in ("aspect", "senti"):
-        ids = np.array([i if c == channel else -1 for c, i in pairs],
-                       dtype=np.int64).take(corpus.token_ids)
-        kept = ids >= 0
-        arrays += [np.concatenate(([0], np.cumsum(kept)))[corpus.sentence_starts], ids[kept]]
+    for kept, first in ((codes < V, 0), ((V <= codes) & (codes < pad), V)):
+        arrays += [np.concatenate(([0], np.cumsum(kept)))[corpus.sentence_starts],
+                   codes[kept] - first]
     aspect_start, aspect, senti_start, senti = arrays
     doc_start = corpus.review_starts
     doc = np.repeat(np.arange(len(doc_start) - 1, dtype=np.int64), np.diff(doc_start))
@@ -439,13 +437,6 @@ def estimate(state) -> PosteriorEstimates:
     numer = state.n_STW + state.beta_prime
     phi_prime_hat = numer / numer.sum(axis=2, keepdims=True)
     return PosteriorEstimates(pi_hat, theta_hat, phi_hat, phi_prime_hat)
-
-
-def lexicon_polarity(state, word: str) -> float:
-    idx = state.vocab.senti_index.get(word)
-    if idx is None:
-        raise KeyError(f"not a sentiment-vocabulary word: {word!r}")
-    return float(state.y_senti[0, idx] - state.y_senti[1, idx])
 
 
 # -- checkpointing & reports -------------------------------------------------

@@ -481,14 +481,22 @@ def numpy_recount(state):
 # The read path that segsum ran before classify.label_aspects and
 # filters.run_procedure scored all segments at once: one segment at a time,
 # from Segment.ids, each sum left to right in token order. The weights are
-# classify.topic_weights, and the SWN classifier, which the package still
-# runs a segment at a time, is written out again here.
+# topic_weights, kept per channel, and the SWN classifier, which the package
+# still runs a segment at a time, is written out again here.
 
 POSITIVE, NEGATIVE = 0, 1
 
 
 class UnclassifiableSegment(ValueError):
     """Segment has no in-vocabulary words to score."""
+
+
+def topic_weights(est):
+    """Per-topic score rows of the vocabulary, keyed by channel: row i of
+    "aspect" is log phi_hat[:, i], row i of "senti" is
+    sum_j log phi_prime_hat[j, :, i]."""
+    return {"aspect": np.log(est.phi_hat).T,
+            "senti": np.log(est.phi_prime_hat).sum(axis=0).T}
 
 
 def classify_topic(segment, weights) -> int:
@@ -504,8 +512,14 @@ def classify_topic(segment, weights) -> int:
 
 def segment_ids(segment, vocab):
     """The (channel, index) pair of each in-vocabulary token of a segment, in
-    token order."""
-    return tuple(vocab.stem_ids[t.stem] for t in segment.tokens if t.stem in vocab.stem_ids)
+    token order; a stem in both lists is a sentiment word."""
+    ids = []
+    for token in segment.tokens:
+        if token.stem in vocab.senti_index:
+            ids.append(("senti", vocab.senti_index[token.stem]))
+        elif token.stem in vocab.aspect_index:
+            ids.append(("aspect", vocab.aspect_index[token.stem]))
+    return tuple(ids)
 
 
 def label_aspects(segments, weights, vocab):

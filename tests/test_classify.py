@@ -4,20 +4,21 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segsum.classify import (
     NEGATIVE,
     POSITIVE,
     PolarityLexicon,
+    code_sums,
     label_aspects,
-    topic_weights,
 )
 from segsum.corpus import Vocabulary, make_token
 from segsum.filters import run_procedure
 from segsum.model import PosteriorEstimates
 
+import oracles
 from conftest import sentence_table
 
 VOCAB = Vocabulary(aspect_stems=["decor", "food", "staff"],
@@ -66,6 +67,41 @@ def sen(table, y_senti):
 
 def swn(table, lexicon):
     return classify("Baseline+SWN", table, lexicon=lexicon)
+
+
+# the leading axes of the (aspect, senti) entries of code_sums: those of
+# label_aspects' topic scores, SEN, AW, SW and RANK, and (S, T) on both
+LEADING_AXES = [((3,), (3,)), ((), ()), ((3,), ()), ((), (2, 3)), ((3,), (2, 3)),
+                ((2, 3), (2, 3))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(leads=st.sampled_from(LEADING_AXES), with_labels=st.booleans(),
+       V=st.integers(0, 4), Vp=st.integers(0, 4), rows=st.integers(0, 5),
+       width=st.integers(0, 10), seed=st.integers(0, 2 ** 32 - 1))
+def test_code_sums_equal_sums_over_the_concatenated_table(leads, with_labels, V, Vp, rows,
+                                                          width, seed):
+    rng = np.random.default_rng(seed)
+    aspect, senti = rng.normal(size=leads[0] + (V,)), rng.normal(size=leads[1] + (Vp,))
+    for a in (aspect, senti):
+        a[rng.random(a.shape) < 0.3] = -0.0
+    lead = np.broadcast_shapes(leads[0], leads[1])
+    table = np.concatenate((np.broadcast_to(aspect, lead + (V,)),
+                            np.broadcast_to(senti, lead + (Vp,)), np.zeros(lead + (1,))),
+                           axis=-1)
+    codes = rng.integers(0, V + Vp + 1, (rows, width))
+    labels = rng.integers(0, math.prod(lead), rows) if with_labels else None
+    want = []
+    for r, row in enumerate(codes.tolist()):
+        total = 0.0 if with_labels else np.zeros(lead)
+        for code in row:
+            total = total + (table.reshape(-1, V + Vp + 1)[labels[r], code] if with_labels
+                             else table[..., code])
+        want.append(total)
+    got = code_sums(aspect, senti, codes, labels)
+    assert got.shape == (rows,) + (() if with_labels else lead)
+    want = np.array(want).reshape(got.shape)
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestTopic:
@@ -120,10 +156,10 @@ class TestTopic:
         assert dropped.codes.tolist() == [[PAD, PAD]]
 
     def test_weights_equal_the_per_token_logs(self):
-        # the rows label_aspects sums are, bit for bit, the logs that the
-        # per-segment scorer took per token before
+        # the oracle's rows are, bit for bit, the logs that the per-segment
+        # scorer took per token before
         est = make_est(np.random.default_rng(8), T=5, V=40, Vp=30)
-        weights = topic_weights(est)
+        weights = oracles.topic_weights(est)
         for i in range(40):
             assert np.array_equal(weights["aspect"][i], np.log(est.phi_hat[:, i]))
         for i in range(30):

@@ -183,7 +183,15 @@ class TestExitCodes:
         message = f"bad pattern spec: '{value}'" if option == "--patterns" else "must be >= 0"
         assert f"argument {option}: {message}" in err and "data error" not in err
 
+    @pytest.mark.parametrize("command", ["train", "summarize", "topics"])
+    def test_negative_seed_is_one(self, workspace, capsys, command):
+        _, config = workspace
+        assert main(["--config", str(config), "--seed", "-1", command]) == 1
+        err = capsys.readouterr().err
+        assert "argument --seed: must be >= 0" in err and "data error" not in err
+
     @pytest.mark.parametrize("section, key, value", [("run", "top_n", -1),
+                                                     ("run", "rng_seed", -1),
                                                      ("patterns", "max_words", 0),
                                                      ("patterns", "preset", "bogus"),
                                                      ("paths", "corpus_format", "xml"),

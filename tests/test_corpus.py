@@ -3,7 +3,7 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from segsum import stem
@@ -12,6 +12,8 @@ from segsum.corpus import (
     DEFAULT_EXTRA_SENTIMENT,
     CorpusBuilder,
     CorpusFormatError,
+    Token,
+    Vocabulary,
     build_reference_summaries,
     build_vocabulary,
     ingest_tagged,
@@ -253,7 +255,7 @@ class TestVocabulary:
         vocab = build_vocabulary(tiny_corpus, min_count=2)
         for sentence in (s for r in tiny_corpus.reviews for s in r.sentences):
             for token in sentence.tokens:
-                if token.stem not in vocab.stem_ids:
+                if token.stem not in vocab.codes:
                     assert vocab.drop_reasons[token.stem] in ("stopword", "below_min_count")
 
     def test_empty_corpus_rejected(self):
@@ -269,8 +271,8 @@ class TestVocabulary:
         vocab = Vocabulary.from_dict({"aspect_stems": ["food", "good"],
                                       "senti_stems": ["good"]})
         sent = sentence_factory([("good", "JJ"), ("food", "NN"), ("good", "NN")])
-        assert [vocab.stem_ids[t.stem] for t in sent.tokens] == [
-            ("senti", 0), ("aspect", 0), ("senti", 0)]
+        # V = 2 aspect words, so sentiment id 0 codes 2, and the pad is 3
+        assert vocab.encode(sent.tokens).tolist() == [2, 0, 2, 3]
 
         corpus = corpus_of([("r", "e", [sent])])
         flat = encode_corpus(corpus, vocab)
@@ -284,6 +286,27 @@ class TestVocabulary:
         labeled, _ = label_aspects(extract_corpus(corpus, {5}), est, vocab)
         assert (labeled.start.tolist(), labeled.length.tolist()) == ([0], [3])
         assert labeled.codes.tolist() == [[2, 0, 2]]
+
+
+VOCAB_STEMS = ["food", "wait", "good", "bad"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(aspect=st.lists(st.sampled_from(VOCAB_STEMS), unique=True),
+       senti=st.lists(st.sampled_from(VOCAB_STEMS), unique=True),
+       stems=st.lists(st.sampled_from(VOCAB_STEMS + ["oov"])))
+@example(aspect=[], senti=["good", "bad"], stems=["bad", "oov", "good"])     # V = 0
+@example(aspect=["wait", "food"], senti=[], stems=["food", "oov", "wait"])   # V' = 0
+@example(aspect=["good", "food"], senti=["bad", "good"], stems=["good", "food", "bad", "oov"])
+@example(aspect=["food"], senti=["good"], stems=[])                          # empty table
+def test_encode_codes_aspect_then_sentiment_indices_then_the_pad(aspect, senti, stems):
+    # a stem in both lists (only from_dict can give one) is a sentiment word
+    vocab = Vocabulary.from_dict({"aspect_stems": aspect, "senti_stems": senti})
+    V, pad = len(aspect), len(aspect) + len(senti)
+    want = [V + vocab.senti_index[s] if s in vocab.senti_index else vocab.aspect_index.get(s, pad)
+            for s in stems]
+    codes = vocab.encode([Token(s, s, "NN", False) for s in stems])
+    assert codes.dtype == np.int64 and codes.tolist() == want + [pad]
 
 
 class TestReferenceSummaries:

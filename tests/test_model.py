@@ -18,7 +18,6 @@ from segsum.model import (
     estimate,
     gibbs_sweep,
     init,
-    lexicon_polarity,
     load_checkpoint,
     map_objective,
     map_objective_and_gradient,
@@ -220,6 +219,8 @@ class TestEncoding:
     @example(reviews=[], aspect=["food"], senti=["good"])
     @example(reviews=[[], [[], ["oov", "oov"], ["food", "good", "food", "good"]], []],
              aspect=["food"], senti=["good"])
+    @example(reviews=[[["good", "food", "oov", "good"], ["bad"]]],
+             aspect=["good", "food"], senti=["wait", "good"])
     def test_flat_arrays_concatenate_the_per_sentence_encoding(self, reviews, aspect, senti):
         # reviews without sentences, sentences without tokens or of
         # out-of-vocabulary stems only, repeated ids, the empty corpus and
@@ -844,18 +845,16 @@ class TestEstimate:
 class TestPolarity:
     def test_zero_difference(self, small_state):
         small_state.y_senti[:] = 0.5
-        assert lexicon_polarity(small_state, "good") == 0.0
+        i = small_state.vocab.senti_index["good"]
+        assert small_state.y_senti[0, i] - small_state.y_senti[1, i] == 0.0
 
     def test_seed_value_before_training(self):
         corpus = make_corpus(FIXTURE_DOCS)
         vocab = build_vocabulary(corpus, min_count=1, stopwords=frozenset())
         state = init(corpus, vocab, Hyperparams(num_topics=2, mu_seed=2.0),
                      SeedList(frozenset({"good"}), frozenset()), 0)
-        assert lexicon_polarity(state, "good") == pytest.approx(4.0)
-
-    def test_unknown_word_raises(self, small_state):
-        with pytest.raises(KeyError):
-            lexicon_polarity(small_state, "nonexistent")
+        i = vocab.senti_index["good"]
+        assert state.y_senti[0, i] - state.y_senti[1, i] == pytest.approx(4.0)
 
 
 class TestCheckpoint:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segsum.classify import POSITIVE, PolarityLexicon, label_aspects, topic_weights
+from segsum.classify import POSITIVE, PolarityLexicon, label_aspects
 from segsum.corpus import Vocabulary, make_token
 from segsum.filters import (CLASSIFIER_STAGES, FILTER_STAGES, FilterConfig, ProcedureError,
                             parse_procedure, run_procedure)
@@ -151,7 +151,7 @@ def test_array_path_equals_the_per_segment_oracles(data):
     assert list(table) == segs
 
     labeled, dropped = label_aspects(table, est, VOCAB)
-    o_labeled, o_dropped = oracles.label_aspects(segs, topic_weights(est), VOCAB)
+    o_labeled, o_dropped = oracles.label_aspects(segs, oracles.topic_weights(est), VOCAB)
     assert list(labeled) == o_labeled and list(dropped) == o_dropped
     assert [labels(s) for s in labeled] == [labels(s) for s in o_labeled]
 
@@ -180,7 +180,7 @@ def test_every_procedure_equals_the_per_segment_oracles():
     assert len(labeled) > 50
     for procedure in PROCEDURES:
         segs = oracles.extract_per_sentence(corpus, {1, 2, 3, 4, 5})
-        o_labeled, _ = oracles.label_aspects(segs, topic_weights(est), VOCAB)
+        o_labeled, _ = oracles.label_aspects(segs, oracles.topic_weights(est), VOCAB)
         assert_procedure_equals_the_oracle(procedure, labeled, o_labeled, est, y_senti, lexicon,
                                            config)
 
@@ -194,7 +194,7 @@ def one_segment(pairs, est, max_words=7):
     corpus = corpus_of([("r", "e", [tagged_sentence(pairs, "r")])])
     labeled, _ = label_aspects(extract_corpus(corpus, {1, 2, 3, 4, 5}, max_words), est, VOCAB)
     [seg] = oracles.extract_per_sentence(corpus, {1, 2, 3, 4, 5}, max_words)
-    oracles.label_aspects([seg], topic_weights(est), VOCAB)
+    oracles.label_aspects([seg], oracles.topic_weights(est), VOCAB)
     assert len(labeled) == 1 and len(seg) == len(pairs)
     return labeled, seg
 
@@ -303,7 +303,8 @@ def test_topic_scores_add_left_to_right():
         p = math.exp((a + b) / 2)
         for _ in range(50):
             phi[1, VOCAB_9.aspect_index[ASPECT_9[0]]] = p
-            t = topic_weights(estimates_9(phi))["aspect"][VOCAB_9.aspect_index[ASPECT_9[0]], 1]
+            weights = oracles.topic_weights(estimates_9(phi))["aspect"]
+            t = weights[VOCAB_9.aspect_index[ASPECT_9[0]], 1]
             if a < t < b:
                 break
             p = float(np.nextafter(p, 1.0 if t <= a else 0.0))
@@ -311,12 +312,12 @@ def test_topic_scores_add_left_to_right():
             continue
         break
     est = estimates_9(phi)
-    rows = topic_weights(est)["aspect"][aspect_ids(ASPECT_9)]
+    rows = oracles.topic_weights(est)["aspect"][aspect_ids(ASPECT_9)]
     # the trap is set: summed pairwise per topic, topic 0 wins
     assert int(np.argmax(np.sum(np.ascontiguousarray(rows.T), axis=1))) == 0
     twin = list(labelled_9(NOUNS_9, est))[0]
     twin.aspect = None
-    oracles.label_aspects([twin], topic_weights(est), VOCAB_9)
+    oracles.label_aspects([twin], oracles.topic_weights(est), VOCAB_9)
     assert labelled_9(NOUNS_9, est).aspect.tolist() == [twin.aspect] == [1]
 
 
