@@ -63,12 +63,15 @@ def main():
     lexicon = classify.PolarityLexicon(text_polarity_lexicon())
     config = filters.FilterConfig(aw_top_x=20, sw_top_y=10)
 
+    est = model.estimate(state)
+    segments = filters.labelled_segments(corpus, {1, 2, 3, 4, 5}, patterns.DEFAULT_MAX_WORDS,
+                                         est, vocab)
+
     os.makedirs(args.output_dir, exist_ok=True)
     for i, name in enumerate(args.procedures.split(",")):
-        candidates = filters.entity_candidates(
-            state, corpus, {1, 2, 3, 4, 5}, patterns.DEFAULT_MAX_WORDS, name,
-            lexicon, config)
-        report = evaluation.evaluate(candidates, refs)
+        positive, negative = filters.run_procedure(name, segments, est, y_senti=state.y_senti,
+                                                   lexicon=lexicon, config=config)
+        report = evaluation.evaluate(positive, negative, refs)
         path = os.path.join(args.output_dir, f"report_{name.replace('+', '_')}.json")
         cli.write_json(path, report.to_dict())
         head, row = evaluation.format_report_table(report, name).split("\n")

@@ -14,6 +14,8 @@ import os
 import sys
 from itertools import chain, repeat
 
+import numpy as np
+
 from . import classify, corpus as corpus_mod, evaluation, filters, model, patterns
 from .config import ConfigError, load_config
 
@@ -103,6 +105,16 @@ def dump_json(obj, write, newline="\n"):
 
 def _pattern_ids(cfg, args):
     return patterns.resolve_pattern_ids(args.patterns or cfg.pattern_spec)
+
+
+def _candidates(cfg, args, corp, state):
+    """The (positive, negative) survivors of the configured procedure."""
+    lexicon = _load_lexicon(cfg)
+    est = model.estimate(state)
+    segments = filters.labelled_segments(corp, _pattern_ids(cfg, args), cfg.max_words, est,
+                                         state.vocab)
+    return filters.run_procedure(cfg.procedure, segments, est, y_senti=state.y_senti,
+                                 lexicon=lexicon, config=cfg.filters)
 
 
 def _load_checkpoint(cfg, corp=None):
@@ -196,21 +208,15 @@ def cmd_summarize(cfg, args):
         if not any(keep):
             raise DataError(f"unknown entity: {args.entity}")
         corp = corp.select(keep)
-    candidates = filters.entity_candidates(
-        state, corp, _pattern_ids(cfg, args), cfg.max_words, cfg.procedure,
-        _load_lexicon(cfg), cfg.filters)
-    if args.entity:
-        candidates = {args.entity: candidates.get(args.entity,
-                                                  {"positive": [], "negative": []})}
-
     top_n = args.top_n if args.top_n is not None else cfg.top_n
-    output = {}
-    for entity_id, cand in candidates.items():
-        entry = {}
-        for polarity, segs in cand.items():
-            ordered = sorted(segs, key=lambda s: -s.rank)[:top_n or None]   # 0: all
-            entry[polarity] = [s.to_dict() for s in ordered]
-        output[entity_id] = entry
+    output = {entity_id: {"positive": [], "negative": []}
+              for entity_id in sorted({r.entity_id for r in corp.reviews})}
+    for polarity, table in zip(("positive", "negative"), _candidates(cfg, args, corp, state)):
+        # by descending rank, ties in corpus order; 0: all
+        for row in table.take(np.argsort(-table.rank, kind="stable")):
+            entry = output[row.entity_id][polarity]
+            if len(entry) < top_n or not top_n:
+                entry.append(row.to_dict())
     write_json(os.path.join(cfg.paths.output_dir, "summaries.json"), output)
     for entity_id, entry in output.items():
         print(f"== {entity_id}")
@@ -227,10 +233,7 @@ def cmd_evaluate(cfg, args):
     if not any(p or c for p, c in refs.values()):
         raise DataError("no gold pros/cons in the corpus")
 
-    candidates = filters.entity_candidates(
-        state, corp, _pattern_ids(cfg, args), cfg.max_words, cfg.procedure,
-        _load_lexicon(cfg), cfg.filters)
-    report = evaluation.evaluate(candidates, refs, cfg.eval)
+    report = evaluation.evaluate(*_candidates(cfg, args, corp, state), refs, cfg.eval)
 
     tag = cfg.procedure.replace("+", "_")
     if args.patterns:

@@ -43,10 +43,11 @@ def normalize_text(text: str, mode: str = "stemmed"):
     return tuple(words)
 
 
-def normalize_segment(segment, mode: str = "stemmed"):
-    if mode == "stemmed":
-        return tuple(t.stem for t in segment.tokens)
-    return tuple(t.surface.lower() for t in segment.tokens)
+def normalize_segments(table, mode: str = "stemmed"):
+    """Each row of a SegmentTable as a tuple of words in token order: the
+    stems of its tokens, or their lower-cased surfaces."""
+    return table.gather([t.stem if mode == "stemmed" else t.surface.lower()
+                         for t in table.corpus.tokens])
 
 
 class PairCounts(dict):
@@ -210,43 +211,45 @@ class EvalReport:
                 "skipped_entities": self.skipped_entities}
 
 
-def _score_polarity(per_entity_candidates, per_entity_refs, cfg, pair_counts):
+def _score_polarity(table, per_entity_refs, cfg, pair_counts):
+    """Score the rows of table, each entity's in row order, against the
+    references of every entity in per_entity_refs."""
+    entity_of = [review.entity_id for review in table.corpus.reviews]
+    candidates = {entity_id: [] for entity_id in entity_of}
+    for review, text in zip(table.review.tolist(),
+                            normalize_segments(table, cfg.token_normalization)):
+        candidates[entity_of[review]].append(text)
     entities = {}
     excluded = []
-    for entity_id, candidates in per_entity_candidates.items():
-        reference = per_entity_refs.get(entity_id, ())
+    for entity_id, reference in per_entity_refs.items():
         ref_norm = sorted({normalize_text(item, cfg.token_normalization)
                            for item in reference if item.strip()})
         ref_norm = [r for r in ref_norm if r]
         if not ref_norm:
             excluded.append(entity_id)
             continue
-        cand_norm = [normalize_segment(seg, cfg.token_normalization)
-                     for seg in candidates]
-        entities[entity_id] = entity_scores(cand_norm, ref_norm,
+        entities[entity_id] = entity_scores(candidates[entity_id], ref_norm,
                                             cfg.recall_threshold, pair_counts)
     if not entities:
         raise ValueError("no scorable entities (all lacked references)")
     return PolarityReport(corpus_stats(entities.values()), entities, excluded)
 
 
-def evaluate(candidates, references, cfg=None) -> EvalReport:
-    """candidates: entity_id -> {'positive': [Segment], 'negative': [Segment]};
-    references: entity_id -> (pros, cons) string collections."""
+def evaluate(positive, negative, references, cfg=None) -> EvalReport:
+    """Score every entity of the corpus of positive and negative, the
+    SegmentTables of its positive and negative candidates, against
+    references: entity_id -> (pros, cons) string collections. An entity
+    without candidates scores 0; one without references is skipped."""
     cfg = cfg if cfg is not None else EvalConfig()
-    if not candidates:
-        raise ValueError("empty candidate map")
-
-    skipped = sorted(e for e in candidates if e not in references)
+    entities = sorted({review.entity_id for review in positive.corpus.reviews})
+    skipped = [e for e in entities if e not in references]
     for entity_id in skipped:
-        log.warning("entity %r has candidates but no reference; skipped", entity_id)
+        log.warning("entity %r has no reference; skipped", entity_id)
 
-    usable = {e: c for e, c in candidates.items() if e in references}
+    usable = [e for e in entities if e in references]
     pair_counts = PairCounts()
-    pros = _score_polarity({e: c["positive"] for e, c in usable.items()},
-                           {e: references[e][0] for e in usable}, cfg, pair_counts)
-    cons = _score_polarity({e: c["negative"] for e, c in usable.items()},
-                           {e: references[e][1] for e in usable}, cfg, pair_counts)
+    pros = _score_polarity(positive, {e: references[e][0] for e in usable}, cfg, pair_counts)
+    cons = _score_polarity(negative, {e: references[e][1] for e in usable}, cfg, pair_counts)
     return EvalReport(pros, cons, skipped)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import classify, model, patterns
+from . import classify, patterns
 
 log = logging.getLogger(__name__)
 
@@ -155,27 +155,12 @@ def run_procedure(procedure, segments, est, y_senti=None, lexicon=None,
     return table.take(positive), table.take(~positive)
 
 
-def entity_candidates(state, corpus, pattern_ids, max_words, procedure, lexicon,
-                      config):
-    """Extract segments, label their aspects, run the named procedure once
-    over them all, and split the survivors by entity; only the survivors
-    become Segments. Every entity with a labelled segment gets an entry, in
-    sorted order, even with no survivors.
-
-    Returns {entity_id: {"positive": [...], "negative": [...]}}.
-    """
-    est = model.estimate(state)
+def labelled_segments(corpus, pattern_ids, max_words, est, vocab):
+    """The segments of corpus (patterns.extract_corpus), their aspects
+    labelled (classify.label_aspects); the unclassifiable ones are logged
+    and dropped. Each procedure then runs on the same labelled table."""
     segments = patterns.extract_corpus(corpus, pattern_ids, max_words=max_words)
-    labeled, dropped = classify.label_aspects(segments, est, state.vocab)
+    labeled, dropped = classify.label_aspects(segments, est, vocab)
     if dropped:
         log.info("dropped %d unclassifiable segments", len(dropped))
-
-    pos, neg = run_procedure(procedure, labeled, est, y_senti=state.y_senti,
-                             lexicon=lexicon, config=config)
-    candidates = {entity_id: {"positive": [], "negative": []}
-                  for entity_id in sorted({corpus.reviews[r].entity_id
-                                           for r in np.unique(labeled.review).tolist()})}
-    for polarity, table in (("positive", pos), ("negative", neg)):
-        for seg in table:
-            candidates[seg.entity_id][polarity].append(seg)
-    return candidates
+    return labeled

@@ -66,48 +66,24 @@ class Form(NamedTuple):
     regex: str
 
 
-@dataclass
-class Segment:
-    tokens: list
+class Row(NamedTuple):
+    """One SegmentTable row as the outputs write it; a label is None until set."""
+
     review_id: str
     entity_id: str
     sentence_index: int
     start: int
     end: int            # exclusive
+    text: str
     pattern_id: int
     negated: bool
-    aspect: int | None = None
-    sentiment: int | None = None
-    polarity: float | None = None
-    # the per-word average log score that filters.run_procedure ranks by;
-    # to_dict leaves it out
-    rank: float | None = None
-
-    @property
-    def text(self) -> str:
-        return " ".join(t.surface for t in self.tokens)
-
-    def __len__(self):
-        return len(self.tokens)
+    aspect: int | None
+    sentiment: int | None
+    polarity: float | None
 
     def to_dict(self):
-        d = {
-            "review_id": self.review_id,
-            "entity_id": self.entity_id,
-            "sentence_index": self.sentence_index,
-            "start": self.start,
-            "end": self.end,
-            "text": self.text,
-            "pattern_id": self.pattern_id,
-            "negated": self.negated,
-        }
-        if self.aspect is not None:
-            d["aspect"] = self.aspect
-        if self.sentiment is not None:
-            d["sentiment"] = self.sentiment
-        if self.polarity is not None:
-            d["polarity"] = self.polarity
-        return d
+        """The fields by name, in order, without the labels not set."""
+        return {name: value for name, value in zip(self._fields, self) if value is not None}
 
 
 @dataclass(eq=False)
@@ -117,7 +93,7 @@ class SegmentTable:
     sentence[i] (numbered across the corpus) of review[i]. The label columns
     are None until classify.label_aspects sets `codes` and `aspect` and
     filters.run_procedure `sentiment`, `polarity` and `rank`. Iterating
-    builds one Segment per row."""
+    gives one Row per row."""
 
     corpus: Corpus
     start: np.ndarray
@@ -148,20 +124,24 @@ class SegmentTable:
         window[offsets >= self.length[:, None]] = len(self.corpus.tokens)
         return window
 
+    def gather(self, values):
+        """Per row, the tuple of values[i] over its tokens' table entries i, in order."""
+        return [tuple(map(values.__getitem__, entries[:n]))
+                for entries, n in zip(self.window().tolist(), self.length.tolist())]
+
     def __iter__(self):
-        """One Segment per row, in row order, with the labels set so far."""
+        """One Row per row, in row order, with the labels set so far."""
         c = self.corpus
-        reviews = c.reviews
-        labels = (repeat(None) if column is None else column.tolist()
-                  for column in (self.aspect, self.sentiment, self.polarity, self.rank))
-        return iter([Segment(list(map(c.tokens.__getitem__, entries[:n])), reviews[r].id,
-                             reviews[r].entity_id, index, first, first + n, pattern_id,
-                             negated, *labels)
-                     for entries, n, r, index, first, pattern_id, negated, *labels in zip(
-                         self.window().tolist(), self.length.tolist(), self.review.tolist(),
-                         (self.sentence - c.review_starts[self.review]).tolist(),
-                         (self.start - c.sentence_starts[self.sentence]).tolist(),
-                         self.pattern_id.tolist(), self.negated.tolist(), *labels)])
+        reviews = [c.reviews[r] for r in self.review.tolist()]
+        first = self.start - c.sentence_starts[self.sentence]
+        return map(Row._make, zip(
+            [r.id for r in reviews], [r.entity_id for r in reviews],
+            (self.sentence - c.review_starts[self.review]).tolist(), first.tolist(),
+            (first + self.length).tolist(),
+            map(" ".join, self.gather([t.surface for t in c.tokens])),
+            self.pattern_id.tolist(), self.negated.tolist(),
+            *(repeat(None) if column is None else column.tolist()
+              for column in (self.aspect, self.sentiment, self.polarity))))
 
 
 def compile_patterns(pattern_ids):

@@ -11,15 +11,104 @@ corpus shares the compiled regex: extract_corpus must find what it found.
 
 import math
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import NamedTuple
 
 import mpmath
 import numpy as np
 
-from segsum.patterns import (DEFAULT_MAX_WORDS, DEFAULT_NEGATION, TAG_CLASSES, Segment,
-                             compile_patterns)
+from segsum.patterns import DEFAULT_MAX_WORDS, DEFAULT_NEGATION, TAG_CLASSES, compile_patterns
+
+
+# -- segments ------------------------------------------------------------------
+
+@dataclass
+class Segment:
+    """One segment with its own tokens, as segsum kept each survivor before
+    its SegmentTable rows went straight to the outputs."""
+
+    tokens: list
+    review_id: str
+    entity_id: str
+    sentence_index: int
+    start: int
+    end: int            # exclusive
+    pattern_id: int
+    negated: bool
+    aspect: int | None = None
+    sentiment: int | None = None
+    polarity: float | None = None
+    # the per-word average log score that filters.run_procedure ranks by;
+    # to_dict leaves it out
+    rank: float | None = None
+
+    @property
+    def text(self) -> str:
+        return " ".join(t.surface for t in self.tokens)
+
+    def __len__(self):
+        return len(self.tokens)
+
+    def to_dict(self):
+        d = {
+            "review_id": self.review_id,
+            "entity_id": self.entity_id,
+            "sentence_index": self.sentence_index,
+            "start": self.start,
+            "end": self.end,
+            "text": self.text,
+            "pattern_id": self.pattern_id,
+            "negated": self.negated,
+        }
+        if self.aspect is not None:
+            d["aspect"] = self.aspect
+        if self.sentiment is not None:
+            d["sentiment"] = self.sentiment
+        if self.polarity is not None:
+            d["polarity"] = self.polarity
+        return d
+
+
+def table_segments(table):
+    """One Segment per row of a SegmentTable, in row order, with the labels
+    set so far: the rows as SegmentTable iteration gave them before it gave
+    Rows."""
+    c = table.corpus
+    reviews = c.reviews
+    labels = (repeat(None) if column is None else column.tolist()
+              for column in (table.aspect, table.sentiment, table.polarity, table.rank))
+    return [Segment(list(map(c.tokens.__getitem__, entries[:n])), reviews[r].id,
+                    reviews[r].entity_id, index, first, first + n, pattern_id, negated, *labels)
+            for entries, n, r, index, first, pattern_id, negated, *labels in zip(
+                table.window().tolist(), table.length.tolist(), table.review.tolist(),
+                (table.sentence - c.review_starts[table.review]).tolist(),
+                (table.start - c.sentence_starts[table.sentence]).tolist(),
+                table.pattern_id.tolist(), table.negated.tolist(), *labels)]
+
+
+def typed(values):
+    """Each value with its Python type and repr, which tells -0.0 from 0.0
+    and True from 1."""
+    return [(type(value), repr(value)) for value in values]
+
+
+def assert_rows_equal(table, segments):
+    """The rows of a SegmentTable are the Segments, field for field: each
+    Row's dict is the Segment's to_dict, keys in the same order and values of
+    the same types and reprs; each row covers the Segment's tokens; and the
+    rank column holds the Segment's ranks (None where unset)."""
+    rows = [row.to_dict() for row in table]
+    want = [seg.to_dict() for seg in segments]
+    assert [list(d.items()) for d in rows] == [list(d.items()) for d in want]
+    assert [typed(d.values()) for d in rows] == [typed(d.values()) for d in want]
+    c = table.corpus
+    assert [[c.tokens[i] for i in c.token_ids[first:first + n].tolist()]
+            for first, n in zip(table.start.tolist(), table.length.tolist())] \
+        == [seg.tokens for seg in segments]
+    ranks = [None] * len(table) if table.rank is None else table.rank.tolist()
+    assert typed(ranks) == typed(seg.rank for seg in segments)
 
 
 # -- sampler conditional -----------------------------------------------------

@@ -254,7 +254,7 @@ def test_end_to_end_smoke():
     """The full pipeline on a templated synthetic corpus beats the median of
     10 random-selection controls on the combined score."""
     import json
-    from segsum import classify, corpus as corpus_mod, evaluation, filters, patterns
+    from segsum import corpus as corpus_mod, evaluation, filters, patterns
 
     start = time.monotonic()
     reviews = generate_text_reviews(num_entities=5, reviews_per_entity=10,
@@ -274,34 +274,28 @@ def test_end_to_end_smoke():
     est = model.estimate(state)
     refs = corpus_mod.build_reference_summaries(corpus)
 
-    segments = patterns.extract_corpus(corpus, {1, 2, 3, 4, 5})
-    labeled, _ = classify.label_aspects(segments, est, vocab)
+    labeled = filters.labelled_segments(corpus, {1, 2, 3, 4, 5}, patterns.DEFAULT_MAX_WORDS,
+                                        est, vocab)
     entity_of = np.array([review.entity_id for review in corpus.reviews])[labeled.review]
-    by_entity = {entity_id: labeled.take(entity_of == entity_id)
-                 for entity_id in sorted(set(entity_of.tolist()))}
 
     def combined(report_):
         p, c = report_.pros.stats, report_.cons.stats
         return (p.p + p.r + c.p + c.r) / 4
 
-    candidates = {}
-    for entity_id, segs in sorted(by_entity.items()):
-        pos, neg = filters.run_procedure("AW+SEN", segs, est, y_senti=state.y_senti)
-        candidates[entity_id] = {"positive": list(pos), "negative": list(neg)}
-    pipeline_score = combined(evaluation.evaluate(candidates, refs))
+    # one pass over every entity's segments (without RANK, as a pass per entity)
+    pos, neg = filters.run_procedure("AW+SEN", labeled, est, y_senti=state.y_senti)
+    pipeline_score = combined(evaluation.evaluate(pos, neg, refs))
 
     controls = []
     for trial in range(10):
         rng = np.random.default_rng(100 + trial)
-        control = {}
-        for entity_id, segs in sorted(by_entity.items()):
-            kept = [s for s in list(segs) if rng.random() < 0.5]
-            labels = rng.integers(0, 2, size=len(kept))
-            control[entity_id] = {
-                "positive": [s for s, l in zip(kept, labels) if l == 0],
-                "negative": [s for s, l in zip(kept, labels) if l == 1],
-            }
-        controls.append(combined(evaluation.evaluate(control, refs)))
+        label = np.full(len(labeled), -1)   # -1: not kept
+        for entity_id in sorted(set(entity_of.tolist())):
+            rows = np.flatnonzero(entity_of == entity_id)
+            kept = rows[[rng.random() < 0.5 for _ in rows]]
+            label[kept] = rng.integers(0, 2, size=len(kept))
+        controls.append(combined(evaluation.evaluate(labeled.take(label == 0),
+                                                     labeled.take(label == 1), refs)))
     control_median = float(np.median(controls))
 
     elapsed = time.monotonic() - start

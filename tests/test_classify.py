@@ -120,12 +120,13 @@ class TestTopic:
         rng = np.random.default_rng(2)
         for trial in range(20):
             est = make_est(rng)
-            seg = make_seg([("good", "JJ"), ("food", "NN"), ("unknownword", "NN"),
-                            ("staff", "NN"), ("bad", "JJ")])
+            pairs = [("good", "JJ"), ("food", "NN"), ("unknownword", "NN"), ("staff", "NN"),
+                     ("bad", "JJ")]
+            seg = make_seg(pairs)
             scores = []
             for k in range(3):
                 total = 0.0
-                for token in list(seg)[0].tokens:
+                for token in [make_token(*pair) for pair in pairs]:
                     if token.stem in VOCAB.aspect_index:
                         total += math.log(est.phi_hat[k, VOCAB.aspect_index[token.stem]])
                     elif token.stem in VOCAB.senti_index:

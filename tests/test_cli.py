@@ -730,20 +730,23 @@ def test_summaries_list_each_polarity_by_descending_rank(tmp_path):
     corp = corpus_mod.ingest_tagged(corpus)
     state = model.load_checkpoint(cfg.checkpoint_path, corp)
     est = model.estimate(state)
-    candidates = filters.entity_candidates(
-        state, corp, patterns.resolve_pattern_ids(cfg.pattern_spec), cfg.max_words,
-        procedure, None, cfg.filters)
+    labeled = filters.labelled_segments(corp, patterns.resolve_pattern_ids(cfg.pattern_spec),
+                                        cfg.max_words, est, state.vocab)
+    tables = filters.run_procedure(procedure, labeled, est, y_senti=state.y_senti,
+                                   config=cfg.filters)
     review_index = {review.id: i for i, review in enumerate(corp.reviews)}
-    assert list(summaries) == list(candidates)
+    assert list(summaries) == sorted({review.entity_id for review in corp.reviews})
     ties = 0
-    for entity_id, lists in candidates.items():
-        for polarity, segs in lists.items():
-            for seg in segs:
-                seg.ids = oracles.segment_ids(seg, state.vocab)
-                assert seg.rank == oracles.rank_score(seg, est)
-            ordered = sorted(segs, key=lambda seg: (-seg.rank, review_index[seg.review_id],
-                                                    seg.sentence_index, seg.start))
-            entries = summaries[entity_id][polarity]
+    for polarity, table in zip(("positive", "negative"), tables):
+        segs = oracles.table_segments(table)
+        for seg in segs:
+            seg.ids = oracles.segment_ids(seg, state.vocab)
+            assert seg.rank == oracles.rank_score(seg, est)
+        for entity_id, entry in summaries.items():
+            ordered = sorted((seg for seg in segs if seg.entity_id == entity_id),
+                             key=lambda seg: (-seg.rank, review_index[seg.review_id],
+                                              seg.sentence_index, seg.start))
+            entries = entry[polarity]
             assert entries == [seg.to_dict() for seg in ordered]
             assert not any("rank" in entry for entry in entries)
             ties += sum(a.rank == b.rank for a, b in zip(ordered, ordered[1:]))
@@ -876,6 +879,32 @@ def test_summarize_entity_writes_the_full_runs_entry(tmp_path):
         assert summaries.read_text() == json.dumps({entity_id: entry}, indent=2)
 
 
+def test_an_entity_without_segments_gets_an_empty_entry(tmp_path):
+    # the only review of "quiet" matches no pattern
+    reviews = generate_text_reviews(num_entities=3, reviews_per_entity=5, rng_seed=4)
+    reviews.append({"id": "quiet-r0", "entity_id": "quiet",
+                    "sentences": [[["the", "DT"], ["menu", "NN"]]],
+                    "pros": ["good food"], "cons": ["slow service"]})
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in reviews))
+    config = write_config(tmp_path, corpus)
+    summaries = tmp_path / "out" / "summaries.json"
+    assert main(["--config", str(config), "train", "--iters", "5"]) == 0
+    assert main(["--config", str(config), "summarize"]) == 0
+    full = json.loads(summaries.read_text())
+    assert list(full) == ["entity0", "entity1", "entity2", "quiet"]
+    assert full["quiet"] == {"positive": [], "negative": []}
+    assert main(["--config", str(config), "summarize", "--entity", "quiet"]) == 0
+    assert summaries.read_text() == json.dumps({"quiet": full["quiet"]}, indent=2)
+    assert main(["--config", str(config), "evaluate"]) == 0
+    report = json.loads((tmp_path / "out" / "report_AW_SEN_SW.json").read_text())
+    for side in ("pros", "cons"):
+        assert report[side]["entities"]["quiet"]["num_candidates"] == 0
+        assert (report[side]["corpus"]["num_entities"]
+                == 4 - len(report[side]["excluded_no_reference"]))
+    assert report["skipped_entities"] == []
+
+
 # sha256 of each JSON output of preprocess, train (no MAP step), summarize and
 # evaluate on a small fixed corpus, as the program wrote them before its
 # corpus became arrays over one token table and its JSON writer streamed
@@ -987,3 +1016,41 @@ def test_other_outputs_are_pinned(tmp_path):
         assert main(["--config", str(config)] + command.split()) == 0
         got[command, name] = hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
     assert got == PINNED_OTHER_OUTPUTS
+
+
+def write_plural_corpus(tmp_path):
+    """write_corpus's reviews with the nouns of every other sentence in the
+    plural, tagged NNS: "foods" stems to "food", the word of the references,
+    so stemmed and surface_lower evaluation score them apart."""
+    path = tmp_path / "corpus.jsonl"
+    reviews = generate_text_reviews(num_entities=4, reviews_per_entity=8, rng_seed=5)
+    with open(path, "w") as fh:
+        for i, review in enumerate(reviews):
+            for j, sentence in enumerate(review["sentences"]):
+                if (i + j) % 2 == 0:
+                    review["sentences"][j] = [(w + "s", "NNS") if tag == "NN" else (w, tag)
+                                              for w, tag in sentence]
+            fh.write(json.dumps(review) + "\n")
+    return path
+
+
+# sha256 of evaluate's report under each [eval] token_normalization, on
+# write_plural_corpus, as the program wrote it when it normalised each
+# candidate Segment's own tokens
+PINNED_NORMALIZATION_REPORTS = {
+    "stemmed": "a18b2aac6fd35b04f9a666887353795c490e19c5a13460be334f3cc3a8f59729",
+    "surface_lower": "65c2941bba05072334e760f40a57b44e12ccd2d454d6cb753cfbc2115f95a5f9",
+}
+
+
+def test_reports_of_each_normalization_are_pinned(tmp_path):
+    corpus = write_plural_corpus(tmp_path)
+    got = {}
+    for mode in PINNED_NORMALIZATION_REPORTS:
+        config = write_config(tmp_path, corpus, name=f"{mode}.ini",
+                              extra=f"[eval]\ntoken_normalization = {mode}\n")
+        for argv in (["train", "--iters", "10"], ["evaluate"]):
+            assert main(["--config", str(config)] + argv) == 0
+        got[mode] = hashlib.sha256(
+            (tmp_path / "out" / "report_AW_SEN_SW.json").read_bytes()).hexdigest()
+    assert got == PINNED_NORMALIZATION_REPORTS

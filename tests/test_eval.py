@@ -1,10 +1,10 @@
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segsum.corpus import make_token
 from segsum.evaluation import (
     EvalConfig,
     PairCounts,
@@ -12,13 +12,14 @@ from segsum.evaluation import (
     entity_scores,
     evaluate,
     format_report_table,
-    normalize_segment,
+    normalize_segments,
     normalize_text,
     segment_scores,
 )
-from segsum.patterns import Segment
+from segsum.patterns import SegmentTable
 
 import oracles
+from conftest import corpus_of, tagged_sentence
 
 tokens = st.lists(st.sampled_from("abcde"), min_size=0, max_size=6).map(tuple)
 nonempty = st.lists(st.sampled_from("abcde"), min_size=1, max_size=6).map(tuple)
@@ -38,10 +39,30 @@ def skip2(x, y):
     return round(pr_pair(x, y)[0] * comb(len(y), 2))
 
 
-def make_seg(words, negated=False):
-    toks = [make_token(w, "NN") for w in words]
-    return Segment(tokens=toks, review_id="r", entity_id="e", sentence_index=0,
-                   start=0, end=len(toks), pattern_id=5, negated=negated)
+def tables(candidates):
+    """(positive, negative) SegmentTables of a candidate map entity_id ->
+    {"positive": [words], "negative": [words]}: one review per entity, in
+    map order, its sentences the positive then the negative candidates, each
+    word tagged NN and each sentence one pattern-5 row."""
+    reviews, positive = [], []
+    for i, (entity_id, lists) in enumerate(candidates.items()):
+        sentences = []
+        for polarity in ("positive", "negative"):
+            sentences += [tagged_sentence([(w, "NN") for w in words], f"r{i}")
+                          for words in lists[polarity]]
+            positive += [polarity == "positive"] * len(lists[polarity])
+        reviews.append((f"r{i}", entity_id, sentences))
+    corpus = corpus_of(reviews)
+    sentence = np.arange(corpus.num_sentences)
+    table = SegmentTable(corpus, corpus.sentence_starts[:-1], np.diff(corpus.sentence_starts),
+                         sentence, np.searchsorted(corpus.review_starts, sentence, "right") - 1,
+                         np.full(len(sentence), 5), np.zeros(len(sentence), dtype=bool))
+    positive = np.array(positive, dtype=bool)
+    return table.take(positive), table.take(~positive)
+
+
+def evaluate_map(candidates, references, cfg=None):
+    return evaluate(*tables(candidates), references, cfg)
 
 
 class TestNormalize:
@@ -56,9 +77,14 @@ class TestNormalize:
         assert normalize_text("don't", "surface_lower") == ("don't",)
 
     def test_segment(self):
-        seg = make_seg(["Great", "Food"])
-        assert normalize_segment(seg) == ("great", "food")
-        assert normalize_segment(seg, "surface_lower") == ("great", "food")
+        # "Sauces" stems to "sauc": the two modes differ
+        positive, negative = tables({"e": {"positive": [["Delicious", "Sauces"], ["Food"]],
+                                           "negative": [["Rude", "staff"]]}})
+        assert normalize_segments(positive) == [("delici", "sauc"), ("food",)]
+        assert normalize_segments(positive, "surface_lower") == [("delicious", "sauces"),
+                                                                ("food",)]
+        assert normalize_segments(negative, "surface_lower") == [("rude", "staff")]
+        assert normalize_segments(positive.take([])) == []
 
 
 class TestSkip2:
@@ -221,14 +247,14 @@ class TestEvaluate:
 
     def cands(self):
         return {
-            "e1": {"positive": [make_seg(["good", "food"])],
-                   "negative": [make_seg(["rude", "staff"])]},
-            "e2": {"positive": [make_seg(["nice", "wine"])],
-                   "negative": [make_seg(["bad", "service"])]},
+            "e1": {"positive": [["good", "food"]],
+                   "negative": [["rude", "staff"]]},
+            "e2": {"positive": [["nice", "wine"]],
+                   "negative": [["bad", "service"]]},
         }
 
     def test_polarities_scored_separately(self):
-        report = evaluate(self.cands(), self.refs())
+        report = evaluate_map(self.cands(), self.refs())
         assert report.pros.stats.p_s == pytest.approx(1.0)
         assert report.pros.stats.r_s == pytest.approx(1.0)
         # cons: e1 perfect, e2 'bad service' vs 'slow service' shares no pair
@@ -237,40 +263,50 @@ class TestEvaluate:
     def test_missing_reference_entity_skipped(self, caplog):
         import logging
         cands = self.cands()
-        cands["e3"] = {"positive": [make_seg(["x"])], "negative": []}
+        cands["e3"] = {"positive": [["x"]], "negative": []}
         with caplog.at_level(logging.WARNING):
-            report = evaluate(cands, self.refs())
+            report = evaluate_map(cands, self.refs())
         assert report.skipped_entities == ["e3"]
         assert "e3" in caplog.text
 
     def test_entity_without_pros_excluded_from_pros_side(self):
         refs = self.refs()
         refs["e2"] = ([], ["slow service"])
-        report = evaluate(self.cands(), refs)
+        report = evaluate_map(self.cands(), refs)
         assert report.pros.excluded_no_reference == ["e2"]
         assert "e2" in report.cons.entities
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError):
-            evaluate({}, self.refs())
+            evaluate_map({}, self.refs())
+
+    def test_entity_without_candidates_is_scored(self):
+        cands = self.cands()
+        cands["e2"] = {"positive": [], "negative": []}
+        report = evaluate_map(cands, self.refs())
+        for side in (report.pros, report.cons):
+            assert list(side.entities) == ["e1", "e2"]
+            assert side.entities["e2"].num_candidates == 0
+            assert side.entities["e2"].flagged_empty_candidate
+        assert report.pros.stats.p_e == pytest.approx(0.5)
 
     def test_no_scorable_entities_raises(self):
         refs = {"e1": ([], []), "e2": ([], [])}
         with pytest.raises(ValueError):
-            evaluate(self.cands(), refs)
+            evaluate_map(self.cands(), refs)
 
     def test_stemming_bridges_inflection(self):
-        cands = {"e1": {"positive": [make_seg(["delicious", "sauces"])],
-                        "negative": [make_seg(["rude", "staff"])]}}
+        cands = {"e1": {"positive": [["delicious", "sauces"]],
+                        "negative": [["rude", "staff"]]}}
         refs = {"e1": (["Delicious Sauce"], ["rude staff"])}
-        report = evaluate(cands, refs, EvalConfig(token_normalization="stemmed"))
+        report = evaluate_map(cands, refs, EvalConfig(token_normalization="stemmed"))
         assert report.pros.stats.r_s == pytest.approx(1.0)
-        surface = evaluate(cands, refs,
+        surface = evaluate_map(cands, refs,
                            EvalConfig(token_normalization="surface_lower"))
         assert surface.pros.stats.r_s == pytest.approx(0.0)
 
     def test_report_serializes(self):
-        report = evaluate(self.cands(), self.refs())
+        report = evaluate_map(self.cands(), self.refs())
         d = report.to_dict()
         assert set(d) == {"pros", "cons", "skipped_entities"}
         table = format_report_table(report, "AW+SEN")
@@ -278,9 +314,9 @@ class TestEvaluate:
 
     def test_duplicate_references_deduplicate(self):
         refs = {"e1": (["Good  Food", "good food"], ["rude staff"])}
-        cands = {"e1": {"positive": [make_seg(["good", "food"])],
-                        "negative": [make_seg(["rude", "staff"])]}}
-        report = evaluate(cands, refs)
+        cands = {"e1": {"positive": [["good", "food"]],
+                        "negative": [["rude", "staff"]]}}
+        report = evaluate_map(cands, refs)
         assert report.pros.entities["e1"].num_references == 1
 
 
@@ -316,7 +352,7 @@ def random_evaluation(rng):
 
     candidates, references = {}, {}
     for e in range(int(rng.integers(1, 6))):
-        candidates[f"e{e}"] = {polarity: [make_seg(text()) for _ in range(rng.integers(0, 5))]
+        candidates[f"e{e}"] = {polarity: [text() for _ in range(rng.integers(0, 5))]
                                for polarity in ("positive", "negative")}
         if e == 0 or rng.random() < 0.8:
             references[f"e{e}"] = tuple(
@@ -337,9 +373,9 @@ def test_one_count_per_text_gives_the_report_of_pr_pair(monkeypatch, normalizati
             m.setattr(PairCounts, "__missing__",
                       lambda self, seq, count=PairCounts.__missing__:
                       counted.append(seq) or count(self, seq))
-            got = evaluate(candidates, references, cfg).to_dict()
+            got = evaluate_map(candidates, references, cfg).to_dict()
         assert len(counted) == len(set(counted))
         with monkeypatch.context() as m:
             m.setattr(PairCounts, "pr_pair", lambda self, x, y: pr_pair_oracle(x, y))
-            want = evaluate(candidates, references, cfg).to_dict()
+            want = evaluate_map(candidates, references, cfg).to_dict()
         assert got == want

@@ -10,7 +10,7 @@ from segsum.corpus import CorpusBuilder, Vocabulary, build_vocabulary, make_toke
 from segsum.filters import (
     FilterConfig,
     ProcedureError,
-    entity_candidates,
+    labelled_segments,
     parse_procedure,
     run_procedure,
 )
@@ -70,7 +70,8 @@ def survivors(procedure, table, est, config=None, lexicon=NEUTRAL):
 def classified(procedure, table, est, **kwargs):
     """The Segments that procedure keeps, with their labels, in corpus order."""
     pos, neg = run_procedure(procedure, table, est, **kwargs)
-    return sorted(list(pos) + list(neg), key=lambda seg: int(seg.review_id[1:]))
+    return sorted(oracles.table_segments(pos) + oracles.table_segments(neg),
+                  key=lambda seg: int(seg.review_id[1:]))
 
 
 def random_segments(rng, n):
@@ -91,7 +92,7 @@ def random_table(rng, n, est):
 
 def oracle_segments(table, lexicon):
     """The table's rows as Segments, encoded and labelled by the SWN oracle."""
-    segs = list(table)
+    segs = oracles.table_segments(table)
     for seg in segs:
         seg.ids = oracles.segment_ids(seg, VOCAB)
         seg.sentiment, seg.polarity = oracles.classify_sentiment_swn(seg, lexicon)
@@ -324,13 +325,13 @@ class TestAcrossEntities:
         for entity_id in sorted(set(entity_of.tolist())):
             pos, neg = run_procedure(procedure, table.take(entity_of == entity_id), est,
                                      y_senti=TestRunProcedure.Y, config=self.CONFIG)
-            out[entity_id] = (list(pos), list(neg))
+            out[entity_id] = (oracles.table_segments(pos), oracles.table_segments(neg))
         return out
 
     def one_pass(self, procedure, table, est):
         pos, neg = run_procedure(procedure, table, est, y_senti=TestRunProcedure.Y,
                                  config=self.CONFIG)
-        pos, neg = list(pos), list(neg)
+        pos, neg = oracles.table_segments(pos), oracles.table_segments(neg)
         return {entity_id: ([s for s in pos if s.entity_id == entity_id],
                             [s for s in neg if s.entity_id == entity_id])
                 for entity_id in sorted({r.entity_id for r in table.corpus.reviews})}
@@ -361,7 +362,7 @@ class TestAcrossEntities:
                     == self.per_entity(procedure, table, est))
 
 
-def test_entity_candidates_equals_a_pass_per_entity():
+def test_one_pass_over_labelled_segments_equals_a_pass_per_entity():
     builder = CorpusBuilder()
     for record in generate_text_reviews(num_entities=4, reviews_per_entity=6, rng_seed=3):
         builder.add(record)
@@ -371,19 +372,18 @@ def test_entity_candidates_equals_a_pass_per_entity():
     model.gibbs_sweep(state)
     config = FilterConfig(5, 5, 0.5)
     procedure = "AW+SEN+SW+RANK"
-    got = entity_candidates(state, corp, {1, 2, 3, 4, 5}, 7, procedure, None, config)
-
     est = model.estimate(state)
-    labeled, _ = label_aspects(extract_corpus(corp, {1, 2, 3, 4, 5}, max_words=7), est, vocab)
+    labeled = labelled_segments(corp, {1, 2, 3, 4, 5}, 7, est, vocab)
+    want_labeled, _ = label_aspects(extract_corpus(corp, {1, 2, 3, 4, 5}, max_words=7), est,
+                                    vocab)
+    oracles.assert_rows_equal(labeled, oracles.table_segments(want_labeled))
+    pos, neg = run_procedure(procedure, labeled, est, y_senti=state.y_senti, config=config)
+    pos, neg = oracles.table_segments(pos), oracles.table_segments(neg)
+
     entity_of = np.array([review.entity_id for review in corp.reviews])[labeled.review]
-    want = {}
     for entity_id in sorted(set(entity_of.tolist())):
-        pos, neg = run_procedure(procedure, labeled.take(entity_of == entity_id),
-                                 est, y_senti=state.y_senti, config=config)
-        want[entity_id] = {"positive": list(pos), "negative": list(neg)}
-    assert list(got) == list(want)
-    for entity_id, lists in want.items():
-        for polarity, segs in lists.items():
-            assert ([s.to_dict() for s in got[entity_id][polarity]]
-                    == [s.to_dict() for s in segs])
-            assert [s.rank for s in got[entity_id][polarity]] == [s.rank for s in segs]
+        want = run_procedure(procedure, labeled.take(entity_of == entity_id),
+                             est, y_senti=state.y_senti, config=config)
+        assert ([s for s in pos if s.entity_id == entity_id],
+                [s for s in neg if s.entity_id == entity_id]) \
+            == tuple(map(oracles.table_segments, want))

@@ -131,7 +131,7 @@ class TestLongestMatch:
                  ("instruction", "NN")]
         segs = segments_of(sentence_factory, pairs, max_words=7)
         assert len(segs) == 1
-        assert len(segs[0]) == 7
+        assert segs[0].end - segs[0].start == 7
 
     def test_greedy_end_is_longest_end(self):
         # For every form, every class string up to length 5 and every start,
@@ -230,7 +230,7 @@ class TestExtractCorpus:
     def test_length_bound(self, sentence_factory):
         pairs = [("very", "RB")] * 10 + [("good", "JJ"), ("food", "NN")]
         segs = segments_of(sentence_factory, pairs, {5}, max_words=7)
-        assert all(len(s) <= 7 for s in segs)
+        assert segs and all(s.end - s.start <= 7 for s in segs)
 
 
 class TestPrioritySoundness:
@@ -326,4 +326,4 @@ def test_extract_corpus_equals_the_per_sentence_matcher(reviews, pattern_ids, ma
             for segment in oracles.match_sentence(
                 Sentence([Token(s, s.lower(), t, False) for s, t in sentence], f"r{i}"),
                 pattern_ids, max_words, negation, f"e{i % 2}", index)]
-    assert list(extract_corpus(corpus, pattern_ids, max_words, negation)) == want
+    oracles.assert_rows_equal(extract_corpus(corpus, pattern_ids, max_words, negation), want)

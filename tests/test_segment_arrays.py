@@ -59,13 +59,6 @@ def normalized(rng, shape):
     return a / a.sum(axis=-1, keepdims=True)
 
 
-def labels(seg):
-    """What the stages store on a segment, with the sign of a zero and the
-    Python type of each value."""
-    return [(repr(value), type(value)) for value in
-            (seg.aspect, seg.sentiment, seg.polarity, seg.rank)]
-
-
 def make_corpus(pool, reviews):
     """The corpus of (entity_id, sentence numbers) reviews over a pool of
     sentences, each a list of (surface, tag) pairs; review i is r<i>."""
@@ -97,10 +90,8 @@ def assert_procedure_equals_the_oracle(procedure, table, segs, est, y_senti, lex
                              config=config)
     o_pos, o_neg = oracles.run_procedure(parse_procedure(procedure), segs, est, y_senti,
                                          lexicon, config)
-    got = list(pos) + list(neg)
-    assert got == o_pos + o_neg, procedure
-    assert [labels(s) for s in got] == [labels(s) for s in o_pos + o_neg], procedure
-    assert len(pos) == len(o_pos), procedure
+    oracles.assert_rows_equal(pos, o_pos)
+    oracles.assert_rows_equal(neg, o_neg)
 
 
 # the words of each class letter of patterns.TAG_CLASSES (X: negation
@@ -148,12 +139,12 @@ def test_array_path_equals_the_per_segment_oracles(data):
 
     table = extract_corpus(corpus, pattern_ids, max_words)
     segs = oracles.extract_per_sentence(corpus, pattern_ids, max_words)
-    assert list(table) == segs
+    oracles.assert_rows_equal(table, segs)
 
     labeled, dropped = label_aspects(table, est, VOCAB)
     o_labeled, o_dropped = oracles.label_aspects(segs, oracles.topic_weights(est), VOCAB)
-    assert list(labeled) == o_labeled and list(dropped) == o_dropped
-    assert [labels(s) for s in labeled] == [labels(s) for s in o_labeled]
+    oracles.assert_rows_equal(labeled, o_labeled)
+    oracles.assert_rows_equal(dropped, o_dropped)
 
     procedure = data.draw(st.sampled_from(PROCEDURES), label="procedure")
     config = FilterConfig(data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5)),
@@ -200,9 +191,9 @@ def one_segment(pairs, est, max_words=7):
 
 
 def the_segment(procedure, table, est, **kwargs):
-    """The one Segment that procedure keeps of table."""
+    """The one row that procedure keeps of table, as a Segment."""
     pos, neg = run_procedure(procedure, table, est, **kwargs)
-    [seg] = list(pos) + list(neg)
+    [seg] = oracles.table_segments(pos) + oracles.table_segments(neg)
     return seg
 
 
@@ -315,7 +306,7 @@ def test_topic_scores_add_left_to_right():
     rows = oracles.topic_weights(est)["aspect"][aspect_ids(ASPECT_9)]
     # the trap is set: summed pairwise per topic, topic 0 wins
     assert int(np.argmax(np.sum(np.ascontiguousarray(rows.T), axis=1))) == 0
-    twin = list(labelled_9(NOUNS_9, est))[0]
+    [twin] = oracles.table_segments(labelled_9(NOUNS_9, est))
     twin.aspect = None
     oracles.label_aspects([twin], oracles.topic_weights(est), VOCAB_9)
     assert labelled_9(NOUNS_9, est).aspect.tolist() == [twin.aspect] == [1]
