@@ -8,8 +8,11 @@ pros/cons gold standards.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
+import os
+import zipfile
 from array import array
 from dataclasses import dataclass, field
 from itertools import chain, compress
@@ -126,10 +129,13 @@ class Corpus:
         return len(self.sentence_starts) - 1
 
 
+UNKNOWN_TAG_WARNING = "unknown POS tag %r for token %r; treated as non-sentiment"
+
+
 def make_token(surface: str, pos: str, extra_sentiment=DEFAULT_EXTRA_SENTIMENT) -> Token:
     stemmed = _stem.stem(surface.lower())
     if pos not in PENN_TAGS:
-        log.warning("unknown POS tag %r for token %r; treated as non-sentiment", pos, surface)
+        log.warning(UNKNOWN_TAG_WARNING, pos, surface)
         return Token(surface, stemmed, pos, False)
     is_sentiment = pos.startswith(SENTIMENT_TAG_PREFIXES) or stemmed in extra_sentiment
     return Token(surface, stemmed, pos, is_sentiment)
@@ -139,12 +145,95 @@ def make_token(surface: str, pos: str, extra_sentiment=DEFAULT_EXTRA_SENTIMENT) 
 CORPUS_FORMATS = ("jsonl", "conll")
 
 
-def ingest_tagged(path, format: str = "jsonl",
-                  extra_sentiment=DEFAULT_EXTRA_SENTIMENT) -> Corpus:
+# preprocess writes the corpus it parsed to this file in its output_dir
+COLUMNS_FILE = "corpus.npz"
+# the dtype of each array of that file, all 1-D; the uint8 arrays hold JSON text
+_COLUMNS = {"key": np.uint8, "table": np.uint8, "records": np.uint8, "token_ids": np.int32,
+            "sentence_starts": np.int64, "review_starts": np.int64}
+
+
+def ingest_tagged(path, format: str = "jsonl", extra_sentiment=DEFAULT_EXTRA_SENTIMENT,
+                  output_dir=None) -> Corpus:
+    """The corpus at path: loaded from output_dir's COLUMNS_FILE if that file
+    holds this corpus under its current key, parsed otherwise."""
     if format not in CORPUS_FORMATS:
         raise ValueError(f"unknown corpus format: {format!r}")
+    columns = os.path.join(output_dir, COLUMNS_FILE) if output_dir is not None else None
+    # the key only when the file is there: a command without it pays one stat
+    if columns is not None and os.path.exists(columns):
+        corpus = _load_columns(columns, _corpus_key(path, format, extra_sentiment))
+        if corpus is not None:
+            return corpus
     read = _ingest_jsonl if format == "jsonl" else _ingest_conll
     return read(path, extra_sentiment)
+
+
+def _corpus_key(path, format, extra_sentiment) -> str:
+    """The sha256 of what a parse of path depends on: its bytes, the format,
+    the extra sentiment words, and the sources of this module and of stem."""
+    digests = []
+    for name in (path, __file__, _stem.__file__):
+        digest = hashlib.sha256()
+        with open(name, "rb") as fh:
+            while block := fh.read(1 << 20):   # hashlib.file_digest needs Python 3.11
+                digest.update(block)
+        digests.append(digest.hexdigest())
+    payload = json.dumps([format, sorted(extra_sentiment), *digests]).encode()
+    return hashlib.sha256(payload).hexdigest()
+
+
+def write_columns(corpus: Corpus, output_dir, path, format, extra_sentiment):
+    """Write corpus, parsed from path in format with extra_sentiment, to
+    output_dir's COLUMNS_FILE under its key: its token table and records as
+    JSON text, so that no pickle is needed; through a temporary file renamed
+    over it, so that no process finds a half-written file."""
+    def text(value):
+        return np.frombuffer(json.dumps(value).encode(), dtype=np.uint8)
+
+    columns = os.path.join(output_dir, COLUMNS_FILE)
+    tmp = f"{columns}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, key=text(_corpus_key(path, format, extra_sentiment)),
+                     table=text([[t.surface, t.stem, t.pos, t.is_sentiment]
+                                 for t in corpus.tokens]),
+                     records=text([[r.id, r.entity_id, r.pros, r.cons] for r in corpus.reviews]),
+                     token_ids=corpus.token_ids, sentence_starts=corpus.sentence_starts,
+                     review_starts=corpus.review_starts)
+        os.replace(tmp, columns)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _load_columns(path, key):
+    """The Corpus written to path under key, with the unknown-tag warnings of
+    its parse; None if the file does not load, holds another key, or breaks
+    an invariant of Corpus (which would reach the encoder and the sweep)."""
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            arrays = {name: npz[name] for name in _COLUMNS}
+        if (any(arrays[name].dtype != dtype or arrays[name].ndim != 1
+                for name, dtype in _COLUMNS.items())
+                or json.loads(arrays["key"].tobytes()) != key):
+            return None
+        tokens = [Token(*entry) for entry in json.loads(arrays["table"].tobytes())]
+        records = json.loads(arrays["records"].tobytes())
+        ids, sentences, reviews = (arrays["token_ids"], arrays["sentence_starts"],
+                                   arrays["review_starts"])
+        if not (sentences[0] == 0 and sentences[-1] == len(ids) and (np.diff(sentences) > 0).all()
+                and reviews[0] == 0 and reviews[-1] == len(sentences) - 1
+                and (np.diff(reviews) >= 0).all() and len(records) == len(reviews) - 1
+                and ((ids >= 0) & (ids < len(tokens))).all()):
+            return None
+        corpus = Corpus(tokens, ids, sentences, reviews, records)
+    except (OSError, EOFError, LookupError, TypeError, ValueError, zipfile.BadZipFile):
+        return None
+    # the parse warns once per distinct (surface, tag), in table order
+    for token in tokens:
+        if token.pos not in PENN_TAGS:
+            log.warning(UNKNOWN_TAG_WARNING, token.pos, token.surface)
+    return corpus
 
 
 def _checked_pair(pair):
@@ -297,7 +386,6 @@ class Vocabulary:
         return np.array([self.codes.get(t.stem, pad) for t in tokens] + [pad], dtype=np.int64)
 
     def content_hash(self) -> str:
-        import hashlib
         payload = json.dumps([self.aspect_stems, self.senti_stems]).encode()
         return hashlib.sha256(payload).hexdigest()
 

@@ -3,6 +3,7 @@ import gc
 import hashlib
 import io
 import json
+import logging
 import math
 import os
 import pathlib
@@ -1054,3 +1055,138 @@ def test_reports_of_each_normalization_are_pinned(tmp_path):
         got[mode] = hashlib.sha256(
             (tmp_path / "out" / "report_AW_SEN_SW.json").read_bytes()).hexdigest()
     assert got == PINNED_NORMALIZATION_REPORTS
+
+
+# -- preprocess once: later commands load the corpus columns -------------------
+
+def write_columns_corpus(tmp_path):
+    """write_corpus's reviews and one more with an unknown tag and non-ASCII
+    pros, so that the ingest warns."""
+    path = write_corpus(tmp_path, num_entities=3, reviews_per_entity=6, rng_seed=4)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"id": 99, "entity_id": "entity1", "pros": ["très bon"], "cons": [],
+                             "sentences": [[["zork", "XYZ"], ["food", "NN"], ["good", "JJ"]]]})
+                 + "\n")
+    return path
+
+
+def _run(config, argv, capsys, caplog):
+    """(exit code, stdout, stderr and the log's messages, the bytes of every
+    file in the output directory but the columns) of one command."""
+    capsys.readouterr()
+    caplog.clear()
+    code = main(["--config", str(config), *argv])
+    captured = capsys.readouterr()
+    out = pathlib.Path(load_config(config).paths.output_dir)
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())
+             if p.name != corpus_mod.COLUMNS_FILE}
+    return code, captured.out, captured.err, [r.getMessage() for r in caplog.records], files
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """A list that gets one entry per parse of a JSONL corpus from now on."""
+    calls = []
+    parse = corpus_mod._ingest_jsonl
+    monkeypatch.setattr(corpus_mod, "_ingest_jsonl",
+                        lambda *args: calls.append(args) or parse(*args))
+    return calls
+
+
+def test_preprocess_leaves_the_columns_and_no_temporary_file(tmp_path):
+    config = write_config(tmp_path, write_columns_corpus(tmp_path))
+    assert main(["--config", str(config), "preprocess"]) == 0
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        corpus_mod.COLUMNS_FILE, "preprocess_stats.json", "references.json", "vocab.json"]
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (lambda path: _edit_third_record(path, lambda r: r.__setitem__("pros", "abc")),
+     "{path}:3: bad review record: pros and cons must be lists of strings"),
+    (None, "vocabulary is empty after filtering"),
+], ids=["bad-line", "empty-vocabulary"])
+@pytest.mark.parametrize("columns_before", [False, True], ids=["fresh", "after-preprocess"])
+def test_a_failed_preprocess_writes_no_columns(tmp_path, capsys, spoil, message,
+                                               columns_before):
+    corpus = write_columns_corpus(tmp_path)
+    config = write_config(tmp_path, corpus)
+    columns = tmp_path / "out" / corpus_mod.COLUMNS_FILE
+    if columns_before:
+        assert main(["--config", str(config), "preprocess"]) == 0
+        before = columns.read_bytes()
+    if spoil:
+        spoil(corpus)
+    else:
+        # above every stem's count
+        config.write_text(config.read_text().replace("min_count = 2", "min_count = 1000"))
+    capsys.readouterr()
+    assert main(["--config", str(config), "preprocess"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"data error: {message.format(path=corpus)}\n"
+    if columns_before:
+        # the file of the preprocess before stays as it was
+        assert columns.read_bytes() == before
+    else:
+        assert not columns.exists()
+    assert [p.name for p in (tmp_path / "out").glob("*.tmp")] == []
+
+
+COLUMN_COMMANDS = (["train", "--iters", "5"], ["extract"], ["summarize"],
+                   ["summarize", "--entity", "entity1", "--top-n", "2"], ["evaluate"],
+                   ["--procedure", "AW+SWN+SW+RANK", "evaluate"],
+                   ["summarize", "--entity", "ghost"])
+
+
+def test_commands_write_the_same_with_the_columns_as_without(tmp_path, capsys, caplog,
+                                                            parses):
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text("".join(f"{w}\t{s}\n" for w, s in sorted(text_polarity_lexicon().items())))
+    config = write_config(tmp_path, write_columns_corpus(tmp_path),
+                          extra=f"lexicon = {lexicon}\n")
+    columns = tmp_path / "out" / corpus_mod.COLUMNS_FILE
+    caplog.set_level(logging.WARNING)
+    assert _run(config, ["preprocess"], capsys, caplog)[0] == 0
+    for argv in COLUMN_COMMANDS:
+        del parses[:]
+        loaded = _run(config, argv, capsys, caplog)
+        assert parses == []
+        columns.rename(tmp_path / "away.npz")
+        parsed = _run(config, argv, capsys, caplog)
+        assert len(parses) == 1
+        (tmp_path / "away.npz").rename(columns)
+        assert loaded == parsed, argv
+        assert loaded[0] == (2 if "ghost" in argv else 0)
+        assert "unknown POS tag 'XYZ' for token 'zork'" in " ".join(loaded[3])
+
+
+def test_a_corpus_edited_after_preprocess_gives_a_fresh_runs_outputs(tmp_path, capsys, caplog):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    corpus = write_columns_corpus(tmp_path / "a")
+    config = write_config(tmp_path / "a", corpus)
+    commands = (["train", "--iters", "5"], ["summarize"], ["evaluate"])
+    assert main(["--config", str(config), "preprocess"]) == 0
+    before = [_run(config, argv, capsys, caplog) for argv in commands]
+    # the third review dropped, and the second review's pros changed
+    lines = corpus.read_text(encoding="utf-8").splitlines(keepends=True)
+    record = json.loads(lines[1])
+    record["pros"] = ["a new pro"]
+    corpus.write_text("".join([lines[0], json.dumps(record) + "\n"] + lines[3:]),
+                      encoding="utf-8")
+    stale = [_run(config, argv, capsys, caplog) for argv in commands]
+    fresh_corpus = tmp_path / "b" / "corpus.jsonl"
+    fresh_corpus.write_bytes(corpus.read_bytes())
+    fresh_config = write_config(tmp_path / "b", fresh_corpus)
+    assert main(["--config", str(fresh_config), "preprocess"]) == 0
+    fresh = [_run(fresh_config, argv, capsys, caplog) for argv in commands]
+    later = ("checkpoint.json", "topics.json", "topics.txt", "summaries.json",
+             "report_AW_SEN_SW.json", "report_AW_SEN_SW.txt")
+    for got, want in zip(stale, fresh):
+        # train's stdout names the checkpoint's directory
+        assert got[1].replace(str(tmp_path / "a"), str(tmp_path / "b")) == want[1]
+        assert (got[0], got[2:4]) == (want[0], want[2:4])
+    # what the three commands wrote
+    assert ({k: v for k, v in stale[-1][4].items() if k in later}
+            == {k: v for k, v in fresh[-1][4].items() if k in later})
+    assert set(later) <= set(fresh[-1][4])
+    assert stale[-1][4]["report_AW_SEN_SW.json"] != before[-1][4]["report_AW_SEN_SW.json"]

@@ -1,13 +1,15 @@
 import json
 import logging
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from segsum import stem
+from segsum import corpus as corpus_mod, stem
 from segsum.corpus import (
+    COLUMNS_FILE,
     CORPUS_FORMATS,
     DEFAULT_EXTRA_SENTIMENT,
     CorpusBuilder,
@@ -19,6 +21,7 @@ from segsum.corpus import (
     ingest_tagged,
     load_wordlist,
     make_token,
+    write_columns,
 )
 from segsum.model import encode_corpus
 from segsum.synthetic import generate_text_reviews
@@ -140,7 +143,7 @@ def write_reviews(tmp_path, format, reviews):
     """reviews (JSONL records) written in the given corpus format."""
     path = tmp_path / f"corpus.{format}"
     if format == "jsonl":
-        path.write_text("".join(json.dumps(r) + "\n" for r in reviews))
+        path.write_text("".join(json.dumps(r) + "\n" for r in reviews), encoding="utf-8")
     else:
         path.write_text("".join(
             f"#REVIEW {r['id']} {r['entity_id']}\n"
@@ -148,7 +151,7 @@ def write_reviews(tmp_path, format, reviews):
             + "".join(f"#CONS {item}\n" for item in r["cons"])
             + "\n".join("".join(f"{surface}\t{tag}\n" for surface, tag in sent)
                         for sent in r["sentences"]) + "\n"
-            for r in reviews))
+            for r in reviews), encoding="utf-8")
     return path
 
 
@@ -224,6 +227,193 @@ def test_jsonl_and_conll_ingest_to_equal_corpora(tmp_path, reviews):
         tokens = [t for review in corpus.reviews for sentence in review.sentences
                   for t in sentence.tokens]
         assert len({id(t) for t in tokens}) == len({(t.surface, t.pos) for t in tokens})
+
+
+# -- the columns preprocess writes, loaded in place of a parse ----------------
+#
+# integer ids, non-ASCII pros, cons and surfaces, an empty sentence, a review
+# without sentences, and unknown tags (one of them twice); the last sentence
+# has more than one token
+COLUMN_REVIEWS = SHARED_REVIEWS + [
+    {"id": 7, "entity_id": 3, "pros": ["crème brûlée", "日本"], "cons": ["naïve  service"],
+     "sentences": [[["Café", "NN"], ["weird", "XYZ"]], [],
+                   [["très", "FW"], ["odd", "ZZ"], ["weird", "XYZ"]]]},
+    {"id": "r4", "entity_id": "e1", "pros": [], "cons": [], "sentences": [[], []]},
+    {"id": "r5", "entity_id": "e2", "pros": ["ok"], "cons": [],
+     "sentences": [[["good", "JJ"], ["staff", "NN"]]]},
+]
+
+
+def _warnings(caplog):
+    """The corpus module's warnings caplog holds, as (level, message); then
+    clears it."""
+    records = [(r.levelname, r.getMessage()) for r in caplog.records
+               if r.name == "segsum.corpus"]
+    caplog.clear()
+    return records
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """A list that gets one entry per parse, in either format, from now on."""
+    calls = []
+    for name in ("_ingest_jsonl", "_ingest_conll"):
+        parse = getattr(corpus_mod, name)
+        monkeypatch.setattr(corpus_mod, name,
+                            lambda *args, parse=parse: calls.append(args) or parse(*args))
+    return calls
+
+
+@pytest.fixture
+def columns(tmp_path, caplog):
+    """A function of format: (corpus path, output directory, the parse and its
+    warnings) after the parse of COLUMN_REVIEWS was written to the directory's
+    COLUMNS_FILE under its key."""
+    def write(format):
+        path = write_reviews(tmp_path, format, COLUMN_REVIEWS)
+        with caplog.at_level(logging.WARNING, logger="segsum.corpus"):
+            parsed = ingest_tagged(path, format)
+        out = tmp_path / "out"
+        out.mkdir(exist_ok=True)
+        write_columns(parsed, out, path, format, DEFAULT_EXTRA_SENTIMENT)
+        return path, out, parsed, _warnings(caplog)
+    return write
+
+
+@pytest.mark.parametrize("format", CORPUS_FORMATS)
+def test_loaded_columns_equal_the_parse_and_warn_as_it_does(columns, parses, caplog, format):
+    path, out, parsed, warned = columns(format)
+    assert [m for _, m in warned] == [
+        "unknown POS tag 'XYZ' for token 'weird'; treated as non-sentiment",
+        "unknown POS tag 'ZZ' for token 'odd'; treated as non-sentiment"]
+    del parses[:]
+    with caplog.at_level(logging.WARNING, logger="segsum.corpus"):
+        loaded = ingest_tagged(path, format, DEFAULT_EXTRA_SENTIMENT, out)
+    assert parses == []
+    assert corpus_fields(loaded) == corpus_fields(parsed)
+    assert _warnings(caplog) == warned
+    assert [r.id for r in loaded.reviews] == ["r1", "r2", "7", "r4", "r5"]
+    assert loaded.reviews[2].entity_id == "3"
+    assert (loaded.token_ids.dtype, loaded.sentence_starts.dtype,
+            loaded.review_starts.dtype) == (np.int32, np.int64, np.int64)
+    assert all(type(t.is_sentiment) is bool for t in loaded.tokens)
+    # no temporary file is left beside it
+    assert sorted(p.name for p in out.iterdir()) == [COLUMNS_FILE]
+
+
+def _changed_byte(path):
+    data = path.read_bytes()
+    path.write_bytes(data.replace(b"slow", b"slaw", 1))
+
+
+@pytest.mark.parametrize("format", CORPUS_FORMATS)
+@pytest.mark.parametrize("stale", ["corpus byte", "extra_sentiment", "format", "corpus.py",
+                                   "stem.py"])
+def test_a_stale_key_falls_back_to_the_parse(columns, parses, caplog, tmp_path, monkeypatch,
+                                             format, stale):
+    path, out, _, _ = columns(format)
+    extra, read_as = DEFAULT_EXTRA_SENTIMENT, format
+    if stale == "corpus byte":
+        _changed_byte(path)
+    elif stale == "extra_sentiment":
+        extra = DEFAULT_EXTRA_SENTIMENT | {"food"}
+    elif stale == "format":
+        read_as = "conll" if format == "jsonl" else "jsonl"
+    else:
+        module = corpus_mod if stale == "corpus.py" else stem
+        source = tmp_path / stale
+        source.write_bytes(pathlib.Path(module.__file__).read_bytes() + b"\n")
+        monkeypatch.setattr(module, "__file__", str(source))
+    del parses[:]
+    if stale == "format":
+        # the file read in the other format does not parse
+        with pytest.raises(CorpusFormatError, match=f"{path}:1: "):
+            ingest_tagged(path, read_as, extra, out)
+        assert len(parses) == 1
+        return
+    with caplog.at_level(logging.WARNING, logger="segsum.corpus"):
+        got = ingest_tagged(path, read_as, extra, out)
+        got_warnings = _warnings(caplog)
+        fresh = ingest_tagged(path, read_as, extra)
+    assert len(parses) == 2
+    assert corpus_fields(got) == corpus_fields(fresh)
+    assert got_warnings == _warnings(caplog)
+    if stale == "extra_sentiment":
+        assert any(t.is_sentiment for t in got.tokens if t.stem == "food")
+
+
+def _rewrite(path, edit):
+    """Apply edit to the arrays of the npz file at path, and write them back."""
+    with np.load(path, allow_pickle=False) as npz:
+        arrays = dict(npz)
+    edit(arrays)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def _set(name, value):
+    return lambda path: _rewrite(path, lambda a: a.__setitem__(name, value(a)))
+
+
+def _text(name, edit):
+    def value(arrays):
+        return np.frombuffer(json.dumps(edit(json.loads(arrays[name].tobytes()))).encode(),
+                             dtype=np.uint8)
+    return _set(name, value)
+
+
+def _with(name, index, value):
+    def edited(arrays):
+        array = arrays[name].copy()
+        array[index] = value(arrays)
+        return array
+    return _set(name, edited)
+
+
+BROKEN = {
+    "truncated": lambda path: path.write_bytes(path.read_bytes()[:-100]),
+    "empty": lambda path: path.write_bytes(b""),
+    "not a zip": lambda path: path.write_text("not a zip file"),
+    "a member missing": lambda path: _rewrite(path, lambda a: a.pop("review_starts")),
+    "an object array": _set("token_ids", lambda a: a["token_ids"].astype(object)),
+    "ids of another dtype": _set("token_ids", lambda a: a["token_ids"].astype(np.int64)),
+    "2-D starts": _set("sentence_starts", lambda a: a["sentence_starts"][:, None]),
+    "a negative id": _with("token_ids", 0, lambda a: -1),
+    "an id out of range": _with("token_ids", -1,
+                                lambda a: len(json.loads(a["table"].tobytes()))),
+    "sentence_starts not from 0": _with("sentence_starts", 0, lambda a: 1),
+    "sentence_starts short of the end": _with("sentence_starts", -1,
+                                              lambda a: a["sentence_starts"][-1] - 1),
+    "an empty sentence": _with("sentence_starts", 1, lambda a: 0),
+    "review_starts not from 0": _with("review_starts", 0, lambda a: 1),
+    "review_starts short of the end": _with("review_starts", -1,
+                                            lambda a: a["review_starts"][-1] - 1),
+    "review_starts decreasing": _with("review_starts", 1, lambda a: a["review_starts"][2] + 1),
+    "one record too few": _text("records", lambda records: records[:-1]),
+    "a record too short": _text("records", lambda records: [r[:3] for r in records]),
+    "a table entry too short": _text("table", lambda table: [e[:3] for e in table]),
+}
+
+
+@pytest.mark.parametrize("format", CORPUS_FORMATS)
+@pytest.mark.parametrize("break_file", BROKEN.values(), ids=BROKEN.keys())
+def test_a_broken_file_under_the_right_key_falls_back_to_the_parse(columns, parses, caplog,
+                                                                   format, break_file):
+    path, out, parsed, warned = columns(format)
+    break_file(out / COLUMNS_FILE)
+    del parses[:]
+    with caplog.at_level(logging.WARNING, logger="segsum.corpus"):
+        got = ingest_tagged(path, format, DEFAULT_EXTRA_SENTIMENT, out)
+    assert len(parses) == 1
+    assert corpus_fields(got) == corpus_fields(parsed)
+    assert _warnings(caplog) == warned
+
+
+def test_a_missing_corpus_is_an_error_beside_its_columns(columns):
+    path, out, _, _ = columns("jsonl")
+    path.unlink()
+    with pytest.raises(FileNotFoundError, match=str(path)):
+        ingest_tagged(path, "jsonl", DEFAULT_EXTRA_SENTIMENT, out)
 
 
 class TestVocabulary:
