@@ -67,7 +67,6 @@ def main():
     segments = filters.labelled_segments(corpus, {1, 2, 3, 4, 5}, patterns.DEFAULT_MAX_WORDS,
                                          est, vocab)
 
-    os.makedirs(args.output_dir, exist_ok=True)
     for i, name in enumerate(args.procedures.split(",")):
         positive, negative = filters.run_procedure(name, segments, est, y_senti=state.y_senti,
                                                    lexicon=lexicon, config=config)

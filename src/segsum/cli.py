@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 usage/config error, 2 data error.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import logging
 import os
@@ -37,11 +36,7 @@ def _corpus_source(cfg):
 
 
 def _load_corpus(cfg):
-    corp = corpus_mod.ingest_tagged(*_corpus_source(cfg), cfg.paths.output_dir)
-    # The corpus lives until the command ends: keep the collector from
-    # walking its objects again (main unfreezes them)
-    gc.freeze()
-    return corp
+    return corpus_mod.ingest_tagged(*_corpus_source(cfg), cfg.paths.output_dir)
 
 
 def _build_vocab(cfg, corp):
@@ -65,9 +60,7 @@ def _load_lexicon(cfg):
 
 def write_json(path, payload):
     """Write payload to path as json.dump(payload, fh, indent=2) does."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        dump_json(payload, fh.write)
+    corpus_mod.write_file(path, lambda fh: dump_json(payload, fh.write))
 
 
 def _flat(values):
@@ -181,14 +174,11 @@ def cmd_train(cfg, args):
     else:
         state = model.init(corp, vocab, cfg.hyperparams, _load_seeds(cfg), cfg.rng_seed)
     model.train(state, schedule)
-    os.makedirs(cfg.paths.output_dir, exist_ok=True)
     model.save_checkpoint(state, cfg.checkpoint_path)
     report = model.topic_report(state)
     write_json(os.path.join(cfg.paths.output_dir, "topics.json"), report)
-    table = model.format_topic_table(report)
-    with open(os.path.join(cfg.paths.output_dir, "topics.txt"), "w",
-              encoding="utf-8") as fh:
-        fh.write(table + "\n")
+    corpus_mod.write_file(os.path.join(cfg.paths.output_dir, "topics.txt"),
+                          lambda fh: fh.write(model.format_topic_table(report) + "\n"))
     print(f"trained {state.sweep_index} sweeps; checkpoint at {cfg.checkpoint_path}")
     return EXIT_OK
 
@@ -198,10 +188,8 @@ def cmd_extract(cfg, args):
     segments = patterns.extract_corpus(corp, _pattern_ids(cfg, args),
                                        max_words=cfg.max_words)
     out = os.path.join(cfg.paths.output_dir, "segments.jsonl")
-    os.makedirs(cfg.paths.output_dir, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as fh:
-        for seg in segments:
-            fh.write(json.dumps(seg.to_dict()) + "\n")
+    corpus_mod.write_file(out, lambda fh: fh.writelines(
+        json.dumps(seg.to_dict()) + "\n" for seg in segments))
     print(f"extracted {len(segments)} segments -> {out}")
     return EXIT_OK
 
@@ -245,12 +233,10 @@ def cmd_evaluate(cfg, args):
     tag = cfg.procedure.replace("+", "_")
     if args.patterns:
         tag += f"_patterns_{args.patterns.replace(',', '-')}"
-    json_path = os.path.join(cfg.paths.output_dir, f"report_{tag}.json")
-    write_json(json_path, report.to_dict())
+    write_json(os.path.join(cfg.paths.output_dir, f"report_{tag}.json"), report.to_dict())
     table = evaluation.format_report_table(report, cfg.procedure)
-    with open(os.path.join(cfg.paths.output_dir, f"report_{tag}.txt"), "w",
-              encoding="utf-8") as fh:
-        fh.write(table + "\n")
+    corpus_mod.write_file(os.path.join(cfg.paths.output_dir, f"report_{tag}.txt"),
+                          lambda fh: fh.write(table + "\n"))
     print(table)
     return EXIT_OK
 
@@ -339,9 +325,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:   # DataError is a ValueError
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    finally:
-        # another call in this process must not keep this command's corpus
-        gc.unfreeze()
 
 
 if __name__ == "__main__":

@@ -66,6 +66,21 @@ def numbered_lines(path):
                 raise CorpusFormatError(path, lineno, f"not UTF-8 text: {exc}") from exc
 
 
+def write_file(path, write, binary=False):
+    """Call write(fh) on a new file, UTF-8 text or binary, and rename it over
+    path once write returns: a failed write leaves path as it was, and no
+    process finds a half-written file. Creates the directory of path."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 @dataclass(frozen=True)
 class Token:
     surface: str
@@ -106,6 +121,8 @@ class Corpus:
     and `review_starts` (int64, one entry more than there are sentences or
     reviews) where each sentence's tokens and each review's sentences start.
     `records` holds each review's (id, entity_id, pros, cons)."""
+
+    loaded_from = None   # the COLUMNS_FILE that ingest_tagged loaded it from, if any
 
     def __init__(self, tokens, token_ids, sentence_starts, review_starts, records):
         self.tokens = tokens
@@ -184,26 +201,20 @@ def _corpus_key(path, format, extra_sentiment) -> str:
 
 def write_columns(corpus: Corpus, output_dir, path, format, extra_sentiment):
     """Write corpus, parsed from path in format with extra_sentiment, to
-    output_dir's COLUMNS_FILE under its key: its token table and records as
-    JSON text, so that no pickle is needed; through a temporary file renamed
-    over it, so that no process finds a half-written file."""
+    output_dir's COLUMNS_FILE under its key, its token table and records as
+    JSON text, so that no pickle is needed; unless corpus was loaded from
+    that file, which then holds it under the current key already."""
     def text(value):
         return np.frombuffer(json.dumps(value).encode(), dtype=np.uint8)
 
     columns = os.path.join(output_dir, COLUMNS_FILE)
-    tmp = f"{columns}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez(fh, key=text(_corpus_key(path, format, extra_sentiment)),
-                     table=text([[t.surface, t.stem, t.pos, t.is_sentiment]
-                                 for t in corpus.tokens]),
-                     records=text([[r.id, r.entity_id, r.pros, r.cons] for r in corpus.reviews]),
-                     token_ids=corpus.token_ids, sentence_starts=corpus.sentence_starts,
-                     review_starts=corpus.review_starts)
-        os.replace(tmp, columns)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    if corpus.loaded_from != columns:
+        write_file(columns, lambda fh: np.savez(
+            fh, key=text(_corpus_key(path, format, extra_sentiment)),
+            table=text([[t.surface, t.stem, t.pos, t.is_sentiment] for t in corpus.tokens]),
+            records=text([[r.id, r.entity_id, r.pros, r.cons] for r in corpus.reviews]),
+            token_ids=corpus.token_ids, sentence_starts=corpus.sentence_starts,
+            review_starts=corpus.review_starts), binary=True)
 
 
 def _load_columns(path, key):
@@ -227,6 +238,7 @@ def _load_columns(path, key):
                 and ((ids >= 0) & (ids < len(tokens))).all()):
             return None
         corpus = Corpus(tokens, ids, sentences, reviews, records)
+        corpus.loaded_from = path
     except (OSError, EOFError, LookupError, TypeError, ValueError, zipfile.BadZipFile):
         return None
     # the parse warns once per distinct (surface, tag), in table order

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import gammaln, psi
 
-from .corpus import Corpus, Vocabulary, numbered_lines
+from .corpus import Corpus, Vocabulary, numbered_lines, write_file
 
 log = logging.getLogger(__name__)
 
@@ -222,7 +222,7 @@ def seed_smoothers(vocab, hp, seeds):
     y_senti = np.zeros((hp.num_sentiments, vocab.num_senti_words))
     seed_mask = np.zeros(y_senti.shape, dtype=bool)
     for sign, words in ((1.0, seeds.positive), (-1.0, seeds.negative)):
-        for word in words:
+        for word in sorted(words):
             idx = vocab.senti_index.get(word)
             if idx is None:
                 log.warning("seed word %r not in sentiment vocabulary; ignored", word)
@@ -463,16 +463,7 @@ def save_checkpoint(state, path):
         "rng_state": json.loads(json.dumps(state.rng.bit_generator.state)),
         "sweep_index": state.sweep_index,
     }
-    # Write beside the target and rename over it, so that a failed write
-    # leaves the previous checkpoint in place.
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, allow_nan=False)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    write_file(path, lambda fh: json.dump(payload, fh, allow_nan=False))
 
 
 def load_checkpoint(path, corpus=None):

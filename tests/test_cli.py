@@ -1,5 +1,4 @@
 import contextlib
-import gc
 import hashlib
 import io
 import json
@@ -366,23 +365,6 @@ class TestExitCodes:
         config = write_config(tmp_path, bad)
         assert main(["--config", str(config), "preprocess"]) == 2
         assert "data error" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("argv, spoil, code, frozen", [
-        (["preprocess"], None, 0, 1),
-        (["summarize"], None, 2, 1),   # no checkpoint: fails after the ingest
-        (["preprocess"], "a bad corpus line", 2, 0),
-        (["--procedure", "AW+SEN+SWN", "preprocess"], None, 1, 0),
-    ], ids=["ok", "no-checkpoint", "bad-corpus-line", "bad-procedure"])
-    def test_main_unfreezes_what_the_ingest_froze(self, tmp_path, monkeypatch, argv, spoil,
-                                                  code, frozen):
-        corpus = write_corpus(tmp_path, num_entities=2, reviews_per_entity=3)
-        if spoil:
-            with open(corpus, "a") as fh:
-                fh.write("not json\n")
-        freezes, freeze = [], gc.freeze
-        monkeypatch.setattr(gc, "freeze", lambda: freezes.append(freeze()))
-        assert main(["--config", str(write_config(tmp_path, corpus)), *argv]) == code
-        assert len(freezes) == frozen and gc.get_freeze_count() == 0
 
 
 # -- one corpus record mutated in one place -----------------------------------
@@ -1098,6 +1080,80 @@ def test_preprocess_leaves_the_columns_and_no_temporary_file(tmp_path):
     assert main(["--config", str(config), "preprocess"]) == 0
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
         corpus_mod.COLUMNS_FILE, "preprocess_stats.json", "references.json", "vocab.json"]
+
+
+def test_a_second_preprocess_leaves_the_columns_as_they_are(tmp_path, monkeypatch):
+    corpus = write_columns_corpus(tmp_path)
+    config = write_config(tmp_path, corpus)
+    columns = tmp_path / "out" / corpus_mod.COLUMNS_FILE
+    assert main(["--config", str(config), "preprocess"]) == 0
+    before = columns.stat()
+    keys = []
+    key = corpus_mod._corpus_key
+    monkeypatch.setattr(corpus_mod, "_corpus_key", lambda *args: keys.append(args) or key(*args))
+    assert main(["--config", str(config), "preprocess"]) == 0
+    after = columns.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    assert len(keys) == 1   # the corpus is hashed once, to load the file
+    # an edited corpus is written again, under its new key
+    _edit_third_record(corpus, lambda r: r.__setitem__("pros", ["edited"]))
+    assert main(["--config", str(config), "preprocess"]) == 0
+    after = columns.stat()
+    assert (after.st_ino, after.st_mtime_ns) != (before.st_ino, before.st_mtime_ns)
+    assert corpus_mod._load_columns(
+        columns, key(corpus, "jsonl", corpus_mod.DEFAULT_EXTRA_SENTIMENT)) is not None
+
+
+def half_writes(name):
+    """An open whose files named name.* write the first half of their first
+    write, then raise OSError."""
+    def open_(file, mode="r", **kwargs):
+        fh = open(file, mode, **kwargs)
+        if os.path.basename(file).startswith(name + ".") and "w" in mode:
+            write = fh.write
+
+            def half(data):
+                write(data[:len(data) // 2 + 1])
+                raise OSError("disk full")
+            fh.write = half
+        return fh
+    return open_
+
+
+# the outputs besides the checkpoint (test_model's test_failed_write_keeps_previous_checkpoint)
+OUTPUTS = [("corpus.npz", ["preprocess"]), ("topics.txt", ["train", "--iters", "2"]),
+           ("segments.jsonl", ["extract"]), ("summaries.json", ["summarize"]),
+           ("report_AW_SEN_SW.txt", ["evaluate"])]
+
+
+@pytest.mark.parametrize("name, argv", OUTPUTS, ids=[name for name, _ in OUTPUTS])
+def test_a_failed_write_keeps_the_previous_file(tmp_path, monkeypatch, capsys, name, argv):
+    corpus = write_corpus(tmp_path, num_entities=2, reviews_per_entity=4)
+    config = write_config(tmp_path, corpus)
+    for command in (["preprocess"], ["train", "--iters", "2"], ["extract"], ["summarize"],
+                    ["evaluate"]):
+        assert main(["--config", str(config), *command]) == 0
+    out = tmp_path / "out"
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    # a blank line: the corpus parses the same under another key, so that
+    # preprocess writes its columns again
+    with open(corpus, "a") as fh:
+        fh.write("\n")
+    monkeypatch.setattr(corpus_mod, "open", half_writes(name), raising=False)
+    capsys.readouterr()
+    assert main(["--config", str(config), *argv]) == 2
+    assert capsys.readouterr().err == "data error: disk full\n"
+    assert (out / name).read_bytes() == before[name]
+    assert sorted(p.name for p in out.iterdir()) == sorted(before)
+
+
+def test_a_checkpoint_in_a_missing_directory_is_created(tmp_path):
+    checkpoint = tmp_path / "models" / "run1" / "checkpoint.json"
+    config = write_config(tmp_path, write_corpus(tmp_path, num_entities=2, reviews_per_entity=4),
+                          extra=f"checkpoint = {checkpoint}\n")
+    assert main(["--config", str(config), "train", "--iters", "2"]) == 0
+    assert model.load_checkpoint(checkpoint).sweep_index == 2
+    assert main(["--config", str(config), "summarize"]) == 0
 
 
 @pytest.mark.parametrize("spoil, message", [

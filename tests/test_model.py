@@ -110,6 +110,16 @@ class TestInit:
         assert "missingword" in caplog.text
         assert not state.seed_mask.any()
 
+    def test_unknown_seed_warnings_come_in_sorted_order(self, caplog):
+        # a SeedList holds frozensets, whose order follows the string hash seed
+        import logging
+        words = [f"missing{c}" for c in "qwertyuiop"]
+        vocab = build_vocabulary(make_corpus(FIXTURE_DOCS), min_count=1, stopwords=frozenset())
+        with caplog.at_level(logging.WARNING):
+            model.seed_smoothers(vocab, Hyperparams(num_topics=2),
+                                 SeedList(frozenset(words[:6]), frozenset(words[6:])))
+        assert [r.args[0] for r in caplog.records] == sorted(words[:6]) + sorted(words[6:])
+
 
 def oracle_conditional(state, sentences, d, c):
     """The numpy sampler's unnormalized (S, T) conditional of sentence (d,
