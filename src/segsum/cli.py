@@ -25,18 +25,14 @@ class DataError(ValueError):
     pass
 
 
-def _corpus_source(cfg):
-    """(path, format, extra sentiment words) of the configured corpus."""
+def _load_corpus(cfg):
     if not cfg.paths.corpus:
         raise DataError("no corpus path configured")
     extra = corpus_mod.DEFAULT_EXTRA_SENTIMENT
     if cfg.paths.extra_sentiment:
         extra = corpus_mod.load_wordlist(cfg.paths.extra_sentiment)
-    return cfg.paths.corpus, cfg.paths.corpus_format, extra
-
-
-def _load_corpus(cfg):
-    return corpus_mod.ingest_tagged(*_corpus_source(cfg), cfg.paths.output_dir)
+    return corpus_mod.ingest_tagged(cfg.paths.corpus, cfg.paths.corpus_format, extra,
+                                    cfg.paths.output_dir)
 
 
 def _build_vocab(cfg, corp):
@@ -142,8 +138,6 @@ def cmd_preprocess(cfg, args):
         "senti_vocab": vocab.num_senti_words,
         "dropped_stems": drops,
     })
-    # last: a preprocess that fails writes no columns for later commands to load
-    corpus_mod.write_columns(corp, out, *_corpus_source(cfg))
     print(f"vocabulary: {vocab.num_aspect_words} aspect stems, "
           f"{vocab.num_senti_words} sentiment stems; {len(refs)} entities")
     return EXIT_OK

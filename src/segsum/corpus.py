@@ -75,7 +75,10 @@ def write_file(path, write, binary=False):
     try:
         with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8") as fh:
             write(fh)
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:   # named by path: the temporary name differs per process
+            raise OSError(exc.errno, exc.strerror, path) from None
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
@@ -122,8 +125,6 @@ class Corpus:
     reviews) where each sentence's tokens and each review's sentences start.
     `records` holds each review's (id, entity_id, pros, cons)."""
 
-    loaded_from = None   # the COLUMNS_FILE that ingest_tagged loaded it from, if any
-
     def __init__(self, tokens, token_ids, sentence_starts, review_starts, records):
         self.tokens = tokens
         self.token_ids = np.asarray(token_ids, dtype=np.int32)
@@ -162,7 +163,7 @@ def make_token(surface: str, pos: str, extra_sentiment=DEFAULT_EXTRA_SENTIMENT) 
 CORPUS_FORMATS = ("jsonl", "conll")
 
 
-# preprocess writes the corpus it parsed to this file in its output_dir
+# ingest_tagged keeps the corpus it parsed in this file of its output_dir
 COLUMNS_FILE = "corpus.npz"
 # the dtype of each array of that file, all 1-D; the uint8 arrays hold JSON text
 _COLUMNS = {"key": np.uint8, "table": np.uint8, "records": np.uint8, "token_ids": np.int32,
@@ -171,18 +172,21 @@ _COLUMNS = {"key": np.uint8, "table": np.uint8, "records": np.uint8, "token_ids"
 
 def ingest_tagged(path, format: str = "jsonl", extra_sentiment=DEFAULT_EXTRA_SENTIMENT,
                   output_dir=None) -> Corpus:
-    """The corpus at path: loaded from output_dir's COLUMNS_FILE if that file
-    holds this corpus under its current key, parsed otherwise."""
+    """The corpus at path. With an output_dir: loaded from its COLUMNS_FILE
+    if that file holds this corpus under its current key; else parsed, and
+    written there under that key for the next ingest to load."""
     if format not in CORPUS_FORMATS:
         raise ValueError(f"unknown corpus format: {format!r}")
-    columns = os.path.join(output_dir, COLUMNS_FILE) if output_dir is not None else None
-    # the key only when the file is there: a command without it pays one stat
-    if columns is not None and os.path.exists(columns):
-        corpus = _load_columns(columns, _corpus_key(path, format, extra_sentiment))
-        if corpus is not None:
-            return corpus
     read = _ingest_jsonl if format == "jsonl" else _ingest_conll
-    return read(path, extra_sentiment)
+    if output_dir is None:
+        return read(path, extra_sentiment)
+    columns = os.path.join(output_dir, COLUMNS_FILE)
+    key = _corpus_key(path, format, extra_sentiment)
+    corpus = _load_columns(columns, key)
+    if corpus is None:
+        corpus = read(path, extra_sentiment)
+        write_file(columns, lambda fh: _write_columns(corpus, fh, key), binary=True)
+    return corpus
 
 
 def _corpus_key(path, format, extra_sentiment) -> str:
@@ -199,22 +203,17 @@ def _corpus_key(path, format, extra_sentiment) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-def write_columns(corpus: Corpus, output_dir, path, format, extra_sentiment):
-    """Write corpus, parsed from path in format with extra_sentiment, to
-    output_dir's COLUMNS_FILE under its key, its token table and records as
-    JSON text, so that no pickle is needed; unless corpus was loaded from
-    that file, which then holds it under the current key already."""
+def _write_columns(corpus: Corpus, fh, key):
+    """Write corpus to fh as COLUMNS_FILE holds it under key: its token table
+    and records as JSON text, so that no pickle is needed."""
     def text(value):
         return np.frombuffer(json.dumps(value).encode(), dtype=np.uint8)
 
-    columns = os.path.join(output_dir, COLUMNS_FILE)
-    if corpus.loaded_from != columns:
-        write_file(columns, lambda fh: np.savez(
-            fh, key=text(_corpus_key(path, format, extra_sentiment)),
-            table=text([[t.surface, t.stem, t.pos, t.is_sentiment] for t in corpus.tokens]),
-            records=text([[r.id, r.entity_id, r.pros, r.cons] for r in corpus.reviews]),
-            token_ids=corpus.token_ids, sentence_starts=corpus.sentence_starts,
-            review_starts=corpus.review_starts), binary=True)
+    np.savez(fh, key=text(key),
+             table=text([[t.surface, t.stem, t.pos, t.is_sentiment] for t in corpus.tokens]),
+             records=text([[r.id, r.entity_id, r.pros, r.cons] for r in corpus.reviews]),
+             token_ids=corpus.token_ids, sentence_starts=corpus.sentence_starts,
+             review_starts=corpus.review_starts)
 
 
 def _load_columns(path, key):
@@ -238,7 +237,6 @@ def _load_columns(path, key):
                 and ((ids >= 0) & (ids < len(tokens))).all()):
             return None
         corpus = Corpus(tokens, ids, sentences, reviews, records)
-        corpus.loaded_from = path
     except (OSError, EOFError, LookupError, TypeError, ValueError, zipfile.BadZipFile):
         return None
     # the parse warns once per distinct (surface, tag), in table order

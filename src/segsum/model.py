@@ -276,18 +276,14 @@ def _load_sweep_kernel():
         if os.path.exists(path):
             kernel = ctypes.CDLL(path).segsum_sweep
         else:
-            os.makedirs(_SWEEP_CACHE, exist_ok=True)
-            # build beside the target and rename it over the target once it
-            # loads, so that no process finds a half-written or broken file
-            tmp = f"{path}.{os.getpid()}.tmp"
-            try:
-                subprocess.run(["cc", *_CC_FLAGS, "-o", tmp, _SWEEP_SOURCE, "-lm"],
+            # loaded before write_file renames it: no process finds a broken file
+            def build(fh):
+                nonlocal kernel
+                subprocess.run(["cc", *_CC_FLAGS, "-o", fh.name, _SWEEP_SOURCE, "-lm"],
                                check=True, capture_output=True)
-                kernel = ctypes.CDLL(tmp).segsum_sweep
-                os.replace(tmp, path)
-            finally:
-                if os.path.exists(tmp):
-                    os.remove(tmp)
+                kernel = ctypes.CDLL(fh.name).segsum_sweep
+
+            write_file(path, build, binary=True)
     except (OSError, subprocess.SubprocessError, AttributeError) as exc:
         return None, f"{type(exc).__name__}: {exc}"
     kernel.restype = None
@@ -460,10 +456,13 @@ def save_checkpoint(state, path):
         "y_topic": state.y_topic.tolist(),
         "y_senti": state.y_senti.tolist(),
         "seed_mask": state.seed_mask.tolist(),
-        "rng_state": json.loads(json.dumps(state.rng.bit_generator.state)),
+        "rng_state": state.rng.bit_generator.state,
         "sweep_index": state.sweep_index,
     }
-    write_file(path, lambda fh: json.dump(payload, fh, allow_nan=False))
+    # json.dump's bytes from the C encoder, one call per entry to bound the peak memory
+    write_file(path, lambda fh: fh.write("{" + ", ".join(
+        f"{json.dumps(key)}: {json.dumps(value, allow_nan=False)}"
+        for key, value in payload.items()) + "}"))
 
 
 def load_checkpoint(path, corpus=None):

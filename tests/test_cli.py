@@ -1039,7 +1039,7 @@ def test_reports_of_each_normalization_are_pinned(tmp_path):
     assert got == PINNED_NORMALIZATION_REPORTS
 
 
-# -- preprocess once: later commands load the corpus columns -------------------
+# -- parse once: a command that parses leaves the columns for the next -------
 
 def write_columns_corpus(tmp_path):
     """write_corpus's reviews and one more with an unknown tag and non-ASCII
@@ -1156,34 +1156,67 @@ def test_a_checkpoint_in_a_missing_directory_is_created(tmp_path):
     assert main(["--config", str(config), "summarize"]) == 0
 
 
-@pytest.mark.parametrize("spoil, message", [
-    (lambda path: _edit_third_record(path, lambda r: r.__setitem__("pros", "abc")),
-     "{path}:3: bad review record: pros and cons must be lists of strings"),
-    (None, "vocabulary is empty after filtering"),
-], ids=["bad-line", "empty-vocabulary"])
 @pytest.mark.parametrize("columns_before", [False, True], ids=["fresh", "after-preprocess"])
-def test_a_failed_preprocess_writes_no_columns(tmp_path, capsys, spoil, message,
-                                               columns_before):
+def test_a_corpus_that_fails_to_parse_writes_no_columns(tmp_path, capsys, columns_before):
     corpus = write_columns_corpus(tmp_path)
     config = write_config(tmp_path, corpus)
     columns = tmp_path / "out" / corpus_mod.COLUMNS_FILE
     if columns_before:
         assert main(["--config", str(config), "preprocess"]) == 0
         before = columns.read_bytes()
-    if spoil:
-        spoil(corpus)
-    else:
-        # above every stem's count
-        config.write_text(config.read_text().replace("min_count = 2", "min_count = 1000"))
+    _edit_third_record(corpus, lambda r: r.__setitem__("pros", "abc"))
     capsys.readouterr()
     assert main(["--config", str(config), "preprocess"]) == 2
-    err = capsys.readouterr().err
-    assert err == f"data error: {message.format(path=corpus)}\n"
+    assert capsys.readouterr().err == (
+        f"data error: {corpus}:3: bad review record: pros and cons must be lists of strings\n")
     if columns_before:
         # the file of the preprocess before stays as it was
         assert columns.read_bytes() == before
     else:
         assert not columns.exists()
+    assert [p.name for p in (tmp_path / "out").glob("*.tmp")] == []
+
+
+def test_a_preprocess_that_fails_after_its_parse_leaves_the_columns(tmp_path, capsys, parses):
+    corpus = write_columns_corpus(tmp_path)
+    config = write_config(tmp_path, corpus)
+    text = config.read_text()
+    # above every stem's count
+    config.write_text(text.replace("min_count = 2", "min_count = 1000"))
+    assert main(["--config", str(config), "preprocess"]) == 2
+    assert capsys.readouterr().err == "data error: vocabulary is empty after filtering\n"
+    assert len(parses) == 1
+    assert [p.name for p in (tmp_path / "out").iterdir()] == [corpus_mod.COLUMNS_FILE]
+    # min_count is not a part of the key: the next preprocess loads the file
+    config.write_text(text)
+    del parses[:]
+    assert main(["--config", str(config), "preprocess"]) == 0
+    assert parses == []
+
+
+def test_train_alone_leaves_the_columns_for_the_next_train(tmp_path, parses):
+    corpus = write_columns_corpus(tmp_path)
+    config = write_config(tmp_path, corpus)
+    out = tmp_path / "out"
+    assert main(["--config", str(config), "train", "--iters", "5"]) == 0
+    assert len(parses) == 1
+    key = corpus_mod._corpus_key(corpus, "jsonl", corpus_mod.DEFAULT_EXTRA_SENTIMENT)
+    assert corpus_mod._load_columns(out / corpus_mod.COLUMNS_FILE, key) is not None
+    checkpoint = (out / "checkpoint.json").read_bytes()
+    del parses[:]
+    assert main(["--config", str(config), "train", "--iters", "5"]) == 0
+    assert parses == []
+    assert (out / "checkpoint.json").read_bytes() == checkpoint
+
+
+def test_a_failed_rename_names_the_output_not_its_temporary_file(tmp_path, capsys):
+    config = write_config(tmp_path, write_corpus(tmp_path, num_entities=2, reviews_per_entity=4))
+    assert main(["--config", str(config), "train", "--iters", "2"]) == 0
+    summaries = tmp_path / "out" / "summaries.json"
+    summaries.mkdir()
+    capsys.readouterr()
+    assert main(["--config", str(config), "summarize"]) == 2
+    assert capsys.readouterr().err == f"data error: [Errno 21] Is a directory: '{summaries}'\n"
     assert [p.name for p in (tmp_path / "out").glob("*.tmp")] == []
 
 

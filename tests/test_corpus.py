@@ -21,7 +21,6 @@ from segsum.corpus import (
     ingest_tagged,
     load_wordlist,
     make_token,
-    write_columns,
 )
 from segsum.model import encode_corpus
 from segsum.synthetic import generate_text_reviews
@@ -267,31 +266,49 @@ def parses(monkeypatch):
 @pytest.fixture
 def columns(tmp_path, caplog):
     """A function of format: (corpus path, output directory, the parse and its
-    warnings) after the parse of COLUMN_REVIEWS was written to the directory's
-    COLUMNS_FILE under its key."""
+    warnings) after an ingest into the new directory parsed COLUMN_REVIEWS
+    and wrote it to the directory's COLUMNS_FILE under its key."""
     def write(format):
         path = write_reviews(tmp_path, format, COLUMN_REVIEWS)
-        with caplog.at_level(logging.WARNING, logger="segsum.corpus"):
-            parsed = ingest_tagged(path, format)
         out = tmp_path / "out"
-        out.mkdir(exist_ok=True)
-        write_columns(parsed, out, path, format, DEFAULT_EXTRA_SENTIMENT)
+        with caplog.at_level(logging.WARNING, logger="segsum.corpus"):
+            parsed = ingest_tagged(path, format, DEFAULT_EXTRA_SENTIMENT, out)
         return path, out, parsed, _warnings(caplog)
     return write
+
+
+def _loads_without_a_parse(parses, caplog, path, format, extra, out, want, warned):
+    """The next ingest into out, once it is asserted to load want from its
+    COLUMNS_FILE and to warn what the parse warned."""
+    del parses[:]
+    with caplog.at_level(logging.WARNING, logger="segsum.corpus"):
+        loaded = ingest_tagged(path, format, extra, out)
+    assert parses == []
+    assert corpus_fields(loaded) == corpus_fields(want)
+    assert _warnings(caplog) == warned
+    return loaded
+
+
+def test_without_an_output_dir_the_ingest_only_parses(tmp_path, parses, monkeypatch):
+    path = write_reviews(tmp_path, "jsonl", COLUMN_REVIEWS)
+    for name in ("_corpus_key", "_load_columns", "write_file"):
+        monkeypatch.setattr(corpus_mod, name, lambda *a, **k: pytest.fail("columns touched"))
+    ingest_tagged(path, "jsonl")
+    assert len(parses) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
 
 
 @pytest.mark.parametrize("format", CORPUS_FORMATS)
 def test_loaded_columns_equal_the_parse_and_warn_as_it_does(columns, parses, caplog, format):
     path, out, parsed, warned = columns(format)
+    assert len(parses) == 1   # no file yet: the fixture's ingest parsed
+    assert corpus_fields(parsed) == corpus_fields(ingest_tagged(path, format))
     assert [m for _, m in warned] == [
         "unknown POS tag 'XYZ' for token 'weird'; treated as non-sentiment",
         "unknown POS tag 'ZZ' for token 'odd'; treated as non-sentiment"]
-    del parses[:]
-    with caplog.at_level(logging.WARNING, logger="segsum.corpus"):
-        loaded = ingest_tagged(path, format, DEFAULT_EXTRA_SENTIMENT, out)
-    assert parses == []
-    assert corpus_fields(loaded) == corpus_fields(parsed)
-    assert _warnings(caplog) == warned
+    caplog.clear()
+    loaded = _loads_without_a_parse(parses, caplog, path, format, DEFAULT_EXTRA_SENTIMENT, out,
+                                    parsed, warned)
     assert [r.id for r in loaded.reviews] == ["r1", "r2", "7", "r4", "r5"]
     assert loaded.reviews[2].entity_id == "3"
     assert (loaded.token_ids.dtype, loaded.sentence_starts.dtype,
@@ -326,10 +343,12 @@ def test_a_stale_key_falls_back_to_the_parse(columns, parses, caplog, tmp_path, 
         monkeypatch.setattr(module, "__file__", str(source))
     del parses[:]
     if stale == "format":
-        # the file read in the other format does not parse
+        # the file read in the other format does not parse, and stays as it was
+        before = (out / COLUMNS_FILE).read_bytes()
         with pytest.raises(CorpusFormatError, match=f"{path}:1: "):
             ingest_tagged(path, read_as, extra, out)
         assert len(parses) == 1
+        assert (out / COLUMNS_FILE).read_bytes() == before
         return
     with caplog.at_level(logging.WARNING, logger="segsum.corpus"):
         got = ingest_tagged(path, read_as, extra, out)
@@ -340,6 +359,8 @@ def test_a_stale_key_falls_back_to_the_parse(columns, parses, caplog, tmp_path, 
     assert got_warnings == _warnings(caplog)
     if stale == "extra_sentiment":
         assert any(t.is_sentiment for t in got.tokens if t.stem == "food")
+    # the parse replaced the file: it holds the corpus under the new key
+    _loads_without_a_parse(parses, caplog, path, read_as, extra, out, fresh, got_warnings)
 
 
 def _rewrite(path, edit):
@@ -407,6 +428,9 @@ def test_a_broken_file_under_the_right_key_falls_back_to_the_parse(columns, pars
     assert len(parses) == 1
     assert corpus_fields(got) == corpus_fields(parsed)
     assert _warnings(caplog) == warned
+    # the parse replaced the broken file
+    _loads_without_a_parse(parses, caplog, path, format, DEFAULT_EXTRA_SENTIMENT, out, parsed,
+                           warned)
 
 
 def test_a_missing_corpus_is_an_error_beside_its_columns(columns):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from segsum import model
+from segsum import corpus as corpus_mod, model
 from segsum.cli import main
 from segsum.corpus import Sentence, Token, Vocabulary, build_vocabulary
 from segsum.model import (
@@ -30,7 +30,7 @@ from segsum.synthetic import generate_generative_corpus, make_planted_model
 
 import oracles
 from conftest import corpus_of
-from test_cli import write_config, write_corpus
+from test_cli import half_writes, write_config, write_corpus
 
 
 def word(stem, sentiment=False):
@@ -959,13 +959,9 @@ class TestCheckpoint:
         save_checkpoint(small_state, path)
         before = path.read_bytes()
         gibbs_sweep(small_state)
-
-        def broken_dump(payload, fh, **kwargs):
-            fh.write('{"format_version": 1, "z": [')
-            raise OSError("disk full")
-
-        monkeypatch.setattr(model.json, "dump", broken_dump)
-        with pytest.raises(OSError):
+        # write_file's open: the checkpoint's first write writes half its data and raises
+        monkeypatch.setattr(corpus_mod, "open", half_writes("ckpt.json"), raising=False)
+        with pytest.raises(OSError, match="disk full"):
             save_checkpoint(small_state, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
