@@ -237,11 +237,10 @@ def init(corpus, vocab, hp, seeds=None, rng_seed=0) -> ModelState:
     seeds = seeds if seeds is not None else SeedList()
     rng = np.random.default_rng(rng_seed)
     flat = encode_corpus(corpus, vocab)
-    n = len(flat.doc)
-    z, s = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-    for i in range(n):
-        z[i] = rng.integers(hp.num_topics)
-        s[i] = rng.integers(hp.num_sentiments)
+    # one draw under the bounds T, S, T, S, ...: the values and the generator
+    # state of rng.integers(T) then rng.integers(S) for each sentence in turn
+    draws = rng.integers(0, np.tile([hp.num_topics, hp.num_sentiments], len(flat.doc)))
+    z, s = draws[0::2].copy(), draws[1::2].copy()
     return ModelState(hp, vocab, flat, rng, z, s,
                       np.zeros((hp.num_topics, vocab.num_senti_words)),
                       *seed_smoothers(vocab, hp, seeds))

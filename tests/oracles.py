@@ -423,6 +423,18 @@ def encode_sentences(corpus, vocab):
     return docs
 
 
+# -- initial assignments -------------------------------------------------------
+
+def per_sentence_draws(rng, hp, n):
+    """(z, s) of n sentences as segsum.model.init drew them before its one
+    draw: a scalar rng.integers(T), then rng.integers(S), for each sentence."""
+    z, s = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    for i in range(n):
+        z[i] = rng.integers(hp.num_topics)
+        s[i] = rng.integers(hp.num_sentiments)
+    return z, s
+
+
 # -- per-sentence numpy Gibbs sampler ------------------------------------------
 #
 # The sampler that segsum.model ran before its compiled sweep: each sentence's

@@ -87,6 +87,27 @@ class TestInit:
         assert np.allclose(state.beta_prime[1, :, b], np.e ** 2)
         assert state.seed_mask[:, g].all() and state.seed_mask[:, b].all()
 
+    # numpy does not document that one draw under the bounds T, S, T, S, ...
+    # gives the values and generator state of the scalar draws in turn
+    @settings(max_examples=150, deadline=None)
+    @given(docs=st.lists(st.lists(st.tuples(st.lists(st.sampled_from(["food", "wait"]),
+                                                     max_size=2),
+                                            st.lists(st.sampled_from(["good", "bad"]),
+                                                     max_size=2)),
+                                  max_size=10), max_size=6),
+           num_topics=st.integers(1, 40), rng_seed=st.integers(0, 2**63))
+    @example(docs=[], num_topics=3, rng_seed=0)
+    @example(docs=[[(["food"], [])] * 10] * 6, num_topics=40, rng_seed=2**63)
+    def test_one_draw_equals_the_per_sentence_draws(self, docs, num_topics, rng_seed):
+        hp = Hyperparams(num_topics=num_topics)
+        state = init(make_corpus(docs), Vocabulary(["food", "wait"], ["good", "bad"]), hp,
+                     SeedList(frozenset(), frozenset()), rng_seed)
+        rng = np.random.default_rng(rng_seed)
+        z, s = oracles.per_sentence_draws(rng, hp, len(state.flat.doc))
+        assert state.z.tolist() == z.tolist() and state.s.tolist() == s.tolist()
+        assert state.rng.bit_generator.state == rng.bit_generator.state
+        state.check_assignments()
+
     def test_seed_file(self, tmp_path):
         path = tmp_path / "seeds.txt"
         path.write_text("# seeds\npositive\tgood\n\nnegative\tbad\n")
