@@ -241,9 +241,14 @@ def init(corpus, vocab, hp, seeds=None, rng_seed=0) -> ModelState:
     # state of rng.integers(T) then rng.integers(S) for each sentence in turn
     draws = rng.integers(0, np.tile([hp.num_topics, hp.num_sentiments], len(flat.doc)))
     z, s = draws[0::2].copy(), draws[1::2].copy()
+    # the seed words anchor the initial sentiment: each seeded token votes
+    # +1 (positive, s = 0) or -1 (negative, s = 1); a tie keeps the draw
+    y_senti, seed_mask = seed_smoothers(vocab, hp, seeds)
+    seeded = np.cumsum(np.sign(y_senti[0] - y_senti[1])[flat.senti])
+    vote = np.diff(np.concatenate(([0.0], seeded))[flat.senti_start])
+    s[vote > 0], s[vote < 0] = 0, 1
     return ModelState(hp, vocab, flat, rng, z, s,
-                      np.zeros((hp.num_topics, vocab.num_senti_words)),
-                      *seed_smoothers(vocab, hp, seeds))
+                      np.zeros((hp.num_topics, vocab.num_senti_words)), y_senti, seed_mask)
 
 
 # -- collapsed Gibbs sampler (sentence block) --------------------------------

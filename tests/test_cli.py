@@ -892,14 +892,15 @@ def test_an_entity_without_segments_gets_an_empty_entry(tmp_path):
 # evaluate on a small fixed corpus, as the program wrote them before its
 # corpus became arrays over one token table and its JSON writer streamed
 # pieces from the C encoder: the whole read path and the writer must keep
-# every byte
+# every byte. The checkpoint, topics and summaries are those of the chain
+# whose initial sentiments the seed words anchor
 PINNED_OUTPUTS = {
-    "checkpoint.json": "d4a43a66d998d03bcc515f72bbe810ee6b4816b59f1d988292e3117d2f64e273",
+    "checkpoint.json": "81efaffe4dcc5f75b24a99d4c023e86c8600e7224c9a5ecf50cbce48d7deee4d",
     "preprocess_stats.json": "6e046fb8ca16704340e4b3aa892a9af8630be13ad86a991b874f0bf498fcdc1a",
     "references.json": "6b9f96d43b11b0f3def3ba24a7e90df319be73f439215cc2aff6ce79134831cb",
     "report_AW_SEN_SW.json": "6e619dafb32d18d710e1045128dc65b91986bc592b68d1cac9085e654f85d513",
-    "summaries.json": "062eda6cedf82556be40ae9d24caf713f039889a4dd87d7060e57299c6023cab",
-    "topics.json": "9d78a296798af8b9f7e41cc812e951e3dc1827c3003dce95ed40d578997d6b00",
+    "summaries.json": "6ba1756609b12f15f6e327c6d83e8dc49748f6bb7922bdf35af1fa8dc6967d7b",
+    "topics.json": "276f408c20b4d852f7e333f7319dfe8470378a74be6417075a6d1d3e9f4a4407",
     "vocab.json": "3a4f2d57db230eb54a3b3b1d2b7b77507addeefc3d7cdb8dc94093f36fa83b10",
 }
 
@@ -972,16 +973,17 @@ def write_negated_corpus(tmp_path):
 # sha256 of the outputs that PINNED_OUTPUTS leaves out, on a corpus with
 # negated segments and out-of-vocabulary stems, as the program wrote them
 # before extraction, labelling and filtering became arrays over the token
-# table: (command, output file) -> sha256
+# table, the summaries and the SWN report as trained since the seed words
+# anchor the initial sentiments: (command, output file) -> sha256
 PINNED_OTHER_OUTPUTS = {
     ("extract", "segments.jsonl"):
         "623239e04e33fa0d88107d96078b15065fb25dc315937a6870a516cfd40ad18d",
     ("summarize --entity entity1 --top-n 2", "summaries.json"):
-        "4e0bd82ad44900cb9a99603b0e597e61e2def996e71e39a50b774fc82643a9ba",
+        "d8bfda67747e3c860a4726739784248e37a6afcf1113c06cf7ee6388b9e4794a",
     ("--procedure AW+SWN+SW+RANK summarize", "summaries.json"):
-        "f4db9b7b0ab83313979b0001cbb870f76e7928dbf36b1c14d7c8efd6e8693d51",
+        "f3fd6c083c7bce25c5102f49246bfd02dada98bcddd84e1bb64234a74f608367",
     ("--procedure AW+SWN+SW+RANK evaluate", "report_AW_SWN_SW_RANK.json"):
-        "c8f63a0d5b1ae60075b156a8174506d69b460efb8174215b059e312c0f0a0a71",
+        "f50b64342daf29624fa0aed20fb6e42ff291df597ea9ac074264a7411180ff9f",
 }
 
 

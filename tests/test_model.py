@@ -108,6 +108,21 @@ class TestInit:
         assert state.rng.bit_generator.state == rng.bit_generator.state
         state.check_assignments()
 
+    def test_seed_words_set_the_initial_sentiment(self):
+        # votes +1, -2, none, a tie, unseeded words only, +1
+        docs = [[(["food"], ["good"]), (["food"], ["bad", "bad"]), (["wait"], [])],
+                [([], ["good", "bad"]), (["food"], ["nice"]), ([], ["nice", "bad", "good", "good"])]]
+        corpus = make_corpus(docs)
+        vocab = build_vocabulary(corpus, min_count=1, stopwords=frozenset())
+        hp = Hyperparams(num_topics=2)
+        state = init(corpus, vocab, hp, SeedList(frozenset({"good"}), frozenset({"bad"})), 3)
+        rng = np.random.default_rng(3)
+        z, s = oracles.per_sentence_draws(rng, hp, 6)
+        assert state.z.tolist() == z.tolist()
+        assert state.s.tolist() == [0, 1, s[2], s[3], s[4], 0]
+        assert state.rng.bit_generator.state == rng.bit_generator.state
+        assert state.counts_consistent()
+
     def test_seed_file(self, tmp_path):
         path = tmp_path / "seeds.txt"
         path.write_text("# seeds\npositive\tgood\n\nnegative\tbad\n")
@@ -505,7 +520,7 @@ class TestCompiledSweepSamplesTheOracleChain:
 # model seed 5 after three sweeps: the sha256 of z's int64 bytes followed by
 # s's. A change that means to alter the chain (a new initialization, say)
 # must update it; any other change must leave it as it is.
-PINNED_CHAIN = "c7d9e867d538e586bcf36102b7e63234bdd7e55d768aff5fe23f4c8a03824005"
+PINNED_CHAIN = "1bb42a8e168a1923d72a97564f5a838a6e4de39dafd11fd323d308717433e65e"
 
 
 def test_chain_is_pinned():
