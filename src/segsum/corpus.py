@@ -38,11 +38,12 @@ SENTIMENT_TAG_PREFIXES = ("JJ", "RB")
 # convey opinion (stemmed forms).
 DEFAULT_EXTRA_SENTIMENT = frozenset({"love", "hate", "enjoy", "worth", "disappoint"})
 
-DEFAULT_STOPWORDS = frozenset("""
+# stems, which build_vocabulary compares with the tokens' stems
+DEFAULT_STOPWORDS = frozenset(map(_stem.stem, """
 a an and are as at be been but by did do does for from had has have he her
 him his i if in into is it its me my of on or our she so that the their
 them they this to was we were what which who will with would you your
-""".split())
+""".split()))
 
 
 class CorpusFormatError(ValueError):

@@ -892,16 +892,17 @@ def test_an_entity_without_segments_gets_an_empty_entry(tmp_path):
 # evaluate on a small fixed corpus, as the program wrote them before its
 # corpus became arrays over one token table and its JSON writer streamed
 # pieces from the C encoder: the whole read path and the writer must keep
-# every byte. The checkpoint, topics and summaries are those of the chain
-# whose initial sentiments the seed words anchor
+# every byte. The vocabulary and what is trained from it are those of the
+# stemmed default stopwords ("they" drops) and of the chain whose initial
+# sentiments the seed words anchor
 PINNED_OUTPUTS = {
-    "checkpoint.json": "81efaffe4dcc5f75b24a99d4c023e86c8600e7224c9a5ecf50cbce48d7deee4d",
-    "preprocess_stats.json": "6e046fb8ca16704340e4b3aa892a9af8630be13ad86a991b874f0bf498fcdc1a",
+    "checkpoint.json": "56795d7da5535bed5d2acbb2b6fd5907412f2c7fdaf1712b45e7807f667eecd7",
+    "preprocess_stats.json": "2f7fe83b3a3761ee2eb27b83233632f8e88c308c07d133e432083ff0329cd87c",
     "references.json": "6b9f96d43b11b0f3def3ba24a7e90df319be73f439215cc2aff6ce79134831cb",
     "report_AW_SEN_SW.json": "6e619dafb32d18d710e1045128dc65b91986bc592b68d1cac9085e654f85d513",
-    "summaries.json": "6ba1756609b12f15f6e327c6d83e8dc49748f6bb7922bdf35af1fa8dc6967d7b",
-    "topics.json": "276f408c20b4d852f7e333f7319dfe8470378a74be6417075a6d1d3e9f4a4407",
-    "vocab.json": "3a4f2d57db230eb54a3b3b1d2b7b77507addeefc3d7cdb8dc94093f36fa83b10",
+    "summaries.json": "24117c1c5f38af836b55ad3a23b16830777a08cceb7d8b2735cc825545a39c11",
+    "topics.json": "920894613f817dfff45319412c384f5a6b6f660b32c17b2300c44ada413227a6",
+    "vocab.json": "fe508a872b581e2e11d9c274cdac24659d89a1e550268cb337d35dc40e488daa",
 }
 
 
@@ -974,16 +975,17 @@ def write_negated_corpus(tmp_path):
 # negated segments and out-of-vocabulary stems, as the program wrote them
 # before extraction, labelling and filtering became arrays over the token
 # table, the summaries and the SWN report as trained since the seed words
-# anchor the initial sentiments: (command, output file) -> sha256
+# anchor the initial sentiments and the default stopwords are stems ("they"
+# drops): (command, output file) -> sha256
 PINNED_OTHER_OUTPUTS = {
     ("extract", "segments.jsonl"):
         "623239e04e33fa0d88107d96078b15065fb25dc315937a6870a516cfd40ad18d",
     ("summarize --entity entity1 --top-n 2", "summaries.json"):
-        "d8bfda67747e3c860a4726739784248e37a6afcf1113c06cf7ee6388b9e4794a",
+        "24de538319399f66d69c2394b9ed4af5d24bf6461035b60f19af79dcc2b688c4",
     ("--procedure AW+SWN+SW+RANK summarize", "summaries.json"):
-        "f3fd6c083c7bce25c5102f49246bfd02dada98bcddd84e1bb64234a74f608367",
+        "e5606618c38705874326d5f390068867067825468dedc9536720f14568477630",
     ("--procedure AW+SWN+SW+RANK evaluate", "report_AW_SWN_SW_RANK.json"):
-        "f50b64342daf29624fa0aed20fb6e42ff291df597ea9ac074264a7411180ff9f",
+        "0ee068b7958184cf7b993372dac9c8a70d3a90eaa0566501af3dc8a16e1d1a54",
 }
 
 

@@ -461,6 +461,14 @@ class TestVocabulary:
         # "good" is a sentiment stem; stopword list does not touch it
         assert "good" in vocab.senti_index
 
+    def test_default_stopwords_drop_by_stem(self, sentence_factory):
+        # "they", "was" and "this" stem to "thei", "wa" and "thi"
+        sent = sentence_factory([("they", "PRP"), ("was", "VBD"), ("this", "DT"),
+                                 ("food", "NN"), ("has", "VBZ"), ("good", "JJ")])
+        vocab = build_vocabulary(corpus_of([("r", "e", [sent])]), min_count=1)
+        assert vocab.aspect_stems == ["food"]
+        assert {vocab.drop_reasons[s] for s in ("thei", "wa", "thi", "ha")} == {"stopword"}
+
     def test_index_spaces_disjoint(self, tiny_corpus):
         vocab = build_vocabulary(tiny_corpus, min_count=1, stopwords=frozenset())
         assert not set(vocab.aspect_index) & set(vocab.senti_index)
