@@ -249,9 +249,8 @@ def _load_columns(path, key):
 
 def _checked_pair(pair):
     """(surface, tag) of a [surface, tag] list or tuple; else an error naming it."""
-    surface, pos = pair
-    if type(pair) in (list, tuple) and type(surface) is str and type(pos) is str:
-        return surface, pos
+    if type(pair) in (list, tuple) and len(pair) == 2 and set(map(type, pair)) == {str}:
+        return tuple(pair)
     raise ValueError(f"token {pair!r} is not a [surface, tag] pair of strings")
 
 

@@ -1,6 +1,7 @@
 import json
 import logging
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -87,13 +88,19 @@ class TestIngest:
         ("pros", ["fine", 3]), ("cons", {"a": "b"}), ("pros", "abc"),
         ("sentences", [["NN"]]), ("sentences", [[["food", "NN", "x"]]]),
         ("sentences", [[[1, "NN"]]]), ("sentences", [[["food", None]]]),
+        ("sentences", [[["good"]]]), ("sentences", [["abc"]]), ("sentences", [[5]]),
         ("sentences", {}), ("sentences", ""), ("sentences", [{}]), ("sentences", [""]),
     ])
     def test_ill_typed_field_names_the_line(self, jsonl_corpus_file, field, value):
         record = {"id": "a", "entity_id": 7, "sentences": [[["Great", "JJ"], ["food", "NN"]]],
                   "pros": ["great food"], "cons": []}
         path = jsonl_corpus_file([record, {**record, field: value}])
-        with pytest.raises(CorpusFormatError, match=r":2: bad review record: "):
+        message = r":2: bad review record: "
+        if field == "sentences" and type(value) is list and value and type(value[0]) is list:
+            # one sentence of one malformed token: the message names it
+            message += re.escape(f"token {value[0][0]!r} is not a [surface, tag] pair of strings")
+            message += "$"
+        with pytest.raises(CorpusFormatError, match=message):
             ingest_tagged(path, "jsonl")
         assert ingest_tagged(jsonl_corpus_file([record]), "jsonl").reviews[0].entity_id == "7"
 
@@ -556,6 +563,42 @@ def test_load_wordlist(tmp_path):
     path = tmp_path / "words.txt"
     path.write_text("# comment\ngood\n\nbad\n")
     assert load_wordlist(path) == {"good", "bad"}
+
+
+# (word, stem) pairs of Porter's algorithm as published (Porter, 1980): the
+# stems decide the vocabulary, which seed words and stopwords match
+PORTER_VECTORS = """
+caresses caress ponies poni ties ti caress caress cats cat feed feed agreed agre
+plastered plaster bled bled motoring motor sing sing conflated conflat
+troubled troubl sized size hopping hop tanned tan falling fall hissing hiss
+fizzed fizz failing fail filing file happy happi sky sky relational relat
+conditional condit rational ration valenci valenc hesitanci hesit
+digitizer digit conformabli conform radicalli radic differentli differ
+vileli vile analogousli analog vietnamization vietnam predication predic
+operator oper feudalism feudal decisiveness decis hopefulness hope
+callousness callous formaliti formal sensitiviti sensit sensibiliti sensibl
+triplicate triplic formative form formalize formal electriciti electr
+electrical electr hopeful hope goodness good revival reviv allowance allow
+inference infer airliner airlin gyroscopic gyroscop adjustable adjust
+defensible defens irritant irrit replacement replac adjustment adjust
+dependent depend adoption adopt homologou homolog communism commun
+activate activ angulariti angular homologous homolog effective effect
+bowdlerize bowdler probate probat rate rate cease ceas controll control
+roll roll generalization gener oscillators oscil they thei
+""".split()
+
+
+@pytest.mark.parametrize("word,expected", zip(PORTER_VECTORS[::2], PORTER_VECTORS[1::2]))
+def test_stemmer_gives_the_published_stems(word, expected):
+    assert stem.stem(word) == expected
+
+
+def test_default_seed_words_are_stems_of_their_words():
+    from segsum.model import DEFAULT_NEGATIVE_SEEDS, DEFAULT_POSITIVE_SEEDS
+    positive = "good great nice excellent love best amazing".split()
+    negative = "bad terrible awful hate worst poor disappointed".split()
+    assert DEFAULT_POSITIVE_SEEDS == frozenset(map(stem.stem, positive))
+    assert DEFAULT_NEGATIVE_SEEDS == frozenset(map(stem.stem, negative))
 
 
 @given(st.text(alphabet=st.characters(min_codepoint=97, max_codepoint=122),
