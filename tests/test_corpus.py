@@ -95,11 +95,11 @@ class TestIngest:
         record = {"id": "a", "entity_id": 7, "sentences": [[["Great", "JJ"], ["food", "NN"]]],
                   "pros": ["great food"], "cons": []}
         path = jsonl_corpus_file([record, {**record, field: value}])
-        message = r":2: bad review record: "
-        if field == "sentences" and type(value) is list and value and type(value[0]) is list:
-            # one sentence of one malformed token: the message names it
-            message += re.escape(f"token {value[0][0]!r} is not a [surface, tag] pair of strings")
-            message += "$"
+        message = ":2: bad review record: "
+        if field == "sentences" and value and type(value[0]) is list:
+            # one sentence of one malformed token: the whole message names it
+            token = value[0][0]
+            message += re.escape(f"token {token!r} is not a [surface, tag] pair of strings") + "$"
         with pytest.raises(CorpusFormatError, match=message):
             ingest_tagged(path, "jsonl")
         assert ingest_tagged(jsonl_corpus_file([record]), "jsonl").reviews[0].entity_id == "7"
