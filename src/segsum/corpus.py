@@ -247,11 +247,28 @@ def _load_columns(path, key):
     return corpus
 
 
+def _check_encodable(what, strings):
+    """ValueError naming what and the first of the strings that holds a lone
+    surrogate, which json.loads makes of an unpaired escape from \\ud800 to
+    \\udfff and UTF-8, the encoding of every output, cannot encode."""
+    for text in strings:
+        if not text.isascii():
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValueError(f"{what} {text!r} holds a lone surrogate, "
+                                 f"which UTF-8 cannot encode") from None
+
+
 def _checked_pair(pair):
-    """(surface, tag) of a [surface, tag] list or tuple; else an error naming it."""
-    if type(pair) in (list, tuple) and len(pair) == 2 and set(map(type, pair)) == {str}:
-        return tuple(pair)
-    raise ValueError(f"token {pair!r} is not a [surface, tag] pair of strings")
+    """(surface, tag) of a [surface, tag] list or tuple of strings, the
+    surface not empty; else an error naming it."""
+    if not (type(pair) in (list, tuple) and len(pair) == 2 and set(map(type, pair)) == {str}):
+        raise ValueError(f"token {pair!r} is not a [surface, tag] pair of strings")
+    if not pair[0]:
+        raise ValueError(f"token {pair!r} has an empty surface")
+    _check_encodable("token surface or tag", pair)
+    return tuple(pair)
 
 
 class CorpusBuilder(dict):
@@ -270,13 +287,17 @@ class CorpusBuilder(dict):
     def add(self, obj):
         """Append the review of one record; empty sentences drop. ValueError
         unless id and entity_id are strings or integers, pros and cons lists
-        of strings, sentences a list of lists, and each token a [surface, tag]
-        pair of strings."""
+        of strings, sentences a list of lists, each token a [surface, tag]
+        pair of strings with a non-empty surface, and no string holds a lone
+        surrogate."""
         if type(obj["id"]) not in (str, int) or type(obj["entity_id"]) not in (str, int):
             raise ValueError("id and entity_id must be strings or integers")
         pros, cons = obj.get("pros", []), obj.get("cons", [])
         if type(pros) is not list or type(cons) is not list or not set(map(type, pros + cons)) <= {str}:
             raise ValueError("pros and cons must be lists of strings")
+        record = (str(obj["id"]), str(obj["entity_id"]), list(pros), list(cons))
+        _check_encodable("id or entity_id", record[:2])
+        _check_encodable("pros or cons item", pros + cons)
         sentences = obj["sentences"]
         if type(sentences) is not list or not set(map(type, sentences)) <= {list}:
             raise ValueError("sentences must be a list of lists of tokens")
@@ -294,7 +315,7 @@ class CorpusBuilder(dict):
             raise
         self.sentence_lengths += filter(None, map(len, sentences))
         self.review_ends.append(len(self.sentence_lengths))
-        self.records.append((str(obj["id"]), str(obj["entity_id"]), list(pros), list(cons)))
+        self.records.append(record)
 
     def __missing__(self, pair):
         self.tokens.append(make_token(*_checked_pair(pair), self.extra_sentiment))
@@ -346,8 +367,9 @@ def _conll_records(path):
                 item[1] if len(item) > 1 else "")
         else:
             parts = line.split("\t")
-            if len(parts) != 2:
-                raise CorpusFormatError(path, lineno, f"expected 'surface<TAB>pos', got {line!r}")
+            if len(parts) != 2 or not parts[0]:
+                raise CorpusFormatError(path, lineno, f"expected 'surface<TAB>pos' with a "
+                                                      f"non-empty surface, got {line!r}")
             record["sentences"][-1].append(parts)
     if record is not None:
         yield record

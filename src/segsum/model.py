@@ -337,24 +337,44 @@ def gibbs_sweep(state):
 
 # -- MAP smoother optimization ----------------------------------------------
 
-def map_objective_and_gradient(y_topic, y_senti, n_STW, sigma_sq):
+def occupied_cells(n_STW):
+    """(flat indices of the cells of n_STW that hold a count > 0, those counts)."""
+    where = np.flatnonzero(n_STW)
+    return where, n_STW.ravel()[where]
+
+
+def map_objective_and_gradient(y_topic, y_senti, n_STW, sigma_sq, occupied=None):
     """The negative log posterior of the smoothers given the sentiment-word
-    counts, and its gradients: (objective, d/d y_topic, d/d y_senti)."""
+    counts, and its gradients: (objective, d/d y_topic, d/d y_senti).
+    occupied is occupied_cells(n_STW), computed here when not given.
+
+    The cell terms gammaln(b) - gammaln(n + b) and psi(b) - psi(n + b) are
+    taken only where the count n is > 0, into zeroed arrays of the full
+    shape. Where n is 0, n + b == b, so the terms are exactly +0.0 for any
+    finite, normal b: every element, and so every sum, is that of the terms
+    taken over all cells. Where b underflows to 0 or overflows to inf, the
+    terms over all cells are NaN in an empty cell; here they are 0, their
+    exact limit for a count of 0."""
+    where, counts = occupied if occupied is not None else occupied_cells(n_STW)
     S, _, _ = n_STW.shape
     T = y_topic.shape[0]
     cross = y_topic[None, :, :] + y_senti[:, None, :]
     beta_prime = np.exp(cross)
     bar_beta = beta_prime.sum(axis=2)
     bar_n = n_STW.sum(axis=2)
+    b = beta_prime.ravel()[where]
+    n_b = counts + b
+    log_ratio, cell_term = np.zeros(beta_prime.shape), np.zeros(beta_prime.shape)
+    log_ratio.ravel()[where] = gammaln(b) - gammaln(n_b)
+    cell_term.ravel()[where] = psi(b) - psi(n_b)
 
     nll = (gammaln(bar_n + bar_beta) - gammaln(bar_beta)).sum()
-    nll += (gammaln(beta_prime) - gammaln(n_STW + beta_prime)).sum()
+    nll += log_ratio.sum()
     neg_log_prior = (S * y_topic.sum() + T * y_senti.sum()
                      + (cross ** 2).sum() / (2.0 * sigma_sq))
 
     # dL/d(beta_prime): the row term is shared within each (j, k)
     row_term = psi(bar_n + bar_beta) - psi(bar_beta)          # (S, T)
-    cell_term = psi(beta_prime) - psi(n_STW + beta_prime)     # (S, T, V')
     d_beta = (row_term[:, :, None] + cell_term) * beta_prime  # chain rule
 
     g_topic = d_beta.sum(axis=0) + S + cross.sum(axis=0) / sigma_sq
@@ -375,6 +395,7 @@ def optimize_smoothers(state, max_iters=50, tol=1e-5):
     y_senti_fixed = state.y_senti.copy()
     sigma_sq = state.hp.sigma_sq
     n_STW = state.n_STW
+    occupied = occupied_cells(n_STW)   # the counts stay fixed during the step
 
     def unpack(x):
         y_topic = x[: T * Vp].reshape(T, Vp)
@@ -383,7 +404,7 @@ def optimize_smoothers(state, max_iters=50, tol=1e-5):
         return y_topic, y_senti
 
     def fun(x):
-        obj, g_topic, g_senti = map_objective_and_gradient(*unpack(x), n_STW, sigma_sq)
+        obj, g_topic, g_senti = map_objective_and_gradient(*unpack(x), n_STW, sigma_sq, occupied)
         return obj, np.concatenate([g_topic.ravel(), g_senti[free]])
 
     x0 = np.concatenate([state.y_topic.ravel(), state.y_senti[free]])

@@ -7,6 +7,9 @@ package used before its compiled sweep: the sweep must sample its chain, so
 both compute the same terms, each sum left to right. The per-sentence
 pattern matcher that the package ran before its one search over the whole
 corpus shares the compiled regex: extract_corpus must find what it found.
+The MAP objective as the package took it over every cell, before it took
+its cell terms only where a count is > 0, is kept as numpy array code: the
+package must give its bits.
 """
 
 import math
@@ -18,6 +21,7 @@ from typing import NamedTuple
 
 import mpmath
 import numpy as np
+from scipy.special import gammaln, psi
 
 from segsum.patterns import DEFAULT_MAX_WORDS, DEFAULT_NEGATION, TAG_CLASSES, compile_patterns
 
@@ -182,6 +186,30 @@ def objective_oracle(y_topic, y_senti, n_STW, sigma_sq):
                 total += (mpmath.mpf(y_topic[k][i]) + mpmath.mpf(y_senti[j][i])) ** 2 \
                     / (2 * mpmath.mpf(sigma_sq))
     return float(total)
+
+
+def dense_map_objective_and_gradient(y_topic, y_senti, n_STW, sigma_sq):
+    """segsum.model.map_objective_and_gradient as it was before it took the
+    cell terms only where a count is > 0: gammaln and psi over every cell."""
+    S, _, _ = n_STW.shape
+    T = y_topic.shape[0]
+    cross = y_topic[None, :, :] + y_senti[:, None, :]
+    beta_prime = np.exp(cross)
+    bar_beta = beta_prime.sum(axis=2)
+    bar_n = n_STW.sum(axis=2)
+
+    nll = (gammaln(bar_n + bar_beta) - gammaln(bar_beta)).sum()
+    nll += (gammaln(beta_prime) - gammaln(n_STW + beta_prime)).sum()
+    neg_log_prior = (S * y_topic.sum() + T * y_senti.sum()
+                     + (cross ** 2).sum() / (2.0 * sigma_sq))
+
+    row_term = psi(bar_n + bar_beta) - psi(bar_beta)
+    cell_term = psi(beta_prime) - psi(n_STW + beta_prime)
+    d_beta = (row_term[:, :, None] + cell_term) * beta_prime
+
+    g_topic = d_beta.sum(axis=0) + S + cross.sum(axis=0) / sigma_sq
+    g_senti = d_beta.sum(axis=1) + T + cross.sum(axis=1) / sigma_sq
+    return nll + neg_log_prior, g_topic, g_senti
 
 
 def finite_difference_gradient(fun, y_topic, y_senti, h=1e-5):

@@ -378,7 +378,8 @@ JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st
                         st.lists(st.none(), max_size=2),
                         st.dictionaries(st.text(max_size=2), st.none(), max_size=2))
 MUTATIONS = ["field", "missing key", "record", "sentence", "token", "surface or tag",
-             "pros or cons item", "0xff byte", "empty sentence", "unknown tag"]
+             "pros or cons item", "0xff byte", "empty sentence", "unknown tag",
+             "lone surrogate", "empty surface"]
 
 
 def _mutate(data, record):
@@ -415,6 +416,15 @@ def _mutate(data, record):
     elif kind == "unknown tag":
         sentences[i][t][1] = data.draw(st.text(string.ascii_uppercase, min_size=1, max_size=4)
                                        .filter(lambda tag: tag not in PENN_TAGS))
+    elif kind == "lone surrogate":
+        # json.dumps writes it as its escape, which json.loads reads back
+        strings = [(record, "id"), (record, "entity_id"), (sentences[i][t], 0),
+                   (sentences[i][t], 1)] + [(record[key], j) for key in ("pros", "cons")
+                                            for j in range(len(record[key]))]
+        where, key = data.draw(st.sampled_from(strings))
+        where[key] = str(where[key]) + data.draw(st.sampled_from(["\ud800", "\udbff", "\udfff"]))
+    elif kind == "empty surface":
+        sentences[i][t][0] = ""
     line = json.dumps(record).encode()
     if kind == "0xff byte":
         at = data.draw(st.integers(0, len(line)))
@@ -915,6 +925,28 @@ def test_json_outputs_are_pinned(tmp_path):
             for path in sorted((tmp_path / "out").glob("*.json"))} == PINNED_OUTPUTS
 
 
+# sha256 of the checkpoint and the topic report after a train whose schedule
+# takes MAP steps at sweeps 4 and 6, as the program wrote them while its MAP
+# objective took gammaln and psi over every cell of n_STW: the smoothers
+# that L-BFGS-B returns, and what is estimated from them, keep every bit
+PINNED_MAP_OUTPUTS = {
+    "checkpoint.json": "3c26252302a5c2868f006c12af4f9b32f5f36e7426616fc24e1bdcd0156a07df",
+    "topics.json": "26140293a1f838b91602d4c158f0f3a43399fdec215a96d761c21933a1a5b15b",
+}
+
+
+def test_outputs_after_map_steps_are_pinned(tmp_path):
+    corpus = write_corpus(tmp_path, num_entities=5, reviews_per_entity=8, rng_seed=3)
+    config = write_config(tmp_path, corpus)
+    config.write_text(config.read_text().replace(
+        "burn_in = 10\ninterleave = 10\ntotal = 30\n", "burn_in = 2\ninterleave = 2\ntotal = 6\n"))
+    assert main(["--config", str(config), "train"]) == 0
+    checkpoint = json.loads((tmp_path / "out" / "checkpoint.json").read_text())
+    assert checkpoint["sweep_index"] == 6 and any(map(any, checkpoint["y_topic"]))
+    assert {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+            for name in PINNED_MAP_OUTPUTS} == PINNED_MAP_OUTPUTS
+
+
 def test_dump_json_writes_a_summary_in_pieces():
     entry = {"positive": [{"text": "good food", "polarity": 1.5}], "negative": []}
     payload = {"e1": entry, "e2": entry}
@@ -1179,6 +1211,29 @@ def test_a_corpus_that_fails_to_parse_writes_no_columns(tmp_path, capsys, column
     else:
         assert not columns.exists()
     assert [p.name for p in (tmp_path / "out").glob("*.tmp")] == []
+
+
+# A lone surrogate passed the parse and failed the first UTF-8 write: topics.txt
+# for a surface, the entity line that summarize prints for an entity_id, each
+# with a message that named no file. An empty surface made the stem "" a word
+# of the vocabulary. The parse rejects both, naming the record's line
+@pytest.mark.parametrize("edit,error", [
+    (lambda r: r["sentences"][0].append(["bad\ud800", "NN"]),
+     "token surface or tag 'bad\\ud800' holds a lone surrogate, which UTF-8 cannot encode"),
+    (lambda r: r.__setitem__("entity_id", "entity\udc00"),
+     "id or entity_id 'entity\\udc00' holds a lone surrogate, which UTF-8 cannot encode"),
+    (lambda r: r["sentences"][0].insert(0, ["", "NN"]), "token ['', 'NN'] has an empty surface"),
+], ids=["surrogate surface", "surrogate entity_id", "empty surface"])
+@pytest.mark.parametrize("command", ["preprocess", "train", "summarize"])
+def test_a_string_no_command_can_use_fails_the_parse(tmp_path, capsys, edit, error, command):
+    corpus = write_corpus(tmp_path, num_entities=3, reviews_per_entity=6, rng_seed=4)
+    config = write_config(tmp_path, corpus)
+    config.write_text(config.read_text().replace("min_count = 2", "min_count = 1")
+                      .replace("total = 30", "total = 2"))
+    _edit_third_record(corpus, edit)
+    capsys.readouterr()
+    assert main(["--config", str(config), command]) == 2
+    assert capsys.readouterr().err == f"data error: {corpus}:3: bad review record: {error}\n"
 
 
 def test_a_preprocess_that_fails_after_its_parse_leaves_the_columns(tmp_path, capsys, parses):

@@ -104,6 +104,45 @@ class TestIngest:
             ingest_tagged(path, "jsonl")
         assert ingest_tagged(jsonl_corpus_file([record]), "jsonl").reviews[0].entity_id == "7"
 
+    # json.dumps writes each lone surrogate as its escape, which json.loads
+    # reads back as a lone surrogate: a string that no output can hold
+    @pytest.mark.parametrize("field,value,what", [
+        ("id", "r\ud800", "id or entity_id"), ("entity_id", "\udfff", "id or entity_id"),
+        ("pros", ["fine", "caf\udc00"], "pros or cons item"),
+        ("cons", ["\ud83d"], "pros or cons item"),
+        ("sentences", [[["Great", "JJ"], ["bad\ud800", "NN"]]], "token surface or tag"),
+        ("sentences", [[["Great", "JJ\udfff"]]], "token surface or tag"),
+    ])
+    def test_a_lone_surrogate_names_the_line(self, jsonl_corpus_file, field, value, what):
+        record = {"id": "a", "entity_id": "e", "sentences": [[["Great", "JJ"], ["food", "NN"]]],
+                  "pros": ["great food"], "cons": []}
+        path = jsonl_corpus_file([record, {**record, field: value}])
+        with pytest.raises(CorpusFormatError, match=re.escape(
+                f"{path}:2: bad review record: {what} ") + r"'.*' holds a lone surrogate"):
+            ingest_tagged(path, "jsonl")
+
+    def test_a_surrogate_pair_is_one_character(self, jsonl_corpus_file):
+        # the escapes of a pair decode to the one character they encode
+        record = {"id": "\U0001f600", "entity_id": "e", "pros": ["café \U0001f600"],
+                  "cons": [], "sentences": [[["\U0001f600", "NN"], ["good", "JJ"]]]}
+        corpus = ingest_tagged(jsonl_corpus_file([record]), "jsonl")
+        assert corpus.reviews[0].id == "\U0001f600"
+        assert corpus.tokens[0].surface == "\U0001f600"
+
+    @pytest.mark.parametrize("sentences", [[[["", "NN"]]], [[["food", "NN"], ["", "JJ"]]]])
+    def test_an_empty_surface_names_the_line(self, jsonl_corpus_file, sentences):
+        record = {"id": "a", "entity_id": "e", "sentences": [[["Great", "JJ"]]]}
+        path = jsonl_corpus_file([record, {**record, "sentences": sentences}])
+        with pytest.raises(CorpusFormatError, match=re.escape(
+                f"{path}:2: bad review record: token ['', ") + r"'(NN|JJ)'\] has an empty surface$"):
+            ingest_tagged(path, "jsonl")
+
+    def test_an_empty_conll_surface_names_the_line(self, tmp_path):
+        path = tmp_path / "c.conll"
+        path.write_text("#REVIEW r1 e1\nGreat\tJJ\n\tNN\n")
+        with pytest.raises(CorpusFormatError, match=re.escape(f"{path}:3: ") + ".*non-empty"):
+            ingest_tagged(path, "conll")
+
     def test_crlf_line_endings_are_read_as_line_ends(self, tmp_path):
         path = tmp_path / "c.conll"
         path.write_bytes(b"#REVIEW r1 e1\r\nGreat\tJJ\r\nfood\tNN\r\n")

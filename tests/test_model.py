@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from segsum import corpus as corpus_mod, model
 from segsum.cli import main
@@ -756,6 +757,82 @@ class TestMapGradient:
             y_topic, y_senti[::-1].copy(), n[::-1].copy(), 2.0)
         assert np.allclose(g_topic, g_topic_sw)
         assert np.allclose(g_senti, g_senti_sw[::-1])
+
+
+def bits(*values):
+    """The bytes of each value as float64: equal bytes are the same bits,
+    which tells -0.0 from 0.0 and one NaN from another."""
+    return [np.asarray(v, dtype=np.float64).tobytes() for v in values]
+
+
+# |y| <= 10 in both smoothers keeps every beta_prime = exp(y_topic + y_senti)
+# within [e^-20, e^20]: finite and normal, the domain where the cell terms of
+# an empty cell are exactly +0.0 in the dense form
+MAP_SMOOTHER = st.floats(-10.0, 10.0)
+MAP_COUNTS = {"all zero": st.just(0.0), "all non-zero": st.integers(1, 40).map(float),
+              "mixed": st.sampled_from([0.0, 0.0, 0.0, 1.0, 2.0, 7.0, 40.0])}
+
+
+@st.composite
+def map_points(draw):
+    """(y_topic, y_senti, n_STW, sigma_sq) with S = 2."""
+    T, Vp = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    counts = MAP_COUNTS[draw(st.sampled_from(sorted(MAP_COUNTS)))]
+    return (draw(hnp.arrays(np.float64, (T, Vp), elements=MAP_SMOOTHER)),
+            draw(hnp.arrays(np.float64, (2, Vp), elements=MAP_SMOOTHER)),
+            draw(hnp.arrays(np.float64, (2, T, Vp), elements=counts)),
+            draw(st.floats(0.1, 10.0)))
+
+
+class TestMapOccupiedCells:
+    @settings(max_examples=300, deadline=None)
+    @given(map_points())
+    def test_the_same_bits_as_the_dense_form(self, point):
+        want = oracles.dense_map_objective_and_gradient(*point)
+        assert bits(*map_objective_and_gradient(*point)) == bits(*want)
+        y_topic, y_senti, n, sigma_sq = point
+        occupied = model.occupied_cells(n)
+        assert bits(*map_objective_and_gradient(y_topic, y_senti, n, sigma_sq, occupied)) \
+            == bits(*want)
+
+    def test_an_empty_cell_whose_smoother_underflows_counts_zero(self):
+        # exp(-800) is 0.0: the dense form takes gammaln(0) - gammaln(0 + 0)
+        # and psi(0) - psi(0 + 0), which are NaN, where the limit for a count
+        # of 0 is 0. Outside the domain of the bit-equality test above; no
+        # benchmark or acceptance input comes near
+        y_topic, y_senti = np.zeros((1, 2)), np.zeros((2, 2))
+        y_topic[0, 1] = -800.0
+        n = np.array([[[3.0, 0.0]], [[1.0, 0.0]]])
+        with np.errstate(invalid="ignore"):
+            dense = oracles.dense_map_objective_and_gradient(y_topic, y_senti, n, 2.0)
+        masked = map_objective_and_gradient(y_topic, y_senti, n, 2.0)
+        assert all(np.isnan(value).any() for value in dense)
+        assert all(np.isfinite(value).all() for value in masked)
+        # the empty cells add their prior term alone: the objective is that of
+        # the occupied column plus (S * y + S * y^2 / (2 sigma^2)) of the other
+        column = map_objective_and_gradient(y_topic[:, :1], y_senti[:, :1], n[:, :, :1], 2.0)[0]
+        empty = 2 * -800.0 + 2 * 800.0 ** 2 / 4.0
+        assert masked[0] == pytest.approx(column + empty, rel=1e-12)
+
+    def test_a_step_returns_the_smoothers_of_the_dense_form(self, monkeypatch):
+        planted = make_planted_model(num_topics=3)
+        corpus = generate_generative_corpus(planted, num_reviews=60, rng_seed=8)
+        vocab = build_vocabulary(corpus, min_count=1, stopwords=frozenset())
+        steps = []
+        for objective in (None, oracles.dense_map_objective_and_gradient):
+            if objective is not None:
+                monkeypatch.setattr(model, "map_objective_and_gradient",
+                                    lambda yt, ys, n, sigma_sq, occupied=None:
+                                    objective(yt, ys, n, sigma_sq))
+            state = init(corpus, vocab, Hyperparams(num_topics=3),
+                         SeedList(frozenset({"pos0"}), frozenset({"neg0"})), rng_seed=9)
+            for _ in range(4):
+                gibbs_sweep(state)
+            assert 0 < np.count_nonzero(state.n_STW) < state.n_STW.size
+            returned = optimize_smoothers(state)
+            steps.append(bits(state.y_topic, state.y_senti, returned))
+        assert steps[0] == steps[1]
+        assert np.any(state.y_topic)
 
 
 class TestOptimize:
