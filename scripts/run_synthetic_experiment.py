@@ -1,32 +1,49 @@
 #!/usr/bin/env python3
 """End-to-end demo on a synthetic review corpus.
 
-Generates a templated tagged corpus with planted pros/cons, trains the joint
-sentiment-topic model, then extracts, classifies and evaluates candidate
-summaries under several filtering procedures. Prints the learned topic table
-and one evaluation row per procedure.
+Writes a templated tagged corpus with planted pros/cons, its seed words,
+a polarity lexicon and a config into --output-dir, then runs the segsum
+commands on them: preprocess, train, topics (the learned topic table) and
+one evaluate per procedure (one evaluation row each). Exits with the first
+non-zero exit code of a command.
 """
 
 import argparse
-import logging
+import json
 import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from segsum import classify, cli, corpus as corpus_mod, evaluation, filters, model, patterns
-from segsum.corpus import build_vocabulary
+from segsum import cli, corpus
 from segsum.synthetic import generate_text_reviews, text_polarity_lexicon
 
+SEEDS = "positive\tgood\npositive\tgreat\nnegative\tbad\nnegative\tterribl\n"
 
-def build_corpus(args):
+
+def write_inputs(args):
+    """Write the demo's input files into args.output_dir; the config's path."""
+    def path(name):
+        return os.path.join(args.output_dir, name)
+
     reviews = generate_text_reviews(num_entities=args.entities,
-                                    reviews_per_entity=args.reviews,
-                                    rng_seed=args.seed)
-    builder = corpus_mod.CorpusBuilder()
-    for review in reviews:
-        builder.add(review)
-    return builder.corpus()
+                                    reviews_per_entity=args.reviews, rng_seed=args.seed)
+    corpus.write_file(path("corpus.jsonl"),
+                      lambda fh: fh.writelines(json.dumps(review) + "\n" for review in reviews))
+    corpus.write_file(path("seeds.txt"), lambda fh: fh.write(SEEDS))
+    corpus.write_file(path("lexicon.tsv"), lambda fh: fh.writelines(
+        f"{stem}\t{score}\n" for stem, score in text_polarity_lexicon().items()))
+    corpus.write_file(path("stopwords.txt"), lambda fh: fh.write("the\nis\nvery\n"))
+    config = (f"[paths]\ncorpus = {path('corpus.jsonl')}\noutput_dir = {args.output_dir}\n"
+              f"seeds = {path('seeds.txt')}\nlexicon = {path('lexicon.tsv')}\n"
+              f"stopwords = {path('stopwords.txt')}\n"
+              f"[model]\nnum_topics = {args.topics}\nmin_count = 2\n"
+              f"[schedule]\nburn_in = {args.sweeps // 4}\n"
+              f"interleave = {max(args.sweeps // 6, 1)}\ntotal = {args.sweeps}\n"
+              f"[filters]\naw_top_x = 20\nsw_top_y = 10\n"
+              f"[run]\nrng_seed = {args.seed}\n")
+    corpus.write_file(path("config.ini"), lambda fh: fh.write(config))
+    return path("config.ini")
 
 
 def main():
@@ -39,46 +56,16 @@ def main():
     parser.add_argument("--procedures", default="Baseline+SEN,AW+SEN,AW+SEN+SW,Baseline+SWN")
     parser.add_argument("--output-dir", default="out/synthetic")
     args = parser.parse_args()
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
 
-    corpus = build_corpus(args)
-    vocab = build_vocabulary(corpus, min_count=2,
-                             stopwords=frozenset({"the", "is", "very"}))
-    print(f"corpus: {len(corpus.reviews)} reviews, {corpus.num_sentences} sentences; "
-          f"vocabulary: {vocab.num_aspect_words} aspect / {vocab.num_senti_words} sentiment stems")
-
-    schedule = model.Schedule(burn_in=args.sweeps // 4,
-                              interleave=max(args.sweeps // 6, 1),
-                              total=args.sweeps)
-    state = model.init(corpus, vocab, model.Hyperparams(num_topics=args.topics),
-                       model.SeedList(frozenset({"good", "great"}),
-                                      frozenset({"bad", "terribl"})),
-                       rng_seed=args.seed)
-    model.train(state, schedule)
-    print()
-    print(model.format_topic_table(model.topic_report(state, top_n=6)))
-    print()
-
-    refs = corpus_mod.build_reference_summaries(corpus)
-    lexicon = classify.PolarityLexicon(text_polarity_lexicon())
-    config = filters.FilterConfig(aw_top_x=20, sw_top_y=10)
-
-    est = model.estimate(state)
-    segments = filters.labelled_segments(corpus, {1, 2, 3, 4, 5}, patterns.DEFAULT_MAX_WORDS,
-                                         est, vocab)
-
-    for i, name in enumerate(args.procedures.split(",")):
-        positive, negative = filters.run_procedure(name, segments, est, y_senti=state.y_senti,
-                                                   lexicon=lexicon, config=config)
-        report = evaluation.evaluate(positive, negative, refs)
-        path = os.path.join(args.output_dir, f"report_{name.replace('+', '_')}.json")
-        cli.write_json(path, report.to_dict())
-        head, row = evaluation.format_report_table(report, name).split("\n")
-        if i == 0:
-            print(head)
-        print(row)
-    print(f"\nreports written to {args.output_dir}/")
+    config = write_inputs(args)
+    commands = ([["preprocess"], ["train"], ["topics", "--top-n", "6"]]
+                + [["--procedure", name, "evaluate"] for name in args.procedures.split(",")])
+    for command in commands:
+        code = cli.main(["--config", config, *command])
+        if code:
+            return code
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -18,6 +18,8 @@ import numpy as np
 from . import classify, corpus as corpus_mod, evaluation, filters, model, patterns
 from .config import ConfigError, load_config
 
+log = logging.getLogger(__name__)
+
 EXIT_OK, EXIT_USAGE, EXIT_DATA = 0, 1, 2
 
 
@@ -102,12 +104,16 @@ def _pattern_ids(cfg, args):
 
 
 def _candidates(cfg, args, corp, state):
-    """The (positive, negative) survivors of the configured procedure."""
+    """The (positive, negative) survivors of the configured procedure over
+    the segments of corp, their aspects labelled; the unclassifiable ones
+    are logged and dropped."""
     lexicon = _load_lexicon(cfg)
     est = model.estimate(state)
-    segments = filters.labelled_segments(corp, _pattern_ids(cfg, args), cfg.max_words, est,
-                                         state.vocab)
-    return filters.run_procedure(cfg.procedure, segments, est, y_senti=state.y_senti,
+    segments = patterns.extract_corpus(corp, _pattern_ids(cfg, args), max_words=cfg.max_words)
+    labelled, dropped = classify.label_aspects(segments, est, state.vocab)
+    if dropped:
+        log.info("dropped %d unclassifiable segments", len(dropped))
+    return filters.run_procedure(cfg.procedure, labelled, est, y_senti=state.y_senti,
                                  lexicon=lexicon, config=cfg.filters)
 
 

@@ -8,15 +8,12 @@ positive and negative candidate summaries.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import classify, patterns
-
-log = logging.getLogger(__name__)
+from . import classify
 
 FILTER_STAGES = ("Baseline", "AW", "SW", "RANK")
 CLASSIFIER_STAGES = ("SEN", "SWN")
@@ -154,13 +151,3 @@ def run_procedure(procedure, segments, est, y_senti=None, lexicon=None,
     positive = table.sentiment == classify.POSITIVE
     return table.take(positive), table.take(~positive)
 
-
-def labelled_segments(corpus, pattern_ids, max_words, est, vocab):
-    """The segments of corpus (patterns.extract_corpus), their aspects
-    labelled (classify.label_aspects); the unclassifiable ones are logged
-    and dropped. Each procedure then runs on the same labelled table."""
-    segments = patterns.extract_corpus(corpus, pattern_ids, max_words=max_words)
-    labeled, dropped = classify.label_aspects(segments, est, vocab)
-    if dropped:
-        log.info("dropped %d unclassifiable segments", len(dropped))
-    return labeled

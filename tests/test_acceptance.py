@@ -276,7 +276,7 @@ def test_end_to_end_smoke():
     """The full pipeline on a templated synthetic corpus beats the median of
     10 random-selection controls on the combined score."""
     import json
-    from segsum import corpus as corpus_mod, evaluation, filters, patterns
+    from segsum import classify, corpus as corpus_mod, evaluation, filters, patterns
 
     start = time.monotonic()
     reviews = generate_text_reviews(num_entities=5, reviews_per_entity=10,
@@ -296,8 +296,8 @@ def test_end_to_end_smoke():
     est = model.estimate(state)
     refs = corpus_mod.build_reference_summaries(corpus)
 
-    labeled = filters.labelled_segments(corpus, {1, 2, 3, 4, 5}, patterns.DEFAULT_MAX_WORDS,
-                                        est, vocab)
+    labeled, _ = classify.label_aspects(
+        extract_corpus(corpus, {1, 2, 3, 4, 5}, max_words=patterns.DEFAULT_MAX_WORDS), est, vocab)
     entity_of = np.array([review.entity_id for review in corpus.reviews])[labeled.review]
 
     def combined(report_):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segsum import corpus as corpus_mod, filters, model, patterns
+from segsum import classify, corpus as corpus_mod, filters, model, patterns
 from segsum.cli import dump_json, main
 from segsum.config import ConfigError, PipelineConfig, load_config
 from segsum.corpus import PENN_TAGS
@@ -723,8 +723,9 @@ def test_summaries_list_each_polarity_by_descending_rank(tmp_path):
     corp = corpus_mod.ingest_tagged(corpus)
     state = model.load_checkpoint(cfg.checkpoint_path, corp)
     est = model.estimate(state)
-    labeled = filters.labelled_segments(corp, patterns.resolve_pattern_ids(cfg.pattern_spec),
-                                        cfg.max_words, est, state.vocab)
+    labeled, _ = classify.label_aspects(patterns.extract_corpus(
+        corp, patterns.resolve_pattern_ids(cfg.pattern_spec), max_words=cfg.max_words),
+        est, state.vocab)
     tables = filters.run_procedure(procedure, labeled, est, y_senti=state.y_senti,
                                    config=cfg.filters)
     review_index = {review.id: i for i, review in enumerate(corp.reviews)}

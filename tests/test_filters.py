@@ -10,7 +10,6 @@ from segsum.corpus import CorpusBuilder, Vocabulary, build_vocabulary, make_toke
 from segsum.filters import (
     FilterConfig,
     ProcedureError,
-    labelled_segments,
     parse_procedure,
     run_procedure,
 )
@@ -373,10 +372,7 @@ def test_one_pass_over_labelled_segments_equals_a_pass_per_entity():
     config = FilterConfig(5, 5, 0.5)
     procedure = "AW+SEN+SW+RANK"
     est = model.estimate(state)
-    labeled = labelled_segments(corp, {1, 2, 3, 4, 5}, 7, est, vocab)
-    want_labeled, _ = label_aspects(extract_corpus(corp, {1, 2, 3, 4, 5}, max_words=7), est,
-                                    vocab)
-    oracles.assert_rows_equal(labeled, oracles.table_segments(want_labeled))
+    labeled, _ = label_aspects(extract_corpus(corp, {1, 2, 3, 4, 5}, max_words=7), est, vocab)
     pos, neg = run_procedure(procedure, labeled, est, y_senti=state.y_senti, config=config)
     pos, neg = oracles.table_segments(pos), oracles.table_segments(neg)
 
