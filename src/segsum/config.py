@@ -1,6 +1,8 @@
 """Pipeline configuration: an INI file with one section per stage.
 
-Unknown sections or keys are rejected outright so typos fail fast.
+Unknown sections or keys are rejected outright so typos fail fast. Values
+are read literally: a '%' is a character of the value, never an
+interpolation.
 """
 
 from __future__ import annotations
@@ -100,7 +102,7 @@ _RENAMED = {("patterns", "preset"): "pattern_spec", ("model", "min_count"): "min
 
 
 def load_config(path) -> PipelineConfig:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(path, encoding="utf-8")
     except (configparser.Error, UnicodeDecodeError) as exc:

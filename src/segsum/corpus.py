@@ -262,10 +262,10 @@ def _check_encodable(what, strings):
 
 def _checked_pair(pair):
     """(surface, tag) of a [surface, tag] list or tuple of strings, the
-    surface not empty; else an error naming it."""
+    surface not empty or whitespace only; else an error naming it."""
     if not (type(pair) in (list, tuple) and len(pair) == 2 and set(map(type, pair)) == {str}):
         raise ValueError(f"token {pair!r} is not a [surface, tag] pair of strings")
-    if not pair[0]:
+    if not pair[0].strip():
         raise ValueError(f"token {pair!r} has an empty surface")
     _check_encodable("token surface or tag", pair)
     return tuple(pair)
@@ -288,8 +288,8 @@ class CorpusBuilder(dict):
         """Append the review of one record; empty sentences drop. ValueError
         unless id and entity_id are strings or integers, pros and cons lists
         of strings, sentences a list of lists, each token a [surface, tag]
-        pair of strings with a non-empty surface, and no string holds a lone
-        surrogate."""
+        pair of strings with a surface that is not empty or whitespace only,
+        and no string holds a lone surrogate."""
         if type(obj["id"]) not in (str, int) or type(obj["entity_id"]) not in (str, int):
             raise ValueError("id and entity_id must be strings or integers")
         pros, cons = obj.get("pros", []), obj.get("cons", [])
@@ -367,7 +367,7 @@ def _conll_records(path):
                 item[1] if len(item) > 1 else "")
         else:
             parts = line.split("\t")
-            if len(parts) != 2 or not parts[0]:
+            if len(parts) != 2 or not parts[0].strip():
                 raise CorpusFormatError(path, lineno, f"expected 'surface<TAB>pos' with a "
                                                       f"non-empty surface, got {line!r}")
             record["sentences"][-1].append(parts)

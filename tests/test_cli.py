@@ -167,6 +167,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1 and named in err
 
+    def test_a_percent_sign_is_part_of_a_value(self, tmp_path):
+        # configparser's default interpolation raised on both values, uncaught
+        (tmp_path / "100%").mkdir()
+        corpus = write_corpus(tmp_path / "100%", num_entities=2, reviews_per_entity=3)
+        config = write_config(tmp_path, corpus)
+        config.write_text(config.read_text().replace("/out\n", "/out%(x)s\n"))
+        assert main(["--config", str(config), "preprocess"]) == 0
+        assert (tmp_path / "out%(x)s" / "vocab.json").exists()
+
     def test_usage_error_is_one(self, workspace):
         _, config = workspace
         assert main(["--config", str(config)]) == 1          # no subcommand
@@ -424,7 +433,7 @@ def _mutate(data, record):
         where, key = data.draw(st.sampled_from(strings))
         where[key] = str(where[key]) + data.draw(st.sampled_from(["\ud800", "\udbff", "\udfff"]))
     elif kind == "empty surface":
-        sentences[i][t][0] = ""
+        sentences[i][t][0] = data.draw(st.sampled_from(["", " ", "\t\u00a0"]))
     line = json.dumps(record).encode()
     if kind == "0xff byte":
         at = data.draw(st.integers(0, len(line)))
@@ -1224,7 +1233,8 @@ def test_a_corpus_that_fails_to_parse_writes_no_columns(tmp_path, capsys, column
     (lambda r: r.__setitem__("entity_id", "entity\udc00"),
      "id or entity_id 'entity\\udc00' holds a lone surrogate, which UTF-8 cannot encode"),
     (lambda r: r["sentences"][0].insert(0, ["", "NN"]), "token ['', 'NN'] has an empty surface"),
-], ids=["surrogate surface", "surrogate entity_id", "empty surface"])
+    (lambda r: r["sentences"][0].insert(0, [" ", "NN"]), "token [' ', 'NN'] has an empty surface"),
+], ids=["surrogate surface", "surrogate entity_id", "empty surface", "blank surface"])
 @pytest.mark.parametrize("command", ["preprocess", "train", "summarize"])
 def test_a_string_no_command_can_use_fails_the_parse(tmp_path, capsys, edit, error, command):
     corpus = write_corpus(tmp_path, num_entities=3, reviews_per_entity=6, rng_seed=4)

@@ -129,17 +129,22 @@ class TestIngest:
         assert corpus.reviews[0].id == "\U0001f600"
         assert corpus.tokens[0].surface == "\U0001f600"
 
-    @pytest.mark.parametrize("sentences", [[[["", "NN"]]], [[["food", "NN"], ["", "JJ"]]]])
-    def test_an_empty_surface_names_the_line(self, jsonl_corpus_file, sentences):
+    # a surface of whitespace only is as empty: it would make a blank stem a word
+    @pytest.mark.parametrize("surface", ["", " ", "\t\u00a0"])
+    @pytest.mark.parametrize("sentences", [[[["?", "NN"]]], [[["food", "NN"], ["?", "JJ"]]]])
+    def test_an_empty_surface_names_the_line(self, jsonl_corpus_file, sentences, surface):
+        sentences = [[[surface if s == "?" else s, tag] for s, tag in sent] for sent in sentences]
         record = {"id": "a", "entity_id": "e", "sentences": [[["Great", "JJ"]]]}
         path = jsonl_corpus_file([record, {**record, "sentences": sentences}])
         with pytest.raises(CorpusFormatError, match=re.escape(
-                f"{path}:2: bad review record: token ['', ") + r"'(NN|JJ)'\] has an empty surface$"):
+                f"{path}:2: bad review record: token [{surface!r}, ")
+                + r"'(NN|JJ)'\] has an empty surface$"):
             ingest_tagged(path, "jsonl")
 
-    def test_an_empty_conll_surface_names_the_line(self, tmp_path):
+    @pytest.mark.parametrize("surface", ["", " ", "\u00a0 "])
+    def test_an_empty_conll_surface_names_the_line(self, tmp_path, surface):
         path = tmp_path / "c.conll"
-        path.write_text("#REVIEW r1 e1\nGreat\tJJ\n\tNN\n")
+        path.write_text(f"#REVIEW r1 e1\nGreat\tJJ\n{surface}\tNN\n")
         with pytest.raises(CorpusFormatError, match=re.escape(f"{path}:3: ") + ".*non-empty"):
             ingest_tagged(path, "conll")
 
