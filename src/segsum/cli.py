@@ -199,13 +199,11 @@ def cmd_summarize(cfg, args):
     state = _load_checkpoint(cfg, corp)
 
     if args.entity:
-        keep = [r.entity_id == args.entity for r in corp.reviews]
-        if not any(keep):
+        if args.entity not in corp.entities:
             raise DataError(f"unknown entity: {args.entity}")
-        corp = corp.select(keep)
+        corp = corp.select(corp.entity == corp.entities.index(args.entity))
     top_n = args.top_n if args.top_n is not None else cfg.top_n
-    output = {entity_id: {"positive": [], "negative": []}
-              for entity_id in sorted({r.entity_id for r in corp.reviews})}
+    output = {entity_id: {"positive": [], "negative": []} for entity_id in corp.entities}
     for polarity, table in zip(("positive", "negative"), _candidates(cfg, args, corp, state)):
         # by descending rank, ties in corpus order; 0: all
         for row in table.take(np.argsort(-table.rank, kind="stable")):

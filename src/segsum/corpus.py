@@ -124,7 +124,9 @@ class Corpus:
     table index of every token, sentence after sentence; `sentence_starts`
     and `review_starts` (int64, one entry more than there are sentences or
     reviews) where each sentence's tokens and each review's sentences start.
-    `records` holds each review's (id, entity_id, pros, cons)."""
+    `records` holds each review's (id, entity_id, pros, cons), `entities`
+    the sorted entity ids, and `entity` (int64) the index into them of each
+    review's entity."""
 
     def __init__(self, tokens, token_ids, sentence_starts, review_starts, records):
         self.tokens = tokens
@@ -132,6 +134,10 @@ class Corpus:
         self.sentence_starts = np.asarray(sentence_starts, dtype=np.int64)
         self.review_starts = np.asarray(review_starts, dtype=np.int64)
         self.reviews = [Review(*record, self, i) for i, record in enumerate(records)]
+        self.entities = sorted({review.entity_id for review in self.reviews})
+        number = {entity_id: i for i, entity_id in enumerate(self.entities)}
+        self.entity = np.array([number[review.entity_id] for review in self.reviews],
+                               dtype=np.int64)
 
     def select(self, keep):
         """The reviews where keep (one bool per review) is true, over the same table."""
@@ -470,19 +476,15 @@ def _normalize_gold_item(text: str) -> str:
 
 
 def build_reference_summaries(corpus: Corpus) -> dict:
-    """Per entity, deduplicated unions of reviewer pros and cons."""
-    refs = {}
-    for review in corpus.reviews:
-        pros, cons = refs.setdefault(review.entity_id, (set(), set()))
-        for item in review.pros:
-            norm = _normalize_gold_item(item)
-            if norm:
-                pros.add(norm)
-        for item in review.cons:
-            norm = _normalize_gold_item(item)
-            if norm:
-                cons.add(norm)
-    return refs
+    """Per entity, in corpus.entities order, the (pros, cons) sets of its
+    reviewers' normalized items; each distinct item is normalized once."""
+    items = [(set(), set()) for _ in corpus.entities]
+    for review, entity in zip(corpus.reviews, corpus.entity.tolist()):
+        items[entity][0].update(review.pros)
+        items[entity][1].update(review.cons)
+    return {entity_id: tuple({norm for norm in map(_normalize_gold_item, raw) if norm}
+                             for raw in both)
+            for entity_id, both in zip(corpus.entities, items)}
 
 
 def load_wordlist(path) -> frozenset:

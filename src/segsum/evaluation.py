@@ -214,11 +214,11 @@ class EvalReport:
 def _score_polarity(table, per_entity_refs, cfg, pair_counts):
     """Score the rows of table, each entity's in row order, against the
     references of every entity in per_entity_refs."""
-    entity_of = [review.entity_id for review in table.corpus.reviews]
-    candidates = {entity_id: [] for entity_id in entity_of}
-    for review, text in zip(table.review.tolist(),
+    names = table.corpus.entities
+    candidates = {entity_id: [] for entity_id in names}
+    for entity, text in zip(table.corpus.entity[table.review].tolist(),
                             normalize_segments(table, cfg.token_normalization)):
-        candidates[entity_of[review]].append(text)
+        candidates[names[entity]].append(text)
     entities = {}
     excluded = []
     for entity_id, reference in per_entity_refs.items():
@@ -241,7 +241,7 @@ def evaluate(positive, negative, references, cfg=None) -> EvalReport:
     references: entity_id -> (pros, cons) string collections. An entity
     without candidates scores 0; one without references is skipped."""
     cfg = cfg if cfg is not None else EvalConfig()
-    entities = sorted({review.entity_id for review in positive.corpus.reviews})
+    entities = positive.corpus.entities
     skipped = [e for e in entities if e not in references]
     for entity_id in skipped:
         log.warning("entity %r has no reference; skipped", entity_id)

@@ -125,11 +125,8 @@ def run_procedure(procedure, segments, est, y_senti=None, lexicon=None,
             keep = classify.code_sums(np.zeros(V), _top_words(est.phi_prime_hat, config.sw_top_y),
                                       table.codes, table.sentiment * T + table.aspect) > 0
         elif stage == "RANK":
-            entities = {}
-            entity = np.array([entities.setdefault(review.entity_id, len(entities))
-                               for review in table.corpus.reviews], dtype=np.intp)
             table = _ranked(table, est)
-            keep = _rank_survivors((entity[table.review] * S + table.sentiment) * T
+            keep = _rank_survivors((table.corpus.entity[table.review] * S + table.sentiment) * T
                                    + table.aspect, table.rank, config.rank_keep_fraction)
         else:   # SEN or SWN
             if table.aspect is None:

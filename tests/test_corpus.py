@@ -491,6 +491,31 @@ def test_a_missing_corpus_is_an_error_beside_its_columns(columns):
         ingest_tagged(path, "jsonl", DEFAULT_EXTRA_SENTIMENT, out)
 
 
+ENTITY_REVIEWS = [
+    {"id": f"r{i}", "entity_id": entity_id, "pros": [], "cons": [],
+     "sentences": [[["good", "JJ"], ["food", "NN"]]]}
+    for i, entity_id in enumerate([10, "café", 9, "b", 10, "Zoë", "café"])]
+
+
+@pytest.mark.parametrize("format", CORPUS_FORMATS)
+def test_entities_are_the_sorted_entity_ids_of_the_reviews(tmp_path, parses, format):
+    def oracle(corpus):
+        ids = [review.entity_id for review in corpus.reviews]
+        return sorted(set(ids)), [sorted(set(ids)).index(entity_id) for entity_id in ids]
+
+    path = write_reviews(tmp_path, format, ENTITY_REVIEWS)
+    parsed = ingest_tagged(path, format, DEFAULT_EXTRA_SENTIMENT, tmp_path / "out")
+    loaded = ingest_tagged(path, format, DEFAULT_EXTRA_SENTIMENT, tmp_path / "out")
+    assert len(parses) == 1   # the second ingest loaded the columns
+    keep = [True, False, True, True, False, True, False]   # no review of "café"
+    for corpus in (parsed, loaded, parsed.select(keep), loaded.select(keep),
+                   parsed.select([False] * len(keep))):
+        assert (corpus.entities, corpus.entity.tolist()) == oracle(corpus)
+        assert corpus.entity.dtype == np.int64
+    assert parsed.entities == ["10", "9", "Zoë", "b", "café"]
+    assert loaded.select(keep).entities == ["10", "9", "Zoë", "b"]
+
+
 class TestVocabulary:
     def test_forced_partition_by_tag(self, sentence_factory):
         sent = sentence_factory([("good", "JJ"), ("food", "NN")])
