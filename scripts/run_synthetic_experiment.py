@@ -33,10 +33,8 @@ def write_inputs(args):
     corpus.write_file(path("seeds.txt"), lambda fh: fh.write(SEEDS))
     corpus.write_file(path("lexicon.tsv"), lambda fh: fh.writelines(
         f"{stem}\t{score}\n" for stem, score in text_polarity_lexicon().items()))
-    corpus.write_file(path("stopwords.txt"), lambda fh: fh.write("the\nis\nvery\n"))
     config = (f"[paths]\ncorpus = {path('corpus.jsonl')}\noutput_dir = {args.output_dir}\n"
               f"seeds = {path('seeds.txt')}\nlexicon = {path('lexicon.tsv')}\n"
-              f"stopwords = {path('stopwords.txt')}\n"
               f"[model]\nnum_topics = {args.topics}\nmin_count = 2\n"
               f"[schedule]\nburn_in = {args.sweeps // 4}\n"
               f"interleave = {max(args.sweeps // 6, 1)}\ntotal = {args.sweeps}\n"

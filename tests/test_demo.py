@@ -1,7 +1,10 @@
 import hashlib
+import json
 import os
 import subprocess
 import sys
+
+from segsum.corpus import DEFAULT_STOPWORDS
 
 SCRIPT = os.path.join(os.path.dirname(__file__), "..", "scripts",
                       "run_synthetic_experiment.py")
@@ -31,6 +34,9 @@ def test_demo_writes_the_pinned_reports_and_one_row_per_procedure(tmp_path):
         assert hashlib.sha256(report.read_bytes()).hexdigest() == digest, name
     labels = [line.split()[0] for line in result.stdout.splitlines() if line.strip()]
     assert all(labels.count(name) == 1 for name in PINNED_REPORTS)
+    # the default stopwords, stems as the vocabulary's words are, apply
+    topics = json.loads((out / "topics.json").read_text())["topics"]
+    assert not DEFAULT_STOPWORDS & {word for topic in topics for word in topic["aspect_words"]}
 
 
 def test_demo_exits_with_the_code_of_an_unknown_procedure(tmp_path):
