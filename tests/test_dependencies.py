@@ -1,5 +1,7 @@
 """Every third-party module that the tests import is declared in
-pyproject.toml, so that `pip install ".[test]"` installs all of them."""
+pyproject.toml, so that `pip install ".[test]"` installs all of them, and the
+program (src/ and scripts/) imports only its runtime dependencies, so that
+`pip install .` installs all of those."""
 
 import ast
 import importlib.metadata
@@ -12,6 +14,7 @@ import pytest
 tomllib = pytest.importorskip("tomllib")
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+PROJECT = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
 
 
 def _distribution(requirement):
@@ -19,15 +22,14 @@ def _distribution(requirement):
     return re.split(r"[\s<>=!~;\[(]", requirement, maxsplit=1)[0].lower().replace("-", "_")
 
 
-def test_every_third_party_import_of_the_tests_is_declared():
-    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
-    declared = set(map(_distribution, project["dependencies"]
-                       + project["optional-dependencies"]["test"]))
-    test_files = sorted((ROOT / "tests").glob("*.py"))
-    own = {"segsum"} | {path.stem for path in test_files}
+def _undeclared(paths, own, requirements):
+    """'file: module' for each top-level module that an absolute import of
+    one of the paths names and that is neither in the standard library nor
+    in own nor installed by one of the requirements."""
+    declared = set(map(_distribution, requirements))
     provided_by = importlib.metadata.packages_distributions()
     undeclared = set()
-    for path in test_files:
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
@@ -40,4 +42,17 @@ def test_every_third_party_import_of_the_tests_is_declared():
                     continue
                 if not declared & set(map(_distribution, provided_by.get(top, [top]))):
                     undeclared.add(f"{path.name}: {top}")
-    assert not undeclared
+    return undeclared
+
+
+def test_every_third_party_import_of_the_tests_is_declared():
+    test_files = sorted((ROOT / "tests").glob("*.py"))
+    assert not _undeclared(test_files, {"segsum"} | {path.stem for path in test_files},
+                           PROJECT["dependencies"] + PROJECT["optional-dependencies"]["test"])
+
+
+def test_the_program_imports_only_its_runtime_dependencies():
+    # a test extra such as hypothesis or mpmath is not installed with the program
+    program = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    assert program
+    assert not _undeclared(program, {"segsum"}, PROJECT["dependencies"])
