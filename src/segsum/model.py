@@ -259,7 +259,7 @@ def init(corpus, vocab, hp, seeds=None, rng_seed=0) -> ModelState:
 # place; z/s follow the flat corpus's sentence order, so the sweep copies
 # nothing. It samples the chain of the per-sentence numpy sampler in
 # tests/oracles.py: the same terms, each sum over a sentence's ids left to
-# right.
+# right, with each logarithm taken once per value it needs (see _sweep.c).
 
 _SWEEP_SOURCE = os.path.join(os.path.dirname(__file__), "_sweep.c")
 _SWEEP_CACHE = os.path.join(os.path.dirname(__file__), "__pycache__")
@@ -291,7 +291,7 @@ def _load_sweep_kernel():
     except (OSError, subprocess.SubprocessError, AttributeError) as exc:
         return None, f"{type(exc).__name__}: {exc}"
     kernel.restype = None
-    kernel.argtypes = [ctypes.c_int64] * 5 + [ctypes.c_double] * 3 + [ctypes.c_void_p] * 17
+    kernel.argtypes = [ctypes.c_int64] * 6 + [ctypes.c_double] * 3 + [ctypes.c_void_p] * 17
     return kernel, None
 
 
@@ -313,7 +313,14 @@ def gibbs_sweep(state):
     """Resample every sentence in corpus order with the compiled sweep, with
     one uniform draw each (rng.random()); mutates and returns state.
     ValueError, naming cc and the cause, when the sweep was not built or
-    loaded."""
+    loaded.
+
+    The work buffer holds, with L = flat.longest, the conditional (S T), the
+    per-topic aspect and document terms (2 T), the repeat counts of a
+    sentence's ids (2 L), the log tables of n_TW and n_STW (T V + S T V') and
+    the prefix sums of each count row's denominator ((T + S T) (L + 3)), in
+    the order of the layout in _sweep.c's header. The tables are filled anew
+    in each call, so nothing carries over to the next sweep."""
     if _sweep_kernel is None:
         raise ValueError(f"the Gibbs sweep could not be built with cc from {_SWEEP_SOURCE} "
                          f"or loaded: {_sweep_unavailable}")
@@ -327,8 +334,9 @@ def gibbs_sweep(state):
         ("n_TW_rows", (T,)), ("n_STW_rows", (S, T)),
         ("beta_prime", (S, T, Vp)), ("bar_beta_prime", (S, T)))]
     u = state.rng.random(n)
-    work = np.empty(S * T + T + 2 * flat.longest)
-    _sweep_kernel(n, S, T, V, Vp, hp.alpha, hp.beta, hp.gamma,
+    L = flat.longest
+    work = np.empty(S * T + 2 * T + 2 * L + T * V + S * T * Vp + (T + S * T) * (L + 3))
+    _sweep_kernel(n, S, T, V, Vp, L, hp.alpha, hp.beta, hp.gamma,
                   *(a.ctypes.data for a in flat[:5]), u.ctypes.data, state.z.ctypes.data,
                   state.s.ctypes.data, *counts, work.ctypes.data)
     state.sweep_index += 1

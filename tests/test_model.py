@@ -313,9 +313,53 @@ def assert_same_chain(a, b):
     assert a.sweep_index == b.sweep_index
 
 
-def random_long_sentence_corpus(seed=17, num_docs=30, longest=20):
+def assert_same_picks_on_boundaries(reference, compiled, monkeypatch, sweeps=3,
+                                    between=lambda sweep: None):
+    """Sweep reference with the numpy sampler and compiled with the compiled
+    sweep, calling between(sweep) after each, and check that both pick the
+    same cells and keep the same counts.
+
+    A draw u picks the first cell whose cumulative weight exceeds u * total.
+    Random draws rarely fall within a rounding error of a cumulative weight,
+    so equal chains alone would not show a sum added in another order. Here
+    each u puts u * total exactly on the middle cumulative weight of the
+    numpy sampler's conditional, so a conditional that differs in its last
+    bit picks another cell."""
+    draw = oracles.numpy_draw
+    draws = []
+
+    def draw_on_a_boundary(logp, u):
+        cumulative = np.cumsum(oracles.libm_exp(logp - logp.max()).ravel())
+        total = cumulative[-1]
+        middle = cumulative[np.argmax(cumulative >= total / 2)]
+        u = middle / total
+        for _ in range(4):   # step u until u * total rounds to the weight
+            if u * total != middle:
+                u = np.nextafter(u, 2.0 if u * total < middle else -1.0)
+        draws.append(u)
+        return draw(logp, u)
+
+    class Draws:
+        def random(self, n):
+            return np.array([draws.pop(0) for _ in range(n)])
+
+    compiled.rng = Draws()
+    monkeypatch.setattr(oracles, "numpy_draw", draw_on_a_boundary)
+    for sweep in range(sweeps):
+        oracles.numpy_gibbs_sweep(reference)
+        gibbs_sweep(compiled)
+        assert not draws
+        assert compiled.z.tolist() == reference.z.tolist()
+        assert compiled.s.tolist() == reference.s.tolist()
+        for name in COUNT_NAMES:
+            assert np.array_equal(getattr(compiled, name), getattr(reference, name)), name
+        between(sweep)
+
+
+def random_long_sentence_corpus(seed=17, num_docs=30, longest=20, first_docs=()):
     """Sentences of 8 to `longest` aspect and sentiment tokens each over a
-    small vocabulary, so that ids repeat, plus some short and empty ones.
+    small vocabulary, so that ids repeat, plus some short and empty ones,
+    after the documents first_docs (make_corpus's doc_specs).
     From 8 terms up the left-to-right sums of the sweep and the numpy
     sampler differ from numpy's own pairwise .sum, so long rows show a sum
     added in another order."""
@@ -331,7 +375,7 @@ def random_long_sentence_corpus(seed=17, num_docs=30, longest=20):
             sentences.append((list(rng.choice(aspect_stems, lengths[0])),
                               list(rng.choice(senti_stems, lengths[1]))))
         docs.append(sentences)
-    return make_corpus(docs)
+    return make_corpus([*first_docs, *docs])
 
 
 class TestSameChainAsNumpySampler:
@@ -465,45 +509,77 @@ class TestCompiledSweepSamplesTheOracleChain:
 
     @pytest.mark.parametrize("num_topics,longest", [(1, 20), (3, 20), (1, 300), (4, 300)])
     def test_same_picks_with_every_draw_on_a_boundary(self, num_topics, longest, monkeypatch):
-        # A draw u picks the first cell whose cumulative weight exceeds
-        # u * total. Random draws rarely fall within a rounding error of a
-        # cumulative weight, so equal chains alone would not show a sum added
-        # in another order. Here each u puts u * total exactly on the middle
-        # cumulative weight of the numpy sampler's conditional, so a
-        # conditional that differs in its last bit picks another cell.
         corpus = random_long_sentence_corpus(seed=41, num_docs=8, longest=longest)
         vocab = build_vocabulary(corpus, min_count=1, stopwords=frozenset())
         hp, seeds = Hyperparams(num_topics=num_topics), SeedList(frozenset({"sen0"}),
                                                                   frozenset({"sen1"}))
         reference, compiled = (init(corpus, vocab, hp, seeds, rng_seed=5) for _ in range(2))
-        draw = oracles.numpy_draw
-        draws = []
+        assert_same_picks_on_boundaries(reference, compiled, monkeypatch)
 
-        def draw_on_a_boundary(logp, u):
-            cumulative = np.cumsum(oracles.libm_exp(logp - logp.max()).ravel())
-            total = cumulative[-1]
-            middle = cumulative[np.argmax(cumulative >= total / 2)]
-            u = middle / total
-            for _ in range(4):   # step u until u * total rounds to the weight
-                if u * total != middle:
-                    u = np.nextafter(u, 2.0 if u * total < middle else -1.0)
-            draws.append(u)
-            return draw(logp, u)
+    @pytest.mark.parametrize("num_topics,longest", [(1, 20), (3, 20), (4, 300)])
+    def test_same_picks_when_the_smoothers_change_between_sweeps(self, num_topics, longest,
+                                                                 monkeypatch):
+        # The compiled sweep holds ln(n + smoother) of every count cell in a
+        # table for one call. Between sweeps a MAP step, then an edit of
+        # y_senti, change beta_prime, so a table kept from an earlier call
+        # would read stale logs. The corpus adds sentences without aspect
+        # ids, without sentiment ids, and with neither (a stopword only),
+        # and words that occur once or twice, whose count cells drop to 0
+        # and come back within a sweep.
+        corpus = random_long_sentence_corpus(seed=41, num_docs=8, longest=longest, first_docs=[
+            [(["asp0", "asp1"], []), ([], ["sen0", "sen2"]), (["stop"], []),
+             (["stop", "stop"], ["sen3"]), (["once", "rare"], ["single", "few"]),
+             (["rare", "asp1"], ["few", "sen1"])]])
+        vocab = build_vocabulary(corpus, min_count=1, stopwords=frozenset({"stop"}))
+        hp, seeds = Hyperparams(num_topics=num_topics), SeedList(frozenset({"sen0"}),
+                                                                  frozenset({"sen1"}))
+        reference, compiled = (init(corpus, vocab, hp, seeds, rng_seed=5) for _ in range(2))
+        lengths = list(zip(np.diff(compiled.flat.aspect_start).tolist(),
+                           np.diff(compiled.flat.senti_start).tolist()))
+        assert lengths[:3] == [(2, 0), (0, 2), (0, 0)]
 
-        class Draws:
-            def random(self, n):
-                return np.array([draws.pop(0) for _ in range(n)])
+        # the reference's count cells that a decrement empties, and those of
+        # them that a later increment of the same sweep fills again
+        emptied, refilled = set(), set()
+        decrement, increment = oracles.numpy_decrement, oracles.numpy_increment
 
-        compiled.rng = Draws()
-        monkeypatch.setattr(oracles, "numpy_draw", draw_on_a_boundary)
-        for _ in range(3):
-            oracles.numpy_gibbs_sweep(reference)
-            gibbs_sweep(compiled)
-            assert not draws
-            assert compiled.z.tolist() == reference.z.tolist()
-            assert compiled.s.tolist() == reference.s.tolist()
-        for name in COUNT_NAMES:
-            assert np.array_equal(getattr(compiled, name), getattr(reference, name)), name
+        def cells(state, sentences, d, c, j, k):
+            aspect, _, senti, _ = sentences[d][c]
+            return ([(state.n_TW, (k, w)) for w in aspect.tolist()]
+                    + [(state.n_STW, (j, k, w)) for w in senti.tolist()])
+
+        def watched_decrement(state, sentences, d, c):
+            i = state.flat.doc_start[d] + c
+            decrement(state, sentences, d, c)
+            emptied.update((counts.ndim, cell) for counts, cell
+                           in cells(state, sentences, d, c, state.s[i], state.z[i])
+                           if counts[cell] == 0)
+
+        def watched_increment(state, sentences, d, c, j, k):
+            increment(state, sentences, d, c, j, k)
+            refilled.update((counts.ndim, cell) for counts, cell
+                            in cells(state, sentences, d, c, j, k)
+                            if (counts.ndim, cell) in emptied)
+
+        monkeypatch.setattr(oracles, "numpy_decrement", watched_decrement)
+        monkeypatch.setattr(oracles, "numpy_increment", watched_increment)
+        smoothers = [reference.beta_prime.copy()]
+
+        def between(sweep):
+            emptied.clear()
+            for state in (reference, compiled):
+                if sweep == 0:
+                    optimize_smoothers(state)
+                elif sweep == 1:
+                    state.y_senti[1, ~state.seed_mask[1]] -= 1.5
+                    state.refresh_beta_prime()
+            assert np.array_equal(compiled.beta_prime, reference.beta_prime)
+            smoothers.append(reference.beta_prime.copy())
+
+        assert_same_picks_on_boundaries(reference, compiled, monkeypatch, between=between)
+        assert not np.array_equal(smoothers[0], smoothers[1])
+        assert not np.array_equal(smoothers[1], smoothers[2])
+        assert {ndim for ndim, _ in refilled} == {2, 3}
 
     def test_flat_corpus_is_built_on_the_first_sweep(self, small_state):
         # the flat corpus is built with the state, and the sweeps keep it
