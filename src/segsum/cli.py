@@ -109,7 +109,8 @@ def _candidates(cfg, args, corp, state):
     are logged and dropped."""
     lexicon = _load_lexicon(cfg)
     est = model.estimate(state)
-    segments = patterns.extract_corpus(corp, _pattern_ids(cfg, args), max_words=cfg.max_words)
+    segments = patterns.extract_corpus(corp, _pattern_ids(cfg, args), max_words=cfg.max_words,
+                                       output_dir=cfg.paths.output_dir)
     labelled, dropped = classify.label_aspects(segments, est, state.vocab)
     if dropped:
         log.info("dropped %d unclassifiable segments", len(dropped))
@@ -185,8 +186,8 @@ def cmd_train(cfg, args):
 
 def cmd_extract(cfg, args):
     corp = _load_corpus(cfg)
-    segments = patterns.extract_corpus(corp, _pattern_ids(cfg, args),
-                                       max_words=cfg.max_words)
+    segments = patterns.extract_corpus(corp, _pattern_ids(cfg, args), max_words=cfg.max_words,
+                                       output_dir=cfg.paths.output_dir)
     out = os.path.join(cfg.paths.output_dir, "segments.jsonl")
     corpus_mod.write_file(out, lambda fh: fh.writelines(
         json.dumps(seg.to_dict()) + "\n" for seg in segments))
@@ -230,7 +231,9 @@ def cmd_evaluate(cfg, args):
 
     tag = cfg.procedure.replace("+", "_")
     if args.patterns:
-        tag += f"_patterns_{args.patterns.replace(',', '-')}"
+        # one name per pattern set, however its ids are spelled
+        tag += "_patterns_" + (args.patterns if args.patterns in patterns.PRESETS
+                               else "-".join(map(str, sorted(_pattern_ids(cfg, args)))))
     write_json(os.path.join(cfg.paths.output_dir, f"report_{tag}.json"), report.to_dict())
     table = evaluation.format_report_table(report, cfg.procedure)
     corpus_mod.write_file(os.path.join(cfg.paths.output_dir, f"report_{tag}.txt"),

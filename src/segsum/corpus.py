@@ -126,9 +126,11 @@ class Corpus:
     reviews) where each sentence's tokens and each review's sentences start.
     `records` holds each review's (id, entity_id, pros, cons), `entities`
     the sorted entity ids, and `entity` (int64) the index into them of each
-    review's entity."""
+    review's entity. `key` is the key under which ingest_tagged keeps the
+    corpus in its output_dir (None without one, and for a select)."""
 
     def __init__(self, tokens, token_ids, sentence_starts, review_starts, records):
+        self.key = None
         self.tokens = tokens
         self.token_ids = np.asarray(token_ids, dtype=np.int32)
         self.sentence_starts = np.asarray(sentence_starts, dtype=np.int64)
@@ -181,7 +183,8 @@ def ingest_tagged(path, format: str = "jsonl", extra_sentiment=DEFAULT_EXTRA_SEN
                   output_dir=None) -> Corpus:
     """The corpus at path. With an output_dir: loaded from its COLUMNS_FILE
     if that file holds this corpus under its current key; else parsed, and
-    written there under that key for the next ingest to load."""
+    written there under that key for the next ingest to load. Either way the
+    corpus keeps that key as its `key`."""
     if format not in CORPUS_FORMATS:
         raise ValueError(f"unknown corpus format: {format!r}")
     read = _ingest_jsonl if format == "jsonl" else _ingest_conll
@@ -193,21 +196,25 @@ def ingest_tagged(path, format: str = "jsonl", extra_sentiment=DEFAULT_EXTRA_SEN
     if corpus is None:
         corpus = read(path, extra_sentiment)
         write_file(columns, lambda fh: _write_columns(corpus, fh, key), binary=True)
+    corpus.key = key
     return corpus
 
 
 def _corpus_key(path, format, extra_sentiment) -> str:
     """The sha256 of what a parse of path depends on: its bytes, the format,
     the extra sentiment words, and the sources of this module and of stem."""
-    digests = []
-    for name in (path, __file__, _stem.__file__):
-        digest = hashlib.sha256()
-        with open(name, "rb") as fh:
-            while block := fh.read(1 << 20):   # hashlib.file_digest needs Python 3.11
-                digest.update(block)
-        digests.append(digest.hexdigest())
+    digests = [file_digest(name) for name in (path, __file__, _stem.__file__)]
     payload = json.dumps([format, sorted(extra_sentiment), *digests]).encode()
     return hashlib.sha256(payload).hexdigest()
+
+
+def file_digest(path) -> str:
+    """The sha256 of the bytes of the file at path, in hex."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 20):   # hashlib.file_digest needs Python 3.11
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _write_columns(corpus: Corpus, fh, key):

@@ -277,17 +277,18 @@ def _load_sweep_kernel():
         with open(_SWEEP_SOURCE, "rb") as fh:
             key = hashlib.sha256(fh.read() + " ".join(_CC_FLAGS).encode()).hexdigest()
         path = os.path.join(_SWEEP_CACHE, f"_sweep-{key}.so")
-        if os.path.exists(path):
+        built = not os.path.exists(path)
+        if built:
+            write_file(path, lambda fh: subprocess.run(
+                ["cc", *_CC_FLAGS, "-o", fh.name, _SWEEP_SOURCE, "-lm"],
+                check=True, capture_output=True), binary=True)
+        try:
+            # loaded by its final name, which the frames of a report then show
             kernel = ctypes.CDLL(path).segsum_sweep
-        else:
-            # loaded before write_file renames it: no process finds a broken file
-            def build(fh):
-                nonlocal kernel
-                subprocess.run(["cc", *_CC_FLAGS, "-o", fh.name, _SWEEP_SOURCE, "-lm"],
-                               check=True, capture_output=True)
-                kernel = ctypes.CDLL(fh.name).segsum_sweep
-
-            write_file(path, build, binary=True)
+        except (OSError, AttributeError):
+            if built:   # no later process finds a file that does not load
+                os.remove(path)
+            raise
     except (OSError, subprocess.SubprocessError, AttributeError) as exc:
         return None, f"{type(exc).__name__}: {exc}"
     kernel.restype = None

@@ -9,19 +9,24 @@ are in priority order 1, 2, 4, 3, 5 (the longer patterns strictly extend
 the shorter ones), negated forms first. Matching is left-to-right by start
 position: at each position the first form with a match within the word
 limit wins, and its greedy match is also its longest one. Matched tokens
-are consumed.
+are consumed. A corpus read into an output directory keeps its segments
+there (SEGMENTS_FILE), so that the commands after the first load them.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+import os
 import re
+import zipfile
 from dataclasses import dataclass, fields, replace
 from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, file_digest, write_file
 
 DEFAULT_NEGATION = frozenset({"not", "n't", "never", "no", "hardly"})
 
@@ -167,11 +172,41 @@ def compile_patterns(pattern_ids):
     return regex, forms
 
 
+# extract_corpus keeps the segments of a corpus read into an output_dir in
+# this file of that directory
+SEGMENTS_FILE = "segments.npz"
+# the dtype of each SegmentTable column of that file, all 1-D of one length,
+# as extraction makes them; "key" is its key as ASCII bytes
+_SEGMENT_COLUMNS = {"start": np.int64, "length": np.int64, "sentence": np.int64,
+                    "review": np.int64, "pattern_id": np.int64, "negated": np.bool_}
+
+
 def extract_corpus(corpus, pattern_ids, max_words=DEFAULT_MAX_WORDS,
-                   negation_words=DEFAULT_NEGATION) -> SegmentTable:
+                   negation_words=DEFAULT_NEGATION, output_dir=None) -> SegmentTable:
     """The segments of every sentence, in corpus order: at each start, the
     first form with an end within max_words, taken to its greedy end, which
     is its longest such end; matched tokens are consumed.
+
+    With an output_dir and a corpus that has a key (Corpus.key, which
+    ingest_tagged gives a corpus it keeps there): loaded from the
+    SEGMENTS_FILE of output_dir if that file holds this extraction under its
+    current key; else extracted, and written there under that key for the
+    next extraction to load."""
+    if output_dir is None or corpus.key is None:
+        return _extract(corpus, pattern_ids, max_words, negation_words)
+    path = os.path.join(output_dir, SEGMENTS_FILE)
+    key = _segments_key(corpus.key, pattern_ids, max_words, negation_words)
+    segments = _load_segments(path, key, corpus, pattern_ids, max_words)
+    if segments is None:
+        segments = _extract(corpus, pattern_ids, max_words, negation_words)
+        write_file(path, lambda fh: np.savez(
+            fh, key=np.frombuffer(key.encode(), dtype=np.uint8),
+            **{name: getattr(segments, name) for name in _SEGMENT_COLUMNS}), binary=True)
+    return segments
+
+
+def _extract(corpus, pattern_ids, max_words, negation_words) -> SegmentTable:
+    """extract_corpus's segments, found by one regex search over the corpus.
 
     One class string covers the corpus, a separator that no form matches
     after each sentence. No form looks past its end, so a match within
@@ -200,6 +235,45 @@ def extract_corpus(corpus, pattern_ids, max_words=DEFAULT_MAX_WORDS,
                         np.searchsorted(corpus.review_starts, sentence, "right") - 1,
                         np.array([f.pattern_id for f in forms], dtype=np.int64)[form],
                         np.array([f.negated for f in forms], dtype=bool)[form])
+
+
+def _segments_key(corpus_key, pattern_ids, max_words, negation_words) -> str:
+    """The sha256 of what an extraction depends on: the corpus (by its key),
+    the pattern ids, max_words, the negation words and the source of this
+    module."""
+    payload = json.dumps([corpus_key, sorted(pattern_ids), max_words, sorted(negation_words),
+                          file_digest(__file__)]).encode()
+    return hashlib.sha256(payload).hexdigest()
+
+
+def _load_segments(path, key, corpus, pattern_ids, max_words):
+    """The SegmentTable of corpus written to path under key; None if the file
+    does not load, holds another key, or has a row that extraction cannot
+    give: outside its sentence, longer than max_words, in another review
+    than its sentence's, of a pattern not asked for, or overlapping the row
+    before it."""
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            if npz["key"].tobytes() != key.encode():
+                return None
+            columns = {name: npz[name] for name in _SEGMENT_COLUMNS}
+    except (OSError, EOFError, LookupError, ValueError, zipfile.BadZipFile):
+        return None
+    rows = columns["start"].size
+    if any(column.dtype != _SEGMENT_COLUMNS[name] or column.shape != (rows,)
+           for name, column in columns.items()):
+        return None
+    start, length, sentence, review, pattern_id, _ = columns.values()
+    starts = corpus.sentence_starts
+    if not ((sentence >= 0) & (sentence < corpus.num_sentences)).all():
+        return None
+    if not ((length >= 1) & (length <= max_words) & (start >= starts[sentence])
+            & (start <= starts[sentence + 1] - length)
+            & (review == np.searchsorted(corpus.review_starts, sentence, "right") - 1)
+            & np.isin(pattern_id, sorted(pattern_ids))).all() \
+            or (start[1:] < (start + length)[:-1]).any():
+        return None
+    return SegmentTable(corpus, **columns)
 
 
 def resolve_pattern_ids(spec: str):

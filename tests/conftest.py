@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from segsum import patterns
 from segsum.corpus import Corpus, Sentence, make_token
 from segsum.patterns import SegmentTable
 
@@ -43,6 +44,15 @@ def sentence_table(specs):
     return SegmentTable(corpus, corpus.sentence_starts[:-1], np.diff(corpus.sentence_starts),
                         rows, rows, np.full(len(specs), 5),
                         np.array([negated for _, negated, _ in specs], dtype=bool))
+
+
+@pytest.fixture
+def extractions(monkeypatch):
+    """A list that gets one entry per extraction by regex from now on."""
+    calls = []
+    extract = patterns._extract
+    monkeypatch.setattr(patterns, "_extract", lambda *args: calls.append(args) or extract(*args))
+    return calls
 
 
 @pytest.fixture

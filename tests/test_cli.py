@@ -386,6 +386,8 @@ RECORDS = json.loads(json.dumps(generate_text_reviews(num_entities=2, reviews_pe
 JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3),
                         st.lists(st.none(), max_size=2),
                         st.dictionaries(st.text(max_size=2), st.none(), max_size=2))
+UNKNOWN_TAGS = st.text(string.ascii_uppercase, min_size=1, max_size=4).filter(
+    lambda tag: tag not in PENN_TAGS)
 MUTATIONS = ["field", "missing key", "record", "sentence", "token", "surface or tag",
              "pros or cons item", "0xff byte", "empty sentence", "unknown tag",
              "lone surrogate", "empty surface"]
@@ -424,8 +426,7 @@ def _mutate(data, record, kinds=MUTATIONS):
     elif kind == "empty sentence":
         sentences[i] = []
     elif kind == "unknown tag":
-        sentences[i][t][1] = data.draw(st.text(string.ascii_uppercase, min_size=1, max_size=4)
-                                       .filter(lambda tag: tag not in PENN_TAGS))
+        sentences[i][t][1] = data.draw(UNKNOWN_TAGS)
     elif kind == "lone surrogate":
         # json.dumps writes it as its escape, which json.loads reads back
         strings = [(record, "id"), (record, "entity_id"), (sentences[i][t], 0),
@@ -514,8 +515,7 @@ LINE_MUTATIONS = ["field count", "0xff byte", "blank", "comment"]
 
 
 def _mutate_line(data, line, kind):
-    """The line changed by a mutation of this kind: (its bytes, whether the
-    readers allow it)."""
+    """The bytes of the line changed by a mutation of this kind."""
     fields = line.split("\t")
     if kind == "field count":
         fields = fields[:1] if data.draw(st.booleans()) else fields + ["1"]
@@ -531,20 +531,23 @@ def _mutate_line(data, line, kind):
     if kind == "0xff byte":
         at = data.draw(st.integers(0, len(out)))
         out = out[:at] + b"\xff" + out[at:]
-    return out, kind in ("blank", "comment")
+    return out
 
 
-def _run_on_mutated_file(data, lines, kinds, name, corpus, argv, extra=""):
+def _run_on_mutated_file(data, lines, kinds, name, corpus, argv, extra="",
+                         allowed=("blank", "comment")):
     """Write lines with one of them mutated to the [paths] file `name` in a
-    fresh directory and run argv with a config naming it."""
+    fresh directory and run argv with a config naming it. The reader accepts
+    the mutation kinds in allowed and rejects the others."""
     index = data.draw(st.integers(0, len(lines) - 1))
     encoded = [line.encode() for line in lines]
-    encoded[index], allowed = _mutate_line(data, lines[index], data.draw(st.sampled_from(kinds)))
+    kind = data.draw(st.sampled_from(kinds))
+    encoded[index] = _mutate_line(data, lines[index], kind)
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / f"{name}.txt"
         path.write_bytes(b"".join(line + b"\n" for line in encoded))
         config = write_config(pathlib.Path(tmp), corpus, extra=f"{name} = {path}\n{extra}")
-        _assert_exit_0_or_2_naming(["--config", str(config), *argv], allowed,
+        _assert_exit_0_or_2_naming(["--config", str(config), *argv], kind in allowed,
                                    f"{path}:{index + 1}: ")
 
 
@@ -573,6 +576,123 @@ def test_a_mutated_lexicon_line_exits_0_or_2_naming_its_line(trained_once, data)
     _run_on_mutated_file(data, LEXICON_LINES, LINE_MUTATIONS + ["non-finite score"], "lexicon",
                          corpus, ["--procedure", "Baseline+SWN", "summarize"],
                          extra=f"checkpoint = {checkpoint}\n")
+
+
+# a word list reads each line as one word, but blanks and '#' comments: only a
+# line that is not UTF-8 fails
+@pytest.mark.parametrize("name, lines", [
+    ("stopwords", sorted(corpus_mod.DEFAULT_STOPWORDS)),
+    ("extra_sentiment", sorted(corpus_mod.DEFAULT_EXTRA_SENTIMENT))])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_mutated_word_list_line_exits_0_or_2_naming_its_line(trained_once, name, lines, data):
+    corpus, _ = trained_once
+    _run_on_mutated_file(data, lines, LINE_MUTATIONS, name, corpus, ["preprocess"],
+                         allowed=("field count", "blank", "comment"))
+
+
+# -- one line of a CoNLL corpus mutated ----------------------------------------
+#
+# The same properties as for a mutated JSONL record: preprocess exits 0 or
+# exits 2 with one stderr line naming the corpus's path:lineno, and a corpus
+# that it accepts runs every later command.
+
+CONLL_LINES = [line for r in RECORDS for line in (
+    [f"#REVIEW {r['id']} {r['entity_id']}"] + [f"#PROS {item}" for item in r["pros"]]
+    + [f"#CONS {item}" for item in r["cons"]]
+    + [line for i, sentence in enumerate(r["sentences"])
+       for line in [""] * (i > 0) + [f"{surface}\t{tag}" for surface, tag in sentence]])]
+CONLL_MUTATIONS = ["tab dropped", "tab added", "empty surface", "blank surface", "unknown tag",
+                   "0xff byte", "bare #REVIEW", "malformed #REVIEW", "item before #REVIEW",
+                   "duplicated line"]
+
+
+def _mutate_conll(data, lines, kind):
+    """(lines with one mutation of this kind, the number of the line that the
+    parse rejects, or None if it accepts them). A 0xff byte is held as its
+    surrogateescape, "\\udcff"."""
+    lines = list(lines)
+
+    def pick(test):
+        return data.draw(st.sampled_from([i for i, line in enumerate(lines) if test(line)]))
+
+    rejected = None
+    if kind in ("tab dropped", "tab added", "empty surface", "blank surface", "unknown tag"):
+        i = pick(lambda line: "\t" in line)
+        surface, tag = lines[i].split("\t")
+        if kind == "tab added":
+            at = data.draw(st.integers(0, len(lines[i])))
+            lines[i] = lines[i][:at] + "\t" + lines[i][at:]
+        elif kind == "unknown tag":
+            lines[i] = surface + "\t" + data.draw(UNKNOWN_TAGS)
+        else:
+            lines[i] = {"tab dropped": surface, "empty surface": "",
+                        "blank surface": data.draw(st.sampled_from([" ", "\u00a0"])) + "\t"
+                        }[kind] + tag
+        rejected = None if kind == "unknown tag" else i + 1
+    elif kind == "0xff byte":
+        i = pick(lambda line: True)
+        at = data.draw(st.integers(0, len(lines[i])))
+        lines[i] = lines[i][:at] + "\udcff" + lines[i][at:]
+        rejected = i + 1
+    elif kind in ("bare #REVIEW", "malformed #REVIEW"):
+        i = pick(lambda line: line.startswith("#REVIEW"))
+        lines[i] = "#REVIEW" if kind == "bare #REVIEW" else data.draw(st.sampled_from(
+            [" ".join(lines[i].split()[:2]), lines[i] + " extra"]))
+        rejected = i + 1
+    elif kind == "item before #REVIEW":
+        lines.insert(0, data.draw(st.sampled_from(["#PROS", "#CONS"])) + " an item")
+        rejected = 1
+    elif kind == "duplicated line":
+        i = pick(lambda line: True)
+        lines.insert(i, lines[i])
+    elif kind == "gold items dropped":
+        lines = [line for line in lines if not line.startswith(("#PROS", "#CONS"))]
+    return lines, rejected
+
+
+def _write_conll(tmp, lines):
+    """(corpus, config) of lines as a CoNLL corpus in the directory tmp."""
+    corpus = pathlib.Path(tmp) / "corpus.conll"
+    corpus.write_bytes(b"".join(line.encode("utf-8", "surrogateescape") + b"\n"
+                                for line in lines))
+    return corpus, write_config(pathlib.Path(tmp), corpus, extra="corpus_format = conll\n")
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_mutated_conll_line_exits_0_or_2_naming_it(data):
+    lines, rejected = _mutate_conll(data, CONLL_LINES, data.draw(st.sampled_from(CONLL_MUTATIONS)))
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus, config = _write_conll(tmp, lines)
+        _assert_exit_0_or_2_naming(["--config", str(config), "preprocess"], rejected is None,
+                                   f"{corpus}:{rejected}: ")
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_a_conll_corpus_that_preprocess_accepts_runs_every_later_command(data):
+    # one to three mutations that the parse accepts: a duplicated line gives
+    # a review without sentences, an empty sentence or a repeated item, an
+    # unknown tag a token of neither word channel, and without its gold items
+    # the corpus has nothing to evaluate against
+    lines = CONLL_LINES
+    for _ in range(data.draw(st.integers(1, 3))):
+        kind = data.draw(st.sampled_from(["duplicated line", "unknown tag", "gold items dropped"]))
+        lines, _ = _mutate_conll(data, lines, kind)
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus, config = _write_conll(tmp, lines)
+        for command in (["preprocess"], ["train", "--iters", "2"], ["extract"], ["summarize"],
+                        ["evaluate"], ["topics"]):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(["--config", str(config), *command])
+            if command == ["evaluate"] and not any(
+                    p or c for p, c in corpus_mod.build_reference_summaries(
+                        corpus_mod.ingest_tagged(corpus, "conll")).values()):
+                assert (code, err.getvalue()) == (2, "data error: no gold pros/cons in the corpus\n")
+                continue
+            assert code == 0, (command, err.getvalue())
 
 
 # -- one value of a checkpoint mutated -----------------------------------------
@@ -736,6 +856,14 @@ class TestPipelineFlow:
         code = main(["--config", str(config), "evaluate", "--patterns", "3,5"])
         assert code == 0
         assert (tmp_path / "out" / "report_AW_SEN_SW_patterns_3-5.json").exists()
+
+    def test_one_report_name_per_pattern_set(self, workspace):
+        tmp_path, config = workspace
+        for spelling in ("3,1", "1, 3", "1,,3", "1,3", "service"):
+            assert main(["--config", str(config), "evaluate", "--patterns", spelling]) == 0
+        assert sorted(p.name for p in (tmp_path / "out").glob("report_*_patterns_[1s]*")) == [
+            f"report_AW_SEN_SW_patterns_{name}{ext}" for name in ("1-3", "service")
+            for ext in (".json", ".txt")]
 
     def test_summarize_single_entity(self, workspace):
         tmp_path, config = workspace
@@ -1130,14 +1258,15 @@ def write_columns_corpus(tmp_path):
 
 def _run(config, argv, capsys, caplog):
     """(exit code, stdout, stderr and the log's messages, the bytes of every
-    file in the output directory but the columns) of one command."""
+    file in the output directory but the corpus and segment columns) of one
+    command."""
     capsys.readouterr()
     caplog.clear()
     code = main(["--config", str(config), *argv])
     captured = capsys.readouterr()
     out = pathlib.Path(load_config(config).paths.output_dir)
     files = {p.name: p.read_bytes() for p in sorted(out.iterdir())
-             if p.name != corpus_mod.COLUMNS_FILE}
+             if p.name not in (corpus_mod.COLUMNS_FILE, patterns.SEGMENTS_FILE)}
     return code, captured.out, captured.err, [r.getMessage() for r in caplog.records], files
 
 
@@ -1198,8 +1327,8 @@ def half_writes(name):
 
 # the outputs besides the checkpoint (test_model's test_failed_write_keeps_previous_checkpoint)
 OUTPUTS = [("corpus.npz", ["preprocess"]), ("topics.txt", ["train", "--iters", "2"]),
-           ("segments.jsonl", ["extract"]), ("summaries.json", ["summarize"]),
-           ("report_AW_SEN_SW.txt", ["evaluate"])]
+           ("segments.npz", ["extract"]), ("segments.jsonl", ["extract"]),
+           ("summaries.json", ["summarize"]), ("report_AW_SEN_SW.txt", ["evaluate"])]
 
 
 @pytest.mark.parametrize("name, argv", OUTPUTS, ids=[name for name, _ in OUTPUTS])
@@ -1212,7 +1341,7 @@ def test_a_failed_write_keeps_the_previous_file(tmp_path, monkeypatch, capsys, n
     out = tmp_path / "out"
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     # a blank line: the corpus parses the same under another key, so that
-    # preprocess writes its columns again
+    # preprocess writes its columns again, and extract its segments
     with open(corpus, "a") as fh:
         fh.write("\n")
     monkeypatch.setattr(corpus_mod, "open", half_writes(name), raising=False)
@@ -1327,23 +1456,33 @@ COLUMN_COMMANDS = (["train", "--iters", "5"], ["extract"], ["summarize"],
 
 
 def test_commands_write_the_same_with_the_columns_as_without(tmp_path, capsys, caplog,
-                                                            parses):
+                                                            parses, extractions):
     lexicon = tmp_path / "lexicon.tsv"
     lexicon.write_text("".join(f"{w}\t{s}\n" for w, s in sorted(text_polarity_lexicon().items())))
     config = write_config(tmp_path, write_columns_corpus(tmp_path),
                           extra=f"lexicon = {lexicon}\n")
     columns = tmp_path / "out" / corpus_mod.COLUMNS_FILE
+    segments = tmp_path / "out" / patterns.SEGMENTS_FILE
     caplog.set_level(logging.WARNING)
     assert _run(config, ["preprocess"], capsys, caplog)[0] == 0
+    assert _run(config, ["extract"], capsys, caplog)[0] == 0
     for argv in COLUMN_COMMANDS:
-        del parses[:]
+        # summarize --entity extracts from the entity's reviews, which have no key
+        extracts = "train" not in argv and "ghost" not in argv
+        del parses[:], extractions[:]
         loaded = _run(config, argv, capsys, caplog)
-        assert parses == []
+        assert (parses, len(extractions)) == ([], "entity1" in argv)
         columns.rename(tmp_path / "away.npz")
         parsed = _run(config, argv, capsys, caplog)
         assert len(parses) == 1
         (tmp_path / "away.npz").rename(columns)
-        assert loaded == parsed, argv
+        segments.unlink()
+        del extractions[:]
+        extracted = _run(config, argv, capsys, caplog)
+        assert len(extractions) == extracts
+        if not segments.exists():   # neither train nor summarize --entity writes it
+            assert _run(config, ["extract"], capsys, caplog)[0] == 0
+        assert loaded == parsed == extracted, argv
         assert loaded[0] == (2 if "ghost" in argv else 0)
         assert "unknown POS tag 'XYZ' for token 'zork'" in " ".join(loaded[3])
 

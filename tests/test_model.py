@@ -1,5 +1,7 @@
+import ctypes
 import hashlib
 import math
+import os
 import re
 from itertools import accumulate
 
@@ -624,6 +626,12 @@ def _unloadable_output(argv, **kwargs):
         fh.write(b"not a shared object")
 
 
+class DlInfo(ctypes.Structure):
+    """Dl_info of <dlfcn.h>, which dladdr fills."""
+    _fields_ = [("dli_fname", ctypes.c_char_p), ("dli_fbase", ctypes.c_void_p),
+                ("dli_sname", ctypes.c_char_p), ("dli_saddr", ctypes.c_void_p)]
+
+
 class TestSweepKernelLoader:
     def test_compiles_once_into_the_cache(self, tmp_path, monkeypatch):
         monkeypatch.setattr(model, "_SWEEP_CACHE", str(tmp_path / "cache"))
@@ -633,6 +641,26 @@ class TestSweepKernelLoader:
         monkeypatch.setattr(model.subprocess, "run", _no_compiler)
         assert model._load_sweep_kernel()[0] is not None
         assert [p.name for p in (tmp_path / "cache").iterdir()] == built
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/maps") or not hasattr(
+        ctypes.CDLL(None), "dladdr"), reason="no /proc/self/maps or dladdr")
+    def test_the_built_kernel_is_mapped_from_its_final_name(self, tmp_path, monkeypatch):
+        # a report of AddressSanitizer or a profiler names the file that
+        # holds the kernel's code, which must not be a temporary one
+        monkeypatch.setattr(model, "_SWEEP_CACHE", str(tmp_path / "cache"))
+        kernel, _ = model._load_sweep_kernel()
+        [built] = (tmp_path / "cache").iterdir()
+        address = ctypes.cast(kernel, ctypes.c_void_p).value
+        with open("/proc/self/maps") as fh:   # start-end perms offset dev inode [path]
+            maps = [line.split(maxsplit=5) for line in fh]
+        [path] = [fields[5].strip() for fields in maps
+                  if len(fields) == 6 and int(fields[0].split("-")[0], 16) <= address
+                  < int(fields[0].split("-")[1], 16)]
+        # the dynamic loader's name for it, which a report takes: the
+        # temporary name it was loaded by, were it loaded before its rename
+        info = DlInfo()
+        assert ctypes.CDLL(None).dladdr(ctypes.c_void_p(address), ctypes.byref(info))
+        assert (path, info.dli_fname.decode()) == (str(built), str(built))
 
     @pytest.mark.parametrize("fail,cause", [
         ("no compiler", "FileNotFoundError"), ("compile error", "CalledProcessError"),

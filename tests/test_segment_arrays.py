@@ -6,20 +6,26 @@ corpora. Segments, aspects, sentiments, polarities, ranks and the order of
 the survivors must be equal, to the last bit."""
 
 import itertools
+import json
 import math
+import os
+import tempfile
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from segsum import patterns
 from segsum.classify import POSITIVE, PolarityLexicon, label_aspects
-from segsum.corpus import Vocabulary, make_token
+from segsum.corpus import Vocabulary, ingest_tagged, make_token
 from segsum.filters import (CLASSIFIER_STAGES, FILTER_STAGES, FilterConfig, ProcedureError,
                             parse_procedure, run_procedure)
 from segsum.model import PosteriorEstimates
-from segsum.patterns import extract_corpus
+from segsum.patterns import DEFAULT_NEGATION, SEGMENTS_FILE, extract_corpus
+from segsum.synthetic import generate_text_reviews
 
 import oracles
 from conftest import corpus_of, tagged_sentence
@@ -362,3 +368,144 @@ def test_a_zero_probability_raises():
     assert len(labeled) == 1
     with pytest.raises(ValueError):
         run_procedure("Baseline+SWN", labeled, est, lexicon=PolarityLexicon())
+
+
+# -- extract once: a corpus read into an output directory keeps its segments --
+
+COLUMNS = ("start", "length", "sentence", "review", "pattern_id", "negated")
+
+
+def assert_same_columns(table, want):
+    for name in COLUMNS:
+        got, expected = getattr(table, name), getattr(want, name)
+        assert (got.dtype, got.tolist()) == (expected.dtype, expected.tolist()), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_miss_and_then_a_hit_give_the_live_extraction(data):
+    pool = data.draw(st.lists(SENTENCE, min_size=1, max_size=5), label="sentences")
+    sentences = st.lists(st.integers(0, len(pool) - 1), max_size=5)
+    reviews = data.draw(st.lists(st.tuples(st.sampled_from("abc"), sentences),
+                                 min_size=1, max_size=8), label="reviews")
+    pattern_ids = data.draw(st.sets(st.integers(1, 5), min_size=1), label="pattern ids")
+    max_words = data.draw(st.integers(1, 10), label="max_words")
+    corpus = make_corpus(pool, reviews)
+    live = extract_corpus(corpus, pattern_ids, max_words)
+    corpus.key = "the corpus key"
+    with tempfile.TemporaryDirectory() as out:
+        missed = extract_corpus(corpus, pattern_ids, max_words, output_dir=out)
+        assert os.path.exists(os.path.join(out, SEGMENTS_FILE))
+        with mock.patch.object(patterns, "compile_patterns", side_effect=AssertionError):
+            hit = extract_corpus(corpus, pattern_ids, max_words, output_dir=out)
+    for table in (missed, hit):
+        assert table.corpus is corpus
+        assert_same_columns(table, live)
+    assert list(hit) == list(live)
+
+
+def write_reviews(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in generate_text_reviews(2, 4)))
+    return path
+
+
+def test_a_corpus_without_a_key_is_extracted_and_not_kept(tmp_path, extractions):
+    corpus = ingest_tagged(write_reviews(tmp_path), output_dir=tmp_path / "out")
+    assert corpus.key is not None and ingest_tagged(tmp_path / "corpus.jsonl").key is None
+    selected = corpus.select(corpus.entity == 0)
+    assert selected.key is None
+    for _ in range(2):
+        assert_same_columns(extract_corpus(selected, {1, 3, 5}, output_dir=tmp_path / "out"),
+                            extract_corpus(selected, {1, 3, 5}))
+    assert len(extractions) == 4
+    assert not (tmp_path / "out" / SEGMENTS_FILE).exists()
+
+
+# each change of a part of the key: a superset of the pattern ids, a larger
+# max_words and one more negation word keep every row that the file holds
+# valid, so that only the key tells the extractions apart
+KEY_CHANGES = {
+    "pattern ids": lambda args: args.update(pattern_ids={1, 2, 3, 5}),
+    "max_words": lambda args: args.update(max_words=8),
+    "negation words": lambda args: args.update(negation_words=DEFAULT_NEGATION | {"nor"}),
+    "corpus bytes": lambda args: None,
+}
+
+
+@pytest.mark.parametrize("change", KEY_CHANGES)
+def test_each_part_of_the_key_forces_a_fresh_extraction(tmp_path, extractions, change):
+    path, out = write_reviews(tmp_path), tmp_path / "out"
+    args = {"pattern_ids": {1, 3, 5}, "max_words": 7, "negation_words": DEFAULT_NEGATION}
+    corpus = ingest_tagged(path, output_dir=out)
+    extract_corpus(corpus, **args, output_dir=out)
+    before = np.load(out / SEGMENTS_FILE)["key"].tobytes()
+    KEY_CHANGES[change](args)
+    if change == "corpus bytes":   # a blank line: the same corpus under another key
+        with open(path, "a") as fh:
+            fh.write("\n")
+        corpus = ingest_tagged(path, output_dir=out)
+    del extractions[:]
+    got = extract_corpus(corpus, **args, output_dir=out)
+    assert len(extractions) == 1
+    assert np.load(out / SEGMENTS_FILE)["key"].tobytes() != before
+    assert_same_columns(got, extract_corpus(corpus, **args))
+    # the file written is the next extraction's
+    del extractions[:]
+    assert_same_columns(extract_corpus(corpus, **args, output_dir=out), got)
+    assert extractions == []
+
+
+def _rewritten(edit):
+    """A spoiling of the file: its columns (and key) rewritten after edit(columns, corpus)."""
+    def spoil(path, corpus):
+        with np.load(path) as npz:
+            columns = dict(npz)
+        edit(columns, corpus)
+        with open(path, "wb") as fh:
+            np.savez(fh, **columns)
+    return spoil
+
+
+def _truncate(path, corpus):
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) // 2])
+
+
+def _set(name, row, value):
+    """A spoiling that sets columns[name][row] to value(columns, corpus)."""
+    return _rewritten(lambda columns, corpus: columns[name].__setitem__(row, value(columns, corpus)))
+
+
+# each spoils the file that extract_corpus(corpus, {1, 3, 5}, 7) wrote
+SPOILED_FILES = {
+    "truncated": _truncate,
+    "start of another dtype": _rewritten(
+        lambda columns, _: columns.update(start=columns["start"].astype(np.int32))),
+    "negated one row short": _rewritten(
+        lambda columns, _: columns.update(negated=columns["negated"][:-1])),
+    # the last row, which no row follows that it could overlap
+    "a row past its sentence": _set("start", -1, lambda columns, corpus: (
+        corpus.sentence_starts[columns["sentence"][-1] + 1] - columns["length"][-1] + 1)),
+    "a length above max_words": _set("length", -1, lambda *_: 8),
+    "a review not its sentence's": _set("review", 0, lambda columns, _: columns["review"][0] + 1),
+    "a pattern not asked for": _set("pattern_id", 0, lambda *_: 2),
+    "a sentence outside the corpus": _set("sentence", 0, lambda _, corpus: corpus.num_sentences),
+    "a row twice": _rewritten(lambda columns, _: columns.update(
+        {name: np.insert(column, 1, column[0]) for name, column in columns.items()
+         if name != "key"})),
+}
+
+
+@pytest.mark.parametrize("spoil", SPOILED_FILES)
+def test_a_spoiled_file_is_extracted_again_and_rewritten(tmp_path, extractions, spoil):
+    out = tmp_path / "out"
+    corpus = ingest_tagged(write_reviews(tmp_path), output_dir=out)
+    live = extract_corpus(corpus, {1, 3, 5}, 7)
+    extract_corpus(corpus, {1, 3, 5}, 7, output_dir=out)
+    SPOILED_FILES[spoil](out / SEGMENTS_FILE, corpus)
+    del extractions[:]
+    assert_same_columns(extract_corpus(corpus, {1, 3, 5}, 7, output_dir=out), live)
+    assert len(extractions) == 1
+    assert_same_columns(extract_corpus(corpus, {1, 3, 5}, 7, output_dir=out), live)
+    assert len(extractions) == 1
