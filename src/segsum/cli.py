@@ -29,7 +29,7 @@ class DataError(ValueError):
 
 def _load_corpus(cfg):
     if not cfg.paths.corpus:
-        raise DataError("no corpus path configured")
+        raise ConfigError("no corpus path configured")
     extra = corpus_mod.DEFAULT_EXTRA_SENTIMENT
     if cfg.paths.extra_sentiment:
         extra = corpus_mod.load_wordlist(cfg.paths.extra_sentiment)
@@ -103,14 +103,17 @@ def _pattern_ids(cfg, args):
     return patterns.resolve_pattern_ids(args.patterns or cfg.pattern_spec)
 
 
-def _candidates(cfg, args, corp, state):
+def _candidates(cfg, args, corp, state, entity=None):
     """The (positive, negative) survivors of the configured procedure over
-    the segments of corp, their aspects labelled; the unclassifiable ones
-    are logged and dropped."""
+    the segments of corp, or of its reviews of entity (an index into
+    corp.entities), their aspects labelled; the unclassifiable ones are
+    logged and dropped."""
     lexicon = _load_lexicon(cfg)
     est = model.estimate(state)
     segments = patterns.extract_corpus(corp, _pattern_ids(cfg, args), max_words=cfg.max_words,
                                        output_dir=cfg.paths.output_dir)
+    if entity is not None:
+        segments = segments.take(corp.entity[segments.review] == entity)
     labelled, dropped = classify.label_aspects(segments, est, state.vocab)
     if dropped:
         log.info("dropped %d unclassifiable segments", len(dropped))
@@ -199,13 +202,15 @@ def cmd_summarize(cfg, args):
     corp = _load_corpus(cfg)
     state = _load_checkpoint(cfg, corp)
 
+    entities, entity = corp.entities, None
     if args.entity:
         if args.entity not in corp.entities:
             raise DataError(f"unknown entity: {args.entity}")
-        corp = corp.select(corp.entity == corp.entities.index(args.entity))
+        entities, entity = [args.entity], corp.entities.index(args.entity)
     top_n = args.top_n if args.top_n is not None else cfg.top_n
-    output = {entity_id: {"positive": [], "negative": []} for entity_id in corp.entities}
-    for polarity, table in zip(("positive", "negative"), _candidates(cfg, args, corp, state)):
+    output = {entity_id: {"positive": [], "negative": []} for entity_id in entities}
+    for polarity, table in zip(("positive", "negative"),
+                               _candidates(cfg, args, corp, state, entity)):
         # by descending rank, ties in corpus order; 0: all
         for row in table.take(np.argsort(-table.rank, kind="stable")):
             entry = output[row.entity_id][polarity]
@@ -323,6 +328,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return _COMMANDS[args.command](cfg, args)
+    except ConfigError as exc:   # a setting that the command needs is missing
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (ValueError, OSError) as exc:   # DataError is a ValueError
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -15,7 +15,7 @@ import os
 import zipfile
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import chain
 
 import numpy as np
 
@@ -127,7 +127,7 @@ class Corpus:
     `records` holds each review's (id, entity_id, pros, cons), `entities`
     the sorted entity ids, and `entity` (int64) the index into them of each
     review's entity. `key` is the key under which ingest_tagged keeps the
-    corpus in its output_dir (None without one, and for a select)."""
+    corpus in its output_dir (None without one)."""
 
     def __init__(self, tokens, token_ids, sentence_starts, review_starts, records):
         self.key = None
@@ -140,16 +140,6 @@ class Corpus:
         number = {entity_id: i for i, entity_id in enumerate(self.entities)}
         self.entity = np.array([number[review.entity_id] for review in self.reviews],
                                dtype=np.int64)
-
-    def select(self, keep):
-        """The reviews where keep (one bool per review) is true, over the same table."""
-        keep = np.asarray(keep, dtype=bool)
-        sentences = np.repeat(keep, np.diff(self.review_starts))
-        lengths = np.diff(self.sentence_starts)
-        return Corpus(self.tokens, self.token_ids[np.repeat(sentences, lengths)],
-                      np.concatenate(([0], np.cumsum(lengths[sentences]))),
-                      np.concatenate(([0], np.cumsum(np.diff(self.review_starts)[keep]))),
-                      [(r.id, r.entity_id, r.pros, r.cons) for r in compress(self.reviews, keep)])
 
     @property
     def num_sentences(self):
@@ -174,8 +164,8 @@ CORPUS_FORMATS = ("jsonl", "conll")
 
 # ingest_tagged keeps the corpus it parsed in this file of its output_dir
 COLUMNS_FILE = "corpus.npz"
-# the dtype of each array of that file, all 1-D; the uint8 arrays hold JSON text
-_COLUMNS = {"key": np.uint8, "table": np.uint8, "records": np.uint8, "token_ids": np.int32,
+# the dtype of each column of that file; the uint8 columns hold JSON text
+_COLUMNS = {"table": np.uint8, "records": np.uint8, "token_ids": np.int32,
             "sentence_starts": np.int64, "review_starts": np.int64}
 
 
@@ -184,28 +174,35 @@ def ingest_tagged(path, format: str = "jsonl", extra_sentiment=DEFAULT_EXTRA_SEN
     """The corpus at path. With an output_dir: loaded from its COLUMNS_FILE
     if that file holds this corpus under its current key; else parsed, and
     written there under that key for the next ingest to load. Either way the
-    corpus keeps that key as its `key`."""
+    corpus keeps that key as its `key`: the sha256 of what a parse depends
+    on, which is the bytes of path, the format, the extra sentiment words
+    and the sources of this module and of stem."""
     if format not in CORPUS_FORMATS:
         raise ValueError(f"unknown corpus format: {format!r}")
     read = _ingest_jsonl if format == "jsonl" else _ingest_conll
     if output_dir is None:
         return read(path, extra_sentiment)
-    columns = os.path.join(output_dir, COLUMNS_FILE)
-    key = _corpus_key(path, format, extra_sentiment)
-    corpus = _load_columns(columns, key)
-    if corpus is None:
+    key = content_key(format, sorted(extra_sentiment),
+                      *map(file_digest, (path, __file__, _stem.__file__)))
+
+    def parse():
         corpus = read(path, extra_sentiment)
-        write_file(columns, lambda fh: _write_columns(corpus, fh, key), binary=True)
+        return corpus, {"table": _text([[t.surface, t.stem, t.pos, t.is_sentiment]
+                                        for t in corpus.tokens]),
+                        "records": _text([[r.id, r.entity_id, r.pros, r.cons]
+                                          for r in corpus.reviews]),
+                        "token_ids": corpus.token_ids, "sentence_starts": corpus.sentence_starts,
+                        "review_starts": corpus.review_starts}
+
+    corpus = keep_columns(os.path.join(output_dir, COLUMNS_FILE), key, _COLUMNS, _corpus_of,
+                          parse)
     corpus.key = key
     return corpus
 
 
-def _corpus_key(path, format, extra_sentiment) -> str:
-    """The sha256 of what a parse of path depends on: its bytes, the format,
-    the extra sentiment words, and the sources of this module and of stem."""
-    digests = [file_digest(name) for name in (path, __file__, _stem.__file__)]
-    payload = json.dumps([format, sorted(extra_sentiment), *digests]).encode()
-    return hashlib.sha256(payload).hexdigest()
+def content_key(*parts) -> str:
+    """The sha256 of the JSON text of parts, in hex."""
+    return hashlib.sha256(json.dumps(parts).encode()).hexdigest()
 
 
 def file_digest(path) -> str:
@@ -217,42 +214,50 @@ def file_digest(path) -> str:
     return digest.hexdigest()
 
 
-def _write_columns(corpus: Corpus, fh, key):
-    """Write corpus to fh as COLUMNS_FILE holds it under key: its token table
-    and records as JSON text, so that no pickle is needed."""
-    def text(value):
-        return np.frombuffer(json.dumps(value).encode(), dtype=np.uint8)
-
-    np.savez(fh, key=text(key),
-             table=text([[t.surface, t.stem, t.pos, t.is_sentiment] for t in corpus.tokens]),
-             records=text([[r.id, r.entity_id, r.pros, r.cons] for r in corpus.reviews]),
-             token_ids=corpus.token_ids, sentence_starts=corpus.sentence_starts,
-             review_starts=corpus.review_starts)
-
-
-def _load_columns(path, key):
-    """The Corpus written to path under key, with the unknown-tag warnings of
-    its parse; None if the file does not load, holds another key, or breaks
-    an invariant of Corpus (which would reach the encoder and the sweep)."""
+def keep_columns(path, key, dtypes, load, make):
+    """A value kept as columns in the npz file at path, under key (an ASCII
+    string such as content_key gives): load(columns) if the file holds key
+    and, under each name of dtypes, a 1-D array of that dtype, and load
+    returns neither None nor raises one of the errors of a spoiled file.
+    Otherwise the value of (value, columns) = make(), whose columns (arrays
+    by name) are written to path under key through write_file, for the next
+    call to load."""
     try:
         with np.load(path, allow_pickle=False) as npz:
-            arrays = {name: npz[name] for name in _COLUMNS}
-        if (any(arrays[name].dtype != dtype or arrays[name].ndim != 1
-                for name, dtype in _COLUMNS.items())
-                or json.loads(arrays["key"].tobytes()) != key):
-            return None
-        tokens = [Token(*entry) for entry in json.loads(arrays["table"].tobytes())]
-        records = json.loads(arrays["records"].tobytes())
-        ids, sentences, reviews = (arrays["token_ids"], arrays["sentence_starts"],
-                                   arrays["review_starts"])
-        if not (sentences[0] == 0 and sentences[-1] == len(ids) and (np.diff(sentences) > 0).all()
-                and reviews[0] == 0 and reviews[-1] == len(sentences) - 1
-                and (np.diff(reviews) >= 0).all() and len(records) == len(reviews) - 1
-                and ((ids >= 0) & (ids < len(tokens))).all()):
-            return None
-        corpus = Corpus(tokens, ids, sentences, reviews, records)
+            if npz["key"].tobytes() == key.encode():
+                columns = {name: npz[name] for name in dtypes}
+                if all(columns[name].dtype == dtype and columns[name].ndim == 1
+                       for name, dtype in dtypes.items()):
+                    value = load(columns)
+                    if value is not None:
+                        return value
     except (OSError, EOFError, LookupError, TypeError, ValueError, zipfile.BadZipFile):
+        pass
+    value, columns = make()
+    write_file(path, lambda fh: np.savez(fh, key=np.frombuffer(key.encode(), dtype=np.uint8),
+                                         **columns), binary=True)
+    return value
+
+
+def _text(value):
+    """The JSON text of value as a uint8 array."""
+    return np.frombuffer(json.dumps(value).encode(), dtype=np.uint8)
+
+
+def _corpus_of(columns):
+    """The Corpus of the columns of a COLUMNS_FILE, with the unknown-tag
+    warnings of its parse; None if they break an invariant of Corpus (which
+    would reach the encoder and the sweep)."""
+    tokens = [Token(*entry) for entry in json.loads(columns["table"].tobytes())]
+    records = json.loads(columns["records"].tobytes())
+    ids, sentences, reviews = (columns["token_ids"], columns["sentence_starts"],
+                               columns["review_starts"])
+    if not (sentences[0] == 0 and sentences[-1] == len(ids) and (np.diff(sentences) > 0).all()
+            and reviews[0] == 0 and reviews[-1] == len(sentences) - 1
+            and (np.diff(reviews) >= 0).all() and len(records) == len(reviews) - 1
+            and ((ids >= 0) & (ids < len(tokens))).all()):
         return None
+    corpus = Corpus(tokens, ids, sentences, reviews, records)
     # the parse warns once per distinct (surface, tag), in table order
     for token in tokens:
         if token.pos not in PENN_TAGS:
@@ -357,10 +362,13 @@ def _ingest_jsonl(path, extra_sentiment) -> Corpus:
 
 def _conll_records(path):
     """Each #REVIEW block of a CoNLL file as a JSONL-style record, yielded
-    when the block ends. A blank line starts a new sentence."""
+    when the block ends. A blank line starts a new sentence. A header is a
+    line whose first whitespace-separated field is #REVIEW, #PROS or #CONS;
+    any other line of a block is a token line."""
     record = None
     for lineno, line in numbered_lines(path):
-        if line.startswith("#REVIEW"):
+        header = line.split(None, 1) if line.startswith("#") else [None]
+        if header[0] == "#REVIEW":
             parts = line.split()
             if len(parts) != 3:
                 raise CorpusFormatError(path, lineno, "#REVIEW needs 'id entity_id'")
@@ -372,12 +380,11 @@ def _conll_records(path):
             if record is not None:
                 record["sentences"].append([])
         elif record is None:
-            kind = "item" if line.startswith(("#PROS", "#CONS")) else "token"
+            kind = "item" if header[0] in ("#PROS", "#CONS") else "token"
             raise CorpusFormatError(path, lineno, f"{kind} line before #REVIEW")
-        elif line.startswith(("#PROS", "#CONS")):
-            item = line.split(None, 1)
-            record["pros" if line.startswith("#PROS") else "cons"].append(
-                item[1] if len(item) > 1 else "")
+        elif header[0] in ("#PROS", "#CONS"):
+            record["pros" if header[0] == "#PROS" else "cons"].append(
+                header[1] if len(header) > 1 else "")
         else:
             parts = line.split("\t")
             if len(parts) != 2 or not parts[0].strip():
@@ -431,8 +438,7 @@ class Vocabulary:
         return np.array([self.codes.get(t.stem, pad) for t in tokens] + [pad], dtype=np.int64)
 
     def content_hash(self) -> str:
-        payload = json.dumps([self.aspect_stems, self.senti_stems]).encode()
-        return hashlib.sha256(payload).hexdigest()
+        return content_key(self.aspect_stems, self.senti_stems)
 
     def to_dict(self):
         return {"aspect_stems": self.aspect_stems, "senti_stems": self.senti_stems}

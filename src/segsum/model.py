@@ -471,9 +471,25 @@ def estimate(state) -> PosteriorEstimates:
 
 # -- checkpointing & reports -------------------------------------------------
 
+def _check_word_probabilities(state, path):
+    """ValueError naming the checkpoint at path unless every word has a
+    positive, finite probability under state, which the classifiers take the
+    log of: a huge smoother or beta overflows or underflows to 0."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        est = estimate(state)
+    for probs, keys in ((est.phi_hat, "'n_TW' and 'hyperparams' beta"),
+                        (est.phi_prime_hat, "'n_STW', 'y_topic' and 'y_senti'")):
+        if not (np.isfinite(probs) & (probs > 0)).all():
+            raise ValueError(f"checkpoint {path}: a word probability is 0 or not finite "
+                             f"under {keys}")
+
+
 def save_checkpoint(state, path):
-    """Write the state to path atomically; ValueError if its z/s do not fit its corpus."""
+    """Write the state to path atomically; ValueError if its z/s do not fit
+    its corpus, or a word probability is 0 or not finite, which a later load
+    would reject."""
     state.check_assignments()
+    _check_word_probabilities(state, path)
     z, s = ([a[doc.start:doc.stop] for doc in state.docs]
             for a in (state.z.tolist(), state.s.tolist()))
     payload = {
@@ -594,14 +610,7 @@ def load_checkpoint(path, corpus=None):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         state = ModelState(hp, vocab, flat, rng, z, s, y_topic, y_senti, seed_mask, counts,
                            get("sweep_index", sweep_count))
-        est = estimate(state)
-    # Every word needs a positive probability, which the classifiers take
-    # the log of: a huge smoother or beta overflows or underflows to 0
-    for probs, keys in ((est.phi_hat, "'n_TW' and 'hyperparams' beta"),
-                        (est.phi_prime_hat, "'n_STW', 'y_topic' and 'y_senti'")):
-        if not (np.isfinite(probs) & (probs > 0)).all():
-            raise ValueError(f"checkpoint {path}: a word probability is 0 or not finite "
-                             f"under {keys}")
+    _check_word_probabilities(state, path)
     if corpus is not None and not state.counts_consistent():
         raise ValueError(f"checkpoint {path}: counts do not match the supplied corpus "
                          f"('n_TW', 'n_STW', 'n_DT' and 'n_DS' against 'z' and 's')")

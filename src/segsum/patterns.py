@@ -15,18 +15,15 @@ there (SEGMENTS_FILE), so that the commands after the first load them.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import re
-import zipfile
 from dataclasses import dataclass, fields, replace
 from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import Corpus, file_digest, write_file
+from .corpus import Corpus, content_key, file_digest, keep_columns
 
 DEFAULT_NEGATION = frozenset({"not", "n't", "never", "no", "hardly"})
 
@@ -175,8 +172,7 @@ def compile_patterns(pattern_ids):
 # extract_corpus keeps the segments of a corpus read into an output_dir in
 # this file of that directory
 SEGMENTS_FILE = "segments.npz"
-# the dtype of each SegmentTable column of that file, all 1-D of one length,
-# as extraction makes them; "key" is its key as ASCII bytes
+# the dtype of each SegmentTable column of that file, as extraction makes them
 _SEGMENT_COLUMNS = {"start": np.int64, "length": np.int64, "sentence": np.int64,
                     "review": np.int64, "pattern_id": np.int64, "negated": np.bool_}
 
@@ -191,18 +187,21 @@ def extract_corpus(corpus, pattern_ids, max_words=DEFAULT_MAX_WORDS,
     ingest_tagged gives a corpus it keeps there): loaded from the
     SEGMENTS_FILE of output_dir if that file holds this extraction under its
     current key; else extracted, and written there under that key for the
-    next extraction to load."""
+    next extraction to load. The key is the sha256 of what an extraction
+    depends on: the corpus (by its key), the pattern ids, max_words, the
+    negation words and the source of this module."""
     if output_dir is None or corpus.key is None:
         return _extract(corpus, pattern_ids, max_words, negation_words)
-    path = os.path.join(output_dir, SEGMENTS_FILE)
-    key = _segments_key(corpus.key, pattern_ids, max_words, negation_words)
-    segments = _load_segments(path, key, corpus, pattern_ids, max_words)
-    if segments is None:
+
+    def extract():
         segments = _extract(corpus, pattern_ids, max_words, negation_words)
-        write_file(path, lambda fh: np.savez(
-            fh, key=np.frombuffer(key.encode(), dtype=np.uint8),
-            **{name: getattr(segments, name) for name in _SEGMENT_COLUMNS}), binary=True)
-    return segments
+        return segments, {name: getattr(segments, name) for name in _SEGMENT_COLUMNS}
+
+    key = content_key(corpus.key, sorted(pattern_ids), max_words, sorted(negation_words),
+                      file_digest(__file__))
+    return keep_columns(os.path.join(output_dir, SEGMENTS_FILE), key, _SEGMENT_COLUMNS,
+                        lambda columns: _segments_of(corpus, columns, pattern_ids, max_words),
+                        extract)
 
 
 def _extract(corpus, pattern_ids, max_words, negation_words) -> SegmentTable:
@@ -237,33 +236,14 @@ def _extract(corpus, pattern_ids, max_words, negation_words) -> SegmentTable:
                         np.array([f.negated for f in forms], dtype=bool)[form])
 
 
-def _segments_key(corpus_key, pattern_ids, max_words, negation_words) -> str:
-    """The sha256 of what an extraction depends on: the corpus (by its key),
-    the pattern ids, max_words, the negation words and the source of this
-    module."""
-    payload = json.dumps([corpus_key, sorted(pattern_ids), max_words, sorted(negation_words),
-                          file_digest(__file__)]).encode()
-    return hashlib.sha256(payload).hexdigest()
-
-
-def _load_segments(path, key, corpus, pattern_ids, max_words):
-    """The SegmentTable of corpus written to path under key; None if the file
-    does not load, holds another key, or has a row that extraction cannot
-    give: outside its sentence, longer than max_words, in another review
-    than its sentence's, of a pattern not asked for, or overlapping the row
-    before it."""
-    try:
-        with np.load(path, allow_pickle=False) as npz:
-            if npz["key"].tobytes() != key.encode():
-                return None
-            columns = {name: npz[name] for name in _SEGMENT_COLUMNS}
-    except (OSError, EOFError, LookupError, ValueError, zipfile.BadZipFile):
-        return None
-    rows = columns["start"].size
-    if any(column.dtype != _SEGMENT_COLUMNS[name] or column.shape != (rows,)
-           for name, column in columns.items()):
-        return None
+def _segments_of(corpus, columns, pattern_ids, max_words):
+    """The SegmentTable of corpus with the columns of a SEGMENTS_FILE; None
+    if they differ in length or have a row that extraction cannot give:
+    outside its sentence, longer than max_words, in another review than its
+    sentence's, of a pattern not asked for, or overlapping the row before it."""
     start, length, sentence, review, pattern_id, _ = columns.values()
+    if any(column.shape != start.shape for column in columns.values()):
+        return None
     starts = corpus.sentence_starts
     if not ((sentence >= 0) & (sentence < corpus.num_sentences)).all():
         return None

@@ -11,9 +11,10 @@ import string
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from segsum import classify, corpus as corpus_mod, filters, model, patterns
@@ -604,7 +605,7 @@ CONLL_LINES = [line for r in RECORDS for line in (
        for line in [""] * (i > 0) + [f"{surface}\t{tag}" for surface, tag in sentence]])]
 CONLL_MUTATIONS = ["tab dropped", "tab added", "empty surface", "blank surface", "unknown tag",
                    "0xff byte", "bare #REVIEW", "malformed #REVIEW", "item before #REVIEW",
-                   "duplicated line"]
+                   "misspelled header", "duplicated line"]
 
 
 def _mutate_conll(data, lines, kind):
@@ -639,6 +640,12 @@ def _mutate_conll(data, lines, kind):
         i = pick(lambda line: line.startswith("#REVIEW"))
         lines[i] = "#REVIEW" if kind == "bare #REVIEW" else data.draw(st.sampled_from(
             [" ".join(lines[i].split()[:2]), lines[i] + " extra"]))
+        rejected = i + 1
+    elif kind == "misspelled header":
+        i = pick(lambda line: line.startswith("#"))
+        field, rest = lines[i].split(" ", 1) if " " in lines[i] else (lines[i], None)
+        field = data.draw(st.sampled_from([field + "S", field + "E", field[:-1], field.lower()]))
+        lines[i] = field if rest is None else f"{field} {rest}"
         rejected = i + 1
     elif kind == "item before #REVIEW":
         lines.insert(0, data.draw(st.sampled_from(["#PROS", "#CONS"])) + " an item")
@@ -693,6 +700,118 @@ def test_a_conll_corpus_that_preprocess_accepts_runs_every_later_command(data):
                 assert (code, err.getvalue()) == (2, "data error: no gold pros/cons in the corpus\n")
                 continue
             assert code == 0, (command, err.getvalue())
+
+
+# -- one line of the config mutated ---------------------------------------------
+#
+# preprocess, which reads the whole config, exits 0 or exits 1 with one stderr
+# line starting "config error:". If train --iters 2, which takes a MAP step,
+# exits 0, summarize, evaluate and topics exit 0 on its checkpoint. The sizes
+# (num_topics, total, burn_in, max_words, aw_top_x, sw_top_y, top_n) are
+# small, and no drawn value parses as a large integer, so that no example
+# allocates a large array. Paths are relative to the example's directory.
+
+CONFIG_LINES = """[paths]
+corpus = corpus.jsonl
+corpus_format = jsonl
+output_dir = out
+checkpoint = out/checkpoint.json
+[model]
+alpha = 0.1
+beta = 0.01
+gamma = 0.1
+sigma1_sq = 1.0
+sigma2_sq = 1.0
+num_topics = 2
+mu_seed = 2.0
+min_count = 2
+[schedule]
+burn_in = 1
+interleave = 1
+total = 2
+[patterns]
+preset = product
+max_words = 7
+[filters]
+aw_top_x = 5
+sw_top_y = 5
+rank_keep_fraction = 0.5
+[eval]
+recall_threshold = 0.5
+token_normalization = stemmed
+[run]
+procedure = AW+SEN+SW
+rng_seed = 0
+top_n = 3""".splitlines()
+CONFIG_VALUES = ["0", "-1", "nan", "inf", "1e308", "1e-320", "", "naïve", "日本"]
+CONFIG_MUTATIONS = ["value", "misspelled key", "duplicated key", "broken header"]
+
+
+@st.composite
+def mutated_configs(draw):
+    """CONFIG_LINES with one line mutated."""
+    kind = draw(st.sampled_from(CONFIG_MUTATIONS))
+    lines = list(CONFIG_LINES)
+    i = draw(st.sampled_from([i for i, line in enumerate(lines)
+                              if line.startswith("[") == (kind == "broken header")]))
+    if kind == "broken header":
+        name = lines[i][1:-1]
+        lines[i] = draw(st.sampled_from([f"[{name}", f"{name}]", f"[{name}s]", "[]",
+                                         f"[{name.upper()}]"]))
+    elif kind == "duplicated key":
+        lines.insert(i, lines[i])
+    else:
+        key, value = lines[i].split(" = ")
+        if kind == "value":
+            value = draw(st.sampled_from(CONFIG_VALUES))
+        else:
+            key = draw(st.sampled_from([key + "s", key[:-1], key.replace("_", "-")]))
+        lines[i] = f"{key} = {value}"
+    return lines
+
+
+def _config_with(line):
+    """CONFIG_LINES with the line of the key of line replaced by it."""
+    key = line.split(" = ")[0]
+    return [line if old.split(" = ")[0] == key else old for old in CONFIG_LINES]
+
+
+def _main_in(directory, argv):
+    """(exit code, stderr) of main(argv) run in directory."""
+    err, cwd = io.StringIO(), os.getcwd()
+    os.chdir(directory)
+    try:
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # an overflow in the sampler, say
+            return main(argv), err.getvalue()
+    finally:
+        os.chdir(cwd)
+
+
+# found by this property: an empty corpus path exited 2, and train wrote a
+# checkpoint with a word probability that overflowed, which the later
+# commands rejected with exit 2
+@example(lines=_config_with("corpus = "))
+@example(lines=_config_with("mu_seed = 1e308"))
+@example(lines=_config_with("beta = 1e308"))
+@settings(max_examples=40, deadline=None)
+@given(lines=mutated_configs())
+def test_a_mutated_config_line_exits_0_or_1_and_a_trained_config_runs_on(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        (pathlib.Path(tmp) / "corpus.jsonl").write_text(
+            "".join(json.dumps(record) + "\n" for record in RECORDS), encoding="utf-8")
+        (pathlib.Path(tmp) / "config.ini").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, err = _main_in(tmp, ["--config", "config.ini", "preprocess"])
+        assert code in (0, 1), err
+        if code == 1:
+            [line] = err.splitlines()
+            assert line.startswith("config error: ")
+            return
+        if _main_in(tmp, ["--config", "config.ini", "train", "--iters", "2"])[0] == 0:
+            for command in ("summarize", "evaluate", "topics"):
+                code, err = _main_in(tmp, ["--config", "config.ini", command])
+                assert code == 0, (command, err)
 
 
 # -- one value of a checkpoint mutated -----------------------------------------
@@ -1287,15 +1406,15 @@ def test_preprocess_leaves_the_columns_and_no_temporary_file(tmp_path):
         corpus_mod.COLUMNS_FILE, "preprocess_stats.json", "references.json", "vocab.json"]
 
 
-def test_a_second_preprocess_leaves_the_columns_as_they_are(tmp_path, monkeypatch):
+def test_a_second_preprocess_leaves_the_columns_as_they_are(tmp_path, monkeypatch, parses):
     corpus = write_columns_corpus(tmp_path)
     config = write_config(tmp_path, corpus)
     columns = tmp_path / "out" / corpus_mod.COLUMNS_FILE
     assert main(["--config", str(config), "preprocess"]) == 0
     before = columns.stat()
     keys = []
-    key = corpus_mod._corpus_key
-    monkeypatch.setattr(corpus_mod, "_corpus_key", lambda *args: keys.append(args) or key(*args))
+    key = corpus_mod.content_key
+    monkeypatch.setattr(corpus_mod, "content_key", lambda *args: keys.append(args) or key(*args))
     assert main(["--config", str(config), "preprocess"]) == 0
     after = columns.stat()
     assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
@@ -1305,8 +1424,9 @@ def test_a_second_preprocess_leaves_the_columns_as_they_are(tmp_path, monkeypatc
     assert main(["--config", str(config), "preprocess"]) == 0
     after = columns.stat()
     assert (after.st_ino, after.st_mtime_ns) != (before.st_ino, before.st_mtime_ns)
-    assert corpus_mod._load_columns(
-        columns, key(corpus, "jsonl", corpus_mod.DEFAULT_EXTRA_SENTIMENT)) is not None
+    del parses[:]
+    corpus_mod.ingest_tagged(corpus, output_dir=tmp_path / "out")
+    assert parses == []
 
 
 def half_writes(name):
@@ -1359,6 +1479,31 @@ def test_a_checkpoint_in_a_missing_directory_is_created(tmp_path):
     assert main(["--config", str(config), "train", "--iters", "2"]) == 0
     assert model.load_checkpoint(checkpoint).sweep_index == 2
     assert main(["--config", str(config), "summarize"]) == 0
+
+
+# a smoother that exp overflows, or a beta that overflows a topic's total,
+# gives a word probability of 0 or NaN, which every later command rejects:
+# train refuses to write such a checkpoint and keeps the one before
+@pytest.mark.parametrize("setting, keys", [
+    ("mu_seed = 800", "'n_STW', 'y_topic' and 'y_senti'"),
+    ("beta = 1e308", "'n_TW' and 'hyperparams' beta"),
+], ids=["mu_seed", "beta"])
+def test_train_writes_no_checkpoint_that_a_later_command_rejects(tmp_path, capsys, setting,
+                                                                  keys):
+    config = write_config(tmp_path, write_corpus(tmp_path, num_entities=2, reviews_per_entity=4))
+    assert main(["--config", str(config), "train"]) == 0
+    checkpoint = tmp_path / "out" / "checkpoint.json"
+    before = checkpoint.read_bytes()
+    config.write_text(config.read_text().replace("[model]\n", f"[model]\n{setting}\n"))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["--config", str(config), "train"]) == 2
+    assert capsys.readouterr().err == (f"data error: checkpoint {checkpoint}: a word probability "
+                                       f"is 0 or not finite under {keys}\n")
+    assert checkpoint.read_bytes() == before
+    for command in ("summarize", "topics"):
+        assert main(["--config", str(config), command]) == 0
 
 
 @pytest.mark.parametrize("columns_before", [False, True], ids=["fresh", "after-preprocess"])
@@ -1429,10 +1574,10 @@ def test_train_alone_leaves_the_columns_for_the_next_train(tmp_path, parses):
     out = tmp_path / "out"
     assert main(["--config", str(config), "train", "--iters", "5"]) == 0
     assert len(parses) == 1
-    key = corpus_mod._corpus_key(corpus, "jsonl", corpus_mod.DEFAULT_EXTRA_SENTIMENT)
-    assert corpus_mod._load_columns(out / corpus_mod.COLUMNS_FILE, key) is not None
-    checkpoint = (out / "checkpoint.json").read_bytes()
     del parses[:]
+    corpus_mod.ingest_tagged(corpus, output_dir=out)
+    assert parses == []
+    checkpoint = (out / "checkpoint.json").read_bytes()
     assert main(["--config", str(config), "train", "--iters", "5"]) == 0
     assert parses == []
     assert (out / "checkpoint.json").read_bytes() == checkpoint
@@ -1467,11 +1612,10 @@ def test_commands_write_the_same_with_the_columns_as_without(tmp_path, capsys, c
     assert _run(config, ["preprocess"], capsys, caplog)[0] == 0
     assert _run(config, ["extract"], capsys, caplog)[0] == 0
     for argv in COLUMN_COMMANDS:
-        # summarize --entity extracts from the entity's reviews, which have no key
         extracts = "train" not in argv and "ghost" not in argv
         del parses[:], extractions[:]
         loaded = _run(config, argv, capsys, caplog)
-        assert (parses, len(extractions)) == ([], "entity1" in argv)
+        assert (parses, extractions) == ([], [])
         columns.rename(tmp_path / "away.npz")
         parsed = _run(config, argv, capsys, caplog)
         assert len(parses) == 1
@@ -1480,7 +1624,7 @@ def test_commands_write_the_same_with_the_columns_as_without(tmp_path, capsys, c
         del extractions[:]
         extracted = _run(config, argv, capsys, caplog)
         assert len(extractions) == extracts
-        if not segments.exists():   # neither train nor summarize --entity writes it
+        if not segments.exists():   # train does not write it, nor an unknown entity
             assert _run(config, ["extract"], capsys, caplog)[0] == 0
         assert loaded == parsed == extracted, argv
         assert loaded[0] == (2 if "ghost" in argv else 0)

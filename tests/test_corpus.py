@@ -13,6 +13,7 @@ from segsum.corpus import (
     COLUMNS_FILE,
     CORPUS_FORMATS,
     DEFAULT_EXTRA_SENTIMENT,
+    Corpus,
     CorpusBuilder,
     CorpusFormatError,
     Token,
@@ -176,6 +177,20 @@ class TestIngest:
         with pytest.raises(CorpusFormatError) as err:
             ingest_tagged(path, "conll")
         assert ":2:" in str(err.value)
+
+    # a header is told by its whole first field: a misspelled one is a token
+    # line without a tab, or a token line before #REVIEW
+    @pytest.mark.parametrize("lines, lineno", [
+        (["#REVIEW r1 e1", "#PROSE good food", "Great\tJJ"], 2),
+        (["#REVIEW r1 e1", "#CONSX slow", "Great\tJJ"], 2),
+        (["#REVIEWS r1 e1", "Great\tJJ"], 1),
+        (["#REVIEW r1 e1", "Great\tJJ", "#REVIEWS r2 e1", "food\tNN"], 3),
+    ])
+    def test_a_misspelled_conll_header_names_its_line(self, tmp_path, lines, lineno):
+        path = tmp_path / "c.conll"
+        path.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(CorpusFormatError, match=re.escape(f"{path}:{lineno}: ")):
+            ingest_tagged(path, "conll")
 
 
 # (surface, tag) pairs that repeat within a sentence, across sentences and
@@ -342,7 +357,7 @@ def _loads_without_a_parse(parses, caplog, path, format, extra, out, want, warne
 
 def test_without_an_output_dir_the_ingest_only_parses(tmp_path, parses, monkeypatch):
     path = write_reviews(tmp_path, "jsonl", COLUMN_REVIEWS)
-    for name in ("_corpus_key", "_load_columns", "write_file"):
+    for name in ("content_key", "keep_columns", "write_file"):
         monkeypatch.setattr(corpus_mod, name, lambda *a, **k: pytest.fail("columns touched"))
     ingest_tagged(path, "jsonl")
     assert len(parses) == 1
@@ -464,6 +479,8 @@ BROKEN = {
     "one record too few": _text("records", lambda records: records[:-1]),
     "a record too short": _text("records", lambda records: [r[:3] for r in records]),
     "a table entry too short": _text("table", lambda table: [e[:3] for e in table]),
+    "the key as JSON text": _set("key", lambda a: np.frombuffer(
+        json.dumps(a["key"].tobytes().decode()).encode(), dtype=np.uint8)),
 }
 
 
@@ -507,13 +524,14 @@ def test_entities_are_the_sorted_entity_ids_of_the_reviews(tmp_path, parses, for
     parsed = ingest_tagged(path, format, DEFAULT_EXTRA_SENTIMENT, tmp_path / "out")
     loaded = ingest_tagged(path, format, DEFAULT_EXTRA_SENTIMENT, tmp_path / "out")
     assert len(parses) == 1   # the second ingest loaded the columns
-    keep = [True, False, True, True, False, True, False]   # no review of "café"
-    for corpus in (parsed, loaded, parsed.select(keep), loaded.select(keep),
-                   parsed.select([False] * len(keep))):
+    (tmp_path / "part").mkdir()
+    part = ingest_tagged(write_reviews(tmp_path / "part", format, [
+        r for r in ENTITY_REVIEWS if r["entity_id"] != "café"]), format)
+    for corpus in (parsed, loaded, part, Corpus([], [], [0], [0], [])):
         assert (corpus.entities, corpus.entity.tolist()) == oracle(corpus)
         assert corpus.entity.dtype == np.int64
     assert parsed.entities == ["10", "9", "Zoë", "b", "café"]
-    assert loaded.select(keep).entities == ["10", "9", "Zoë", "b"]
+    assert part.entities == ["10", "9", "Zoë", "b"]
 
 
 class TestVocabulary:
