@@ -176,7 +176,12 @@ def cmd_train(cfg, args):
             raise DataError(f"the config contradicts the checkpoint at "
                             f"{cfg.checkpoint_path}: {', '.join(diff)}")
     else:
-        state = model.init(corp, vocab, cfg.hyperparams, _load_seeds(cfg), cfg.rng_seed)
+        # a smoother or beta that no word probability survives fails here,
+        # before the first sweep
+        with np.errstate(over="ignore", invalid="ignore"):
+            state = model.init(corp, vocab, cfg.hyperparams, _load_seeds(cfg), cfg.rng_seed)
+        model.check_word_probabilities(state, f"config {args.config}",
+                                       ("[model] beta", "[model] mu_seed"))
     model.train(state, schedule)
     model.save_checkpoint(state, cfg.checkpoint_path)
     report = model.topic_report(state)

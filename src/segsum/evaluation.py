@@ -21,7 +21,8 @@ from . import stem as _stem
 
 log = logging.getLogger(__name__)
 
-_WORD_RE = re.compile(r"[a-z0-9']+")
+# runs of letters, digits (any script) and apostrophes
+_WORD_RE = re.compile(r"(?:[^\W_]|')+")
 
 
 @dataclass
@@ -75,77 +76,35 @@ class PairCounts(dict):
         return matches / pairs_y, matches / pairs_x
 
 
-@dataclass
-class SegmentScore:
-    precision: float
-    recall: float
-    best_indices: tuple   # the reference items reaching the best recall; the first is X_max
-
-
-def segment_scores(candidate, reference, pair_counts) -> SegmentScore:
-    """Score one candidate against the reference item maximizing R(X, Y);
-    ties break to the first item in reference order. pair_counts, a
-    PairCounts, may hold the pair counts of texts scored before."""
+def entity_scores(candidates, reference, alpha, pair_counts) -> dict:
+    """The report entry of one entity: its candidates, token tuples, scored
+    against its reference items. Each candidate gets the (P, R) of the item
+    maximizing R(X, Y), ties to the first item in reference order (x_max).
+    pair_counts, a PairCounts, may hold the pair counts of texts scored
+    before. Without candidates every score is the integer 0."""
     if not reference:
         raise ValueError("empty reference")
-    score = pair_counts.pr_pair
-    scores = [score(ref_item, candidate) for ref_item in reference]
-    best_recall = max(r for _, r in scores)
-    best = tuple(idx for idx, (_, r) in enumerate(scores) if r == best_recall)
-    return SegmentScore(*scores[best[0]], best)
-
-
-@dataclass
-class EntityScores:
-    p_skip: float
-    r_skip: float
-    p_entity: float
-    r_entity: float
-    p_cb: float
-    r_cb: float
-    num_candidates: int
-    num_references: int
-    segments: list = field(default_factory=list)
-    flagged_empty_candidate: bool = False
-
-    def to_dict(self):
-        return {
-            "P_skip": self.p_skip, "R_skip": self.r_skip,
-            "P_E": self.p_entity, "R_E": self.r_entity,
-            "P_cb": self.p_cb, "R_cb": self.r_cb,
-            "num_candidates": self.num_candidates,
-            "num_references": self.num_references,
-            "segments": [{"P": s.precision, "R": s.recall, "x_max": s.best_indices[0]}
-                         for s in self.segments],
-        }
-
-
-def entity_scores(candidates, reference, alpha, pair_counts) -> EntityScores:
-    """candidates/reference are sequences of token tuples; pair_counts is as
-    in segment_scores."""
-    reference = list(reference)
-    candidates = list(candidates)
-    if not reference:
-        raise ValueError("empty reference")
-    if not candidates:
-        return EntityScores(0, 0, 0, 0, 0, 0, 0, len(reference),
-                            flagged_empty_candidate=True)
-
-    scored = [segment_scores(y, reference, pair_counts) for y in candidates]
-    p_skip = sum(s.precision for s in scored) / len(scored)
-    r_skip = sum(s.recall for s in scored) / len(scored)
-
-    useful = [s for s in scored if s.recall >= alpha]
-    p_entity = len(useful) / len(candidates)
-    # a reference item is covered when some useful candidate reaches its
-    # best recall on it
-    covered = set().union(*(s.best_indices for s in useful))
+    segments, covered = [], set()
+    for y in candidates:
+        scores = [pair_counts.pr_pair(x, y) for x in reference]
+        best = max(r for _, r in scores)
+        ties = [i for i, (_, r) in enumerate(scores) if r == best]
+        segments.append({"P": scores[ties[0]][0], "R": best, "x_max": ties[0]})
+        # a reference item is covered when some useful candidate reaches its
+        # best recall on it
+        if best >= alpha:
+            covered.update(ties)
+    n = len(segments)
+    if not n:
+        return {"P_skip": 0, "R_skip": 0, "P_E": 0, "R_E": 0, "P_cb": 0, "R_cb": 0,
+                "num_candidates": 0, "num_references": len(reference), "segments": []}
+    p_skip = sum(s["P"] for s in segments) / n
+    r_skip = sum(s["R"] for s in segments) / n
+    p_entity = sum(s["R"] >= alpha for s in segments) / n
     r_entity = len(covered) / len(reference)
-
-    return EntityScores(
-        p_skip, r_skip, p_entity, r_entity,
-        (p_skip + p_entity) / 2, (r_skip + r_entity) / 2,
-        len(candidates), len(reference), scored)
+    return {"P_skip": p_skip, "R_skip": r_skip, "P_E": p_entity, "R_E": r_entity,
+            "P_cb": (p_skip + p_entity) / 2, "R_cb": (r_skip + r_entity) / 2,
+            "num_candidates": n, "num_references": len(reference), "segments": segments}
 
 
 @dataclass
@@ -167,21 +126,22 @@ class CorpusStats:
 
 
 def corpus_stats(entities) -> CorpusStats:
-    """Micro-average the segment scores, macro-average the entity scores."""
+    """Micro-average the segment scores, macro-average the entity scores, of
+    entity_scores entries."""
     entities = list(entities)
     if not entities:
         raise ValueError("no scored entities")
-    n_segments = sum(e.num_candidates for e in entities)
-    p_sum = sum(s.precision for e in entities for s in e.segments)
-    r_sum = sum(s.recall for e in entities for s in e.segments)
+    n_segments = sum(e["num_candidates"] for e in entities)
+    p_sum = sum(s["P"] for e in entities for s in e["segments"])
+    r_sum = sum(s["R"] for e in entities for s in e["segments"])
     n = len(entities)
     return CorpusStats(
         p_s=p_sum / n_segments if n_segments else 0.0,
         r_s=r_sum / n_segments if n_segments else 0.0,
-        p_e=sum(e.p_entity for e in entities) / n,
-        r_e=sum(e.r_entity for e in entities) / n,
-        p=sum(e.p_cb for e in entities) / n,
-        r=sum(e.r_cb for e in entities) / n,
+        p_e=sum(e["P_E"] for e in entities) / n,
+        r_e=sum(e["R_E"] for e in entities) / n,
+        p=sum(e["P_cb"] for e in entities) / n,
+        r=sum(e["R_cb"] for e in entities) / n,
         num_entities=n,
         num_segments=n_segments)
 
@@ -189,13 +149,13 @@ def corpus_stats(entities) -> CorpusStats:
 @dataclass
 class PolarityReport:
     stats: CorpusStats
-    entities: dict                 # entity_id -> EntityScores
+    entities: dict                 # entity_id -> its entity_scores entry
     excluded_no_reference: list = field(default_factory=list)
 
     def to_dict(self):
         return {
             "corpus": self.stats.to_dict(),
-            "entities": {e: s.to_dict() for e, s in self.entities.items()},
+            "entities": self.entities,
             "excluded_no_reference": self.excluded_no_reference,
         }
 
@@ -211,9 +171,10 @@ class EvalReport:
                 "skipped_entities": self.skipped_entities}
 
 
-def _score_polarity(table, per_entity_refs, cfg, pair_counts):
+def _score_polarity(table, per_entity_refs, cfg, pair_counts, side):
     """Score the rows of table, each entity's in row order, against the
-    references of every entity in per_entity_refs."""
+    references of every entity in per_entity_refs, its side ("pros" or
+    "cons")."""
     names = table.corpus.entities
     candidates = {entity_id: [] for entity_id in names}
     for entity, text in zip(table.corpus.entity[table.review].tolist(),
@@ -231,7 +192,7 @@ def _score_polarity(table, per_entity_refs, cfg, pair_counts):
         entities[entity_id] = entity_scores(candidates[entity_id], ref_norm,
                                             cfg.recall_threshold, pair_counts)
     if not entities:
-        raise ValueError("no scorable entities (all lacked references)")
+        raise ValueError(f"no scorable entities (all lacked {side} references)")
     return PolarityReport(corpus_stats(entities.values()), entities, excluded)
 
 
@@ -248,8 +209,10 @@ def evaluate(positive, negative, references, cfg=None) -> EvalReport:
 
     usable = [e for e in entities if e in references]
     pair_counts = PairCounts()
-    pros = _score_polarity(positive, {e: references[e][0] for e in usable}, cfg, pair_counts)
-    cons = _score_polarity(negative, {e: references[e][1] for e in usable}, cfg, pair_counts)
+    pros = _score_polarity(positive, {e: references[e][0] for e in usable}, cfg, pair_counts,
+                           "pros")
+    cons = _score_polarity(negative, {e: references[e][1] for e in usable}, cfg, pair_counts,
+                           "cons")
     return EvalReport(pros, cons, skipped)
 
 

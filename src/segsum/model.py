@@ -18,7 +18,6 @@ import logging
 import math
 import os
 import subprocess
-import warnings
 from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
@@ -352,6 +351,9 @@ def occupied_cells(n_STW):
     return where, n_STW.ravel()[where]
 
 
+# L-BFGS-B's trial points may overflow exp; an infinite or NaN value is its
+# answer to that, and the error state changes no value
+@np.errstate(over="ignore", invalid="ignore")
 def map_objective_and_gradient(y_topic, y_senti, n_STW, sigma_sq, occupied=None):
     """The negative log posterior of the smoothers given the sentiment-word
     counts, and its gradients: (objective, d/d y_topic, d/d y_senti).
@@ -396,9 +398,11 @@ def map_objective(state) -> float:
                                       state.hp.sigma_sq)[0]
 
 
-def optimize_smoothers(state, max_iters=50, tol=1e-5):
+def optimize_smoothers(state, max_iters=50, tol=1e-5, unconverged=None):
     """L-BFGS step on (y_topic, free y_senti); seed entries stay frozen.
-    Returns the MAP objective before and after the step."""
+    Returns the MAP objective before and after the step. A step that does not
+    converge appends L-BFGS-B's message to the list unconverged, or logs it
+    without one."""
     T, Vp = state.y_topic.shape
     free = ~state.seed_mask
     y_senti_fixed = state.y_senti.copy()
@@ -421,7 +425,10 @@ def optimize_smoothers(state, max_iters=50, tol=1e-5):
     result = minimize(fun, x0, jac=True, method="L-BFGS-B",
                       options={"maxiter": max_iters, "gtol": tol, "ftol": 0.0})
     if not result.success and result.status != 1:  # status 1 = maxiter reached
-        warnings.warn(f"smoother optimization did not converge: {result.message}")
+        if unconverged is None:
+            log.warning("smoother optimization did not converge: %s", result.message)
+        else:
+            unconverged.append(result.message)
     if result.fun <= entry:
         state.y_topic, state.y_senti = unpack(result.x)
         state.refresh_beta_prime()
@@ -437,11 +444,15 @@ def train(state, schedule=None) -> ModelState:
     an uninterrupted one and appends them to optimize_log.
     """
     schedule = schedule if schedule is not None else Schedule()
+    unconverged = []
     while state.sweep_index < schedule.total:
         gibbs_sweep(state)
         t = state.sweep_index
         if t > schedule.burn_in and (t - schedule.burn_in) % schedule.interleave == 0:
-            state.optimize_log.append((t, *optimize_smoothers(state)))
+            state.optimize_log.append((t, *optimize_smoothers(state, unconverged=unconverged)))
+    if unconverged:
+        log.warning("smoother optimization did not converge at %d MAP step(s): %s",
+                    len(unconverged), "; ".join(dict.fromkeys(unconverged)))
     return state
 
 
@@ -471,17 +482,18 @@ def estimate(state) -> PosteriorEstimates:
 
 # -- checkpointing & reports -------------------------------------------------
 
-def _check_word_probabilities(state, path):
-    """ValueError naming the checkpoint at path unless every word has a
-    positive, finite probability under state, which the classifiers take the
-    log of: a huge smoother or beta overflows or underflows to 0."""
+def check_word_probabilities(state, where, keys=("'n_TW' and 'hyperparams' beta",
+                                                 "'n_STW', 'y_topic' and 'y_senti'")):
+    """ValueError "<where>: a word probability is 0 or not finite under <key>"
+    unless every word has a positive, finite probability under state, which
+    the classifiers take the log of: a huge smoother or beta overflows or
+    underflows to 0. keys name what sets the aspect-word and the
+    sentiment-word probabilities."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         est = estimate(state)
-    for probs, keys in ((est.phi_hat, "'n_TW' and 'hyperparams' beta"),
-                        (est.phi_prime_hat, "'n_STW', 'y_topic' and 'y_senti'")):
+    for probs, key in zip((est.phi_hat, est.phi_prime_hat), keys):
         if not (np.isfinite(probs) & (probs > 0)).all():
-            raise ValueError(f"checkpoint {path}: a word probability is 0 or not finite "
-                             f"under {keys}")
+            raise ValueError(f"{where}: a word probability is 0 or not finite under {key}")
 
 
 def save_checkpoint(state, path):
@@ -489,7 +501,7 @@ def save_checkpoint(state, path):
     its corpus, or a word probability is 0 or not finite, which a later load
     would reject."""
     state.check_assignments()
-    _check_word_probabilities(state, path)
+    check_word_probabilities(state, f"checkpoint {path}")
     z, s = ([a[doc.start:doc.stop] for doc in state.docs]
             for a in (state.z.tolist(), state.s.tolist()))
     payload = {
@@ -610,7 +622,7 @@ def load_checkpoint(path, corpus=None):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         state = ModelState(hp, vocab, flat, rng, z, s, y_topic, y_senti, seed_mask, counts,
                            get("sweep_index", sweep_count))
-    _check_word_probabilities(state, path)
+    check_word_probabilities(state, f"checkpoint {path}")
     if corpus is not None and not state.counts_consistent():
         raise ValueError(f"checkpoint {path}: counts do not match the supplied corpus "
                          f"('n_TW', 'n_STW', 'n_DT' and 'n_DS' against 'z' and 's')")

@@ -237,12 +237,12 @@ def test_eval_oracle_equivalence():
         got = entity_scores(cands, refs, alpha=0.25, pair_counts=PairCounts())
         want = oracles.entity_oracle([list(y) for y in cands],
                                      [list(x) for x in refs], 0.25)
-        assert got.p_skip == want["p_skip"]
-        assert got.r_skip == want["r_skip"]
-        assert got.p_entity == want["p_e"]
-        assert got.r_entity == want["r_e"]
-        assert got.p_cb == want["p_cb"]
-        assert got.r_cb == want["r_cb"]
+        assert got["P_skip"] == want["p_skip"]
+        assert got["R_skip"] == want["r_skip"]
+        assert got["P_E"] == want["p_e"]
+        assert got["R_E"] == want["r_e"]
+        assert got["P_cb"] == want["p_cb"]
+        assert got["R_cb"] == want["r_cb"]
     elapsed = time.monotonic() - start
     assert elapsed < 30, f"{elapsed:.1f}s >= 30s budget"
     report("eval oracle equivalence", f"(1000 instances, {elapsed:.1f}s)")
@@ -268,7 +268,7 @@ def test_hand_computed_fixtures():
     e = entity_scores([("good", "food"), ("bad", "wine")],
                       [("good", "food"), ("rude", "staff")], alpha=0.25,
                       pair_counts=PairCounts())
-    assert (e.p_skip, e.r_skip, e.p_entity, e.r_entity) == (0.5, 0.5, 0.5, 0.5)
+    assert (e["P_skip"], e["R_skip"], e["P_E"], e["R_E"]) == (0.5, 0.5, 0.5, 0.5)
     report("hand-computed fixtures")
 
 

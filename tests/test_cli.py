@@ -1483,27 +1483,41 @@ def test_a_checkpoint_in_a_missing_directory_is_created(tmp_path):
 
 # a smoother that exp overflows, or a beta that overflows a topic's total,
 # gives a word probability of 0 or NaN, which every later command rejects:
-# train refuses to write such a checkpoint and keeps the one before
-@pytest.mark.parametrize("setting, keys", [
-    ("mu_seed = 800", "'n_STW', 'y_topic' and 'y_senti'"),
-    ("beta = 1e308", "'n_TW' and 'hyperparams' beta"),
-], ids=["mu_seed", "beta"])
-def test_train_writes_no_checkpoint_that_a_later_command_rejects(tmp_path, capsys, setting,
-                                                                  keys):
+# train refuses such a config before the first sweep, with no Python warning,
+# and keeps the checkpoint and topic files before
+@pytest.mark.parametrize("setting", ["mu_seed = 800", "mu_seed = 1e308", "beta = 1e308"],
+                         ids=["mu_seed", "mu_seed_1e308", "beta"])
+def test_train_writes_no_checkpoint_that_a_later_command_rejects(tmp_path, capsys, setting):
     config = write_config(tmp_path, write_corpus(tmp_path, num_entities=2, reviews_per_entity=4))
     assert main(["--config", str(config), "train"]) == 0
-    checkpoint = tmp_path / "out" / "checkpoint.json"
-    before = checkpoint.read_bytes()
+    written = ["checkpoint.json", "topics.json", "topics.txt"]
+    before = [(tmp_path / "out" / name).read_bytes() for name in written]
     config.write_text(config.read_text().replace("[model]\n", f"[model]\n{setting}\n"))
     capsys.readouterr()
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("error")
         assert main(["--config", str(config), "train"]) == 2
-    assert capsys.readouterr().err == (f"data error: checkpoint {checkpoint}: a word probability "
-                                       f"is 0 or not finite under {keys}\n")
-    assert checkpoint.read_bytes() == before
+    key = setting.split(" = ")[0]
+    assert capsys.readouterr().err == (f"data error: config {config}: a word probability "
+                                       f"is 0 or not finite under [model] {key}\n")
+    assert [(tmp_path / "out" / name).read_bytes() for name in written] == before
     for command in ("summarize", "topics"):
         assert main(["--config", str(config), command]) == 0
+
+
+# With mu_seed = 300 the MAP step's trial points overflow exp, and L-BFGS-B
+# stops abnormally at its entry point: train exits 0 with one warning line for
+# the run. The checkpoint's sha256 was taken with the overflow warnings on.
+def test_a_map_step_that_overflows_warns_once_and_keeps_its_bits(tmp_path, caplog):
+    config = write_config(tmp_path, write_corpus(tmp_path, num_entities=2, reviews_per_entity=4))
+    config.write_text(config.read_text().replace("[model]\n", "[model]\nmu_seed = 300\n"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--config", str(config), "train"]) == 0
+    assert [r.getMessage() for r in caplog.records if "smoother" in r.getMessage()] == [
+        "smoother optimization did not converge at 1 MAP step(s): ABNORMAL: "]
+    assert hashlib.sha256((tmp_path / "out" / "checkpoint.json").read_bytes()).hexdigest() \
+        == "e321e0c3678d9b18263001b01e78c22a0e4e329e4d4e62b934e321d6f08bc0fb"
 
 
 @pytest.mark.parametrize("columns_before", [False, True], ids=["fresh", "after-preprocess"])

@@ -14,7 +14,6 @@ from segsum.evaluation import (
     format_report_table,
     normalize_segments,
     normalize_text,
-    segment_scores,
 )
 from segsum.patterns import SegmentTable
 
@@ -75,6 +74,19 @@ class TestNormalize:
 
     def test_apostrophes_kept(self):
         assert normalize_text("don't", "surface_lower") == ("don't",)
+
+    def test_letters_of_any_script_kept(self):
+        assert normalize_text("Great café", "surface_lower") == ("great", "café")
+        assert normalize_text("naïve staff", "surface_lower") == ("naïve", "staff")
+        assert normalize_text("x_y 2ème", "surface_lower") == ("x", "y", "2ème")
+
+    @pytest.mark.parametrize("normalization", ["stemmed", "surface_lower"])
+    def test_a_non_ascii_reference_matches_its_candidate(self, normalization):
+        cands = {"e1": {"positive": [["great", "café"]], "negative": [["naïve", "staff"]]}}
+        refs = {"e1": (["Great café"], ["naïve staff"])}
+        report = evaluate_map(cands, refs, EvalConfig(token_normalization=normalization))
+        for side in (report.pros, report.cons):
+            assert (side.stats.p_s, side.stats.r_s) == (1.0, 1.0)
 
     def test_segment(self):
         # "Sauces" stems to "sauc": the two modes differ
@@ -163,63 +175,64 @@ class TestPrPair:
         assert 0.0 <= r <= 1.0
 
 
-class TestSegmentScores:
-    def test_argmax_recall_first_tie(self):
-        reference = [("good", "food"), ("nice", "food"), ("good", "food", "here")]
-        s = segment_scores(("good", "food"), reference, PairCounts())
-        # items 0 and 2 both give recall 1.0; the first wins
-        assert s.best_indices[0] == 0
-        assert s.recall == 1.0
-        assert s.precision == 1.0
-
-    def test_empty_reference_raises(self):
-        with pytest.raises(ValueError):
-            segment_scores(("good", "food"), [], PairCounts())
+def assert_matches_oracle(got, want):
+    """An entity_scores entry against oracles.entity_oracle, bit for bit: the
+    six aggregates and each segment's P, R and x_max."""
+    assert (got["P_skip"], got["R_skip"], got["P_E"], got["R_E"], got["P_cb"], got["R_cb"]) \
+        == (want["p_skip"], want["r_skip"], want["p_e"], want["r_e"], want["p_cb"], want["r_cb"])
+    assert got["segments"] == [{"P": p, "R": r, "x_max": i} for p, r, i in want["per_segment"]]
 
 
 class TestEntityScores:
+    def test_argmax_recall_first_tie(self):
+        reference = [("nice", "wine"), ("food", "here"), ("good", "food")]
+        e = entity_scores([("good", "food", "here")], reference, 0.25, PairCounts())
+        # items 1 and 2 both give recall 1.0; the first is x_max, and both are covered
+        assert e["segments"] == [{"P": 1 / 3, "R": 1.0, "x_max": 1}]
+        assert e["R_E"] == 2 / 3
+
+    def test_empty_reference_raises(self):
+        for candidates in ([("good", "food")], []):
+            with pytest.raises(ValueError):
+                entity_scores(candidates, [], 0.25, PairCounts())
+
     def test_hand_example(self):
         reference = [("good", "food"), ("rude", "staff")]
         candidates = [("good", "food"), ("bad", "wine")]
         e = entity_scores(candidates, reference, alpha=0.25, pair_counts=PairCounts())
-        assert e.p_skip == pytest.approx(0.5)   # (1 + 0) / 2
-        assert e.r_skip == pytest.approx(0.5)
-        assert e.p_entity == pytest.approx(0.5)  # 1 of 2 candidates useful
-        assert e.r_entity == pytest.approx(0.5)  # only 'good food' covered
-        assert e.p_cb == pytest.approx(0.5)
-        assert e.r_cb == pytest.approx(0.5)
+        assert e["P_skip"] == pytest.approx(0.5)   # (1 + 0) / 2
+        assert e["R_skip"] == pytest.approx(0.5)
+        assert e["P_E"] == pytest.approx(0.5)  # 1 of 2 candidates useful
+        assert e["R_E"] == pytest.approx(0.5)  # only 'good food' covered
+        assert e["P_cb"] == pytest.approx(0.5)
+        assert e["R_cb"] == pytest.approx(0.5)
 
     def test_perfect_candidates(self):
         reference = [("good", "food"), ("rude", "staff")]
         e = entity_scores(list(reference), reference, alpha=0.25, pair_counts=PairCounts())
-        assert (e.p_skip, e.r_skip, e.p_entity, e.r_entity) == (1, 1, 1, 1)
+        assert (e["P_skip"], e["R_skip"], e["P_E"], e["R_E"]) == (1, 1, 1, 1)
 
-    def test_no_candidates_flagged(self):
+    def test_no_candidates_scores_integer_zeros(self):
         e = entity_scores([], [("good", "food")], alpha=0.25, pair_counts=PairCounts())
-        assert e.flagged_empty_candidate
-        assert e.p_skip == e.r_skip == e.p_entity == e.r_entity == 0
+        assert e == {"P_skip": 0, "R_skip": 0, "P_E": 0, "R_E": 0, "P_cb": 0, "R_cb": 0,
+                     "num_candidates": 0, "num_references": 1, "segments": []}
+        assert all(type(v) is int for v in list(e.values())[:-1])
 
     def test_alpha_monotonicity(self):
         reference = [("good", "food"), ("rude", "staff")]
         candidates = [("good", "food"), ("very", "good", "food"), ("bad", "wine")]
         loose = entity_scores(candidates, reference, alpha=0.1, pair_counts=PairCounts())
         strict = entity_scores(candidates, reference, alpha=0.9, pair_counts=PairCounts())
-        assert strict.p_entity <= loose.p_entity
-        assert strict.r_entity <= loose.r_entity
+        assert strict["P_E"] <= loose["P_E"]
+        assert strict["R_E"] <= loose["R_E"]
 
     @given(st.lists(nonempty, min_size=1, max_size=5),
            st.lists(nonempty, min_size=1, max_size=5))
     @settings(max_examples=60)
     def test_matches_oracle(self, candidates, reference):
         got = entity_scores(candidates, reference, alpha=0.25, pair_counts=PairCounts())
-        want = oracles.entity_oracle([list(y) for y in candidates],
-                                     [list(x) for x in reference], 0.25)
-        assert got.p_skip == want["p_skip"]
-        assert got.r_skip == want["r_skip"]
-        assert got.p_entity == want["p_e"]
-        assert got.r_entity == want["r_e"]
-        assert got.p_cb == want["p_cb"]
-        assert got.r_cb == want["r_cb"]
+        assert_matches_oracle(got, oracles.entity_oracle([list(y) for y in candidates],
+                                                         [list(x) for x in reference], 0.25))
 
 
 class TestCorpusStats:
@@ -233,7 +246,7 @@ class TestCorpusStats:
         assert stats.r_s == pytest.approx(1 / 3)
         # macro: mean over the two entities
         assert stats.p_e == pytest.approx((1.0 + 0.0) / 2)
-        assert stats.p == pytest.approx((a.p_cb + b.p_cb) / 2)
+        assert stats.p == pytest.approx((a["P_cb"] + b["P_cb"]) / 2)
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
@@ -286,13 +299,19 @@ class TestEvaluate:
         report = evaluate_map(cands, self.refs())
         for side in (report.pros, report.cons):
             assert list(side.entities) == ["e1", "e2"]
-            assert side.entities["e2"].num_candidates == 0
-            assert side.entities["e2"].flagged_empty_candidate
+            assert side.entities["e2"]["num_candidates"] == 0
+            assert side.entities["e2"]["P_skip"] == 0
         assert report.pros.stats.p_e == pytest.approx(0.5)
 
     def test_no_scorable_entities_raises(self):
         refs = {"e1": ([], []), "e2": ([], [])}
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"all lacked pros references"):
+            evaluate_map(self.cands(), refs)
+
+    def test_a_side_without_references_is_named(self):
+        refs = {"e1": (["good food"], []), "e2": (["nice wine"], [" "])}
+        with pytest.raises(ValueError, match=r"^no scorable entities \(all lacked cons "
+                                             r"references\)$"):
             evaluate_map(self.cands(), refs)
 
     def test_stemming_bridges_inflection(self):
@@ -317,7 +336,7 @@ class TestEvaluate:
         cands = {"e1": {"positive": [["good", "food"]],
                         "negative": [["rude", "staff"]]}}
         report = evaluate_map(cands, refs)
-        assert report.pros.entities["e1"].num_references == 1
+        assert report.pros.entities["e1"]["num_references"] == 1
 
 
 class TestRandomInstances:
@@ -333,12 +352,8 @@ class TestRandomInstances:
             refs = [tuple(rng.choice(alphabet, size=rng.integers(1, 6)))
                     for _ in range(n_ref)]
             got = entity_scores(cands, refs, alpha=0.25, pair_counts=PairCounts())
-            want = oracles.entity_oracle([list(y) for y in cands],
-                                         [list(x) for x in refs], 0.25)
-            assert got.p_skip == want["p_skip"]
-            assert got.r_skip == want["r_skip"]
-            assert got.p_entity == want["p_e"]
-            assert got.r_entity == want["r_e"]
+            assert_matches_oracle(got, oracles.entity_oracle([list(y) for y in cands],
+                                                             [list(x) for x in refs], 0.25))
 
 
 def random_evaluation(rng):
