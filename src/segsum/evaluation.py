@@ -5,24 +5,26 @@ candidates against the cons reference, independently. Scores exist at three
 levels: per segment (P(Y), R(Y) against the best-recall reference item),
 per entity (averages plus the threshold-based P(E)/R(E) and their combined
 forms), and per corpus (micro segment stats P_s/R_s, macro entity stats
-P_e/R_e/P/R).
+P_e/R_e/P/R). Each polarity is scored in one pass of array operations over
+all its candidates and reference items.
 """
 
 from __future__ import annotations
 
 import logging
 import re
-from collections import Counter
+import unicodedata
 from dataclasses import dataclass, field
-from itertools import combinations
-from math import comb
+
+import numpy as np
 
 from . import stem as _stem
 
 log = logging.getLogger(__name__)
 
-# runs of letters, digits (any script) and apostrophes
-_WORD_RE = re.compile(r"(?:[^\W_]|')+")
+# runs of letters, digits (any script) and apostrophes, each continued by the
+# Unicode marks after it: _words maps every mark to U+0300 first
+_WORD_RE = re.compile(r"(?:[^\W_]|')(?:[^\W_]|'|\u0300)*")
 
 
 @dataclass
@@ -37,74 +39,19 @@ class EvalConfig:
             raise ValueError(f"bad token_normalization: {self.token_normalization!r}")
 
 
+def _words(text):
+    """The words of text: ASCII text by _WORD_RE alone."""
+    if text.isascii():
+        return _WORD_RE.findall(text)
+    marked = "".join("\u0300" if unicodedata.category(c)[0] == "M" else c for c in text)
+    return [text[m.start():m.end()] for m in _WORD_RE.finditer(marked)]
+
+
 def normalize_text(text: str, mode: str = "stemmed"):
-    words = _WORD_RE.findall(text.lower())
+    words = _words(text.lower())
     if mode == "stemmed":
         return tuple(_stem.stem(w) for w in words)
     return tuple(words)
-
-
-def normalize_segments(table, mode: str = "stemmed"):
-    """Each row of a SegmentTable as a tuple of words in token order: the
-    stems of its tokens, or their lower-cased surfaces."""
-    return table.gather([t.stem if mode == "stemmed" else t.surface.lower()
-                         for t in table.corpus.tokens])
-
-
-class PairCounts(dict):
-    """Normalised text -> the Counter of its ordered pairs (any gap), built on
-    first use, so that one evaluate counts the pairs of each text once."""
-
-    def __missing__(self, seq):
-        counts = self[seq] = Counter(combinations(seq, 2))
-        return counts
-
-    def pr_pair(self, x, y):
-        """(P(X,Y), R(X,Y)) from the ordered pairs x and y share, each clipped
-        to its lower multiplicity. Below 2 tokens on either side, both are 1
-        if the singleton occurs in the other sequence, else 0."""
-        if len(x) < 2 or len(y) < 2:
-            if len(x) == 0 or len(y) == 0:
-                return 0.0, 0.0
-            short, other = (x, y) if len(x) < len(y) else (y, x)
-            hit = 1.0 if short[0] in other else 0.0
-            return hit, hit
-        px, py, pairs_x, pairs_y = self[x], self[y], comb(len(x), 2), comb(len(y), 2)
-        # where one side repeats no pair, each shared pair counts once
-        matches = (len(px.keys() & py.keys()) if len(px) == pairs_x or len(py) == pairs_y
-                   else sum(min(n, py[p]) for p, n in px.items()))
-        return matches / pairs_y, matches / pairs_x
-
-
-def entity_scores(candidates, reference, alpha, pair_counts) -> dict:
-    """The report entry of one entity: its candidates, token tuples, scored
-    against its reference items. Each candidate gets the (P, R) of the item
-    maximizing R(X, Y), ties to the first item in reference order (x_max).
-    pair_counts, a PairCounts, may hold the pair counts of texts scored
-    before. Without candidates every score is the integer 0."""
-    if not reference:
-        raise ValueError("empty reference")
-    segments, covered = [], set()
-    for y in candidates:
-        scores = [pair_counts.pr_pair(x, y) for x in reference]
-        best = max(r for _, r in scores)
-        ties = [i for i, (_, r) in enumerate(scores) if r == best]
-        segments.append({"P": scores[ties[0]][0], "R": best, "x_max": ties[0]})
-        # a reference item is covered when some useful candidate reaches its
-        # best recall on it
-        if best >= alpha:
-            covered.update(ties)
-    n = len(segments)
-    if not n:
-        return {"P_skip": 0, "R_skip": 0, "P_E": 0, "R_E": 0, "P_cb": 0, "R_cb": 0,
-                "num_candidates": 0, "num_references": len(reference), "segments": []}
-    p_skip = sum(s["P"] for s in segments) / n
-    r_skip = sum(s["R"] for s in segments) / n
-    p_entity = sum(s["R"] >= alpha for s in segments) / n
-    r_entity = len(covered) / len(reference)
-    return {"P_skip": p_skip, "R_skip": r_skip, "P_E": p_entity, "R_E": r_entity,
-            "P_cb": (p_skip + p_entity) / 2, "R_cb": (r_skip + r_entity) / 2,
-            "num_candidates": n, "num_references": len(reference), "segments": segments}
 
 
 @dataclass
@@ -127,7 +74,7 @@ class CorpusStats:
 
 def corpus_stats(entities) -> CorpusStats:
     """Micro-average the segment scores, macro-average the entity scores, of
-    entity_scores entries."""
+    report entries."""
     entities = list(entities)
     if not entities:
         raise ValueError("no scored entities")
@@ -149,7 +96,7 @@ def corpus_stats(entities) -> CorpusStats:
 @dataclass
 class PolarityReport:
     stats: CorpusStats
-    entities: dict                 # entity_id -> its entity_scores entry
+    entities: dict                 # entity_id -> its report entry
     excluded_no_reference: list = field(default_factory=list)
 
     def to_dict(self):
@@ -171,28 +118,139 @@ class EvalReport:
                 "skipped_entities": self.skipped_entities}
 
 
-def _score_polarity(table, per_entity_refs, cfg, pair_counts, side):
+def _units(ids, lengths, v):
+    """(text, unit) occurrences of the padded word-id rows ids, row t holding
+    lengths[t] words: (text, word) of every word, and (text, pair) of every
+    ordered pair of positions i < j, coded a * v + b for words a, b < v."""
+    width = ids.shape[1]
+    words = np.arange(width) < lengths[:, None]
+    first, second = np.triu_indices(width, 1)
+    pairs = words[:, second]
+    return ((np.nonzero(words)[0], ids[words]),
+            (np.nonzero(pairs)[0], (ids[:, first] * v + ids[:, second])[pairs]))
+
+
+def _clipped_matches(candidate_units, reference_units, cand_entity, ref_entity, offset,
+                     n_cells):
+    """Per (candidate c, item r) cell, numbered offset[c] + r, the sum over
+    the units the two texts share of the lower of their counts: candidate
+    and item join on (entity, unit) through sorted keys, and only the hits
+    are expanded."""
+    (cand, cand_code), (ref, ref_code) = candidate_units, reference_units
+    # a pair code a * v + b is below v**2, within int64 for up to 3e9
+    # distinct words; the codes are compacted to n units, at most their
+    # occurrences, before they meet a text or entity number, so that
+    # text * n + unit and entity * n + unit stay below texts * occurrences
+    codes, unit = np.unique(np.concatenate([cand_code, ref_code]), return_inverse=True)
+    n = len(codes)
+    cand_keys, cand_count = np.unique(cand * n + unit[:len(cand)], return_counts=True)
+    ref_keys, ref_count = np.unique(ref * n + unit[len(cand):], return_counts=True)
+    cand, ref = cand_keys // n, ref_keys // n
+    join = cand_entity[cand] * n + cand_keys % n
+    order = np.argsort(join)
+    join = join[order]
+    wanted = ref_entity[ref] * n + ref_keys % n
+    lo = np.searchsorted(join, wanted, "left")
+    hits = np.searchsorted(join, wanted, "right") - lo
+    which = np.repeat(np.arange(len(wanted)), hits)
+    at = order[lo[which] + np.arange(len(which)) - (np.cumsum(hits) - hits)[which]]
+    return np.bincount(offset[cand[at]] + ref[which],
+                       weights=np.minimum(cand_count[at], ref_count[which]), minlength=n_cells)
+
+
+def _score_polarity(table, per_entity_refs, cfg, side, token_words, index):
     """Score the rows of table, each entity's in row order, against the
     references of every entity in per_entity_refs, its side ("pros" or
-    "cons")."""
-    names = table.corpus.entities
-    candidates = {entity_id: [] for entity_id in names}
-    for entity, text in zip(table.corpus.entity[table.review].tolist(),
-                            normalize_segments(table, cfg.token_normalization)):
-        candidates[names[entity]].append(text)
-    entities = {}
-    excluded = []
+    "cons"): token_words holds the word id of each token-table entry (and
+    one for the pad), index maps each word to its id and takes the new words
+    of the references."""
+    scored, items, excluded = [], [], []
     for entity_id, reference in per_entity_refs.items():
         ref_norm = sorted({normalize_text(item, cfg.token_normalization)
                            for item in reference if item.strip()})
         ref_norm = [r for r in ref_norm if r]
-        if not ref_norm:
+        if ref_norm:
+            scored.append(entity_id)
+            items.append(ref_norm)
+        else:
             excluded.append(entity_id)
-            continue
-        entities[entity_id] = entity_scores(candidates[entity_id], ref_norm,
-                                            cfg.recall_threshold, pair_counts)
-    if not entities:
+    if not scored:
         raise ValueError(f"no scorable entities (all lacked {side} references)")
+
+    # the scored entities numbered 0..E-1 (E for the others), their items in
+    # entity order
+    names = table.corpus.entities
+    slot = np.full(len(names), len(scored))
+    slot[np.searchsorted(names, scored)] = np.arange(len(scored))
+    n_refs = np.array(list(map(len, items)))
+    ref_start = np.cumsum(n_refs) - n_refs
+    ref_entity = np.repeat(np.arange(len(scored)), n_refs)
+    ref_len = np.array([len(item) for ref_norm in items for item in ref_norm])
+    ref_ids = np.zeros((len(ref_len), ref_len.max()), dtype=np.int64)
+    ref_ids[np.arange(ref_ids.shape[1]) < ref_len[:, None]] = [
+        index.setdefault(w, len(index)) for ref_norm in items for item in ref_norm for w in item]
+
+    # the candidates: the rows of scored entities, grouped by entity in row order
+    row_entity = slot[table.corpus.entity[table.review]]
+    rows = np.argsort(row_entity, kind="stable")[:np.count_nonzero(row_entity < len(scored))]
+    cand_entity = row_entity[rows]
+    cand_len = table.length[rows]
+    cand_ids = token_words[table.window()[rows]]
+
+    # one cell per (candidate, item of its entity), candidate-major: the
+    # cell of candidate c and item r is offset[c] + r
+    n_cells_of = n_refs[cand_entity]
+    cell_start = np.cumsum(n_cells_of) - n_cells_of
+    offset = cell_start - ref_start[cand_entity]
+    n_cells = int(n_cells_of.sum())
+    cell_cand = np.repeat(np.arange(len(rows)), n_cells_of)
+    cell_ref = np.arange(n_cells) - offset[cell_cand]
+
+    (cand_words, cand_pairs), (ref_words, ref_pairs) = (_units(cand_ids, cand_len, len(index)),
+                                                        _units(ref_ids, ref_len, len(index)))
+    shared_words = _clipped_matches(cand_words, ref_words, cand_entity, ref_entity, offset,
+                                    n_cells)
+    shared_pairs = _clipped_matches(cand_pairs, ref_pairs, cand_entity, ref_entity, offset,
+                                    n_cells)
+    # below 2 words on either side, P and R are both 1 if the single word
+    # occurs in the other text, else 0
+    y, x = cand_len[cell_cand], ref_len[cell_ref]
+    short, hit = (y < 2) | (x < 2), shared_words > 0
+    precision = np.where(short, hit, shared_pairs / np.maximum(y * (y - 1) // 2, 1))
+    recall = np.where(short, hit, shared_pairs / np.maximum(x * (x - 1) // 2, 1))
+
+    # each candidate's best recall, its first item (x_max) and all tied items
+    best = np.maximum.reduceat(recall, cell_start)
+    tie = recall == best[cell_cand]
+    ties = np.flatnonzero(tie)
+    first = ties[np.searchsorted(ties, cell_start)]
+    useful = best >= cfg.recall_threshold
+    # a reference item is covered when some useful candidate reaches its
+    # best recall on it
+    covered = np.unique(cell_ref[tie & useful[cell_cand]])
+    n_covered = np.bincount(ref_entity[covered], minlength=len(scored)).tolist()
+    n_useful = np.bincount(cand_entity[useful], minlength=len(scored)).tolist()
+
+    p_best, r_best = precision[first].tolist(), best.tolist()
+    segments = [{"P": p, "R": r, "x_max": x}
+                for p, r, x in zip(p_best, r_best, (first - cell_start).tolist())]
+    bounds = np.searchsorted(cand_entity, np.arange(len(scored) + 1)).tolist()
+    entities = {}
+    for k, entity_id in enumerate(scored):
+        a, b = bounds[k], bounds[k + 1]
+        n, n_ref = b - a, len(items[k])
+        if not n:
+            entities[entity_id] = {"P_skip": 0, "R_skip": 0, "P_E": 0, "R_E": 0, "P_cb": 0,
+                                   "R_cb": 0, "num_candidates": 0, "num_references": n_ref,
+                                   "segments": []}
+            continue
+        # Python sums, left to right: numpy's pairwise sum would change bits
+        p_skip, r_skip = sum(p_best[a:b]) / n, sum(r_best[a:b]) / n
+        p_entity, r_entity = n_useful[k] / n, n_covered[k] / n_ref
+        entities[entity_id] = {"P_skip": p_skip, "R_skip": r_skip, "P_E": p_entity,
+                               "R_E": r_entity, "P_cb": (p_skip + p_entity) / 2,
+                               "R_cb": (r_skip + r_entity) / 2, "num_candidates": n,
+                               "num_references": n_ref, "segments": segments[a:b]}
     return PolarityReport(corpus_stats(entities.values()), entities, excluded)
 
 
@@ -200,19 +258,25 @@ def evaluate(positive, negative, references, cfg=None) -> EvalReport:
     """Score every entity of the corpus of positive and negative, the
     SegmentTables of its positive and negative candidates, against
     references: entity_id -> (pros, cons) string collections. An entity
-    without candidates scores 0; one without references is skipped."""
+    without candidates scores 0; one without references is skipped. A
+    candidate's words are the stems of its tokens, or their lower-cased
+    surfaces: one id per token-table entry."""
     cfg = cfg if cfg is not None else EvalConfig()
-    entities = positive.corpus.entities
+    corpus = positive.corpus
+    entities = corpus.entities
     skipped = [e for e in entities if e not in references]
     for entity_id in skipped:
         log.warning("entity %r has no reference; skipped", entity_id)
 
     usable = [e for e in entities if e in references]
-    pair_counts = PairCounts()
-    pros = _score_polarity(positive, {e: references[e][0] for e in usable}, cfg, pair_counts,
-                           "pros")
-    cons = _score_polarity(negative, {e: references[e][1] for e in usable}, cfg, pair_counts,
-                           "cons")
+    index = {}
+    stemmed = cfg.token_normalization == "stemmed"
+    token_words = np.array([index.setdefault(t.stem if stemmed else t.surface.lower(), len(index))
+                            for t in corpus.tokens] + [0], dtype=np.int64)
+    pros = _score_polarity(positive, {e: references[e][0] for e in usable}, cfg, "pros",
+                           token_words, index)
+    cons = _score_polarity(negative, {e: references[e][1] for e in usable}, cfg, "cons",
+                           token_words, index)
     return EvalReport(pros, cons, skipped)
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from segsum import patterns
 from segsum.corpus import Corpus, Sentence, make_token
+from segsum.evaluation import evaluate
 from segsum.patterns import SegmentTable
 
 
@@ -44,6 +45,32 @@ def sentence_table(specs):
     return SegmentTable(corpus, corpus.sentence_starts[:-1], np.diff(corpus.sentence_starts),
                         rows, rows, np.full(len(specs), 5),
                         np.array([negated for _, negated, _ in specs], dtype=bool))
+
+
+def candidate_tables(candidates):
+    """(positive, negative) SegmentTables of a candidate map entity_id ->
+    {"positive": [words], "negative": [words]}: one review per entity, in
+    map order, its sentences the positive then the negative candidates, each
+    word tagged NN and each sentence one pattern-5 row."""
+    reviews, positive = [], []
+    for i, (entity_id, lists) in enumerate(candidates.items()):
+        sentences = []
+        for polarity in ("positive", "negative"):
+            sentences += [tagged_sentence([(w, "NN") for w in words], f"r{i}")
+                          for words in lists[polarity]]
+            positive += [polarity == "positive"] * len(lists[polarity])
+        reviews.append((f"r{i}", entity_id, sentences))
+    corpus = corpus_of(reviews)
+    sentence = np.arange(corpus.num_sentences)
+    table = SegmentTable(corpus, corpus.sentence_starts[:-1], np.diff(corpus.sentence_starts),
+                         sentence, np.searchsorted(corpus.review_starts, sentence, "right") - 1,
+                         np.full(len(sentence), 5), np.zeros(len(sentence), dtype=bool))
+    positive = np.array(positive, dtype=bool)
+    return table.take(positive), table.take(~positive)
+
+
+def evaluate_map(candidates, references, cfg=None):
+    return evaluate(*candidate_tables(candidates), references, cfg)
 
 
 @pytest.fixture

@@ -9,7 +9,9 @@ pattern matcher that the package ran before its one search over the whole
 corpus shares the compiled regex: extract_corpus must find what it found.
 The MAP objective as the package took it over every cell, before it took
 its cell terms only where a count is > 0, is kept as numpy array code: the
-package must give its bits.
+package must give its bits. The skip-bigram report as the package built it
+text by text, before it scored each polarity in columns, normalizes its
+gold items with the package's normalize_text: the report must be the same.
 """
 
 import math
@@ -17,12 +19,14 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, repeat
+from math import comb
 from typing import NamedTuple
 
 import mpmath
 import numpy as np
 from scipy.special import gammaln, psi
 
+from segsum.evaluation import normalize_text
 from segsum.patterns import DEFAULT_MAX_WORDS, DEFAULT_NEGATION, TAG_CLASSES, compile_patterns
 
 
@@ -328,6 +332,117 @@ def corpus_oracle(entity_results, candidate_counts):
         "p": sum(e["p_cb"] for e in entity_results) / n,
         "r": sum(e["r_cb"] for e in entity_results) / n,
     }
+
+
+# -- per-text skip-bigram report -----------------------------------------------
+
+class PairCounts(dict):
+    """Normalised text -> the Counter of its ordered pairs (any gap), built on
+    first use, so that one evaluate counts the pairs of each text once."""
+
+    def __missing__(self, seq):
+        counts = self[seq] = Counter(combinations(seq, 2))
+        return counts
+
+    def pr_pair(self, x, y):
+        """(P(X,Y), R(X,Y)) from the ordered pairs x and y share, each clipped
+        to its lower multiplicity. Below 2 tokens on either side, both are 1
+        if the singleton occurs in the other sequence, else 0."""
+        if len(x) < 2 or len(y) < 2:
+            if len(x) == 0 or len(y) == 0:
+                return 0.0, 0.0
+            short, other = (x, y) if len(x) < len(y) else (y, x)
+            hit = 1.0 if short[0] in other else 0.0
+            return hit, hit
+        px, py, pairs_x, pairs_y = self[x], self[y], comb(len(x), 2), comb(len(y), 2)
+        # where one side repeats no pair, each shared pair counts once
+        matches = (len(px.keys() & py.keys()) if len(px) == pairs_x or len(py) == pairs_y
+                   else sum(min(n, py[p]) for p, n in px.items()))
+        return matches / pairs_y, matches / pairs_x
+
+
+def entity_scores(candidates, reference, alpha, pair_counts) -> dict:
+    """The report entry of one entity: its candidates, token tuples, scored
+    against its reference items. Each candidate gets the (P, R) of the item
+    maximizing R(X, Y), ties to the first item in reference order (x_max).
+    pair_counts, a PairCounts, may hold the pair counts of texts scored
+    before. Without candidates every score is the integer 0."""
+    if not reference:
+        raise ValueError("empty reference")
+    segments, covered = [], set()
+    for y in candidates:
+        scores = [pair_counts.pr_pair(x, y) for x in reference]
+        best = max(r for _, r in scores)
+        ties = [i for i, (_, r) in enumerate(scores) if r == best]
+        segments.append({"P": scores[ties[0]][0], "R": best, "x_max": ties[0]})
+        # a reference item is covered when some useful candidate reaches its
+        # best recall on it
+        if best >= alpha:
+            covered.update(ties)
+    n = len(segments)
+    if not n:
+        return {"P_skip": 0, "R_skip": 0, "P_E": 0, "R_E": 0, "P_cb": 0, "R_cb": 0,
+                "num_candidates": 0, "num_references": len(reference), "segments": []}
+    p_skip = sum(s["P"] for s in segments) / n
+    r_skip = sum(s["R"] for s in segments) / n
+    p_entity = sum(s["R"] >= alpha for s in segments) / n
+    r_entity = len(covered) / len(reference)
+    return {"P_skip": p_skip, "R_skip": r_skip, "P_E": p_entity, "R_E": r_entity,
+            "P_cb": (p_skip + p_entity) / 2, "R_cb": (r_skip + r_entity) / 2,
+            "num_candidates": n, "num_references": len(reference), "segments": segments}
+
+
+def report_oracle(positive, negative, references, cfg):
+    """The dict of evaluation.evaluate(positive, negative, references,
+    cfg).to_dict() as the package built it before it scored each polarity in
+    columns: each row a tuple of words, and entity_scores per entity, one
+    PairCounts shared by both polarities. Raises ValueError as evaluate does."""
+    mode = cfg.token_normalization
+    corpus = positive.corpus
+    usable = [e for e in corpus.entities if e in references]
+    pair_counts = PairCounts()
+
+    def polarity(table, side):
+        words = [t.stem if mode == "stemmed" else t.surface.lower() for t in corpus.tokens]
+        candidates = {entity_id: [] for entity_id in corpus.entities}
+        for entity, text in zip(corpus.entity[table.review].tolist(), table.gather(words)):
+            candidates[corpus.entities[entity]].append(text)
+        entities, excluded = {}, []
+        for entity_id in usable:
+            reference = references[entity_id][side == "cons"]
+            ref_norm = sorted({normalize_text(item, mode) for item in reference if item.strip()})
+            ref_norm = [r for r in ref_norm if r]
+            if not ref_norm:
+                excluded.append(entity_id)
+                continue
+            entities[entity_id] = entity_scores(candidates[entity_id], ref_norm,
+                                                cfg.recall_threshold, pair_counts)
+        if not entities:
+            raise ValueError(f"no scorable entities (all lacked {side} references)")
+        scored = list(entities.values())
+        n, n_segments = len(scored), sum(e["num_candidates"] for e in scored)
+        p_sum = sum(s["P"] for e in scored for s in e["segments"])
+        r_sum = sum(s["R"] for e in scored for s in e["segments"])
+        stats = {"P_s": p_sum / n_segments if n_segments else 0.0,
+                 "R_s": r_sum / n_segments if n_segments else 0.0,
+                 "P_e": sum(e["P_E"] for e in scored) / n,
+                 "R_e": sum(e["R_E"] for e in scored) / n,
+                 "P": sum(e["P_cb"] for e in scored) / n,
+                 "R": sum(e["R_cb"] for e in scored) / n,
+                 "num_entities": n, "num_segments": n_segments}
+        return {"corpus": stats, "entities": entities, "excluded_no_reference": excluded}
+
+    return {"pros": polarity(positive, "pros"), "cons": polarity(negative, "cons"),
+            "skipped_entities": [e for e in corpus.entities if e not in references]}
+
+
+def typed_tree(obj, path=()):
+    """The path of every scalar in nested dicts and lists, with its type and
+    repr (see typed)."""
+    if isinstance(obj, (dict, list)):
+        items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+        return [leaf for key, value in items for leaf in typed_tree(value, path + (key,))]
+    return [(path, *typed([obj])[0])]
 
 
 # -- segment extraction ------------------------------------------------------

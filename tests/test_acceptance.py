@@ -12,7 +12,7 @@ import pytest
 
 from segsum import model
 from segsum.corpus import Sentence, Token, build_vocabulary
-from segsum.evaluation import PairCounts, entity_scores
+from segsum.evaluation import EvalConfig
 from segsum.patterns import extract_corpus
 from segsum.synthetic import (
     generate_generative_corpus,
@@ -22,7 +22,7 @@ from segsum.synthetic import (
 )
 
 import oracles
-from conftest import corpus_of, tagged_sentence
+from conftest import corpus_of, evaluate_map, tagged_sentence
 
 
 def report(name, detail=""):
@@ -225,18 +225,27 @@ def test_pattern_golden_suite():
 
 def test_eval_oracle_equivalence():
     """Entity-level evaluation matches the independent oracle on 1000 random
-    instances, bit for bit."""
+    instances, bit for bit: the entities of one evaluate."""
     start = time.monotonic()
     rng = np.random.default_rng(2025)
     alphabet = list("abcdefgh")
-    for _ in range(1000):
-        cands = [tuple(rng.choice(alphabet, size=rng.integers(1, 7)))
+    instances = {}
+    for i in range(1000):
+        cands = [tuple(map(str, rng.choice(alphabet, size=rng.integers(1, 7))))
                  for _ in range(rng.integers(1, 6))]
-        refs = [tuple(rng.choice(alphabet, size=rng.integers(1, 7)))
+        refs = [tuple(map(str, rng.choice(alphabet, size=rng.integers(1, 7))))
                 for _ in range(rng.integers(1, 5))]
-        got = entity_scores(cands, refs, alpha=0.25, pair_counts=PairCounts())
+        instances[f"e{i:04}"] = cands, refs
+    entries = evaluate_map({e: {"positive": list(map(list, cands)), "negative": []}
+                            for e, (cands, _) in instances.items()},
+                           {e: ([" ".join(x) for x in refs], ["x"])
+                            for e, (_, refs) in instances.items()},
+                           EvalConfig(token_normalization="surface_lower")).pros.entities
+    for e, (cands, refs) in instances.items():
+        got = entries[e]
+        # evaluate scores each entity's distinct items in sorted order
         want = oracles.entity_oracle([list(y) for y in cands],
-                                     [list(x) for x in refs], 0.25)
+                                     [list(x) for x in sorted(set(refs))], 0.25)
         assert got["P_skip"] == want["p_skip"]
         assert got["R_skip"] == want["r_skip"]
         assert got["P_E"] == want["p_e"]
@@ -265,9 +274,8 @@ def test_hand_computed_fixtures():
                                             np.zeros((2, 2, 3)), 2.0)[0] == 0.0
 
     # evaluation fixture: one exact candidate, one disjoint
-    e = entity_scores([("good", "food"), ("bad", "wine")],
-                      [("good", "food"), ("rude", "staff")], alpha=0.25,
-                      pair_counts=PairCounts())
+    e = evaluate_map({"e": {"positive": [["good", "food"], ["bad", "wine"]], "negative": []}},
+                     {"e": (["good food", "rude staff"], ["x"])}).pros.entities["e"]
     assert (e["P_skip"], e["R_skip"], e["P_E"], e["R_E"]) == (0.5, 0.5, 0.5, 0.5)
     report("hand-computed fixtures")
 

@@ -1,3 +1,5 @@
+import re
+import unicodedata
 from math import comb
 
 import numpy as np
@@ -7,25 +9,34 @@ from hypothesis import strategies as st
 
 from segsum.evaluation import (
     EvalConfig,
-    PairCounts,
     corpus_stats,
-    entity_scores,
     evaluate,
     format_report_table,
-    normalize_segments,
     normalize_text,
 )
-from segsum.patterns import SegmentTable
+from segsum.stem import stem
 
 import oracles
-from conftest import corpus_of, tagged_sentence
+from conftest import candidate_tables, evaluate_map
 
-tokens = st.lists(st.sampled_from("abcde"), min_size=0, max_size=6).map(tuple)
 nonempty = st.lists(st.sampled_from("abcde"), min_size=1, max_size=6).map(tuple)
 
 
+def entry_of(candidates, reference, alpha=0.25):
+    """The pros report entry of one entity whose candidates and reference
+    items are the given word tuples, as evaluate scores them under
+    surface_lower. evaluate sorts the items and drops repeats, so x_max
+    indexes sorted(set(reference))."""
+    cfg = EvalConfig(recall_threshold=alpha, token_normalization="surface_lower")
+    report = evaluate_map({"e": {"positive": [list(y) for y in candidates], "negative": []}},
+                          {"e": ([" ".join(x) for x in reference], ["x"])}, cfg)
+    return report.pros.entities["e"]
+
+
 def pr_pair(x, y):
-    return PairCounts().pr_pair(x, y)
+    """(P, R) of candidate y against the one reference item x."""
+    segment = entry_of([y], [x])["segments"][0]
+    return segment["P"], segment["R"]
 
 
 def pr_pair_oracle(x, y):
@@ -34,34 +45,8 @@ def pr_pair_oracle(x, y):
 
 def skip2(x, y):
     """The shared pair count of x and y (both 2 tokens or longer), read back
-    from the precision m / C(|y|, 2) of PairCounts().pr_pair."""
+    from the precision m / C(|y|, 2) of y against x."""
     return round(pr_pair(x, y)[0] * comb(len(y), 2))
-
-
-def tables(candidates):
-    """(positive, negative) SegmentTables of a candidate map entity_id ->
-    {"positive": [words], "negative": [words]}: one review per entity, in
-    map order, its sentences the positive then the negative candidates, each
-    word tagged NN and each sentence one pattern-5 row."""
-    reviews, positive = [], []
-    for i, (entity_id, lists) in enumerate(candidates.items()):
-        sentences = []
-        for polarity in ("positive", "negative"):
-            sentences += [tagged_sentence([(w, "NN") for w in words], f"r{i}")
-                          for words in lists[polarity]]
-            positive += [polarity == "positive"] * len(lists[polarity])
-        reviews.append((f"r{i}", entity_id, sentences))
-    corpus = corpus_of(reviews)
-    sentence = np.arange(corpus.num_sentences)
-    table = SegmentTable(corpus, corpus.sentence_starts[:-1], np.diff(corpus.sentence_starts),
-                         sentence, np.searchsorted(corpus.review_starts, sentence, "right") - 1,
-                         np.full(len(sentence), 5), np.zeros(len(sentence), dtype=bool))
-    positive = np.array(positive, dtype=bool)
-    return table.take(positive), table.take(~positive)
-
-
-def evaluate_map(candidates, references, cfg=None):
-    return evaluate(*tables(candidates), references, cfg)
 
 
 class TestNormalize:
@@ -80,6 +65,24 @@ class TestNormalize:
         assert normalize_text("naïve staff", "surface_lower") == ("naïve", "staff")
         assert normalize_text("x_y 2ème", "surface_lower") == ("x", "y", "2ème")
 
+    # decomposed accents, the dot that "İ".lower() adds, Devanagari vowel signs
+    MARKED = [unicodedata.normalize("NFD", "naïve café"), "İstanbul", "हिंदी खाना"]
+
+    @pytest.mark.parametrize("text", MARKED)
+    def test_a_mark_continues_its_word(self, text):
+        words = tuple(text.lower().split())
+        assert any(unicodedata.category(c)[0] == "M" for c in "".join(words))
+        assert normalize_text(text, "surface_lower") == words
+        assert normalize_text(text) == tuple(map(stem, words))
+
+    def test_a_mark_starts_no_word(self):
+        assert normalize_text("\u0301a, \u0301 b\u0301", "surface_lower") == ("a", "b\u0301")
+
+    @given(st.text(st.characters(max_codepoint=127)))
+    def test_ascii_text_splits_at_the_ascii_pattern(self, text):
+        assert normalize_text(text, "surface_lower") == \
+            tuple(re.findall(r"(?:[^\W_]|')+", text.lower()))
+
     @pytest.mark.parametrize("normalization", ["stemmed", "surface_lower"])
     def test_a_non_ascii_reference_matches_its_candidate(self, normalization):
         cands = {"e1": {"positive": [["great", "café"]], "negative": [["naïve", "staff"]]}}
@@ -88,15 +91,24 @@ class TestNormalize:
         for side in (report.pros, report.cons):
             assert (side.stats.p_s, side.stats.r_s) == (1.0, 1.0)
 
-    def test_segment(self):
-        # "Sauces" stems to "sauc": the two modes differ
-        positive, negative = tables({"e": {"positive": [["Delicious", "Sauces"], ["Food"]],
-                                           "negative": [["Rude", "staff"]]}})
-        assert normalize_segments(positive) == [("delici", "sauc"), ("food",)]
-        assert normalize_segments(positive, "surface_lower") == [("delicious", "sauces"),
-                                                                ("food",)]
-        assert normalize_segments(negative, "surface_lower") == [("rude", "staff")]
-        assert normalize_segments(positive.take([])) == []
+    @pytest.mark.parametrize("normalization", ["stemmed", "surface_lower"])
+    def test_a_marked_reference_matches_its_candidate(self, normalization):
+        cands = {"e1": {"positive": [text.split() for text in self.MARKED[:2]],
+                        "negative": [self.MARKED[2].split()]}}
+        refs = {"e1": (self.MARKED[:2], self.MARKED[2:])}
+        report = evaluate_map(cands, refs, EvalConfig(token_normalization=normalization))
+        for side in (report.pros, report.cons):
+            assert (side.stats.p_s, side.stats.r_s) == (1.0, 1.0)
+
+    @pytest.mark.parametrize("normalization", ["stemmed", "surface_lower"])
+    def test_candidate_words_are_stems_or_lowercased_surfaces(self, normalization):
+        # "Sauces" stems to "sauc": a candidate matches only the item of its
+        # own words, stems or surfaces
+        words = {"stemmed": "delici sauc", "surface_lower": "delicious sauces"}[normalization]
+        cands = {"e": {"positive": [["Delicious", "Sauces"]], "negative": [["Food"]]}}
+        report = evaluate_map(cands, {"e": ([words], ["food"])},
+                              EvalConfig(token_normalization=normalization))
+        assert report.pros.stats.r_s == report.cons.stats.r_s == 1.0
 
 
 class TestSkip2:
@@ -127,7 +139,7 @@ class TestSkip2:
     # three words: most draws repeat a word, and many repeat a pair
     @given(st.lists(st.sampled_from("abc"), min_size=2, max_size=8).map(tuple),
            st.lists(st.sampled_from("abc"), min_size=2, max_size=8).map(tuple))
-    def test_shared_keys_count_equals_the_clipped_min_sum(self, x, y):
+    def test_shared_count_equals_the_clipped_min_sum(self, x, y):
         m = oracles.clipped_pair_matches(x, y)
         assert pr_pair(x, y) == (m / comb(len(y), 2), m / comb(len(x), 2))
 
@@ -161,14 +173,17 @@ class TestPrPair:
         assert pr_pair(("a",), ("b",)) == (0.0, 0.0)
 
     def test_empty(self):
-        assert pr_pair((), ("a", "b")) == (0.0, 0.0)
-        assert pr_pair(("a", "b"), ()) == (0.0, 0.0)
+        # a gold item without words is dropped (a corpus holds no empty
+        # sentence, so no segment is empty)
+        entry = evaluate_map({"e": {"positive": [["a", "b"]], "negative": []}},
+                             {"e": (["", " ", "!", "a b"], ["x"])}).pros.entities["e"]
+        assert entry["num_references"] == 1
 
-    @given(tokens, tokens)
+    @given(nonempty, nonempty)
     def test_matches_rational_oracle(self, x, y):
         assert pr_pair(x, y) == pr_pair_oracle(x, y)
 
-    @given(tokens, tokens)
+    @given(nonempty, nonempty)
     def test_bounds(self, x, y):
         p, r = pr_pair(x, y)
         assert 0.0 <= p <= 1.0
@@ -176,8 +191,8 @@ class TestPrPair:
 
 
 def assert_matches_oracle(got, want):
-    """An entity_scores entry against oracles.entity_oracle, bit for bit: the
-    six aggregates and each segment's P, R and x_max."""
+    """A report entry against oracles.entity_oracle, bit for bit: the six
+    aggregates and each segment's P, R and x_max."""
     assert (got["P_skip"], got["R_skip"], got["P_E"], got["R_E"], got["P_cb"], got["R_cb"]) \
         == (want["p_skip"], want["r_skip"], want["p_e"], want["r_e"], want["p_cb"], want["r_cb"])
     assert got["segments"] == [{"P": p, "R": r, "x_max": i} for p, r, i in want["per_segment"]]
@@ -186,20 +201,22 @@ def assert_matches_oracle(got, want):
 class TestEntityScores:
     def test_argmax_recall_first_tie(self):
         reference = [("nice", "wine"), ("food", "here"), ("good", "food")]
-        e = entity_scores([("good", "food", "here")], reference, 0.25, PairCounts())
-        # items 1 and 2 both give recall 1.0; the first is x_max, and both are covered
-        assert e["segments"] == [{"P": 1 / 3, "R": 1.0, "x_max": 1}]
+        e = entry_of([("good", "food", "here")], reference)
+        # sorted, the items are "food here", "good food", "nice wine": the
+        # first two both give recall 1.0; the first is x_max, and both are covered
+        assert e["segments"] == [{"P": 1 / 3, "R": 1.0, "x_max": 0}]
         assert e["R_E"] == 2 / 3
 
     def test_empty_reference_raises(self):
-        for candidates in ([("good", "food")], []):
+        for candidates in ([["good", "food"]], []):
             with pytest.raises(ValueError):
-                entity_scores(candidates, [], 0.25, PairCounts())
+                evaluate_map({"e": {"positive": candidates, "negative": candidates}},
+                             {"e": ([], [])})
 
     def test_hand_example(self):
         reference = [("good", "food"), ("rude", "staff")]
         candidates = [("good", "food"), ("bad", "wine")]
-        e = entity_scores(candidates, reference, alpha=0.25, pair_counts=PairCounts())
+        e = entry_of(candidates, reference, alpha=0.25)
         assert e["P_skip"] == pytest.approx(0.5)   # (1 + 0) / 2
         assert e["R_skip"] == pytest.approx(0.5)
         assert e["P_E"] == pytest.approx(0.5)  # 1 of 2 candidates useful
@@ -209,11 +226,11 @@ class TestEntityScores:
 
     def test_perfect_candidates(self):
         reference = [("good", "food"), ("rude", "staff")]
-        e = entity_scores(list(reference), reference, alpha=0.25, pair_counts=PairCounts())
+        e = entry_of(list(reference), reference, alpha=0.25)
         assert (e["P_skip"], e["R_skip"], e["P_E"], e["R_E"]) == (1, 1, 1, 1)
 
     def test_no_candidates_scores_integer_zeros(self):
-        e = entity_scores([], [("good", "food")], alpha=0.25, pair_counts=PairCounts())
+        e = entry_of([], [("good", "food")], alpha=0.25)
         assert e == {"P_skip": 0, "R_skip": 0, "P_E": 0, "R_E": 0, "P_cb": 0, "R_cb": 0,
                      "num_candidates": 0, "num_references": 1, "segments": []}
         assert all(type(v) is int for v in list(e.values())[:-1])
@@ -221,8 +238,8 @@ class TestEntityScores:
     def test_alpha_monotonicity(self):
         reference = [("good", "food"), ("rude", "staff")]
         candidates = [("good", "food"), ("very", "good", "food"), ("bad", "wine")]
-        loose = entity_scores(candidates, reference, alpha=0.1, pair_counts=PairCounts())
-        strict = entity_scores(candidates, reference, alpha=0.9, pair_counts=PairCounts())
+        loose = entry_of(candidates, reference, alpha=0.1)
+        strict = entry_of(candidates, reference, alpha=0.9)
         assert strict["P_E"] <= loose["P_E"]
         assert strict["R_E"] <= loose["R_E"]
 
@@ -230,17 +247,21 @@ class TestEntityScores:
            st.lists(nonempty, min_size=1, max_size=5))
     @settings(max_examples=60)
     def test_matches_oracle(self, candidates, reference):
-        got = entity_scores(candidates, reference, alpha=0.25, pair_counts=PairCounts())
+        got = entry_of(candidates, reference, alpha=0.25)
         assert_matches_oracle(got, oracles.entity_oracle([list(y) for y in candidates],
-                                                         [list(x) for x in reference], 0.25))
+                                                         [list(x) for x in sorted(set(reference))],
+                                                         0.25))
 
 
 class TestCorpusStats:
     def test_micro_vs_macro(self):
-        a = entity_scores([("good", "food")], [("good", "food")], 0.25, PairCounts())
-        b = entity_scores([("bad", "wine"), ("ok", "decor")],
-                          [("rude", "staff")], 0.25, PairCounts())
+        report = evaluate_map({"a": {"positive": [["good", "food"]], "negative": []},
+                               "b": {"positive": [["bad", "wine"], ["ok", "decor"]],
+                                     "negative": []}},
+                              {"a": (["good food"], ["x"]), "b": (["rude staff"], ["x"])})
+        a, b = report.pros.entities["a"], report.pros.entities["b"]
         stats = corpus_stats([a, b])
+        assert stats == report.pros.stats
         # micro: 3 segments total, one with P=R=1
         assert stats.p_s == pytest.approx(1 / 3)
         assert stats.r_s == pytest.approx(1 / 3)
@@ -321,7 +342,7 @@ class TestEvaluate:
         report = evaluate_map(cands, refs, EvalConfig(token_normalization="stemmed"))
         assert report.pros.stats.r_s == pytest.approx(1.0)
         surface = evaluate_map(cands, refs,
-                           EvalConfig(token_normalization="surface_lower"))
+                               EvalConfig(token_normalization="surface_lower"))
         assert surface.pros.stats.r_s == pytest.approx(0.0)
 
     def test_report_serializes(self):
@@ -341,19 +362,23 @@ class TestEvaluate:
 
 class TestRandomInstances:
     def test_thousand_instances_match_oracle(self):
-        import numpy as np
+        # 200 entities of one evaluate, each checked against its own oracle
         rng = np.random.default_rng(2024)
         alphabet = list("abcdefg")
-        for _ in range(200):
-            n_cand = int(rng.integers(1, 5))
-            n_ref = int(rng.integers(1, 4))
-            cands = [tuple(rng.choice(alphabet, size=rng.integers(1, 6)))
-                     for _ in range(n_cand)]
-            refs = [tuple(rng.choice(alphabet, size=rng.integers(1, 6)))
-                    for _ in range(n_ref)]
-            got = entity_scores(cands, refs, alpha=0.25, pair_counts=PairCounts())
-            assert_matches_oracle(got, oracles.entity_oracle([list(y) for y in cands],
-                                                             [list(x) for x in refs], 0.25))
+        candidates, references = {}, {}
+        for e in range(200):
+            candidates[f"e{e:03}"] = [tuple(rng.choice(alphabet, size=rng.integers(1, 6)))
+                                      for _ in range(int(rng.integers(1, 5)))]
+            references[f"e{e:03}"] = [tuple(rng.choice(alphabet, size=rng.integers(1, 6)))
+                                      for _ in range(int(rng.integers(1, 4)))]
+        report = evaluate_map(
+            {e: {"positive": [list(map(str, y)) for y in c], "negative": []}
+             for e, c in candidates.items()},
+            {e: ([" ".join(x) for x in r], ["x"]) for e, r in references.items()},
+            EvalConfig(token_normalization="surface_lower"))
+        for e, cands in candidates.items():
+            assert_matches_oracle(report.pros.entities[e], oracles.entity_oracle(
+                [list(y) for y in cands], [list(x) for x in sorted(set(references[e]))], 0.25))
 
 
 def random_evaluation(rng):
@@ -376,21 +401,69 @@ def random_evaluation(rng):
     return candidates, references
 
 
+def assert_report_of_oracle(candidates, references, cfg):
+    """evaluate's report dict is the oracle's, value for value and type for
+    type, or both raise the same ValueError."""
+    tables = candidate_tables(candidates)
+    try:
+        want = oracles.report_oracle(*tables, references, cfg)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            evaluate(*tables, references, cfg)
+        return
+    got = evaluate(*tables, references, cfg).to_dict()
+    assert got == want
+    assert oracles.typed_tree(got) == oracles.typed_tree(want)
+
+
 @pytest.mark.parametrize("normalization", ["stemmed", "surface_lower"])
-def test_one_count_per_text_gives_the_report_of_pr_pair(monkeypatch, normalization):
-    import numpy as np
+def test_the_report_is_the_oracle_report(normalization):
     rng = np.random.default_rng(14)
     cfg = EvalConfig(token_normalization=normalization)
     for _ in range(100):
-        candidates, references = random_evaluation(rng)
-        counted = []
-        with monkeypatch.context() as m:
-            m.setattr(PairCounts, "__missing__",
-                      lambda self, seq, count=PairCounts.__missing__:
-                      counted.append(seq) or count(self, seq))
-            got = evaluate_map(candidates, references, cfg).to_dict()
-        assert len(counted) == len(set(counted))
-        with monkeypatch.context() as m:
-            m.setattr(PairCounts, "pr_pair", lambda self, x, y: pr_pair_oracle(x, y))
-            want = evaluate_map(candidates, references, cfg).to_dict()
-        assert got == want
+        assert_report_of_oracle(*random_evaluation(rng), cfg)
+
+
+# three words, so that texts repeat words and pairs and candidates tie on
+# recall; half the texts have 1 or 2 words
+words = st.sampled_from(["good", "food", "sauces"])
+texts = st.lists(words, min_size=1, max_size=2) | st.lists(words, min_size=3, max_size=6)
+
+
+@st.composite
+def evaluations(draw):
+    """(candidates, references) of 1-4 entities: some without candidates on a
+    side, some without references, some without pros or cons items."""
+    candidates, references = {}, {}
+    for e in range(draw(st.integers(1, 4))):
+        candidates[f"e{e}"] = {polarity: draw(st.lists(texts, max_size=4))
+                               for polarity in ("positive", "negative")}
+        items = st.lists(texts.map(" ".join), max_size=3)
+        refs = draw(st.none() | st.tuples(items, items))
+        if refs is not None:
+            references[f"e{e}"] = refs
+    return candidates, references
+
+
+@given(evaluations(), st.sampled_from(["stemmed", "surface_lower"]),
+       st.sampled_from([0.25, 0.5, 1.0]))
+@settings(max_examples=150)
+def test_hypothesis_cases_give_the_oracle_report(case, normalization, alpha):
+    assert_report_of_oracle(*case, EvalConfig(alpha, normalization))
+
+
+@pytest.mark.parametrize("normalization", ["stemmed", "surface_lower"])
+def test_long_candidate_lists_give_the_oracle_report(normalization):
+    # hundreds of candidates per entity: their scores sum left to right, as
+    # Python's sum adds them, and not as numpy's pairwise sum does
+    rng = np.random.default_rng(32)
+    words = ["good", "food", "bad", "wine", "slow", "staff", "nice", "sauces"]
+
+    def text(low, high):
+        return [str(w) for w in rng.choice(words, size=int(rng.integers(low, high)))]
+
+    candidates = {f"e{e}": {polarity: [text(1, 7) for _ in range(rng.integers(100, 300))]
+                            for polarity in ("positive", "negative")} for e in range(3)}
+    references = {e: tuple([" ".join(text(2, 5)) for _ in range(6)] for _ in "pc")
+                  for e in candidates}
+    assert_report_of_oracle(candidates, references, EvalConfig(token_normalization=normalization))
