@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import unicodedata
 from math import comb
 
@@ -467,3 +468,33 @@ def test_long_candidate_lists_give_the_oracle_report(normalization):
     references = {e: tuple([" ".join(text(2, 5)) for _ in range(6)] for _ in "pc")
                   for e in candidates}
     assert_report_of_oracle(candidates, references, EvalConfig(token_normalization=normalization))
+
+
+def test_one_long_text_costs_its_own_pairs():
+    # one 300-word candidate and one 300-word gold item among 1,600 short
+    # texts: the pairs cost the sum of comb(length, 2) over the texts, about
+    # 7 MB here, where padding every text to the longest took 310 MB
+    rng = np.random.default_rng(33)
+    vocab = [f"w{i}" for i in range(60)]
+
+    def text(n):
+        return [str(w) for w in rng.choice(vocab, size=n)]
+
+    candidates = {f"e{e}": {polarity: [text(int(rng.integers(1, 5))) for _ in range(100)]
+                            for polarity in ("positive", "negative")} for e in range(4)}
+    candidates["e0"]["positive"].append(text(300))
+    references = {e: tuple([" ".join(text(int(rng.integers(1, 5)))) for _ in range(100)]
+                           for _ in "pc") for e in candidates}
+    references["e1"][0].append(" ".join(text(300)))
+    tables = candidate_tables(candidates)
+    cfg = EvalConfig(token_normalization="surface_lower")
+    tracemalloc.start()
+    try:
+        got = evaluate(*tables, references, cfg).to_dict()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = oracles.report_oracle(*tables, references, cfg)
+    assert got == want
+    assert oracles.typed_tree(got) == oracles.typed_tree(want)
+    assert peak < 20e6
